@@ -504,10 +504,10 @@ def derived_hom(m: DgModule, n: DgModule, n_max: int,
 class EndAlgebra(DgAlgebra):
     """Derived endomorphisms of a module, with the convolution product."""
 
-    def __init__(self, complex: CochainComplex, unit: Elt, mult,
+    def __init__(self, complex: CochainComplex, unit: Elt, product,
                  module: DgModule, n_max: int, w_cap: int, reduced: bool,
                  name: str = ""):
-        super().__init__(complex, unit, mult, name=name)
+        super().__init__(complex, unit, product, name=name)
         self.module = module
         self.n_max = n_max
         self.w_cap = w_cap
@@ -558,30 +558,21 @@ def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     for q in m.basis_keys():
         unit[ekey(q, (q, ()))] = f.one
 
-    labels_by_target: Dict[Key, List[TupleLabel]] = {}
-    for lab in scheme.labels:
-        for q in m.basis_keys():
-            if nobj is not None and nobj[q] != scheme.robj(lab):
-                continue
-            labels_by_target.setdefault(q, []).append(lab)
-
     # (F*G)(prefix of G, then tuple of F) = F applied to G's value; nonzero
     # only when G's target equals F's input module part
-    mult: Dict[Tuple[Key, Key], Elt] = {}
-    for lab1 in scheme.labels:
-        partners = labels_by_target.get(lab1[0], [])
-        if not partners:
-            continue
-        q1s = [q for q in m.basis_keys()
-               if nobj is None or nobj[q] == scheme.robj(lab1)]
-        for lab2 in partners:
-            combined = (lab2[0], lab2[1] + lab1[1])
-            if combined not in scheme.index:
-                continue
-            k2 = ekey(lab1[0], lab2)
-            for q1 in q1s:
-                mult[(ekey(q1, lab1), k2)] = {ekey(q1, combined): f.one}
-    return EndAlgebra(cx, unit, mult, m, n_max, scheme.w_cap, scheme.reduced,
+    space, index, one = cx.space, scheme.index, f.one
+
+    def product(k1: Key, k2: Key) -> Elt:
+        q1, lab1 = space.label_of(k1)
+        q2, lab2 = space.label_of(k2)
+        if q2 != lab1[0]:
+            return {}
+        combined = (lab2[0], lab2[1] + lab1[1])
+        if combined not in index:
+            return {}
+        return {space.key_of(k1[0] + k2[0], k1[1] + k2[1], (q1, combined)): one}
+
+    return EndAlgebra(cx, unit, product, m, n_max, scheme.w_cap, scheme.reduced,
                       name=name or f"End({m.name})")
 
 
@@ -678,10 +669,10 @@ def stabilization_scan(compute: Callable[[int], Cohomology],
 class StrictEndAlgebra(DgAlgebra):
     """Honest module endomorphisms, with their defining maps attached."""
 
-    def __init__(self, complex: CochainComplex, unit: Elt, mult,
+    def __init__(self, complex: CochainComplex, unit: Elt, product,
                  module: DgModule, map_of: Dict[Key, Dict[Key, Elt]],
                  name: str = ""):
-        super().__init__(complex, unit, mult, name=name)
+        super().__init__(complex, unit, product, name=name)
         self.module = module
         self.map_of = map_of
 
@@ -802,28 +793,23 @@ def strict_end_algebra(m: DgModule) -> StrictEndAlgebra:
             for tk, c in coords(dg, d + 1, w).items():
                 cx.d.add_entry(src, tk, c)
 
-    flat: List[Tuple[Key, Dict[Key, Elt], int, int]] = []
     map_of: Dict[Key, Dict[Key, Elt]] = {}
     for (d, w), maps in basis_maps.items():
         for i, g in enumerate(maps):
-            k = sp.key_of(d, w, ("end", d, w, i))
-            flat.append((k, g, d, w))
-            map_of[k] = g
-    mult: Dict[Tuple[Key, Key], Elt] = {}
-    for (k1, g1, d1, w1) in flat:
-        for (k2, g2, d2, w2) in flat:
-            comp: Dict[Key, Elt] = {}
-            for p in mkeys:
-                val = apply_map(g1, g2.get(p, {}))
-                if val:
-                    comp[p] = val
-            e = coords(comp, d1 + d2, w1 + w2)
-            if e:
-                mult[(k1, k2)] = e
+            map_of[sp.key_of(d, w, ("end", d, w, i))] = g
+
+    def product(k1: Key, k2: Key) -> Elt:
+        g1, g2 = map_of[k1], map_of[k2]
+        comp: Dict[Key, Elt] = {}
+        for p in mkeys:
+            val = apply_map(g1, g2.get(p, {}))
+            if val:
+                comp[p] = val
+        return coords(comp, k1[0] + k2[0], k1[1] + k2[1])
 
     ident = {p: {p: f.one} for p in mkeys}
     unit = coords(ident, 0, 0) if mkeys else {}
-    return StrictEndAlgebra(cx, unit, mult, m, map_of,
+    return StrictEndAlgebra(cx, unit, product, m, map_of,
                             name=f"EndStrict({m.name})")
 
 

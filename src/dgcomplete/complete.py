@@ -41,9 +41,8 @@ def _is_regular(a: DgAlgebra, m: DgModule) -> bool:
     """Whether m is a on the nose: same complex, action equal to the product."""
     if m.complex is not a.complex or m.side != "right":
         return False
-    mult = {pair: e for pair, e in a.mult.items() if e}
     action = {pair: e for pair, e in m.action.items() if e}
-    return action == mult
+    return action == a.mult
 
 
 def _module_over_strict_opposite(strict: StrictEndAlgebra

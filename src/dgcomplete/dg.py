@@ -1,6 +1,11 @@
 """DG algebras, DG modules, and category algebras with structural validators.
 
-Multiplication is stored as sparse structure constants on basis-key pairs.
+Multiplication is a product rule on basis-key pairs, (k1, k2) -> k1·k2.  A
+pair is computed when it is first read and kept if nonzero, so an algebra read
+only through its differential computes no product at all; ``mult`` fills the
+whole table of sparse structure constants for the callers that enumerate it.
+The opposite algebra is a signed view of the same rule, not a copy.
+
 For category algebras the product is path concatenation: mult(f, g) = "f then
 g", nonzero only when tgt(f) = src(g); right modules are then covariant
 representations and the projective at object z is the right ideal e_z·A.
@@ -8,7 +13,7 @@ representations and the projective at object z is the right ideal e_z·A.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .graded import (
     BiGradedSpace, CochainComplex, Elt, GradedMap, Key,
@@ -17,6 +22,12 @@ from .graded import (
 from .linalg import Field, Scalar
 
 MultTable = Dict[Tuple[Key, Key], Elt]
+ProductRule = Callable[[Key, Key], Elt]
+
+
+def table_rule(table: MultTable) -> ProductRule:
+    """The product rule of a stored table; omitted pairs are zero."""
+    return lambda k1, k2: table.get((k1, k2), {})
 
 
 class ValidationReport:
@@ -35,17 +46,21 @@ class ValidationReport:
 
 
 class DgAlgebra:
-    """DG algebra on an explicit basis with sparse structure constants."""
+    """DG algebra on an explicit basis with a memoised product rule."""
 
-    def __init__(self, complex: CochainComplex, unit: Elt, mult: MultTable,
+    def __init__(self, complex: CochainComplex, unit: Elt, product: ProductRule,
                  name: str = "", idempotents: Optional[Dict[str, Elt]] = None):
         self.complex = complex
         self.unit = unit
-        self.mult = mult
         self.name = name
         # optional orthogonal idempotent decomposition of the unit, keyed by
         # object name; used for corner extraction and module constructions
         self.idempotents = idempotents or {}
+        self._rule = product
+        # the nonzero products read so far; once every pair has been read a
+        # missing pair is zero
+        self._memo: MultTable = {}
+        self._filled = False
 
     @property
     def field(self) -> Field:
@@ -61,15 +76,33 @@ class DgAlgebra:
             out.extend(self.space.keys(d, w))
         return out
 
+    @property
+    def mult(self) -> MultTable:
+        """Every nonzero structure constant; reads all pairs not yet read."""
+        if not self._filled:
+            keys = self.basis_keys()
+            for k1 in keys:
+                for k2 in keys:
+                    self.basis_product(k1, k2)
+            self._filled = True
+        return self._memo
+
     def basis_product(self, k1: Key, k2: Key) -> Elt:
-        return self.mult.get((k1, k2), {})
+        e = self._memo.get((k1, k2))
+        if e is None:
+            if self._filled:
+                return {}
+            e = self._rule(k1, k2)
+            if e:
+                self._memo[(k1, k2)] = e
+        return e
 
     def multiply(self, a: Elt, b: Elt) -> Elt:
         f = self.field
         out: Elt = {}
         for k1, v1 in a.items():
             for k2, v2 in b.items():
-                p = self.mult.get((k1, k2))
+                p = self.basis_product(k1, k2)
                 if p:
                     elt_axpy(f, out, f.mul(v1, v2), p)
         return out
@@ -122,20 +155,21 @@ class DgAlgebra:
             if e:
                 mult[(key(a), key(b))] = e
         unit = {key(nm): field.one for nm in unit_names}
-        return cls(cx, unit, mult, name=name)
+        return cls(cx, unit, table_rule(mult), name=name)
 
     # -- structural operations -----------------------------------------------
 
     def opposite(self) -> "DgAlgebra":
-        """a ·_op b = (-1)^{|a||b|} b·a on the same complex."""
+        """a ·_op b = (-1)^{|a||b|} b·a on the same complex, read through
+        this algebra's products as they are asked for."""
         f = self.field
-        mult: MultTable = {}
-        for (k1, k2), e in self.mult.items():
-            sign = f.of(-1 if (k1[0] % 2) and (k2[0] % 2) else 1)
-            tgt = elt_scale(f, sign, e)
-            if tgt:
-                mult[(k2, k1)] = tgt
-        return DgAlgebra(self.complex, dict(self.unit), mult,
+        minus = f.of(-1)
+
+        def product(k1: Key, k2: Key) -> Elt:
+            e = self.basis_product(k2, k1)
+            return elt_scale(f, minus, e) if k1[0] % 2 and k2[0] % 2 else e
+
+        return DgAlgebra(self.complex, dict(self.unit), product,
                          name=f"{self.name}^op" if self.name else "",
                          idempotents={k: dict(v) for k, v in self.idempotents.items()})
 
@@ -476,7 +510,7 @@ def product_algebra(factors: Sequence[DgAlgebra], name: str = "") -> DgAlgebra:
         unit.update(relabel(i, a, a.unit))
         for obj, e in a.idempotents.items():
             idems[f"{i}:{obj}"] = relabel(i, a, e)
-    return DgAlgebra(cx, unit, mult, name=name, idempotents=idems)
+    return DgAlgebra(cx, unit, table_rule(mult), name=name, idempotents=idems)
 
 
 class AlgebraMorphism:

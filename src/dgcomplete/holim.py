@@ -8,7 +8,9 @@ length.  A colimit cell sits at internal degree minus string length.  The
 differential has one term per face of the string (extend at the target end,
 compose two adjacent arrows, drop at the source end) plus the internal
 differential; the limit product concatenates strings, transporting the right
-factor across the left factor's string.
+factor across the left factor's string.  The product is a rule, not a table:
+each pair of cells is multiplied the first time something reads it, so a
+limit read only through its cohomology multiplies nothing.
 
 Strings longer than a cutoff span a two-sided dg ideal of the limit (every
 face and every product term only lengthens strings), so the stored object is
@@ -368,10 +370,10 @@ class HolimAlgebra(DgAlgebra):
     degree the cutoff provably does not disturb cohomology.
     """
 
-    def __init__(self, complex: CochainComplex, unit: Elt, mult,
+    def __init__(self, complex: CochainComplex, unit: Elt, product,
                  diagram: AlgebraDiagram, p_max: int, signs: SignConvention,
                  paths, name: str = ""):
-        super().__init__(complex, unit, mult, name=name)
+        super().__init__(complex, unit, product, name=name)
         self.diagram = diagram
         self.p_max = p_max
         self.signs = signs
@@ -492,33 +494,27 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
 
     # product: concatenate strings, transporting the right factor across the
     # left factor's string; drop anything past the cutoff (the ideal again).
-    # Pair over (final object of right factor) == (source object of left factor).
-    mult: Dict[Tuple[Key, Key], Elt] = {}
-    by_final_obj: Dict[object, List[Key]] = {}
-    for k in _all_keys(space):
-        o, names, vkey = space.label_of(k)
-        by_final_obj.setdefault(o, []).append(k)
-    for k1 in _all_keys(space):
+    # Nonzero only when the right factor's final object is the left factor's
+    # source object.
+    def product(k1: Key, k2: Key) -> Elt:
         o1, n1, v1 = space.label_of(k1)
+        o2, n2, v2 = space.label_of(k2)
+        if o2 != (cat.src(n1[0]) if n1 else o1):
+            return {}
+        names = n2 + n1
+        if len(names) > p_max:
+            return {}
         q1 = len(n1)
-        lsrc1 = cat.src(n1[0]) if n1 else o1
-        for k2 in by_final_obj.get(lsrc1, []):
-            o2, n2, v2 = space.label_of(k2)
-            names = n2 + n1
-            if len(names) > p_max:
-                continue
-            total2 = len(n2) + v2[0]
-            exp = q1 * total2 + (sc.limit_product if q1 == 1 else 0)
-            sgn = f.of(-1 if exp % 2 else 1)
-            moved = diagram.transport(n1, {v2: f.one})
-            prod = algebras[o1].multiply({v1: f.one}, moved)
-            out: Elt = {}
-            for tv, c in prod.items():
-                kk = key((o1, names, tv))
-                out[kk] = f.add(out.get(kk, f.zero), f.mul(sgn, c))
-            out = {kk: c for kk, c in out.items() if not f.is_zero(c)}
-            if out:
-                mult[(k1, k2)] = out
+        total2 = len(n2) + v2[0]
+        exp = q1 * total2 + (sc.limit_product if q1 == 1 else 0)
+        sgn = f.of(-1 if exp % 2 else 1)
+        moved = diagram.transport(n1, {v2: f.one})
+        prod = algebras[o1].multiply({v1: f.one}, moved)
+        out: Elt = {}
+        for tv, c in prod.items():
+            kk = key((o1, names, tv))
+            out[kk] = f.add(out.get(kk, f.zero), f.mul(sgn, c))
+        return {kk: c for kk, c in out.items() if not f.is_zero(c)}
 
     unit: Elt = {}
     for x in cat.objects:
@@ -526,7 +522,7 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
             unit[key((x, (), vkey))] = c
 
     label = name or (f"holim({diagram.name})" if diagram.name else "holim")
-    return HolimAlgebra(cx, unit, mult, diagram, p_max, sc, paths, name=label)
+    return HolimAlgebra(cx, unit, product, diagram, p_max, sc, paths, name=label)
 
 
 def holim_map_from_compatible_system(hl: HolimAlgebra, base: DgAlgebra,

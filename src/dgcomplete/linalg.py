@@ -313,15 +313,6 @@ class SparseMatrix:
                 x[pc] = v
         return x
 
-    def in_column_span(self, b: Dict[int, Scalar]) -> bool:
-        return self.solve(b) is not None
-
-    def to_dense(self) -> List[List[Scalar]]:
-        out = [[self.field.zero] * self.cols for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
-            out[r][c] = v
-        return out
-
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols} over {self.field!r}, {len(self.entries)} nonzero)"
 
@@ -358,28 +349,9 @@ class Echelon:
         self.pivots[pc] = {c: f.mul(inv, v) for c, v in r.items()}
         return True
 
-    def reduces_to_zero(self, row: Dict[int, Scalar]) -> bool:
-        f = self.field
-        r = {c: v for c, v in row.items() if not f.is_zero(v)}
-        for pc in sorted(self.pivots):
-            coeff = r.pop(pc, None)
-            if coeff is None or f.is_zero(coeff):
-                continue
-            for c, pv in self.pivots[pc].items():
-                s = f.sub(r.get(c, f.zero), f.mul(coeff, pv))
-                if f.is_zero(s):
-                    r.pop(c, None)
-                else:
-                    r[c] = s
-        return not r
-
 
 def identity_matrix(n: int, field: Field) -> SparseMatrix:
     m = SparseMatrix(n, n, field)
     for i in range(n):
         m.entries[(i, i)] = field.one
     return m
-
-
-def rank_nullity_ok(m: SparseMatrix) -> bool:
-    return m.rank() + len(m.kernel_basis()) == m.cols

@@ -385,6 +385,22 @@ def test_embed_strict_is_a_quasi_isomorphism_here():
             assert n == 0, (d, w, n)
 
 
+def test_opposites_of_end_algebras_are_signed_views():
+    a = paper_category().opposite()
+    m = right_ideal_module(a, a.idempotents["X1"], name="P1")
+    for alg in (end_algebra(m, n_max=3), strict_end_algebra(m)):
+        op = alg.opposite()
+        assert op.validate().ok
+        keys = alg.basis_keys()
+        for k1 in keys:
+            for k2 in keys:
+                want = alg.basis_product(k2, k1)
+                if k1[0] % 2 and k2[0] % 2:
+                    want = {k: -c for k, c in want.items()}
+                assert op.basis_product(k1, k2) == want, (k1, k2)
+        assert op.opposite().mult == alg.mult
+
+
 def test_module_over_opposite_axioms():
     m = trivial_right(dual_numbers())
     b = end_algebra(m, n_max=3)

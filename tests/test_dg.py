@@ -108,6 +108,27 @@ def test_opposite_involutive_and_valid():
     assert op.basis_product(ku, ke1) == {ku: F.one}
 
 
+def test_products_are_computed_once_on_first_read():
+    table = dual_numbers_algebra()
+    reads = []
+
+    def rule(k1, k2):
+        reads.append((k1, k2))
+        return table.basis_product(k1, k2)
+
+    a = DgAlgebra(table.complex, table.unit, rule)
+    one, e = a.basis_keys()
+    assert reads == []
+    assert a.basis_product(one, e) == {e: F.one}
+    assert a.multiply({one: F.one}, {e: F.of(2)}) == {e: F.of(2)}
+    assert reads == [(one, e)]
+    # enumerating the table reads each remaining pair once, then no more
+    assert a.mult == table.mult
+    assert sorted(reads) == sorted((x, y) for x in (one, e) for y in (one, e))
+    assert a.basis_product(e, e) == {}
+    assert len(reads) == 4
+
+
 def test_category_algebra_paper_example():
     pres = paper_two_object_category()
     assert pres.hom_dims() == {("X1", "X1"): 2, ("X2", "X2"): 1, ("X1", "X2"): 1}

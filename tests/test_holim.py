@@ -246,6 +246,31 @@ class TestSignConvention:
                 assert not bad.validate().ok, name
 
 
+class TestLazyProducts:
+    def test_cohomology_alone_computes_no_product(self, monkeypatch):
+        calls = []
+        transport = H.AlgebraDiagram.transport
+
+        def counted(self, names, e):
+            calls.append(names)
+            return transport(self, names, e)
+
+        monkeypatch.setattr(H.AlgebraDiagram, "transport", counted)
+        ring = M.truncated_poly(F, ["x"], ["x^3"])
+        cat, diag = M.adic_tower(ring, ["x"], 3).diagram()
+        hl = H.holim(diag, dmax=2)
+        h = hl.complex.cohomology(Window(0, 2, 3))
+        assert sum(h.dim(0, w) for w in range(4)) == 3
+        assert calls == []
+        # one pair read computes that pair and nothing else, once
+        o = cat.objects[0]
+        (u,) = diag.algebras[o].unit
+        k = hl.key_for(o, (), u)
+        assert hl.basis_product(k, k) == {k: F.one}
+        assert hl.basis_product(k, k) == {k: F.one}
+        assert calls == [()]
+
+
 class TestConeAndCocone:
     def setup_method(self):
         ring = M.truncated_poly(F, ["x"], ["x^3"])

@@ -4,6 +4,7 @@ import pytest
 from dgcomplete.linalg import RATIONALS as F
 from dgcomplete.graded import Window
 from dgcomplete.dg import regular_module, right_ideal_module
+from dgcomplete.complete import double_centralizer
 from dgcomplete import models as M
 
 
@@ -383,8 +384,24 @@ class TestRegistry:
     def test_opposite_scenario_scales_with_cap(self):
         for wmax in (3, 5):
             sc = M.build_scenario("dual_numbers_op", params={"wmax": wmax})
-            assert sc["expected"]["h_dims"] == {
-                (0, w): 1 for w in range(0, wmax + 1)}
+            want = {(0, 0): 2, (0, 1): 1, (1, 0): 1, (1, 1): 1}
+            want.update({(0, -n): 1 for n in range(1, wmax + 1)})
+            assert sc["expected"]["h_dims"] == want
+
+    @pytest.mark.parametrize("name", ["triangular_12", "triangular_123"])
+    def test_triangular_completion_matches_the_registry(self, name):
+        sc = M.build_scenario(name)
+        cap = sc["caps"][1]
+        dlo, dhi = sc["window"]
+        r = double_centralizer(sc["algebra"], sc["module"], sc["caps"])
+        h = r.cohomology(Window(dlo, dhi, cap))
+        cells = [(d, w) for d in range(dlo, dhi + 1)
+                 for w in range(-cap, cap + 1)]
+        assert all(h.certificate.exact_at(*c) for c in cells)
+        h0 = sum(h.dim(d, w) for d, w in cells if d == 0)
+        other = sum(h.dim(d, w) for d, w in cells if d != 0)
+        assert (h0, other) == (sc["expected"]["h0_total"],
+                               sc["expected"]["h_other"])
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):
