@@ -10,7 +10,7 @@ its weight are fully known.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .linalg import Echelon, Field, Scalar, SparseMatrix
 
@@ -210,9 +210,6 @@ def elt_add(field: Field, a: Elt, b: Elt) -> Elt:
             out[k] = s
     return out
 
-def elt_sub(field: Field, a: Elt, b: Elt) -> Elt:
-    return elt_add(field, a, elt_scale(field, field.of(-1), b))
-
 def elt_scale(field: Field, s: Scalar, a: Elt) -> Elt:
     if field.is_zero(s):
         return {}
@@ -228,12 +225,6 @@ def elt_axpy(field: Field, acc: Elt, s: Scalar, a: Elt) -> None:
             acc.pop(k, None)
         else:
             acc[k] = t
-
-def elt_degree(a: Elt) -> Optional[int]:
-    degs = {k[0] for k in a}
-    if len(degs) > 1:
-        raise ValueError(f"element not homogeneous in degree: {sorted(degs)}")
-    return degs.pop() if degs else None
 
 
 class GradedMap:
@@ -399,30 +390,52 @@ class Certificate:
     def text_at(self, deg: int, wt: int) -> str:
         return EXACT if self.exact_at(deg, wt) else WINDOW_LIMITED
 
-    def meet(self, other: "Certificate") -> "Certificate":
-        out = Certificate()
-        for key in set(self.status) | set(other.status):
-            out.status[key] = self.status.get(key, False) and other.status.get(key, False)
-        return out
-
     def all_exact(self) -> bool:
         return all(self.status.values())
 
 
 class Cohomology:
-    """Cohomology of a complex: dimensions, representatives, certificate."""
+    """Cohomology of a complex: dimensions, certificate, representatives.
+
+    ``blocks`` holds, per nonzero cell (d, w), the blocks of d at (d, w) and
+    (d-1, w) from which ``representatives`` is computed on first read."""
 
     def __init__(self, space: BiGradedSpace, certificate: Certificate,
-                 representatives: Dict[Key, Elt]):
+                 blocks: Dict[Tuple[int, int], Tuple[SparseMatrix, SparseMatrix]]):
         self.space = space
         self.certificate = certificate
-        self.representatives = representatives
+        self._blocks = blocks
+        self._reps: Optional[Dict[Key, Elt]] = None
+
+    @property
+    def representatives(self) -> Dict[Key, Elt]:
+        """Cocycles whose classes are a basis of each cell: the kernel basis
+        vectors of d at (d, w) that enlarge the image of d at (d-1, w)."""
+        if self._reps is None:
+            self._reps = {}
+            for (d, w), (block, prior) in sorted(self._blocks.items()):
+                ech = _image_echelon(prior)
+                chosen = [v for v in block.kernel_basis() if ech.insert(v)]
+                for i, v in enumerate(chosen):
+                    self._reps[(d, w, i)] = {(d, w, c): x for c, x in sorted(v.items())}
+        return self._reps
 
     def dim(self, deg: int, wt: int) -> int:
         return self.space.dim(deg, wt)
 
     def dims_by_cell(self) -> Dict[Tuple[int, int], int]:
         return {cell: len(lbls) for cell, lbls in sorted(self.space.cells.items())}
+
+
+def _image_echelon(m: SparseMatrix) -> Echelon:
+    """Echelon of the columns of m, inserted in column order."""
+    cols: Dict[int, Dict[int, Scalar]] = {}
+    for (r, c), v in m.entries.items():
+        cols.setdefault(c, {})[r] = v
+    ech = Echelon(m.field)
+    for c in sorted(cols):
+        ech.insert(cols[c])
+    return ech
 
 
 class CochainComplex:
@@ -452,43 +465,38 @@ class CochainComplex:
         return SparseMatrix(self.space.dim(deg + 1, wt), self.space.dim(deg, wt),
                             self.field)
 
+    def cohomology_dim(self, deg: int, wt: int) -> int:
+        """n - rank d_{deg,wt} - rank d_{deg-1,wt}, which is dim H^{deg,wt} when
+        d∘d = 0.  Blocks cache their ranks, so each is eliminated once."""
+        n = self.space.dim(deg, wt)
+        blocks = (self.d.block_at(deg, wt), self.d.block_at(deg - 1, wt))
+        return n and n - sum(b.rank() for b in blocks if b is not None)
+
     def cohomology(self, window: Optional[Window] = None) -> Cohomology:
-        f = self.field
-        hspace = BiGradedSpace(f)
+        """Dimensions from ``cohomology_dim``, whose rank formula assumes d∘d = 0
+        (``validate_d2`` checks it); representatives are computed when read."""
+        hspace = BiGradedSpace(self.field)
         cert = Certificate()
-        reps: Dict[Key, Elt] = {}
+        blocks: Dict[Tuple[int, int], Tuple[SparseMatrix, SparseMatrix]] = {}
         probe = set(self.space.cells)
         if window is not None:
             probe.update(window.grid())
         for (d, w) in sorted(probe):
-            n = self.space.dim(d, w)
             exact = (self.space.known_at(d - 1, w) and self.space.known_at(d, w)
                      and self.space.known_at(d + 1, w))
             cert.set_at(d, w, exact)
-            if n == 0:
-                continue
-            ker = self.differential_block(d, w).kernel_basis()
-            img_mat = self.differential_block(d - 1, w)
-            # echelon of image vectors, then keep kernel vectors that enlarge
-            # the span; those are the representatives
-            ech = Echelon(f)
-            img_cols: Dict[int, Dict[int, Scalar]] = {}
-            for (r, c), v in img_mat.entries.items():
-                img_cols.setdefault(c, {})[r] = v
-            for c in sorted(img_cols):
-                ech.insert(img_cols[c])
-            chosen = [v for v in ker if ech.insert(v)]
-            if chosen:
-                hspace.add_cell(d, w, [f"h{i}" for i in range(len(chosen))])
-                for i, v in enumerate(chosen):
-                    reps[(d, w, i)] = {(d, w, c): x for c, x in sorted(v.items())}
+            h = self.cohomology_dim(d, w)
+            if h > 0:
+                hspace.add_cell(d, w, [f"h{i}" for i in range(h)])
+                blocks[(d, w)] = (self.differential_block(d, w),
+                                  self.differential_block(d - 1, w))
         # cohomology knowledge mirrors the complex's
         hspace.zero_outside = self.space.zero_outside
         hspace.known_cols = {
             w: (None if lo is None else lo + 1, None if hi is None else hi - 1)
             for w, (lo, hi) in self.space.known_cols.items()
         }
-        return Cohomology(hspace, cert, reps)
+        return Cohomology(hspace, cert, blocks)
 
     def shift(self, n: int) -> "CochainComplex":
         """c[n]: degree d piece = c's degree d+n piece; differential times (-1)^n."""
@@ -525,19 +533,15 @@ class CochainComplex:
 
 def induced_rank(f: GradedMap, src: "CochainComplex", tgt: "CochainComplex",
                  deg: int, wt: int) -> int:
-    """Rank of the map a chain map induces on cohomology at (deg, wt)."""
-    fld = src.field
-    ker = src.differential_block(deg, wt).kernel_basis()
-    if not ker:
-        return 0
+    """Rank of the map a chain map induces on cohomology at (deg, wt).
+
+    It is 0 at once when the source or target cell has no cohomology by
+    ``cohomology_dim``: exact for a chain map between complexes with d∘d = 0."""
     td, tw = deg + f.deg_shift, wt + f.wt_shift
-    ech = Echelon(fld)
-    prior = tgt.differential_block(td - 1, tw)
-    cols: Dict[int, Dict[int, Scalar]] = {}
-    for (r, c), v in prior.entries.items():
-        cols.setdefault(c, {})[r] = v
-    for c in sorted(cols):
-        ech.insert(cols[c])
+    if src.cohomology_dim(deg, wt) == 0 or tgt.cohomology_dim(td, tw) == 0:
+        return 0
+    ker = src.differential_block(deg, wt).kernel_basis()
+    ech = _image_echelon(tgt.differential_block(td - 1, tw))
     rank = 0
     for v in ker:
         img = f.apply({(deg, wt, i): s for i, s in v.items()})
@@ -632,9 +636,6 @@ class TensorComplex(CochainComplex):
             sp.zero_outside = False
             sp.known_cols = {}
 
-    def pair_key(self, ka: Key, kb: Key) -> Key:
-        return self.space.key_of(ka[0] + kb[0], ka[1] + kb[1], (ka, kb))
-
 
 class HomComplex(CochainComplex):
     """Hom complex: degree-d weight-w piece = maps shifting by (d, w).
@@ -655,13 +656,7 @@ class HomComplex(CochainComplex):
                         cells.setdefault(cell, []).append((ka, kb))
         for cell, lst in sorted(cells.items()):
             sp.add_cell(cell[0], cell[1], lst)
-        if (a.space.zero_outside and b.space.zero_outside
-                and all(iv == (None, None) for iv in a.space.known_cols.values())
-                and all(iv == (None, None) for iv in b.space.known_cols.values())):
-            sp.mark_all_complete()
-        else:
-            sp.zero_outside = False
-            sp.known_cols = {}
+        TensorComplex._tensor_knowledge(sp, a.space, b.space)
         dd = GradedMap(sp, sp, 1, 0)
         for cell, lst in cells.items():
             for (ka, kb) in lst:

@@ -4,11 +4,16 @@ Everything downstream (cohomology ranks, kernel bases, solving for chain
 homotopies and strict endomorphisms) reduces to the three operations in this
 module: rank, kernel_basis, solve.  All arithmetic is exact; no floats ever
 enter the pipeline.
+
+One private core, ``_reduce``, does every row reduction.  ``Echelon.insert``
+and ``SparseMatrix.rank`` use it as is; ``kernel_basis`` and ``solve`` also
+back-substitute each new pivot into the older pivot rows.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from heapq import heappop, heappush
+from typing import Dict, List, Optional, Sequence, Tuple
 
 Scalar = object  # Fraction in characteristic 0, int in characteristic p
 
@@ -53,11 +58,11 @@ class Field:
 
     @property
     def zero(self) -> Scalar:
-        return Fraction(0) if self.char == 0 else 0
+        return _QQ_ZERO if self.char == 0 else 0
 
     @property
     def one(self) -> Scalar:
-        return Fraction(1) if self.char == 0 else 1
+        return _QQ_ONE if self.char == 0 else 1
 
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
@@ -79,14 +84,8 @@ class Field:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.char - 2, self.char)
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a) -> bool:
         return a == 0 if self.char == 0 else a % self.char == 0
-
-    def show(self, a) -> str:
-        return str(a)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.char == other.char
@@ -99,6 +98,51 @@ class Field:
 
 
 RATIONALS = Field(0)
+# Fraction is immutable, so every caller can share these two
+_QQ_ZERO = Fraction(0)
+_QQ_ONE = Fraction(1)
+
+
+def _axpy(r: Dict[int, Scalar], a: Scalar, row: Dict[int, Scalar], p: int) -> List[int]:
+    """r -= a * row in place (mod p unless p is 0); returns the columns it adds to r."""
+    added = []
+    for c, v in row.items():
+        old = r.get(c)
+        if old is None:
+            r[c] = (-a * v) % p if p else -a * v
+            added.append(c)
+        else:
+            s = (old - a * v) % p if p else old - a * v
+            if s:
+                r[c] = s
+            else:
+                del r[c]
+    return added
+
+
+def _reduce(field: Field, pivots: Dict[int, Dict[int, Scalar]],
+            r: Dict[int, Scalar]) -> Optional[int]:
+    """Reduce the sparse row r (consumed) against pivots, lowest pivot first.
+
+    pivots maps each pivot column to its normalised row, the 1 left out.  A
+    nonzero remainder becomes the pivot of its lowest column, which is
+    returned; a zero remainder returns None."""
+    p = field.char
+    todo = sorted(c for c in r if c in pivots)
+    while todo:
+        pc = heappop(todo)
+        a = r.pop(pc, None)
+        if a is None:
+            continue
+        for c in _axpy(r, a, pivots[pc], p):
+            if c in pivots:
+                heappush(todo, c)
+    if not r:
+        return None
+    pc = min(r)
+    inv = field.inv(r.pop(pc))
+    pivots[pc] = {c: (inv * v) % p if p else inv * v for c, v in r.items()}
+    return pc
 
 
 class SparseMatrix:
@@ -221,61 +265,36 @@ class SparseMatrix:
             rows[r][c] = v
         return rows
 
-    def _echelon(self, extra_col: Optional[Dict[int, Scalar]] = None):
+    def _echelon(self, extra_col: Optional[Dict[int, Scalar]] = None, back: bool = True):
         """Row-reduce, optionally with an augmented column (index = self.cols).
 
         Returns a dict pivot_col -> row dict (pivot coefficient normalized to 1
-        and removed), fully back-substituted so non-pivot entries involve only
-        free columns and the augmented column.
+        and removed).  With back, it is fully back-substituted so non-pivot
+        entries involve only free columns and the augmented column.
         """
-        f = self.field
+        p = self.field.char
         rows = self._row_dicts()
-        pivots: Dict[int, Dict[int, Scalar]] = {}
-        work = rows
         if extra_col is not None:
-            work = []
             for r, row in enumerate(rows):
-                row = dict(row)
                 b = extra_col.get(r)
-                if b is not None and not f.is_zero(b):
+                if b is not None and not self.field.is_zero(b):
                     row[self.cols] = b
-                work.append(row)
-        for row in work:
-            r = dict(row)
-            # pivot rows only involve free columns, so one pass suffices
-            for pc in sorted(pivots):
-                coeff = r.pop(pc, None)
-                if coeff is None or f.is_zero(coeff):
-                    continue
-                for c, pv in pivots[pc].items():
-                    s = f.sub(r.get(c, f.zero), f.mul(coeff, pv))
-                    if f.is_zero(s):
-                        r.pop(c, None)
-                    else:
-                        r[c] = s
-            if not r:
+        pivots: Dict[int, Dict[int, Scalar]] = {}
+        for row in rows:
+            pc = _reduce(self.field, pivots, row) if row else None
+            if pc is None or not back:
                 continue
-            pc = min(r)
-            pv = r.pop(pc)
-            inv = f.inv(pv)
-            r = {c: f.mul(inv, v) for c, v in r.items()}
-            # back-substitute the new pivot into older rows
             for opc, orow in pivots.items():
-                coeff = orow.pop(pc, None)
-                if coeff is None:
-                    continue
-                for c, v in r.items():
-                    s = f.sub(orow.get(c, f.zero), f.mul(coeff, v))
-                    if f.is_zero(s):
-                        orow.pop(c, None)
-                    else:
-                        orow[c] = s
-            pivots[pc] = r
+                if opc != pc and pc in orow:
+                    _axpy(orow, orow.pop(pc), pivots[pc], p)
+        if extra_col is None:
+            self._rank = len(pivots)
         return pivots
 
     def rank(self) -> int:
+        """Rank, cached until an entry changes; needs no back-substitution."""
         if self._rank is None:
-            self._rank = len(self._echelon())
+            self._echelon(back=False)
         return self._rank
 
     def kernel_basis(self) -> List[Dict[int, Scalar]]:
@@ -332,22 +351,7 @@ class Echelon:
         """Reduce row against the current span; returns True if rank grew."""
         f = self.field
         r = {c: v for c, v in row.items() if not f.is_zero(v)}
-        for pc in sorted(self.pivots):
-            coeff = r.pop(pc, None)
-            if coeff is None or f.is_zero(coeff):
-                continue
-            for c, pv in self.pivots[pc].items():
-                s = f.sub(r.get(c, f.zero), f.mul(coeff, pv))
-                if f.is_zero(s):
-                    r.pop(c, None)
-                else:
-                    r[c] = s
-        if not r:
-            return False
-        pc = min(r)
-        inv = f.inv(r.pop(pc))
-        self.pivots[pc] = {c: f.mul(inv, v) for c, v in r.items()}
-        return True
+        return _reduce(f, self.pivots, r) is not None
 
 
 def identity_matrix(n: int, field: Field) -> SparseMatrix:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from dgcomplete.linalg import RATIONALS
+from dgcomplete import linalg
+from dgcomplete.linalg import RATIONALS, Echelon, Field
 from dgcomplete.graded import (
     BiGradedSpace, CochainComplex, GradedMap, Window,
     cone, hom_complex, is_chain_map, tensor, unit_complex,
@@ -58,16 +59,16 @@ def point_complex(deg, wt, field=F, tag="p"):
     return CochainComplex(sp)
 
 
-def random_complex(rng, tag="r"):
+def random_complex(rng, tag="r", field=F):
     """Direct sum of intervals (acyclic) and points (cohomology), so H is known."""
-    c = point_complex(rng.randint(-2, 2), rng.randint(-1, 1), tag=f"{tag}s")
+    c = point_complex(rng.randint(-2, 2), rng.randint(-1, 1), field, tag=f"{tag}s")
     expected = {(cell[0], cell[1]): 1 for cell in c.space.cells}
     for j in range(rng.randint(0, 3)):
         d, w = rng.randint(-2, 2), rng.randint(-1, 1)
-        c = c.direct_sum(interval_complex(d, w, tag=f"{tag}i{j}"))
+        c = c.direct_sum(interval_complex(d, w, field, tag=f"{tag}i{j}"))
     for j in range(rng.randint(0, 2)):
         d, w = rng.randint(-2, 2), rng.randint(-1, 1)
-        c = c.direct_sum(point_complex(d, w, tag=f"{tag}p{j}"))
+        c = c.direct_sum(point_complex(d, w, field, tag=f"{tag}p{j}"))
         expected[(d, w)] = expected.get((d, w), 0) + 1
     return c, expected
 
@@ -368,3 +369,81 @@ def test_is_chain_map_detects_violation():
     bad = GradedMap(a.space, b.space, 0, 0)
     bad.set_entry((0, 0, 0), (0, 0, 0), F.one)
     assert is_chain_map(bad, a.d, b.d) == (0, 0)
+
+
+# -- rank-formula dimensions and lazy representatives ----------------------
+
+FIELDS = [RATIONALS, Field(32003)]
+
+
+def image_echelon(c, d, w):
+    """Echelon of the image of d at (d-1, w), column by column."""
+    ech = Echelon(c.field)
+    prior = c.differential_block(d - 1, w)
+    for j in range(prior.cols):
+        ech.insert({r: v for (r, cc), v in prior.entries.items() if cc == j})
+    return ech
+
+
+def kernel_extension_count(c, d, w):
+    """dim H^{d,w} as kernel vectors that enlarge the image, no rank formula."""
+    ech = image_echelon(c, d, w)
+    return sum(ech.insert(v) for v in c.differential_block(d, w).kernel_basis())
+
+
+def random_complexes(field, seed, count):
+    """The random_complex family with tensor and Hom complexes of pairs."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        a, _ = random_complex(rng, "a", field)
+        b, _ = random_complex(rng, "b", field)
+        yield a
+        yield tensor(a, b)
+        yield hom_complex(a, b)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_rank_formula_matches_kernel_extension(field):
+    for c in random_complexes(field, 53, 8):
+        assert c.validate_d2() is None
+        h = c.cohomology()
+        for (d, w) in c.space.cells:
+            assert h.dim(d, w) == kernel_extension_count(c, d, w)
+            assert c.cohomology_dim(d, w) == h.dim(d, w)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_lazy_representatives_are_independent_cocycles(field):
+    for c in random_complexes(field, 59, 6):
+        h = c.cohomology()
+        reps = h.representatives
+        assert sorted(reps) == sorted(k for cell in h.space.cells
+                                      for k in h.space.keys(*cell))
+        for (d, w) in h.space.cells:
+            ech = image_echelon(c, d, w)
+            for i in range(h.dim(d, w)):
+                v = reps[(d, w, i)]
+                assert v and all(k[:2] == (d, w) for k in v)
+                assert c.d.apply(v) == {}  # a cocycle
+                # independent of the image and of the earlier representatives
+                assert ech.insert({k[2]: x for k, x in v.items()})
+        assert h.representatives is reps  # computed once
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_cohomology_computes_no_kernel_until_representatives_are_read(
+        field, monkeypatch):
+    calls = []
+    kernel_basis = linalg.SparseMatrix.kernel_basis
+
+    def counted(self):
+        calls.append(self)
+        return kernel_basis(self)
+
+    monkeypatch.setattr(linalg.SparseMatrix, "kernel_basis", counted)
+    hs = [c.cohomology() for c in random_complexes(field, 61, 3)]
+    assert sum(h.space.total_dim() for h in hs) > 0
+    assert calls == []
+    for h in hs:
+        assert len(h.representatives) == h.space.total_dim()
+    assert calls

@@ -1,7 +1,7 @@
 """Homotopy limit engine: index categories, towers, signs, the action map."""
 import pytest
 
-from dgcomplete.linalg import RATIONALS as F
+from dgcomplete.linalg import RATIONALS as F, Echelon
 from dgcomplete.graded import Window, induced_rank, is_chain_map
 from dgcomplete.dg import regular_module
 from dgcomplete import holim as H
@@ -325,6 +325,56 @@ class TestConeAndCocone:
         with pytest.raises(ValueError, match="cocone maps incompatible"):
             H.hocolim_map_from_cocone(hc, target.space, target.complex.d,
                                       gmaps)
+
+
+def full_induced_rank(f, src, tgt, deg, wt):
+    """Rank on cohomology with no shortcut: images of the source kernel
+    that enlarge the image of the target's differential."""
+    td, tw = deg + f.deg_shift, wt + f.wt_shift
+    ech = Echelon(F)
+    prior = tgt.differential_block(td - 1, tw)
+    for c in range(prior.cols):
+        ech.insert({r: v for (r, cc), v in prior.entries.items() if cc == c})
+    rank = 0
+    for v in src.differential_block(deg, wt).kernel_basis():
+        img = f.apply({(deg, wt, i): s for i, s in v.items()})
+        rank += ech.insert({k[2]: s for k, s in img.items()})
+    return rank
+
+
+class TestInducedRankShortcut:
+    """induced_rank skips cells with no cohomology; it must agree with the
+    full computation on every chain map of this file."""
+
+    def chain_maps(self):
+        ring = M.truncated_poly(F, ["x"], ["x^3"])
+        tower = M.adic_tower(ring, ["x"], 3)
+        _, diag = tower.diagram()
+        hl = H.holim(diag, dmax=1)
+        yield hl.restriction(0).map, hl.complex, diag.algebras[0].complex
+        deep = tower.quotient(3)
+        cone = {i: deep.projection_to(tower.quotient(3 - i)).map for i in range(3)}
+        mor = H.holim_map_from_compatible_system(hl, deep.algebra, cone)
+        yield mor.map, deep.algebra.complex, hl.complex
+        mdiag = constant_module_diagram(H.chain_poset(range(3)), ground_algebra())
+        hc = H.hocolim(mdiag, dmin=-2)
+        target = mdiag.modules[0]
+        gmaps = {o: {k: {k: 1} for k in mdiag.modules[o].basis_keys()}
+                 for o in mdiag.modules}
+        g = H.hocolim_map_from_cocone(hc, target.space, target.complex.d, gmaps)
+        yield g, hc.complex, target.complex
+
+    def test_shortcut_agrees_with_the_full_computation(self):
+        skipped_kernels = 0
+        for f, src, tgt in self.chain_maps():
+            assert is_chain_map(f, src.d, tgt.d) is None
+            for (d, w) in src.space.cells:
+                full = full_induced_rank(f, src, tgt, d, w)
+                assert induced_rank(f, src, tgt, d, w) == full
+                if src.cohomology_dim(d, w) == 0:
+                    skipped_kernels += len(src.differential_block(d, w).kernel_basis())
+        # the shortcut did skip cells whose kernel is not empty
+        assert skipped_kernels > 0
 
 
 class TestActionOnColimit:

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from dgcomplete.linalg import RATIONALS, Field, SparseMatrix, identity_matrix
+from dgcomplete.graded import BiGradedSpace, CochainComplex
+from dgcomplete.linalg import RATIONALS, Echelon, Field, SparseMatrix, identity_matrix
 
 
 def to_sympy(m: SparseMatrix) -> sympy.Matrix:
@@ -147,3 +148,58 @@ def test_determinism_of_kernel():
     m2 = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]], RATIONALS)
     assert m1.kernel_basis() == m2.kernel_basis()
     assert m1.kernel_basis()[0] == {0: Fraction(1), 1: Fraction(-2), 2: Fraction(1)}
+
+
+GF = Field(32003)
+
+
+def test_rank_cache_follows_setitem():
+    m = SparseMatrix.from_dense([[1, 2], [2, 4]], RATIONALS)
+    assert m.rank() == 1
+    m[1, 1] = 5
+    assert m.rank() == 2
+    m[1, 1] = 4
+    assert m.rank() == 1
+    m.add_to(0, 0, -1)
+    assert m.rank() == 2
+
+
+def test_cohomology_follows_set_entry():
+    sp = BiGradedSpace(GF)
+    sp.add_cell(0, 0, ["a"])
+    sp.add_cell(1, 0, ["b"])
+    sp.mark_all_complete()
+    c = CochainComplex(sp)
+    c.d.set_entry((0, 0, 0), (1, 0, 0), GF.one)
+    assert c.cohomology().dims_by_cell() == {}
+    c.d.set_entry((0, 0, 0), (1, 0, 0), GF.zero)
+    assert c.cohomology().dims_by_cell() == {(0, 0): 1, (1, 0): 1}
+
+
+def test_prime_field_solve_and_kernel_are_exact():
+    rng = random.Random(31)
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), GF, span=40000)
+        for v in m.kernel_basis():
+            assert m.apply(v) == {}
+        assert m.rank() + len(m.kernel_basis()) == m.cols
+        x0 = {c: GF.of(rng.randint(-50000, 50000)) for c in range(m.cols)}
+        b = m.apply(x0)
+        x = m.solve(b)
+        assert x is not None
+        assert m.apply(x) == b
+        assert all(0 < v < GF.char for v in x.values())
+
+
+def test_echelon_and_rank_agree_with_kernel_rank():
+    # one core under all three: the incremental echelon, rank without
+    # back-substitution, and the back-substituted echelon behind kernels
+    rng = random.Random(37)
+    for field in (RATIONALS, GF):
+        for _ in range(30):
+            m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), field)
+            ech = Echelon(field)
+            grown = sum(ech.insert({c: v for (r, c), v in m.entries.items() if r == i})
+                        for i in range(m.rows))
+            fresh = SparseMatrix(m.rows, m.cols, field, dict(m.entries))
+            assert grown == m.rank() == m.cols - len(fresh.kernel_basis())
