@@ -306,81 +306,81 @@ class BarData:
         self.reduced = reduced
 
 
+def _two_sided(scheme: _BarScheme, keys: Sequence[Key],
+               lobj: Optional[Dict[Key, int]], merge: Callable[[Key, Key], Elt],
+               rcx: CochainComplex, right_known: bool) -> CochainComplex:
+    """Bar tuples of the scheme tensored with a right factor over the
+    idempotents.  The right factor is plain data: its basis keys, the object
+    each key starts at (None when unreduced), the merge of a last slot into
+    a key, and its complex.  Labels are (module key, slots, right key)."""
+    f = scheme.field
+    items: List[Tuple[int, int, object]] = []
+    for lab in scheme.labels:
+        for rk in keys:
+            if lobj is not None and lobj[rk] != scheme.robj(lab):
+                continue
+            wt = scheme.wt(lab) + rk[1]
+            if abs(wt) > scheme.w_cap:
+                continue
+            items.append((scheme.deg(lab) + rk[0], wt, (lab[0], lab[1], rk)))
+    space = _build_space(f, items)
+    cx = CochainComplex(space)
+
+    def key3(mk: Key, al: Tuple[Key, ...], rk: Key) -> Key:
+        d = scheme.deg((mk, al)) + rk[0]
+        w = scheme.wt((mk, al)) + rk[1]
+        return space.key_of(d, w, (mk, al, rk))
+
+    for (d, w), labs in space.cells.items():
+        for i, (mk, al, rk) in enumerate(labs):
+            src = (d, w, i)
+            for lab2, c in scheme.d_src((mk, al)).items():
+                cx.d.add_entry(src, key3(lab2[0], lab2[1], rk), c)
+            pd = scheme.prefix_degrees((mk, al))
+            if al:
+                s = _sgn(f, pd[-2] + 1)
+                for rk2, c in merge(al[-1], rk).items():
+                    cx.d.add_entry(src, key3(mk, al[:-1], rk2), f.mul(s, c))
+            s = _sgn(f, pd[-1])
+            for rk2, c in rcx.d.column(rk).items():
+                cx.d.add_entry(src, key3(mk, al, rk2), f.mul(s, c))
+
+    if scheme.reduced and scheme._module_known and right_known and keys:
+        # weight w is complete when the bar tuples are complete at w less
+        # the weight of the lightest right key
+        r_min = min(scheme.sign * k[1] for k in keys)
+        for w in range(-scheme.w_cap, scheme.w_cap + 1):
+            if scheme.column_complete(w - scheme.sign * r_min):
+                space.set_known(w)
+        mwts = [k[1] for k in scheme.module.basis_keys()]
+        if mwts and scheme.honest_slots():
+            if scheme.sign >= 0:
+                space.known_zero_below = min(mwts) + min(k[1] for k in keys)
+            if scheme.sign <= 0:
+                space.known_zero_above = max(mwts) + max(k[1] for k in keys)
+    return cx
+
+
 def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
                    reduced: Optional[bool] = None) -> BarData:
-    """Semifree bar replacement of m with augmentation back to m."""
+    """Semifree bar replacement of m with augmentation back to m: the
+    two-sided bar complex with the algebra itself as the right factor."""
     if w_cap is None:
         w_cap = n_max
     scheme = _BarScheme(m, n_max, w_cap, reduced)
     a = m.algebra
     f = m.field
-    red = scheme.red
+    # the slot check already covers the algebra's columns
+    cx = _two_sided(scheme, a.basis_keys(),
+                    scheme.red.lobj if scheme.reduced else None,
+                    a.basis_product, a.complex, True)
 
-    items: List[Tuple[int, int, object]] = []
-    for lab in scheme.labels:
-        for bk in a.basis_keys():
-            if red is not None and red.lobj[bk] != scheme.robj(lab):
-                continue
-            wt = scheme.wt(lab) + bk[1]
-            if abs(wt) > scheme.w_cap:
-                continue
-            items.append((scheme.deg(lab) + bk[0], wt, (lab[0], lab[1], bk)))
-    space = _build_space(f, items)
-    cx = CochainComplex(space)
-
-    def key3(mk: Key, al: Tuple[Key, ...], bk: Key) -> Key:
-        d = scheme.deg((mk, al)) + bk[0]
-        w = scheme.wt((mk, al)) + bk[1]
-        return space.key_of(d, w, (mk, al, bk))
-
-    for (d, w), labs in space.cells.items():
-        for (mk, al, bk) in labs:
-            src = space.key_of(d, w, (mk, al, bk))
-            for lab2, c in scheme.d_src((mk, al)).items():
-                cx.d.add_entry(src, key3(lab2[0], lab2[1], bk), c)
-            pd = scheme.prefix_degrees((mk, al))
-            if al:
-                s = _sgn(f, pd[-2] + 1)
-                for pk, c in a.basis_product(al[-1], bk).items():
-                    cx.d.add_entry(src, key3(mk, al[:-1], pk), f.mul(s, c))
-            s = _sgn(f, pd[-1])
-            for tk, c in a.complex.d.column(bk).items():
-                cx.d.add_entry(src, key3(mk, al, tk), f.mul(s, c))
-
-    if scheme.reduced and scheme._module_known:
-        alg_min = min((scheme.sign * k[1] for k in a.basis_keys()), default=0)
-        sp = a.space
-        for w in range(-scheme.w_cap, scheme.w_cap + 1):
-            needed = scheme.sign * w - scheme.min_module_swt - alg_min
-            if needed > min(n_max, scheme.w_cap):
-                continue
-            if not scheme._algebra_known:
-                if not scheme.honest_slots():
-                    continue
-                if not all(sp.column_complete(scheme.sign * s)
-                           for s in range(1, min(needed, scheme.w_cap) + 1)):
-                    continue
-            space.set_known(w)
-        mwts = [k[1] for k in m.basis_keys()]
-        if mwts and scheme.honest_slots():
-            if scheme.sign >= 0:
-                space.known_zero_below = min(mwts)
-            if scheme.sign <= 0:
-                space.known_zero_above = max(mwts)
-
-    aug = GradedMap(space, m.space, 0, 0)
-    for lab in scheme.labels:
-        mk, al = lab
-        if al:
-            continue
-        for bk in a.basis_keys():
-            if red is not None and red.lobj[bk] != scheme.robj(lab):
-                continue
-            if abs(mk[1] + bk[1]) > scheme.w_cap:
-                continue
-            src = key3(mk, (), bk)
-            for tk, c in m.act({mk: f.one}, {bk: f.one}).items():
-                aug.add_entry(src, tk, c)
+    aug = GradedMap(cx.space, m.space, 0, 0)
+    for (d, w), labs in cx.space.cells.items():
+        for i, (mk, al, bk) in enumerate(labs):
+            if not al:
+                for tk, c in m.act({mk: f.one}, {bk: f.one}).items():
+                    aug.add_entry((d, w, i), tk, c)
 
     counts: Dict[Tuple[int, int, int], int] = {}
     for lab in scheme.labels:
@@ -588,63 +588,9 @@ def derived_tensor(m: DgModule, n: DgModule, n_max: int,
         w_cap = n_max
     scheme, nobj = _scheme_with_target(m, n, n_max, w_cap, reduced)
     f = scheme.field
-    nkeys = n.basis_keys()
-
-    items: List[Tuple[int, int, object]] = []
-    for lab in scheme.labels:
-        for nk in nkeys:
-            if nobj is not None and nobj[nk] != scheme.robj(lab):
-                continue
-            wt = scheme.wt(lab) + nk[1]
-            if abs(wt) > scheme.w_cap:
-                continue
-            items.append((scheme.deg(lab) + nk[0], wt, (lab[0], lab[1], nk)))
-    space = _build_space(f, items)
-    cx = CochainComplex(space)
-
-    def key3(mk: Key, al: Tuple[Key, ...], nk: Key) -> Key:
-        d = scheme.deg((mk, al)) + nk[0]
-        w = scheme.wt((mk, al)) + nk[1]
-        return space.key_of(d, w, (mk, al, nk))
-
-    for (d, w), labs in space.cells.items():
-        for (mk, al, nk) in labs:
-            src = space.key_of(d, w, (mk, al, nk))
-            for lab2, c in scheme.d_src((mk, al)).items():
-                cx.d.add_entry(src, key3(lab2[0], lab2[1], nk), c)
-            pd = scheme.prefix_degrees((mk, al))
-            if al:
-                s = _sgn(f, pd[-2] + 1)
-                for nk2, c in n.act_left({al[-1]: f.one},
-                                         {nk: f.one}).items():
-                    cx.d.add_entry(src, key3(mk, al[:-1], nk2), f.mul(s, c))
-            s = _sgn(f, pd[-1])
-            for nk2, c in n.complex.d.column(nk).items():
-                cx.d.add_entry(src, key3(mk, al, nk2), f.mul(s, c))
-
-    if scheme.reduced and scheme._module_known and n.space.fully_known() and nkeys:
-        n_min = min(scheme.sign * k[1] for k in nkeys)
-        sp = scheme.algebra.space
-        for w in range(-scheme.w_cap, scheme.w_cap + 1):
-            needed = scheme.sign * w - scheme.min_module_swt - n_min
-            if needed > min(n_max, scheme.w_cap):
-                continue
-            if not scheme._algebra_known:
-                if not scheme.honest_slots():
-                    continue
-                if not all(sp.column_complete(scheme.sign * s)
-                           for s in range(1, min(needed, scheme.w_cap) + 1)):
-                    continue
-            space.set_known(w)
-        mwts = [k[1] for k in m.basis_keys()]
-        if mwts and scheme.honest_slots():
-            if scheme.sign >= 0:
-                space.known_zero_below = (min(mwts)
-                                          + min(k[1] for k in nkeys))
-            if scheme.sign <= 0:
-                space.known_zero_above = (max(mwts)
-                                          + max(k[1] for k in nkeys))
-    return cx
+    return _two_sided(scheme, n.basis_keys(), nobj,
+                      lambda ak, nk: n.act_left({ak: f.one}, {nk: f.one}),
+                      n.complex, n.space.fully_known())
 
 
 def stabilization_scan(compute: Callable[[int], Cohomology],

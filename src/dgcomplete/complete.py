@@ -14,17 +14,12 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bar import (
-    EndAlgebra, StrictEndAlgebra, _BarScheme, _build_space, _module_objects,
-    _sgn, derived_hom, embed_strict, end_algebra, reduction_data,
-    stabilization_scan, strict_end_algebra,
+    EndAlgebra, StrictEndAlgebra, _module_objects, embed_strict, end_algebra,
+    reduction_data, stabilization_scan, strict_end_algebra,
 )
-from .dg import (
-    AlgebraMorphism, DgAlgebra, DgModule, direct_sum_modules, regular_module,
-    right_ideal_module,
-)
+from .dg import AlgebraMorphism, DgAlgebra, DgModule, direct_sum_modules
 from .graded import (
-    BiGradedSpace, CochainComplex, Cohomology, Elt, GradedMap, Key, Window,
-    induced_rank,
+    CochainComplex, Cohomology, Elt, GradedMap, Key, Window, induced_rank,
 )
 
 Caps = Tuple[int, int]
@@ -183,52 +178,6 @@ class CompletionResult:
         win = window or self.window
         return _dims_in(self.cohomology(win), win)
 
-    def corner_cohomology(self, idem: Elt,
-                          window: Optional[Window] = None) -> Cohomology:
-        """Cohomology of the operator block within an idempotent's part of
-        the module.  Needs the strict inner model: its slots act linearly,
-        which is what makes the block a subcomplex."""
-        f = self.algebra.field
-        m = self.module
-        keep = set()
-        for mk in m.basis_keys():
-            hit = m.act({mk: f.one}, idem)
-            if hit == {mk: f.one}:
-                keep.add(mk)
-            elif hit:
-                raise ValueError("corner idempotent does not split the module")
-        if keep == set(m.basis_keys()):
-            return self.cohomology(window)
-        if self.inner_used != "strict":
-            raise ValueError("corner extraction needs the strict inner model")
-        osp = self.outer.space
-        sub = BiGradedSpace(f)
-        chosen: Dict[Tuple[int, int], List] = {}
-        for (d, w), labels in sorted(osp.cells.items()):
-            for lab in labels:
-                q, (mk, al) = lab
-                if q in keep and mk in keep:
-                    chosen.setdefault((d, w), []).append(lab)
-        for (d, w), labels in sorted(chosen.items()):
-            sub.add_cell(d, w, labels)
-        sub.known_cols = dict(osp.known_cols)
-        sub.zero_outside = osp.zero_outside
-        sub.known_zero_below = osp.known_zero_below
-        sub.known_zero_above = osp.known_zero_above
-        cx = CochainComplex(sub)
-        d_full = self.completed.complex.d
-        for (d, w), labels in chosen.items():
-            for lab in labels:
-                src = osp.key_of(d, w, lab)
-                for tk, c in d_full.column(src).items():
-                    tlab = osp.label_of(tk)
-                    q2, (mk2, _) = tlab
-                    if q2 not in keep or mk2 not in keep:
-                        raise RuntimeError("corner is not a subcomplex")
-                    cx.d.add_entry(sub.key_of(d, w, lab),
-                                   sub.key_of(tk[0], tk[1], tlab), c)
-        return cx.cohomology(window=window or self.window)
-
 
 def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
                        inner_caps: Optional[Caps] = None,
@@ -342,210 +291,3 @@ def completion_along_set(a: DgAlgebra, s: Sequence[DgModule], caps: Caps,
                            window=window, budget=budget, name=name)
     r.modules = mods
     return r
-
-
-def kappa_star(r: CompletionResult, n: DgModule, cap: int) -> DgModule:
-    """Induce a module along the unit map: bar tuples with a free completed
-    slot.  The defining regular module goes to the completion on the nose;
-    the induced space makes no completeness claims, so downstream homs over
-    the completion rely on stabilization rather than certificates."""
-    a = r.algebra
-    if n.algebra is not a:
-        raise ValueError("kappa_star input must live over the source algebra")
-    if n.side != "right":
-        raise ValueError("kappa_star takes right modules")
-    hat = r.completed
-    if _is_regular(a, n):
-        return regular_module(hat)
-    f = a.field
-    hkeys = hat.basis_keys()
-    left: Dict[Tuple[Key, Key], Elt] = {}
-    for ka in a.basis_keys():
-        img = r.iota.apply({ka: f.one})
-        if not img:
-            continue
-        for bk in hkeys:
-            val = hat.multiply(img, {bk: f.one})
-            if val:
-                left[(ka, bk)] = val
-    hat_left = DgModule(a, hat.complex, left, side="left",
-                        name=f"{hat.name}|unit")
-
-    scheme = _BarScheme(n, cap, cap, None)
-    items: List[Tuple[int, int, object]] = []
-    for lab in scheme.labels:
-        for bk in hkeys:
-            items.append((scheme.deg(lab) + bk[0], scheme.wt(lab) + bk[1],
-                          (lab[0], lab[1], bk)))
-    sp = _build_space(f, items)
-    cx = CochainComplex(sp)
-
-    def key3(mk: Key, al: Tuple[Key, ...], bk: Key) -> Key:
-        d = scheme.deg((mk, al)) + bk[0]
-        w = scheme.wt((mk, al)) + bk[1]
-        return sp.key_of(d, w, (mk, al, bk))
-
-    for (d, w), labs in sp.cells.items():
-        for (mk, al, bk) in labs:
-            src = sp.key_of(d, w, (mk, al, bk))
-            for lab2, c in scheme.d_src((mk, al)).items():
-                cx.d.add_entry(src, key3(lab2[0], lab2[1], bk), c)
-            pd = scheme.prefix_degrees((mk, al))
-            if al:
-                s = _sgn(f, pd[-2] + 1)
-                for bk2, c in hat_left.act_left({al[-1]: f.one},
-                                                {bk: f.one}).items():
-                    cx.d.add_entry(src, key3(mk, al[:-1], bk2), f.mul(s, c))
-            s = _sgn(f, pd[-1])
-            for bk2, c in hat.complex.d.column(bk).items():
-                cx.d.add_entry(src, key3(mk, al, bk2), f.mul(s, c))
-
-    action: Dict[Tuple[Key, Key], Elt] = {}
-    for (d, w), labs in sp.cells.items():
-        for (mk, al, bk) in labs:
-            src = sp.key_of(d, w, (mk, al, bk))
-            for b2 in hkeys:
-                out: Elt = {}
-                for tk, c in hat.basis_product(bk, b2).items():
-                    out[key3(mk, al, tk)] = c
-                if out:
-                    action[(src, b2)] = out
-    return DgModule(hat, cx, action, side="right",
-                    name=f"induced({n.name})" if n.name else "induced")
-
-
-def ff_check(r: CompletionResult, m1: DgModule, m2: DgModule,
-             cap: Optional[int] = None) -> Dict:
-    """Compare hom dimensions before and after inducing along the unit map.
-
-    Cells are judged where the source-side certificate is exact; equal but
-    uncertified cells are reported separately.  Generators whose strict
-    endomorphisms match the convolution model count as visibly compact,
-    anything else leaves the conclusion labeled as an assumption.
-    """
-    cap = cap if cap is not None else max(2, r.caps[1])
-    win = Window(-cap, cap + 1, cap)
-    ha = derived_hom(m1, m2, cap, w_cap=cap).cohomology(window=win)
-    k1 = kappa_star(r, m1, cap)
-    k2 = kappa_star(r, m2, cap)
-    hb = derived_hom(k1, k2, cap, w_cap=cap).cohomology(window=win)
-    ta, tb = _dims_in(ha, win), _dims_in(hb, win)
-    matches, mismatches, soft, uncertified = [], [], [], []
-    for dw in sorted(set(ta) | set(tb)):
-        da, db = ta.get(dw, 0), tb.get(dw, 0)
-        row = {"cell": dw, "source": da, "completed": db,
-               "completed_certified": hb.certificate.exact_at(*dw)}
-        if not ha.certificate.exact_at(*dw):
-            uncertified.append(row)
-        elif da == db:
-            (matches if row["completed_certified"] else soft).append(row)
-        else:
-            mismatches.append(row)
-
-    def visibly_compact(m: DgModule) -> bool:
-        if _is_regular(r.algebra, m):
-            return True
-        if m is r.module:
-            return r.inner_used == "strict"
-        st = strict_end_algebra(m)
-        st.space.mark_all_complete()
-        return _strict_check(st, end_algebra(m, r.inner_caps[0],
-                                             w_cap=r.inner_caps[1]))["ok"]
-
-    compact = (visibly_compact(m1), visibly_compact(m2))
-    label = ("compact generators: hypothesis satisfied" if all(compact)
-             else "hypothesis assumed")
-    return {"matches": matches, "soft_matches": soft,
-            "mismatches": mismatches, "uncertified": uncertified,
-            "compact": compact, "hypothesis": label, "ok": not mismatches}
-
-
-def double_completion_check(r: CompletionResult, caps: Caps,
-                            budget: int = 250_000) -> Dict:
-    """Recomplete the completion along the induced generators and compare
-    dimension tables and the rank of the new unit map.  The cost scales
-    with the completed algebra, so run it on small-cap completions."""
-    n_out, w_out = _check_caps(caps, "recompletion")
-    induced = [kappa_star(r, m, w_out + 2) for m in r.modules]
-    r2 = completion_along_set(r.completed, induced, (n_out, w_out),
-                              budget=budget)
-    win = r2.window
-    h1 = r.cohomology(win)
-    h2 = r2.cohomology(win)
-    t1, t2 = _dims_in(h1, win), _dims_in(h2, win)
-    rows = []
-    equal = True
-    for dw in sorted(set(t1) | set(t2)):
-        d1, d2 = t1.get(dw, 0), t2.get(dw, 0)
-        certified = (h1.certificate.exact_at(*dw)
-                     and h2.certificate.exact_at(*dw))
-        rows.append({"cell": dw, "before": d1, "after": d2,
-                     "certified": certified})
-        if d1 != d2:
-            equal = False
-    ranks = {}
-    for dw in sorted(t1):
-        ranks[dw] = induced_rank(r2.iota.map, r.completed.complex,
-                                 r2.completed.complex, dw[0], dw[1])
-    return {"rows": rows, "comparison_ranks": ranks, "ok": equal,
-            "recompletion": r2}
-
-
-def semiorthogonal_check(a: DgAlgebra, s1: Sequence[str], caps: Caps,
-                         inner_caps: Optional[Caps] = None) -> Dict:
-    """Complete along the columns of a triangular block of objects.
-
-    Every arrow between the blocks must point out of the chosen one; the
-    completion then recovers either plain matrix endomorphisms of the total
-    column (trivial corner) or the corner algebra itself, and the report
-    checks the computed dimensions against that model.
-    """
-    f = a.field
-    objects = list(s1)
-    if not objects:
-        raise ValueError("block must be nonempty")
-    for o in objects:
-        if o not in a.idempotents:
-            raise ValueError(f"no idempotent named {o!r}")
-    inside = {o: a.idempotents[o] for o in objects}
-    outside = {o: e for o, e in a.idempotents.items() if o not in objects}
-    for k in a.basis_keys():
-        e = {k: f.one}
-        starts_out = any(a.multiply(eo, e) == e for eo in outside.values())
-        ends_in = any(a.multiply(e, ei) == e for ei in inside.values())
-        if starts_out and ends_in:
-            raise ValueError(f"triangularity fails: {k} maps the outer "
-                             "block into the chosen one")
-    cols = [right_ideal_module(a, inside[o], name=f"P({o})") for o in objects]
-    r = completion_along_set(a, cols, caps, inner_caps=inner_caps)
-    h = r.cohomology()
-    got = _dims_in(h, r.window)
-
-    keys = [k for c in cols for k in c.basis_keys()]
-    corner = [k for k in a.basis_keys()
-              if any(a.multiply(ei, {k: f.one}) == {k: f.one}
-                     for ei in inside.values())
-              and any(a.multiply({k: f.one}, ei) == {k: f.one}
-                      for ei in inside.values())]
-    trivial_corner = all(k[0] == 0 and k[1] == 0 for k in corner)
-    want: Dict[Tuple[int, int], int] = {}
-    if trivial_corner:
-        for p in keys:
-            for q in keys:
-                dw = (q[0] - p[0], q[1] - p[1])
-                want[dw] = want.get(dw, 0) + 1
-    else:
-        for k in corner:
-            want[(k[0], k[1])] = want.get((k[0], k[1]), 0) + 1
-    rows = []
-    ok = True
-    for dw in sorted(set(got) | set(want)):
-        g, expect = got.get(dw, 0), want.get(dw, 0)
-        rows.append({"cell": dw, "computed": g, "expected": expect,
-                     "certified": h.certificate.exact_at(*dw)})
-        if g != expect:
-            ok = False
-    degree_zero = sum(d for (deg, _), d in got.items() if deg == 0)
-    return {"rows": rows, "ok": ok, "degree_zero_total": degree_zero,
-            "expected_model": "matrix" if trivial_corner else "corner",
-            "block_dim": len(keys), "result": r}

@@ -19,7 +19,7 @@ from .graded import (
     BiGradedSpace, CochainComplex, Elt, GradedMap, Key,
     elt_add, elt_axpy, elt_scale, is_chain_map,
 )
-from .linalg import Field, Scalar
+from .linalg import Field
 
 MultTable = Dict[Tuple[Key, Key], Elt]
 ProductRule = Callable[[Key, Key], Elt]
@@ -36,10 +36,6 @@ class ValidationReport:
         self.violations = violations
         self.mode = mode
 
-    @property
-    def first_violation(self):
-        return self.violations[0] if self.violations else None
-
     def __repr__(self):
         state = "ok" if self.ok else f"FAILED {self.violations[:3]}"
         return f"ValidationReport({state}, mode={self.mode})"
@@ -54,7 +50,7 @@ class DgAlgebra:
         self.unit = unit
         self.name = name
         # optional orthogonal idempotent decomposition of the unit, keyed by
-        # object name; used for corner extraction and module constructions
+        # object name; used by module constructions
         self.idempotents = idempotents or {}
         self._rule = product
         # the nonzero products read so far; once every pair has been read a

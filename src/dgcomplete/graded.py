@@ -17,9 +17,6 @@ from .linalg import Echelon, Field, Scalar, SparseMatrix
 Key = Tuple[int, int, int]  # (degree, weight, index)
 Elt = Dict[Key, Scalar]
 
-EXACT = "exact"
-WINDOW_LIMITED = "window-limited"
-
 
 class Window:
     """Truncation window: degrees dmin..dmax, weights |w| <= wmax."""
@@ -387,9 +384,6 @@ class Certificate:
     def exact_at(self, deg: int, wt: int) -> bool:
         return self.status.get((deg, wt), False)
 
-    def text_at(self, deg: int, wt: int) -> str:
-        return EXACT if self.exact_at(deg, wt) else WINDOW_LIMITED
-
     def all_exact(self) -> bool:
         return all(self.status.values())
 
@@ -682,32 +676,6 @@ class HomComplex(CochainComplex):
                     dd.add_entry(sk, sp.key_of(cell[0] + 1, cell[1], (xk, kb)),
                                  fld.mul(sign, v))
         super().__init__(sp, dd)
-        self.hom_source = a
-        self.hom_target = b
-
-    def elt_to_map(self, elt: Elt) -> GradedMap:
-        degs = {k[0] for k in elt}
-        wts = {k[1] for k in elt}
-        if len(degs) > 1 or len(wts) > 1:
-            raise ValueError("hom element not homogeneous")
-        deg = degs.pop() if degs else 0
-        wt = wts.pop() if wts else 0
-        g = GradedMap(self.hom_source.space, self.hom_target.space, deg, wt)
-        for (d, w, i), v in elt.items():
-            ka, kb = self.space.cells[(d, w)][i]
-            g.add_entry(ka, kb, v)
-        return g
-
-    def map_to_elt(self, g: GradedMap) -> Elt:
-        out: Elt = {}
-        f = self.space.field
-        for (d, w), b in g.blocks.items():
-            for (r, c), v in b.entries.items():
-                ka = (d, w, c)
-                kb = (d + g.deg_shift, w + g.wt_shift, r)
-                key = self.space.key_of(g.deg_shift, g.wt_shift, (ka, kb))
-                out[key] = f.add(out.get(key, f.zero), v)
-        return {k: v for k, v in out.items() if not f.is_zero(v)}
 
 
 def tensor(a: CochainComplex, b: CochainComplex) -> TensorComplex:

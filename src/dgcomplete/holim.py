@@ -807,7 +807,6 @@ class ActionMap:
 
     def operator(self, e: Elt, deg: int, wt: int) -> GradedMap:
         """Operator of a homogeneous algebra element of the stated bidegree."""
-        f = self.algebra.field
         acc = GradedMap(self.module.space, self.module.space, deg, wt)
         for k, c in e.items():
             if (k[0], k[1]) != (deg, wt):
@@ -833,17 +832,11 @@ class ActionMap:
         violations = []
 
         ident = _identity_on(M.space, f)
-        unit_op = GradedMap(M.space, M.space, 0, 0)
-        for k, c in A.unit.items():
-            unit_op = unit_op.add(self.per_cell[k].scale(c))
-        if not unit_op.same_blocks(ident):
+        if not self.operator(A.unit, 0, 0).same_blocks(ident):
             violations.append(("unit", None))
 
         for ka in A.basis_keys():
-            da = A.d({ka: f.one})
-            lhs = GradedMap(M.space, M.space, ka[0] + 1, ka[1])
-            for k, c in da.items():
-                lhs = lhs.add(self.per_cell[k].scale(c))
+            lhs = self.operator(A.d({ka: f.one}), ka[0] + 1, ka[1])
             rho = self.per_cell[ka]
             rhs = M.complex.d.compose(rho)
             back = rho.compose(M.complex.d)

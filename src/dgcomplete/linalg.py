@@ -319,8 +319,12 @@ class SparseMatrix:
         return basis
 
     def solve(self, b: Dict[int, Scalar]) -> Optional[Dict[int, Scalar]]:
-        """One solution x of self @ x = b with free coordinates 0, or None."""
+        """One solution x of self @ x = b with free coordinates 0, or None.
+
+        Raises ValueError if b has an entry outside the rows of self."""
         f = self.field
+        if any(not 0 <= r < self.rows for r in b):
+            raise ValueError(f"right-hand side has rows outside 0..{self.rows - 1}")
         b = {r: f.of(v) for r, v in b.items() if not f.is_zero(f.of(v))}
         pivots = self._echelon(extra_col=b)
         if self.cols in pivots:

@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dg import (
     AlgebraMorphism, DgAlgebra, DgCategoryPresentation, DgModule,
-    category_algebra, direct_sum_modules, product_algebra, regular_module,
+    category_algebra, direct_sum_modules, regular_module,
     right_ideal_module,
 )
 from .graded import (
@@ -174,15 +174,6 @@ class TruncatedRing:
 
     def mono_key(self, m: Mono) -> Key:
         return self.algebra.space.key_of(0, sum(m), self._labels[m])
-
-    def element(self, coeffs: Dict[str, object]) -> Elt:
-        f = self.field
-        out: Elt = {}
-        for text, c in coeffs.items():
-            s = f.of(c)
-            if not f.is_zero(s):
-                out[self.mono_key(parse_mono(text, self.variables))] = s
-        return out
 
     def quotient_module(self, extra: Sequence[str], name: str = "") -> DgModule:
         """R modulo the monomial ideal the extra generators span."""
@@ -640,14 +631,6 @@ class FreeMap:
 def identity_free_map(c: FreeComplex) -> FreeMap:
     unit = tuple([0] * len(c.ring.variables))
     return FreeMap(c, c, {g: {(g, unit): c.field.one} for (g, _, _) in c.gens})
-
-
-def relabel_free_map(src: FreeComplex, tgt: FreeComplex,
-                     rename) -> FreeMap:
-    """Identity-shaped map matching generators by name."""
-    unit = tuple([0] * len(src.ring.variables))
-    return FreeMap(src, tgt, {g: {(rename(g), unit): src.field.one}
-                              for (g, _, _) in src.gens})
 
 
 def biduality_map(src: FreeComplex, tgt: FreeComplex) -> FreeMap:
@@ -1217,34 +1200,13 @@ def _scen_triangular(field: Field, params: Dict) -> Dict:
     }
 
 
-def _scen_orthogonal_product(field: Field, params: Dict) -> Dict:
-    a1 = path_chain_algebra(field, 2)
-    ring = truncated_poly(field, ["x"], ["x^2"])
-    prod = product_algebra([a1, ring.algebra], name="path(1->2)×k[x]/(x^2)")
-    return {
-        "name": "orthogonal_product",
-        "kind": "product_completion",
-        "algebra": prod,
-        "factors": (a1, ring.algebra),
-        "p1_corner": "0:O1",
-        "caps": (4, 4),
-        "window": (-2, 2),
-        "expected": {"corner_h0": 4},
-    }
-
-
 REGISTRY = {
     "dual_numbers": _scen_dual_numbers,
     "dual_numbers_op": _scen_dual_numbers_op,
     "koszul_kx": _scen_koszul_kx,
     "square_zero_kx2": _scen_square_zero_kx2,
     "free_category": _scen_free_category,
-    "orthogonal_product": _scen_orthogonal_product,
 }
-
-
-def registry_names() -> List[str]:
-    return sorted(REGISTRY) + ["adic_kx_<N>", "triangular_12", "triangular_123"]
 
 
 def build_scenario(name: str, field: Optional[Field] = None,

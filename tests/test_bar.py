@@ -1,7 +1,8 @@
 """Bar resolutions, derived functors, and convolution end algebras."""
 import pytest
 
-from dgcomplete.linalg import RATIONALS
+from dgcomplete import models as M
+from dgcomplete.linalg import RATIONALS, Field
 from dgcomplete.dg import (
     DgAlgebra, DgCategoryPresentation, DgModule, category_algebra,
     regular_module, right_ideal_module, shift_module,
@@ -66,11 +67,11 @@ def trivial_right(a, name="k"):
     return DgModule(a, cx, action, side="right", name=name)
 
 
-def trivial_left(a, name="k"):
+def trivial_left(a, name="k", wt=0):
     sp = BiGradedSpace(F)
-    sp.add_cell(0, 0, ["m"])
+    sp.add_cell(0, wt, ["m"])
     cx = CochainComplex(sp)
-    mk = (0, 0, 0)
+    mk = (0, wt, 0)
     action = {}
     for k in a.basis_keys():
         if k[1] == 0:
@@ -294,17 +295,28 @@ def test_derived_tensor_square_zero_periodic():
     assert h_dims(cx) == {(-n, n): 1 for n in range(6)}
 
 
-def test_derived_tensor_koszul():
+def _check_koszul_tor(t):
+    """Tor over k[x] of k with k placed at weight t; tuples of up to 4 - t
+    slots reach every column up to weight 4."""
     a = truncated_poly(6)
-    cx = derived_tensor(trivial_right(a), trivial_left(a), 4, w_cap=4)
+    cx = derived_tensor(trivial_right(a), trivial_left(a, wt=t), 4 - t,
+                        w_cap=4)
     assert cx.validate_d2() is None
     dims = h_dims(cx)
     for (d, w), n in dims.items():
         if abs(w) <= 4:
-            assert n == (1 if (d, w) in ((0, 0), (-1, 1)) else 0), (d, w, n)
-    assert dims.get((0, 0), 0) == 1 and dims.get((-1, 1), 0) == 1
+            assert n == (1 if (d, w) in ((0, t), (-1, 1 + t)) else 0), (d, w, n)
+    assert dims.get((0, t), 0) == 1 and dims.get((-1, 1 + t), 0) == 1
     for w in range(0, 5):
         assert cx.space.column_complete(w)
+
+
+def test_derived_tensor_koszul():
+    _check_koszul_tor(0)
+
+
+def test_derived_tensor_koszul_left_factor_off_weight_zero():
+    _check_koszul_tor(1)
 
 
 def test_derived_tensor_shift_compatibility():
@@ -407,3 +419,34 @@ def test_module_over_opposite_axioms():
     mm = b.module_over_opposite()
     assert mm.validate().ok
     assert mm.algebra.validate().ok
+
+
+def _complex_snapshot(cx):
+    """Everything a complex is compared on: cells, knowledge, d blocks."""
+    sp = cx.space
+    blocks = {cell: (b.rows, b.cols, b.entries)
+              for cell, b in cx.d.blocks.items()}
+    return (sp.cells, sp.known_cols, sp.zero_outside,
+            sp.known_zero_below, sp.known_zero_above, blocks)
+
+
+def _bar_module(name):
+    if name in ("triangular_12", "dual_numbers_op"):
+        sc = M.build_scenario(name)
+        return sc["module"]
+    if name == "kx_qq":
+        return M.truncated_poly(F, ["x"], [], wmax=5).residue_module()
+    ring = M.truncated_poly(Field(32003), ["x", "y"], ["x^2", "y^2"])
+    return ring.residue_module()
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+@pytest.mark.parametrize("name", ["triangular_12", "dual_numbers_op",
+                                  "kx_qq", "kxy_square_zero_gfp"])
+def test_bar_resolution_is_derived_tensor_with_the_algebra(name, cap):
+    m = _bar_module(name)
+    a = m.algebra
+    a_left = DgModule(a, a.complex, dict(a.mult), side="left")
+    got = bar_resolution(m, cap, w_cap=cap).complex
+    want = derived_tensor(m, a_left, cap, w_cap=cap)
+    assert _complex_snapshot(got) == _complex_snapshot(want)

@@ -149,6 +149,27 @@ def test_category_algebra_one_object():
     assert a.validate().ok
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+def test_category_algebra_with_differential(sign):
+    """X is contractible: d(p) = 1_X.  With q: X -> Y closed and r = p then q,
+    Leibniz forces d(r) = d(p)·q = q, so the flipped sign must fail.  Only
+    1_Y survives in cohomology."""
+    pres = DgCategoryPresentation(["X", "Y"])
+    pres.add_morphism("eX", "X", "X", identity=True)
+    pres.add_morphism("eY", "Y", "Y", identity=True)
+    pres.add_morphism("p", "X", "X", deg=-1)
+    pres.add_morphism("q", "X", "Y")
+    pres.add_morphism("r", "X", "Y", deg=-1)
+    pres.set_then("p", "p", {})
+    pres.set_then("p", "q", {"r": 1})
+    pres.set_then("p", "r", {})
+    pres.set_differential("p", {"eX": 1})
+    pres.set_differential("r", {"q": sign})
+    a = category_algebra(pres, F)
+    assert a.validate().ok == (sign == 1)
+    assert a.complex.cohomology().dims_by_cell() == {(0, 0): 1}
+
+
 def test_category_algebra_incomplete_composition():
     pres = DgCategoryPresentation(["pt"])
     pres.add_morphism("id", "pt", "pt", identity=True)

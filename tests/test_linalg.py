@@ -47,6 +47,13 @@ def test_solve_inconsistent():
     assert m.solve({0: 3, 1: 3}) is not None
 
 
+@pytest.mark.parametrize("row", [3, 1, -1])
+def test_solve_rejects_rows_outside_the_matrix(row):
+    m = SparseMatrix.from_dense([[1]], RATIONALS)
+    with pytest.raises(ValueError):
+        m.solve({0: 1, row: 1})
+
+
 def test_field_of_parses_strings():
     assert RATIONALS.of("2/3") == Fraction(2, 3)
     f5 = Field(5)

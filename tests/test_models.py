@@ -4,7 +4,7 @@ import pytest
 from dgcomplete.linalg import RATIONALS as F
 from dgcomplete.graded import Window
 from dgcomplete.dg import regular_module, right_ideal_module
-from dgcomplete.complete import double_centralizer
+from dgcomplete.complete import completion_along_set, double_centralizer
 from dgcomplete import models as M
 
 
@@ -370,7 +370,7 @@ class TestRegistry:
     def test_concrete_names_build(self):
         for name in ["dual_numbers", "dual_numbers_op", "koszul_kx",
                      "adic_kx_4", "square_zero_kx2", "free_category",
-                     "triangular_12", "triangular_123", "orthogonal_product"]:
+                     "triangular_12", "triangular_123"]:
             sc = M.build_scenario(name)
             assert sc["kind"]
             assert "expected" in sc
@@ -402,6 +402,25 @@ class TestRegistry:
         other = sum(h.dim(d, w) for d, w in cells if d != 0)
         assert (h0, other) == (sc["expected"]["h0_total"],
                                sc["expected"]["h_other"])
+
+    @pytest.mark.parametrize("name", ["triangular_12", "triangular_123"])
+    def test_completion_along_the_simples(self, name):
+        """Completing along the set of simples is completing along their
+        sum: the path algebra again, certified in every cell."""
+        sc = M.build_scenario(name)
+        a, cap = sc["algebra"], sc["caps"][1]
+        dlo, dhi = sc["window"]
+        win = Window(dlo, dhi, cap)
+        simples = [M.simple_module(a, o) for o in a.idempotents]
+        h = completion_along_set(a, simples, sc["caps"]).cohomology(win)
+        cells = list(win.grid())
+        assert all(h.certificate.exact_at(*c) for c in cells)
+        h0 = sum(h.dim(d, w) for d, w in cells if d == 0)
+        other = sum(h.dim(d, w) for d, w in cells if d != 0)
+        assert (h0, other) == ({"triangular_12": 3, "triangular_123": 6}[name], 0)
+        hs = double_centralizer(a, sc["module"], sc["caps"]).cohomology(win)
+        assert [(h.dim(*c), h.certificate.exact_at(*c)) for c in cells] == \
+            [(hs.dim(*c), hs.certificate.exact_at(*c)) for c in cells]
 
     def test_unknown_name(self):
         with pytest.raises(KeyError):

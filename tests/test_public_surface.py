@@ -1,0 +1,52 @@
+"""Every public function, class and method of the library is used somewhere.
+
+A name counts as used when it appears in src/, tests/ or perfbench/ other
+than in its own definition: as a name, an attribute, an imported name, or a
+string naming it (the benchmark's tracer looks functions up by string).
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+LIBRARY = ROOT / "src" / "dgcomplete"
+SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+
+
+def _public_defs():
+    """(module, qualified name, name) for module-level functions and
+    classes and the methods of module-level classes."""
+    defs = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs.append((path.stem, node.name, node.name))
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef):
+                        defs.append((path.stem, f"{node.name}.{item.name}",
+                                     item.name))
+    return [d for d in defs if not d[2].startswith("_")]
+
+
+def _used_names():
+    used = set()
+    for top in SEARCHED:
+        for path in top.rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    used.add(node.name.rsplit(".", 1)[-1])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    used.update(node.value.split("."))
+    return used
+
+
+def test_every_public_name_is_used():
+    used = _used_names()
+    unused = [f"{mod}.{qual}" for mod, qual, name in _public_defs()
+              if name not in used]
+    assert unused == []
