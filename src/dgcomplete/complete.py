@@ -140,15 +140,14 @@ def _dims_in(h: Cohomology, win: Window) -> Dict[Tuple[int, int], int]:
 class CompletionResult:
     """A completed algebra with its inner model, unit map, and diagnostics."""
 
-    def __init__(self, algebra: DgAlgebra, modules: List[DgModule],
-                 module: DgModule, inner_bar: EndAlgebra,
+    def __init__(self, algebra: DgAlgebra, module: DgModule,
+                 inner_bar: EndAlgebra,
                  inner_strict: StrictEndAlgebra, inner_used: str,
                  base: DgAlgebra, over: DgModule, outer: EndAlgebra,
                  completed: DgAlgebra, iota: AlgebraMorphism,
                  caps: Caps, inner_caps: Caps, window: Window,
                  reduced_outer: bool, diagnostics: Dict):
         self.algebra = algebra
-        self.modules = modules
         self.module = module
         self.inner_bar = inner_bar
         self.inner_strict = inner_strict
@@ -260,7 +259,7 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     }
 
     iota = AlgebraMorphism(a, completed, _right_mult_map(a, m, outer))
-    return CompletionResult(a, [m], m, inner_bar, inner_strict, inner_used,
+    return CompletionResult(a, m, inner_bar, inner_strict, inner_used,
                             base, over, outer, completed, iota,
                             (n_out, w_out), (n_in, w_in), win, reduced,
                             diagnostics)
@@ -287,7 +286,5 @@ def completion_along_set(a: DgAlgebra, s: Sequence[DgModule], caps: Caps,
     for m in mods[1:]:
         total = direct_sum_modules(total, m,
                                    name=f"{total.name or 'm'}⊕{m.name or 'm'}")
-    r = double_centralizer(a, total, caps, inner_caps=inner_caps,
-                           window=window, budget=budget, name=name)
-    r.modules = mods
-    return r
+    return double_centralizer(a, total, caps, inner_caps=inner_caps,
+                              window=window, budget=budget, name=name)

@@ -615,8 +615,6 @@ class TensorComplex(CochainComplex):
                     dd.add_entry(sk, sp.key_of(cell[0] + 1, cell[1], (ka, tk)),
                                  fld.mul(sign, v))
         super().__init__(sp, dd)
-        self.factor_left = a
-        self.factor_right = b
 
     @staticmethod
     def _tensor_knowledge(sp: BiGradedSpace, a: BiGradedSpace, b: BiGradedSpace) -> None:

@@ -29,7 +29,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import Field
 from .graded import (
-    BiGradedSpace, CochainComplex, Elt, GradedMap, Key, elt_axpy,
+    BiGradedSpace, CochainComplex, Elt, GradedMap, Key, elt_axpy, is_chain_map,
 )
 from .dg import (
     AlgebraMorphism, DgAlgebra, DgModule, ValidationReport,
@@ -591,7 +591,6 @@ class ModuleDiagram:
         return e
 
     def validate(self) -> ValidationReport:
-        from .graded import is_chain_map
         violations = []
         f = self.field
         for nm in sorted(self.cat.arrows):
@@ -764,16 +763,21 @@ def hocolim_map_from_cocone(hc: HocolimModule, target_space: BiGradedSpace,
                             gmaps: Dict[object, object]) -> GradedMap:
     """Chain map out of the colimit induced by a compatible cocone.
 
-    ``gmaps[x]`` sends the module at x to the target complex; compatibility
-    (map at the arrow's source, after restriction, equals the map at its
-    target) is checked and a violating arrow raises.  Strings of positive
-    length map to zero.
+    ``gmaps[x]`` sends the module at x to the target complex.  Each map must
+    commute with the differentials (``target_d`` on the target), and the
+    maps must be compatible (map at the arrow's source, after restriction,
+    equals the map at its target); a violating object or arrow raises
+    ValueError.  Strings of positive length map to zero.
     """
     md = hc.diagram
     cat = md.cat
     f = md.field
     cones = {x: _columns_to_map(gmaps[x], md.modules[x].space, target_space)
              for x in cat.objects}
+    for x in cat.objects:
+        bad = is_chain_map(cones[x], md.modules[x].complex.d, target_d)
+        if bad is not None:
+            raise ValueError(f"cocone map at object {x!r} is not a chain map at cell {bad}")
     for nm in sorted(cat.arrows):
         got = cones[cat.src(nm)].compose(md.maps[nm])
         if not got.same_blocks(cones[cat.tgt(nm)]):
@@ -786,7 +790,6 @@ def hocolim_map_from_cocone(hc: HocolimModule, target_space: BiGradedSpace,
         img = cones[o].apply({mkey: f.one})
         if img:
             g.set_column(k, img)
-    _ = target_d
     return g
 
 

@@ -5,6 +5,10 @@ homotopies and strict endomorphisms) reduces to the three operations in this
 module: rank, kernel_basis, solve.  All arithmetic is exact; no floats ever
 enter the pipeline.
 
+Over QQ a scalar is a Python ``int`` while it is integral and a ``Fraction``
+only once a non-integer appears; Python mixes the two exactly.  Every
+division goes through ``Field.inv``, since ``int / int`` would give a float.
+
 One private core, ``_reduce``, does every row reduction.  ``Echelon.insert``
 and ``SparseMatrix.rank`` use it as is; ``kernel_basis`` and ``solve`` also
 back-substitute each new pivot into the older pivot rows.
@@ -15,7 +19,7 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from typing import Dict, List, Optional, Sequence, Tuple
 
-Scalar = object  # Fraction in characteristic 0, int in characteristic p
+Scalar = object  # int or Fraction in characteristic 0, int in characteristic p
 
 
 def _is_prime(n: int) -> bool:
@@ -30,9 +34,14 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """Coefficient field: Fraction arithmetic (char 0) or ints mod a prime."""
+    """Coefficient field: the rationals (char 0) or ints mod a prime.
+
+    A rational scalar is an ``int`` while integral and a ``Fraction`` otherwise;
+    ``inv`` is the only place a scalar is divided."""
 
     __slots__ = ("char",)
+    zero = 0
+    one = 1
 
     def __init__(self, char: int = 0):
         if char != 0 and not _is_prime(char):
@@ -42,9 +51,10 @@ class Field:
     def of(self, x) -> Scalar:
         """Coerce an int, Fraction, or 'n/d' string into the field."""
         if self.char == 0:
-            if isinstance(x, Fraction):
+            if isinstance(x, int):
                 return x
-            return Fraction(x)
+            x = Fraction(x)
+            return x.numerator if x.denominator == 1 else x
         if isinstance(x, str):
             if "/" in x:
                 num, den = x.split("/", 1)
@@ -55,14 +65,6 @@ class Field:
                 raise ZeroDivisionError(f"denominator divisible by {self.char}")
             return (x.numerator * self.inv(x.denominator % self.char)) % self.char
         return int(x) % self.char
-
-    @property
-    def zero(self) -> Scalar:
-        return _QQ_ZERO if self.char == 0 else 0
-
-    @property
-    def one(self) -> Scalar:
-        return _QQ_ONE if self.char == 0 else 1
 
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
@@ -78,7 +80,7 @@ class Field:
 
     def inv(self, a):
         if self.char == 0:
-            return Fraction(1) / a
+            return int(a) if a == 1 or a == -1 else Fraction(1, a)
         a = a % self.char
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
@@ -98,9 +100,6 @@ class Field:
 
 
 RATIONALS = Field(0)
-# Fraction is immutable, so every caller can share these two
-_QQ_ZERO = Fraction(0)
-_QQ_ONE = Fraction(1)
 
 
 def _axpy(r: Dict[int, Scalar], a: Scalar, row: Dict[int, Scalar], p: int) -> List[int]:

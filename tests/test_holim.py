@@ -2,7 +2,9 @@
 import pytest
 
 from dgcomplete.linalg import RATIONALS as F, Echelon
-from dgcomplete.graded import Window, induced_rank, is_chain_map
+from dgcomplete.graded import (
+    BiGradedSpace, CochainComplex, Window, induced_rank, is_chain_map,
+)
 from dgcomplete.dg import regular_module
 from dgcomplete import holim as H
 from dgcomplete import models as M
@@ -325,6 +327,23 @@ class TestConeAndCocone:
         with pytest.raises(ValueError, match="cocone maps incompatible"):
             H.hocolim_map_from_cocone(hc, target.space, target.complex.d,
                                       gmaps)
+
+    def test_cocone_of_non_chain_maps_raises(self):
+        # every map sends the generator to x in k.x -> k.y with d(x) = y:
+        # compatible across the arrows, but d(g(e)) = y while g(d(e)) = 0
+        cat = H.chain_poset(range(3))
+        mdiag = constant_module_diagram(cat, ground_algebra())
+        hc = H.hocolim(mdiag, p_max=1)
+        sp = BiGradedSpace(F)
+        sp.add_cell(0, 0, ["x"])
+        sp.add_cell(1, 0, ["y"])
+        sp.mark_all_complete()
+        target = CochainComplex(sp)
+        target.d.set_entry((0, 0, 0), (1, 0, 0), F.one)
+        gmaps = {o: {k: {(0, 0, 0): 1} for k in mdiag.modules[o].basis_keys()}
+                 for o in cat.objects}
+        with pytest.raises(ValueError, match=r"object 0 is not a chain map at cell \(0, 0\)"):
+            H.hocolim_map_from_cocone(hc, target.space, target.d, gmaps)
 
 
 def full_induced_rank(f, src, tgt, deg, wt):

@@ -5,8 +5,11 @@ from fractions import Fraction
 import pytest
 import sympy
 
-from dgcomplete.graded import BiGradedSpace, CochainComplex
+from dgcomplete.complete import double_centralizer
+from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
+from dgcomplete.holim import holim
 from dgcomplete.linalg import RATIONALS, Echelon, Field, SparseMatrix, identity_matrix
+from dgcomplete.models import build_scenario
 
 
 def to_sympy(m: SparseMatrix) -> sympy.Matrix:
@@ -210,3 +213,77 @@ def test_echelon_and_rank_agree_with_kernel_rank():
                         for i in range(m.rows))
             fresh = SparseMatrix(m.rows, m.cols, field, dict(m.entries))
             assert grown == m.rank() == m.cols - len(fresh.kernel_basis())
+
+
+# -- the rational scalar: an int while integral, a Fraction otherwise -------
+
+
+def test_rationals_keep_integers_as_int():
+    for x in (3, Fraction(4, 2), "4/2", "-6/3"):
+        assert type(RATIONALS.of(x)) is int
+    assert RATIONALS.of("4/2") == 2
+    assert type(RATIONALS.of("2/3")) is Fraction
+    assert type(RATIONALS.inv(2)) is Fraction and RATIONALS.inv(2) == Fraction(1, 2)
+    assert type(RATIONALS.inv(-1)) is int and RATIONALS.inv(-1) == -1
+    assert type(RATIONALS.inv(1)) is int
+    assert RATIONALS.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    with pytest.raises(ZeroDivisionError):
+        RATIONALS.inv(0)
+
+
+def _exact(values):
+    values = list(values)
+    assert all(type(v) in (int, Fraction) for v in values)
+    return values
+
+
+def test_random_rational_elimination_stays_exact():
+    # entries -5..5 give non-unit pivots, so real fractions do appear
+    rng = random.Random(41)
+    fractions_seen = 0
+    for _ in range(40):
+        m = random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), RATIONALS)
+        sm = to_sympy(m)
+        basis = m.kernel_basis()
+        assert len(basis) == m.cols - sm.rank()
+        for v in basis:
+            vals = _exact(v.values())
+            fractions_seen += sum(type(x) is Fraction for x in vals)
+            col = sympy.Matrix(m.cols, 1, lambda c, _: sympy.Rational(v.get(c, 0)))
+            assert sm * col == sympy.zeros(m.rows, 1)
+        x0 = {c: rng.randint(-3, 3) for c in range(m.cols)}
+        b = m.apply(x0)
+        x = m.solve(b)
+        _exact(x.values())
+        xs = sympy.Matrix(m.cols, 1, lambda c, _: sympy.Rational(x.get(c, 0)))
+        assert sm * xs == sympy.Matrix(m.rows, 1, lambda r, _: sympy.Rational(b.get(r, 0)))
+        ech = Echelon(RATIONALS)
+        for i in range(m.rows):
+            ech.insert({c: v for (r, c), v in m.entries.items() if r == i})
+        for row in ech.pivots.values():
+            _exact(row.values())
+        assert ech.rank == sm.rank()
+    assert fractions_seen > 0
+
+
+def _adic_tower_holim():
+    diag = build_scenario("adic_kx_5")["tower"].diagram()[1]
+    wmax = max(abs(k[1]) for a in diag.algebras.values() for k in a.basis_keys())
+    return holim(diag, dmax=3).complex, Window(0, 3, wmax)
+
+
+def _koszul_completion():
+    sc = build_scenario("koszul_kx", params={"wmax": 4})
+    res = double_centralizer(sc["algebra"], sc["module"], (3, 3), inner_caps=(5, 5))
+    return res.completed.complex, Window(-2, 2, 3)
+
+
+@pytest.mark.parametrize("build", [_adic_tower_holim, _koszul_completion])
+def test_qq_benchmark_paths_stay_integral(build):
+    """The adic tower and k[x] completion paths never meet a non-integer, so
+    every differential entry and representative stays a Python int."""
+    cx, win = build()
+    entries = [v for b in cx.d.blocks.values() for v in b.entries.values()]
+    reps = [x for e in cx.cohomology(win).representatives.values() for x in e.values()]
+    assert entries and reps
+    assert {type(v) for v in entries + reps} == {int}

@@ -1,8 +1,16 @@
-"""Every public function, class and method of the library is used somewhere.
+"""Every public function, class, method and instance attribute of the
+library is used somewhere.
 
 A name counts as used when it appears in src/, tests/ or perfbench/ other
 than in its own definition: as a name, an attribute, an imported name, or a
-string naming it (the benchmark's tracer looks functions up by string).
+string naming it (the benchmark's tracer looks functions up by string).  An
+instance attribute is defined by ``self.<name> = ...`` in a library class;
+such writes, in any file, do not count as uses.
+
+The check matches by name alone, so an unused name that shares its
+spelling with a used one always passes.  For example, an unread
+``CompletionResult.modules`` would pass because ``ModuleDiagram.modules``
+is read; such attributes must be found by reading the code.
 """
 import ast
 from pathlib import Path
@@ -29,6 +37,25 @@ def _public_defs():
     return [d for d in defs if not d[2].startswith("_")]
 
 
+def _is_self_store(node):
+    return (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name) and node.value.id == "self")
+
+
+def _public_attributes():
+    """(module, qualified name, name) for each attribute a module-level
+    class assigns through ``self``."""
+    defs = set()
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, ast.ClassDef):
+                for sub in ast.walk(node):
+                    if _is_self_store(sub):
+                        defs.add((path.stem, f"{node.name}.{sub.attr}", sub.attr))
+    return sorted(d for d in defs if not d[2].startswith("_"))
+
+
 def _used_names():
     used = set()
     for top in SEARCHED:
@@ -36,7 +63,7 @@ def _used_names():
             for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
                 if isinstance(node, ast.Name):
                     used.add(node.id)
-                elif isinstance(node, ast.Attribute):
+                elif isinstance(node, ast.Attribute) and not _is_self_store(node):
                     used.add(node.attr)
                 elif isinstance(node, ast.alias):
                     used.add(node.name.rsplit(".", 1)[-1])
@@ -48,5 +75,12 @@ def _used_names():
 def test_every_public_name_is_used():
     used = _used_names()
     unused = [f"{mod}.{qual}" for mod, qual, name in _public_defs()
+              if name not in used]
+    assert unused == []
+
+
+def test_every_public_attribute_is_used():
+    used = _used_names()
+    unused = [f"{mod}.{qual}" for mod, qual, name in _public_attributes()
               if name not in used]
     assert unused == []
