@@ -4,10 +4,19 @@ The reduced bar construction tensors over the span of the weight-zero
 idempotents whenever the algebra is weight-connected; slot tuples are then
 composable chains and every weight column is finite.  The unreduced variant
 tensors over the ground field and carries no exactness certificates.
+
+Each slot tuple is an integer index, numbered depth first.  Its parent is the
+tuple without its last slot, and a child map sends (parent, slot) back to the
+tuple, so a tuple's differential row is its parent's row with the slot
+appended, plus the slot's own differential and its merge with the slot (or
+module key) before it.  The builders add each term into one sum per block
+entry and install every block once.
 """
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from .dg import DgAlgebra, DgModule
 from .graded import (
@@ -16,10 +25,6 @@ from .graded import (
 from .linalg import Field, Scalar, SparseMatrix
 
 TupleLabel = Tuple[Key, Tuple[Key, ...]]
-
-
-def _sgn(f: Field, exponent: int) -> Scalar:
-    return f.one if exponent % 2 == 0 else f.of(-1)
 
 
 def _side_certified_empty(sp: BiGradedSpace, side: int) -> bool:
@@ -105,11 +110,19 @@ def _module_objects(m: DgModule, red: ReductionData,
 
 
 class _BarScheme:
-    """Composable slot tuples (module key, bar slots) with the inner
-    differential: internal terms plus first and middle merges."""
+    """Composable slot tuples (module key, bar slots) over m, with the
+    inner differential: internal terms plus first and middle merges.
+
+    Tuples are numbered depth first, and ``labels``, ``degs``, ``wts``,
+    ``robjs`` and ``parent`` are flat lists over that index.  The
+    parent of a tuple is the tuple without its last slot, -1 for a bare
+    module key; ``child`` maps (parent index, slot) back to the index, and
+    (-1, module key) to the bare tuples.  Whether the scheme is reduced is
+    decided before enumerating, from the source and, when given, the
+    target module, whose object per key is ``nobj``."""
 
     def __init__(self, m: DgModule, n_max: int, w_cap: int,
-                 reduced: Optional[bool]):
+                 reduced: Optional[bool], target: Optional[DgModule] = None):
         if m.side != "right":
             raise ValueError("bar source must be a right module")
         if n_max < 0 or w_cap < 0:
@@ -117,12 +130,17 @@ class _BarScheme:
         a = m.algebra
         red = reduction_data(a)
         mobj = _module_objects(m, red, "right") if red else None
+        nobj = None
+        if mobj is not None and target is not None and reduced is not False:
+            nobj = _module_objects(target, red, target.side)
         if reduced is None:
-            reduced = red is not None and mobj is not None
-        if reduced and (red is None or mobj is None):
+            reduced = mobj is not None and (target is None or nobj is not None)
+        if reduced and mobj is None:
             raise ValueError(
                 "reduced bar needs a weight-connected algebra and an "
                 "object-homogeneous module")
+        if reduced and target is not None and nobj is None:
+            raise ValueError("target module is not object-homogeneous")
         self.module = m
         self.algebra = a
         self.field = m.field
@@ -133,106 +151,120 @@ class _BarScheme:
         self.w_cap = w_cap
         self.reduced = reduced
         self.red = red if reduced else None
-        self.mobj = mobj if reduced else None
+        self.nobj = nobj
         self.sign = red.sign if reduced else 0
 
-        if reduced:
-            slots = [k for k in a.basis_keys() if k[1] != 0]
-            by_lobj: Dict[int, List[Key]] = {}
-            for k in slots:
+        # slots by the object they start at; unreduced, everything is object 0
+        by_lobj: Dict[int, List[Key]] = {}
+        for k in a.basis_keys():
+            if not reduced:
+                by_lobj.setdefault(0, []).append(k)
+            elif k[1] != 0:
                 by_lobj.setdefault(red.lobj[k], []).append(k)
-        else:
-            slots = a.basis_keys()
-            by_lobj = {}
 
         self.labels: List[TupleLabel] = []
-        self._deg: Dict[TupleLabel, int] = {}
-        self._wt: Dict[TupleLabel, int] = {}
-        self._robj: Dict[TupleLabel, int] = {}
+        self.degs: List[int] = []
+        self.wts: List[int] = []
+        self.robjs: List[int] = []
+        self.parent: List[int] = []
+        self.child: Dict[Tuple[int, Key], int] = {}
 
-        def store(lab: TupleLabel, deg: int, wt: int, ro: int) -> None:
+        def store(par: int, slot: Key, lab: TupleLabel, deg: int, wt: int,
+                  ro: int) -> int:
+            t = len(self.labels)
             self.labels.append(lab)
-            self._deg[lab] = deg
-            self._wt[lab] = wt
-            self._robj[lab] = ro
+            self.degs.append(deg)
+            self.wts.append(wt)
+            self.robjs.append(ro)
+            self.parent.append(par)
+            self.child[(par, slot)] = t
+            return t
 
-        def extend(lab: TupleLabel, deg: int, wt: int, slot_wt: int,
-                   ro: int) -> None:
-            if len(lab[1]) == self.n_max:
+        # reduced slots share one weight sign, so the slot weight sum is
+        # capped by keeping |weight| within the room the earlier slots left
+        fits: Dict[Tuple[int, int], List[Key]] = {}
+
+        def extend(t: int, room: int) -> None:
+            mk, al = self.labels[t]
+            if len(al) == n_max:
                 return
-            cands = by_lobj.get(ro, []) if reduced else slots
+            ro = self.robjs[t]
+            cands = fits.get((ro, room))
+            if cands is None:
+                cands = fits[(ro, room)] = [
+                    ak for ak in by_lobj.get(ro, ())
+                    if not reduced or abs(ak[1]) <= room]
             for ak in cands:
-                sw2 = slot_wt + ak[1]
-                if reduced and abs(sw2) > self.w_cap:
-                    continue
-                lab2 = (lab[0], lab[1] + (ak,))
-                ro2 = self.red.robj[ak] if reduced else 0
-                store(lab2, deg + ak[0] - 1, wt + ak[1], ro2)
-                extend(lab2, deg + ak[0] - 1, wt + ak[1], sw2, ro2)
+                u = store(t, ak, (mk, al + (ak,)), self.degs[t] + ak[0] - 1,
+                          self.wts[t] + ak[1], red.robj[ak] if reduced else 0)
+                extend(u, room - abs(ak[1]) if reduced else room)
 
         for mk in m.basis_keys():
-            ro = mobj[mk] if reduced else 0
-            base: TupleLabel = (mk, ())
-            store(base, mk[0], mk[1], ro)
-            extend(base, mk[0], mk[1], 0, ro)
+            extend(store(-1, mk, (mk, ()), mk[0], mk[1],
+                         mobj[mk] if reduced else 0), w_cap)
 
-        self.index = set(self.labels)
         swt = [self.sign * k[1] for k in m.basis_keys()]
         self.min_module_swt = min(swt) if swt else 0
         self._module_known = m.space.fully_known()
         self._algebra_known = a.space.fully_known()
         self._honest_slots: Optional[bool] = None
 
-    def deg(self, lab: TupleLabel) -> int:
-        return self._deg[lab]
+    def rows(self) -> Iterator[Dict[int, Scalar]]:
+        """The differential of each tuple as {index: coefficient}, in index
+        order.
 
-    def wt(self, lab: TupleLabel) -> int:
-        return self._wt[lab]
-
-    def robj(self, lab: TupleLabel) -> int:
-        return self._robj[lab]
-
-    def prefix_degrees(self, lab: TupleLabel) -> List[int]:
-        mk, al = lab
-        pd = [mk[0]]
-        for ak in al:
-            pd.append(pd[-1] + ak[0] - 1)
-        return pd
-
-    def d_src(self, lab: TupleLabel) -> Dict[TupleLabel, Scalar]:
-        """Internal differentials plus first and middle merges."""
+        A tuple T = P + (ak,) keeps each term of P's row with ak appended,
+        under the same prefix sign.  Its new terms are d(ak), with sign
+        (-1)^(|P| + 1), and the merge of ak into P's last slot, or into the
+        module key when P is bare, with sign (-1)^|P|.  Tuples are numbered
+        depth first, so only the rows of T's ancestors are kept."""
         f = self.field
-        mk, al = lab
-        pd = self.prefix_degrees(lab)
-        out: Dict[TupleLabel, Scalar] = {}
+        a, m = self.algebra, self.module
+        labels, parent, child = self.labels, self.parent, self.child
+        d_mod, d_alg = _columns(m.complex.d), _columns(a.complex.d)
+        # merges by (into the module key?, left key, slot)
+        merges: Dict[Tuple[bool, Key, Key], Elt] = {}
 
-        def emit(lab2: TupleLabel, c: Scalar) -> None:
-            if lab2 not in self.index:
-                raise RuntimeError(f"bar term left the window: {lab2}")
-            v = f.add(out.get(lab2, f.zero), c)
+        def index(p: int, slot: Key) -> int:
+            u = child.get((p, slot))
+            if u is None:
+                lab = ((slot, ()) if p < 0
+                       else (labels[p][0], labels[p][1] + (slot,)))
+                raise RuntimeError(f"bar term left the window: {lab}")
+            return u
+
+        def add(row: Dict[int, Scalar], u: int, c: Scalar) -> None:
+            v = f.add(row.get(u, f.zero), c)
             if f.is_zero(v):
-                out.pop(lab2, None)
+                row.pop(u, None)
             else:
-                out[lab2] = v
+                row[u] = v
 
-        for tk, c in self.module.complex.d.column(mk).items():
-            emit((tk, al), c)
-        for j, ak in enumerate(al):
-            col = self.algebra.complex.d.column(ak)
-            if col:
-                s = _sgn(f, pd[j] + 1)
-                for tk, c in col.items():
-                    emit((mk, al[:j] + (tk,) + al[j + 1:]), f.mul(s, c))
-        if al:
-            s = _sgn(f, pd[0])
-            for mk2, c in self.module.act({mk: f.one}, {al[0]: f.one}).items():
-                emit((mk2, al[1:]), f.mul(s, c))
-        for j in range(len(al) - 1):
-            s = _sgn(f, pd[j + 1])
-            prod = self.algebra.basis_product(al[j], al[j + 1])
-            for pk, c in prod.items():
-                emit((mk, al[:j] + (pk,) + al[j + 2:]), f.mul(s, c))
-        return out
+        path: List[Dict[int, Scalar]] = []  # ancestor rows by slot count
+        for t, (mk, al) in enumerate(labels):
+            del path[len(al):]
+            if not al:
+                row = {index(-1, tk): c for tk, c in d_mod.get(mk, ())}
+            else:
+                ak, p = al[-1], parent[t]
+                row = {child.get((j, ak)): c for j, c in path[-1].items()}
+                if None in row:
+                    for j in path[-1]:
+                        index(j, ak)
+                odd = self.degs[p] % 2
+                for tk, c in d_alg.get(ak, ()):
+                    add(row, index(p, tk), c if odd else f.neg(c))
+                q = parent[p]
+                key = (q < 0, mk if q < 0 else al[-2], ak)
+                merged = merges.get(key)
+                if merged is None:
+                    merged = merges[key] = (
+                        m.act({mk: f.one}, {ak: f.one}) if q < 0
+                        else a.basis_product(al[-2], ak))
+                for pk, c in merged.items():
+                    add(row, index(q, pk), f.neg(c) if odd else c)
+            path.append(row)
+            yield row
 
     def honest_slots(self) -> bool:
         """Whether hidden algebra cells could only sit at heavier weights of
@@ -275,18 +307,58 @@ class _BarScheme:
                    for s in range(1, min(needed, self.w_cap) + 1))
 
 
-def _build_space(field: Field, items: Sequence[Tuple[int, int, object]],
-                 ) -> BiGradedSpace:
-    """Space from (deg, wt, label) triples, preserving generation order."""
+def _columns(d: GradedMap) -> Dict[Key, List[Tuple[Key, Scalar]]]:
+    """Every nonzero column of d, reading each block once."""
+    out: Dict[Key, List[Tuple[Key, Scalar]]] = {}
+    for (sd, sw), b in d.blocks.items():
+        td, tw = d.target_cell(sd, sw)
+        for (r, c), v in b.entries.items():
+            out.setdefault((sd, sw, c), []).append(((td, tw, r), v))
+    return out
+
+
+def _build_space(field: Field,
+                 items: Iterable[Tuple[int, Key, int, int, object]],
+                 keys: Sequence[Key], n: int):
+    """Space from (tuple index, key, deg, wt, label) items, preserving
+    generation order.  Also returns one {(row, col): sum} dict per cell, for
+    the differential, and for each key the list over the n tuple indices of
+    (the item's cell dict, its index there), None where there is no item."""
     cells: Dict[Tuple[int, int], List] = {}
-    for d, w, lab in items:
-        cells.setdefault((d, w), []).append(lab)
+    placed = []
+    for t, k, d, w, lab in items:
+        labs = cells.setdefault((d, w), [])
+        placed.append((t, k, (d, w), len(labs)))
+        labs.append(lab)
     sp = BiGradedSpace(field)
     for (d, w) in sorted(cells):
         sp.add_cell(d, w, cells[(d, w)])
     sp.zero_outside = False
     sp.known_cols = {}
-    return sp
+    acc: Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]] = {
+        cell: {} for cell in sp.cells}
+    at: Dict[Key, List] = {k: [None] * n for k in keys}
+    for t, k, cell, i in placed:
+        at[k][t] = (acc[cell], i)
+    return sp, acc, at
+
+
+def _install(space: BiGradedSpace, acc) -> CochainComplex:
+    """The complex whose d has a block for every cell that received an
+    entry, even if its sums cancel; over GF(p) the sums are reduced here."""
+    f = space.field
+    p = f.char
+    cx = CochainComplex(space)
+    for (d, w), sums in acc.items():
+        if not sums:
+            continue
+        b = SparseMatrix(space.dim(d + 1, w), space.dim(d, w), f)
+        if p:
+            b.entries = {k: v % p for k, v in sums.items() if v % p}
+        else:
+            b.entries = {k: v for k, v in sums.items() if v}
+        cx.d.blocks[(d, w)] = b
+    return cx
 
 
 class BarData:
@@ -313,37 +385,41 @@ def _two_sided(scheme: _BarScheme, keys: Sequence[Key],
     idempotents.  The right factor is plain data: its basis keys, the object
     each key starts at (None when unreduced), the merge of a last slot into
     a key, and its complex.  Labels are (module key, slots, right key)."""
-    f = scheme.field
-    items: List[Tuple[int, int, object]] = []
-    for lab in scheme.labels:
+    labels, degs, wts = scheme.labels, scheme.degs, scheme.wts
+    space, acc, at = _build_space(scheme.field, (
+        (t, rk, degs[t] + rk[0], wts[t] + rk[1], labels[t] + (rk,))
+        for t in range(len(labels)) for rk in keys
+        if (lobj is None or lobj[rk] == scheme.robjs[t])
+        and abs(wts[t] + rk[1]) <= scheme.w_cap), keys, len(labels))
+
+    d_right = _columns(rcx.d)
+    merges: Dict[Tuple[Key, Key], Elt] = {}
+    for t, row in enumerate(scheme.rows()):
+        p = scheme.parent[t]
         for rk in keys:
-            if lobj is not None and lobj[rk] != scheme.robj(lab):
+            col = at[rk]
+            if col[t] is None:
                 continue
-            wt = scheme.wt(lab) + rk[1]
-            if abs(wt) > scheme.w_cap:
-                continue
-            items.append((scheme.deg(lab) + rk[0], wt, (lab[0], lab[1], rk)))
-    space = _build_space(f, items)
-    cx = CochainComplex(space)
-
-    def key3(mk: Key, al: Tuple[Key, ...], rk: Key) -> Key:
-        d = scheme.deg((mk, al)) + rk[0]
-        w = scheme.wt((mk, al)) + rk[1]
-        return space.key_of(d, w, (mk, al, rk))
-
-    for (d, w), labs in space.cells.items():
-        for i, (mk, al, rk) in enumerate(labs):
-            src = (d, w, i)
-            for lab2, c in scheme.d_src((mk, al)).items():
-                cx.d.add_entry(src, key3(lab2[0], lab2[1], rk), c)
-            pd = scheme.prefix_degrees((mk, al))
-            if al:
-                s = _sgn(f, pd[-2] + 1)
-                for rk2, c in merge(al[-1], rk).items():
-                    cx.d.add_entry(src, key3(mk, al[:-1], rk2), f.mul(s, c))
-            s = _sgn(f, pd[-1])
-            for rk2, c in rcx.d.column(rk).items():
-                cx.d.add_entry(src, key3(mk, al, rk2), f.mul(s, c))
+            sums, i = col[t]
+            # the scheme's differential, with rk carried along
+            for j, c in row.items():
+                r = col[j][1]
+                sums[r, i] = sums.get((r, i), 0) + c
+            # the last slot merged into rk, sign (-1)^(|P| + 1)
+            if p >= 0:
+                ak = labels[t][1][-1]
+                merged = merges.get((ak, rk))
+                if merged is None:
+                    merged = merges[(ak, rk)] = merge(ak, rk)
+                for rk2, c in merged.items():
+                    r = at[rk2][p][1]
+                    sums[r, i] = sums.get((r, i), 0) + (
+                        c if degs[p] % 2 else -c)
+            # the right factor's differential, sign (-1)^|T|
+            for rk2, c in d_right.get(rk, ()):
+                r = at[rk2][t][1]
+                sums[r, i] = sums.get((r, i), 0) + (-c if degs[t] % 2 else c)
+    cx = _install(space, acc)
 
     if scheme.reduced and scheme._module_known and right_known and keys:
         # weight w is complete when the bar tuples are complete at w less
@@ -383,91 +459,63 @@ def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
                     aug.add_entry((d, w, i), tk, c)
 
     counts: Dict[Tuple[int, int, int], int] = {}
-    for lab in scheme.labels:
-        k = (len(lab[1]), scheme.deg(lab), scheme.wt(lab))
-        counts[k] = counts.get(k, 0) + 1
+    for (_, al), d, w in zip(scheme.labels, scheme.degs, scheme.wts):
+        counts[(len(al), d, w)] = counts.get((len(al), d, w), 0) + 1
     return BarData(m, cx, aug, counts, n_max, scheme.w_cap, scheme.reduced)
 
 
-def _scheme_with_target(m: DgModule, n: DgModule, n_max: int, w_cap: int,
-                        reduced: Optional[bool]):
-    """Scheme over m whose reduction is kept only when n is homogeneous too."""
-    if reduced is None:
-        scheme = _BarScheme(m, n_max, w_cap, None)
-        if scheme.reduced:
-            nobj = _module_objects(n, scheme.red, n.side)
-            if nobj is None:
-                return _BarScheme(m, n_max, w_cap, False), None
-            return scheme, nobj
-        return scheme, None
-    scheme = _BarScheme(m, n_max, w_cap, reduced)
-    if scheme.reduced:
-        nobj = _module_objects(n, scheme.red, n.side)
-        if nobj is None:
-            raise ValueError("target module is not object-homogeneous")
-        return scheme, nobj
-    return scheme, None
-
-
-def _hom_complex_into(scheme: _BarScheme, n: DgModule,
-                      nobj: Optional[Dict[Key, int]]):
+def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
     """Hom over the idempotent subalgebra from the bar tuples into n, with
     the twisted differential.  Labels are (target key, tuple)."""
-    f = scheme.field
+    nobj = scheme.nobj
+    labels, degs, robjs = scheme.labels, scheme.degs, scheme.robjs
     nkeys = n.basis_keys()
-    items: List[Tuple[int, int, object]] = []
-    for q in nkeys:
-        for lab in scheme.labels:
-            if nobj is not None and nobj[q] != scheme.robj(lab):
-                continue
-            items.append((q[0] - scheme.deg(lab), q[1] - scheme.wt(lab),
-                          (q, lab)))
-    space = _build_space(f, items)
-    cx = CochainComplex(space)
-
-    def ekey(q: Key, lab: TupleLabel) -> Key:
-        return space.key_of(q[0] - scheme.deg(lab), q[1] - scheme.wt(lab),
-                            (q, lab))
-
+    space, acc, at = _build_space(scheme.field, (
+        (t, q, q[0] - degs[t], q[1] - scheme.wts[t], (q, labels[t]))
+        for q in nkeys for t in range(len(labels))
+        if nobj is None or nobj[q] == robjs[t]), nkeys, len(labels))
+    # unreduced, every tuple and every target key sit at object 0
     qs_by_obj: Dict[int, List[Key]] = {}
     for q in nkeys:
         qs_by_obj.setdefault(nobj[q] if nobj is not None else 0, []).append(q)
 
-    def qs_for(ro: int) -> List[Key]:
-        return qs_by_obj.get(ro, []) if nobj is not None else nkeys
-
     # target differential, composed after the operator
-    for q in nkeys:
-        col = n.complex.d.column(q)
-        if not col:
-            continue
-        for lab in scheme.labels:
-            if nobj is not None and nobj[q] != scheme.robj(lab):
+    for q, col in _columns(n.complex.d).items():
+        for t, slot in enumerate(at[q]):
+            if slot is None:
                 continue
-            src = ekey(q, lab)
-            for q2, c in col.items():
-                cx.d.add_entry(src, ekey(q2, lab), c)
-    # source differential, precomposed with a sign
-    for big in scheme.labels:
-        for lab, c in scheme.d_src(big).items():
-            for q in qs_for(scheme.robj(lab)):
-                s = _sgn(f, q[0] + scheme.deg(lab) + 1)
-                cx.d.add_entry(ekey(q, lab), ekey(q, big), f.mul(s, c))
-    # the dropped last merge reappears as the module action on values
-    for big in scheme.labels:
-        mk, al = big
-        if not al:
+            sums, i = slot
+            for q2, c in col:
+                r = at[q2][t][1]
+                sums[r, i] = sums.get((r, i), 0) + c
+    # per tuple, the source differential precomposed with the sign
+    # (-1)^(|q| + |lab| + 1), and the dropped last merge, which reappears as
+    # the module action on values with the sign (-1)^|q|
+    f = scheme.field
+    acts: Dict[Tuple[Key, Key], Elt] = {}
+    for t, row in enumerate(scheme.rows()):
+        for q in qs_by_obj.get(robjs[t], ()):
+            aq = at[q]
+            r = aq[t][1]
+            for j, c in row.items():
+                sums, i = aq[j]
+                sums[r, i] = sums.get((r, i), 0) + (
+                    c if (q[0] + degs[j]) % 2 else -c)
+        p = scheme.parent[t]
+        if p < 0:
             continue
-        lab = (mk, al[:-1])
-        ak = al[-1]
-        for q in qs_for(scheme.robj(lab)):
-            qa = n.act({q: f.one}, {ak: f.one})
+        ak = labels[t][1][-1]
+        for q in qs_by_obj.get(robjs[p], ()):
+            qa = acts.get((q, ak))
+            if qa is None:
+                qa = acts[(q, ak)] = n.act({q: f.one}, {ak: f.one})
             if not qa:
                 continue
-            s = _sgn(f, q[0])
-            src = ekey(q, lab)
+            sums, i = at[q][p]
             for q2, c in qa.items():
-                cx.d.add_entry(src, ekey(q2, big), f.mul(s, c))
+                r = at[q2][t][1]
+                sums[r, i] = sums.get((r, i), 0) + (-c if q[0] % 2 else c)
+    cx = _install(space, acc)
 
     if scheme.reduced and n.space.fully_known() and nkeys:
         lo = min(k[1] for k in nkeys) - scheme.w_cap
@@ -483,7 +531,7 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule,
             if scheme.sign <= 0:
                 space.known_zero_below = (min(k[1] for k in nkeys)
                                           - max(mwts))
-    return cx, ekey
+    return cx
 
 
 def derived_hom(m: DgModule, n: DgModule, n_max: int,
@@ -496,9 +544,7 @@ def derived_hom(m: DgModule, n: DgModule, n_max: int,
         raise ValueError("derived_hom target must be a right module")
     if w_cap is None:
         w_cap = n_max
-    scheme, nobj = _scheme_with_target(m, n, n_max, w_cap, reduced)
-    cx, _ = _hom_complex_into(scheme, n, nobj)
-    return cx
+    return _hom_complex_into(_BarScheme(m, n_max, w_cap, reduced, n), n)
 
 
 class EndAlgebra(DgAlgebra):
@@ -550,27 +596,26 @@ def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     """Derived endomorphism DG algebra of m."""
     if w_cap is None:
         w_cap = n_max
-    scheme, nobj = _scheme_with_target(m, m, n_max, w_cap, reduced)
-    cx, ekey = _hom_complex_into(scheme, m, nobj)
+    scheme = _BarScheme(m, n_max, w_cap, reduced, m)
+    cx = _hom_complex_into(scheme, m)
     f = m.field
-
-    unit: Elt = {}
-    for q in m.basis_keys():
-        unit[ekey(q, (q, ()))] = f.one
+    space, one = cx.space, f.one
+    unit: Elt = {space.key_of(0, 0, (q, (q, ()))): one for q in m.basis_keys()}
 
     # (F*G)(prefix of G, then tuple of F) = F applied to G's value; nonzero
-    # only when G's target equals F's input module part
-    space, index, one = cx.space, scheme.index, f.one
-
+    # only when G's target equals F's input module part and the combined
+    # tuple is within the caps
     def product(k1: Key, k2: Key) -> Elt:
         q1, lab1 = space.label_of(k1)
         q2, lab2 = space.label_of(k2)
         if q2 != lab1[0]:
             return {}
         combined = (lab2[0], lab2[1] + lab1[1])
-        if combined not in index:
+        try:
+            return {space.key_of(k1[0] + k2[0], k1[1] + k2[1],
+                                 (q1, combined)): one}
+        except KeyError:
             return {}
-        return {space.key_of(k1[0] + k2[0], k1[1] + k2[1], (q1, combined)): one}
 
     return EndAlgebra(cx, unit, product, m, n_max, scheme.w_cap, scheme.reduced,
                       name=name or f"End({m.name})")
@@ -586,9 +631,9 @@ def derived_tensor(m: DgModule, n: DgModule, n_max: int,
         raise ValueError("derived_tensor takes a right and a left module")
     if w_cap is None:
         w_cap = n_max
-    scheme, nobj = _scheme_with_target(m, n, n_max, w_cap, reduced)
+    scheme = _BarScheme(m, n_max, w_cap, reduced, n)
     f = scheme.field
-    return _two_sided(scheme, n.basis_keys(), nobj,
+    return _two_sided(scheme, n.basis_keys(), scheme.nobj,
                       lambda ak, nk: n.act_left({ak: f.one}, {nk: f.one}),
                       n.complex, n.space.fully_known())
 
@@ -723,7 +768,7 @@ def strict_end_algebra(m: DgModule) -> StrictEndAlgebra:
 
     for (d, w), maps in basis_maps.items():
         for i, g in enumerate(maps):
-            s = _sgn(f, d + 1)
+            s = f.of(-1) if d % 2 == 0 else f.one
             dg: Dict[Key, Elt] = {}
             for p in mkeys:
                 acc = dict(m.d(g.get(p, {})))

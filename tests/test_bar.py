@@ -56,26 +56,26 @@ def truncated_poly(top):
 
 def trivial_right(a, name="k"):
     """One-dimensional module where every positive-weight element acts by 0."""
-    sp = BiGradedSpace(F)
+    sp = BiGradedSpace(a.field)
     sp.add_cell(0, 0, ["m"])
     cx = CochainComplex(sp)
     mk = (0, 0, 0)
     action = {}
     for k in a.basis_keys():
         if k[1] == 0:
-            action[(mk, k)] = {mk: F.one}
+            action[(mk, k)] = {mk: a.field.one}
     return DgModule(a, cx, action, side="right", name=name)
 
 
 def trivial_left(a, name="k", wt=0):
-    sp = BiGradedSpace(F)
+    sp = BiGradedSpace(a.field)
     sp.add_cell(0, wt, ["m"])
     cx = CochainComplex(sp)
     mk = (0, wt, 0)
     action = {}
     for k in a.basis_keys():
         if k[1] == 0:
-            action[(k, mk)] = {mk: F.one}
+            action[(k, mk)] = {mk: a.field.one}
     return DgModule(a, cx, action, side="left", name=name)
 
 
@@ -450,3 +450,71 @@ def test_bar_resolution_is_derived_tensor_with_the_algebra(name, cap):
     got = bar_resolution(m, cap, w_cap=cap).complex
     want = derived_tensor(m, a_left, cap, w_cap=cap)
     assert _complex_snapshot(got) == _complex_snapshot(want)
+
+
+# -- signs, the window guard and mixed targets -------------------------------
+
+def h_dims_exact(cx):
+    coh = cx.cohomology()
+    return {cell: n for cell, n in coh.dims_by_cell().items()
+            if coh.certificate.exact_at(*cell)}
+
+
+@pytest.mark.parametrize("field", [F, Field(32003)], ids=["qq", "gf32003"])
+def test_bar_constructions_over_the_dg_line(field):
+    # A = <1, xi, eta> with d(xi) = eta is quasi-isomorphic to k, so each
+    # construction on k gives k; the nonzero d of A exercises the sign of a
+    # slot's own differential and of the right factor's differential
+    a = M._dg_line_algebra(field)
+    k = trivial_right(a)
+    a_left = DgModule(a, a.complex, dict(a.mult), side="left")
+    built = {
+        "bar_resolution": bar_resolution(k, 4).complex,
+        "tor(k, k)": derived_tensor(k, trivial_left(a), 4),
+        "tor(k, A)": derived_tensor(k, a_left, 4),
+        "ext(k, k)": derived_hom(k, k, 4),
+        "end(k)": end_algebra(k, 4).complex,
+    }
+    for name, cx in built.items():
+        assert cx.validate_d2() is None, name
+        assert h_dims_exact(cx) == {(0, 0): 1}, name
+
+
+def test_ill_graded_product_leaves_the_window():
+    # x·x = 1 lowers the weight, so a merge of two slots leaves the tuples
+    a = DgAlgebra.from_basis(
+        F,
+        basis=[("1", 0, 0), ("x", 0, 1)],
+        unit_names=["1"],
+        differential={},
+        products={("1", "1"): {"1": 1}, ("1", "x"): {"x": 1},
+                  ("x", "1"): {"x": 1}, ("x", "x"): {"1": 1}},
+    )
+    k = trivial_right(a)
+    builds = [lambda: bar_resolution(k, 3), lambda: derived_hom(k, k, 3),
+              lambda: derived_tensor(k, trivial_left(a), 3)]
+    for build in builds:
+        with pytest.raises(RuntimeError, match="^bar term left the window"):
+            build()
+
+
+def test_hom_into_a_target_mixing_objects_is_unreduced():
+    # S1 + S2 in the basis s1 + s2, s1 - s2: no basis vector sits at one object
+    a = paper_category()
+    (e1,) = a.idempotents["X1"]
+    (e2,) = a.idempotents["X2"]
+    sp = BiGradedSpace(F)
+    sp.add_cell(0, 0, ["s1+s2", "s1-s2"])
+    p, q = (0, 0, 0), (0, 0, 1)
+    h = F.of("1/2")
+    action = {(p, e1): {p: h, q: h}, (p, e2): {p: h, q: -h},
+              (q, e1): {p: h, q: h}, (q, e2): {p: -h, q: h}}
+    n = DgModule(a, CochainComplex(sp), action, side="right", name="S1+S2")
+    assert n.validate().ok
+    m = right_ideal_module(a, a.idempotents["X1"], name="P1")
+    cx = derived_hom(m, n, 3)
+    assert cx.validate_d2() is None
+    assert _complex_snapshot(cx) == _complex_snapshot(
+        derived_hom(m, n, 3, reduced=False))
+    with pytest.raises(ValueError, match="target module is not object"):
+        derived_hom(m, n, 3, reduced=True)
