@@ -15,14 +15,15 @@ entry and install every block once.
 from __future__ import annotations
 
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
 from .dg import DgAlgebra, DgModule
 from .graded import (
     BiGradedSpace, CochainComplex, Cohomology, Elt, GradedMap, Key,
+    _build_space, _columns, _install,
 )
-from .linalg import Field, Scalar, SparseMatrix
+from .linalg import Scalar, SparseMatrix
 
 TupleLabel = Tuple[Key, Tuple[Key, ...]]
 
@@ -56,13 +57,23 @@ class ReductionData:
         self.robj = robj
 
 
+_UNSET = object()  # reduction_data not yet computed; None is an answer
+
+
 def reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
     """Reduction structure of a weight-connected algebra, or None.
 
     Requires every basis element to be left/right homogeneous for the
     weight-zero idempotents, so tensor products over that subalgebra keep
-    the obvious basis of composable tuples.
+    the obvious basis of composable tuples.  Computed once per algebra.
     """
+    red = getattr(a, "_reduction", _UNSET)
+    if red is _UNSET:
+        red = a._reduction = _reduction_data(a)
+    return red
+
+
+def _reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
     sign = a.weight_connectedness()
     if sign is None:
         return None
@@ -305,60 +316,6 @@ class _BarScheme:
         sp = self.algebra.space
         return all(sp.column_complete(self.sign * s)
                    for s in range(1, min(needed, self.w_cap) + 1))
-
-
-def _columns(d: GradedMap) -> Dict[Key, List[Tuple[Key, Scalar]]]:
-    """Every nonzero column of d, reading each block once."""
-    out: Dict[Key, List[Tuple[Key, Scalar]]] = {}
-    for (sd, sw), b in d.blocks.items():
-        td, tw = d.target_cell(sd, sw)
-        for (r, c), v in b.entries.items():
-            out.setdefault((sd, sw, c), []).append(((td, tw, r), v))
-    return out
-
-
-def _build_space(field: Field,
-                 items: Iterable[Tuple[int, Key, int, int, object]],
-                 keys: Sequence[Key], n: int):
-    """Space from (tuple index, key, deg, wt, label) items, preserving
-    generation order.  Also returns one {(row, col): sum} dict per cell, for
-    the differential, and for each key the list over the n tuple indices of
-    (the item's cell dict, its index there), None where there is no item."""
-    cells: Dict[Tuple[int, int], List] = {}
-    placed = []
-    for t, k, d, w, lab in items:
-        labs = cells.setdefault((d, w), [])
-        placed.append((t, k, (d, w), len(labs)))
-        labs.append(lab)
-    sp = BiGradedSpace(field)
-    for (d, w) in sorted(cells):
-        sp.add_cell(d, w, cells[(d, w)])
-    sp.zero_outside = False
-    sp.known_cols = {}
-    acc: Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]] = {
-        cell: {} for cell in sp.cells}
-    at: Dict[Key, List] = {k: [None] * n for k in keys}
-    for t, k, cell, i in placed:
-        at[k][t] = (acc[cell], i)
-    return sp, acc, at
-
-
-def _install(space: BiGradedSpace, acc) -> CochainComplex:
-    """The complex whose d has a block for every cell that received an
-    entry, even if its sums cancel; over GF(p) the sums are reduced here."""
-    f = space.field
-    p = f.char
-    cx = CochainComplex(space)
-    for (d, w), sums in acc.items():
-        if not sums:
-            continue
-        b = SparseMatrix(space.dim(d + 1, w), space.dim(d, w), f)
-        if p:
-            b.entries = {k: v % p for k, v in sums.items() if v % p}
-        else:
-            b.entries = {k: v for k, v in sums.items() if v}
-        cx.d.blocks[(d, w)] = b
-    return cx
 
 
 class BarData:

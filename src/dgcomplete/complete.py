@@ -17,9 +17,9 @@ from .bar import (
     EndAlgebra, StrictEndAlgebra, _module_objects, embed_strict, end_algebra,
     reduction_data, stabilization_scan, strict_end_algebra,
 )
-from .dg import AlgebraMorphism, DgAlgebra, DgModule, direct_sum_modules
+from .dg import DgAlgebra, DgModule, direct_sum_modules
 from .graded import (
-    CochainComplex, Cohomology, Elt, GradedMap, Key, Window, induced_rank,
+    CochainComplex, Cohomology, Elt, Key, Window, induced_rank,
 )
 
 Caps = Tuple[int, int]
@@ -96,28 +96,6 @@ def _strict_check(strict: StrictEndAlgebra, bar: EndAlgebra) -> Dict:
     return {"ok": ok, "rows": rows}
 
 
-def _right_mult_map(a: DgAlgebra, m: DgModule, outer: EndAlgebra) -> GradedMap:
-    """Algebra elements as length-zero operators on the outer module.
-
-    The twist (-1)^{|a||m|} makes operator composition match the opposed
-    convolution product, so the assembled map is multiplicative into the
-    completion rather than into its opposite.
-    """
-    f = a.field
-    g = GradedMap(a.space, outer.space, 0, 0)
-    osp = outer.space
-    for ka in a.basis_keys():
-        for mk in m.basis_keys():
-            val = m.act({mk: f.one}, {ka: f.one})
-            if not val:
-                continue
-            s = f.of(-1) if (ka[0] % 2 and mk[0] % 2) else f.one
-            for q, c in val.items():
-                tk = osp.key_of(q[0] - mk[0], q[1] - mk[1], (q, (mk, ())))
-                g.add_entry(ka, tk, f.mul(s, c))
-    return g
-
-
 def _unreduced_fit(n_keys: int, slot_count: int, n_max: int,
                    budget: int) -> Tuple[int, int]:
     """Largest tuple length whose estimated cell count stays in budget."""
@@ -138,13 +116,13 @@ def _dims_in(h: Cohomology, win: Window) -> Dict[Tuple[int, int], int]:
 
 
 class CompletionResult:
-    """A completed algebra with its inner model, unit map, and diagnostics."""
+    """A completed algebra with its inner and outer models and diagnostics."""
 
     def __init__(self, algebra: DgAlgebra, module: DgModule,
                  inner_bar: EndAlgebra,
                  inner_strict: StrictEndAlgebra, inner_used: str,
                  base: DgAlgebra, over: DgModule, outer: EndAlgebra,
-                 completed: DgAlgebra, iota: AlgebraMorphism,
+                 completed: DgAlgebra,
                  caps: Caps, inner_caps: Caps, window: Window,
                  reduced_outer: bool, diagnostics: Dict):
         self.algebra = algebra
@@ -156,7 +134,6 @@ class CompletionResult:
         self.over = over
         self.outer = outer
         self.completed = completed
-        self.iota = iota
         self.caps = caps
         self.inner_caps = inner_caps
         self.window = window
@@ -215,8 +192,8 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     if inner_used == "strict":
         base, over = _module_over_strict_opposite(inner_strict)
     else:
-        base = inner_bar.opposite()
         over = inner_bar.module_over_opposite()
+        base = over.algebra
 
     outer_caps = (n_out, w_out)
     red = reduction_data(base)
@@ -258,9 +235,8 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
         "failure_bidegrees": failures if (budget_note or not reduced) else [],
     }
 
-    iota = AlgebraMorphism(a, completed, _right_mult_map(a, m, outer))
     return CompletionResult(a, m, inner_bar, inner_strict, inner_used,
-                            base, over, outer, completed, iota,
+                            base, over, outer, completed,
                             (n_out, w_out), (n_in, w_in), win, reduced,
                             diagnostics)
 

@@ -10,7 +10,7 @@ its weight are fully known.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .linalg import Echelon, Field, Scalar, SparseMatrix
 
@@ -523,6 +523,61 @@ class CochainComplex:
                     tk = sp.key_of(d + 1, w, (tag, part.space.labels(d + 1, w)[r]))
                     dd.add_entry(sk, tk, v)
         return CochainComplex(sp, dd)
+
+
+def _columns(d: GradedMap) -> Dict[Key, List[Tuple[Key, Scalar]]]:
+    """Every nonzero column of d, reading each block once."""
+    out: Dict[Key, List[Tuple[Key, Scalar]]] = {}
+    for (sd, sw), b in d.blocks.items():
+        td, tw = d.target_cell(sd, sw)
+        for (r, c), v in b.entries.items():
+            out.setdefault((sd, sw, c), []).append(((td, tw, r), v))
+    return out
+
+
+def _build_space(field: Field,
+                 items: Iterable[Tuple[int, Key, int, int, object]],
+                 keys: Iterable[Key], n: int):
+    """Space from (item index, key, deg, wt, label) items, preserving
+    generation order, with no knowledge set.  Also returns one
+    {(row, col): sum} dict per cell, for the differential, and for each key
+    the list over the n item indices of (the item's cell dict, its index
+    there), None where there is no item."""
+    cells: Dict[Tuple[int, int], List] = {}
+    placed = []
+    for t, k, d, w, lab in items:
+        labs = cells.setdefault((d, w), [])
+        placed.append((t, k, (d, w), len(labs)))
+        labs.append(lab)
+    sp = BiGradedSpace(field)
+    for (d, w) in sorted(cells):
+        sp.add_cell(d, w, cells[(d, w)])
+    sp.zero_outside = False
+    sp.known_cols = {}
+    acc: Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]] = {
+        cell: {} for cell in sp.cells}
+    at: Dict[Key, List] = {k: [None] * n for k in keys}
+    for t, k, cell, i in placed:
+        at[k][t] = (acc[cell], i)
+    return sp, acc, at
+
+
+def _install(space: BiGradedSpace, acc) -> CochainComplex:
+    """The complex whose d has a block for every cell with an entry that
+    survives cancellation; over GF(p) the sums are reduced here."""
+    f = space.field
+    p = f.char
+    cx = CochainComplex(space)
+    for (d, w), sums in acc.items():
+        if p:
+            entries = {k: v % p for k, v in sums.items() if v % p}
+        else:
+            entries = {k: v for k, v in sums.items() if v}
+        if entries:
+            b = SparseMatrix(space.dim(d + 1, w), space.dim(d, w), f)
+            b.entries = entries
+            cx.d.blocks[(d, w)] = b
+    return cx
 
 
 def induced_rank(f: GradedMap, src: "CochainComplex", tgt: "CochainComplex",

@@ -12,6 +12,13 @@ factor across the left factor's string.  The product is a rule, not a table:
 each pair of cells is multiplied the first time something reads it, so a
 limit read only through its cohomology multiplies nothing.
 
+The limit's differential is built by string index.  The category's arrows by
+endpoint and its factorizations are tables filled when it is checked; the
+strings are enumerated once and numbered, and each string's faces are listed
+once, as the indices of the strings they reach.  Each diagram map and each
+internal differential is read once, column by column, every term is added
+into one sum per block entry, and each block is installed once.
+
 Strings longer than a cutoff span a two-sided dg ideal of the limit (every
 face and every product term only lengthens strings), so the stored object is
 an honest quotient dg algebra, and its cohomology agrees with the full limit
@@ -29,7 +36,8 @@ from typing import Dict, List, Optional, Tuple
 
 from .linalg import Field
 from .graded import (
-    BiGradedSpace, CochainComplex, Elt, GradedMap, Key, elt_axpy, is_chain_map,
+    BiGradedSpace, CochainComplex, Elt, GradedMap, Key, _build_space, _columns,
+    _install, elt_axpy, is_chain_map,
 )
 from .dg import (
     AlgebraMorphism, DgAlgebra, DgModule, ValidationReport,
@@ -99,6 +107,22 @@ class SmallCategory:
         problems = self.check()
         if problems:
             raise ValueError(f"bad category: {problems[0]}")
+        # the checked data never changes, so the lookups the string builders
+        # make are tables, filled once: arrows by endpoint, in name order,
+        # and each arrow's factorizations as sorted (first, second) pairs
+        self._from: Dict[object, List[str]] = {x: [] for x in self.objects}
+        self._into: Dict[object, List[str]] = {x: [] for x in self.objects}
+        self._factors: Dict[str, List[Tuple[str, str]]] = {
+            nm: [] for nm in self.arrows}
+        for nm in sorted(self.arrows):
+            s, t = self.arrows[nm]
+            self._from[s].append(nm)
+            self._into[t].append(nm)
+        for (g, f), h in self.compose.items():
+            if h is not None:
+                self._factors[h].append((f, g))
+        for pairs in self._factors.values():
+            pairs.sort()
 
     def src(self, arrow: str):
         return self.arrows[arrow][0]
@@ -156,18 +180,14 @@ class SmallCategory:
         return out
 
     def arrows_from(self, obj) -> List[str]:
-        return sorted(nm for nm, (s, _) in self.arrows.items() if s == obj)
+        return list(self._from.get(obj, ()))
 
     def arrows_into(self, obj) -> List[str]:
-        return sorted(nm for nm, (_, t) in self.arrows.items() if t == obj)
+        return list(self._into.get(obj, ()))
 
     def factorizations(self, arrow: str) -> List[Tuple[str, str]]:
         """All (first, second) pairs of non-identity arrows with second∘first == arrow."""
-        out = []
-        for (g, f), h in self.compose.items():
-            if h == arrow:
-                out.append((f, g))
-        return sorted(out)
+        return list(self._factors.get(arrow, ()))
 
 
 def one_object_category(label="*") -> SmallCategory:
@@ -235,11 +255,17 @@ def nonidentity_paths(cat: SmallCategory, p_max: int) -> List[Tuple[object, Tupl
     for _ in range(p_max):
         nxt = []
         for (o, names) in layer:
-            for t in cat.arrows_from(o):
+            for t in cat._from[o]:
                 nxt.append((cat.tgt(t), names + (t,)))
         layer = nxt
         out.extend(nxt)
     return out
+
+
+def _extends(cat: SmallCategory, paths, p_max: int) -> bool:
+    """Whether some string of length p_max has an outgoing arrow, that is,
+    whether strings past the cutoff exist."""
+    return any(cat._from[o] for o, names in paths if len(names) == p_max)
 
 
 def _label_index(space: BiGradedSpace) -> Dict:
@@ -411,8 +437,9 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
     sc = signs if signs is not None else DEFAULT_SIGNS
     f = diagram.field
     algebras = diagram.algebras
+    akeys = {x: algebras[x].basis_keys() for x in cat.objects}
 
-    degs = [k[0] for x in cat.objects for k in algebras[x].basis_keys()]
+    degs = [k[0] for keys in akeys.values() for k in keys]
     if not degs:
         raise ValueError("holim of a diagram with no cells")
     b_min = min(degs)
@@ -421,76 +448,71 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
             raise ValueError("holim needs dmax or p_max")
         p_max = max(0, dmax - b_min + 1)
     paths = nonidentity_paths(cat, p_max)
-    cut = len(nonidentity_paths(cat, p_max + 1)) > len(paths)
+    cut = _extends(cat, paths, p_max)
 
-    triples: List[Tuple[int, int, Label]] = []
-    for (o, names) in paths:
-        for vkey in algebras[o].basis_keys():
-            triples.append((len(names) + vkey[0], vkey[1], (o, names, vkey)))
-    space = BiGradedSpace(f)
-    by_cell: Dict[Tuple[int, int], List[Label]] = {}
-    for d, w, lab in triples:
-        by_cell.setdefault((d, w), []).append(lab)
-    for (d, w) in sorted(by_cell):
-        space.add_cell(d, w, by_cell[(d, w)])
+    space, acc, at = _build_space(f, (
+        (s, vkey, len(names) + vkey[0], vkey[1], (o, names, vkey))
+        for s, (o, names) in enumerate(paths) for vkey in akeys[o]),
+        {k for keys in akeys.values() for k in keys}, len(paths))
 
-    def key(lab: Label) -> Key:
-        return _lim_key(space, lab)
-
-    # differential, column by column
-    diff = GradedMap(space, space, 1, 0)
-    for k in _all_keys(space):
-        o, names, vkey = space.label_of(k)
+    # the faces of each string below the cutoff, as string indices: the
+    # extensions at the target end, whose value is mapped along the new
+    # arrow, and the extensions at the source end and the splits of one
+    # arrow into two, which keep the value.  Each carries the exponent of
+    # its sign less the value's internal degree.
+    index = {lab: s for s, lab in enumerate(paths)}
+    faces: List[Tuple[List, List]] = []
+    for o, names in paths:
         q = len(names)
-        total = q + vkey[0]
-        col: Dict[Key, object] = {}
+        if q == p_max:
+            faces.append(([], []))
+            continue
+        e = (q + 1 + sc.limit_drop_last) % 2
+        mapped = [(index[(cat.tgt(t), names + (t,))], t, e)
+                  for t in cat._from[o]]
+        lsrc = cat.src(names[0]) if names else o
+        kept = [(index[(o, (t,) + names)], sc.limit_drop_first)
+                for t in cat._into[lsrc]]
+        for idx, nm in enumerate(names):
+            e = (1 + idx + sc.limit_compose) % 2
+            kept.extend((index[(o, names[:idx] + pair + names[idx + 1:])], e)
+                        for pair in cat._factors[nm])
+        faces.append((mapped, kept))
 
-        def put(lab: Label, coeff) -> None:
-            kk = key(lab)
-            col[kk] = f.add(col.get(kk, f.zero), coeff)
-
-        for tv, c in algebras[o].d({vkey: f.one}).items():
-            put((o, names, tv), c)
-        if q + 1 <= p_max:
-            sgn = f.of(-1 if (total + 1 + sc.limit_drop_last) % 2 else 1)
-            for t in cat.arrows_from(o):
-                img = diagram.apply(t, {vkey: f.one})
-                for tv, c in img.items():
-                    put((cat.tgt(t), names + (t,), tv), f.mul(sgn, c))
-            lsrc = cat.src(names[0]) if names else o
-            sgn = f.of(-1 if (total + q + sc.limit_drop_first) % 2 else 1)
-            for t in cat.arrows_into(lsrc):
-                put((o, (t,) + names, vkey), sgn)
-            for idx in range(q):
-                sgn = f.of(-1 if (total + 1 + q - idx + sc.limit_compose) % 2 else 1)
-                for (t1, t2) in cat.factorizations(names[idx]):
-                    put((o, names[:idx] + (t1, t2) + names[idx + 1:], vkey), sgn)
-        col = {kk: c for kk, c in col.items() if not f.is_zero(c)}
-        if col:
-            diff.set_column(k, col)
-
-    cx = CochainComplex(space, diff)
+    # each map's and each internal differential's columns, read once; every
+    # term goes into its source cell's sums
+    maps = {t: _columns(diagram.maps[t]) for t in cat.arrows}
+    d_ints = {x: _columns(algebras[x].complex.d) for x in cat.objects}
+    for s, (o, names) in enumerate(paths):
+        d_int, (mapped, kept) = d_ints[o], faces[s]
+        for vkey in akeys[o]:
+            sums, i = at[vkey][s]
+            for tv, c in d_int.get(vkey, ()):
+                r = at[tv][s][1]
+                sums[r, i] = sums.get((r, i), 0) + c
+            odd = vkey[0] % 2
+            for u, t, e in mapped:
+                for tv, c in maps[t].get(vkey, ()):
+                    r = at[tv][u][1]
+                    sums[r, i] = sums.get((r, i), 0) + (-c if e != odd else c)
+            for u, e in kept:
+                r = at[vkey][u][1]
+                sums[r, i] = sums.get((r, i), 0) + (-1 if e != odd else 1)
+    cx = _install(space, acc)
 
     # knowledge: the cut ideal in weight column w lives in degrees
     # >= p_max + 1 + (minimal internal degree at w), so cohomology is
     # certified through p_max + b_w - 1 there
-    all_known = all(algebras[x].space.fully_known() for x in cat.objects)
-    if all_known:
+    if all(algebras[x].space.fully_known() for x in cat.objects):
         if not cut:
             space.mark_all_complete()
         else:
             space.zero_outside = True
-            weights = set()
-            for x in cat.objects:
-                weights.update(w for (_, w) in algebras[x].space.cells)
-            for w in sorted(weights):
-                col_degs = [kk[0] for x in cat.objects
-                            for kk in algebras[x].basis_keys()
-                            if kk[1] == w]
-                if not col_degs:
-                    space.set_known(w)
-                else:
-                    space.set_known(w, None, p_max + min(col_degs) - 1)
+            lowest: Dict[int, int] = {}
+            for d, w, _ in sorted(k for keys in akeys.values() for k in keys):
+                lowest.setdefault(w, d)
+            for w in sorted(lowest):
+                space.set_known(w, None, p_max + lowest[w] - 1)
 
     # product: concatenate strings, transporting the right factor across the
     # left factor's string; drop anything past the cutoff (the ideal again).
@@ -512,14 +534,14 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
         prod = algebras[o1].multiply({v1: f.one}, moved)
         out: Elt = {}
         for tv, c in prod.items():
-            kk = key((o1, names, tv))
+            kk = _lim_key(space, (o1, names, tv))
             out[kk] = f.add(out.get(kk, f.zero), f.mul(sgn, c))
         return {kk: c for kk, c in out.items() if not f.is_zero(c)}
 
     unit: Elt = {}
     for x in cat.objects:
         for vkey, c in algebras[x].unit.items():
-            unit[key((x, (), vkey))] = c
+            unit[_lim_key(space, (x, (), vkey))] = c
 
     label = name or (f"holim({diagram.name})" if diagram.name else "holim")
     return HolimAlgebra(cx, unit, product, diagram, p_max, sc, paths, name=label)
@@ -662,7 +684,7 @@ def hocolim(md: ModuleDiagram, dmin: Optional[int] = None,
             raise ValueError("hocolim needs dmin or p_max")
         p_max = max(0, top - dmin + 1)
     paths = nonidentity_paths(cat, p_max)
-    cut = len(nonidentity_paths(cat, p_max + 1)) > len(paths)
+    cut = _extends(cat, paths, p_max)
 
     triples: List[Tuple[int, int, Label]] = []
     for (o, names) in paths:
@@ -725,7 +747,9 @@ def hocolim(md: ModuleDiagram, dmin: Optional[int] = None,
                     space.set_known(w, max(col_degs) - p_max + 1, None)
     else:
         # partial knowledge: a column is usable when every component column is
-        # complete, because the cut only removes cells below top_w - p_max
+        # complete, because the cut only removes cells below top_w - p_max;
+        # every other column is unknown
+        space.zero_outside = False
         for w in sorted({ww for x in cat.objects
                          for (_, ww) in md.modules[x].space.cells}):
             if all(md.modules[x].space.column_complete(w) for x in cat.objects):

@@ -1,9 +1,10 @@
 """Homotopy limit engine: index categories, towers, signs, the action map."""
 import pytest
 
-from dgcomplete.linalg import RATIONALS as F, Echelon
+from dgcomplete.linalg import RATIONALS as F, Echelon, Field
 from dgcomplete.graded import (
-    BiGradedSpace, CochainComplex, Window, induced_rank, is_chain_map,
+    BiGradedSpace, CochainComplex, GradedMap, Window, induced_rank,
+    is_chain_map,
 )
 from dgcomplete.dg import regular_module
 from dgcomplete import holim as H
@@ -211,6 +212,27 @@ class TestCutoffCertificates:
         assert [h.dim(d, 0) for d in range(3)] == [1, 0, 0]
         assert h.certificate.exact_at(1, 0)
         assert not h.certificate.exact_at(2, 0)
+
+    def test_an_input_known_in_part_certifies_nothing_it_does_not_know(self):
+        alg = M.truncated_poly(F, ["x"], ["x^3"]).algebra
+        alg.space.set_known(2, 0, 0)  # weight 2 known in degree 0 alone
+        assert not alg.space.fully_known()
+        diag = H.AlgebraDiagram(H.one_object_category(), {"*": alg}, {})
+        hl = H.holim(diag, dmax=1)
+        assert not hl.space.fully_known()
+        h = hl.complex.cohomology(Window(0, 1, 2))
+        assert h.dim(0, 2) == 1 and not h.certificate.exact_at(0, 2)
+
+    def test_a_module_known_in_part_certifies_only_its_complete_columns(self):
+        alg = M.truncated_poly(F, ["x"], ["x^3"]).algebra
+        alg.space.set_known(2, 0, 0)  # weight 2 known in degree 0 alone
+        mdiag = H.ModuleDiagram(H.one_object_category(),
+                                {"*": regular_module(alg)}, {})
+        hc = H.hocolim(mdiag, p_max=1)
+        assert not hc.space.fully_known()
+        h = hc.complex.cohomology(Window(0, 1, 2))
+        assert h.dim(0, 0) == 1 and h.certificate.exact_at(0, 0)
+        assert h.dim(0, 2) == 1 and not h.certificate.exact_at(0, 2)
 
 
 class TestSignConvention:
@@ -430,3 +452,74 @@ class TestActionOnColimit:
         hc = H.hocolim(self.mdiag, p_max=hl.p_max)
         with pytest.raises(ValueError, match="incompatible action system"):
             H.action_map(hl, hc, phis)
+
+
+GF = Field(32003)
+
+
+def cubic_tower(field):
+    """The adic tower of k[x]/(x^3) at depth 3: projections, not identities,
+    over the chain poset on three objects, which has a composite arrow."""
+    ring = M.truncated_poly(field, ["x"], ["x^3"])
+    return M.adic_tower(ring, ["x"], 3).diagram()[1]
+
+
+def certified_dims(hl, window):
+    h = hl.complex.cohomology(window)
+    return {c: h.dim(*c) for c, ok in h.certificate.status.items() if ok}
+
+
+class TestPrimeField:
+    @pytest.mark.parametrize("which", ["random1", "random2", "random3", "cubic"])
+    def test_matches_the_rationals_on_certified_cells(self, which):
+        def diagram(field):
+            if which == "cubic":
+                return cubic_tower(field)
+            return M.random_diagram(int(which[-1]), field)[1]
+
+        hq, hp = H.holim(diagram(F), dmax=2), H.holim(diagram(GF), dmax=2)
+        assert hp.field == GF
+        assert hp.validate().ok
+        wmax = max(abs(k[1]) for k in hq.basis_keys())
+        window = Window(0, 2, wmax)
+        dims = certified_dims(hp, window)
+        assert dims == certified_dims(hq, window)
+        assert any(dims.values())
+
+
+class TestSignsOnATower:
+    """The single-flip mutants on a diagram whose maps are not identities."""
+
+    @pytest.mark.parametrize("field", [F, GF], ids=["qq", "gf32003"])
+    def test_each_face_flip_breaks_d_squared(self, field):
+        diag = cubic_tower(field)
+        hl = H.holim(diag, p_max=2)
+        assert hl.complex.validate_d2() is None
+        assert hl.validate().ok
+        for name in ("limit_drop_last", "limit_compose", "limit_drop_first"):
+            bad = H.holim(diag, p_max=2, signs=H.DEFAULT_SIGNS.flip(name))
+            assert bad.complex.validate_d2() == (0, 0), name
+        bad = H.holim(diag, p_max=2, signs=H.DEFAULT_SIGNS.flip("limit_product"))
+        assert bad.complex.validate_d2() is None
+        assert not bad.validate().ok
+
+
+def test_building_the_limit_reads_each_input_once(monkeypatch):
+    diag = M.build_scenario("adic_kx_5")["tower"].diagram()[1]
+    calls = {"apply": 0, "factorizations": 0, "paths": 0}
+    apply, factorizations = GradedMap.apply, H.SmallCategory.factorizations
+    paths = H.nonidentity_paths
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(GradedMap, "apply", counted("apply", apply))
+    monkeypatch.setattr(H.SmallCategory, "factorizations",
+                        counted("factorizations", factorizations))
+    monkeypatch.setattr(H, "nonidentity_paths", counted("paths", paths))
+    hl = H.holim(diag, dmax=3)
+    assert hl.p_max == 4
+    assert calls == {"apply": 0, "factorizations": 0, "paths": 1}
