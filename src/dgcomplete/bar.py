@@ -74,16 +74,21 @@ def reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
 
 
 def _reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
-    sign = a.weight_connectedness()
-    if sign is None:
-        return None
+    # each product of two basis keys is asked once: the idempotent pairs by
+    # weight_zero_idempotent_basis, which already places each idempotent at
+    # its own object, the rest by the scans below
     zs = a.weight_zero_idempotent_basis()
     if zs is None:
         return None
+    sign = a._weight_sign()
+    if sign is None:
+        return None
     f = a.field
-    lobj: Dict[Key, int] = {}
-    robj: Dict[Key, int] = {}
+    lobj: Dict[Key, int] = {z: i for i, z in enumerate(zs)}
+    robj: Dict[Key, int] = dict(lobj)
     for k in a.basis_keys():
+        if k in lobj:
+            continue
         left = [i for i, z in enumerate(zs) if a.basis_product(z, k)]
         right = [i for i, z in enumerate(zs) if a.basis_product(k, z)]
         if len(left) != 1 or len(right) != 1:

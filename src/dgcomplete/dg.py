@@ -259,6 +259,11 @@ class DgAlgebra:
         negative over an orthogonal idempotent weight-0 part; else None."""
         if self.weight_zero_idempotent_basis() is None:
             return None
+        return self._weight_sign()
+
+    def _weight_sign(self) -> Optional[int]:
+        """+1 / -1 if the nonzero weights are all positive / all negative
+        (+1 if there are none); else None."""
         signs = {1 if k[1] > 0 else -1 for k in self.basis_keys() if k[1] != 0}
         if not signs:
             return 1  # concentrated in weight 0

@@ -1,18 +1,15 @@
-"""Homotopy limits of dg algebra diagrams over a finite index category,
-homotopy colimits of module diagrams, and the action of the limit algebra
-on the colimit.
+"""Homotopy limits of dg algebra diagrams over a finite index category.
 
-A limit cell is an algebra basis element sitting at a composable string of
+A cell is an algebra basis element sitting at a composable string of
 non-identity arrows; its total degree is the internal degree plus the string
-length.  A colimit cell sits at internal degree minus string length.  The
-differential has one term per face of the string (extend at the target end,
-compose two adjacent arrows, drop at the source end) plus the internal
-differential; the limit product concatenates strings, transporting the right
-factor across the left factor's string.  The product is a rule, not a table:
-each pair of cells is multiplied the first time something reads it, so a
-limit read only through its cohomology multiplies nothing.
+length.  The differential has one term per face of the string (extend at the
+target end, compose two adjacent arrows, drop at the source end) plus the
+internal differential; the product concatenates strings, transporting the
+right factor across the left factor's string.  The product is a rule, not a
+table: each pair of cells is multiplied the first time something reads it,
+so a limit read only through its cohomology multiplies nothing.
 
-The limit's differential is built by string index.  The category's arrows by
+The differential is built by string index.  The category's arrows by
 endpoint and its factorizations are tables filled when it is checked; the
 strings are enumerated once and numbered, and each string's faces are listed
 once, as the indices of the strings they reach.  Each diagram map and each
@@ -22,14 +19,11 @@ into one sum per block entry, and each block is installed once.
 Strings longer than a cutoff span a two-sided dg ideal of the limit (every
 face and every product term only lengthens strings), so the stored object is
 an honest quotient dg algebra, and its cohomology agrees with the full limit
-in a degree range recorded in the per-column certificates.  For colimits the
-short strings span a subcomplex and the certified range is bounded below
-instead.
+in a degree range recorded in the per-column certificates.
 
 Every face and product sign is routed through a SignConvention.  The zero
 convention is the published one; flipping any single field must make the
-d^2 / associativity / module validators fail, which is part of the
-certification suite.
+d^2 or the algebra validator fail, which is part of the certification suite.
 """
 
 from typing import Dict, List, Optional, Tuple
@@ -37,29 +31,27 @@ from typing import Dict, List, Optional, Tuple
 from .linalg import Field
 from .graded import (
     BiGradedSpace, CochainComplex, Elt, GradedMap, Key, _build_space, _columns,
-    _install, elt_axpy, is_chain_map,
+    _install,
 )
-from .dg import (
-    AlgebraMorphism, DgAlgebra, DgModule, ValidationReport,
-)
+from .dg import AlgebraMorphism, DgAlgebra, ValidationReport
 
 Label = Tuple[object, Tuple[str, ...], Key]
 
 
 _SIGN_FIELDS = (
     "limit_drop_last", "limit_compose", "limit_drop_first", "limit_product",
-    "colim_drop_last", "colim_compose", "colim_drop_first", "action_twist",
 )
 
 
 class SignConvention:
-    """Extra exponents (mod 2), one per face or product term class.
+    """Extra exponents (mod 2), one per class of limit face or product term.
 
     All zeros is the published convention.  ``flip(name)`` returns the
     convention with one term class negated; these mutants are what the
     certification tests feed back through the validators, expecting failure.
-    The product and action twists apply only to the string-length-one case of
-    their term, so a flipped field can never be absorbed by rescaling cells.
+    The three face fields break d^2.  The product twist applies only when the
+    left factor's string has length one, so a flipped ``limit_product`` can
+    never be absorbed by rescaling cells and breaks the algebra validator.
     """
 
     __slots__ = _SIGN_FIELDS
@@ -205,14 +197,12 @@ def chain_poset(labels) -> SmallCategory:
     for i in range(len(labels)):
         for j in range(i + 1, len(labels)):
             arrows[f"{labels[i]}->{labels[j]}"] = (labels[i], labels[j])
+    # total order, so composites are never identities
     compose = {}
-    index = {lbl: i for i, lbl in enumerate(labels)}
     for g, (gs, gt) in arrows.items():
         for f, (fs, ft) in arrows.items():
             if ft == gs:
                 compose[(g, f)] = f"{fs}->{gt}"
-    # total order, so composites are never identities
-    _ = index
     return SmallCategory(labels, arrows, compose)
 
 
@@ -268,37 +258,25 @@ def _extends(cat: SmallCategory, paths, p_max: int) -> bool:
     return any(cat._from[o] for o, names in paths if len(names) == p_max)
 
 
-def _label_index(space: BiGradedSpace) -> Dict:
-    idx = {}
-    for (d, w), labs in space.cells.items():
-        for i, lab in enumerate(labs):
-            idx[lab] = (d, w, i)
-    return idx
-
-
-def _coerce_key(x, space: BiGradedSpace, idx: Dict) -> Key:
-    """Accept a basis label or a raw key; labels win on collision."""
-    if x in idx:
-        return idx[x]
+def _check_key(x, space: BiGradedSpace) -> Key:
+    """``x`` itself if it is a basis key of the space; else KeyError."""
     if (isinstance(x, tuple) and len(x) == 3 and isinstance(x[2], int)
             and (x[0], x[1]) in space.cells and 0 <= x[2] < space.dim(x[0], x[1])):
         return x
-    raise KeyError(f"unknown basis label {x!r}")
+    raise KeyError(f"unknown basis key {x!r}")
 
 
 def _columns_to_map(cols, src_space: BiGradedSpace, tgt_space: BiGradedSpace) -> GradedMap:
-    """Column data as a degree-zero map; keys on either side may be labels."""
+    """Column data ``{source key: {target key: scalar}}`` as a degree-zero map."""
     if isinstance(cols, GradedMap):
         return cols
     f = src_space.field
-    src_idx = _label_index(src_space)
-    tgt_idx = _label_index(tgt_space)
     g = GradedMap(src_space, tgt_space, 0, 0)
     for k, e in cols.items():
-        img = {_coerce_key(t, tgt_space, tgt_idx): f.of(c) for t, c in e.items()}
+        img = {_check_key(t, tgt_space): f.of(c) for t, c in e.items()}
         img = {kk: c for kk, c in img.items() if not f.is_zero(c)}
         if img:
-            g.set_column(_coerce_key(k, src_space, src_idx), img)
+            g.set_column(_check_key(k, src_space), img)
     return g
 
 
@@ -321,17 +299,13 @@ def _lim_key(space: BiGradedSpace, lab: Label) -> Key:
     return space.key_of(len(names) + vkey[0], vkey[1], lab)
 
 
-def _colim_key(space: BiGradedSpace, lab: Label) -> Key:
-    _, names, mkey = lab
-    return space.key_of(mkey[0] - len(names), mkey[1], lab)
-
-
 class AlgebraDiagram:
     """Functor from a SmallCategory to dg algebras.
 
     ``maps[arrow]`` sends the algebra at the arrow's source to the algebra at
     its target; given either as a GradedMap or as a column dict
-    ``{basis key: image element}``.
+    ``{basis key: image element}``, whose keys must be basis keys of the
+    source and the target space (KeyError otherwise).
     """
 
     def __init__(self, cat: SmallCategory, algebras: Dict[object, DgAlgebra],
@@ -391,19 +365,16 @@ class AlgebraDiagram:
 class HolimAlgebra(DgAlgebra):
     """Dg algebra of compatible strings built from a diagram.
 
-    Carries the diagram, the string cutoff, the sign convention, and a label
-    index; per-weight certificates on ``space.known_cols`` say through which
-    degree the cutoff provably does not disturb cohomology.
+    Carries the diagram and the string cutoff; per-weight certificates on
+    ``space.known_cols`` say through which degree the cutoff provably does
+    not disturb cohomology.
     """
 
     def __init__(self, complex: CochainComplex, unit: Elt, product,
-                 diagram: AlgebraDiagram, p_max: int, signs: SignConvention,
-                 paths, name: str = ""):
+                 diagram: AlgebraDiagram, p_max: int, name: str = ""):
         super().__init__(complex, unit, product, name=name)
         self.diagram = diagram
         self.p_max = p_max
-        self.signs = signs
-        self.paths = paths
 
     def key_for(self, obj, names: Tuple[str, ...], vkey: Key) -> Key:
         return _lim_key(self.space, (obj, names, vkey))
@@ -544,7 +515,7 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
             unit[_lim_key(space, (x, (), vkey))] = c
 
     label = name or (f"holim({diagram.name})" if diagram.name else "holim")
-    return HolimAlgebra(cx, unit, product, diagram, p_max, sc, paths, name=label)
+    return HolimAlgebra(cx, unit, product, diagram, p_max, name=label)
 
 
 def holim_map_from_compatible_system(hl: HolimAlgebra, base: DgAlgebra,
@@ -573,437 +544,3 @@ def holim_map_from_compatible_system(hl: HolimAlgebra, base: DgAlgebra,
         if img:
             g.set_column(k, img)
     return AlgebraMorphism(base, hl, g)
-
-
-class ModuleDiagram:
-    """Contravariant functor from a SmallCategory to right dg modules.
-
-    All modules share one base algebra; ``maps[arrow]`` sends the module at
-    the arrow's target to the module at its source (restriction direction).
-    """
-
-    def __init__(self, cat: SmallCategory, modules: Dict[object, DgModule],
-                 maps: Dict[str, object], name: str = ""):
-        self.cat = cat
-        self.modules = dict(modules)
-        self.name = name
-        algs = {id(m.algebra) for m in self.modules.values()}
-        if len(algs) > 1:
-            raise ValueError("modules in a diagram must share their base algebra")
-        self.algebra = self.modules[cat.objects[0]].algebra
-        self.maps: Dict[str, GradedMap] = {}
-        for nm in cat.arrows:
-            if nm not in maps:
-                raise ValueError(f"no module map for arrow {nm!r}")
-            src_mod = self.modules[cat.tgt(nm)]
-            tgt_mod = self.modules[cat.src(nm)]
-            self.maps[nm] = _columns_to_map(maps[nm], src_mod.space, tgt_mod.space)
-
-    @property
-    def field(self) -> Field:
-        return self.algebra.field
-
-    def apply(self, arrow: str, e: Elt) -> Elt:
-        return self.maps[arrow].apply(e)
-
-    def transport(self, names: Tuple[str, ...], e: Elt) -> Elt:
-        """Restrict along a composable string: the last-applied arrow acts first."""
-        for t in reversed(names):
-            e = self.maps[t].apply(e)
-        return e
-
-    def validate(self) -> ValidationReport:
-        violations = []
-        f = self.field
-        for nm in sorted(self.cat.arrows):
-            src_mod = self.modules[self.cat.tgt(nm)]
-            tgt_mod = self.modules[self.cat.src(nm)]
-            bad = is_chain_map(self.maps[nm], src_mod.complex.d, tgt_mod.complex.d)
-            if bad is not None:
-                violations.append((f"chain:{nm}", bad))
-            for mk in src_mod.basis_keys():
-                for ak in self.algebra.basis_keys():
-                    lhs = self.maps[nm].apply(src_mod.act({mk: f.one}, {ak: f.one}))
-                    rhs = tgt_mod.act(self.maps[nm].apply({mk: f.one}), {ak: f.one})
-                    diff = dict(lhs)
-                    elt_axpy(f, diff, f.of(-1), rhs)
-                    if diff:
-                        violations.append((f"linearity:{nm}", (mk, ak)))
-                        break
-                else:
-                    continue
-                break
-        for (g, fa) in sorted(self.cat.compose):
-            h = self.cat.compose[(g, fa)]
-            got = self.maps[fa].compose(self.maps[g])
-            if h is None:
-                mod = self.modules[self.cat.tgt(g)]
-                want = _identity_on(mod.space, f)
-            else:
-                want = self.maps[h]
-            if not got.same_blocks(want):
-                violations.append(("functoriality", (g, fa, h)))
-        return ValidationReport(not violations, violations, "exhaustive")
-
-
-class HocolimModule(DgModule):
-    """Right dg module of strings built from a module diagram."""
-
-    def __init__(self, algebra: DgAlgebra, complex: CochainComplex, action,
-                 diagram: ModuleDiagram, p_max: int, signs: SignConvention,
-                 paths, name: str = ""):
-        super().__init__(algebra, complex, action, side="right", name=name)
-        self.diagram = diagram
-        self.p_max = p_max
-        self.signs = signs
-        self.paths = paths
-
-    def key_for(self, obj, names: Tuple[str, ...], mkey: Key) -> Key:
-        return _colim_key(self.space, (obj, names, mkey))
-
-
-def hocolim(md: ModuleDiagram, dmin: Optional[int] = None,
-            p_max: Optional[int] = None, signs: Optional[SignConvention] = None,
-            name: str = "") -> HocolimModule:
-    """Homotopy colimit of a module diagram, stored up to string length p_max.
-
-    Strings up to the cutoff span a subcomplex (faces shorten strings), so the
-    stored object is genuine; its cohomology agrees with the full colimit in
-    degrees >= (top internal degree) - p_max + 1 per weight column, which is
-    what the certificates record.  Given dmin instead of p_max, the cutoff is
-    forced to certify all degrees >= dmin.
-    """
-    cat = md.cat
-    sc = signs if signs is not None else DEFAULT_SIGNS
-    f = md.field
-
-    degs = [k[0] for x in cat.objects for k in md.modules[x].basis_keys()]
-    top = max(degs) if degs else 0
-    if p_max is None:
-        if dmin is None:
-            raise ValueError("hocolim needs dmin or p_max")
-        p_max = max(0, top - dmin + 1)
-    paths = nonidentity_paths(cat, p_max)
-    cut = _extends(cat, paths, p_max)
-
-    triples: List[Tuple[int, int, Label]] = []
-    for (o, names) in paths:
-        for mkey in md.modules[o].basis_keys():
-            triples.append((mkey[0] - len(names), mkey[1], (o, names, mkey)))
-    space = BiGradedSpace(f)
-    by_cell: Dict[Tuple[int, int], List[Label]] = {}
-    for d, w, lab in triples:
-        by_cell.setdefault((d, w), []).append(lab)
-    for (d, w) in sorted(by_cell):
-        space.add_cell(d, w, by_cell[(d, w)])
-
-    diff = GradedMap(space, space, 1, 0)
-    for k in _all_keys(space):
-        o, names, mkey = space.label_of(k)
-        q = len(names)
-        mbar = mkey[0]
-        col: Dict[Key, object] = {}
-
-        def put(lab: Label, coeff) -> None:
-            kk = _colim_key(space, lab)
-            col[kk] = f.add(col.get(kk, f.zero), coeff)
-
-        for tm, c in md.modules[o].d({mkey: f.one}).items():
-            put((o, names, tm), c)
-        if q >= 1:
-            t_last = names[-1]
-            sgn = f.of(-1 if (mbar + sc.colim_drop_last) % 2 else 1)
-            for tm, c in md.apply(t_last, {mkey: f.one}).items():
-                put((cat.src(t_last), names[:-1], tm), f.mul(sgn, c))
-            sgn = f.of(-1 if (mbar + q + sc.colim_drop_first) % 2 else 1)
-            put((o, names[1:], mkey), sgn)
-            for idx in range(q - 1):
-                c_name = cat.comp(names[idx + 1], names[idx])
-                if c_name is None:
-                    continue
-                sgn = f.of(-1 if (mbar + q - idx - 1 + sc.colim_compose) % 2 else 1)
-                put((o, names[:idx] + (c_name,) + names[idx + 2:], mkey), sgn)
-        col = {kk: c for kk, c in col.items() if not f.is_zero(c)}
-        if col:
-            diff.set_column(k, col)
-
-    cx = CochainComplex(space, diff)
-
-    all_known = all(md.modules[x].space.fully_known() for x in cat.objects)
-    if all_known:
-        if not cut:
-            space.mark_all_complete()
-        else:
-            space.zero_outside = True
-            weights = set()
-            for x in cat.objects:
-                weights.update(w for (_, w) in md.modules[x].space.cells)
-            for w in sorted(weights):
-                col_degs = [kk[0] for x in cat.objects
-                            for kk in md.modules[x].basis_keys() if kk[1] == w]
-                if not col_degs:
-                    space.set_known(w)
-                else:
-                    space.set_known(w, max(col_degs) - p_max + 1, None)
-    else:
-        # partial knowledge: a column is usable when every component column is
-        # complete, because the cut only removes cells below top_w - p_max;
-        # every other column is unknown
-        space.zero_outside = False
-        for w in sorted({ww for x in cat.objects
-                         for (_, ww) in md.modules[x].space.cells}):
-            if all(md.modules[x].space.column_complete(w) for x in cat.objects):
-                col_degs = [kk[0] for x in cat.objects
-                            for kk in md.modules[x].basis_keys() if kk[1] == w]
-                if not cut:
-                    space.set_known(w)
-                elif col_degs:
-                    space.set_known(w, max(col_degs) - p_max + 1, None)
-                else:
-                    space.set_known(w)
-
-    # right action of the shared base algebra, with the string-length sign
-    action: Dict[Tuple[Key, Key], Elt] = {}
-    for k in _all_keys(space):
-        o, names, mkey = space.label_of(k)
-        q = len(names)
-        for ak in md.algebra.basis_keys():
-            img = md.modules[o].act({mkey: f.one}, {ak: f.one})
-            if not img:
-                continue
-            sgn = f.of(-1 if (q * ak[0]) % 2 else 1)
-            out = {_colim_key(space, (o, names, tm)): f.mul(sgn, c)
-                   for tm, c in img.items()}
-            out = {kk: c for kk, c in out.items() if not f.is_zero(c)}
-            if out:
-                action[(k, ak)] = out
-
-    label = name or (f"hocolim({md.name})" if md.name else "hocolim")
-    return HocolimModule(md.algebra, cx, action, md, p_max, sc, paths, name=label)
-
-
-def hocolim_map_from_cocone(hc: HocolimModule, target_space: BiGradedSpace,
-                            target_d: GradedMap,
-                            gmaps: Dict[object, object]) -> GradedMap:
-    """Chain map out of the colimit induced by a compatible cocone.
-
-    ``gmaps[x]`` sends the module at x to the target complex.  Each map must
-    commute with the differentials (``target_d`` on the target), and the
-    maps must be compatible (map at the arrow's source, after restriction,
-    equals the map at its target); a violating object or arrow raises
-    ValueError.  Strings of positive length map to zero.
-    """
-    md = hc.diagram
-    cat = md.cat
-    f = md.field
-    cones = {x: _columns_to_map(gmaps[x], md.modules[x].space, target_space)
-             for x in cat.objects}
-    for x in cat.objects:
-        bad = is_chain_map(cones[x], md.modules[x].complex.d, target_d)
-        if bad is not None:
-            raise ValueError(f"cocone map at object {x!r} is not a chain map at cell {bad}")
-    for nm in sorted(cat.arrows):
-        got = cones[cat.src(nm)].compose(md.maps[nm])
-        if not got.same_blocks(cones[cat.tgt(nm)]):
-            raise ValueError(f"cocone maps incompatible across arrow {nm!r}")
-    g = GradedMap(hc.space, target_space, 0, 0)
-    for k in _all_keys(hc.space):
-        o, names, mkey = hc.space.label_of(k)
-        if names:
-            continue
-        img = cones[o].apply({mkey: f.one})
-        if img:
-            g.set_column(k, img)
-    return g
-
-
-class ActionMap:
-    """Left action of the limit algebra on the colimit module, one operator
-    per algebra basis cell.
-
-    The action is contravariant multiplicative: composing operators reverses
-    the product up to the usual degree sign, matching the convention used by
-    algebra opposites elsewhere in this package.
-    """
-
-    def __init__(self, algebra: HolimAlgebra, module: HocolimModule,
-                 per_cell: Dict[Key, GradedMap]):
-        self.algebra = algebra
-        self.module = module
-        self.per_cell = per_cell
-
-    def operator(self, e: Elt, deg: int, wt: int) -> GradedMap:
-        """Operator of a homogeneous algebra element of the stated bidegree."""
-        acc = GradedMap(self.module.space, self.module.space, deg, wt)
-        for k, c in e.items():
-            if (k[0], k[1]) != (deg, wt):
-                raise ValueError("operator needs a homogeneous element")
-            acc = acc.add(self.per_cell[k].scale(c))
-        return acc
-
-    def apply(self, e: Elt, m: Elt) -> Elt:
-        f = self.algebra.field
-        out: Elt = {}
-        for k, c in e.items():
-            img = self.per_cell[k].apply(m)
-            elt_axpy(f, out, c, img)
-        return out
-
-    def validate(self, pair_budget: int = 200_000, seed: int = 0) -> ValidationReport:
-        """Unit acts as identity; operators form a chain map and reverse
-        products with the degree sign; action commutes with the base algebra."""
-        import random as _random
-        f = self.algebra.field
-        A = self.algebra
-        M = self.module
-        violations = []
-
-        ident = _identity_on(M.space, f)
-        if not self.operator(A.unit, 0, 0).same_blocks(ident):
-            violations.append(("unit", None))
-
-        for ka in A.basis_keys():
-            lhs = self.operator(A.d({ka: f.one}), ka[0] + 1, ka[1])
-            rho = self.per_cell[ka]
-            rhs = M.complex.d.compose(rho)
-            back = rho.compose(M.complex.d)
-            if ka[0] % 2 == 0:
-                rhs = rhs.sub(back)
-            else:
-                rhs = rhs.add(back)
-            if not lhs.same_blocks(rhs):
-                violations.append(("chain", ka))
-
-        keys = A.basis_keys()
-        pairs = [(x, y) for x in keys for y in keys]
-        mode = "exhaustive"
-        if len(pairs) > pair_budget:
-            rng = _random.Random(seed)
-            pairs = [(rng.choice(keys), rng.choice(keys)) for _ in range(pair_budget)]
-            mode = "sampled"
-        for (ka, kb) in pairs:
-            prod = A.basis_product(ka, kb)
-            lhs = GradedMap(M.space, M.space, ka[0] + kb[0], ka[1] + kb[1])
-            for k, c in prod.items():
-                lhs = lhs.add(self.per_cell[k].scale(c))
-            rhs = self.per_cell[kb].compose(self.per_cell[ka])
-            if (ka[0] * kb[0]) % 2:
-                rhs = rhs.scale(f.of(-1))
-            if not lhs.same_blocks(rhs):
-                violations.append(("multiplicative", (ka, kb)))
-
-        base = M.algebra
-        for ka in keys:
-            for mk in M.basis_keys():
-                for ck in base.basis_keys():
-                    lhs = self.apply({ka: f.one}, M.act({mk: f.one}, {ck: f.one}))
-                    rhs = M.act(self.apply({ka: f.one}, {mk: f.one}), {ck: f.one})
-                    if (ka[0] * ck[0]) % 2:
-                        rhs = {kk: f.mul(f.of(-1), c) for kk, c in rhs.items()}
-                    d = dict(lhs)
-                    elt_axpy(f, d, f.of(-1), rhs)
-                    if d:
-                        violations.append(("base_linearity", (ka, mk, ck)))
-                        break
-                else:
-                    continue
-                break
-
-        return ValidationReport(not violations, violations, mode)
-
-
-def check_action_compatibility(ad: AlgebraDiagram, md: ModuleDiagram,
-                               phis: Dict[object, Dict[Tuple[Key, Key], Elt]]):
-    """First witness (arrow, algebra key, module key) where the pointwise
-    actions fail to commute with restriction, or None if compatible.
-
-    Compatibility: acting at the arrow's source after restricting equals
-    restricting after acting by the mapped algebra element at the target.
-    """
-    cat = ad.cat
-    f = ad.field
-
-    def act(obj, m: Elt, ak: Key) -> Elt:
-        table = phis[obj]
-        out: Elt = {}
-        for mk, c in m.items():
-            img = table.get((mk, ak))
-            if img:
-                elt_axpy(f, out, c, img)
-        return out
-
-    for nm in sorted(cat.arrows):
-        x, y = cat.src(nm), cat.tgt(nm)
-        for ak in ad.algebras[x].basis_keys():
-            mapped = ad.apply(nm, {ak: f.one})
-            for mk in md.modules[y].basis_keys():
-                restricted = md.apply(nm, {mk: f.one})
-                lhs = act(x, restricted, ak)
-                rhs_inner: Elt = {}
-                for bk, c in mapped.items():
-                    elt_axpy(f, rhs_inner, c, act(y, {mk: f.one}, bk))
-                rhs = md.apply(nm, rhs_inner)
-                d = dict(lhs)
-                elt_axpy(f, d, f.of(-1), rhs)
-                if d:
-                    return (nm, ak, mk)
-    return None
-
-
-def action_map(hl: HolimAlgebra, hc: HocolimModule,
-               phis: Dict[object, Dict[Tuple[Key, Key], Elt]],
-               signs: Optional[SignConvention] = None) -> ActionMap:
-    """Action of the limit algebra on the colimit from pointwise actions.
-
-    ``phis[x]`` is a right-action table ``{(module key, algebra key): image}``
-    of the diagram algebra at x on the module at x.  The tables must commute
-    with restriction along every arrow (checked, raises with a witness).
-
-    An algebra string acts on a module string that ends with it: the leftover
-    prefix survives, the algebra value acts pointwise and the result is
-    transported down the algebra string.
-    """
-    ad = hl.diagram
-    md = hc.diagram
-    if ad.cat is not md.cat:
-        raise ValueError("action needs diagrams over the same index category")
-    sc = signs if signs is not None else hl.signs
-    f = hl.field
-    cat = ad.cat
-
-    witness = check_action_compatibility(ad, md, phis)
-    if witness is not None:
-        raise ValueError(f"incompatible action system at {witness}")
-
-    per_cell: Dict[Key, GradedMap] = {}
-    for ka in hl.basis_keys():
-        oa, na, va = hl.space.label_of(ka)
-        pa = len(na)
-        total_a = pa + va[0]
-        g = GradedMap(hc.space, hc.space, total_a, va[1])
-        for km in hc.basis_keys():
-            om, nm_path, mk = hc.space.label_of(km)
-            i = len(nm_path) - pa
-            if i < 0 or nm_path[i:] != na or (pa == 0 and om != oa):
-                continue
-            table = phis[oa]
-            hit = table.get((mk, va))
-            if not hit:
-                continue
-            moved = md.transport(na, hit)
-            if not moved:
-                continue
-            # Koszul sign: the algebra cell (total degree) passes the module
-            # element (internal degree).  Unique exponent accepted by the
-            # unit/chain/multiplicativity validators under this cell basis.
-            exp = mk[0] * total_a + (sc.action_twist if i == 1 else 0)
-            sgn = f.of(-1 if exp % 2 else 1)
-            rest = nm_path[:i]
-            tgt_obj = cat.src(na[0]) if pa else oa
-            for tm, c in moved.items():
-                tgt = _colim_key(hc.space, (tgt_obj, rest, tm))
-                cur = g.entry(km, tgt)
-                g.set_entry(km, tgt, f.add(cur, f.mul(sgn, c)))
-        per_cell[ka] = g
-
-    return ActionMap(hl, hc, per_cell)

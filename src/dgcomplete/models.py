@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dg import (
     AlgebraMorphism, DgAlgebra, DgCategoryPresentation, DgModule,
-    category_algebra, direct_sum_modules, regular_module,
-    right_ideal_module,
+    category_algebra, direct_sum_modules, right_ideal_module,
 )
 from .graded import (
     BiGradedSpace, CochainComplex, Elt, GradedMap, Key, Window, induced_rank,
@@ -741,41 +740,6 @@ def dual_model(ring: TruncatedRing, p: FreeComplex,
     rho = FreeMap(pprime, pd, {"p0": {("p0^", parse_mono(power, ring.variables)):
                                       ring.field.one}})
     return pprime, rho
-
-
-# -- derived dual of a module (bar route) ------------------------------------
-
-
-def dual_module(ring: TruncatedRing, m: DgModule, n_max: int,
-                w_cap: Optional[int] = None) -> DgModule:
-    """Derived Hom into the ring, as a right module again (commutative base).
-
-    The right action post-multiplies values; linearity of the result needs
-    the base to commute, which monomial rings do.
-    """
-    from .bar import derived_hom
-    if m.algebra is not ring.algebra:
-        raise ValueError("module is not over the given ring")
-    reg = regular_module(ring.algebra)
-    cx = derived_hom(m, reg, n_max, w_cap)
-    f = ring.field
-    sp = cx.space
-    action: Dict[Tuple[Key, Key], Elt] = {}
-    for (d, w) in sp.sorted_cells():
-        for lbl in sp.labels(d, w):
-            q, lab = lbl
-            src = sp.key_of(d, w, lbl)
-            for a in ring.monomials:
-                ak = ring.mono_key(a)
-                img: Elt = {}
-                for q2, c in ring.algebra.basis_product(q, ak).items():
-                    tgt = sp.key_of(d + q2[0] - q[0], w + q2[1] - q[1],
-                                    (q2, lab))
-                    img[tgt] = c
-                if img:
-                    action[(src, ak)] = img
-    return DgModule(ring.algebra, cx, action, side="right",
-                    name=f"({m.name})^dual")
 
 
 # -- biduality comparison for tensor powers ----------------------------------

@@ -1,8 +1,8 @@
 """Independent cross-check values computed with plain linear algebra.
 
-These deliberately avoid the string machinery: strict (co)limits of
-degree-zero diagrams are equalizer kernels and coequalizer cokernels,
-nothing more.  Engine output has to reproduce them exactly.
+These deliberately avoid the string machinery: strict limits of
+degree-zero diagrams are equalizer kernels, nothing more.  Engine output
+has to reproduce them exactly.
 """
 from typing import Dict
 
@@ -42,32 +42,4 @@ def strict_limit_dims(diag) -> Dict[int, int]:
         entries = {rc: v for rc, v in entries.items() if not f.is_zero(v)}
         mat = SparseMatrix(len(rows), len(cols), f, entries)
         out[w] = len(mat.kernel_basis())
-    return out
-
-
-def strict_colimit_dims(md) -> Dict[int, int]:
-    """Per weight, the cokernel dimension of (m at arrow a) -> res_a(m) - m."""
-    cat = md.cat
-    f = md.field
-    weights = sorted({k[1] for x in cat.objects
-                      for k in md.modules[x].basis_keys()})
-    out: Dict[int, int] = {}
-    for w in weights:
-        cols = [(nm, k) for nm in sorted(cat.arrows)
-                for k in md.modules[cat.tgt(nm)].basis_keys() if k[1] == w]
-        rows = [(x, k) for x in cat.objects
-                for k in md.modules[x].basis_keys() if k[1] == w]
-        row_idx = {rk: i for i, rk in enumerate(rows)}
-        entries: Dict = {}
-
-        def bump(r, c, v):
-            entries[(r, c)] = f.add(entries.get((r, c), f.zero), v)
-
-        for c, (nm, k) in enumerate(cols):
-            for tk, v in md.apply(nm, {k: f.one}).items():
-                bump(row_idx[(cat.src(nm), tk)], c, v)
-            bump(row_idx[(cat.tgt(nm), k)], c, f.of(-1))
-        entries = {rc: v for rc, v in entries.items() if not f.is_zero(v)}
-        mat = SparseMatrix(len(rows), len(cols), f, entries)
-        out[w] = len(rows) - mat.rank()
     return out

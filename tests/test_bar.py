@@ -10,7 +10,7 @@ from dgcomplete.dg import (
 from dgcomplete.graded import BiGradedSpace, CochainComplex, cone, is_chain_map
 from dgcomplete.bar import (
     bar_resolution, derived_hom, derived_tensor, embed_strict, end_algebra,
-    stabilization_scan, strict_end_algebra,
+    reduction_data, stabilization_scan, strict_end_algebra,
 )
 
 F = RATIONALS
@@ -518,3 +518,18 @@ def test_hom_into_a_target_mixing_objects_is_unreduced():
         derived_hom(m, n, 3, reduced=False))
     with pytest.raises(ValueError, match="target module is not object"):
         derived_hom(m, n, 3, reduced=True)
+
+
+def test_reduction_data_asks_each_product_once():
+    a = M.build_scenario("triangular_123")["algebra"]
+    asked = []
+    rule = a._rule
+
+    def counted(k1, k2):
+        asked.append((k1, k2))
+        return rule(k1, k2)
+
+    a._rule = counted
+    red = reduction_data(a)
+    assert red is not None and len(red.idempotents) == 3
+    assert asked and len(asked) == len(set(asked))

@@ -1,15 +1,11 @@
-"""Homotopy limit engine: index categories, towers, signs, the action map."""
+"""Homotopy limit engine: index categories, towers, signs, cone maps."""
 import pytest
 
 from dgcomplete.linalg import RATIONALS as F, Echelon, Field
-from dgcomplete.graded import (
-    BiGradedSpace, CochainComplex, GradedMap, Window, induced_rank,
-    is_chain_map,
-)
-from dgcomplete.dg import regular_module
+from dgcomplete.graded import GradedMap, Window, induced_rank, is_chain_map
 from dgcomplete import holim as H
 from dgcomplete import models as M
-from oracles import strict_limit_dims, strict_colimit_dims
+from oracles import strict_limit_dims
 
 
 def ground_algebra():
@@ -20,13 +16,6 @@ def constant_algebra_diagram(cat, alg):
     ident = {k: {k: 1} for k in alg.basis_keys()}
     return H.AlgebraDiagram(cat, {o: alg for o in cat.objects},
                             {nm: dict(ident) for nm in cat.arrows})
-
-
-def constant_module_diagram(cat, alg):
-    mods = {o: regular_module(alg) for o in cat.objects}
-    maps = {nm: {k: {k: 1} for k in mods[cat.tgt(nm)].basis_keys()}
-            for nm in cat.arrows}
-    return H.ModuleDiagram(cat, mods, maps)
 
 
 class TestCategories:
@@ -81,12 +70,20 @@ class TestDiagramValidation:
         assert not rep.ok
         assert rep.violations[0][0] == "functoriality"
 
-    def test_modules_must_share_base(self):
+    def test_a_key_outside_either_space_is_rejected(self):
+        ring = M.truncated_poly(F, ["x"], ["x^2"])
+        alg = ring.algebra
+        one, x = ring.mono_key((0,)), ring.mono_key((1,))
         cat = H.chain_poset(range(2))
-        m0 = regular_module(ground_algebra())
-        m1 = regular_module(ground_algebra())
-        with pytest.raises(ValueError, match="share their base algebra"):
-            H.ModuleDiagram(cat, {0: m0, 1: m1}, {})
+        algebras = {0: alg, 1: alg}
+        ident = {one: {one: 1}, x: {x: 1}}
+        assert H.AlgebraDiagram(cat, algebras, {"0->1": ident}).validate().ok
+        for cols in ({(0, 2, 0): {one: 1}},   # no such cell in the source
+                     {one: {(0, 1, 1): 1}},   # index past the target cell
+                     {"1": {one: 1}},         # a label, not a key
+                     {one: {"x": 1}}):
+            with pytest.raises(KeyError, match="unknown basis key"):
+                H.AlgebraDiagram(cat, algebras, {"0->1": cols})
 
 
 class TestHolimBasics:
@@ -223,18 +220,6 @@ class TestCutoffCertificates:
         h = hl.complex.cohomology(Window(0, 1, 2))
         assert h.dim(0, 2) == 1 and not h.certificate.exact_at(0, 2)
 
-    def test_a_module_known_in_part_certifies_only_its_complete_columns(self):
-        alg = M.truncated_poly(F, ["x"], ["x^3"]).algebra
-        alg.space.set_known(2, 0, 0)  # weight 2 known in degree 0 alone
-        mdiag = H.ModuleDiagram(H.one_object_category(),
-                                {"*": regular_module(alg)}, {})
-        hc = H.hocolim(mdiag, p_max=1)
-        assert not hc.space.fully_known()
-        h = hc.complex.cohomology(Window(0, 1, 2))
-        assert h.dim(0, 0) == 1 and h.certificate.exact_at(0, 0)
-        assert h.dim(0, 2) == 1 and not h.certificate.exact_at(0, 2)
-
-
 class TestSignConvention:
     def test_flip_round_trip(self):
         sc = H.DEFAULT_SIGNS.flip("limit_compose")
@@ -247,27 +232,14 @@ class TestSignConvention:
 
     def test_every_single_flip_breaks_a_validator(self):
         cat = H.chain_poset(range(3))
-        alg = ground_algebra()
-        adiag = constant_algebra_diagram(cat, alg)
-        mdiag = constant_module_diagram(cat, alg)
-        phis = {o: {(mk, ak): {mk: 1}
-                    for mk in mdiag.modules[o].basis_keys()
-                    for ak in alg.basis_keys()}
-                for o in cat.objects}
-        hl = H.holim(adiag, p_max=2)
-        hc = H.hocolim(mdiag, p_max=2)
-        assert hl.validate().ok
-        assert hc.validate().ok
-        assert H.action_map(hl, hc, phis).validate().ok
+        adiag = constant_algebra_diagram(cat, ground_algebra())
+        assert H.holim(adiag, p_max=2).validate().ok
+        assert H.SignConvention.fields() == (
+            "limit_drop_last", "limit_compose", "limit_drop_first",
+            "limit_product")
         for name in H.SignConvention.fields():
             sc = H.DEFAULT_SIGNS.flip(name)
-            if name.startswith("limit"):
-                assert not H.holim(adiag, p_max=2, signs=sc).validate().ok, name
-            elif name.startswith("colim"):
-                assert not H.hocolim(mdiag, p_max=2, signs=sc).validate().ok, name
-            else:
-                bad = H.action_map(hl, hc, phis, signs=sc)
-                assert not bad.validate().ok, name
+            assert not H.holim(adiag, p_max=2, signs=sc).validate().ok, name
 
 
 class TestLazyProducts:
@@ -322,51 +294,6 @@ class TestConeAndCocone:
         with pytest.raises(ValueError, match="cone maps incompatible"):
             H.holim_map_from_compatible_system(hl, self.deep.algebra, fmaps)
 
-    def test_cocone_map_out_of_a_constant_colimit(self):
-        cat = H.chain_poset(range(3))
-        mdiag = constant_module_diagram(cat, ground_algebra())
-        hc = H.hocolim(mdiag, dmin=-2)
-        assert hc.validate().ok
-        assert strict_colimit_dims(mdiag) == {0: 1}
-        h = hc.complex.cohomology(Window(-2, 0, 0))
-        assert [h.dim(d, 0) for d in (-2, -1, 0)] == [0, 0, 1]
-        target = mdiag.modules[0]
-        gmaps = {o: {k: {k: 1} for k in mdiag.modules[o].basis_keys()}
-                 for o in cat.objects}
-        g = H.hocolim_map_from_cocone(hc, target.space, target.complex.d,
-                                      gmaps)
-        assert is_chain_map(g, hc.complex.d, target.complex.d) is None
-        assert induced_rank(g, hc.complex, target.complex, 0, 0) == 1
-
-    def test_incompatible_cocone_raises(self):
-        cat = H.chain_poset(range(3))
-        mdiag = constant_module_diagram(cat, ground_algebra())
-        hc = H.hocolim(mdiag, p_max=1)
-        target = mdiag.modules[0]
-        gmaps = {o: {k: {k: 1} for k in mdiag.modules[o].basis_keys()}
-                 for o in cat.objects}
-        gmaps[2] = {k: {k: 2} for k in mdiag.modules[2].basis_keys()}
-        with pytest.raises(ValueError, match="cocone maps incompatible"):
-            H.hocolim_map_from_cocone(hc, target.space, target.complex.d,
-                                      gmaps)
-
-    def test_cocone_of_non_chain_maps_raises(self):
-        # every map sends the generator to x in k.x -> k.y with d(x) = y:
-        # compatible across the arrows, but d(g(e)) = y while g(d(e)) = 0
-        cat = H.chain_poset(range(3))
-        mdiag = constant_module_diagram(cat, ground_algebra())
-        hc = H.hocolim(mdiag, p_max=1)
-        sp = BiGradedSpace(F)
-        sp.add_cell(0, 0, ["x"])
-        sp.add_cell(1, 0, ["y"])
-        sp.mark_all_complete()
-        target = CochainComplex(sp)
-        target.d.set_entry((0, 0, 0), (1, 0, 0), F.one)
-        gmaps = {o: {k: {(0, 0, 0): 1} for k in mdiag.modules[o].basis_keys()}
-                 for o in cat.objects}
-        with pytest.raises(ValueError, match=r"object 0 is not a chain map at cell \(0, 0\)"):
-            H.hocolim_map_from_cocone(hc, target.space, target.d, gmaps)
-
 
 def full_induced_rank(f, src, tgt, deg, wt):
     """Rank on cohomology with no shortcut: images of the source kernel
@@ -397,13 +324,6 @@ class TestInducedRankShortcut:
         cone = {i: deep.projection_to(tower.quotient(3 - i)).map for i in range(3)}
         mor = H.holim_map_from_compatible_system(hl, deep.algebra, cone)
         yield mor.map, deep.algebra.complex, hl.complex
-        mdiag = constant_module_diagram(H.chain_poset(range(3)), ground_algebra())
-        hc = H.hocolim(mdiag, dmin=-2)
-        target = mdiag.modules[0]
-        gmaps = {o: {k: {k: 1} for k in mdiag.modules[o].basis_keys()}
-                 for o in mdiag.modules}
-        g = H.hocolim_map_from_cocone(hc, target.space, target.complex.d, gmaps)
-        yield g, hc.complex, target.complex
 
     def test_shortcut_agrees_with_the_full_computation(self):
         skipped_kernels = 0
@@ -416,42 +336,6 @@ class TestInducedRankShortcut:
                     skipped_kernels += len(src.differential_block(d, w).kernel_basis())
         # the shortcut did skip cells whose kernel is not empty
         assert skipped_kernels > 0
-
-
-class TestActionOnColimit:
-    def setup_method(self):
-        ring = M.truncated_poly(F, ["x"], ["x^3"])
-        self.cat, self.adiag = M.adic_tower(ring, ["x"], 3).diagram()
-        base = ground_algebra()
-        mods = {o: regular_module(base) for o in self.cat.objects}
-        maps = {nm: {k: {k: 1} for k in mods[self.cat.tgt(nm)].basis_keys()}
-                for nm in self.cat.arrows}
-        self.mdiag = H.ModuleDiagram(self.cat, mods, maps)
-        # augmentation action: only each algebra's unit acts, by the identity
-        self.phis = {}
-        for o in self.cat.objects:
-            mk = mods[o].basis_keys()[0]
-            self.phis[o] = {(mk, uk): {mk: 1}
-                            for uk in self.adiag.algebras[o].unit}
-
-    def test_augmentation_action_validates(self):
-        hl = H.holim(self.adiag, dmax=1)
-        hc = H.hocolim(self.mdiag, p_max=hl.p_max)
-        assert H.check_action_compatibility(
-            self.adiag, self.mdiag, self.phis) is None
-        rep = H.action_map(hl, hc, self.phis).validate()
-        assert rep.ok, rep.violations[:3]
-
-    def test_corrupted_action_reports_a_witness(self):
-        phis = dict(self.phis)
-        [(mk, uk)] = list(self.phis[1])
-        phis[1] = {(mk, uk): {mk: 2}}
-        w = H.check_action_compatibility(self.adiag, self.mdiag, phis)
-        assert w is not None and w[0] in self.cat.arrows
-        hl = H.holim(self.adiag, dmax=0)
-        hc = H.hocolim(self.mdiag, p_max=hl.p_max)
-        with pytest.raises(ValueError, match="incompatible action system"):
-            H.action_map(hl, hc, phis)
 
 
 GF = Field(32003)

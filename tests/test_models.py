@@ -4,6 +4,7 @@ import pytest
 from dgcomplete.linalg import RATIONALS as F
 from dgcomplete.graded import Window
 from dgcomplete.dg import regular_module, right_ideal_module
+from dgcomplete.bar import derived_hom
 from dgcomplete.complete import completion_along_set, double_centralizer
 from dgcomplete import models as M
 
@@ -240,22 +241,24 @@ class TestFreeComplexOps:
 
 
 class TestDualModule:
+    """The derived dual RHom_R(M, R) through the bar construction."""
+
     def test_dual_of_residue_field_is_socle(self):
         r = M.truncated_poly(F, ["x"], ["x^2"])
-        dk = M.dual_module(r, r.residue_module(), 8, 8)
-        assert dk.validate().ok
-        assert hdims(dk.complex, -1, 3, 6) == {(0, 1): 1}
+        dk = derived_hom(r.residue_module(), regular_module(r.algebra), 8, 8)
+        assert hdims(dk, -1, 3, 6) == {(0, 1): 1}
 
     def test_dual_of_ring_is_ring(self):
         r = M.truncated_poly(F, ["x"], ["x^2"])
-        dr = M.dual_module(r, regular_module(r.algebra), 6, 6)
-        assert hdims(dr.complex, -1, 3, 6) == {(0, 0): 1, (0, 1): 1}
+        reg = regular_module(r.algebra)
+        dr = derived_hom(reg, reg, 6, 6)
+        assert hdims(dr, -1, 3, 6) == {(0, 0): 1, (0, 1): 1}
 
     def test_dual_over_truncated_line(self):
         # weight-truncated k[x] is self-dual-ish with socle at the cap
         r = M.truncated_poly(F, ["x"], [], wmax=3)
-        dk = M.dual_module(r, r.residue_module(), 10, 10)
-        assert hdims(dk.complex, -1, 3, 8) == {(0, 3): 1}
+        dk = derived_hom(r.residue_module(), regular_module(r.algebra), 10, 10)
+        assert hdims(dk, -1, 3, 8) == {(0, 3): 1}
 
 
 class TestInfinExt:

@@ -1,5 +1,6 @@
 """Every public function, class, method and instance attribute of the
-library is used somewhere.
+library is used somewhere, and every name a library module imports is used
+in that module.
 
 A name counts as used when it appears in src/, tests/ or perfbench/ other
 than in its own definition: as a name, an attribute, an imported name, or a
@@ -9,8 +10,8 @@ such writes, in any file, do not count as uses.
 
 The check matches by name alone, so an unused name that shares its
 spelling with a used one always passes.  For example, an unread
-``CompletionResult.modules`` would pass because ``ModuleDiagram.modules``
-is read; such attributes must be found by reading the code.
+``HolimAlgebra.p_max`` would pass because ``holim`` has a local variable
+of that name; such attributes must be found by reading the code.
 """
 import ast
 from pathlib import Path
@@ -83,4 +84,25 @@ def test_every_public_attribute_is_used():
     used = _used_names()
     unused = [f"{mod}.{qual}" for mod, qual, name in _public_attributes()
               if name not in used]
+    assert unused == []
+
+
+def _unused_imports(tree):
+    """Names an import binds that the module never reads."""
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                bound.append(alias.asname or alias.name.split(".")[0])
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(LIBRARY.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        unused += [f"{path.stem}.{name}" for name in _unused_imports(tree)]
     assert unused == []
