@@ -10,7 +10,7 @@ its weight are fully known.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .linalg import Echelon, Field, Scalar, SparseMatrix
 
@@ -466,12 +466,30 @@ class CochainComplex:
         blocks = (self.d.block_at(deg, wt), self.d.block_at(deg - 1, wt))
         return n and n - sum(b.rank() for b in blocks if b is not None)
 
+    def _ranks(self) -> Dict[Tuple[int, int], int]:
+        """Rank of every block of d, one weight column at a time from the top
+        degree down.  Clearing: the pivot columns of d at (d, w) name rows of
+        d at (d-1, w) that its other rows span when d∘d = 0, so
+        ``SparseMatrix.rank`` skips them."""
+        ranks: Dict[Tuple[int, int], int] = {}
+        above: Optional[Tuple[int, int]] = None
+        pivots: Set[int] = set()
+        for (d, w) in sorted(self.d.blocks, key=lambda cell: (cell[1], -cell[0])):
+            skip = pivots if above == (d + 1, w) else frozenset()
+            pivots = set()
+            ranks[(d, w)] = self.d.blocks[(d, w)].rank(skip, pivots)
+            above = (d, w)
+        return ranks
+
     def cohomology(self, window: Optional[Window] = None) -> Cohomology:
-        """Dimensions from ``cohomology_dim``, whose rank formula assumes d∘d = 0
-        (``validate_d2`` checks it); representatives are computed when read."""
+        """Dimensions n - rank d_{d,w} - rank d_{d-1,w}, which assumes d∘d = 0
+        (``validate_d2`` checks it), as do the ranks themselves: each weight
+        column is eliminated top-down with clearing (``_ranks``).
+        Representatives are computed when read."""
         hspace = BiGradedSpace(self.field)
         cert = Certificate()
         blocks: Dict[Tuple[int, int], Tuple[SparseMatrix, SparseMatrix]] = {}
+        ranks = self._ranks()
         probe = set(self.space.cells)
         if window is not None:
             probe.update(window.grid())
@@ -479,7 +497,8 @@ class CochainComplex:
             exact = (self.space.known_at(d - 1, w) and self.space.known_at(d, w)
                      and self.space.known_at(d + 1, w))
             cert.set_at(d, w, exact)
-            h = self.cohomology_dim(d, w)
+            n = self.space.dim(d, w)
+            h = n and n - ranks.get((d, w), 0) - ranks.get((d - 1, w), 0)
             if h > 0:
                 hspace.add_cell(d, w, [f"h{i}" for i in range(h)])
                 blocks[(d, w)] = (self.differential_block(d, w),

@@ -472,8 +472,9 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
     cx = _install(space, acc)
 
     # knowledge: the cut ideal in weight column w lives in degrees
-    # >= p_max + 1 + (minimal internal degree at w), so cohomology is
-    # certified through p_max + b_w - 1 there
+    # >= p_max + 1 + b_w, b_w the minimal internal degree at w, so the cells
+    # through p_max + b_w are complete and cohomology is certified through
+    # p_max + b_w - 1 there, which is dmax or more
     if all(algebras[x].space.fully_known() for x in cat.objects):
         if not cut:
             space.mark_all_complete()
@@ -483,7 +484,7 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
             for d, w, _ in sorted(k for keys in akeys.values() for k in keys):
                 lowest.setdefault(w, d)
             for w in sorted(lowest):
-                space.set_known(w, None, p_max + lowest[w] - 1)
+                space.set_known(w, None, p_max + lowest[w])
 
     # product: concatenate strings, transporting the right factor across the
     # left factor's string; drop anything past the cutoff (the ideal again).

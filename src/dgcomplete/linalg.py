@@ -9,15 +9,16 @@ Over QQ a scalar is a Python ``int`` while it is integral and a ``Fraction``
 only once a non-integer appears; Python mixes the two exactly.  Every
 division goes through ``Field.inv``, since ``int / int`` would give a float.
 
-One private core, ``_reduce``, does every row reduction.  ``Echelon.insert``
-and ``SparseMatrix.rank`` use it as is; ``kernel_basis`` and ``solve`` also
-back-substitute each new pivot into the older pivot rows.
+One private core, ``_reduce``, does every row reduction: it clears a row's
+leading entry against the pivot rows until that entry is no pivot, which is
+all ``Echelon.insert`` and ``SparseMatrix.rank`` need.  ``kernel_basis`` and
+``solve`` then back-substitute once, from the highest pivot down, to the
+reduced row echelon form.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heappop, heappush
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
 
 Scalar = object  # int or Fraction in characteristic 0, int in characteristic p
 
@@ -102,46 +103,39 @@ class Field:
 RATIONALS = Field(0)
 
 
-def _axpy(r: Dict[int, Scalar], a: Scalar, row: Dict[int, Scalar], p: int) -> List[int]:
-    """r -= a * row in place (mod p unless p is 0); returns the columns it adds to r."""
-    added = []
+def _axpy(r: Dict[int, Scalar], a: Scalar, row: Dict[int, Scalar], p: int) -> None:
+    """r -= a * row in place (mod p unless p is 0)."""
     for c, v in row.items():
         old = r.get(c)
         if old is None:
             r[c] = (-a * v) % p if p else -a * v
-            added.append(c)
         else:
             s = (old - a * v) % p if p else old - a * v
             if s:
                 r[c] = s
             else:
                 del r[c]
-    return added
 
 
 def _reduce(field: Field, pivots: Dict[int, Dict[int, Scalar]],
             r: Dict[int, Scalar]) -> Optional[int]:
-    """Reduce the sparse row r (consumed) against pivots, lowest pivot first.
+    """Reduce the sparse row r (consumed) against pivots until its leading
+    entry is no pivot; the entries after it stay as they come.
 
-    pivots maps each pivot column to its normalised row, the 1 left out.  A
-    nonzero remainder becomes the pivot of its lowest column, which is
-    returned; a zero remainder returns None."""
+    pivots maps each pivot column to its normalised row, the 1 left out, and
+    every entry of a pivot row lies right of its pivot.  A nonzero remainder
+    becomes the pivot of its leading column, which is returned; a zero
+    remainder returns None."""
     p = field.char
-    todo = sorted(c for c in r if c in pivots)
-    while todo:
-        pc = heappop(todo)
-        a = r.pop(pc, None)
-        if a is None:
-            continue
-        for c in _axpy(r, a, pivots[pc], p):
-            if c in pivots:
-                heappush(todo, c)
-    if not r:
-        return None
-    pc = min(r)
-    inv = field.inv(r.pop(pc))
-    pivots[pc] = {c: (inv * v) % p if p else inv * v for c, v in r.items()}
-    return pc
+    while r:
+        pc = min(r)
+        row = pivots.get(pc)
+        if row is None:
+            inv = field.inv(r.pop(pc))
+            pivots[pc] = {c: (inv * v) % p if p else inv * v for c, v in r.items()}
+            return pc
+        _axpy(r, r.pop(pc), row, p)
+    return None
 
 
 class SparseMatrix:
@@ -258,21 +252,24 @@ class SparseMatrix:
                 out[r] = s
         return out
 
-    def _row_dicts(self) -> List[Dict[int, Scalar]]:
+    def _row_dicts(self, skip_rows: AbstractSet[int] = frozenset()) -> List[Dict[int, Scalar]]:
         rows: List[Dict[int, Scalar]] = [dict() for _ in range(self.rows)]
         for (r, c), v in self.entries.items():
-            rows[r][c] = v
+            if r not in skip_rows:
+                rows[r][c] = v
         return rows
 
-    def _echelon(self, extra_col: Optional[Dict[int, Scalar]] = None, back: bool = True):
-        """Row-reduce, optionally with an augmented column (index = self.cols).
+    def _echelon(self, extra_col: Optional[Dict[int, Scalar]] = None, back: bool = True,
+                 skip_rows: AbstractSet[int] = frozenset()):
+        """Row-reduce, optionally with an augmented column (index = self.cols),
+        leaving out the rows in skip_rows.
 
         Returns a dict pivot_col -> row dict (pivot coefficient normalized to 1
-        and removed).  With back, it is fully back-substituted so non-pivot
-        entries involve only free columns and the augmented column.
+        and removed).  With back, one pass from the highest pivot down reduces
+        it to the reduced row echelon form, so non-pivot entries involve only
+        free columns and the augmented column.
         """
-        p = self.field.char
-        rows = self._row_dicts()
+        rows = self._row_dicts(skip_rows)
         if extra_col is not None:
             for r, row in enumerate(rows):
                 b = extra_col.get(r)
@@ -280,20 +277,33 @@ class SparseMatrix:
                     row[self.cols] = b
         pivots: Dict[int, Dict[int, Scalar]] = {}
         for row in rows:
-            pc = _reduce(self.field, pivots, row) if row else None
-            if pc is None or not back:
-                continue
-            for opc, orow in pivots.items():
-                if opc != pc and pc in orow:
-                    _axpy(orow, orow.pop(pc), pivots[pc], p)
+            if row:
+                _reduce(self.field, pivots, row)
+        if back:
+            p = self.field.char
+            for pc in sorted(pivots, reverse=True):
+                row = pivots[pc]
+                for c in [c for c in row if c in pivots]:
+                    _axpy(row, row.pop(c), pivots[c], p)
         if extra_col is None:
             self._rank = len(pivots)
         return pivots
 
-    def rank(self) -> int:
-        """Rank, cached until an entry changes; needs no back-substitution."""
+    def rank(self, skip_rows: AbstractSet[int] = frozenset(),
+             pivot_cols: Optional[Set[int]] = None) -> int:
+        """Rank, cached until an entry changes; needs no back-substitution.
+
+        Clearing: the rows in skip_rows are left out, which keeps the rank
+        when the rows kept span them.  The pivot columns of an e with
+        e @ self == 0 are such rows (``CochainComplex.cohomology`` takes d∘d
+        = 0 for it): a reduced row of e kills self's columns, so self's row at
+        its leading column is a combination of later rows.  An elimination
+        run here adds its pivot columns to pivot_cols; a cached rank adds none.
+        """
         if self._rank is None:
-            self._echelon(back=False)
+            pivots = self._echelon(back=False, skip_rows=skip_rows)
+            if pivot_cols is not None:
+                pivot_cols.update(pivots)
         return self._rank
 
     def kernel_basis(self) -> List[Dict[int, Scalar]]:

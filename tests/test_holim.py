@@ -149,9 +149,10 @@ class TestTowerHolim:
         oracle = strict_limit_dims(diag)
         h = hl.complex.cohomology(Window(0, 1, 5))
         for w in range(5):
-            assert h.certificate.exact_at(0, w)
-            assert not h.certificate.exact_at(1, w)
+            # certified through dmax: the cut starts in degree p_max + 1
+            assert h.certificate.exact_at(0, w) and h.certificate.exact_at(1, w)
             assert h.dim(0, w) == oracle.get(w, 0) == 1
+            assert h.dim(1, w) == 0  # the tower's maps are onto: no lim^1
 
 
 class TestPullback:
@@ -202,13 +203,13 @@ class TestCutoffCertificates:
         hl = H.holim(diag, dmax=2)
         assert hl.p_max == 3
         assert not hl.space.fully_known()
-        assert hl.space.known_cols[0] == (None, 2)
+        assert hl.space.known_cols[0] == (None, 3)
         assert hl.validate().ok
         assert strict_limit_dims(diag) == {0: 1}
-        h = hl.complex.cohomology(Window(0, 2, 0))
+        h = hl.complex.cohomology(Window(0, 3, 0))
         assert [h.dim(d, 0) for d in range(3)] == [1, 0, 0]
-        assert h.certificate.exact_at(1, 0)
-        assert not h.certificate.exact_at(2, 0)
+        assert all(h.certificate.exact_at(d, 0) for d in range(3))
+        assert not h.certificate.exact_at(3, 0)
 
     def test_an_input_known_in_part_certifies_nothing_it_does_not_know(self):
         alg = M.truncated_poly(F, ["x"], ["x^3"]).algebra

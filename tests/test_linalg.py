@@ -4,12 +4,16 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from sympy.polys.matrices import DomainMatrix
 
+from dgcomplete import linalg
+from dgcomplete.bar import bar_resolution, derived_hom, derived_tensor
 from dgcomplete.complete import double_centralizer
 from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.holim import holim
 from dgcomplete.linalg import RATIONALS, Echelon, Field, SparseMatrix, identity_matrix
-from dgcomplete.models import build_scenario
+from dgcomplete.models import build_scenario, random_diagram, truncated_poly
+from test_bar import trivial_left
 
 
 def to_sympy(m: SparseMatrix) -> sympy.Matrix:
@@ -287,3 +291,151 @@ def test_qq_benchmark_paths_stay_integral(build):
     reps = [x for e in cx.cohomology(win).representatives.values() for x in e.values()]
     assert entries and reps
     assert {type(v) for v in entries + reps} == {int}
+
+
+# -- kernels and solutions against an independent reduced row echelon form --
+
+
+def sympy_rref(m: SparseMatrix, b=None):
+    """sympy's reduced row echelon form of m, or of [m | b], as exact rows."""
+    cols = m.cols + (b is not None)
+    dense = [[m[r, c] if c < m.cols else b.get(r, 0) for c in range(cols)]
+             for r in range(m.rows)]
+    if m.field.char == 0:
+        red, pivots = sympy.Matrix(dense).rref()
+        rows = [[Fraction(int(x.p), int(x.q)) for x in red.row(r)] for r in range(m.rows)]
+        return rows, pivots
+    gf = sympy.GF(m.field.char)
+    red, pivots = DomainMatrix([[gf(v) for v in row] for row in dense],
+                               (m.rows, cols), gf).rref()
+    return [[int(x) % m.field.char for x in row] for row in red.to_list()], pivots
+
+
+def rref_kernel(m: SparseMatrix):
+    """Kernel from sympy's rref: one vector per free column, in column order,
+    scaled so its lowest nonzero coordinate is 1."""
+    f = m.field
+    rows, pivots = sympy_rref(m)
+    basis = []
+    for fc in (c for c in range(m.cols) if c not in pivots):
+        v = {fc: f.one}
+        for i, pc in enumerate(pivots):
+            if rows[i][fc]:
+                v[pc] = f.neg(f.of(rows[i][fc]))
+        inv = f.inv(v[min(v)])
+        basis.append({c: f.mul(inv, x) for c, x in sorted(v.items())})
+    return basis
+
+
+def rref_solution(m: SparseMatrix, b):
+    """The solution read off sympy's rref of [m | b], free coordinates 0."""
+    rows, pivots = sympy_rref(m, b)
+    if m.cols in pivots:
+        return None
+    return {pc: m.field.of(rows[i][m.cols]) for i, pc in enumerate(pivots)
+            if rows[i][m.cols]}
+
+
+@pytest.mark.parametrize("field", [RATIONALS, Field(7)], ids=repr)
+def test_kernel_and_solve_match_sympy_rref(field):
+    rng = random.Random(67)
+    deficient = inconsistent = 0
+    for _ in range(60):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        m = random_matrix(rng, rows, cols, field, density=0.6)
+        if rng.random() < 0.5 and rows > 1:
+            i, j = rng.sample(range(rows), 2)  # row i a multiple of row j
+            s = field.of(rng.randint(1, 3))
+            for c in range(cols):
+                m[i, c] = field.mul(s, m[j, c])
+        deficient += m.rank() < min(rows, cols)
+        assert m.kernel_basis() == rref_kernel(m)
+        consistent = m.apply({c: field.of(rng.randint(-3, 3)) for c in range(cols)})
+        arbitrary = {r: field.of(rng.randint(-3, 3)) for r in range(rows)}
+        for b in (consistent, arbitrary):
+            b = {r: v for r, v in b.items() if not field.is_zero(v)}
+            x = m.solve(b)
+            assert x == rref_solution(m, b)
+            inconsistent += x is None
+    assert deficient > 10 and inconsistent > 5
+
+
+# -- clearing: each weight column eliminated top-down ------------------------
+
+
+def _gfp_residue(variables, relations):
+    return truncated_poly(GF, variables, relations).residue_module()
+
+
+def _clearing_complexes():
+    for variables, relations, n in ((["x"], ["x^5"], 6), (["x", "y"], ["x^2", "y^2"], 4)):
+        k = _gfp_residue(variables, relations)
+        yield f"bar {relations}", lambda k=k, n=n: bar_resolution(k, n).complex
+        yield f"hom {relations}", lambda k=k, n=n: derived_hom(k, k, n)
+        yield f"tor {relations}", lambda k=k, n=n: derived_tensor(k, trivial_left(k.algebra), n)
+    yield "adic tower holim", lambda: _adic_tower_holim()[0]
+    yield "random diagram holim", lambda: holim(random_diagram(11, RATIONALS)[1], dmax=3).complex
+    yield "double centralizer", lambda: _koszul_completion()[0]
+
+
+@pytest.mark.parametrize("build", [b for _, b in _clearing_complexes()],
+                         ids=[name for name, _ in _clearing_complexes()])
+def test_clearing_gives_each_block_its_own_rank(build):
+    cx = build()
+    assert cx.validate_d2() is None
+    cx.cohomology()
+    cleared = 0
+    for (d, w), b in cx.d.blocks.items():
+        assert b._rank is not None  # ranked by the clearing pass
+        fresh = SparseMatrix(b.rows, b.cols, b.field, dict(b.entries))
+        assert b.rank() == fresh.rank(), (d, w)
+        above = cx.d.block_at(d + 1, w)
+        cleared += bool(above is not None and above.rank() and b.rank())
+    assert cleared  # some block had rows to skip
+
+
+def test_cohomology_reduces_only_the_rows_clearing_leaves(monkeypatch):
+    """Tor(k, k) over k[x]/(x^5): without clearing, each of the 422 nonzero
+    rows of the blocks is reduced.  Clearing skips the rows at the pivot
+    columns of the block above (206 of them); a row left over is dependent
+    only for a class H^{d,w} whose block below is eliminated."""
+    k = _gfp_residue(["x"], ["x^5"])
+    cx = derived_tensor(k, trivial_left(k.algebra), 9)
+    received = []
+    reduce = linalg._reduce
+
+    def counted(field, pivots, r):
+        received.append(r)
+        return reduce(field, pivots, r)
+
+    monkeypatch.setattr(linalg, "_reduce", counted)
+    h = cx.cohomology()
+    blocks = cx.d.blocks
+    nonzero_rows = sum(len({r for r, _ in b.entries}) for b in blocks.values())
+    above = sum(blocks[(d + 1, w)].rank() for (d, w) in blocks if (d + 1, w) in blocks)
+    assert (nonzero_rows, above) == (422, 206)
+    assert len(received) == nonzero_rows - above == 216
+    wasted = sum(n for (d, w), n in h.dims_by_cell().items() if (d - 1, w) in blocks)
+    assert len(received) == sum(b.rank() for b in blocks.values()) + wasted
+
+
+def test_cohomology_stays_fresh_after_an_edit():
+    """a -> (b0, b1) -> (c0, c1) with d(a) = b0, d(b1) = c0: clearing skips
+    row b1 of the lower block.  Zeroing d(b1) must show in the next call."""
+    def build(top):
+        sp = BiGradedSpace(GF)
+        sp.add_cell(0, 0, ["a"])
+        sp.add_cell(1, 0, ["b0", "b1"])
+        sp.add_cell(2, 0, ["c0", "c1"])
+        sp.mark_all_complete()
+        c = CochainComplex(sp)
+        c.d.set_entry((0, 0, 0), (1, 0, 0), GF.one)
+        c.d.set_entry((1, 0, 1), (2, 0, 0), top)
+        return c
+
+    c = build(GF.one)
+    assert c.validate_d2() is None
+    assert c.cohomology().dims_by_cell() == {(2, 0): 1}
+    c.d.set_entry((1, 0, 1), (2, 0, 0), GF.zero)
+    edited = c.cohomology().dims_by_cell()
+    assert edited == build(GF.zero).cohomology().dims_by_cell() == {(1, 0): 1, (2, 0): 2}
