@@ -2,25 +2,24 @@
 
 The completed algebra of a module m over a is the endomorphism algebra of m
 taken over the opposite of its inner endomorphism algebra, opposed again.
-The inner model defaults to the convolution algebra from the bar calculus;
-whenever the honest module endomorphisms embed into it quasi-isomorphically
-(checked per run on certified bidegrees, never assumed), the strict model
-replaces it.  That swap keeps the outer complex small and weight-connected
-for ideal columns and regular modules, where the convolution model would
-force an intractable unreduced enumeration.
+The inner algebra is the derived endomorphism algebra REnd_a(m).  When m
+carries the projective witness (a shift or finite sum of summands e·a), it
+is K-projective, so REnd_a(m) = End_a(m) on the nose and the strict model
+of module endomorphisms is the inner algebra: it keeps the outer complex
+small and weight-connected, where the convolution model would force an
+unreduced enumeration.  Without the witness the inner algebra is the
+convolution algebra from the bar calculus.
 """
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from .bar import (
-    EndAlgebra, StrictEndAlgebra, _module_objects, embed_strict, end_algebra,
+    EndAlgebra, StrictEndAlgebra, _module_objects, end_algebra,
     reduction_data, stabilization_scan, strict_end_algebra,
 )
 from .dg import DgAlgebra, DgModule, direct_sum_modules
-from .graded import (
-    CochainComplex, Cohomology, Elt, Key, Window, induced_rank,
-)
+from .graded import Cohomology, Elt, Key, Window
 
 Caps = Tuple[int, int]
 
@@ -30,14 +29,6 @@ def _check_caps(caps: Caps, what: str) -> Caps:
     if n < 0 or w < 0:
         raise ValueError(f"{what} caps must be non-negative")
     return (n, w)
-
-
-def _is_regular(a: DgAlgebra, m: DgModule) -> bool:
-    """Whether m is a on the nose: same complex, action equal to the product."""
-    if m.complex is not a.complex or m.side != "right":
-        return False
-    action = {pair: e for pair, e in m.action.items() if e}
-    return action == a.mult
 
 
 def _module_over_strict_opposite(strict: StrictEndAlgebra
@@ -57,43 +48,6 @@ def _module_over_strict_opposite(strict: StrictEndAlgebra
                 action[(mk, fk)] = e
     return op, DgModule(op, m.complex, action, side="right",
                         name=f"{m.name}^" if m.name else "")
-
-
-def _probe_cells(cxs: Sequence[CochainComplex]) -> List[Tuple[int, int]]:
-    cells = {dw for cx in cxs for dw in cx.space.cells}
-    probe = set()
-    for (d, w) in cells:
-        probe.update({(d - 1, w), (d, w), (d + 1, w)})
-    return sorted(probe)
-
-
-def _strict_check(strict: StrictEndAlgebra, bar: EndAlgebra) -> Dict:
-    """Compare the strict endomorphisms with the convolution model.
-
-    The embedding must induce full-rank maps on cohomology and the dimension
-    tables must agree wherever either model has cells; one uncertified
-    bidegree in that range vetoes the swap.
-    """
-    emb = embed_strict(strict, bar)
-    hs = strict.complex.cohomology()
-    hb = bar.complex.cohomology()
-    rows: Dict[Tuple[int, int], Dict] = {}
-    ok = True
-    for (d, w) in _probe_cells([strict.complex, bar.complex]):
-        ds = hs.dim(d, w)
-        db = hb.dim(d, w)
-        certified = (hb.certificate.exact_at(d, w)
-                     and hs.certificate.exact_at(d, w))
-        if ds == 0 and db == 0:
-            if not certified:
-                ok = False
-            continue
-        rank = induced_rank(emb, strict.complex, bar.complex, d, w)
-        rows[(d, w)] = {"strict": ds, "bar": db, "rank": rank,
-                        "certified": certified}
-        if not (certified and ds == db == rank):
-            ok = False
-    return {"ok": ok, "rows": rows}
 
 
 def _unreduced_fit(n_keys: int, slot_count: int, n_max: int,
@@ -119,16 +73,14 @@ class CompletionResult:
     """A completed algebra with its inner and outer models and diagnostics."""
 
     def __init__(self, algebra: DgAlgebra, module: DgModule,
-                 inner_bar: EndAlgebra,
-                 inner_strict: StrictEndAlgebra, inner_used: str,
+                 inner: DgAlgebra, inner_used: str,
                  base: DgAlgebra, over: DgModule, outer: EndAlgebra,
                  completed: DgAlgebra,
                  caps: Caps, inner_caps: Caps, window: Window,
                  reduced_outer: bool, diagnostics: Dict):
         self.algebra = algebra
         self.module = module
-        self.inner_bar = inner_bar
-        self.inner_strict = inner_strict
+        self.inner = inner
         self.inner_used = inner_used
         self.base = base
         self.over = over
@@ -139,12 +91,6 @@ class CompletionResult:
         self.window = window
         self.reduced_outer = reduced_outer
         self.diagnostics = diagnostics
-
-    @property
-    def inner(self):
-        if self.inner_used == "strict":
-            return self.inner_strict
-        return self.inner_bar
 
     def cohomology(self, window: Optional[Window] = None) -> Cohomology:
         return self.completed.complex.cohomology(window=window or self.window)
@@ -162,6 +108,11 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
                        name: str = "") -> CompletionResult:
     """Complete a along m: endomorphisms of m over the opposite of End(m).
 
+    The inner algebra is built once.  A module with the projective witness
+    takes the strict model, exact by Yoneda wherever m's space is known, so
+    it is marked complete only when m is fully known and certifies nothing
+    otherwise; any other module takes the convolution model at inner_caps.
+    ``diagnostics["strict"]`` records the witness behind the choice.
     Certificates on the result hold exactly where the outer scheme could see
     complete inner columns, so the safety margin between the caps is what
     keeps the certified window honest.
@@ -177,22 +128,19 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     if w_in < w_out + 2:
         raise ValueError("inner caps must clear the outer weight cap by at least 2")
 
-    inner_bar = end_algebra(m, n_in, w_cap=w_in, name=f"End({m.name})")
-    inner_strict = strict_end_algebra(m)
-    # the strict complex is the entire space of module endomorphisms
-    inner_strict.space.mark_all_complete()
-    if _is_regular(a, m):
-        # unit and associativity force the strict model to be exact here;
-        # the embedding comparison would re-verify a triviality at real cost
-        strict_info: Dict = {"ok": True, "rows": {}, "regular": True}
+    known = m.space.fully_known()
+    if m.projective:
+        inner_used = "strict"
+        inner = strict_end_algebra(m)
+        if known:
+            inner.space.mark_all_complete()
+        else:
+            inner.space.zero_outside = False  # known nowhere
+        base, over = _module_over_strict_opposite(inner)
     else:
-        strict_info = _strict_check(inner_strict, inner_bar)
-    inner_used = "strict" if strict_info["ok"] else "bar"
-
-    if inner_used == "strict":
-        base, over = _module_over_strict_opposite(inner_strict)
-    else:
-        over = inner_bar.module_over_opposite()
+        inner_used = "bar"
+        inner = end_algebra(m, n_in, w_cap=w_in, name=f"End({m.name})")
+        over = inner.module_over_opposite()
         base = over.algebra
 
     outer_caps = (n_out, w_out)
@@ -225,17 +173,19 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
 
         scan = stabilization_scan(at_cap, pair) if len(pair) > 1 else None
 
-    h = completed.complex.cohomology(window=win)
-    failures = [dw for dw in win.grid()
-                if not h.certificate.exact_at(dw[0], dw[1])]
+    failures = []
+    if not reduced:
+        h = completed.complex.cohomology(window=win)
+        failures = [dw for dw in win.grid()
+                    if not h.certificate.exact_at(dw[0], dw[1])]
     diagnostics = {
-        "strict": strict_info,
+        "strict": {"witness": m.projective, "module_known": known},
         "outer": {"reduced": reduced, "caps_used": outer_caps,
                   "budget": budget_note, "scan": scan},
-        "failure_bidegrees": failures if (budget_note or not reduced) else [],
+        "failure_bidegrees": failures,
     }
 
-    return CompletionResult(a, m, inner_bar, inner_strict, inner_used,
+    return CompletionResult(a, m, inner, inner_used,
                             base, over, outer, completed,
                             (n_out, w_out), (n_in, w_in), win, reduced,
                             diagnostics)

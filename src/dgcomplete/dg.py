@@ -278,11 +278,17 @@ class DgModule:
     For side "right" the action table maps (module key, algebra key) to an
     element of the module: m·a.  For side "left" it maps (algebra key,
     module key): a·m.
+
+    ``projective`` is a witness that the module is a shift or a finite sum of
+    direct summands e·A of the algebra, so K-projective: it names the
+    construction, and only the constructors that prove it set it
+    (``regular_module``, ``right_ideal_module``, and ``shift_module`` and
+    ``direct_sum_modules`` of modules that carry it).  None is no claim.
     """
 
     def __init__(self, algebra: DgAlgebra, complex: CochainComplex,
                  action: Dict[Tuple[Key, Key], Elt], side: str = "right",
-                 name: str = ""):
+                 name: str = "", projective: Optional[str] = None):
         if side not in ("right", "left"):
             raise ValueError(f"side must be left or right, got {side}")
         self.algebra = algebra
@@ -290,6 +296,7 @@ class DgModule:
         self.action = action
         self.side = side
         self.name = name
+        self.projective = projective
 
     @property
     def field(self) -> Field:
@@ -583,14 +590,17 @@ def restrict_scalars(f: AlgebraMorphism, m: DgModule) -> DgModule:
 def regular_module(a: DgAlgebra) -> DgModule:
     """A as a right module over itself."""
     action = {pair: dict(e) for pair, e in a.mult.items()}
-    return DgModule(a, a.complex, action, side="right", name=f"{a.name or 'A'}")
+    return DgModule(a, a.complex, action, side="right", name=f"{a.name or 'A'}",
+                    projective="A")
 
 
 def right_ideal_module(a: DgAlgebra, idem: Elt, name: str = "") -> DgModule:
     """e·A as a right module, for an idempotent e spanned by basis keys.
 
     The basis is the set of algebra basis keys x with e·x = x (this is exact
-    for category algebras where e is a sum of identity idempotents).
+    for category algebras where e is a sum of identity idempotents).  The
+    module knows what A's space knows.  When e is a closed idempotent at
+    (0, 0), e·A is a direct summand of A and carries the projective witness.
     """
     f = a.field
     keep: List[Key] = []
@@ -607,7 +617,7 @@ def right_ideal_module(a: DgAlgebra, idem: Elt, name: str = "") -> DgModule:
         cells.setdefault((k[0], k[1]), []).append(a.space.label_of(k))
     for (d, w), lbls in sorted(cells.items()):
         sp.add_cell(d, w, lbls)
-    sp.mark_all_complete()
+    sp.copy_knowledge_from(a.space)
     cx = CochainComplex(sp)
 
     def embed(e: Elt) -> Elt:
@@ -628,7 +638,10 @@ def right_ideal_module(a: DgAlgebra, idem: Elt, name: str = "") -> DgModule:
             prod = a.basis_product(k, ka)
             if prod:
                 action[(sp.key_of(k[0], k[1], a.space.label_of(k)), ka)] = embed(prod)
-    return DgModule(a, cx, action, side="right", name=name)
+    summand = (all(k[:2] == (0, 0) for k in idem) and not a.d(idem)
+               and a.multiply(idem, idem) == idem)
+    return DgModule(a, cx, action, side="right", name=name,
+                    projective="e·A" if summand else None)
 
 
 def shift_module(m: DgModule, n: int) -> DgModule:
@@ -642,7 +655,8 @@ def shift_module(m: DgModule, n: int) -> DgModule:
         nk = (km[0] - n, km[1], km[2])
         action[(nk, ka)] = {(k[0] - n, k[1], k[2]): v for k, v in e.items()}
     return DgModule(m.algebra, cx, action, side="right",
-                    name=f"{m.name}[{n}]" if m.name else "")
+                    name=f"{m.name}[{n}]" if m.name else "",
+                    projective=m.projective and f"({m.projective})[{n}]")
 
 
 def direct_sum_modules(m1: DgModule, m2: DgModule, name: str = "") -> DgModule:
@@ -660,4 +674,7 @@ def direct_sum_modules(m1: DgModule, m2: DgModule, name: str = "") -> DgModule:
                   for k, v in e.items()}
             key = (nk, ka) if part.side == "right" else (ka, nk)
             action[key] = ne
-    return DgModule(m1.algebra, cx, action, side=m1.side, name=name)
+    witness = (m1.projective and m2.projective
+               and f"{m1.projective} ⊕ {m2.projective}")
+    return DgModule(m1.algebra, cx, action, side=m1.side, name=name,
+                    projective=witness)

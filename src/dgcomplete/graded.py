@@ -52,10 +52,6 @@ class Window:
         return f"Window({self.dmin}, {self.dmax}, wmax={self.wmax})"
 
 
-def _in_interval(d: int, lo: Optional[int], hi: Optional[int]) -> bool:
-    return (lo is None or d >= lo) and (hi is None or d <= hi)
-
-
 class BiGradedSpace:
     """Finite-dimensional cells indexed by (degree, weight) with ordered labels."""
 
@@ -122,15 +118,23 @@ class BiGradedSpace:
             return False
         return all(w != wt for (_, w) in self.cells)
 
-    def known_at(self, deg: int, wt: int) -> bool:
-        iv = self.known_cols.get(wt)
-        if iv is not None and _in_interval(deg, iv[0], iv[1]):
-            return True
-        if self._ray_known(wt):
-            return True
-        if iv is not None:
-            return False
-        return self.zero_outside
+    def known_degrees(self, weights: Iterable[int]
+                      ) -> Dict[int, Optional[Tuple[Optional[int], Optional[int]]]]:
+        """The known degree interval (lo, hi) of each weight, None meaning
+        unbounded, or None where nothing at that weight is known.  A weight
+        in a certified empty ray that holds no cell is known everywhere."""
+        occupied = {w for (_, w) in self.cells}
+        below, above = self.known_zero_below, self.known_zero_above
+        out: Dict[int, Optional[Tuple[Optional[int], Optional[int]]]] = {}
+        for w in weights:
+            iv = self.known_cols.get(w)
+            if (((below is not None and w < below)
+                 or (above is not None and w > above)) and w not in occupied):
+                iv = (None, None)
+            elif iv is None and self.zero_outside:
+                iv = (None, None)
+            out[w] = iv
+        return out
 
     def column_complete(self, wt: int) -> bool:
         iv = self.known_cols.get(wt)
@@ -493,9 +497,11 @@ class CochainComplex:
         probe = set(self.space.cells)
         if window is not None:
             probe.update(window.grid())
+        known = self.space.known_degrees({w for (_, w) in probe})
         for (d, w) in sorted(probe):
-            exact = (self.space.known_at(d - 1, w) and self.space.known_at(d, w)
-                     and self.space.known_at(d + 1, w))
+            iv = known[w]
+            exact = (iv is not None and (iv[0] is None or iv[0] <= d - 1)
+                     and (iv[1] is None or d + 1 <= iv[1]))
             cert.set_at(d, w, exact)
             n = self.space.dim(d, w)
             h = n and n - ranks.get((d, w), 0) - ranks.get((d - 1, w), 0)

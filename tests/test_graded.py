@@ -117,6 +117,25 @@ def test_cohomology_partial_column_certificates():
     assert h.certificate.exact_at(5, 0) is False
 
 
+def test_cohomology_certificates_read_each_weight_once_per_call():
+    """A weight in a certified empty ray is known wherever it holds no cell;
+    an occupied one, or any weight without an interval when zero_outside
+    is off, is known nowhere."""
+    sp = BiGradedSpace(F)
+    sp.add_cell(0, 0, ["a"])
+    sp.add_cell(0, 3, ["b"])
+    sp.set_known(0)
+    sp.set_known(-1, lo=0, hi=2)
+    sp.zero_outside = False
+    sp.known_zero_above = 1
+    assert sp.known_degrees([-2, -1, 0, 2, 3]) == {
+        -2: None, -1: (0, 2), 0: (None, None), 2: (None, None), 3: None}
+    h = CochainComplex(sp).cohomology(Window(-1, 2, 3))
+    exact = {c for c, ok in h.certificate.status.items() if ok}
+    assert exact == {(d, 0) for d in range(-1, 3)} | {(1, -1)} | {
+        (d, 2) for d in range(-1, 3)}
+
+
 def test_shift_zero_and_double():
     c = truncated_poly_complex()
     s0 = c.shift(0)
