@@ -102,6 +102,22 @@ def _reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
     return ReductionData(sign, zs, lobj, robj)
 
 
+def _unreducible_reason(m: DgModule, red: Optional[ReductionData]) -> str:
+    """Which conditions of the reduced bar m and its algebra fail, worked
+    out only once the reduced bar is refused."""
+    if red is not None:
+        return "module not object-homogeneous"
+    a = m.algebra
+    off = sorted({k[0] for k in a.basis_keys() if k[1] == 0 and k[0] != 0})
+    why = [f"weight-0 basis elements outside degree 0, in degrees {off}"] if off else []
+    if not off and a.weight_zero_idempotent_basis() is None:
+        why.append("weight-0 part not orthogonal idempotents summing to the "
+                   "unit with d = 0")
+    if a._weight_sign() is None:
+        why.append("nonzero weights of both signs")
+    return "; ".join(why) or "a basis element not homogeneous for the idempotents"
+
+
 def _module_objects(m: DgModule, red: ReductionData,
                     side: str) -> Optional[Dict[Key, int]]:
     """Object index per module basis key, or None if not homogeneous."""
@@ -154,7 +170,8 @@ class _BarScheme:
         if reduced and mobj is None:
             raise ValueError(
                 "reduced bar needs a weight-connected algebra and an "
-                "object-homogeneous module")
+                f"object-homogeneous module (here {a.name or 'unnamed'} and "
+                f"{m.name or 'unnamed'}): " + _unreducible_reason(m, red))
         if reduced and target is not None and nobj is None:
             raise ValueError("target module is not object-homogeneous")
         self.module = m

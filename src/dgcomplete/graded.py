@@ -30,9 +30,6 @@ class Window:
         self.dmax = dmax
         self.wmax = wmax
 
-    def contains(self, deg: int, wt: int) -> bool:
-        return self.dmin <= deg <= self.dmax and abs(wt) <= self.wmax
-
     def degrees(self) -> range:
         return range(self.dmin, self.dmax + 1)
 

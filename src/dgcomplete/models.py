@@ -231,12 +231,10 @@ def truncated_poly(field: Field, variables: Sequence[str],
 class SquareZeroRing:
     """R ⊕ M with M·M = 0, for M a monomial quotient module of R."""
 
-    def __init__(self, ring: TruncatedRing, algebra: DgAlgebra, shift: int,
-                 module_monos: List[Mono]):
+    def __init__(self, ring: TruncatedRing, algebra: DgAlgebra, shift: int):
         self.ring = ring
         self.algebra = algebra
         self.shift = shift
-        self.module_monos = module_monos
 
 
 def square_zero(ring: TruncatedRing, module_extra: Optional[Sequence[str]] = (),
@@ -248,7 +246,7 @@ def square_zero(ring: TruncatedRing, module_extra: Optional[Sequence[str]] = (),
     the reduced-bar hypotheses.
     """
     if module_extra is None:
-        return SquareZeroRing(ring, ring.algebra, 0, [])
+        return SquareZeroRing(ring, ring.algebra, 0)
     gens = [parse_mono(t, ring.variables) for t in module_extra]
     kept = [m for m in ring.monomials
             if not any(_divides(g, m) for g in gens)]
@@ -276,7 +274,7 @@ def square_zero(ring: TruncatedRing, module_extra: Optional[Sequence[str]] = (),
     alg = DgAlgebra.from_basis(f, basis, [rl[ring.monomials[0]]], {}, products,
                                name=name or f"{ring.name}⋉M")
     alg.idempotents = {"*": dict(alg.unit)}
-    return SquareZeroRing(ring, alg, shift, kept)
+    return SquareZeroRing(ring, alg, shift)
 
 
 # -- adic towers -------------------------------------------------------------
@@ -285,11 +283,9 @@ def square_zero(ring: TruncatedRing, module_extra: Optional[Sequence[str]] = (),
 class AdicTower:
     """Quotients R/I, R/I², ..., R/I^depth with their projections."""
 
-    def __init__(self, base: TruncatedRing, ideal_gens: List[Mono],
-                 rings: List[TruncatedRing], maps: List[AlgebraMorphism],
-                 warnings: List[str]):
+    def __init__(self, base: TruncatedRing, rings: List[TruncatedRing],
+                 maps: List[AlgebraMorphism], warnings: List[str]):
         self.base = base
-        self.ideal_gens = ideal_gens
         self.rings = rings
         self.maps = maps
         self.warnings = warnings
@@ -350,7 +346,7 @@ def adic_tower(ring: TruncatedRing, ideal_gens: Sequence[str],
             [mono_label(m, ring.variables) for m in ring.relations + minimal],
             ring.wmax, name=f"{ring.name}/I^{n}"))
     maps = [rings[n + 1].projection_to(rings[n]) for n in range(depth - 1)]
-    return AdicTower(ring, gens, rings, maps, warnings)
+    return AdicTower(ring, rings, maps, warnings)
 
 
 # -- free complexes over a ring ----------------------------------------------

@@ -171,8 +171,10 @@ def test_bar_reduced_refused_without_connectivity():
                   ("y", "1"): {"y": 1}, ("y", "y"): {}},
     )
     m = regular_module(a)
-    with pytest.raises(ValueError, match="reduced bar"):
+    with pytest.raises(ValueError, match="reduced bar") as err:
         bar_resolution(m, n_max=2, reduced=True)
+    assert ("weight-0 part not orthogonal idempotents summing to the unit "
+            "with d = 0") in str(err.value)
     bar = bar_resolution(m, n_max=2)
     assert not bar.reduced
     assert bar.complex.validate_d2() is None
@@ -498,9 +500,9 @@ def test_ill_graded_product_leaves_the_window():
             build()
 
 
-def test_hom_into_a_target_mixing_objects_is_unreduced():
-    # S1 + S2 in the basis s1 + s2, s1 - s2: no basis vector sits at one object
-    a = paper_category()
+def _simples_mixing_objects(a):
+    """S1 + S2 in the basis s1 + s2, s1 - s2: no basis vector sits at one
+    object."""
     (e1,) = a.idempotents["X1"]
     (e2,) = a.idempotents["X2"]
     sp = BiGradedSpace(F)
@@ -509,7 +511,12 @@ def test_hom_into_a_target_mixing_objects_is_unreduced():
     h = F.of("1/2")
     action = {(p, e1): {p: h, q: h}, (p, e2): {p: h, q: -h},
               (q, e1): {p: h, q: h}, (q, e2): {p: -h, q: h}}
-    n = DgModule(a, CochainComplex(sp), action, side="right", name="S1+S2")
+    return DgModule(a, CochainComplex(sp), action, side="right", name="S1+S2")
+
+
+def test_hom_into_a_target_mixing_objects_is_unreduced():
+    a = paper_category()
+    n = _simples_mixing_objects(a)
     assert n.validate().ok
     m = right_ideal_module(a, a.idempotents["X1"], name="P1")
     cx = derived_hom(m, n, 3)
@@ -518,6 +525,26 @@ def test_hom_into_a_target_mixing_objects_is_unreduced():
         derived_hom(m, n, 3, reduced=False))
     with pytest.raises(ValueError, match="target module is not object"):
         derived_hom(m, n, 3, reduced=True)
+
+
+def test_reduced_bar_refusal_names_the_homogeneity_that_fails():
+    a = paper_category()
+    with pytest.raises(ValueError, match="reduced bar") as err:
+        bar_resolution(_simples_mixing_objects(a), 2, reduced=True)
+    assert "module not object-homogeneous" in str(err.value)
+    # x is fixed on the left by both idempotents
+    a = DgAlgebra.from_basis(
+        F,
+        basis=[("e1", 0, 0), ("e2", 0, 0), ("x", 0, 1)],
+        unit_names=["e1", "e2"],
+        differential={},
+        products={("e1", "e1"): {"e1": 1}, ("e2", "e2"): {"e2": 1},
+                  ("e1", "x"): {"x": 1}, ("e2", "x"): {"x": 1},
+                  ("x", "e1"): {"x": 1}},
+    )
+    with pytest.raises(ValueError, match="reduced bar") as err:
+        bar_resolution(regular_module(a), 2, reduced=True)
+    assert "basis element not homogeneous for the idempotents" in str(err.value)
 
 
 def test_reduction_data_asks_each_product_once():

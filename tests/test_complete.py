@@ -2,7 +2,9 @@
 
 A module with the projective witness is K-projective, so its strict
 endomorphisms are its derived ones (Yoneda) and the completion takes the
-strict inner model; every other module takes the convolution model.
+strict inner model; every other module takes the convolution model.  The
+outer model is always the reduced bar, so an inner algebra it cannot reduce
+over fails at once with an error naming why.
 """
 import time
 
@@ -108,7 +110,6 @@ def test_registry_completions_keep_their_models(name, inner):
     assert r.diagnostics["outer"]["budget"] is None
     assert r.diagnostics["strict"]["witness"] == (
         "e·A" if inner == "strict" else None)
-    assert r.diagnostics["failure_bidegrees"] == []
 
 
 @pytest.mark.parametrize("name,strict,end", [
@@ -163,3 +164,56 @@ def test_right_ideal_of_a_partly_known_algebra_certifies_nothing():
     assert r.diagnostics["strict"] == {"witness": "e·A", "module_known": False}
     assert not any(r.inner.complex.cohomology().certificate.status.values())
     assert _certified(r.cohomology(win), win)[0] == []
+
+
+def test_strict_inner_model_ignores_inner_caps():
+    """inner_caps bound only the convolution model, so a projective module
+    accepts caps that would be too tight for it and gives the same tables."""
+    sc = M.build_scenario("dual_numbers_op")
+    a, m = sc["algebra"], sc["module"]
+    plain = complete.double_centralizer(a, m, (3, 3)).cohomology()
+    capped = complete.double_centralizer(a, m, (3, 3), inner_caps=(3, 3))
+    h = capped.cohomology()
+    assert capped.inner_used == "strict"
+    assert h.dims_by_cell() == plain.dims_by_cell()
+    assert h.certificate.status == plain.certificate.status
+    with pytest.raises(ValueError, match="clear the outer weight cap"):
+        complete.double_centralizer(a, M.simple_module(a, "X1"), (3, 3),
+                                    inner_caps=(3, 3))
+
+
+def test_completion_whose_inner_algebra_has_shifts_at_weight_zero_fails_fast():
+    """End(k ⊕ k[1]) over k[x] holds the shift maps at weight 0 in degrees
+    ±1, so the reduced outer bar is refused and the error says why."""
+    ring = M.truncated_poly(F, ["x"], [], wmax=6)
+    k = ring.residue_module()
+    m = direct_sum_modules(k, shift_module(k, 1))
+    with pytest.raises(ValueError, match="reduced bar") as err:
+        complete.double_centralizer(ring.algebra, m, (3, 3))
+    assert ("weight-0 basis elements outside degree 0, in degrees [-1, 1]"
+            in str(err.value))
+    assert "both signs" not in str(err.value)
+
+
+@pytest.mark.parametrize("name,common", [
+    ("triangular_12", 40), ("triangular_123", 35)])
+def test_generators_of_one_thick_subcategory_give_one_completion(name, common):
+    """The simples, the indecomposable projectives and the algebra itself
+    generate the same thick subcategory of a triangular path algebra, so
+    completing along each gives the same tables where all three certify:
+    the path algebra, n(n+1)/2 paths in degree 0."""
+    sc = M.build_scenario(name)
+    a = sc["algebra"]
+    projectives = [right_ideal_module(a, a.idempotents[o]) for o in a.idempotents]
+    results = [complete.double_centralizer(a, sc["module"], sc["caps"]),
+               complete.completion_along_set(a, projectives, sc["caps"]),
+               complete.double_centralizer(a, regular_module(a), sc["caps"])]
+    assert [r.inner_used for r in results] == ["bar", "strict", "strict"]
+    win = Window(-2, 2, 4)
+    hs = [r.cohomology(win) for r in results]
+    cells = [c for c in win.grid() if all(h.certificate.exact_at(*c) for h in hs)]
+    assert len(cells) == common
+    for c in cells:
+        assert hs[0].dim(*c) == hs[1].dim(*c) == hs[2].dim(*c), c
+    assert sum(hs[0].dim(*c) for c in cells if c[0] == 0) == sc["expected"]["h0_total"]
+    assert sum(hs[0].dim(*c) for c in cells if c[0] != 0) == 0

@@ -8,9 +8,14 @@ the adic tower R/I, R/I^2, ...  At the level of maps, the cone of
 projections R -> R/I^k induces an isomorphism from R onto H^0 of the limit
 below the tower's depth.
 
-Along a coordinate ideal only the limit is compared: the double centralizer
-of R/(x) over k[x,y] certifies no cell at small caps (ROADMAP item 3).
+Along a coordinate ideal only the limit is compared.  The double
+centralizer of R/(x) over k[x,y] cannot be certified by finite enumeration:
+its inner algebra Ext_R(R/(x), R/(x)) = k[y] ⊗ Λ[ε] has weights of both
+signs and weight-0 classes outside degree 0, so the reduced outer bar is
+refused and the completion fails at once with an error that says so
+(ROADMAP item 3).
 """
+import time
 from math import comb
 
 import pytest
@@ -87,3 +92,17 @@ def test_along_a_coordinate_ideal():
         assert induced_rank(cone.map, ring.algebra.complex, hl.complex,
                             0, w) == dims[(0, w)]
     assert not any(v for (d, _), v in dims.items() if d != 0)
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_completion_along_a_coordinate_ideal_fails_fast(cap):
+    ring = polynomial_ring(["x", "y"])
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError, match="reduced bar") as err:
+        double_centralizer(ring.algebra, ring.quotient_module(["x"]),
+                           (cap, cap))
+    assert time.perf_counter() - t0 < 1.0
+    assert "nonzero weights of both signs" in str(err.value)
+    degrees = list(range(1, cap + 3))
+    assert (f"weight-0 basis elements outside degree 0, in degrees {degrees}"
+            in str(err.value))
