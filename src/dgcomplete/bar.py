@@ -5,12 +5,12 @@ idempotents whenever the algebra is weight-connected; slot tuples are then
 composable chains and every weight column is finite.  The unreduced variant
 tensors over the ground field and carries no exactness certificates.
 
-Each slot tuple is an integer index, numbered depth first.  Its parent is the
-tuple without its last slot, and a child map sends (parent, slot) back to the
-tuple, so a tuple's differential row is its parent's row with the slot
-appended, plus the slot's own differential and its merge with the slot (or
-module key) before it.  The builders add each term into one sum per block
-entry and install every block once.
+Each slot tuple is an integer index, numbered depth first, and each slot an
+integer id.  A tuple's parent is the tuple without its last slot, its child
+by a slot is found under parent * n_slots + slot id, and its differential row
+is its parent's row with the slot appended, plus the slot's own differential
+and its merge with the slot (or module key) before it.  The builders write
+each term into one sum per block entry and install every block once.
 """
 from __future__ import annotations
 
@@ -148,10 +148,11 @@ class _BarScheme:
     Tuples are numbered depth first, and ``labels``, ``degs``, ``wts``,
     ``robjs`` and ``parent`` are flat lists over that index.  The
     parent of a tuple is the tuple without its last slot, -1 for a bare
-    module key; ``child`` maps (parent index, slot) back to the index, and
-    (-1, module key) to the bare tuples.  Whether the scheme is reduced is
-    decided before enumerating, from the source and, when given, the
-    target module, whose object per key is ``nobj``."""
+    module key, and ``sids`` is the id its last slot got in ``slot_ids``
+    when it first fit.  ``child`` maps parent * ``n_slots`` + slot id back
+    to the index, and ``bare`` a module key to its bare tuple.  Whether the
+    scheme is reduced is decided before enumerating, from the source and,
+    when given, the target module, whose object per key is ``nobj``."""
 
     def __init__(self, m: DgModule, n_max: int, w_cap: int,
                  reduced: Optional[bool], target: Optional[DgModule] = None):
@@ -164,7 +165,8 @@ class _BarScheme:
         mobj = _module_objects(m, red, "right") if red else None
         nobj = None
         if mobj is not None and target is not None and reduced is not False:
-            nobj = _module_objects(target, red, target.side)
+            nobj = (mobj if target is m
+                    else _module_objects(target, red, target.side))
         if reduced is None:
             reduced = mobj is not None and (target is None or nobj is not None)
         if reduced and mobj is None:
@@ -188,54 +190,72 @@ class _BarScheme:
         self.sign = red.sign if reduced else 0
 
         # slots by the object they start at; unreduced, everything is object 0
+        akeys = a.basis_keys()
         by_lobj: Dict[int, List[Key]] = {}
-        for k in a.basis_keys():
+        for k in akeys:
             if not reduced:
                 by_lobj.setdefault(0, []).append(k)
             elif k[1] != 0:
                 by_lobj.setdefault(red.lobj[k], []).append(k)
 
-        self.labels: List[TupleLabel] = []
-        self.degs: List[int] = []
-        self.wts: List[int] = []
-        self.robjs: List[int] = []
-        self.parent: List[int] = []
-        self.child: Dict[Tuple[int, Key], int] = {}
-
-        def store(par: int, slot: Key, lab: TupleLabel, deg: int, wt: int,
-                  ro: int) -> int:
-            t = len(self.labels)
-            self.labels.append(lab)
-            self.degs.append(deg)
-            self.wts.append(wt)
-            self.robjs.append(ro)
-            self.parent.append(par)
-            self.child[(par, slot)] = t
-            return t
+        labels: List[TupleLabel] = []
+        degs: List[int] = []
+        wts: List[int] = []
+        robjs: List[int] = []
+        parent: List[int] = []
+        sids: List[int] = []
+        child: Dict[int, int] = {}
+        ids: Dict[Key, int] = {}
+        n = len(akeys)
 
         # reduced slots share one weight sign, so the slot weight sum is
         # capped by keeping |weight| within the room the earlier slots left
-        fits: Dict[Tuple[int, int], List[Key]] = {}
+        # (None when unreduced); per (object, room), each fitting slot with
+        # its id, degree and weight steps, end object and the room it leaves
+        fits: Dict[Tuple[int, Optional[int]], List[Tuple]] = {}
 
-        def extend(t: int, room: int) -> None:
-            mk, al = self.labels[t]
-            if len(al) == n_max:
-                return
-            ro = self.robjs[t]
+        def extend(t: int, mk: Key, al: Tuple[Key, ...], deg: int, wt: int,
+                   ro: int, room: Optional[int]) -> None:
             cands = fits.get((ro, room))
             if cands is None:
                 cands = fits[(ro, room)] = [
-                    ak for ak in by_lobj.get(ro, ())
-                    if not reduced or abs(ak[1]) <= room]
-            for ak in cands:
-                u = store(t, ak, (mk, al + (ak,)), self.degs[t] + ak[0] - 1,
-                          self.wts[t] + ak[1], red.robj[ak] if reduced else 0)
-                extend(u, room - abs(ak[1]) if reduced else room)
+                    (ak, ids.setdefault(ak, len(ids)), ak[0] - 1, ak[1],
+                     red.robj[ak] if reduced else 0,
+                     None if room is None else room - abs(ak[1]))
+                    for ak in by_lobj.get(ro, ())
+                    if room is None or abs(ak[1]) <= room]
+            deeper = len(al) + 1 < n_max
+            base = t * n
+            for ak, sid, dd, dw, rk, rest in cands:
+                u = len(labels)
+                lab = al + (ak,)
+                labels.append((mk, lab))
+                degs.append(deg + dd)
+                wts.append(wt + dw)
+                robjs.append(rk)
+                parent.append(t)
+                sids.append(sid)
+                child[base + sid] = u
+                if deeper and rest != 0:
+                    extend(u, mk, lab, deg + dd, wt + dw, rk, rest)
 
+        bare: Dict[Key, int] = {}
+        room = w_cap if reduced else None
         for mk in m.basis_keys():
-            extend(store(-1, mk, (mk, ()), mk[0], mk[1],
-                         mobj[mk] if reduced else 0), w_cap)
+            t = bare[mk] = len(labels)
+            ro = mobj[mk] if reduced else 0
+            labels.append((mk, ()))
+            degs.append(mk[0])
+            wts.append(mk[1])
+            robjs.append(ro)
+            parent.append(-1)
+            sids.append(-1)
+            if n_max and room != 0:
+                extend(t, mk, (), mk[0], mk[1], ro, room)
 
+        self.labels, self.degs, self.wts = labels, degs, wts
+        self.robjs, self.parent, self.sids = robjs, parent, sids
+        self.child, self.bare, self.slot_ids, self.n_slots = child, bare, ids, n
         swt = [self.sign * k[1] for k in m.basis_keys()]
         self.min_module_swt = min(swt) if swt else 0
         self._module_known = m.space.fully_known()
@@ -253,13 +273,19 @@ class _BarScheme:
         depth first, so only the rows of T's ancestors are kept."""
         f = self.field
         a, m = self.algebra, self.module
-        labels, parent, child = self.labels, self.parent, self.child
+        labels, parent, degs, sids = (self.labels, self.parent, self.degs,
+                                      self.sids)
+        child, bare, ids, n = self.child, self.bare, self.slot_ids, self.n_slots
         d_mod, d_alg = _columns(m.complex.d), _columns(a.complex.d)
-        # merges by (into the module key?, left key, slot)
-        merges: Dict[Tuple[bool, Key, Key], Elt] = {}
+        d_slot = {sid: d_alg[ak] for ak, sid in ids.items() if ak in d_alg}
+        # merges of a last slot into the module key, by bare tuple and slot
+        # id, and into the slot before it, by both slot ids
+        merges: Dict[int, Elt] = {}
 
         def index(p: int, slot: Key) -> int:
-            u = child.get((p, slot))
+            sid = ids.get(slot)
+            u = (bare.get(slot) if p < 0 else
+                 None if sid is None else child.get(p * n + sid))
             if u is None:
                 lab = ((slot, ()) if p < 0
                        else (labels[p][0], labels[p][1] + (slot,)))
@@ -279,21 +305,20 @@ class _BarScheme:
             if not al:
                 row = {index(-1, tk): c for tk, c in d_mod.get(mk, ())}
             else:
-                ak, p = al[-1], parent[t]
-                row = {child.get((j, ak)): c for j, c in path[-1].items()}
-                if None in row:
-                    for j in path[-1]:
-                        index(j, ak)
-                odd = self.degs[p] % 2
-                for tk, c in d_alg.get(ak, ()):
+                p, sid, row = parent[t], sids[t], {}
+                for j, c in path[-1].items():
+                    u = child.get(j * n + sid)
+                    row[index(j, al[-1]) if u is None else u] = c
+                odd = degs[p] % 2
+                for tk, c in d_slot.get(sid, ()):
                     add(row, index(p, tk), c if odd else f.neg(c))
                 q = parent[p]
-                key = (q < 0, mk if q < 0 else al[-2], ak)
+                key = (sids[p] if q >= 0 else -1 - p) * n + sid
                 merged = merges.get(key)
                 if merged is None:
                     merged = merges[key] = (
-                        m.act({mk: f.one}, {ak: f.one}) if q < 0
-                        else a.basis_product(al[-2], ak))
+                        m.act({mk: f.one}, {al[-1]: f.one}) if q < 0
+                        else a.basis_product(al[-2], al[-1]))
                 for pk, c in merged.items():
                     add(row, index(q, pk), f.neg(c) if odd else c)
             path.append(row)
@@ -372,31 +397,36 @@ def _two_sided(scheme: _BarScheme, keys: Sequence[Key],
         and abs(wts[t] + rk[1]) <= scheme.w_cap), keys, len(labels))
 
     d_right = _columns(rcx.d)
-    merges: Dict[Tuple[Key, Key], Elt] = {}
+    parent, sids = scheme.parent, scheme.sids
+    # per right key, its places and its differential's terms by place
+    right = [(at[rk], [(at[rk2], c) for rk2, c in d_right.get(rk, ())])
+             for rk in keys]
+    # the merge of a slot into a right key, by slot id and key index
+    merges: Dict[int, List[Tuple[List, Scalar]]] = {}
     for t, row in enumerate(scheme.rows()):
-        p = scheme.parent[t]
-        for rk in keys:
-            col = at[rk]
+        p = parent[t]
+        for ri, (col, d_rk) in enumerate(right):
             if col[t] is None:
                 continue
             sums, i = col[t]
-            # the scheme's differential, with rk carried along
+            # the scheme's differential, with rk carried along: distinct rows
+            # of a column nothing has written yet
             for j, c in row.items():
-                r = col[j][1]
-                sums[r, i] = sums.get((r, i), 0) + c
+                sums[col[j][1], i] = c
             # the last slot merged into rk, sign (-1)^(|P| + 1)
             if p >= 0:
-                ak = labels[t][1][-1]
-                merged = merges.get((ak, rk))
+                key = sids[t] * len(keys) + ri
+                merged = merges.get(key)
                 if merged is None:
-                    merged = merges[(ak, rk)] = merge(ak, rk)
-                for rk2, c in merged.items():
-                    r = at[rk2][p][1]
+                    merged = merges[key] = [(at[rk2], c) for rk2, c in merge(
+                        labels[t][1][-1], keys[ri]).items()]
+                for col2, c in merged:
+                    r = col2[p][1]
                     sums[r, i] = sums.get((r, i), 0) + (
                         c if degs[p] % 2 else -c)
             # the right factor's differential, sign (-1)^|T|
-            for rk2, c in d_right.get(rk, ()):
-                r = at[rk2][t][1]
+            for col2, c in d_rk:
+                r = col2[t][1]
                 sums[r, i] = sums.get((r, i), 0) + (-c if degs[t] % 2 else c)
     cx = _install(space, acc)
 
@@ -454,9 +484,10 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
         for q in nkeys for t in range(len(labels))
         if nobj is None or nobj[q] == robjs[t]), nkeys, len(labels))
     # unreduced, every tuple and every target key sit at object 0
-    qs_by_obj: Dict[int, List[Key]] = {}
-    for q in nkeys:
-        qs_by_obj.setdefault(nobj[q] if nobj is not None else 0, []).append(q)
+    qs_by_obj: Dict[int, List[Tuple[int, Key, List]]] = {}
+    for qi, q in enumerate(nkeys):
+        qs_by_obj.setdefault(nobj[q] if nobj is not None else 0, []).append(
+            (qi, q, at[q]))
 
     # target differential, composed after the operator
     for q, col in _columns(n.complex.d).items():
@@ -468,29 +499,28 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
                 r = at[q2][t][1]
                 sums[r, i] = sums.get((r, i), 0) + c
     # per tuple, the source differential precomposed with the sign
-    # (-1)^(|q| + |lab| + 1), and the dropped last merge, which reappears as
-    # the module action on values with the sign (-1)^|q|
+    # (-1)^(|q| + |lab| + 1), each term the first write to its entry, and the
+    # dropped last merge, which reappears as the module action on values
+    # with the sign (-1)^|q|
     f = scheme.field
-    acts: Dict[Tuple[Key, Key], Elt] = {}
+    acts: Dict[int, Elt] = {}  # by target key index and slot id
     for t, row in enumerate(scheme.rows()):
-        for q in qs_by_obj.get(robjs[t], ()):
-            aq = at[q]
+        for _, q, aq in qs_by_obj.get(robjs[t], ()):
             r = aq[t][1]
             for j, c in row.items():
                 sums, i = aq[j]
-                sums[r, i] = sums.get((r, i), 0) + (
-                    c if (q[0] + degs[j]) % 2 else -c)
+                sums[r, i] = c if (q[0] + degs[j]) % 2 else -c
         p = scheme.parent[t]
         if p < 0:
             continue
-        ak = labels[t][1][-1]
-        for q in qs_by_obj.get(robjs[p], ()):
-            qa = acts.get((q, ak))
+        for qi, q, aq in qs_by_obj.get(robjs[p], ()):
+            key = qi * scheme.n_slots + scheme.sids[t]
+            qa = acts.get(key)
             if qa is None:
-                qa = acts[(q, ak)] = n.act({q: f.one}, {ak: f.one})
+                qa = acts[key] = n.act({q: f.one}, {labels[t][1][-1]: f.one})
             if not qa:
                 continue
-            sums, i = at[q][p]
+            sums, i = aq[p]
             for q2, c in qa.items():
                 r = at[q2][t][1]
                 sums[r, i] = sums.get((r, i), 0) + (-c if q[0] % 2 else c)

@@ -69,11 +69,12 @@ class BiGradedSpace:
         if (deg, wt) in self.cells:
             raise ValueError(f"duplicate cell ({deg},{wt})")
         labels = list(labels)
-        if len(set(labels)) != len(labels):
+        index = {lbl: i for i, lbl in enumerate(labels)}
+        if len(index) != len(labels):
             raise ValueError(f"repeated labels in cell ({deg},{wt})")
         if labels:
             self.cells[(deg, wt)] = labels
-            self._index[(deg, wt)] = {lbl: i for i, lbl in enumerate(labels)}
+            self._index[(deg, wt)] = index
 
     def dim(self, deg: int, wt: int) -> int:
         return len(self.cells.get((deg, wt), ()))
@@ -564,24 +565,23 @@ def _build_space(field: Field,
     generation order, with no knowledge set.  Also returns one
     {(row, col): sum} dict per cell, for the differential, and for each key
     the list over the n item indices of (the item's cell dict, its index
-    there), None where there is no item."""
-    cells: Dict[Tuple[int, int], List] = {}
-    placed = []
+    there), None where there is no item.  Each item is placed as it
+    arrives."""
+    cells: Dict[Tuple[int, int], Tuple[List, Dict]] = {}  # labels, sums
+    at: Dict[Key, List] = {k: [None] * n for k in keys}
     for t, k, d, w, lab in items:
-        labs = cells.setdefault((d, w), [])
-        placed.append((t, k, (d, w), len(labs)))
+        cell = cells.get((d, w))
+        if cell is None:
+            cell = cells[(d, w)] = ([], {})
+        labs, sums = cell
+        at[k][t] = (sums, len(labs))
         labs.append(lab)
     sp = BiGradedSpace(field)
     for (d, w) in sorted(cells):
-        sp.add_cell(d, w, cells[(d, w)])
+        sp.add_cell(d, w, cells[(d, w)][0])
     sp.zero_outside = False
     sp.known_cols = {}
-    acc: Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]] = {
-        cell: {} for cell in sp.cells}
-    at: Dict[Key, List] = {k: [None] * n for k in keys}
-    for t, k, cell, i in placed:
-        at[k][t] = (acc[cell], i)
-    return sp, acc, at
+    return sp, {cell: cells[cell][1] for cell in sp.cells}, at
 
 
 def _install(space: BiGradedSpace, acc) -> CochainComplex:

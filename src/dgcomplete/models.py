@@ -487,46 +487,52 @@ class FreeComplex:
                            else None,
                            honest_tracked=trackable)
 
-    def to_module(self, name: str = "") -> DgModule:
-        """Realization as a right module over the ring's algebra."""
-        ring, f = self.ring, self.field
-        sp = BiGradedSpace(f)
+    def to_complex(self) -> CochainComplex:
+        """Realization as a complex over the field, without the module
+        action: a cell per (degree, weight), every cell known, with label
+        (generator, monomial) for each generator times each monomial."""
+        ring = self.ring
         cells: Dict[Tuple[int, int], List] = {}
         for (g, d, w) in self.gens:
             for m in ring.monomials:
                 cells.setdefault((d, w + sum(m)), []).append((g, ring._labels[m]))
+        sp = BiGradedSpace(self.field)
         for (d, w), lbls in sorted(cells.items()):
             sp.add_cell(d, w, lbls)
         sp.mark_all_complete()
         cx = CochainComplex(sp)
-
-        def key(g: str, m: Mono) -> Key:
-            d, w = self.info[g]
-            return sp.key_of(d, w + sum(m), (g, ring._labels[m]))
-
-        for (g, d, w) in self.gens:
+        for (g, _, _) in self.gens:
             for m in ring.monomials:
                 img: Elt = {}
                 for (h, m2), c in self.diff.get(g, {}).items():
                     p = _mono_mul(m, m2)
                     if ring.reduce(p) is not None:
-                        img[key(h, p)] = c
+                        img[self.module_key(cx, h, p)] = c
                 if img:
-                    cx.d.set_column(key(g, m), img)
+                    cx.d.set_column(self.module_key(cx, g, m), img)
+        return cx
+
+    def to_module(self, name: str = "") -> DgModule:
+        """Realization as a right module over the ring's algebra:
+        ``to_complex`` with each monomial acting by multiplication."""
+        ring, f = self.ring, self.field
+        cx = self.to_complex()
         action: Dict[Tuple[Key, Key], Elt] = {}
-        for (g, d, w) in self.gens:
+        for (g, _, _) in self.gens:
             for m in ring.monomials:
+                src = self.module_key(cx, g, m)
                 for a in ring.monomials:
                     p = _mono_mul(m, a)
                     if ring.reduce(p) is not None:
-                        action[(key(g, m), ring.mono_key(a))] = {
-                            key(g, p): f.one}
+                        action[(src, ring.mono_key(a))] = {
+                            self.module_key(cx, g, p): f.one}
         return DgModule(ring.algebra, cx, action, side="right",
                         name=name or self.name)
 
-    def module_key(self, mod: DgModule, g: str, m: Mono) -> Key:
+    def module_key(self, cx: CochainComplex, g: str, m: Mono) -> Key:
+        """The key of g times m in a realization of this complex."""
         d, w = self.info[g]
-        return mod.space.key_of(d, w + sum(m), (g, self.ring._labels[m]))
+        return cx.space.key_of(d, w + sum(m), (g, self.ring._labels[m]))
 
 
 class FreeMap:
@@ -608,18 +614,20 @@ class FreeMap:
                                              if not f.is_zero(v)}
         return FreeMap(src, tgt, entries)
 
-    def to_graded_map(self, src_mod: DgModule, tgt_mod: DgModule) -> GradedMap:
+    def to_graded_map(self, src: CochainComplex,
+                      tgt: CochainComplex) -> GradedMap:
+        """The map between realizations of the source and the target."""
         ring = self.source.ring
-        g = GradedMap(src_mod.space, tgt_mod.space, 0, 0)
+        g = GradedMap(src.space, tgt.space, 0, 0)
         for (gen, _, _) in self.source.gens:
             for m in ring.monomials:
                 img: Elt = {}
                 for (h, m2), c in self.entries.get(gen, {}).items():
                     p = _mono_mul(m, m2)
                     if ring.reduce(p) is not None:
-                        img[self.target.module_key(tgt_mod, h, p)] = c
+                        img[self.target.module_key(tgt, h, p)] = c
                 if img:
-                    g.set_column(self.source.module_key(src_mod, gen, m), img)
+                    g.set_column(self.source.module_key(src, gen, m), img)
         return g
 
 
@@ -811,18 +819,18 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
         report["certified_degrees"][n] = [cert_lo, cert_hi]
         report.setdefault("certified_weight_max", {})[n] = wt_cert
 
-        mod_t = t_n.to_module()
-        mod_left = left_cx.to_module()
-        mod_right = right_cx.to_module()
-        lam = comparison.to_graded_map(mod_left, mod_right)
-        phi_map = phi.to_graded_map(mod_t, mod_left)
+        cx_t = t_n.to_complex()
+        cx_left = left_cx.to_complex()
+        cx_right = right_cx.to_complex()
+        lam = comparison.to_graded_map(cx_left, cx_right)
+        phi_map = phi.to_graded_map(cx_t, cx_left)
 
         wt_band = max((abs(w) for (_, w) in
-                       list(mod_left.space.cells) + list(mod_right.space.cells)),
+                       list(cx_left.space.cells) + list(cx_right.space.cells)),
                       default=0)
         win = Window(lo, hi, wt_band)
-        h_left = mod_left.complex.cohomology(win)
-        h_right = mod_right.complex.cohomology(win)
+        h_left = cx_left.cohomology(win)
+        h_right = cx_right.cohomology(win)
 
         left: Dict[Tuple[int, int], int] = {}
         right: Dict[Tuple[int, int], int] = {}
@@ -832,14 +840,14 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
             for w in range(-wt_band, wt_band + 1):
                 dl = h_left.dim(d, w)
                 dr = h_right.dim(d, w)
-                rk = induced_rank(lam, mod_left.complex, mod_right.complex, d, w)
+                rk = induced_rank(lam, cx_left, cx_right, d, w)
                 if dl:
                     left[(d, w)] = dl
                 if dr:
                     right[(d, w)] = dr
                 if rk:
                     ranks[(d, w)] = rk
-                bq = induced_rank(phi_map, mod_t.complex, mod_left.complex, d, w)
+                bq = induced_rank(phi_map, cx_t, cx_left, d, w)
                 if bq:
                     bid[(d, w)] = bq
                 if (cert_lo <= d <= cert_hi and n >= 2

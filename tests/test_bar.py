@@ -1,4 +1,6 @@
 """Bar resolutions, derived functors, and convolution end algebras."""
+import hashlib
+
 import pytest
 
 from dgcomplete import models as M
@@ -452,6 +454,71 @@ def test_bar_resolution_is_derived_tensor_with_the_algebra(name, cap):
     got = bar_resolution(m, cap, w_cap=cap).complex
     want = derived_tensor(m, a_left, cap, w_cap=cap)
     assert _complex_snapshot(got) == _complex_snapshot(want)
+
+
+def _snapshot_digest(cx):
+    """sha256 of a complex's snapshot, cells and block entries sorted; the
+    labels of each cell stay in order."""
+    cells, known, zero_outside, below, above, blocks = _complex_snapshot(cx)
+    text = repr((sorted(cells.items()), sorted(known.items()), zero_outside,
+                 below, above,
+                 sorted((cell, rows, cols, sorted(entries.items()))
+                        for cell, (rows, cols, entries) in blocks.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def _residue(variables, relations, field=Field(32003)):
+    return M.truncated_poly(field, variables, relations).residue_module()
+
+
+def _tor(k, n, **kw):
+    return derived_tensor(k, trivial_left(k.algebra), n, **kw)
+
+
+def _ext(k, n, **kw):
+    return derived_hom(k, k, n, **kw)
+
+
+def _line_k():
+    return trivial_right(M._dg_line_algebra(F))
+
+
+# digests recorded from the builder that keyed each tuple's children by
+# (parent, slot) pairs: every builder must reproduce those complexes cell for
+# cell, label for label and entry for entry
+GOLDEN_BUILDS = [
+    ("tor k[x]/(x^5) n5", lambda: _tor(_residue(["x"], ["x^5"]), 5),
+     "d7df10661ad597c5e3532021652ebc6a9c75813d1e1a757220bb37de67972507"),
+    ("ext k[x]/(x^5) n5", lambda: _ext(_residue(["x"], ["x^5"]), 5),
+     "fde5cec8d56bf6d28bd87e7cc3389dd2cf6fbc8ccfe5da01fa8fba02196af84c"),
+    ("tor k[x,y]/(x^2,y^2) n4",
+     lambda: _tor(_residue(["x", "y"], ["x^2", "y^2"]), 4),
+     "da16afc9a3fd0067b196b4f77ce338b6d13bc119baab76d7a6f18a2dda81e4d9"),
+    ("ext k[x,y]/(x^2,y^2) n4",
+     lambda: _ext(_residue(["x", "y"], ["x^2", "y^2"]), 4),
+     "bb8576ab1f5b1c3e7eca5982cc0714b53eb3b3f29342d8f9e18c0321c29dfc5a"),
+    ("bar k[x]/(x^3) n4",
+     lambda: bar_resolution(_residue(["x"], ["x^3"]), 4).complex,
+     "785a09e95aa3917525855c006423e4dc0f6dd2f2031f78ed80f8d8bb983ed39f"),
+    ("ext k[x]/(x^3) n3 unreduced",
+     lambda: _ext(_residue(["x"], ["x^3"]), 3, reduced=False),
+     "de03f71545e99d59bab10313ac7f6b26cec35afce62c9fc91060edca6aaab5fe"),
+    ("bar dg_line n4", lambda: bar_resolution(_line_k(), 4).complex,
+     "80b4e32c6ac6c20fbb400951057a36730c5104ec9020d636cf52ef93df004a47"),
+    ("tor dg_line n4", lambda: _tor(_line_k(), 4),
+     "4ae3a88538e2c7ccdf75ac87cdf04f3a36d4162fb04dea0684f1813929d2c29b"),
+    ("ext dg_line n4", lambda: _ext(_line_k(), 4),
+     "440c2d0c0e385b872fa2331278dae2c369e1b886ff9ad8ceefa227cf452c43b1"),
+    ("end koszul_kx n3",
+     lambda: end_algebra(M.build_scenario("koszul_kx")["module"], 3).complex,
+     "c221a945a12d2666767be8313de955e0a84a3322061b46ef7b6805b971af184e"),
+]
+
+
+@pytest.mark.parametrize("build,digest", [b[1:] for b in GOLDEN_BUILDS],
+                         ids=[b[0] for b in GOLDEN_BUILDS])
+def test_bar_complexes_keep_their_recorded_digests(build, digest):
+    assert _snapshot_digest(build()) == digest
 
 
 # -- signs, the window guard and mixed targets -------------------------------

@@ -3,10 +3,11 @@ import pytest
 
 from dgcomplete.linalg import RATIONALS as F
 from dgcomplete.graded import Window
-from dgcomplete.dg import regular_module, right_ideal_module
+from dgcomplete.dg import DgModule, regular_module, right_ideal_module
 from dgcomplete.bar import derived_hom
 from dgcomplete.complete import completion_along_set, double_centralizer
 from dgcomplete import models as M
+from test_bar import _complex_snapshot
 
 
 def hdims(cx, dlo, dhi, wband):
@@ -209,6 +210,12 @@ class TestFreeComplexOps:
         for j in range(0, 4):
             assert h[(-j, j)] == 1
 
+    def test_to_complex_is_the_complex_of_to_module(self):
+        koszul = M.koszul_resolution(M.truncated_poly(F, ["x", "y"], [], wmax=4))
+        for fc in (koszul, self.p, self.p.tensor(self.p)):
+            assert (_complex_snapshot(fc.to_complex())
+                    == _complex_snapshot(fc.to_module().complex)), fc.name
+
     def test_exact_complexes_tensor_exact(self):
         ring = M.truncated_poly(F, ["x"], [], wmax=6)
         kz = M.koszul_resolution(ring)
@@ -279,6 +286,44 @@ class TestInfinExt:
         rep = M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2)
         assert rep["tables"][2]["left"] == {(-j, j): 1 for j in range(0, 4)}
         assert rep["tables"][2]["right"] == {(j, -j - 1): 1 for j in range(0, 4)}
+
+    def test_report_builds_no_module(self, monkeypatch):
+        r = M.truncated_poly(F, ["x"], ["x^3"])
+        built = []
+        init = DgModule.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DgModule, "__init__", counted)
+        rep = M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2)
+        assert built == []
+        # the report as computed through module realizations
+        assert rep == {
+            "ring": "k[x]/(x^3)", "window": [-3, 3], "length": 6,
+            "certified_degrees": {1: [-3, 3], 2: [-3, 3]},
+            "certified_weight_max": {1: None, 2: None},
+            "biduality": {
+                1: {"ranks": {(0, 0): 1}, "matches_left_dims": True},
+                2: {"ranks": {(-3, 4): 1, (-2, 3): 1, (-1, 1): 1, (0, 0): 1},
+                    "matches_left_dims": True}},
+            "tables": {
+                1: {"left": {(0, 0): 1}, "right": {(0, 0): 1},
+                    "map_rank": {(0, 0): 1}},
+                2: {"left": {(-3, 4): 1, (-2, 3): 1, (-1, 1): 1, (0, 0): 1},
+                    "right": {(0, -2): 1, (1, -3): 1, (2, -5): 1, (3, -6): 1},
+                    "map_rank": {}}},
+            "per_degree": {
+                1: {"left": [0, 0, 0, 1, 0, 0, 0],
+                    "right": [0, 0, 0, 1, 0, 0, 0],
+                    "map_rank": [0, 0, 0, 1, 0, 0, 0]},
+                2: {"left": [1, 1, 1, 1, 0, 0, 0],
+                    "right": [0, 0, 0, 1, 1, 1, 1],
+                    "map_rank": [0] * 7}},
+            "verdict": "non-isomorphism",
+            "witness": (2, -3, 4),
+        }
 
     def test_regular_line_is_reflexive(self):
         kx = M.truncated_poly(F, ["x"], [], wmax=8)
