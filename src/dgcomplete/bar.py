@@ -23,7 +23,7 @@ from .graded import (
     BiGradedSpace, CochainComplex, Cohomology, Elt, GradedMap, Key,
     _build_space, _columns, _install,
 )
-from .linalg import Scalar, SparseMatrix
+from .linalg import Scalar
 
 TupleLabel = Tuple[Key, Tuple[Key, ...]]
 
@@ -667,7 +667,12 @@ def stabilization_scan(compute: Callable[[int], Cohomology],
 
 
 class StrictEndAlgebra(DgAlgebra):
-    """Honest module endomorphisms, with their defining maps attached."""
+    """Honest module endomorphisms, with their defining maps attached.
+
+    The basis element labelled (j, q) is the Yoneda map f_{j,q} of
+    Hom_A(e_j·A[n_j], m) = m·e_j (see ``strict_end_algebra``), and
+    ``map_of`` holds each as {module key: image}.
+    """
 
     def __init__(self, complex: CochainComplex, unit: Elt, product,
                  module: DgModule, map_of: Dict[Key, Dict[Key, Elt]],
@@ -676,139 +681,84 @@ class StrictEndAlgebra(DgAlgebra):
         self.module = module
         self.map_of = map_of
 
+    def module_over_opposite(self) -> DgModule:
+        """The defining module as a right module over the opposite algebra,
+        acting by signed evaluation."""
+        f = self.field
+        m = self.module
+        action: Dict[Tuple[Key, Key], Elt] = {}
+        for fk in self.basis_keys():
+            for mk, val in self.map_of[fk].items():
+                s = f.of(-1) if (fk[0] % 2 and mk[0] % 2) else f.one
+                action[(mk, fk)] = {q: f.mul(s, c) for q, c in val.items()}
+        return DgModule(self.opposite(), m.complex, action, side="right",
+                        name=f"{m.name}^" if m.name else "")
+
 
 def strict_end_algebra(m: DgModule) -> StrictEndAlgebra:
-    """Module endomorphisms of m (no resolution), as a DG algebra.
+    """Module endomorphisms of m = ⊕_j e_j·A[n_j], read off its projective
+    witness by Yoneda: Hom_A(e_j·A[n_j], m) = m·e_j.
 
-    Basis maps per shift are kernel vectors of the linearity constraints
-    f(p·a) = f(p)·a, so the result is exact, not an approximation.
+    Let g_j be the image of e_j.  The basis map f_{j,q}, for each basis key
+    q of m with q·e_j = q, sends the image of x in summand j to q·x and the
+    other summands to 0; it sits at |q| - |g_j|.  Then d f_{j,q} = f_{j,dq},
+    f_{i,q} ∘ f_{j,q'} = f_{j,q·a'} when q' is the image of a' in summand
+    i and 0 otherwise, and the unit is the sum of the f_{j,g_j}.  Nothing is
+    solved, so the result is exact wherever m is known: it is complete when
+    m is fully known and known nowhere otherwise.  A module without the
+    witness raises ValueError.
     """
+    if not m.projective:
+        raise ValueError(f"module {m.name or '(unnamed)'} carries no projective "
+                         "witness, so its strict endomorphisms are not derived")
     f = m.field
     mkeys = m.basis_keys()
-    akeys = m.algebra.basis_keys()
-    shifts = sorted({(q[0] - p[0], q[1] - p[1]) for p in mkeys for q in mkeys})
-
-    basis_maps: Dict[Tuple[int, int], List[Dict[Key, Elt]]] = {}
-    unknown_index: Dict[Tuple[int, int], List[Tuple[Key, Key]]] = {}
-    for (d, w) in shifts:
-        unknowns: List[Tuple[Key, Key]] = []
-        for p in mkeys:
-            for q in m.space.keys(p[0] + d, p[1] + w):
-                unknowns.append((p, q))
-        if not unknowns:
-            continue
-        col_of = {u: i for i, u in enumerate(unknowns)}
-        entries: Dict[Tuple[int, int], Scalar] = {}
-        row = 0
-        for p in mkeys:
-            for ak in akeys:
-                pa = m.act({p: f.one}, {ak: f.one})
-                for r in m.space.keys(p[0] + ak[0] + d, p[1] + ak[1] + w):
-                    # coefficient of r in f(p)·a minus f(p·a)
-                    touched = False
-                    for q in m.space.keys(p[0] + d, p[1] + w):
-                        c = m.act({q: f.one}, {ak: f.one}).get(r)
-                        if c is not None:
-                            entries[(row, col_of[(p, q)])] = c
-                            touched = True
-                    for p2, c in pa.items():
-                        col = col_of.get((p2, r))
-                        if col is not None:
-                            v = f.sub(entries.get((row, col), f.zero), c)
-                            if f.is_zero(v):
-                                entries.pop((row, col), None)
-                            else:
-                                entries[(row, col)] = v
-                            touched = True
-                    if touched:
-                        row += 1
-        mat = SparseMatrix(row, len(unknowns), f, entries)
-        maps = []
-        for vec in mat.kernel_basis():
-            g: Dict[Key, Elt] = {}
-            for i, c in vec.items():
-                p, q = unknowns[i]
-                g.setdefault(p, {})[q] = c
-            maps.append(g)
-        if maps:
-            basis_maps[(d, w)] = maps
-            unknown_index[(d, w)] = unknowns
-
+    owner: Dict[Key, Tuple[int, Key]] = {}  # module key: (summand, algebra key)
+    cells: Dict[Tuple[int, int], List[Tuple[int, Key]]] = {}
+    for j, (e, incl) in enumerate(m.projective):
+        owner.update((mk, (j, x)) for x, mk in incl.items())
+        gd, gw = incl[next(iter(e))][:2]  # the bidegree of g_j
+        for q in mkeys:
+            qe = m.act({q: f.one}, e)
+            if qe == {q: f.one}:
+                cells.setdefault((q[0] - gd, q[1] - gw), []).append((j, q))
+            elif qe:
+                raise ValueError(f"module key {q} is not homogeneous for the "
+                                 "summand idempotents")
     sp = BiGradedSpace(f)
-    for (d, w) in sorted(basis_maps):
-        sp.add_cell(d, w, [("end", d, w, i)
-                           for i in range(len(basis_maps[(d, w)]))])
+    for (d, w) in sorted(cells):
+        sp.add_cell(d, w, cells[(d, w)])
+    if m.space.fully_known():
+        sp.mark_all_complete()
+    else:
+        sp.zero_outside = False  # known nowhere
+
+    key_of = {lab: (d, w, i) for (d, w), labs in cells.items()
+              for i, lab in enumerate(labs)}
+
+    def yoneda(j: int, e: Elt) -> Elt:
+        """f_{j,e} for an element e of m·e_j."""
+        return {key_of[(j, q)]: c for q, c in e.items()}
+
     cx = CochainComplex(sp)
-
-    def coords(g: Dict[Key, Elt], d: int, w: int) -> Elt:
-        """Express a module map in the solved basis at shift (d, w)."""
-        if not any(g.values()):
-            return {}
-        if (d, w) not in basis_maps:
-            raise RuntimeError("map escapes the endomorphism space")
-        unknowns = unknown_index[(d, w)]
-        col_of = {u: i for i, u in enumerate(unknowns)}
-        maps = basis_maps[(d, w)]
-        entries = {}
-        for j, bm in enumerate(maps):
-            for p, val in bm.items():
-                for q, c in val.items():
-                    entries[(col_of[(p, q)], j)] = c
-        mat = SparseMatrix(len(unknowns), len(maps), f, entries)
-        b = {}
-        for p, val in g.items():
-            for q, c in val.items():
-                b[col_of[(p, q)]] = c
-        sol = mat.solve(b)
-        if sol is None:
-            raise RuntimeError("map escapes the endomorphism space")
-        return {sp.key_of(d, w, ("end", d, w, j)): c for j, c in sol.items()}
-
-    def apply_map(g: Dict[Key, Elt], e: Elt) -> Elt:
-        out: Elt = {}
-        for p, c in e.items():
-            for q, c2 in g.get(p, {}).items():
-                v = f.add(out.get(q, f.zero), f.mul(c, c2))
-                if f.is_zero(v):
-                    out.pop(q, None)
-                else:
-                    out[q] = v
-        return out
-
-    for (d, w), maps in basis_maps.items():
-        for i, g in enumerate(maps):
-            s = f.of(-1) if d % 2 == 0 else f.one
-            dg: Dict[Key, Elt] = {}
-            for p in mkeys:
-                acc = dict(m.d(g.get(p, {})))
-                for q, c in apply_map(g, m.complex.d.column(p)).items():
-                    v = f.add(acc.get(q, f.zero), f.mul(s, c))
-                    if f.is_zero(v):
-                        acc.pop(q, None)
-                    else:
-                        acc[q] = v
-                if acc:
-                    dg[p] = acc
-            src = sp.key_of(d, w, ("end", d, w, i))
-            for tk, c in coords(dg, d + 1, w).items():
-                cx.d.add_entry(src, tk, c)
-
     map_of: Dict[Key, Dict[Key, Elt]] = {}
-    for (d, w), maps in basis_maps.items():
-        for i, g in enumerate(maps):
-            map_of[sp.key_of(d, w, ("end", d, w, i))] = g
+    for (j, q), fk in key_of.items():
+        dq = m.complex.d.column(q)
+        if dq:
+            cx.d.set_column(fk, yoneda(j, dq))
+        map_of[fk] = {mk: m.action[(q, x)]
+                      for x, mk in m.projective[j][1].items()
+                      if (q, x) in m.action}
 
     def product(k1: Key, k2: Key) -> Elt:
-        g1, g2 = map_of[k1], map_of[k2]
-        comp: Dict[Key, Elt] = {}
-        for p in mkeys:
-            val = apply_map(g1, g2.get(p, {}))
-            if val:
-                comp[p] = val
-        return coords(comp, k1[0] + k2[0], k1[1] + k2[1])
+        i, q = sp.label_of(k1)
+        j, q2 = sp.label_of(k2)
+        i2, a2 = owner[q2]
+        return yoneda(j, m.action.get((q, a2), {})) if i2 == i else {}
 
-    ident = {p: {p: f.one} for p in mkeys}
-    unit = coords(ident, 0, 0) if mkeys else {}
+    unit: Elt = {}
+    for j, (e, incl) in enumerate(m.projective):
+        unit.update(yoneda(j, {incl[x]: c for x, c in e.items()}))
     return StrictEndAlgebra(cx, unit, product, m, map_of,
                             name=f"EndStrict({m.name})")
 

@@ -3,11 +3,13 @@
 The completed algebra of a module m over a is the endomorphism algebra of m
 taken over the opposite of its inner endomorphism algebra, opposed again.
 The inner algebra is the derived endomorphism algebra REnd_a(m).  When m
-carries the projective witness (a shift or finite sum of summands e·a), it
-is K-projective, so REnd_a(m) = End_a(m) on the nose and the strict model
-of module endomorphisms is the inner algebra: it keeps the outer complex
-small and weight-connected.  Without the witness the inner algebra is the
-convolution algebra from the bar calculus.
+carries the projective witness (its summands e_j·a[n_j] and their
+inclusions), it is K-projective, so REnd_a(m) = End_a(m) on the nose, and
+Yoneda reads the strict model off the witness as the sum of the m·e_j: it
+keeps the outer complex small and weight-connected.  Without the witness
+the inner algebra is the convolution algebra from the bar calculus.  Both
+models act on m through their own ``module_over_opposite``, so the choice
+of model is the only branch.
 
 The outer model is always the reduced bar, the only one whose cells can be
 certified.  Where the inner algebra is not weight-connected over orthogonal
@@ -19,9 +21,9 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from .bar import StrictEndAlgebra, end_algebra, strict_end_algebra
+from .bar import end_algebra, strict_end_algebra
 from .dg import DgAlgebra, DgModule, direct_sum_modules
-from .graded import Cohomology, Elt, Key, Window
+from .graded import Cohomology, Window
 
 Caps = Tuple[int, int]
 
@@ -31,24 +33,6 @@ def _check_caps(caps: Caps, what: str) -> Caps:
     if n < 0 or w < 0:
         raise ValueError(f"{what} caps must be non-negative")
     return (n, w)
-
-
-def _module_over_strict_opposite(strict: StrictEndAlgebra) -> DgModule:
-    """The defining module as a right module over the opposite of its strict
-    endomorphism algebra, acting by signed evaluation."""
-    m = strict.module
-    f = m.field
-    op = strict.opposite()
-    action: Dict[Tuple[Key, Key], Elt] = {}
-    for fk in strict.basis_keys():
-        g = strict.map_of[fk]
-        for mk, val in g.items():
-            s = f.of(-1) if (fk[0] % 2 and mk[0] % 2) else f.one
-            e = {q: f.mul(s, c) for q, c in val.items()}
-            if e:
-                action[(mk, fk)] = e
-    return DgModule(op, m.complex, action, side="right",
-                    name=f"{m.name}^" if m.name else "")
 
 
 class CompletionResult:
@@ -94,15 +78,9 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
         raise ValueError("completion needs a right module")
     n_out, w_out = _check_caps(caps, "outer")
 
-    known = m.space.fully_known()
     if m.projective:
         inner_used = "strict"
         inner = strict_end_algebra(m)
-        if known:
-            inner.space.mark_all_complete()
-        else:
-            inner.space.zero_outside = False  # known nowhere
-        over = _module_over_strict_opposite(inner)
     else:
         inner_used = "bar"
         n_in, w_in = _check_caps(inner_caps or (w_out + 2, w_out + 2), "inner")
@@ -110,7 +88,7 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
             raise ValueError(
                 "inner caps must clear the outer weight cap by at least 2")
         inner = end_algebra(m, n_in, w_cap=w_in, name=f"End({m.name})")
-        over = inner.module_over_opposite()
+    over = inner.module_over_opposite()
 
     outer = end_algebra(over, n_out, w_cap=w_out, reduced=True,
                         name=f"End²({m.name})")
@@ -118,7 +96,8 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     completed.name = name or f"completion({m.name})"
     win = window or Window(-max(2, n_out), max(2, n_out) + 1, w_out)
     diagnostics = {
-        "strict": {"witness": m.projective, "module_known": known},
+        "strict": {"witness": m.projective,
+                   "module_known": m.space.fully_known()},
         "outer": {"budget": None},
     }
     return CompletionResult(inner, inner_used, completed, win, diagnostics)

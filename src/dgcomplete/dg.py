@@ -23,6 +23,9 @@ from .linalg import Field
 
 MultTable = Dict[Tuple[Key, Key], Elt]
 ProductRule = Callable[[Key, Key], Elt]
+# a summand e·A[n] of a module: the idempotent e and the inclusion
+# {algebra key x with e·x = x: module key of x}
+Summand = Tuple[Elt, Dict[Key, Key]]
 
 
 def table_rule(table: MultTable) -> ProductRule:
@@ -279,16 +282,19 @@ class DgModule:
     element of the module: m·a.  For side "left" it maps (algebra key,
     module key): a·m.
 
-    ``projective`` is a witness that the module is a shift or a finite sum of
-    direct summands e·A of the algebra, so K-projective: it names the
-    construction, and only the constructors that prove it set it
+    ``projective`` is a witness that the module is a finite sum of shifted
+    direct summands e_j·A[n_j] of the algebra, so K-projective: a tuple of
+    ``Summand`` pairs, each a closed idempotent e_j at (0, 0) and the
+    inclusion {algebra key: module key} of e_j·A[n_j], which together cover
+    the module's basis.  Only the constructors that prove it set it
     (``regular_module``, ``right_ideal_module``, and ``shift_module`` and
     ``direct_sum_modules`` of modules that carry it).  None is no claim.
     """
 
     def __init__(self, algebra: DgAlgebra, complex: CochainComplex,
                  action: Dict[Tuple[Key, Key], Elt], side: str = "right",
-                 name: str = "", projective: Optional[str] = None):
+                 name: str = "",
+                 projective: Optional[Tuple[Summand, ...]] = None):
         if side not in ("right", "left"):
             raise ValueError(f"side must be left or right, got {side}")
         self.algebra = algebra
@@ -591,7 +597,7 @@ def regular_module(a: DgAlgebra) -> DgModule:
     """A as a right module over itself."""
     action = {pair: dict(e) for pair, e in a.mult.items()}
     return DgModule(a, a.complex, action, side="right", name=f"{a.name or 'A'}",
-                    projective="A")
+                    projective=((a.unit, {k: k for k in a.basis_keys()}),))
 
 
 def right_ideal_module(a: DgAlgebra, idem: Elt, name: str = "") -> DgModule:
@@ -600,7 +606,8 @@ def right_ideal_module(a: DgAlgebra, idem: Elt, name: str = "") -> DgModule:
     The basis is the set of algebra basis keys x with e·x = x (this is exact
     for category algebras where e is a sum of identity idempotents).  The
     module knows what A's space knows.  When e is a closed idempotent at
-    (0, 0), e·A is a direct summand of A and carries the projective witness.
+    (0, 0), e·A is a direct summand of A and carries the projective witness,
+    one summand included key for key.
     """
     f = a.field
     keep: List[Key] = []
@@ -610,7 +617,6 @@ def right_ideal_module(a: DgAlgebra, idem: Elt, name: str = "") -> DgModule:
             keep.append(k)
         elif prod:
             raise ValueError(f"basis key {k} not idempotent-homogeneous for this corner")
-    keepset = set(keep)
     sp = BiGradedSpace(f)
     cells: Dict[Tuple[int, int], List] = {}
     for k in keep:
@@ -619,29 +625,30 @@ def right_ideal_module(a: DgAlgebra, idem: Elt, name: str = "") -> DgModule:
         sp.add_cell(d, w, lbls)
     sp.copy_knowledge_from(a.space)
     cx = CochainComplex(sp)
+    incl = {k: sp.key_of(k[0], k[1], a.space.label_of(k)) for k in keep}
 
     def embed(e: Elt) -> Elt:
         out: Elt = {}
         for k, v in e.items():
-            if k not in keepset:
+            if k not in incl:
                 raise ValueError(f"right ideal not closed: leaked to {k}")
-            out[sp.key_of(k[0], k[1], a.space.label_of(k))] = v
+            out[incl[k]] = v
         return out
 
     for k in keep:
         img = a.d({k: f.one})
         if img:
-            cx.d.set_column(sp.key_of(k[0], k[1], a.space.label_of(k)), embed(img))
+            cx.d.set_column(incl[k], embed(img))
     action: Dict[Tuple[Key, Key], Elt] = {}
     for k in keep:
         for ka in a.basis_keys():
             prod = a.basis_product(k, ka)
             if prod:
-                action[(sp.key_of(k[0], k[1], a.space.label_of(k)), ka)] = embed(prod)
+                action[(incl[k], ka)] = embed(prod)
     summand = (all(k[:2] == (0, 0) for k in idem) and not a.d(idem)
                and a.multiply(idem, idem) == idem)
     return DgModule(a, cx, action, side="right", name=name,
-                    projective="e·A" if summand else None)
+                    projective=((idem, incl),) if summand else None)
 
 
 def shift_module(m: DgModule, n: int) -> DgModule:
@@ -649,14 +656,18 @@ def shift_module(m: DgModule, n: int) -> DgModule:
     if m.side != "right":
         raise ValueError("shift_module implemented for right modules")
     cx = m.complex.shift(n)
-    sp = cx.space
+
+    def moved(k: Key) -> Key:
+        return (k[0] - n, k[1], k[2])
+
     action: Dict[Tuple[Key, Key], Elt] = {}
     for (km, ka), e in m.action.items():
-        nk = (km[0] - n, km[1], km[2])
-        action[(nk, ka)] = {(k[0] - n, k[1], k[2]): v for k, v in e.items()}
+        action[(moved(km), ka)] = {moved(k): v for k, v in e.items()}
+    witness = m.projective and tuple(
+        (e, {x: moved(k) for x, k in incl.items()}) for e, incl in m.projective)
     return DgModule(m.algebra, cx, action, side="right",
                     name=f"{m.name}[{n}]" if m.name else "",
-                    projective=m.projective and f"({m.projective})[{n}]")
+                    projective=witness)
 
 
 def direct_sum_modules(m1: DgModule, m2: DgModule, name: str = "") -> DgModule:
@@ -664,17 +675,21 @@ def direct_sum_modules(m1: DgModule, m2: DgModule, name: str = "") -> DgModule:
         raise ValueError("direct sum needs modules over the same algebra and side")
     cx = m1.complex.direct_sum(m2.complex)
     sp = cx.space
-    f = m1.field
+    parts = (("L", m1), ("R", m2))
+
+    def moved(tag: str, part: DgModule, k: Key) -> Key:
+        return sp.key_of(k[0], k[1], (tag, part.space.label_of(k)))
+
     action: Dict[Tuple[Key, Key], Elt] = {}
-    for tag, part in (("L", m1), ("R", m2)):
+    for tag, part in parts:
         for (k1, k2), e in part.action.items():
             km, ka = (k1, k2) if part.side == "right" else (k2, k1)
-            nk = sp.key_of(km[0], km[1], (tag, part.space.label_of(km)))
-            ne = {sp.key_of(k[0], k[1], (tag, part.space.label_of(k))): v
-                  for k, v in e.items()}
+            nk = moved(tag, part, km)
+            ne = {moved(tag, part, k): v for k, v in e.items()}
             key = (nk, ka) if part.side == "right" else (ka, nk)
             action[key] = ne
-    witness = (m1.projective and m2.projective
-               and f"{m1.projective} ⊕ {m2.projective}")
+    witness = m1.projective and m2.projective and tuple(
+        (e, {x: moved(tag, part, k) for x, k in incl.items()})
+        for tag, part in parts for e, incl in part.projective)
     return DgModule(m1.algebra, cx, action, side=m1.side, name=name,
                     projective=witness)

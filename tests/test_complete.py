@@ -6,6 +6,7 @@ strict inner model; every other module takes the convolution model.  The
 outer model is always the reduced bar, so an inner algebra it cannot reduce
 over fails at once with an error naming why.
 """
+import hashlib
 import time
 
 import pytest
@@ -14,10 +15,10 @@ from dgcomplete import complete
 from dgcomplete import models as M
 from dgcomplete.bar import embed_strict, end_algebra, strict_end_algebra
 from dgcomplete.dg import (
-    DgModule, direct_sum_modules, identity_morphism, regular_module,
-    restrict_scalars, right_ideal_module, shift_module,
+    DgAlgebra, DgModule, direct_sum_modules, identity_morphism,
+    regular_module, restrict_scalars, right_ideal_module, shift_module,
 )
-from dgcomplete.graded import Window, induced_rank
+from dgcomplete.graded import Window, induced_rank, is_chain_map
 from dgcomplete.linalg import RATIONALS as F
 
 
@@ -26,20 +27,100 @@ def _certified(h, win):
     return [c for c in cells if h.certificate.exact_at(*c)], cells
 
 
+def _projectives(a):
+    return [right_ideal_module(a, a.idempotents[o]) for o in a.idempotents]
+
+
+def _odd_shift(name):
+    """P1 ⊕ P2[1] over the algebra of a registry scenario."""
+    a = M.build_scenario(name)["algebra"]
+    p1, p2 = (right_ideal_module(a, a.idempotents[o]) for o in ("O1", "O2"))
+    return direct_sum_modules(p1, shift_module(p2, 1))
+
+
+def _shifted_line():
+    """A ⊕ A[1] over the dg line, whose d is nonzero: both summands share
+    the unit as their idempotent, so a map out of one summand must vanish
+    on the other, and d f_{j,q} = f_{j,dq} must hold with the odd shift's
+    signs."""
+    a = regular_module(M._dg_line_algebra(F))
+    return direct_sum_modules(a, shift_module(a, 1))
+
+
+def _summands(m):
+    """The number of summands of m's witness, after checking that each
+    inclusion lands on module keys, shifts every bidegree alike, and is a
+    map of right modules, and that together they cover m's basis once."""
+    a, one = m.algebra, F.one
+    images = []
+    for e, incl in m.projective:
+        assert all(k[:2] == (0, 0) for k in e) and not a.d(e)
+        assert len({(x[0] - k[0], x[1] - k[1]) for x, k in incl.items()}) == 1
+        for x, k in incl.items():
+            for y in a.basis_keys():
+                want = {incl[z]: c for z, c in a.basis_product(x, y).items()}
+                assert m.act({k: one}, {y: one}) == want, (x, y)
+        images.extend(incl.values())
+    assert sorted(images) == m.basis_keys()
+    return len(m.projective)
+
+
 def test_projective_witness_is_set_only_by_constructors_that_prove_it():
     a = M.path_chain_algebra(F, 2)
-    p1 = right_ideal_module(a, a.idempotents["O1"])
-    p2 = right_ideal_module(a, a.idempotents["O2"])
-    assert regular_module(a).projective == "A"
-    assert p1.projective == "e·A"
-    assert shift_module(p1, 1).projective == "(e·A)[1]"
-    assert direct_sum_modules(p1, p2).projective == "e·A ⊕ e·A"
+    p1, p2 = _projectives(a)
+    assert _summands(regular_module(a)) == 1
+    assert regular_module(a).projective[0][0] == a.unit
+    assert _summands(p1) == 1
+    assert p1.projective[0][0] == a.idempotents["O1"]
+    assert _summands(shift_module(p1, 1)) == 1
+    assert _summands(direct_sum_modules(p1, p2)) == 2
+    assert _summands(_odd_shift("triangular_123")) == 2
+    assert _summands(_shifted_line()) == 2
+    assert _summands(direct_sum_modules(
+        regular_module(a), direct_sum_modules(p1, shift_module(p2, -1)))) == 3
     s1 = M.simple_module(a, "O1")
     assert s1.projective is None
     assert direct_sum_modules(p1, s1).projective is None
     assert shift_module(s1, 1).projective is None
     assert restrict_scalars(identity_morphism(a), regular_module(a)).projective is None
     assert DgModule(a, p1.complex, p1.action).projective is None
+
+
+def test_strict_model_refuses_a_module_without_the_witness():
+    """The simple at O1 is not projective: its strict endomorphisms are not
+    its derived ones, so the strict model is refused, not returned."""
+    a = M.path_chain_algebra(F, 2)
+    with pytest.raises(ValueError, match="no projective witness"):
+        strict_end_algebra(M.simple_module(a, "O1"))
+
+
+def test_strict_model_refuses_summands_whose_idempotents_split_no_basis():
+    """Over 2x2 matrices with basis a = e11, b = e12, c = -e21, d = e22 + e21
+    the idempotents e11 = a and e22 = c + d split the basis on the left, so
+    e11·A and e22·A carry the witness, but not on the right: d·e11 = -c, so
+    no set of basis keys spans m·e11 and the strict model is refused."""
+    basis = {"a": {(1, 1): 1}, "b": {(1, 2): 1}, "c": {(2, 1): -1},
+             "d": {(2, 2): 1, (2, 1): 1}}
+    coords = {(1, 1): {"a": 1}, (1, 2): {"b": 1}, (2, 1): {"c": -1},
+              (2, 2): {"c": 1, "d": 1}}
+    products = {}
+    for x, mx in basis.items():
+        for y, my in basis.items():
+            out = products[(x, y)] = {}
+            for (i, j), u in mx.items():
+                for (k, l), v in my.items():
+                    for nm, c in (coords[(i, l)] if j == k else {}).items():
+                        out[nm] = out.get(nm, 0) + u * v * c
+    a = DgAlgebra.from_basis(F, [(nm, 0, 0) for nm in basis], ["a", "c", "d"],
+                             {}, products)
+    key = {nm: a.space.key_of(0, 0, nm) for nm in basis}
+    assert a.validate().ok
+    p1 = right_ideal_module(a, {key["a"]: F.one})
+    p2 = right_ideal_module(a, {key["c"]: F.one, key["d"]: F.one})
+    m = direct_sum_modules(p1, p2)
+    assert _summands(m) == 2 and m.validate().ok
+    with pytest.raises(ValueError, match="not homogeneous"):
+        strict_end_algebra(m)
 
 
 def test_registry_dual_numbers_certifies_its_answer_at_once():
@@ -69,17 +150,32 @@ def test_projective_completion_certifies_the_registry_answer(name, params, cells
     assert {c: h.dim(*c) for c in cert if h.dim(*c)} == sc["expected"]["h_dims"]
 
 
+SHIFTED = {"triangular_12/P1+P2[1]": lambda: _odd_shift("triangular_12"),
+           "triangular_123/P1+P2[1]": lambda: _odd_shift("triangular_123"),
+           "dg_line/A+A[1]": _shifted_line}
+
+
 @pytest.mark.parametrize("name,covered", [
-    ("dual_numbers", 12), ("dual_numbers_op", 12), ("free_category", 1)])
+    ("dual_numbers", 12), ("dual_numbers_op", 12), ("free_category", 1),
+    ("triangular_12/P1+P2[1]", 5), ("triangular_123/P1+P2[1]", 8),
+    ("dg_line/A+A[1]", 34)])
 def test_strict_and_bar_inner_models_agree_where_the_bar_model_certifies(
         name, covered):
-    """The strict model of e·A embeds quasi-isomorphically into the
-    convolution model on every cell the latter certifies."""
-    m = M.build_scenario(name)["module"]
+    """The strict model of e·A, or of a sum with an odd shift, is a dg
+    algebra that embeds as a unital algebra map into the convolution model,
+    quasi-isomorphically on every cell the latter certifies."""
+    m = SHIFTED[name]() if name in SHIFTED else M.build_scenario(name)["module"]
     s = strict_end_algebra(m)
+    assert s.validate().ok
     b = end_algebra(m, 4, w_cap=4)
     hs, hb = s.complex.cohomology(), b.complex.cohomology()
     j = embed_strict(s, b)
+    assert is_chain_map(j, s.complex.d, b.complex.d) is None
+    assert j.apply(s.unit) == b.unit
+    for k1 in s.basis_keys():
+        for k2 in s.basis_keys():
+            assert j.apply(s.basis_product(k1, k2)) == b.multiply(
+                j.apply({k1: F.one}), j.apply({k2: F.one})), (k1, k2)
     probe = {(d + i, w) for cx in (s.complex, b.complex)
              for (d, w) in cx.space.cells for i in (-1, 0, 1)}
     cells = [c for c in sorted(probe) if hb.certificate.exact_at(*c)]
@@ -108,8 +204,9 @@ def test_registry_completions_keep_their_models(name, inner):
     assert r.inner_used == inner
     assert r.reduced_outer
     assert r.diagnostics["outer"]["budget"] is None
-    assert r.diagnostics["strict"]["witness"] == (
-        "e·A" if inner == "strict" else None)
+    witness = r.diagnostics["strict"]["witness"]
+    assert witness is r.inner.module.projective
+    assert (witness is not None) == (inner == "strict")
 
 
 @pytest.mark.parametrize("name,strict,end", [
@@ -134,7 +231,7 @@ def test_each_completion_builds_one_inner_model(monkeypatch, name, strict, end):
 def test_completion_along_the_algebra_takes_the_strict_model():
     sc = M.build_scenario("triangular_12")
     a = sc["algebra"]
-    projectives = [right_ideal_module(a, a.idempotents[o]) for o in a.idempotents]
+    projectives = _projectives(a)
     win = Window(-2, 2, 4)
     for r in (complete.double_centralizer(a, regular_module(a), sc["caps"]),
               complete.completion_along_set(a, projectives, sc["caps"])):
@@ -161,7 +258,8 @@ def test_right_ideal_of_a_partly_known_algebra_certifies_nothing():
     assert m.space.column_complete(0) and not m.space.column_complete(1)
     r = complete.double_centralizer(a, m, (3, 3))
     assert r.inner_used == "strict"
-    assert r.diagnostics["strict"] == {"witness": "e·A", "module_known": False}
+    assert r.diagnostics["strict"] == {"witness": m.projective,
+                                       "module_known": False}
     assert not any(r.inner.complex.cohomology().certificate.status.values())
     assert _certified(r.cohomology(win), win)[0] == []
 
@@ -204,7 +302,7 @@ def test_generators_of_one_thick_subcategory_give_one_completion(name, common):
     the path algebra, n(n+1)/2 paths in degree 0."""
     sc = M.build_scenario(name)
     a = sc["algebra"]
-    projectives = [right_ideal_module(a, a.idempotents[o]) for o in a.idempotents]
+    projectives = _projectives(a)
     results = [complete.double_centralizer(a, sc["module"], sc["caps"]),
                complete.completion_along_set(a, projectives, sc["caps"]),
                complete.double_centralizer(a, regular_module(a), sc["caps"])]
@@ -217,3 +315,72 @@ def test_generators_of_one_thick_subcategory_give_one_completion(name, common):
         assert hs[0].dim(*c) == hs[1].dim(*c) == hs[2].dim(*c), c
     assert sum(hs[0].dim(*c) for c in cells if c[0] == 0) == sc["expected"]["h0_total"]
     assert sum(hs[0].dim(*c) for c in cells if c[0] != 0) == 0
+
+
+def _scenario_completion(name, **params):
+    sc = M.build_scenario(name, params=params)
+    return complete.double_centralizer(sc["algebra"], sc["module"], sc["caps"])
+
+
+def _along_algebra(name):
+    a = M.build_scenario(name)["algebra"]
+    return complete.double_centralizer(a, regular_module(a), (4, 4))
+
+
+def _along_projectives(name):
+    a = M.build_scenario(name)["algebra"]
+    return complete.completion_along_set(a, _projectives(a), (4, 4))
+
+
+def _table_digest(r):
+    """sha256 of a completion's dimension table and certificate over its
+    default window, both sorted by cell."""
+    h = r.cohomology()
+    text = repr((sorted(h.dims_by_cell().items()),
+                 sorted(h.certificate.status.items())))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# digests recorded from the strict builder that solved for End_a(m) by
+# linear algebra: every builder must reproduce those tables cell for cell
+GOLDEN_TABLES = [
+    ("dual_numbers (6,6)", lambda: _scenario_completion("dual_numbers"),
+     "ae6344e830d06fa0198876ad179bc630bedb8256c3d343cdb6645ddb2aa59f0a"),
+    ("dual_numbers (3,3)",
+     lambda: _scenario_completion("dual_numbers", caps=(3, 3)),
+     "1e7d319a2d3a843fe6f865e73e8aae2c2c422447d196d12bd4d0501b0e7ace1c"),
+    ("dual_numbers_op w1",
+     lambda: _scenario_completion("dual_numbers_op", wmax=1),
+     "9ebab313a46e16b4bea38a6d6fb8fc6296457609721aa29430d469dddbb1ea4b"),
+    ("dual_numbers_op w2",
+     lambda: _scenario_completion("dual_numbers_op", wmax=2),
+     "81a06cb9a44c414baf9520750a14662bc520b2760702e2506cd3b1ae9d1640b7"),
+    ("dual_numbers_op w3",
+     lambda: _scenario_completion("dual_numbers_op", wmax=3),
+     "d5daa624d2a92227416dacdef0ee6ef594704d9cb5c4719d1c7bdafe86e5e832"),
+    ("free_category w2",
+     lambda: _scenario_completion("free_category", wmax=2),
+     "27a2517444d4110750a075362b4ac00b0f45ed74f39e7b9117c2ce74ef4e2b77"),
+    ("free_category w4",
+     lambda: _scenario_completion("free_category", wmax=4),
+     "a96294266ed0f0feb7d4839e1c43aff0c17a0e75ee47cbab77babea929071776"),
+    ("free_category w6",
+     lambda: _scenario_completion("free_category", wmax=6),
+     "3ff0242b2e3c74df7fed74a0bf11551283da1b185a368f63c7356467e2d2be96"),
+    ("triangular_12 along A", lambda: _along_algebra("triangular_12"),
+     "6b60a623dd7517332c0e000d3e3fd11e26a56e7acba69236c321d14574432f07"),
+    ("triangular_12 along projectives",
+     lambda: _along_projectives("triangular_12"),
+     "6b60a623dd7517332c0e000d3e3fd11e26a56e7acba69236c321d14574432f07"),
+    ("triangular_123 along A", lambda: _along_algebra("triangular_123"),
+     "2e37f3d37ab29873b57385951d1c26b5294b593b9d1669b41c84d88db731f23a"),
+    ("triangular_123 along projectives",
+     lambda: _along_projectives("triangular_123"),
+     "2e37f3d37ab29873b57385951d1c26b5294b593b9d1669b41c84d88db731f23a"),
+]
+
+
+@pytest.mark.parametrize("build,digest", [g[1:] for g in GOLDEN_TABLES],
+                         ids=[g[0] for g in GOLDEN_TABLES])
+def test_completions_keep_their_recorded_tables(build, digest):
+    assert _table_digest(build()) == digest
