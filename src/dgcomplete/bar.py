@@ -3,7 +3,11 @@
 The reduced bar construction tensors over the span of the weight-zero
 idempotents whenever the algebra is weight-connected; slot tuples are then
 composable chains and every weight column is finite.  The unreduced variant
-tensors over the ground field and carries no exactness certificates.
+tensors over the ground field and carries no exactness certificates.  The
+objects each basis element runs between (its reduction data) are read off
+the labels of a convolution algebra, mirrored from the base for the opposite
+that ``module_over_opposite`` acts through, and found by asking every
+idempotent product for any other algebra.
 
 Each slot tuple is an integer index, numbered depth first, and each slot an
 integer id.  A tuple's parent is the tuple without its last slot, its child
@@ -65,15 +69,19 @@ def reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
 
     Requires every basis element to be left/right homogeneous for the
     weight-zero idempotents, so tensor products over that subalgebra keep
-    the obvious basis of composable tuples.  Computed once per algebra.
+    the obvious basis of composable tuples.  Computed once per algebra.  A
+    convolution algebra reads each element's objects off its label, the
+    opposite that ``module_over_opposite`` acts through carries its base's
+    data mirrored, and any other algebra asks every idempotent product.
     """
     red = getattr(a, "_reduction", _UNSET)
     if red is _UNSET:
-        red = a._reduction = _reduction_data(a)
+        red = a._reduction = _reduction_data(a, isinstance(a, EndAlgebra))
     return red
 
 
-def _reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
+def _reduction_data(a: DgAlgebra,
+                    by_label: bool = False) -> Optional[ReductionData]:
     # each product of two basis keys is asked once: the idempotent pairs by
     # weight_zero_idempotent_basis, which already places each idempotent at
     # its own object, the rest by the scans below
@@ -83,6 +91,17 @@ def _reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
     sign = a._weight_sign()
     if sign is None:
         return None
+    if by_label:
+        # the weight-0 basis is the unit's keys, the identities of the module
+        # keys; end_algebra's product fixes F = (q, (p, slots)) by q's
+        # identity on the left and p's on the right, and kills it by any other
+        label = a.space.label_of
+        at = {label(z)[0]: i for i, z in enumerate(zs)}
+        lobj, robj = {}, {}
+        for k in a.basis_keys():
+            q, (p, _) = label(k)
+            lobj[k], robj[k] = at[q], at[p]
+        return ReductionData(sign, zs, lobj, robj)
     f = a.field
     lobj: Dict[Key, int] = {z: i for i, z in enumerate(zs)}
     robj: Dict[Key, int] = dict(lobj)
@@ -100,6 +119,16 @@ def _reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
         lobj[k] = left[0]
         robj[k] = right[0]
     return ReductionData(sign, zs, lobj, robj)
+
+
+def _opposite(a: DgAlgebra) -> DgAlgebra:
+    """a's opposite, carrying a's reduction data with the sides swapped:
+    the idempotents sit in degree 0, so z ·op k = k·z with no sign."""
+    op = a.opposite()
+    red = reduction_data(a)
+    op._reduction = (None if red is None else
+                     ReductionData(red.sign, red.idempotents, red.robj, red.lobj))
+    return op
 
 
 def _unreducible_reason(m: DgModule, red: Optional[ReductionData]) -> str:
@@ -587,7 +616,7 @@ class EndAlgebra(DgAlgebra):
         acting through the projection to underived operators."""
         f = self.field
         m = self.module
-        op = self.opposite()
+        op = _opposite(self)
         action: Dict[Tuple[Key, Key], Elt] = {}
         for bk in self.basis_keys():
             q, lab = self.space.label_of(bk)
@@ -691,7 +720,7 @@ class StrictEndAlgebra(DgAlgebra):
             for mk, val in self.map_of[fk].items():
                 s = f.of(-1) if (fk[0] % 2 and mk[0] % 2) else f.one
                 action[(mk, fk)] = {q: f.mul(s, c) for q, c in val.items()}
-        return DgModule(self.opposite(), m.complex, action, side="right",
+        return DgModule(_opposite(self), m.complex, action, side="right",
                         name=f"{m.name}^" if m.name else "")
 
 

@@ -7,12 +7,12 @@ from dgcomplete import models as M
 from dgcomplete.linalg import RATIONALS, Field
 from dgcomplete.dg import (
     DgAlgebra, DgCategoryPresentation, DgModule, category_algebra,
-    regular_module, right_ideal_module, shift_module,
+    direct_sum_modules, regular_module, right_ideal_module, shift_module,
 )
 from dgcomplete.graded import BiGradedSpace, CochainComplex, cone, is_chain_map
 from dgcomplete.bar import (
-    bar_resolution, derived_hom, derived_tensor, embed_strict, end_algebra,
-    reduction_data, stabilization_scan, strict_end_algebra,
+    _reduction_data, bar_resolution, derived_hom, derived_tensor, embed_strict,
+    end_algebra, reduction_data, stabilization_scan, strict_end_algebra,
 )
 
 F = RATIONALS
@@ -614,16 +614,92 @@ def test_reduced_bar_refusal_names_the_homogeneity_that_fails():
     assert "basis element not homogeneous for the idempotents" in str(err.value)
 
 
-def test_reduction_data_asks_each_product_once():
-    a = M.build_scenario("triangular_123")["algebra"]
-    asked = []
-    rule = a._rule
+def _count_products(a):
+    """Wrap a's product rule; the returned list gathers every pair asked."""
+    asked, rule = [], a._rule
 
     def counted(k1, k2):
         asked.append((k1, k2))
         return rule(k1, k2)
 
     a._rule = counted
+    return asked
+
+
+def test_reduction_data_asks_each_product_once():
+    a = M.build_scenario("triangular_123")["algebra"]
+    asked = _count_products(a)
     red = reduction_data(a)
     assert red is not None and len(red.idempotents) == 3
     assert asked and len(asked) == len(set(asked))
+
+
+def _deck_inner(name, cap, **params):
+    """The convolution inner model of a benchmark-deck completion at caps
+    (cap, cap): the scenario's module at inner caps two above."""
+    m = M.build_scenario(name, params=params)["module"]
+    return end_algebra(m, cap + 2, w_cap=cap + 2)
+
+
+def _shifted_residue_inner():
+    ring = M.truncated_poly(F, ["x"], [], wmax=6)
+    k = ring.residue_module()
+    return end_algebra(direct_sum_modules(k, shift_module(k, 1)), 5, w_cap=5)
+
+
+def _unreduced_inner(n_max):
+    m = M.build_scenario("koszul_kx", params={"wmax": 4})["module"]
+    return end_algebra(m, n_max, w_cap=3, reduced=False)
+
+
+INNER_MODELS = [
+    (f"koszul_kx w{w} cap {w - 1}",
+     lambda w=w: _deck_inner("koszul_kx", w - 1, wmax=w), True)
+    for w in (4, 5, 6, 7)
+] + [
+    (f"{name} cap {cap}", lambda name=name, cap=cap: _deck_inner(name, cap), True)
+    for name in ("triangular_1234", "triangular_12345", "triangular_123456",
+                 "triangular_1234567")
+    for cap in (2, 3, 4)
+] + [
+    ("strict dual_numbers_op",
+     lambda: strict_end_algebra(M.build_scenario("dual_numbers_op")["module"]),
+     True),
+    ("unreduced, length 0", lambda: _unreduced_inner(0), True),
+    ("unreduced, length 2", lambda: _unreduced_inner(2), False),
+    ("k ⊕ k[1] over k[x]", _shifted_residue_inner, False),
+]
+
+
+def _fields(red):
+    return None if red is None else (red.sign, red.idempotents, red.lobj, red.robj)
+
+
+@pytest.mark.parametrize("build,reducible", [g[1:] for g in INNER_MODELS],
+                         ids=[g[0] for g in INNER_MODELS])
+def test_reduction_data_of_inner_models_matches_the_product_scan(build, reducible):
+    """Read off labels (convolution algebras) or mirrored (the opposite a
+    completion's outer bar runs over), the reduction data is what asking
+    every idempotent product finds, field for field."""
+    inner = build()
+    red = reduction_data(inner)
+    assert (red is not None) == reducible
+    assert _fields(red) == _fields(_reduction_data(inner))
+    op = inner.module_over_opposite().algebra
+    assert _fields(reduction_data(op)) == _fields(_reduction_data(inner.opposite()))
+
+
+def test_reduction_data_of_a_convolution_algebra_asks_only_idempotent_pairs():
+    """E = REnd(simples of triangular_1234567) as its completion at caps
+    (4, 4) builds it: its reduction data asks the 7² idempotent products and
+    no other, and the opposite its module is built over asks none, of
+    itself or of E."""
+    inner = _deck_inner("triangular_1234567", 4)
+    asked = _count_products(inner)
+    red = reduction_data(inner)
+    assert red is not None and len(red.idempotents) == 7
+    assert len(asked) <= 7 * 7
+    op = inner.module_over_opposite().algebra
+    op_asked = _count_products(op)
+    assert reduction_data(op) is not None
+    assert not op_asked and len(asked) <= 7 * 7

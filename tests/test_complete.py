@@ -332,6 +332,14 @@ def _along_projectives(name):
     return complete.completion_along_set(a, _projectives(a), (4, 4))
 
 
+def _deck_completion(name, cap, **params):
+    """A bar-inner completion as the benchmark deck runs it: the scenario's
+    module at caps (cap, cap), inner caps two above."""
+    sc = M.build_scenario(name, params=params)
+    return complete.double_centralizer(sc["algebra"], sc["module"], (cap, cap),
+                                       inner_caps=(cap + 2, cap + 2))
+
+
 def _table_digest(r):
     """sha256 of a completion's dimension table and certificate over its
     default window, both sorted by cell."""
@@ -377,6 +385,45 @@ GOLDEN_TABLES = [
     ("triangular_123 along projectives",
      lambda: _along_projectives("triangular_123"),
      "2e37f3d37ab29873b57385951d1c26b5294b593b9d1669b41c84d88db731f23a"),
+] + [
+    # bar-inner completions, recorded from the builder that found every
+    # inner algebra's reduction data by asking its idempotent products
+    ("koszul_kx w4 cap 3",
+     lambda: _deck_completion("koszul_kx", 3, wmax=4),
+     "dc58711a77094ce55b2a9eae0436bc1de524c3944dbbe56bdabea955171c915d"),
+    ("koszul_kx w5 cap 4",
+     lambda: _deck_completion("koszul_kx", 4, wmax=5),
+     "4498bc661a5aecdeae1787ad35f71ca95437ff7f20607525f57b4d7c886af8a4"),
+    ("koszul_kx w6 cap 5",
+     lambda: _deck_completion("koszul_kx", 5, wmax=6),
+     "be47950fa450fb4e3eb0dbfa4cf0d0c4911dda31582d033b153a259ac4bab42a"),
+    ("koszul_kx w7 cap 6",
+     lambda: _deck_completion("koszul_kx", 6, wmax=7),
+     "1c7b66f729ef7b84f3df64778fe37c30874ffd7ce3b960c405499b6ca8cbbbbe"),
+    ("triangular_1234 cap 2", lambda: _deck_completion("triangular_1234", 2),
+     "15f4c901ce8df10b6b3c42b3ecf5c4d265cc42ed07bd063ced8a2b6ff1e8e80b"),
+    ("triangular_1234 cap 3", lambda: _deck_completion("triangular_1234", 3),
+     "581ea85737d5935b7c22648ca3edb601e5bfc3b5f56d582f93a52b16104f34eb"),
+    ("triangular_1234 cap 4", lambda: _deck_completion("triangular_1234", 4),
+     "a4d3cbff2a3b2c53659256024ed8f94787cf4ae9a2f50e6ba187d937e7919f45"),
+    ("triangular_12345 cap 2", lambda: _deck_completion("triangular_12345", 2),
+     "e1e2e9c3a38a68e1174dfa8c66a2ddc0e1884ede37f36780767c600682672856"),
+    ("triangular_12345 cap 3", lambda: _deck_completion("triangular_12345", 3),
+     "7d55f0d8ae6fc24290c24d2dabd2a89d42baf8bb861b9bc35ab06b2d960897a0"),
+    ("triangular_12345 cap 4", lambda: _deck_completion("triangular_12345", 4),
+     "c9174b820f41c5b2cb5572666fb9174f2cf08a1804905ab5939b5d333069b8f6"),
+    ("triangular_123456 cap 2", lambda: _deck_completion("triangular_123456", 2),
+     "da7adbc5eb77b60a1576cadf2c6d1aa1f17e959a807e1324afe7fa0478b3f3d5"),
+    ("triangular_123456 cap 3", lambda: _deck_completion("triangular_123456", 3),
+     "d269634d3a4daa473dc0c95042893f1a3b01e80be3b9999b0da84a0661df24bf"),
+    ("triangular_123456 cap 4", lambda: _deck_completion("triangular_123456", 4),
+     "b30d244860d944c4a74059de470dcc5146bc3a5406ed63e4aa104ad08d48258a"),
+    ("triangular_1234567 cap 2", lambda: _deck_completion("triangular_1234567", 2),
+     "8bf82ade85ccff99dcc7a1bdaf8f367e326ee24504574b08f07a92003d685196"),
+    ("triangular_1234567 cap 3", lambda: _deck_completion("triangular_1234567", 3),
+     "a001aae64d1518eb4fb126d5b22bd8566e79a62710b687541923df902e8aafc1"),
+    ("triangular_1234567 cap 4", lambda: _deck_completion("triangular_1234567", 4),
+     "99d139f0d733fe127e44b7e6bcaf69fd25f6e25a978d8fe141ec26b2fc052c67"),
 ]
 
 
