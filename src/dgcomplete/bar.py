@@ -5,9 +5,11 @@ idempotents whenever the algebra is weight-connected; slot tuples are then
 composable chains and every weight column is finite.  The unreduced variant
 tensors over the ground field and carries no exactness certificates.  The
 objects each basis element runs between (its reduction data) are read off
-the labels of a convolution algebra, mirrored from the base for the opposite
-that ``module_over_opposite`` acts through, and found by asking every
-idempotent product for any other algebra.
+the labels of a convolution algebra or of its minimal model, mirrored from
+the base for the opposite that ``module_over_opposite`` acts through, and
+found by asking every idempotent product for any other algebra.  The minimal
+model is the cohomology of a convolution algebra with the product its
+representatives induce, built where a purity check makes it formal.
 
 Each slot tuple is an integer index, numbered depth first, and each slot an
 integer id.  A tuple's parent is the tuple without its last slot, its child
@@ -18,6 +20,7 @@ each term into one sum per block entry and install every block once.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
@@ -70,18 +73,19 @@ def reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
     Requires every basis element to be left/right homogeneous for the
     weight-zero idempotents, so tensor products over that subalgebra keep
     the obvious basis of composable tuples.  Computed once per algebra.  A
-    convolution algebra reads each element's objects off its label, the
-    opposite that ``module_over_opposite`` acts through carries its base's
-    data mirrored, and any other algebra asks every idempotent product.
+    convolution algebra or its minimal model reads each element's objects
+    off its ``ends``, the opposite that ``module_over_opposite`` acts
+    through carries its base's data mirrored, and any other algebra asks
+    every idempotent product.
     """
     red = getattr(a, "_reduction", _UNSET)
     if red is _UNSET:
-        red = a._reduction = _reduction_data(a, isinstance(a, EndAlgebra))
+        red = a._reduction = _reduction_data(a, getattr(a, "ends", None))
     return red
 
 
-def _reduction_data(a: DgAlgebra,
-                    by_label: bool = False) -> Optional[ReductionData]:
+def _reduction_data(a: DgAlgebra, ends: Optional[Callable[[Key], Tuple[Key, Key]]]
+                    = None) -> Optional[ReductionData]:
     # each product of two basis keys is asked once: the idempotent pairs by
     # weight_zero_idempotent_basis, which already places each idempotent at
     # its own object, the rest by the scans below
@@ -91,15 +95,14 @@ def _reduction_data(a: DgAlgebra,
     sign = a._weight_sign()
     if sign is None:
         return None
-    if by_label:
-        # the weight-0 basis is the unit's keys, the identities of the module
-        # keys; end_algebra's product fixes F = (q, (p, slots)) by q's
-        # identity on the left and p's on the right, and kills it by any other
-        label = a.space.label_of
-        at = {label(z)[0]: i for i, z in enumerate(zs)}
+    if ends is not None:
+        # the weight-0 basis is the identities of the module keys, and the
+        # product fixes an element with ends (q, p) by q's identity on the
+        # left and p's on the right, and kills it by any other
+        at = {ends(z)[0]: i for i, z in enumerate(zs)}
         lobj, robj = {}, {}
         for k in a.basis_keys():
-            q, (p, _) = label(k)
+            q, p = ends(k)
             lobj[k], robj[k] = at[q], at[p]
         return ReductionData(sign, zs, lobj, robj)
     f = a.field
@@ -597,6 +600,12 @@ class EndAlgebra(DgAlgebra):
         self.w_cap = w_cap
         self.reduced = reduced
 
+    def ends(self, k: Key) -> Tuple[Key, Key]:
+        """The module keys (q, p) of the element F = (q, (p, slots)): the
+        product fixes F by q's identity on the left and p's on the right."""
+        q, (p, _) = self.space.label_of(k)
+        return q, p
+
     def projection_to_length_zero(self) -> Tuple["EndAlgebra", GradedMap]:
         """The quotient map onto bare matrix units (underived operators)."""
         naive = end_algebra(self.module, 0, w_cap=self.w_cap,
@@ -657,6 +666,112 @@ def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
 
     return EndAlgebra(cx, unit, product, m, n_max, scheme.w_cap, scheme.reduced,
                       name=name or f"End({m.name})")
+
+
+class MinimalModel(DgAlgebra):
+    """The cohomology H(E) of a convolution algebra E on the weight columns
+    |w| <= w_max, as a graded algebra with d = 0.
+
+    i sends a class to its representative in E and p is
+    ``Cohomology.project``, so the product is m₂ = p∘μ∘(i⊗i).  Each
+    representative lies in one block of E, between the module keys
+    ``ends``, and a product of classes whose blocks do not compose is zero
+    with no multiply.  ``minimal_model`` builds it only where purity makes
+    it E's minimal model.
+    """
+
+    def __init__(self, inner: EndAlgebra, h: Cohomology,
+                 ends: Dict[Key, Tuple[Key, Key]]):
+        reps = h.representatives
+
+        def product(k1: Key, k2: Key) -> Elt:
+            if ends[k1][1] != ends[k2][0]:
+                return {}
+            return h.project(inner.multiply(reps[k1], reps[k2]))
+
+        super().__init__(CochainComplex(h.space), h.project(inner.unit),
+                         product, name=f"H({inner.name})")
+        self.inner = inner
+        self.module = inner.module
+        self.representatives = reps
+        self._ends = ends
+
+    def ends(self, k: Key) -> Tuple[Key, Key]:
+        return self._ends[k]
+
+    def module_over_opposite(self) -> DgModule:
+        """The defining module as a right module over the opposite model,
+        acting through the length-zero part of i(h), the projection the
+        convolution model acts through; purity leaves no higher action."""
+        f = self.field
+        m = self.module
+        label = self.inner.space.label_of
+        action: Dict[Tuple[Key, Key], Elt] = {}
+        for h, rep in self.representatives.items():
+            for k, c in rep.items():
+                q, (tm, al) = label(k)
+                if not al:  # the one length-zero element of h's block
+                    action[(tm, h)] = {
+                        q: f.neg(c) if h[0] % 2 and tm[0] % 2 else c}
+        return DgModule(_opposite(self), m.complex, action, side="right",
+                        name=f"{m.name}^")
+
+
+def _line(cells: Sequence[Tuple[int, int]],
+          mcells: Sequence[Tuple[int, int]]) -> Fraction:
+    """The slope c of the line d = c·w through the lightest cell off weight
+    0, else through two module cells of distinct weights, else 0."""
+    off = [(abs(w), d, w) for d, w in cells if w]
+    if off:
+        _, d, w = min(off)
+        return Fraction(d, w)
+    for (d1, w1) in mcells:
+        for (d2, w2) in mcells:
+            if w1 != w2:
+                return Fraction(d2 - d1, w2 - w1)
+    return Fraction(0)
+
+
+def minimal_model(inner: EndAlgebra, w_max: int
+                  ) -> Tuple[Optional[MinimalModel], Dict]:
+    """E's minimal model on the weight columns |w| <= w_max, the weights an
+    outer bar capped at w_max reads, or None; and a record of the check.
+
+    The model is built where every class of H(E) there lies on one line
+    d = c·w and every cell of the defining module on a parallel one
+    d = c·w + d0, which makes it formal (see ``complete``), and where, as
+    whenever E is reducible, each representative lies in one block of
+    module keys and the model is weight-connected.  The record holds c, d0,
+    ``off_line``, the first class or module cell off its line (None if
+    there is none), and ``reason``, why no model was built (None if one
+    was).
+    """
+    h = inner.complex.cohomology(wmax=w_max)
+    cells = sorted(h.space.cells)
+    mcells = sorted(inner.module.space.cells)
+    c = _line(cells, mcells)
+    d0 = mcells[0][0] - c * mcells[0][1] if mcells else Fraction(0)
+    record: Dict = {"slope": c, "offset": d0, "off_line": None, "reason": None}
+    off = ([("class", cell) for cell in cells if cell[0] != c * cell[1]]
+           + [("module cell", cell) for cell in mcells
+              if cell[0] - c * cell[1] != d0])
+    if off:
+        what, cell = off[0]
+        record["off_line"] = cell
+        record["reason"] = f"{what} at {cell} off its line"
+        return None, record
+    ends: Dict[Key, Tuple[Key, Key]] = {}
+    for k, rep in h.representatives.items():
+        blocks = {inner.ends(x) for x in rep}
+        if len(blocks) != 1:
+            record["reason"] = f"representative of {k} spans several blocks"
+            return None, record
+        ends[k] = blocks.pop()
+    model = MinimalModel(inner, h, ends)
+    if reduction_data(model) is None:
+        record["reason"] = "not weight-connected over its weight-0 classes"
+        return None, record
+    return model, record
 
 
 def derived_tensor(m: DgModule, n: DgModule, n_max: int,

@@ -2,14 +2,26 @@
 
 The completed algebra of a module m over a is the endomorphism algebra of m
 taken over the opposite of its inner endomorphism algebra, opposed again.
-The inner algebra is the derived endomorphism algebra REnd_a(m).  When m
-carries the projective witness (its summands e_j·a[n_j] and their
-inclusions), it is K-projective, so REnd_a(m) = End_a(m) on the nose, and
-Yoneda reads the strict model off the witness as the sum of the m·e_j: it
-keeps the outer complex small and weight-connected.  Without the witness
-the inner algebra is the convolution algebra from the bar calculus.  Both
-models act on m through their own ``module_over_opposite``, so the choice
-of model is the only branch.
+The inner algebra is the derived endomorphism algebra REnd_a(m), and the
+construction is invariant under quasi-isomorphism of it, so any model will
+do.  There are three:
+
+- strict: when m carries the projective witness (its summands e_j·a[n_j]
+  and their inclusions), it is K-projective, so REnd_a(m) = End_a(m) on the
+  nose, and Yoneda reads it off the witness as the sum of the m·e_j;
+- minimal: otherwise, the cohomology H(E) of the convolution algebra E from
+  the bar calculus, on the weights the outer bar reads, when a purity check
+  makes it E's minimal model (``bar.minimal_model``);
+- bar: E itself, where the check fails.
+
+Purity: every class of H(E) lies on one line d = c·w and m on a parallel
+one.  A transferred A∞ operation m_n has degree 2 - n and weight 0, so with
+inputs and output on that line it vanishes unless n = 2; the higher actions
+on m vanish the same way.  So the minimal model is formal: H(E) with d = 0
+and m₂ = p∘μ∘(i⊗i), where i picks representatives and p reads classes.  No
+homotopy and no A∞ code are needed, and the outer bar over H(E) is far
+smaller than over E.  Each model acts on m through its own
+``module_over_opposite``, so the choice of model is the only branch.
 
 The outer model is always the reduced bar, the only one whose cells can be
 certified.  Where the inner algebra is not weight-connected over orthogonal
@@ -21,7 +33,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional, Sequence, Tuple
 
-from .bar import end_algebra, strict_end_algebra
+from .bar import end_algebra, minimal_model, strict_end_algebra
 from .dg import DgAlgebra, DgModule, direct_sum_modules
 from .graded import Cohomology, Window
 
@@ -59,14 +71,19 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
                        name: str = "") -> CompletionResult:
     """Complete a along m: endomorphisms of m over the opposite of End(m).
 
-    The inner algebra is built once.  A module with the projective witness
-    takes the strict model, exact by Yoneda wherever m's space is known, so
-    it is marked complete only when m is fully known and certifies nothing
-    otherwise; any other module takes the convolution model at inner_caps,
-    which must clear the outer weight cap by at least 2 and default to
-    that margin.  ``diagnostics["strict"]`` records the witness behind the
-    choice.  The outer model is the reduced bar at caps; an inner algebra
-    it cannot reduce over raises ValueError naming the failing condition.
+    A module with the projective witness takes the strict model, exact by
+    Yoneda wherever m's space is known, so it is marked complete only when m
+    is fully known and certifies nothing otherwise.  Any other module builds
+    the convolution algebra E at inner_caps, which must clear the outer
+    weight cap by at least 2 and default to that margin; the purity check
+    up to the outer weight cap then picks the minimal model H(E), which
+    knows what E's cohomology certifies and no weight past that cap, or
+    else E.  ``diagnostics["strict"]`` records the
+    witness behind the first choice, and ``diagnostics["minimal"]`` the
+    line found or the cell off it (None for a strict model).
+
+    The outer model is the reduced bar at caps; an inner algebra it cannot
+    reduce over raises ValueError naming the failing condition.
     Certificates on the result hold exactly where the outer scheme could see
     complete inner columns, so the safety margin between the caps is what
     keeps the certified window honest.  ``budget`` is accepted for
@@ -78,16 +95,21 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
         raise ValueError("completion needs a right module")
     n_out, w_out = _check_caps(caps, "outer")
 
+    purity = None
     if m.projective:
         inner_used = "strict"
         inner = strict_end_algebra(m)
     else:
-        inner_used = "bar"
         n_in, w_in = _check_caps(inner_caps or (w_out + 2, w_out + 2), "inner")
         if w_in < w_out + 2:
             raise ValueError(
                 "inner caps must clear the outer weight cap by at least 2")
         inner = end_algebra(m, n_in, w_cap=w_in, name=f"End({m.name})")
+        model, purity = minimal_model(inner, w_out)
+        if model is None:
+            inner_used = "bar"
+        else:
+            inner_used, inner = "minimal", model
     over = inner.module_over_opposite()
 
     outer = end_algebra(over, n_out, w_cap=w_out, reduced=True,
@@ -98,6 +120,7 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     diagnostics = {
         "strict": {"witness": m.projective,
                    "module_known": m.space.fully_known()},
+        "minimal": purity,
         "outer": {"budget": None},
     }
     return CompletionResult(inner, inner_used, completed, win, diagnostics)

@@ -69,11 +69,8 @@ class DgAlgebra:
     def space(self) -> BiGradedSpace:
         return self.complex.space
 
-    def basis_keys(self) -> List[Key]:
-        out = []
-        for (d, w) in self.space.sorted_cells():
-            out.extend(self.space.keys(d, w))
-        return out
+    def basis_keys(self) -> Sequence[Key]:
+        return self.space.basis_keys()
 
     @property
     def mult(self) -> MultTable:
@@ -312,11 +309,8 @@ class DgModule:
     def space(self) -> BiGradedSpace:
         return self.complex.space
 
-    def basis_keys(self) -> List[Key]:
-        out = []
-        for (d, w) in self.space.sorted_cells():
-            out.extend(self.space.keys(d, w))
-        return out
+    def basis_keys(self) -> Sequence[Key]:
+        return self.space.basis_keys()
 
     def act(self, m: Elt, a: Elt) -> Elt:
         """m·a for right modules, a·m (args swapped) is act_left."""

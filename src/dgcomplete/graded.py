@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .linalg import Echelon, Field, Scalar, SparseMatrix
+from .linalg import Echelon, Field, Scalar, SparseMatrix, _axpy, _reduce
 
 Key = Tuple[int, int, int]  # (degree, weight, index)
 Elt = Dict[Key, Scalar]
@@ -64,6 +64,7 @@ class BiGradedSpace:
         # (resp. strictly above known_zero_above) has no cells at any cap
         self.known_zero_below: Optional[int] = None
         self.known_zero_above: Optional[int] = None
+        self._keys: Optional[Tuple[Key, ...]] = None
 
     def add_cell(self, deg: int, wt: int, labels: Sequence) -> None:
         if (deg, wt) in self.cells:
@@ -75,6 +76,15 @@ class BiGradedSpace:
         if labels:
             self.cells[(deg, wt)] = labels
             self._index[(deg, wt)] = index
+            self._keys = None
+
+    def basis_keys(self) -> Tuple[Key, ...]:
+        """Every key, cell by cell in sorted order: built once until a cell
+        is added, and a tuple, so no caller can edit it."""
+        if self._keys is None:
+            self._keys = tuple((d, w, i) for (d, w) in sorted(self.cells)
+                               for i in range(len(self.cells[(d, w)])))
+        return self._keys
 
     def dim(self, deg: int, wt: int) -> int:
         return len(self.cells.get((deg, wt), ()))
@@ -394,7 +404,10 @@ class Cohomology:
     """Cohomology of a complex: dimensions, certificate, representatives.
 
     ``blocks`` holds, per nonzero cell (d, w), the blocks of d at (d, w) and
-    (d-1, w) from which ``representatives`` is computed on first read."""
+    (d-1, w) from which ``representatives`` is computed on first read.  The
+    same pass keeps, per cell, the echelon of the image of d with each
+    representative inserted under its own tag column, from which
+    ``project`` reads the class of a cocycle."""
 
     def __init__(self, space: BiGradedSpace, certificate: Certificate,
                  blocks: Dict[Tuple[int, int], Tuple[SparseMatrix, SparseMatrix]]):
@@ -402,6 +415,9 @@ class Cohomology:
         self.certificate = certificate
         self._blocks = blocks
         self._reps: Optional[Dict[Key, Elt]] = None
+        # per cell: its dimension n in the complex, and the pivot rows of
+        # its tagged echelon, where class i is tag column n + i
+        self._tagged: Dict[Tuple[int, int], Tuple[int, Dict]] = {}
 
     @property
     def representatives(self) -> Dict[Key, Elt]:
@@ -409,12 +425,57 @@ class Cohomology:
         vectors of d at (d, w) that enlarge the image of d at (d-1, w)."""
         if self._reps is None:
             self._reps = {}
+            f = self.space.field
             for (d, w), (block, prior) in sorted(self._blocks.items()):
-                ech = _image_echelon(prior)
-                chosen = [v for v in block.kernel_basis() if ech.insert(v)]
+                n = block.cols
+                pivots = _image_echelon(prior).pivots
+                chosen: List[Dict[int, Scalar]] = []
+                for v in block.kernel_basis():
+                    # the tag sits right of every column of the cell, so the
+                    # cell's columns reduce as they would untagged; a vector
+                    # the image and earlier choices span leaves a tag pivot
+                    row = dict(v)
+                    row[n + len(chosen)] = f.one
+                    pc = _reduce(f, pivots, row)
+                    if pc < n:
+                        chosen.append(v)
+                    else:
+                        del pivots[pc]
+                self._tagged[(d, w)] = (n, pivots)
                 for i, v in enumerate(chosen):
                     self._reps[(d, w, i)] = {(d, w, c): x for c, x in sorted(v.items())}
         return self._reps
+
+    def project(self, z: Elt) -> Elt:
+        """p: the class of a cocycle z in the basis of ``representatives``.
+
+        Each cell of z is reduced against that cell's tagged echelon until
+        only tags are left, which are minus its coordinates.  A cell with no
+        class is dropped, since a cocycle there is a coboundary; a cell whose
+        part of z is no cocycle raises ValueError."""
+        self.representatives  # builds the tagged echelons on first read
+        f = self.space.field
+        p = f.char
+        by_cell: Dict[Tuple[int, int], Dict[int, Scalar]] = {}
+        for (d, w, i), v in z.items():
+            by_cell.setdefault((d, w), {})[i] = v
+        out: Elt = {}
+        for cell, r in by_cell.items():
+            tagged = self._tagged.get(cell)
+            if tagged is None:
+                continue
+            n, pivots = tagged
+            while r:
+                c = min(r)
+                if c >= n:
+                    break
+                row = pivots.get(c)
+                if row is None:
+                    raise ValueError(f"not a cocycle at {cell}")
+                _axpy(r, r.pop(c), row, p)
+            for c, v in r.items():
+                out[(cell[0], cell[1], c - n)] = f.neg(v)
+        return out
 
     def dim(self, deg: int, wt: int) -> int:
         return self.space.dim(deg, wt)
@@ -468,34 +529,45 @@ class CochainComplex:
         blocks = (self.d.block_at(deg, wt), self.d.block_at(deg - 1, wt))
         return n and n - sum(b.rank() for b in blocks if b is not None)
 
-    def _ranks(self) -> Dict[Tuple[int, int], int]:
-        """Rank of every block of d, one weight column at a time from the top
-        degree down.  Clearing: the pivot columns of d at (d, w) name rows of
-        d at (d-1, w) that its other rows span when d∘d = 0, so
-        ``SparseMatrix.rank`` skips them."""
+    def _ranks(self, wmax: Optional[int] = None) -> Dict[Tuple[int, int], int]:
+        """Rank of every block of d with |w| <= wmax (all when None), one
+        weight column at a time from the top degree down.  Clearing: the
+        pivot columns of d at (d, w) name rows of d at (d-1, w) that its
+        other rows span when d∘d = 0, so ``SparseMatrix.rank`` skips them."""
         ranks: Dict[Tuple[int, int], int] = {}
         above: Optional[Tuple[int, int]] = None
         pivots: Set[int] = set()
-        for (d, w) in sorted(self.d.blocks, key=lambda cell: (cell[1], -cell[0])):
+        cells = [c for c in self.d.blocks if wmax is None or abs(c[1]) <= wmax]
+        for (d, w) in sorted(cells, key=lambda cell: (cell[1], -cell[0])):
             skip = pivots if above == (d + 1, w) else frozenset()
             pivots = set()
             ranks[(d, w)] = self.d.blocks[(d, w)].rank(skip, pivots)
             above = (d, w)
         return ranks
 
-    def cohomology(self, window: Optional[Window] = None) -> Cohomology:
+    def cohomology(self, window: Optional[Window] = None,
+                   wmax: Optional[int] = None) -> Cohomology:
         """Dimensions n - rank d_{d,w} - rank d_{d-1,w}, which assumes d∘d = 0
         (``validate_d2`` checks it), as do the ranks themselves: each weight
         column is eliminated top-down with clearing (``_ranks``).
-        Representatives are computed when read."""
+        Representatives are computed when read.
+
+        With wmax, only the weight columns |w| <= wmax are computed, and the
+        cohomology's space knows nothing of the others.  Its knowledge is
+        the complex's, one degree in from each end of a known interval, and
+        it keeps the complex's certified empty rays."""
         hspace = BiGradedSpace(self.field)
         cert = Certificate()
         blocks: Dict[Tuple[int, int], Tuple[SparseMatrix, SparseMatrix]] = {}
-        ranks = self._ranks()
+        ranks = self._ranks(wmax)
         probe = set(self.space.cells)
         if window is not None:
             probe.update(window.grid())
-        known = self.space.known_degrees({w for (_, w) in probe})
+        weights = {w for (_, w) in probe}
+        if wmax is not None:
+            probe = {c for c in probe if abs(c[1]) <= wmax}
+            weights = range(-wmax, wmax + 1)
+        known = self.space.known_degrees(weights)
         for (d, w) in sorted(probe):
             iv = known[w]
             exact = (iv is not None and (iv[0] is None or iv[0] <= d - 1)
@@ -507,12 +579,18 @@ class CochainComplex:
                 hspace.add_cell(d, w, [f"h{i}" for i in range(h)])
                 blocks[(d, w)] = (self.differential_block(d, w),
                                   self.differential_block(d - 1, w))
-        # cohomology knowledge mirrors the complex's
-        hspace.zero_outside = self.space.zero_outside
+        if wmax is None:
+            hspace.zero_outside = self.space.zero_outside
+            cols = self.space.known_cols
+        else:
+            hspace.zero_outside = False
+            cols = {w: iv for w, iv in known.items() if iv is not None}
         hspace.known_cols = {
             w: (None if lo is None else lo + 1, None if hi is None else hi - 1)
-            for w, (lo, hi) in self.space.known_cols.items()
+            for w, (lo, hi) in cols.items()
         }
+        hspace.known_zero_below = self.space.known_zero_below
+        hspace.known_zero_above = self.space.known_zero_above
         return Cohomology(hspace, cert, blocks)
 
     def shift(self, n: int) -> "CochainComplex":

@@ -466,3 +466,72 @@ def test_cohomology_computes_no_kernel_until_representatives_are_read(
     for h in hs:
         assert len(h.representatives) == h.space.total_dim()
     assert calls
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_project_reads_the_class_of_a_cocycle(field):
+    """p(Σ c_i·rep_i + d x) = Σ c_i·h_i for random coefficients and a random
+    cochain x one degree down; a cell with no class projects to zero, and
+    a cochain that is no cocycle is refused."""
+    rng = random.Random(71)
+    seen = 0
+    for c in random_complexes(field, 73, 6):
+        h = c.cohomology()
+        reps = h.representatives
+        for (d, w) in c.space.cells:
+            want = {k: field.of(rng.randint(-3, 3)) for k in h.space.keys(d, w)}
+            want = {k: v for k, v in want.items() if not field.is_zero(v)}
+            z = c.d.apply({k: field.of(rng.randint(-3, 3))
+                           for k in c.space.keys(d - 1, w)})
+            for k, v in want.items():
+                for x, s in reps[k].items():
+                    z[x] = field.add(z.get(x, field.zero), field.mul(v, s))
+            z = {x: s for x, s in z.items() if not field.is_zero(s)}
+            assert h.project(z) == want, (d, w)
+            seen += bool(want)
+            bad = [k for k in c.space.keys(d, w) if c.d.apply({k: field.one})]
+            if h.dim(d, w) and bad:
+                with pytest.raises(ValueError, match="not a cocycle"):
+                    h.project({bad[0]: field.one})
+    assert seen > 10
+
+
+def test_cohomology_up_to_a_weight_is_the_cohomology_there():
+    """cohomology(wmax=n) has the full cohomology's cells, certificates and
+    representatives at |w| <= n, and no knowledge of heavier weights."""
+    for c in random_complexes(F, 79, 6):
+        full = c.cohomology(Window(-2, 2, 1))
+        cut = c.cohomology(Window(-2, 2, 1), wmax=0)
+        assert cut.dims_by_cell() == {
+            cell: n for cell, n in full.dims_by_cell().items() if cell[1] == 0}
+        assert cut.certificate.status == {
+            cell: ok for cell, ok in full.certificate.status.items() if cell[1] == 0}
+        assert cut.representatives == {
+            k: v for k, v in full.representatives.items() if k[1] == 0}
+        assert cut.space.known_degrees([1, -1]) == {1: None, -1: None}
+        assert cut.space.column_complete(0)
+
+
+def test_a_cohomology_space_keeps_its_complex_rays():
+    sp = BiGradedSpace(F)
+    sp.add_cell(0, 0, ["a"])
+    sp.add_cell(1, -2, ["b"])
+    sp.zero_outside = False
+    sp.known_zero_below = -3
+    sp.known_zero_above = 0
+    for wmax in (None, 1, 4):
+        hsp = CochainComplex(sp).cohomology(wmax=wmax).space
+        assert (hsp.known_zero_below, hsp.known_zero_above) == (-3, 0)
+        assert hsp.column_complete(1) and hsp.column_complete(-4)
+        assert not hsp.column_complete(-2)
+
+
+def test_basis_keys_are_built_once_per_set_of_cells():
+    sp = BiGradedSpace(F)
+    sp.add_cell(1, 0, ["b"])
+    sp.add_cell(0, 0, ["a", "a2"])
+    keys = sp.basis_keys()
+    assert keys == ((0, 0, 0), (0, 0, 1), (1, 0, 0))
+    assert sp.basis_keys() is keys and isinstance(keys, tuple)
+    sp.add_cell(0, 1, ["c"])
+    assert sp.basis_keys() == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))

@@ -277,19 +277,29 @@ def _adic_tower_holim():
 
 
 def _koszul_completion():
+    """The complex a k[x] completion eliminates: the outer complex over the
+    minimal model has d = 0 (ε² = 0, and ε acts on k by zero), so it is
+    the inner convolution algebra E, whose cohomology the model is."""
     sc = build_scenario("koszul_kx", params={"wmax": 4})
     res = double_centralizer(sc["algebra"], sc["module"], (3, 3), inner_caps=(5, 5))
-    return res.completed.complex, Window(-2, 2, 3)
+    assert res.inner_used == "minimal" and not res.completed.complex.d.blocks
+    return res.inner.inner.complex, Window(-2, 2, 3), res.inner
 
 
 @pytest.mark.parametrize("build", [_adic_tower_holim, _koszul_completion])
 def test_qq_benchmark_paths_stay_integral(build):
     """The adic tower and k[x] completion paths never meet a non-integer, so
-    every differential entry and representative stays a Python int."""
-    cx, win = build()
+    every differential entry and representative stays a Python int, and so
+    does every output of the minimal model's projection p: its unit and
+    its products."""
+    cx, win, *model = build()
     entries = [v for b in cx.d.blocks.values() for v in b.entries.values()]
     reps = [x for e in cx.cohomology(win).representatives.values() for x in e.values()]
     assert entries and reps
+    for h in model:
+        projected = [h.unit] + list(h.mult.values())
+        assert len(projected) > 2
+        reps += [x for e in projected for x in e.values()]
     assert {type(v) for v in entries + reps} == {int}
 
 

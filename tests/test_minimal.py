@@ -1,0 +1,181 @@
+"""The minimal inner model: a completion over H(E) instead of over E.
+
+Where every class of H(E) up to the outer weight cap lies on one line
+d = c·w and the module on a parallel one, every transferred m_n with n >= 3
+vanishes by degree, so H(E) with d = 0 and m₂ = p∘μ∘(i⊗i) is E's minimal
+model.  The completion is invariant under that quasi-isomorphism, so it must
+give the bar model's tables wherever both certify.
+"""
+import pytest
+
+from dgcomplete import complete
+from dgcomplete import models as M
+from dgcomplete.bar import _reduction_data, end_algebra, minimal_model, reduction_data
+from dgcomplete.graded import Window
+from dgcomplete.linalg import RATIONALS as F
+
+
+def _forced_bar(m, cap):
+    """The completion over the convolution model E, as the bar path builds
+    it: E at caps cap + 2, the outer reduced bar at caps cap."""
+    inner = end_algebra(m, cap + 2, w_cap=cap + 2)
+    outer = end_algebra(inner.module_over_opposite(), cap, w_cap=cap,
+                        reduced=True)
+    return outer.opposite()
+
+
+def _triangular(n):
+    return M.build_scenario("triangular_" + "".join(str(i) for i in range(1, n + 1)))
+
+
+def _koszul(wmax):
+    return M.build_scenario("koszul_kx", params={"wmax": wmax})
+
+
+def _origin(variables, wmax):
+    ring = M.truncated_poly(F, variables, [], wmax=wmax)
+    return {"algebra": ring.algebra, "module": ring.residue_module()}
+
+
+# every bar-inner job shape the completion_qq deck draws, under any seed
+# (so those of seeds 0 and 7): koszul_kx (ring wmax, cap) and triangular
+# (length, cap), plus k[x,y] and k[x,y,z] along the origin
+SHAPES = (
+    [(f"koszul_kx w{w} cap 3", lambda w=w: _koszul(w), 3) for w in range(4, 8)]
+    + [("koszul_kx w4 cap 4", lambda: _koszul(4), 4),
+       ("koszul_kx w5 cap 5", lambda: _koszul(5), 5),
+       ("koszul_kx w6 cap 6", lambda: _koszul(6), 6),
+       ("koszul_kx w7 cap 6", lambda: _koszul(7), 6)]
+    + [(f"triangular_{n} cap {c}", lambda n=n: _triangular(n), c)
+       for n, c in [(n, c) for n in (2, 3, 4) for c in (2, 3, 4)]
+       + [(5, 2), (5, 3), (6, 3), (6, 4), (7, 2), (7, 3), (7, 4)]]
+    + [("k[x,y] w5 cap 3", lambda: _origin(["x", "y"], 5), 3),
+       ("k[x,y] w6 cap 4", lambda: _origin(["x", "y"], 6), 4),
+       ("k[x,y,z] w4 cap 2", lambda: _origin(["x", "y", "z"], 4), 2),
+       ("k[x,y,z] w5 cap 3", lambda: _origin(["x", "y", "z"], 5), 3)]
+)
+
+
+@pytest.mark.parametrize("build,cap", [s[1:] for s in SHAPES],
+                         ids=[s[0] for s in SHAPES])
+def test_minimal_model_agrees_with_the_bar_model(build, cap):
+    sc = build()
+    r = complete.double_centralizer(sc["algebra"], sc["module"], (cap, cap),
+                                    inner_caps=(cap + 2, cap + 2))
+    assert r.inner_used == "minimal"
+    assert r.diagnostics["minimal"] == {"slope": -1, "offset": 0,
+                                        "off_line": None, "reason": None}
+    bar = _forced_bar(sc["module"], cap)
+    assert len(r.completed.basis_keys()) <= len(bar.basis_keys())
+    hm = r.cohomology()
+    hb = bar.complex.cohomology(r.window)
+    both = [c for c in r.window.grid()
+            if hm.certificate.exact_at(*c) and hb.certificate.exact_at(*c)]
+    assert both
+    for c in both:
+        assert hm.dim(*c) == hb.dim(*c), c
+    # the knowledge the model carries is E's, so it certifies the same cells
+    assert hm.certificate.status == hb.certificate.status
+
+
+def _model(sc, cap):
+    inner = end_algebra(sc["module"], cap + 2, w_cap=cap + 2)
+    model, record = minimal_model(inner, cap)
+    assert model is not None, record
+    return model
+
+
+MODELS = {
+    "koszul_kx w7 cap 6": lambda: _model(_koszul(7), 6),
+    "triangular_1234 cap 4": lambda: _model(_triangular(4), 4),
+    "k[x,y] w5 cap 3": lambda: _model(_origin(["x", "y"], 5), 3),
+    "k[x,y,z] w4 cap 2": lambda: _model(_origin(["x", "y", "z"], 4), 2),
+}
+
+
+@pytest.mark.parametrize("build", MODELS.values(), ids=MODELS.keys())
+def test_the_product_is_the_product_of_representatives_up_to_a_boundary(build):
+    """i∘m₂(a, b) - i(a)·i(b) is a coboundary of E for every pair of classes
+    whose product lands within the model's weights, found by an independent
+    solve of d x = that difference; and the model is a unital associative
+    graded algebra with the module acting on it."""
+    model = build()
+    e, reps, f = model.inner, model.representatives, model.field
+    assert model.validate().ok
+    assert model.module_over_opposite().validate().ok
+    wmax = max(abs(w) for (_, w) in model.space.cells)
+    checked = 0
+    for k1 in model.basis_keys():
+        for k2 in model.basis_keys():
+            d, w = k1[0] + k2[0], k1[1] + k2[1]
+            if abs(w) > wmax:
+                continue
+            diff = e.multiply(reps[k1], reps[k2])
+            for k, c in model.basis_product(k1, k2).items():
+                for x, v in reps[k].items():
+                    s = f.sub(diff.get(x, f.zero), f.mul(c, v))
+                    if f.is_zero(s):
+                        diff.pop(x)
+                    else:
+                        diff[x] = s
+            block = e.complex.differential_block(d - 1, w)
+            assert block.solve({x[2]: v for x, v in diff.items()}) is not None
+            checked += 1
+    assert checked > len(model.basis_keys())
+
+
+def test_classes_of_k_over_k_x_y_form_an_exterior_algebra():
+    """Ext of k over k[x, y] is Λ[ε₁, ε₂]: ε_i² = 0 and ε₁ε₂ = -ε₂ε₁ ≠ 0."""
+    model = MODELS["k[x,y] w5 cap 3"]()
+    assert {c: model.space.dim(*c) for c in model.space.cells} == {
+        (0, 0): 1, (1, -1): 2, (2, -2): 1}
+    e1, e2 = model.space.keys(1, -1)
+    top = model.space.keys(2, -2)[0]
+    assert model.basis_product(e1, e1) == model.basis_product(e2, e2) == {}
+    prod = model.basis_product(e1, e2)
+    assert set(prod) == {top}
+    assert model.basis_product(e2, e1) == {top: -prod[top]}
+
+
+@pytest.mark.parametrize("build", MODELS.values(), ids=MODELS.keys())
+def test_reduction_data_of_the_model_matches_the_product_scan(build):
+    model = build()
+    red, scan = reduction_data(model), _reduction_data(model)
+    assert (red.sign, red.idempotents, red.lobj, red.robj) == (
+        scan.sign, scan.idempotents, scan.lobj, scan.robj)
+
+
+def test_a_class_off_the_line_falls_back_to_the_bar_model():
+    """k[x]/(x^5) has Ext² at (2, -5): at outer cap 6 it lies within the
+    weights the outer bar reads, off the line d = -w."""
+    sc = _koszul(4)
+    r = complete.double_centralizer(sc["algebra"], sc["module"], (6, 6),
+                                    inner_caps=(8, 8))
+    assert r.inner_used == "bar"
+    record = r.diagnostics["minimal"]
+    assert record["off_line"] == (2, -5) and record["slope"] == -1
+    assert "(2, -5)" in record["reason"]
+    # at cap 4 that class is past the cap, so the model is pure
+    r = complete.double_centralizer(sc["algebra"], sc["module"], (4, 4),
+                                    inner_caps=(6, 6))
+    assert r.inner_used == "minimal"
+
+
+def test_the_model_knows_no_weight_past_its_cap():
+    """A weight dropped past the outer cap is not known zero in the model."""
+    model = _model(_koszul(7), 4)
+    sp = model.space
+    assert max(abs(w) for (_, w) in sp.cells) <= 4
+    assert sp.column_complete(-4) and not sp.column_complete(-5)
+    assert sp.known_degrees([-5])[-5] is None
+
+
+def test_koszul_kx_completes_at_cap_8_over_nine_outer_elements():
+    sc = _koszul(10)
+    r = complete.double_centralizer(sc["algebra"], sc["module"], (8, 8))
+    assert r.inner_used == "minimal"
+    assert len(r.inner.basis_keys()) == 2
+    assert len(r.completed.basis_keys()) == 9
+    h = r.cohomology(Window(-2, 2, 8))
+    assert {c: h.dim(*c) for c in h.space.cells if h.certificate.exact_at(*c)} == {
+        (0, w): 1 for w in range(0, 9)}
