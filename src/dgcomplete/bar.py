@@ -152,18 +152,16 @@ def _unreducible_reason(m: DgModule, red: Optional[ReductionData]) -> str:
 
 def _module_objects(m: DgModule, red: ReductionData,
                     side: str) -> Optional[Dict[Key, int]]:
-    """Object index per module basis key, or None if not homogeneous."""
-    f = m.field
+    """Object index per module basis key, or None if not homogeneous: each
+    key must be fixed by exactly one idempotent and killed by the rest,
+    read off the action table, where a missing entry is zero."""
+    one, table = m.field.one, m.action
     out: Dict[Key, int] = {}
     for k in m.basis_keys():
         hits = []
         for i, z in enumerate(red.idempotents):
-            ze = {z: f.one}
-            if side == "right":
-                got = m.act({k: f.one}, ze)
-            else:
-                got = m.act_left(ze, {k: f.one})
-            if got == {k: f.one}:
+            got = table.get((k, z) if side == "right" else (z, k))
+            if got == {k: one}:
                 hits.append(i)
             elif got:
                 return None
@@ -559,19 +557,17 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
     cx = _install(space, acc)
 
     if scheme.reduced and n.space.fully_known() and nkeys:
-        lo = min(k[1] for k in nkeys) - scheme.w_cap
-        hi = max(k[1] for k in nkeys) + scheme.w_cap
+        nwts = {k[1] for k in nkeys}
+        lo, hi = min(nwts) - scheme.w_cap, max(nwts) + scheme.w_cap
         for u in range(lo, hi + 1):
-            if all(scheme.column_complete(q[1] - u) for q in nkeys):
+            if all(scheme.column_complete(w - u) for w in nwts):
                 space.set_known(u)
         mwts = [k[1] for k in scheme.module.basis_keys()]
         if mwts and scheme._module_known and scheme.honest_slots():
             if scheme.sign >= 0:
-                space.known_zero_above = (max(k[1] for k in nkeys)
-                                          - min(mwts))
+                space.known_zero_above = max(nwts) - min(mwts)
             if scheme.sign <= 0:
-                space.known_zero_below = (min(k[1] for k in nkeys)
-                                          - max(mwts))
+                space.known_zero_below = min(nwts) - max(mwts)
     return cx
 
 

@@ -10,17 +10,21 @@ do.  There are three:
   and their inclusions), it is K-projective, so REnd_a(m) = End_a(m) on the
   nose, and Yoneda reads it off the witness as the sum of the m·e_j;
 - minimal: otherwise, the cohomology H(E) of the convolution algebra E from
-  the bar calculus, on the weights the outer bar reads, when a purity check
-  makes it E's minimal model (``bar.minimal_model``);
-- bar: E itself, where the check fails.
+  the bar calculus, on the weights |w| <= w_out the outer bar reads, when a
+  purity check makes it E's minimal model (``bar.minimal_model``).  E is
+  built only to w_out + spread, the range of m's weights: a reduced bar
+  tuple in column u has slot weight sum at most spread + |u|, so E's tuples,
+  d and column certificates on |u| <= w_out, and H(E) there, are the same
+  as at the inner caps;
+- bar: E at the inner caps, which bound only this fallback, where the check
+  fails.
 
 Purity: every class of H(E) lies on one line d = c·w and m on a parallel
 one.  A transferred A∞ operation m_n has degree 2 - n and weight 0, so with
 inputs and output on that line it vanishes unless n = 2; the higher actions
 on m vanish the same way.  So the minimal model is formal: H(E) with d = 0
 and m₂ = p∘μ∘(i⊗i), where i picks representatives and p reads classes.  No
-homotopy and no A∞ code are needed, and the outer bar over H(E) is far
-smaller than over E.  Each model acts on m through its own
+homotopy and no A∞ code are needed.  Each model acts on m through its own
 ``module_over_opposite``, so the choice of model is the only branch.
 
 The outer model is always the reduced bar, the only one whose cells can be
@@ -74,13 +78,13 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     A module with the projective witness takes the strict model, exact by
     Yoneda wherever m's space is known, so it is marked complete only when m
     is fully known and certifies nothing otherwise.  Any other module builds
-    the convolution algebra E at inner_caps, which must clear the outer
-    weight cap by at least 2 and default to that margin; the purity check
-    up to the outer weight cap then picks the minimal model H(E), which
-    knows what E's cohomology certifies and no weight past that cap, or
-    else E.  ``diagnostics["strict"]`` records the
-    witness behind the first choice, and ``diagnostics["minimal"]`` the
-    line found or the cell off it (None for a strict model).
+    E to weight w_out + spread, all the purity check up to w_out reads, and
+    takes the minimal model H(E), which knows what E's cohomology certifies
+    and no weight past w_out, or else E at inner_caps, which must clear
+    w_out by at least 2 and default to that margin.
+    ``diagnostics["strict"]`` records the witness behind the first choice,
+    and ``diagnostics["minimal"]`` the line found or the cell off it (None
+    for a strict model).
 
     The outer model is the reduced bar at caps; an inner algebra it cannot
     reduce over raises ValueError naming the failing condition.
@@ -104,12 +108,13 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
         if w_in < w_out + 2:
             raise ValueError(
                 "inner caps must clear the outer weight cap by at least 2")
-        inner = end_algebra(m, n_in, w_cap=w_in, name=f"End({m.name})")
+        mw = [k[1] for k in m.basis_keys()]
+        w_read = min(w_in, w_out + (max(mw) - min(mw) if mw else 0))
+        inner = end_algebra(m, n_in, w_cap=w_read, name=f"End({m.name})")
         model, purity = minimal_model(inner, w_out)
-        if model is None:
-            inner_used = "bar"
-        else:
-            inner_used, inner = "minimal", model
+        if model is None and w_read < w_in:
+            inner = end_algebra(m, n_in, w_cap=w_in, name=inner.name)
+        inner_used, inner = ("bar", inner) if model is None else ("minimal", model)
     over = inner.module_over_opposite()
 
     outer = end_algebra(over, n_out, w_cap=w_out, reduced=True,

@@ -614,6 +614,24 @@ def test_reduced_bar_refusal_names_the_homogeneity_that_fails():
     assert "basis element not homogeneous for the idempotents" in str(err.value)
 
 
+@pytest.mark.parametrize("fixed_by", [(), ("X1", "X2")],
+                         ids=["by no idempotent", "by two idempotents"])
+def test_reduced_bar_refuses_a_key_not_fixed_by_exactly_one_idempotent(fixed_by):
+    """The object of a module key is read off the action table: a key that
+    no idempotent fixes, or that two fix, sits at no one object."""
+    a = paper_category()
+    sp = BiGradedSpace(F)
+    sp.add_cell(0, 0, ["s"])
+    s = (0, 0, 0)
+    action = {(s, z): {s: c} for o in fixed_by for z, c in a.idempotents[o].items()}
+    m = DgModule(a, CochainComplex(sp), action, side="right", name="s")
+    with pytest.raises(ValueError, match="module not object-homogeneous"):
+        bar_resolution(m, 2, reduced=True)
+    p1 = right_ideal_module(a, a.idempotents["X1"], name="P1")
+    with pytest.raises(ValueError, match="target module is not object"):
+        derived_hom(p1, m, 2, reduced=True)
+
+
 def _count_products(a):
     """Wrap a's product rule; the returned list gathers every pair asked."""
     asked, rule = [], a._rule

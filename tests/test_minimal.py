@@ -11,7 +11,8 @@ import pytest
 from dgcomplete import complete
 from dgcomplete import models as M
 from dgcomplete.bar import _reduction_data, end_algebra, minimal_model, reduction_data
-from dgcomplete.graded import Window
+from dgcomplete.dg import DgModule, direct_sum_modules
+from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.linalg import RATIONALS as F
 
 
@@ -37,9 +38,30 @@ def _origin(variables, wmax):
     return {"algebra": ring.algebra, "module": ring.residue_module()}
 
 
+def _simple_at(alg, obj, d, w):
+    """The simple module at obj, placed at (d, w)."""
+    sp = BiGradedSpace(F)
+    sp.add_cell(d, w, [f"S({obj})"])
+    sp.mark_all_complete()
+    mk = sp.key_of(d, w, f"S({obj})")
+    action = {(mk, z): {mk: c} for z, c in alg.idempotents[obj].items()}
+    return DgModule(alg, CochainComplex(sp), action, side="right",
+                    name=f"S({obj})[{d},{w}]")
+
+
+def _staggered_simples():
+    """S(O1) ⊕ S(O2) over the path algebra 1 -> 2, with S(O2) at (1, -1):
+    keys at two weights (spread 1), still on the line d = -w."""
+    alg = M.path_chain_algebra(F, 2)
+    m = direct_sum_modules(_simple_at(alg, "O1", 0, 0),
+                           _simple_at(alg, "O2", 1, -1), name="S1⊕S2[1,-1]")
+    return {"algebra": alg, "module": m}
+
+
 # every bar-inner job shape the completion_qq deck draws, under any seed
 # (so those of seeds 0 and 7): koszul_kx (ring wmax, cap) and triangular
-# (length, cap), plus k[x,y] and k[x,y,z] along the origin
+# (length, cap), plus k[x,y] and k[x,y,z] along the origin and a module
+# with keys at two weights
 SHAPES = (
     [(f"koszul_kx w{w} cap 3", lambda w=w: _koszul(w), 3) for w in range(4, 8)]
     + [("koszul_kx w4 cap 4", lambda: _koszul(4), 4),
@@ -52,7 +74,8 @@ SHAPES = (
     + [("k[x,y] w5 cap 3", lambda: _origin(["x", "y"], 5), 3),
        ("k[x,y] w6 cap 4", lambda: _origin(["x", "y"], 6), 4),
        ("k[x,y,z] w4 cap 2", lambda: _origin(["x", "y", "z"], 4), 2),
-       ("k[x,y,z] w5 cap 3", lambda: _origin(["x", "y", "z"], 5), 3)]
+       ("k[x,y,z] w5 cap 3", lambda: _origin(["x", "y", "z"], 5), 3),
+       ("staggered simples of 1 -> 2 cap 3", _staggered_simples, 3)]
 )
 
 
@@ -76,6 +99,70 @@ def test_minimal_model_agrees_with_the_bar_model(build, cap):
         assert hm.dim(*c) == hb.dim(*c), c
     # the knowledge the model carries is E's, so it certifies the same cells
     assert hm.certificate.status == hb.certificate.status
+
+
+def _spread(m):
+    ws = [k[1] for k in m.basis_keys()]
+    return max(ws) - min(ws)
+
+
+def _columns_agree(small, big, cap):
+    """E built at a small weight cap and at a large one agree on every
+    column |u| <= cap: its keys per cell, d, known columns and rays; and so
+    do their minimal models at cap, class for class."""
+    ss, bs = small.space, big.space
+    cells = sorted(c for c in bs.cells if abs(c[1]) <= cap)
+    assert cells == sorted(c for c in ss.cells if abs(c[1]) <= cap)
+    for d, u in cells:
+        keys = bs.keys(d, u)
+        assert [ss.label_of(k) for k in ss.keys(d, u)] == [
+            bs.label_of(k) for k in keys]
+        for k in keys:
+            assert small.complex.d.apply({k: 1}) == big.complex.d.apply({k: 1})
+    for u in range(-cap, cap + 1):
+        assert ss.known_cols.get(u) == bs.known_cols.get(u), u
+        assert ss.column_complete(u) == bs.column_complete(u), u
+    assert (ss.known_zero_above, ss.known_zero_below, ss.zero_outside) == (
+        bs.known_zero_above, bs.known_zero_below, bs.zero_outside)
+    hs, hb = (e.complex.cohomology(wmax=cap) for e in (small, big))
+    assert hs.certificate.status == hb.certificate.status
+    (ms, rs), (mb, rb) = minimal_model(small, cap), minimal_model(big, cap)
+    assert ms is not None and rs == rb
+    assert {c: ms.space.dim(*c) for c in ms.space.cells} == {
+        c: mb.space.dim(*c) for c in mb.space.cells}
+    assert ms.space.known_cols == mb.space.known_cols
+    assert ms.representatives == mb.representatives
+    assert ms.unit == mb.unit
+    for k1 in mb.basis_keys():
+        for k2 in mb.basis_keys():
+            assert ms.basis_product(k1, k2) == mb.basis_product(k1, k2)
+    assert ms.module_over_opposite().action == mb.module_over_opposite().action
+
+
+@pytest.mark.parametrize("build,cap", [s[1:] for s in SHAPES],
+                         ids=[s[0] for s in SHAPES])
+def test_e_at_the_weights_read_agrees_with_e_at_the_inner_caps(build, cap):
+    """The minimal path builds E only to cap + spread: every reduced bar
+    tuple in column u has slot weight sum at most spread + |u|."""
+    m = build()["module"]
+    w_read = min(cap + 2, cap + _spread(m))
+    small = end_algebra(m, cap + 2, w_cap=w_read)
+    big = end_algebra(m, cap + 2, w_cap=cap + 2)
+    _columns_agree(small, big, cap)
+
+
+@pytest.mark.parametrize("build,cap,w_read,keys", [
+    (lambda: _koszul(6), 6, 6, 64), (_staggered_simples, 3, 4, 3)],
+    ids=["koszul_kx w6 cap 6", "staggered simples cap 3"])
+def test_the_minimal_path_builds_e_only_to_the_cap_plus_the_spread(
+        build, cap, w_read, keys):
+    """E is read only to the outer cap plus the module's spread: for k over
+    k[x] (spread 0) 64 keys at cap 6, where the inner caps would give 252."""
+    sc = build()
+    r = complete.double_centralizer(sc["algebra"], sc["module"], (cap, cap))
+    assert r.inner_used == "minimal"
+    assert r.inner.inner.w_cap == w_read
+    assert len(r.inner.inner.basis_keys()) == keys
 
 
 def _model(sc, cap):
@@ -155,6 +242,13 @@ def test_a_class_off_the_line_falls_back_to_the_bar_model():
     record = r.diagnostics["minimal"]
     assert record["off_line"] == (2, -5) and record["slope"] == -1
     assert "(2, -5)" in record["reason"]
+    # the bar model is E at the inner caps, as if E had never been cut
+    assert r.inner.w_cap == 8
+    hr = r.cohomology()
+    hb = _forced_bar(sc["module"], 6).complex.cohomology(r.window)
+    assert hr.certificate.status == hb.certificate.status
+    assert {c: hr.dim(*c) for c in r.window.grid()} == {
+        c: hb.dim(*c) for c in r.window.grid()}
     # at cap 4 that class is past the cap, so the model is pure
     r = complete.double_centralizer(sc["algebra"], sc["module"], (4, 4),
                                     inner_caps=(6, 6))
