@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dg import (
@@ -116,6 +117,7 @@ class TruncatedRing:
                     raise ValueError(
                         f"infinite dimensional without wmax: variable {v} "
                         f"has no pure power relation")
+        self.one: Mono = tuple([0] * len(self.variables))
         self.monomials = self._standard_monomials()
         self.name = name or self._default_name()
         self._labels = {m: mono_label(m, self.variables) for m in self.monomials}
@@ -124,7 +126,7 @@ class TruncatedRing:
 
     def _standard_monomials(self) -> List[Mono]:
         nvar = len(self.variables)
-        seen = {tuple([0] * nvar)}
+        seen = {self.one}
         frontier = list(seen)
         out = list(seen)
         while frontier:
@@ -163,13 +165,10 @@ class TruncatedRing:
                 if p in self._alive:
                     products[(self._labels[a], self._labels[b])] = {
                         self._labels[p]: 1}
-        alg = DgAlgebra.from_basis(f, basis, [self._labels[self.monomials[0]]],
+        alg = DgAlgebra.from_basis(f, basis, [self._labels[self.one]],
                                    {}, products, name=self.name)
         alg.idempotents = {"*": dict(alg.unit)}
         return alg
-
-    def reduce(self, m: Mono) -> Optional[Mono]:
-        return m if m in self._alive else None
 
     def mono_key(self, m: Mono) -> Key:
         return self.algebra.space.key_of(0, sum(m), self._labels[m])
@@ -271,7 +270,7 @@ def square_zero(ring: TruncatedRing, module_extra: Optional[Sequence[str]] = (),
             if p in keptset and p in ring._alive:
                 products[(rl[a], mlbl[m])] = {mlbl[p]: 1}
                 products[(mlbl[m], rl[a])] = {mlbl[p]: 1}
-    alg = DgAlgebra.from_basis(f, basis, [rl[ring.monomials[0]]], {}, products,
+    alg = DgAlgebra.from_basis(f, basis, [rl[ring.one]], {}, products,
                                name=name or f"{ring.name}⋉M")
     alg.idempotents = {"*": dict(alg.unit)}
     return SquareZeroRing(ring, alg, shift)
@@ -352,27 +351,32 @@ def adic_tower(ring: TruncatedRing, ideal_gens: Sequence[str],
 # -- free complexes over a ring ----------------------------------------------
 
 FreeElt = Dict[Tuple[str, Mono], Scalar]
+Rows = Dict[str, FreeElt]
 
 
 class FreeComplex:
     """Bounded complex of finite free modules over a TruncatedRing.
 
-    ``diff[g][h]`` is the ring coefficient of h in d(g), as a map of
-    monomials to scalars; degrees rise by one and weights balance.
+    ``gens`` lists (name, degree, weight).  ``rows[g]`` is d(g) as
+    {(h, monomial tuple): field scalar}, the ring coefficient of h being a
+    sum of such terms; degrees rise by one and weights balance, which the
+    constructor checks on every entry before it drops dead or zero ones.
+    ``d`` reads the differential as a degree-1 FreeMap to the complex.
 
     When ``honest_tracked`` is set, ``honest_min``/``honest_max`` bound the
     degrees where the cohomology agrees with the untruncated object (None
     meaning unbounded on that side); untracked complexes make no claim.
+    ``dual()`` and ``tensor(other)`` build each complex once and keep it.
     """
 
     def __init__(self, ring: TruncatedRing, gens: Sequence[Tuple[str, int, int]],
-                 diff: Dict[str, Dict[str, Dict]], name: str = "",
+                 rows: Rows, name: str = "",
                  honest_min: Optional[int] = None,
                  honest_max: Optional[int] = None,
                  honest_tracked: bool = True):
         self.ring = ring
         self.field = ring.field
-        self.gens = [(str(n), d, w) for (n, d, w) in gens]
+        self.gens = list(gens)
         self.info = {n: (d, w) for (n, d, w) in self.gens}
         if len(self.info) != len(self.gens):
             raise ValueError("duplicate generator names")
@@ -380,71 +384,52 @@ class FreeComplex:
         self.honest_min = honest_min
         self.honest_max = honest_max
         self.honest_tracked = honest_tracked
-        f = self.field
-        self.diff: Dict[str, Dict[Tuple[str, Mono], Scalar]] = {}
-        for g, row in diff.items():
+        f, alive = ring.field, ring._alive
+        self._rows: Rows = {}
+        for g, row in rows.items():
             dg, wg = self.info[g]
-            out: Dict[Tuple[str, Mono], Scalar] = {}
-            for h, rcoef in row.items():
+            for (h, m) in row:
                 dh, wh = self.info[h]
                 if dh != dg + 1:
                     raise ValueError(f"d({g}) hits {h}: degree {dh} != {dg}+1")
-                for mono, c in rcoef.items():
-                    m = (parse_mono(mono, ring.variables)
-                         if isinstance(mono, str) else tuple(mono))
-                    s = f.of(c)
-                    if f.is_zero(s) or ring.reduce(m) is None:
-                        continue
-                    if wh + sum(m) != wg:
-                        raise ValueError(
-                            f"d({g}) hits {mono_label(m, ring.variables)}*{h}:"
-                            f" weight {wh}+{sum(m)} != {wg}")
-                    out[(h, m)] = f.add(out.get((h, m), f.zero), s)
-            self.diff[g] = {k: v for k, v in out.items() if not f.is_zero(v)}
+                if wh + sum(m) != wg:
+                    raise ValueError(
+                        f"d({g}) hits {mono_label(m, ring.variables)}*{h}:"
+                        f" weight {wh}+{sum(m)} != {wg}")
+            kept = {k: c for k, c in row.items()
+                    if k[1] in alive and not f.is_zero(c)}
+            if kept:
+                self._rows[g] = kept
+        self._dual: Optional[FreeComplex] = None
+        # weak keys: a product dies with its factor, and holds no cycle
+        self._tensors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
-    def d_elt(self, e: FreeElt) -> FreeElt:
-        f = self.field
-        out: FreeElt = {}
-        for (g, m), c in e.items():
-            for (h, m2), c2 in self.diff.get(g, {}).items():
-                p = _mono_mul(m, m2)
-                if self.ring.reduce(p) is None:
-                    continue
-                key = (h, p)
-                v = f.add(out.get(key, f.zero), f.mul(c, c2))
-                if f.is_zero(v):
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-        return out
+    @property
+    def d(self) -> "FreeMap":
+        """The differential, a degree-1 map of the complex to itself."""
+        return FreeMap(self, self, self._rows, deg=1)
 
     def validate(self) -> Optional[str]:
         """First generator with d² != 0, or None."""
-        unit = tuple([0] * len(self.ring.variables))
         for (g, _, _) in self.gens:
-            if self.d_elt(self.d_elt({(g, unit): self.field.one})):
+            if self.d.apply(self.d.apply({(g, self.ring.one): self.field.one})):
                 return g
         return None
 
     def dual(self) -> "FreeComplex":
         """Hom into the ring; generator g^ in bidegree (-deg, -wt)."""
-        f = self.field
-        gens = [(f"{g}^", -d, -w) for (g, d, w) in self.gens]
-        diff: Dict[str, Dict[str, Dict]] = {}
-        for g, row in self.diff.items():
-            for (h, m), c in row.items():
-                dh = self.info[h][0]
-                sign = f.of(-1) if (dh + 1) % 2 else f.one
-                diff.setdefault(f"{h}^", {}).setdefault(f"{g}^", {})[m] = \
-                    f.mul(sign, c)
-        hmin = None if self.honest_max is None else -self.honest_max
-        hmax = None if self.honest_min is None else -self.honest_min
-        return FreeComplex(self.ring, gens, diff, name=f"({self.name})^",
-                           honest_min=hmin, honest_max=hmax,
-                           honest_tracked=self.honest_tracked)
+        if self._dual is None:
+            hmin = None if self.honest_max is None else -self.honest_max
+            hmax = None if self.honest_min is None else -self.honest_min
+            self._dual = FreeComplex(
+                self.ring, [(f"{g}^", -d, -w) for (g, d, w) in self.gens],
+                self.d.transpose(), name=f"({self.name})^",
+                honest_min=hmin, honest_max=hmax,
+                honest_tracked=self.honest_tracked)
+        return self._dual
 
     def tensor(self, other: "FreeComplex") -> "FreeComplex":
-        """Tensor over the ring, with the usual sign on the second factor.
+        """Tensor over the ring, differential d⊗1 + 1⊗d.
 
         Honesty bounds survive only when both factors are junk-free above
         and generated in degrees <= 0: removed cells then sit below every
@@ -453,6 +438,8 @@ class FreeComplex:
         """
         if other.ring is not self.ring:
             raise ValueError("tensor needs complexes over the same ring")
+        if other in self._tensors:
+            return self._tensors[other]
 
         def exact(c: "FreeComplex") -> bool:
             return (c.honest_tracked and c.honest_min is None
@@ -463,29 +450,18 @@ class FreeComplex:
             self.honest_tracked and other.honest_tracked
             and self.honest_max is None and other.honest_max is None
             and all(d <= 0 for (_, d, _) in self.gens + other.gens))
-        f = self.field
-        gens = []
-        for (g, dg, wg) in self.gens:
-            for (h, dh, wh) in other.gens:
-                gens.append((f"{g}|{h}", dg + dh, wg + wh))
-        diff: Dict[str, Dict[str, Dict]] = {}
-        for (g, dg, wg) in self.gens:
-            for (h, dh, wh) in other.gens:
-                row: Dict[str, Dict] = {}
-                for (g2, m), c in self.diff.get(g, {}).items():
-                    row.setdefault(f"{g2}|{h}", {})[m] = c
-                s = f.of(-1) if dg % 2 else f.one
-                for (h2, m), c in other.diff.get(h, {}).items():
-                    d = row.setdefault(f"{g}|{h2}", {})
-                    d[m] = f.add(d.get(m, f.zero), f.mul(s, c))
-                if row:
-                    diff[f"{g}|{h}"] = row
+        gens = [(f"{g}|{h}", dg + dh, wg + wh)
+                for (g, dg, wg) in self.gens for (h, dh, wh) in other.gens]
+        rows = _koszul([(self.d, identity_free_map(other)),
+                        (identity_free_map(self), other.d)])
         mins = [b for b in (self.honest_min, other.honest_min) if b is not None]
-        return FreeComplex(self.ring, gens, diff,
-                           name=f"{self.name}⊗{other.name}",
-                           honest_min=(max(mins) if mins else None) if trackable
-                           else None,
-                           honest_tracked=trackable)
+        out = FreeComplex(self.ring, gens, rows,
+                          name=f"{self.name}⊗{other.name}",
+                          honest_min=(max(mins) if mins else None) if trackable
+                          else None,
+                          honest_tracked=trackable)
+        self._tensors[other] = out
+        return out
 
     def to_complex(self) -> CochainComplex:
         """Realization as a complex over the field, without the module
@@ -500,17 +476,7 @@ class FreeComplex:
         for (d, w), lbls in sorted(cells.items()):
             sp.add_cell(d, w, lbls)
         sp.mark_all_complete()
-        cx = CochainComplex(sp)
-        for (g, _, _) in self.gens:
-            for m in ring.monomials:
-                img: Elt = {}
-                for (h, m2), c in self.diff.get(g, {}).items():
-                    p = _mono_mul(m, m2)
-                    if ring.reduce(p) is not None:
-                        img[self.module_key(cx, h, p)] = c
-                if img:
-                    cx.d.set_column(self.module_key(cx, g, m), img)
-        return cx
+        return CochainComplex(sp, self.d.realize(sp, sp))
 
     def to_module(self, name: str = "") -> DgModule:
         """Realization as a right module over the ring's algebra:
@@ -520,37 +486,66 @@ class FreeComplex:
         action: Dict[Tuple[Key, Key], Elt] = {}
         for (g, _, _) in self.gens:
             for m in ring.monomials:
-                src = self.module_key(cx, g, m)
+                src = self.module_key(cx.space, g, m)
                 for a in ring.monomials:
                     p = _mono_mul(m, a)
-                    if ring.reduce(p) is not None:
+                    if p in ring._alive:
                         action[(src, ring.mono_key(a))] = {
-                            self.module_key(cx, g, p): f.one}
+                            self.module_key(cx.space, g, p): f.one}
         return DgModule(ring.algebra, cx, action, side="right",
                         name=name or self.name)
 
-    def module_key(self, cx: CochainComplex, g: str, m: Mono) -> Key:
+    def module_key(self, space: BiGradedSpace, g: str, m: Mono) -> Key:
         """The key of g times m in a realization of this complex."""
         d, w = self.info[g]
-        return cx.space.key_of(d, w + sum(m), (g, self.ring._labels[m]))
+        return space.key_of(d, w + sum(m), (g, self.ring._labels[m]))
+
+
+def _koszul(pairs: Sequence[Tuple["FreeMap", "FreeMap"]]) -> Rows:
+    """Rows of the sum of f⊗g over the pairs, with the Koszul sign
+    (f⊗g)(a⊗b) = (-1)^{|g||a|} f(a)⊗g(b)."""
+    rows: Rows = {}
+    for fm, gm in pairs:
+        f, alive = fm.source.field, fm.source.ring._alive
+        for (a, da, _) in fm.source.gens:
+            fa = fm.entries.get(a)
+            if not fa:
+                continue
+            if gm.deg * da % 2:
+                fa = {k: f.neg(c) for k, c in fa.items()}
+            for (b, _, _) in gm.source.gens:
+                gb = gm.entries.get(b)
+                if not gb:
+                    continue
+                row = rows.setdefault(f"{a}|{b}", {})
+                for (h1, m1), c1 in fa.items():
+                    for (h2, m2), c2 in gb.items():
+                        p = _mono_mul(m1, m2)
+                        if p in alive:
+                            key = (f"{h1}|{h2}", p)
+                            row[key] = f.add(row.get(key, f.zero), f.mul(c1, c2))
+    return rows
 
 
 class FreeMap:
-    """Degree-0 map of free complexes: entries[g] expands the image of g."""
+    """Map of free complexes raising degree by ``deg`` (0 for a chain map,
+    1 for a differential): ``entries[g]`` is the image of g as
+    {(h, monomial tuple): field scalar}."""
 
     def __init__(self, source: FreeComplex, target: FreeComplex,
-                 entries: Dict[str, Dict[Tuple[str, Mono], Scalar]]):
+                 entries: Rows, deg: int = 0):
         self.source = source
         self.target = target
         self.entries = entries
+        self.deg = deg
 
     def apply(self, e: FreeElt) -> FreeElt:
-        f = self.source.field
+        f, alive = self.source.field, self.target.ring._alive
         out: FreeElt = {}
         for (g, m), c in e.items():
             for (h, m2), c2 in self.entries.get(g, {}).items():
                 p = _mono_mul(m, m2)
-                if self.target.ring.reduce(p) is None:
+                if p not in alive:
                     continue
                 key = (h, p)
                 v = f.add(out.get(key, f.zero), f.mul(c, c2))
@@ -562,10 +557,10 @@ class FreeMap:
 
     def validate_chain(self) -> Optional[str]:
         """First source generator where d∘f != f∘d, or None."""
-        unit = tuple([0] * len(self.source.ring.variables))
         for (g, _, _) in self.source.gens:
-            e = {(g, unit): self.source.field.one}
-            if self.target.d_elt(self.apply(e)) != self.apply(self.source.d_elt(e)):
+            e = {(g, self.source.ring.one): self.source.field.one}
+            if (self.target.d.apply(self.apply(e))
+                    != self.apply(self.source.d.apply(e))):
                 return g
         return None
 
@@ -573,91 +568,80 @@ class FreeMap:
         """self ∘ inner; middle complexes must agree generator by generator."""
         if inner.target.info != self.source.info:
             raise ValueError("composition mismatch")
-        f = inner.source.field
-        entries: Dict[str, Dict[Tuple[str, Mono], Scalar]] = {}
+        unit, one = inner.source.ring.one, inner.source.field.one
+        entries: Rows = {}
         for (g, _, _) in inner.source.gens:
-            unit = tuple([0] * len(inner.source.ring.variables))
-            img = self.apply(inner.apply({(g, unit): f.one}))
+            img = self.apply(inner.apply({(g, unit): one}))
             if img:
                 entries[g] = img
-        return FreeMap(inner.source, self.target, entries)
+        return FreeMap(inner.source, self.target, entries, self.deg + inner.deg)
 
-    def dual(self) -> "FreeMap":
-        """Transpose map between the duals (degree-0 maps carry no sign)."""
-        src_d = self.target.dual()
-        tgt_d = self.source.dual()
+    def transpose(self) -> Rows:
+        """Rows of the map between duals: each entry c·h of the image of g
+        gives h^ ↦ (-1)^{deg·(|h|+1)} c·g^."""
         f = self.source.field
-        entries: Dict[str, Dict[Tuple[str, Mono], Scalar]] = {}
+        rows: Rows = {}
         for g, row in self.entries.items():
             for (h, m), c in row.items():
-                entries.setdefault(f"{h}^", {})[(f"{g}^", m)] = c
-        return FreeMap(src_d, tgt_d, entries)
+                if self.deg * (self.target.info[h][0] + 1) % 2:
+                    c = f.neg(c)
+                rows.setdefault(f"{h}^", {})[(f"{g}^", m)] = c
+        return rows
+
+    def dual(self) -> "FreeMap":
+        """The transpose, from the target's dual to the source's."""
+        return FreeMap(self.target.dual(), self.source.dual(), self.transpose(),
+                       self.deg)
 
     def tensor(self, other: "FreeMap") -> "FreeMap":
-        """Tensor of degree-0 maps (no Koszul sign in degree 0)."""
-        src = self.source.tensor(other.source)
-        tgt = self.target.tensor(other.target)
-        f = self.source.field
-        entries: Dict[str, Dict[Tuple[str, Mono], Scalar]] = {}
-        for (g1, _, _) in self.source.gens:
-            for (g2, _, _) in other.source.gens:
-                row: Dict[Tuple[str, Mono], Scalar] = {}
-                for (h1, m1), c1 in self.entries.get(g1, {}).items():
-                    for (h2, m2), c2 in other.entries.get(g2, {}).items():
-                        p = _mono_mul(m1, m2)
-                        if self.source.ring.reduce(p) is None:
-                            continue
-                        key = (f"{h1}|{h2}", p)
-                        row[key] = f.add(row.get(key, f.zero), f.mul(c1, c2))
-                if row:
-                    entries[f"{g1}|{g2}"] = {k: v for k, v in row.items()
-                                             if not f.is_zero(v)}
-        return FreeMap(src, tgt, entries)
+        """Tensor of maps, with the Koszul sign of ``_koszul``."""
+        return FreeMap(self.source.tensor(other.source),
+                       self.target.tensor(other.target),
+                       _koszul([(self, other)]), self.deg + other.deg)
 
-    def to_graded_map(self, src: CochainComplex,
-                      tgt: CochainComplex) -> GradedMap:
-        """The map between realizations of the source and the target."""
+    def realize(self, src: BiGradedSpace, tgt: BiGradedSpace) -> GradedMap:
+        """The map between realizations of the source and the target, on
+        their spaces: g times m goes to m times the image of g."""
         ring = self.source.ring
-        g = GradedMap(src.space, tgt.space, 0, 0)
-        for (gen, _, _) in self.source.gens:
+        out = GradedMap(src, tgt, self.deg, 0)
+        for (g, _, _) in self.source.gens:
+            row = self.entries.get(g)
+            if not row:
+                continue
             for m in ring.monomials:
                 img: Elt = {}
-                for (h, m2), c in self.entries.get(gen, {}).items():
+                for (h, m2), c in row.items():
                     p = _mono_mul(m, m2)
-                    if ring.reduce(p) is not None:
+                    if p in ring._alive:
                         img[self.target.module_key(tgt, h, p)] = c
                 if img:
-                    g.set_column(self.source.module_key(src, gen, m), img)
-        return g
+                    out.set_column(self.source.module_key(src, g, m), img)
+        return out
 
 
 def identity_free_map(c: FreeComplex) -> FreeMap:
-    unit = tuple([0] * len(c.ring.variables))
-    return FreeMap(c, c, {g: {(g, unit): c.field.one} for (g, _, _) in c.gens})
+    return FreeMap(c, c, {g: {(g, c.ring.one): c.field.one}
+                          for (g, _, _) in c.gens})
 
 
 def biduality_map(src: FreeComplex, tgt: FreeComplex) -> FreeMap:
     """Evaluation g ↦ (-1)^{deg g} g^^; the sign absorbs the negated
     differential that two passes of the dual convention produce."""
     f = src.field
-    unit = tuple([0] * len(src.ring.variables))
     return FreeMap(src, tgt, {
-        g: {(f"{g}^^", unit): f.of(-1) if d % 2 else f.one}
+        g: {(f"{g}^^", src.ring.one): f.neg(f.one) if d % 2 else f.one}
         for (g, d, _) in src.gens})
 
 
 def lacing_map(a: FreeComplex, b: FreeComplex) -> FreeMap:
     """A^∨ ⊗ B^∨ -> (A⊗B)^∨ on dual generators, with the chain-map sign."""
     f = a.field
-    src = a.dual().tensor(b.dual())
-    tgt = a.tensor(b).dual()
-    unit = tuple([0] * len(a.ring.variables))
-    entries: Dict[str, Dict[Tuple[str, Mono], Scalar]] = {}
+    entries: Rows = {}
     for (g, dg, _) in a.gens:
         for (h, dh, _) in b.gens:
-            sign = f.of(-1) if (dg * dh) % 2 else f.one
-            entries[f"{g}^|{h}^"] = {(f"{g}|{h}^", unit): sign}
-    return FreeMap(src, tgt, entries)
+            sign = f.neg(f.one) if (dg * dh) % 2 else f.one
+            entries[f"{g}^|{h}^"] = {(f"{g}|{h}^", a.ring.one): sign}
+    return FreeMap(a.dual().tensor(b.dual()), a.tensor(b).dual(), entries)
 
 
 # -- resolutions -------------------------------------------------------------
@@ -673,23 +657,22 @@ def koszul_resolution(ring: TruncatedRing, name: str = "") -> FreeComplex:
     """
     if ring.relations:
         raise ValueError("koszul resolution needs a relation-free ring")
-    vs = ring.variables
+    f, n = ring.field, len(ring.variables)
     gens = []
-    diff: Dict[str, Dict[str, Dict]] = {}
+    rows: Rows = {}
 
-    def gname(sub: Tuple[str, ...]) -> str:
-        return "e(" + "*".join(sub) + ")" if sub else "e()"
+    def gname(sub: Tuple[int, ...]) -> str:
+        return "e(" + "*".join(ring.variables[i] for i in sub) + ")"
 
-    for r in range(len(vs) + 1):
-        for sub in itertools.combinations(vs, r):
+    for r in range(n + 1):
+        for sub in itertools.combinations(range(n), r):
             gens.append((gname(sub), -r, r))
-            row: Dict[str, Dict] = {}
-            for j, v in enumerate(sub):
-                rest = sub[:j] + sub[j + 1:]
-                row[gname(rest)] = {v: (-1) ** j}
-            if row:
-                diff[gname(sub)] = row
-    return FreeComplex(ring, gens, diff, name=name or f"Koszul({ring.name})")
+            rows[gname(sub)] = {
+                (gname(sub[:j] + sub[j + 1:]),
+                 tuple(int(k == i) for k in range(n))):
+                f.neg(f.one) if j % 2 else f.one
+                for j, i in enumerate(sub)}
+    return FreeComplex(ring, gens, rows, name=name or f"Koszul({ring.name})")
 
 
 def periodic_resolution(ring: TruncatedRing, length: int,
@@ -699,27 +682,28 @@ def periodic_resolution(ring: TruncatedRing, length: int,
     if len(ring.variables) != 1 or len(ring.relations) != 1:
         raise ValueError("periodic resolution needs k[x]/(x^t)")
     t = ring.relations[0][0]
+    if t < 2:
+        raise ValueError("periodic resolution needs t >= 2: k[x]/(x) is k")
     if ring.wmax is not None and ring.wmax < t - 1:
         raise ValueError("ring truncation cuts below the relation")
-    x = ring.variables[0]
-    offset = t - 1 if socle else 0
     gens = []
-    diff: Dict[str, Dict[str, Dict]] = {}
-    wt = offset
+    rows: Rows = {}
+    wt = t - 1 if socle else 0
     for i in range(length + 1):
         gens.append((f"p{i}", -i, wt))
         if i + 1 <= length:
             step = 1 if i % 2 == 0 else t - 1
-            diff[f"p{i + 1}"] = {f"p{i}": {f"{x}^{step}" if step > 1 else x: 1}}
+            rows[f"p{i + 1}"] = {(f"p{i}", (step,)): ring.field.one}
             wt += step
-    return FreeComplex(ring, gens, diff,
+    return FreeComplex(ring, gens, rows,
                        name=name or f"res(k{'_socle' if socle else ''})",
                        honest_min=-length + 1)
 
 
 def free_resolution(ring: TruncatedRing, length: int) -> FreeComplex:
-    """Resolution of the residue field, dispatched on the ring's shape."""
-    if not ring.variables:
+    """Resolution of the residue field, dispatched on the ring's shape; a
+    ring spanned by 1 alone is the field, whatever its presentation."""
+    if ring.monomials == [ring.one]:
         return FreeComplex(ring, [("e", 0, 0)], {}, name="res(k)")
     if not ring.relations:
         return koszul_resolution(ring)
@@ -733,17 +717,13 @@ def dual_model(ring: TruncatedRing, p: FreeComplex,
     """A junk-free exact complex quasi-isomorphic to the dual of the residue
     field, with its comparison into p's strict dual."""
     pd = p.dual()
-    if not ring.variables or not ring.relations:
+    if ring.monomials == [ring.one] or not ring.relations:
         # field or free polynomial ring: the dual of the finite exact
         # resolution is itself exact
         return pd, identity_free_map(pd)
-    t = ring.relations[0][0]
-    x = ring.variables[0]
     pprime = periodic_resolution(ring, length, socle=True)
-    power = f"{x}^{t - 1}" if t > 2 else x
-    rho = FreeMap(pprime, pd, {"p0": {("p0^", parse_mono(power, ring.variables)):
-                                      ring.field.one}})
-    return pprime, rho
+    t = ring.relations[0][0]
+    return pprime, FreeMap(pprime, pd, {"p0": {("p0^", (t - 1,)): ring.field.one}})
 
 
 # -- biduality comparison for tensor powers ----------------------------------
@@ -822,8 +802,8 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
         cx_t = t_n.to_complex()
         cx_left = left_cx.to_complex()
         cx_right = right_cx.to_complex()
-        lam = comparison.to_graded_map(cx_left, cx_right)
-        phi_map = phi.to_graded_map(cx_t, cx_left)
+        lam = comparison.realize(cx_left.space, cx_right.space)
+        phi_map = phi.realize(cx_t.space, cx_left.space)
 
         wt_band = max((abs(w) for (_, w) in
                        list(cx_left.space.cells) + list(cx_right.space.cells)),

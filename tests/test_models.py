@@ -1,7 +1,9 @@
 """Model library: rings, towers, resolutions, duality, example registry."""
+import hashlib
+
 import pytest
 
-from dgcomplete.linalg import RATIONALS as F
+from dgcomplete.linalg import RATIONALS as F, Field
 from dgcomplete.graded import Window
 from dgcomplete.dg import DgModule, regular_module, right_ideal_module
 from dgcomplete.bar import derived_hom
@@ -177,6 +179,19 @@ class TestResolutions:
         h = hdims(mod.complex, -2, 1, 4)
         assert h == {(0, 0): 1}
 
+    def test_periodic_refuses_the_field(self):
+        with pytest.raises(ValueError, match="t >= 2"):
+            M.periodic_resolution(M.truncated_poly(F, ["x"], ["x"]), 4)
+
+    def test_bidegree_checked_before_dead_entries_drop(self):
+        ring = M.truncated_poly(F, ["x"], ["x^2"])
+        gens = [("a", 0, 0), ("b", -1, 1)]
+        # x^2 is dead in the ring, but d(b) = x^2·a still breaks weight
+        with pytest.raises(ValueError, match="weight"):
+            M.FreeComplex(ring, gens, {"b": {("a", (2,)): F.one}})
+        c = M.FreeComplex(ring, gens, {"b": {("a", (1,)): F.one}})
+        assert c.d.entries == {"b": {("a", (1,)): F.one}}
+
     def test_free_resolution_dispatch(self):
         assert M.free_resolution(M.truncated_poly(F, [], []), 3).gens
         assert M.free_resolution(M.truncated_poly(F, ["x"], [], wmax=4), 3)
@@ -245,6 +260,13 @@ class TestFreeComplexOps:
         pprime, rho = M.dual_model(self.ring, self.p, 4)
         assert rho.validate_chain() is None
         assert rho.dual().validate_chain() is None
+
+    def test_dual_and_tensor_built_once(self):
+        q = M.periodic_resolution(self.ring, 2)
+        assert self.p.dual() is self.p.dual()
+        assert self.p.tensor(q) is self.p.tensor(q)
+        assert self.p.tensor(self.p) is not self.p.tensor(q)
+        assert M.lacing_map(self.p, q).target is self.p.tensor(q).dual()
 
 
 class TestDualModule:
@@ -324,6 +346,43 @@ class TestInfinExt:
             "verdict": "non-isomorphism",
             "witness": (2, -3, 4),
         }
+
+    def test_report_builds_each_complex_once(self, monkeypatch):
+        r = M.truncated_poly(F, ["x"], ["x^3"])
+        built = []
+        init = M.FreeComplex.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(M.FreeComplex, "__init__", counted)
+        M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2)
+        # P, P^, P^^, P', P'^, P⊗P, (P⊗P)^, (P⊗P)^^, P^⊗P^, P'⊗P', (P'⊗P')^
+        assert len(built) <= 11
+
+    def test_reports_pinned_over_a_prime_field(self):
+        gf = Field(32003)
+        reports = [M.infin_ext_check(M.truncated_poly(gf, ["x"], [f"x^{t}"]),
+                                     window=(-3, 3), length=6)
+                   for t in range(2, 7)]
+        reports += [M.infin_ext_check(M.truncated_poly(gf, vs, [], wmax=4),
+                                      window=(-2, 2), length=4)
+                    for vs in (["x"], ["x", "y"])]
+        text = "".join(repr(sorted(rep.items(), key=str)) for rep in reports)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "d1ddec90717420510b542bc3932a1535c6fa36e7a278f3136f8a8ec98ea07396")
+
+    def test_ring_spanned_by_one_is_the_field(self):
+        # k[x]/(x) = k: no junk Tor from a step by x^0
+        rep = M.infin_ext_check(M.truncated_poly(F, ["x"], ["x"]),
+                                window=(-2, 2), length=4)
+        field = M.infin_ext_check(M.truncated_poly(F, [], []),
+                                  window=(-2, 2), length=4)
+        assert rep.pop("ring") == "k[x]/(x)"
+        field.pop("ring")
+        assert rep == field
+        assert rep["verdict"] == "isomorphism"
 
     def test_regular_line_is_reflexive(self):
         kx = M.truncated_poly(F, ["x"], [], wmax=8)
