@@ -584,14 +584,39 @@ def derived_hom(m: DgModule, n: DgModule, n_max: int,
     return _hom_complex_into(_BarScheme(m, n_max, w_cap, reduced, n), n)
 
 
-class EndAlgebra(DgAlgebra):
+class InnerModel(DgAlgebra):
+    """A model of the endomorphisms of ``module``, acting on it by
+    evaluation.  Each model supplies ``evaluations``: the (f, p, f(p))
+    of its length-zero part, through which the module acts."""
+
+    def __init__(self, complex: CochainComplex, unit: Elt, product,
+                 module: DgModule, name: str = ""):
+        super().__init__(complex, unit, product, name=name)
+        self.module = module
+
+    def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
+        raise NotImplementedError
+
+    def module_over_opposite(self) -> DgModule:
+        """The defining module as a right module over the opposite algebra,
+        acting by signed evaluation: p·f = (-1)^{|f||p|} f(p)."""
+        f = self.field
+        m = self.module
+        action: Dict[Tuple[Key, Key], Elt] = {}
+        for fk, p, val in self.evaluations():
+            odd = fk[0] % 2 and p[0] % 2
+            action[(p, fk)] = {q: f.neg(c) if odd else c for q, c in val.items()}
+        return DgModule(_opposite(self), m.complex, action, side="right",
+                        name=f"{m.name}^" if m.name else "")
+
+
+class EndAlgebra(InnerModel):
     """Derived endomorphisms of a module, with the convolution product."""
 
     def __init__(self, complex: CochainComplex, unit: Elt, product,
                  module: DgModule, n_max: int, w_cap: int, reduced: bool,
                  name: str = ""):
-        super().__init__(complex, unit, product, name=name)
-        self.module = module
+        super().__init__(complex, unit, product, module, name=name)
         self.n_max = n_max
         self.w_cap = w_cap
         self.reduced = reduced
@@ -608,30 +633,19 @@ class EndAlgebra(DgAlgebra):
                             reduced=self.reduced,
                             name=f"End0({self.module.name})")
         p = GradedMap(self.space, naive.space, 0, 0)
-        for bk in self.basis_keys():
-            q, lab = self.space.label_of(bk)
-            if lab[1]:
-                continue
-            p.set_entry(bk, naive.space.key_of(bk[0], bk[1], (q, lab)),
-                        self.field.one)
+        for k, src, val in self.evaluations():
+            for q, c in val.items():
+                p.set_entry(k, naive.space.key_of(k[0], k[1], (q, (src, ()))), c)
         return naive, p
 
-    def module_over_opposite(self) -> DgModule:
-        """The defining module as a right module over the opposite algebra,
-        acting through the projection to underived operators."""
-        f = self.field
-        m = self.module
-        op = _opposite(self)
-        action: Dict[Tuple[Key, Key], Elt] = {}
-        for bk in self.basis_keys():
-            q, lab = self.space.label_of(bk)
-            tm, al = lab
-            if al:
-                continue
-            s = f.of(-1) if (bk[0] % 2 and tm[0] % 2) else f.one
-            action[(tm, bk)] = {q: s}
-        return DgModule(op, m.complex, action, side="right",
-                        name=f"{m.name}^")
+    def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
+        """The bare matrix units (q, (p, ())): p ↦ q, the underived
+        operators."""
+        one = self.field.one
+        for k in self.basis_keys():
+            q, (p, slots) = self.space.label_of(k)
+            if not slots:
+                yield k, p, {q: one}
 
 
 def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
@@ -664,7 +678,7 @@ def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
                       name=name or f"End({m.name})")
 
 
-class MinimalModel(DgAlgebra):
+class MinimalModel(InnerModel):
     """The cohomology H(E) of a convolution algebra E on the weight columns
     |w| <= w_max, as a graded algebra with d = 0.
 
@@ -686,31 +700,23 @@ class MinimalModel(DgAlgebra):
             return h.project(inner.multiply(reps[k1], reps[k2]))
 
         super().__init__(CochainComplex(h.space), h.project(inner.unit),
-                         product, name=f"H({inner.name})")
+                         product, inner.module, name=f"H({inner.name})")
         self.inner = inner
-        self.module = inner.module
         self.representatives = reps
         self._ends = ends
 
     def ends(self, k: Key) -> Tuple[Key, Key]:
         return self._ends[k]
 
-    def module_over_opposite(self) -> DgModule:
-        """The defining module as a right module over the opposite model,
-        acting through the length-zero part of i(h), the projection the
-        convolution model acts through; purity leaves no higher action."""
-        f = self.field
-        m = self.module
+    def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
+        """The length-zero part of i(h), the one bare unit of h's block;
+        purity leaves no higher action."""
         label = self.inner.space.label_of
-        action: Dict[Tuple[Key, Key], Elt] = {}
         for h, rep in self.representatives.items():
             for k, c in rep.items():
-                q, (tm, al) = label(k)
-                if not al:  # the one length-zero element of h's block
-                    action[(tm, h)] = {
-                        q: f.neg(c) if h[0] % 2 and tm[0] % 2 else c}
-        return DgModule(_opposite(self), m.complex, action, side="right",
-                        name=f"{m.name}^")
+                q, (p, slots) = label(k)
+                if not slots:
+                    yield h, p, {q: c}
 
 
 def _line(cells: Sequence[Tuple[int, int]],
@@ -806,7 +812,7 @@ def stabilization_scan(compute: Callable[[int], Cohomology],
     return {"caps": caps, "rows": rows}
 
 
-class StrictEndAlgebra(DgAlgebra):
+class StrictEndAlgebra(InnerModel):
     """Honest module endomorphisms, with their defining maps attached.
 
     The basis element labelled (j, q) is the Yoneda map f_{j,q} of
@@ -817,22 +823,14 @@ class StrictEndAlgebra(DgAlgebra):
     def __init__(self, complex: CochainComplex, unit: Elt, product,
                  module: DgModule, map_of: Dict[Key, Dict[Key, Elt]],
                  name: str = ""):
-        super().__init__(complex, unit, product, name=name)
-        self.module = module
+        super().__init__(complex, unit, product, module, name=name)
         self.map_of = map_of
 
-    def module_over_opposite(self) -> DgModule:
-        """The defining module as a right module over the opposite algebra,
-        acting by signed evaluation."""
-        f = self.field
-        m = self.module
-        action: Dict[Tuple[Key, Key], Elt] = {}
+    def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
+        """Each basis map's defining images, ``map_of``."""
         for fk in self.basis_keys():
-            for mk, val in self.map_of[fk].items():
-                s = f.of(-1) if (fk[0] % 2 and mk[0] % 2) else f.one
-                action[(mk, fk)] = {q: f.mul(s, c) for q, c in val.items()}
-        return DgModule(_opposite(self), m.complex, action, side="right",
-                        name=f"{m.name}^" if m.name else "")
+            for p, val in self.map_of[fk].items():
+                yield fk, p, val
 
 
 def strict_end_algebra(m: DgModule) -> StrictEndAlgebra:
@@ -908,9 +906,8 @@ def embed_strict(strict: StrictEndAlgebra, b: EndAlgebra) -> GradedMap:
     if strict.module is not b.module:
         raise ValueError("endomorphism algebras of different modules")
     g = GradedMap(strict.space, b.space, 0, 0)
-    for sk in strict.basis_keys():
-        for p, val in strict.map_of[sk].items():
-            for q, c in val.items():
-                tk = b.space.key_of(q[0] - p[0], q[1] - p[1], (q, (p, ())))
-                g.add_entry(sk, tk, c)
+    for sk, p, val in strict.evaluations():
+        for q, c in val.items():
+            tk = b.space.key_of(q[0] - p[0], q[1] - p[1], (q, (p, ())))
+            g.add_entry(sk, tk, c)
     return g

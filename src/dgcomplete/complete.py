@@ -24,8 +24,9 @@ one.  A transferred A∞ operation m_n has degree 2 - n and weight 0, so with
 inputs and output on that line it vanishes unless n = 2; the higher actions
 on m vanish the same way.  So the minimal model is formal: H(E) with d = 0
 and m₂ = p∘μ∘(i⊗i), where i picks representatives and p reads classes.  No
-homotopy and no A∞ code are needed.  Each model acts on m through its own
-``module_over_opposite``, so the choice of model is the only branch.
+homotopy and no A∞ code are needed.  Every model acts on m by evaluating
+its length-zero part (``bar.InnerModel``), so the choice of model is the
+only branch.
 
 The outer model is always the reduced bar, the only one whose cells can be
 certified.  Where the inner algebra is not weight-connected over orthogonal

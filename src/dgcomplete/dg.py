@@ -480,47 +480,6 @@ def category_algebra(pres: DgCategoryPresentation, field: Field,
     return alg
 
 
-def product_algebra(factors: Sequence[DgAlgebra], name: str = "") -> DgAlgebra:
-    """Componentwise product; basis labels tagged by factor index."""
-    if not factors:
-        raise ValueError("product of no algebras is not representable on a basis")
-    if len(factors) == 1:
-        return factors[0]
-    f = factors[0].field
-    sp = BiGradedSpace(f)
-    cells: Dict[Tuple[int, int], List] = {}
-    for i, a in enumerate(factors):
-        for (d, w) in a.space.sorted_cells():
-            for lbl in a.space.labels(d, w):
-                cells.setdefault((d, w), []).append((i, lbl))
-    for (d, w), lbls in sorted(cells.items()):
-        sp.add_cell(d, w, lbls)
-    sp.mark_all_complete()
-    cx = CochainComplex(sp)
-
-    def relabel(i: int, a: DgAlgebra, e: Elt) -> Elt:
-        return {sp.key_of(k[0], k[1], (i, a.space.label_of(k))): v for k, v in e.items()}
-
-    for i, a in enumerate(factors):
-        for (d, w), block in a.complex.d.blocks.items():
-            for (r, c), v in block.entries.items():
-                sk = sp.key_of(d, w, (i, a.space.labels(d, w)[c]))
-                tk = sp.key_of(d + 1, w, (i, a.space.labels(d + 1, w)[r]))
-                cx.d.add_entry(sk, tk, v)
-    mult: MultTable = {}
-    unit: Elt = {}
-    idems: Dict[str, Elt] = {}
-    for i, a in enumerate(factors):
-        for (k1, k2), e in a.mult.items():
-            key1 = sp.key_of(k1[0], k1[1], (i, a.space.label_of(k1)))
-            key2 = sp.key_of(k2[0], k2[1], (i, a.space.label_of(k2)))
-            mult[(key1, key2)] = relabel(i, a, e)
-        unit.update(relabel(i, a, a.unit))
-        for obj, e in a.idempotents.items():
-            idems[f"{i}:{obj}"] = relabel(i, a, e)
-    return DgAlgebra(cx, unit, table_rule(mult), name=name, idempotents=idems)
-
-
 class AlgebraMorphism:
     """Degree-0, weight-0 unital chain algebra map, stored as a GradedMap."""
 

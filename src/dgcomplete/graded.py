@@ -101,9 +101,6 @@ class BiGradedSpace:
     def label_of(self, key: Key):
         return self.cells[(key[0], key[1])][key[2]]
 
-    def sorted_cells(self) -> List[Tuple[int, int]]:
-        return sorted(self.cells)
-
     def weights(self) -> List[int]:
         return sorted({w for (_, w) in self.cells})
 
@@ -741,106 +738,3 @@ def cone(f: GradedMap, src: CochainComplex, tgt: CochainComplex) -> CochainCompl
                 dd.add_entry(sk, sp.key_of(d + 1, w, ("B", tgt.space.label_of(tk))), v)
     return CochainComplex(sp, dd)
 
-
-class TensorComplex(CochainComplex):
-    """Tensor product with the Koszul differential; remembers its factors."""
-
-    def __init__(self, a: CochainComplex, b: CochainComplex):
-        fld = a.field
-        sp = BiGradedSpace(fld)
-        pairs: Dict[Tuple[int, int], List[Tuple[Key, Key]]] = {}
-        for (da, wa) in a.space.sorted_cells():
-            for (db, wb) in b.space.sorted_cells():
-                cell = (da + db, wa + wb)
-                for ka in a.space.keys(da, wa):
-                    for kb in b.space.keys(db, wb):
-                        pairs.setdefault(cell, []).append((ka, kb))
-        for cell, lst in sorted(pairs.items()):
-            sp.add_cell(cell[0], cell[1],
-                        [(ka, kb) for (ka, kb) in lst])
-        self._tensor_knowledge(sp, a.space, b.space)
-        dd = GradedMap(sp, sp, 1, 0)
-        for cell, lst in pairs.items():
-            for (ka, kb) in lst:
-                sk = sp.key_of(cell[0], cell[1], (ka, kb))
-                for tk, v in a.d.column(ka).items():
-                    dd.add_entry(sk, sp.key_of(cell[0] + 1, cell[1], (tk, kb)), v)
-                sign = fld.of(1 if ka[0] % 2 == 0 else -1)
-                for tk, v in b.d.column(kb).items():
-                    dd.add_entry(sk, sp.key_of(cell[0] + 1, cell[1], (ka, tk)),
-                                 fld.mul(sign, v))
-        super().__init__(sp, dd)
-
-    @staticmethod
-    def _tensor_knowledge(sp: BiGradedSpace, a: BiGradedSpace, b: BiGradedSpace) -> None:
-        # precise only when both factors are fully known everywhere;
-        # constructions needing sharper certificates set knowledge themselves
-        if (a.zero_outside and b.zero_outside
-                and all(iv == (None, None) for iv in a.known_cols.values())
-                and all(iv == (None, None) for iv in b.known_cols.values())):
-            sp.mark_all_complete()
-        else:
-            sp.zero_outside = False
-            sp.known_cols = {}
-
-
-class HomComplex(CochainComplex):
-    """Hom complex: degree-d weight-w piece = maps shifting by (d, w).
-
-    Differential f ↦ d∘f - (-1)^{|f|} f∘d.  Remembers source and target so
-    homogeneous elements convert to GradedMaps and back.
-    """
-
-    def __init__(self, a: CochainComplex, b: CochainComplex):
-        fld = a.field
-        sp = BiGradedSpace(fld)
-        cells: Dict[Tuple[int, int], List[Tuple[Key, Key]]] = {}
-        for (da, wa) in a.space.sorted_cells():
-            for (db, wb) in b.space.sorted_cells():
-                cell = (db - da, wb - wa)
-                for ka in a.space.keys(da, wa):
-                    for kb in b.space.keys(db, wb):
-                        cells.setdefault(cell, []).append((ka, kb))
-        for cell, lst in sorted(cells.items()):
-            sp.add_cell(cell[0], cell[1], lst)
-        TensorComplex._tensor_knowledge(sp, a.space, b.space)
-        dd = GradedMap(sp, sp, 1, 0)
-        for cell, lst in cells.items():
-            for (ka, kb) in lst:
-                sk = sp.key_of(cell[0], cell[1], (ka, kb))
-                # first term d∘f: postcompose the target differential
-                for tk, v in b.d.column(kb).items():
-                    dd.add_entry(sk, sp.key_of(cell[0] + 1, cell[1], (ka, tk)), v)
-        # second term -(-1)^{|f|} f∘d: for each hom basis element (ka, kb) and
-        # each a-basis x with d(x) hitting ka, f∘d has a component at (x, kb)
-        for cell, lst in cells.items():
-            deg = cell[0]
-            sign = fld.of(-1 if deg % 2 == 0 else 1)
-            for (ka, kb) in lst:
-                sk = sp.key_of(cell[0], cell[1], (ka, kb))
-                da, wa, ia = ka
-                bmat = a.d.block_at(da - 1, wa)
-                if bmat is None:
-                    continue
-                for (r, c), v in bmat.entries.items():
-                    if r != ia:
-                        continue
-                    xk = (da - 1, wa, c)
-                    dd.add_entry(sk, sp.key_of(cell[0] + 1, cell[1], (xk, kb)),
-                                 fld.mul(sign, v))
-        super().__init__(sp, dd)
-
-
-def tensor(a: CochainComplex, b: CochainComplex) -> TensorComplex:
-    return TensorComplex(a, b)
-
-
-def hom_complex(a: CochainComplex, b: CochainComplex) -> HomComplex:
-    return HomComplex(a, b)
-
-
-def unit_complex(field: Field, label="1") -> CochainComplex:
-    sp = BiGradedSpace(field)
-    sp.add_cell(0, 0, [label])
-    sp.mark_all_complete()
-    return CochainComplex(sp)

@@ -33,7 +33,7 @@ from .graded import (
     BiGradedSpace, CochainComplex, Elt, GradedMap, Key, _build_space, _columns,
     _install,
 )
-from .dg import AlgebraMorphism, DgAlgebra, ValidationReport
+from .dg import AlgebraMorphism, DgAlgebra, ValidationReport, identity_morphism
 
 Label = Tuple[object, Tuple[str, ...], Key]
 
@@ -280,20 +280,6 @@ def _columns_to_map(cols, src_space: BiGradedSpace, tgt_space: BiGradedSpace) ->
     return g
 
 
-def _all_keys(space: BiGradedSpace) -> List[Key]:
-    out = []
-    for (d, w) in space.sorted_cells():
-        out.extend(space.keys(d, w))
-    return out
-
-
-def _identity_on(space: BiGradedSpace, field: Field) -> GradedMap:
-    g = GradedMap(space, space, 0, 0)
-    for k in _all_keys(space):
-        g.set_entry(k, k, field.one)
-    return g
-
-
 def _lim_key(space: BiGradedSpace, lab: Label) -> Key:
     _, names, vkey = lab
     return space.key_of(len(names) + vkey[0], vkey[1], lab)
@@ -353,8 +339,7 @@ class AlgebraDiagram:
             h = self.cat.compose[(g, f)]
             got = self.maps[g].compose(self.maps[f])
             if h is None:
-                src_alg = self.algebras[self.cat.src(f)]
-                want = _identity_on(src_alg.space, src_alg.field)
+                want = identity_morphism(self.algebras[self.cat.src(f)]).map
             else:
                 want = self.maps[h]
             if not got.same_blocks(want):
@@ -386,7 +371,7 @@ class HolimAlgebra(DgAlgebra):
         """
         target = self.diagram.algebras[obj]
         g = GradedMap(self.space, target.space, 0, 0)
-        for key in _all_keys(self.space):
+        for key in self.space.basis_keys():
             o, names, vkey = self.space.label_of(key)
             if o == obj and not names:
                 g.set_entry(key, vkey, self.field.one)

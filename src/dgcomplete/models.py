@@ -816,26 +816,27 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
         right: Dict[Tuple[int, int], int] = {}
         ranks: Dict[Tuple[int, int], int] = {}
         bid: Dict[Tuple[int, int], int] = {}
-        for d in range(lo, hi + 1):
-            for w in range(-wt_band, wt_band + 1):
-                dl = h_left.dim(d, w)
-                dr = h_right.dim(d, w)
-                rk = induced_rank(lam, cx_left, cx_right, d, w)
-                if dl:
-                    left[(d, w)] = dl
-                if dr:
-                    right[(d, w)] = dr
-                if rk:
-                    ranks[(d, w)] = rk
+        # a cell with no cohomology on either side has every rank 0
+        cells = set(h_left.space.cells) | set(h_right.space.cells)
+        for (d, w) in sorted(c for c in cells if lo <= c[0] <= hi):
+            dl = h_left.dim(d, w)
+            dr = h_right.dim(d, w)
+            rk = dl and dr and induced_rank(lam, cx_left, cx_right, d, w)
+            if dl:
+                left[(d, w)] = dl
                 bq = induced_rank(phi_map, cx_t, cx_left, d, w)
                 if bq:
                     bid[(d, w)] = bq
-                if (cert_lo <= d <= cert_hi and n >= 2
-                        and (wt_cert is None or w <= wt_cert)):
-                    if not (dl == dr == rk):
-                        verdict_ok = False
-                        if witness is None:
-                            witness = (n, d, w)
+            if dr:
+                right[(d, w)] = dr
+            if rk:
+                ranks[(d, w)] = rk
+            if (cert_lo <= d <= cert_hi and n >= 2
+                    and (wt_cert is None or w <= wt_cert)):
+                if not (dl == dr == rk):
+                    verdict_ok = False
+                    if witness is None:
+                        witness = (n, d, w)
         report["biduality"][n] = {
             "ranks": bid,
             "matches_left_dims": bid == left,

@@ -12,7 +12,8 @@ from dgcomplete.dg import (
 from dgcomplete.graded import BiGradedSpace, CochainComplex, cone, is_chain_map
 from dgcomplete.bar import (
     _reduction_data, bar_resolution, derived_hom, derived_tensor, embed_strict,
-    end_algebra, reduction_data, stabilization_scan, strict_end_algebra,
+    end_algebra, minimal_model, reduction_data, stabilization_scan,
+    strict_end_algebra,
 )
 
 F = RATIONALS
@@ -418,11 +419,39 @@ def test_opposites_of_end_algebras_are_signed_views():
 
 
 def test_module_over_opposite_axioms():
-    m = trivial_right(dual_numbers())
-    b = end_algebra(m, n_max=3)
-    mm = b.module_over_opposite()
-    assert mm.validate().ok
-    assert mm.algebra.validate().ok
+    """Every inner model acts on its module by signed evaluation, through
+    one body: E by its bare matrix units, H(E) by the one bare unit of each
+    representative, the strict model by ``map_of``.  The sha256 of each
+    sorted action was taken before the three bodies became one."""
+    p1 = M.build_scenario("dual_numbers")["module"]  # ε at degree 1
+    kx = M.build_scenario("koszul_kx", params={"wmax": 4})["module"]
+    tri = M.build_scenario("triangular_12")["module"]
+    models = {
+        "E k[e]": end_algebra(trivial_right(dual_numbers()), n_max=3),
+        "E P1": end_algebra(p1, n_max=2),
+        "H(E) k[1]": minimal_model(end_algebra(shift_module(kx, 1), 5), 3)[0],
+        "H(E) triangular_12": minimal_model(end_algebra(tri, 4), 2)[0],
+        "strict P1": strict_end_algebra(p1),
+    }
+    digests = {}
+    for name, model in models.items():
+        mm = model.module_over_opposite()
+        assert mm.validate().ok, name
+        assert mm.algebra.validate().ok, name
+        text = repr(sorted(mm.action.items()))
+        digests[name] = hashlib.sha256(text.encode()).hexdigest()
+    assert digests == {
+        "E k[e]":
+            "7a416db5b6e3b96a8db01c0e76afba8ffb6bcd4c8f22365a172777f2d3741019",
+        "E P1":
+            "3f15844101c711f0505b4dba13bc507bde7cbb4306b43816149bb8a9b5f23b7c",
+        "H(E) k[1]":
+            "9d2020d06e65b9004bdae3ef44ceb4608820a80ff0e4d19d42d32c5ccb5ff29e",
+        "H(E) triangular_12":
+            "1ba41f4ae11aaa2a99182d4a9dc29ba3081d5c6b6c80741a73a2fb23685d7ee9",
+        "strict P1":
+            "9a9f2b4adcd8bcdbf13fdd4ef3cac13d58564af1d66682e38579105cf66fa155",
+    }
 
 
 def _complex_snapshot(cx):

@@ -4,7 +4,7 @@ import pytest
 from dgcomplete.linalg import RATIONALS
 from dgcomplete.dg import (
     AlgebraMorphism, DgAlgebra, DgCategoryPresentation, category_algebra,
-    direct_sum_modules, identity_morphism, product_algebra, regular_module,
+    direct_sum_modules, identity_morphism, regular_module,
     restrict_scalars, right_ideal_module, shift_module,
 )
 from dgcomplete.graded import GradedMap
@@ -176,34 +176,6 @@ def test_category_algebra_incomplete_composition():
     pres.add_morphism("s", "pt", "pt", wt=1)
     with pytest.raises(ValueError, match="incomplete"):
         category_algebra(pres, F)
-
-
-def test_product_algebra_k_times_k():
-    k1 = DgAlgebra.from_basis(F, [("1", 0, 0)], ["1"], {}, {("1", "1"): {"1": 1}})
-    k2 = DgAlgebra.from_basis(F, [("1", 0, 0)], ["1"], {}, {("1", "1"): {"1": 1}})
-    p = product_algebra([k1, k2])
-    assert p.space.total_dim() == 2
-    assert len(p.unit) == 2
-    assert p.validate().ok
-    assert p.weight_zero_idempotent_basis() is not None
-
-
-def test_product_algebra_singleton_unchanged():
-    a = dual_numbers_algebra()
-    assert product_algebra([a]) is a
-
-
-def test_product_algebra_cohomology_is_sum():
-    a = dual_numbers_algebra()
-    b = square_zero_algebra()
-    p = product_algebra([a, b])
-    ha = a.complex.cohomology().dims_by_cell()
-    hb = b.complex.cohomology().dims_by_cell()
-    hp = p.complex.cohomology().dims_by_cell()
-    merged = dict(ha)
-    for cell, n in hb.items():
-        merged[cell] = merged.get(cell, 0) + n
-    assert hp == merged
 
 
 def test_restrict_scalars_identity():

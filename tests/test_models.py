@@ -373,6 +373,27 @@ class TestInfinExt:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "d1ddec90717420510b542bc3932a1535c6fa36e7a278f3136f8a8ec98ea07396")
 
+    def test_map_ranks_only_on_nonzero_cells(self, monkeypatch):
+        """induced_rank runs at most twice per cell of the tables (the
+        comparison where both sides are nonzero, biduality where the left
+        is); a scan of the whole window × weight grid makes 6,440."""
+        calls = []
+        rank = M.induced_rank
+
+        def counted(*args):
+            calls.append(args)
+            return rank(*args)
+
+        monkeypatch.setattr(M, "induced_rank", counted)
+        gf = Field(32003)
+        cells = 0
+        for t in range(2, 7):
+            rep = M.infin_ext_check(M.truncated_poly(gf, ["x"], [f"x^{t}"]),
+                                    window=(-3, 3), length=6, n_check=2)
+            cells += sum(len(set(tab["left"]) | set(tab["right"]))
+                         for tab in rep["tables"].values())
+        assert cells and len(calls) <= 2 * cells
+
     def test_ring_spanned_by_one_is_the_field(self):
         # k[x]/(x) = k: no junk Tor from a step by x^0
         rep = M.infin_ext_check(M.truncated_poly(F, ["x"], ["x"]),
