@@ -14,12 +14,15 @@ representatives induce, built where a purity check makes it formal.
 Each slot tuple is an integer index, numbered depth first, and each slot an
 integer id.  A tuple's parent is the tuple without its last slot, its child
 by a slot is found under parent * n_slots + slot id, and its differential row
-is its parent's row with the slot appended, plus the slot's own differential
-and its merge with the slot (or module key) before it.  The builders write
-each term into one sum per block entry and install every block once.
+(computed once) is its parent's row with the slot appended, plus the slot's
+own differential and its merge with the slot (or module key) before it.  The
+builders place each (tuple, key) at an int, its index in its cell, and write
+each block entry once, as a residue over GF(p) with its sign folded in, adding
+only the terms that can land on an entry already written.
 """
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
 from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
@@ -28,9 +31,9 @@ from typing import (
 from .dg import DgAlgebra, DgModule
 from .graded import (
     BiGradedSpace, CochainComplex, Cohomology, Elt, GradedMap, Key,
-    _build_space, _columns, _install,
+    _columns, _install,
 )
-from .linalg import Scalar
+from .linalg import Scalar, _add
 
 TupleLabel = Tuple[Key, Tuple[Key, ...]]
 
@@ -180,9 +183,10 @@ class _BarScheme:
     parent of a tuple is the tuple without its last slot, -1 for a bare
     module key, and ``sids`` is the id its last slot got in ``slot_ids``
     when it first fit.  ``child`` maps parent * ``n_slots`` + slot id back
-    to the index, and ``bare`` a module key to its bare tuple.  Whether the
-    scheme is reduced is decided before enumerating, from the source and,
-    when given, the target module, whose object per key is ``nobj``."""
+    to the index, and ``bare`` a module key to its bare tuple.  ``rows``
+    gives the differential over the same index.  Whether the scheme is
+    reduced is decided before enumerating, from the source and, when given,
+    the target module, whose object per key is ``nobj``."""
 
     def __init__(self, m: DgModule, n_max: int, w_cap: int,
                  reduced: Optional[bool], target: Optional[DgModule] = None):
@@ -292,67 +296,80 @@ class _BarScheme:
         self._algebra_known = a.space.fully_known()
         self._honest_slots: Optional[bool] = None
 
-    def rows(self) -> Iterator[Dict[int, Scalar]]:
-        """The differential of each tuple as {index: coefficient}, in index
-        order.
+    def rows(self) -> List[Dict[int, Scalar]]:
+        """The differential of each tuple as {index: coefficient}, a list in
+        index order, every coefficient a residue over GF(p).
 
         A tuple T = P + (ak,) keeps each term of P's row with ak appended,
         under the same prefix sign.  Its new terms are d(ak), with sign
         (-1)^(|P| + 1), and the merge of ak into P's last slot, or into the
-        module key when P is bare, with sign (-1)^|P|.  Tuples are numbered
-        depth first, so only the rows of T's ancestors are kept."""
-        f = self.field
+        module key when P is bare, with sign (-1)^|P|; these are added, as
+        they may meet a kept term or each other.  Tuples are numbered depth
+        first, so P's row is in the list before T's."""
+        p, one = self.field.char, self.field.one
         a, m = self.algebra, self.module
         labels, parent, degs, sids = (self.labels, self.parent, self.degs,
                                       self.sids)
         child, bare, ids, n = self.child, self.bare, self.slot_ids, self.n_slots
+        slots = list(ids)  # slot keys by id
         d_mod, d_alg = _columns(m.complex.d), _columns(a.complex.d)
-        d_slot = {sid: d_alg[ak] for ak, sid in ids.items() if ak in d_alg}
-        # merges of a last slot into the module key, by bare tuple and slot
-        # id, and into the slot before it, by both slot ids
-        merges: Dict[int, Elt] = {}
 
-        def index(p: int, slot: Key) -> int:
-            sid = ids.get(slot)
-            u = (bare.get(slot) if p < 0 else
-                 None if sid is None else child.get(p * n + sid))
-            if u is None:
-                lab = ((slot, ()) if p < 0
-                       else (labels[p][0], labels[p][1] + (slot,)))
-                raise RuntimeError(f"bar term left the window: {lab}")
-            return u
+        def left(t: int, slot: Key) -> RuntimeError:
+            lab = ((slot, ()) if t < 0
+                   else (labels[t][0], labels[t][1] + (slot,)))
+            return RuntimeError(f"bar term left the window: {lab}")
 
-        def add(row: Dict[int, Scalar], u: int, c: Scalar) -> None:
-            v = f.add(row.get(u, f.zero), c)
-            if f.is_zero(v):
-                row.pop(u, None)
-            else:
-                row[u] = v
+        def place(t: int) -> Callable[[Key], int]:
+            """The bare tuple of a module key when t is -1, else the id of a
+            slot; a key with none left the window at t + (key,)."""
+            def of(k: Key) -> int:
+                x = bare.get(k) if t < 0 else ids.get(k)
+                if x is None:
+                    raise left(t, k)
+                return x
+            return of
 
-        path: List[Dict[int, Scalar]] = []  # ancestor rows by slot count
-        for t, (mk, al) in enumerate(labels):
-            del path[len(al):]
-            if not al:
-                row = {index(-1, tk): c for tk, c in d_mod.get(mk, ())}
-            else:
-                p, sid, row = parent[t], sids[t], {}
-                for j, c in path[-1].items():
-                    u = child.get(j * n + sid)
-                    row[index(j, al[-1]) if u is None else u] = c
-                odd = degs[p] % 2
-                for tk, c in d_slot.get(sid, ()):
-                    add(row, index(p, tk), c if odd else f.neg(c))
-                q = parent[p]
-                key = (sids[p] if q >= 0 else -1 - p) * n + sid
-                merged = merges.get(key)
-                if merged is None:
-                    merged = merges[key] = (
-                        m.act({mk: f.one}, {al[-1]: f.one}) if q < 0
-                        else a.basis_product(al[-2], al[-1]))
-                for pk, c in merged.items():
-                    add(row, index(q, pk), f.neg(c) if odd else c)
-            path.append(row)
-            yield row
+        d_slot: Dict[int, List] = {}  # by slot id
+        merges: Dict[int, List] = {}  # by bare tuple or slot id, and slot id
+        rows: List[Dict[int, Scalar]] = []
+        for t in range(len(labels)):
+            pt = parent[t]
+            if pt < 0:
+                rows.append(dict(_terms(d_mod.get(labels[t][0], ()), place(-1), p)))
+                continue
+            sid, prow, row = sids[t], rows[pt], {}
+            try:
+                for j, c in prow.items():
+                    row[child[j * n + sid]] = c
+            except KeyError:
+                j = next(j for j in prow if j * n + sid not in child)
+                raise left(j, slots[sid]) from None
+            q, odd = parent[pt], degs[pt] & 1
+            d_ak = d_slot.get(sid)
+            if d_ak is None:
+                d_ak = d_slot[sid] = _terms(d_alg.get(slots[sid], ()), place(pt), p)
+            key = (sids[pt] if q >= 0 else -1 - pt) * n + sid
+            merged = merges.get(key)
+            if merged is None:
+                merged = merges[key] = _terms((
+                    m.act({labels[t][0]: one}, {slots[sid]: one}) if q < 0
+                    else a.basis_product(slots[sids[pt]], slots[sid])).items(),
+                    place(q), p)
+            for x, c in d_ak:
+                u = child.get(pt * n + x)
+                if u is None:
+                    raise left(pt, slots[x])
+                _add(row, u, c if odd else p - c, p)
+            for x, c in merged:
+                u = x if q < 0 else child.get(q * n + x)
+                if u is None:
+                    raise left(q, slots[x])
+                if u in row:
+                    _add(row, u, p - c if odd else c, p)
+                else:
+                    row[u] = p - c if odd else c
+            rows.append(row)
+        return rows
 
     def honest_slots(self) -> bool:
         """Whether hidden algebra cells could only sit at heavier weights of
@@ -412,53 +429,68 @@ class BarData:
         self.reduced = reduced
 
 
+def _terms(elt, place: Callable[[Key], int], p: int) -> List[Tuple[int, Scalar]]:
+    """Each (key, c) of elt as (its place, c), a residue over GF(p)."""
+    return [(place(k), c % p if p else c) for k, c in elt]
+
+
 def _two_sided(scheme: _BarScheme, keys: Sequence[Key],
                lobj: Optional[Dict[Key, int]], merge: Callable[[Key, Key], Elt],
-               rcx: CochainComplex, right_known: bool) -> CochainComplex:
+               rcx: CochainComplex, right_known: bool
+               ) -> Tuple[CochainComplex, List[List[int]]]:
     """Bar tuples of the scheme tensored with a right factor over the
     idempotents.  The right factor is plain data: its basis keys, the object
     each key starts at (None when unreduced), the merge of a last slot into
-    a key, and its complex.  Labels are (module key, slots, right key)."""
-    labels, degs, wts = scheme.labels, scheme.degs, scheme.wts
-    space, acc, at = _build_space(scheme.field, (
-        (t, rk, degs[t] + rk[0], wts[t] + rk[1], labels[t] + (rk,))
-        for t in range(len(labels)) for rk in keys
-        if (lobj is None or lobj[rk] == scheme.robjs[t])
-        and abs(wts[t] + rk[1]) <= scheme.w_cap), keys, len(labels))
-
-    d_right = _columns(rcx.d)
+    a key, and its complex.  Labels are (module key, slots, right key).
+    Also returns each right key's place per tuple, -1 where there is none."""
+    labels, degs, wts, robjs = scheme.labels, scheme.degs, scheme.wts, scheme.robjs
     parent, sids = scheme.parent, scheme.sids
-    # per right key, its places and its differential's terms by place
-    right = [(at[rk], [(at[rk2], c) for rk2, c in d_right.get(rk, ())])
-             for rk in keys]
-    # the merge of a slot into a right key, by slot id and key index
-    merges: Dict[int, List[Tuple[List, Scalar]]] = {}
+    nt, p, w_cap = len(labels), scheme.field.char, scheme.w_cap
+    at = [[-1] * nt for _ in keys]
+    places = dict(zip(keys, at)).__getitem__
+    d_right = _columns(rcx.d)
+    # right keys by the object they start at, unreduced all at 0, each with
+    # its places, its index and its differential
+    right: Dict[int, List] = {}
+    for ri, (rk, col) in enumerate(zip(keys, at)):
+        right.setdefault(0 if lobj is None else lobj[rk], []).append(
+            (rk, col, ri, _terms(d_right.get(rk, ()), places, p)))
+    cells: Dict[Tuple[int, int], List] = defaultdict(list)
+    for t in range(nt):
+        lab, d, w = labels[t], degs[t], wts[t]
+        for rk, col, _, _ in right.get(robjs[t], ()):
+            if abs(w + rk[1]) <= w_cap:
+                labs = cells[d + rk[0], w + rk[1]]
+                col[t] = len(labs)
+                labs.append(lab + (rk,))
+
+    merges: Dict[int, List] = {}  # by slot id and key index
+    entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
     for t, row in enumerate(scheme.rows()):
-        p = parent[t]
-        for ri, (col, d_rk) in enumerate(right):
-            if col[t] is None:
+        pt, d, w = parent[t], degs[t], wts[t]
+        for rk, col, ri, d_rk in right.get(robjs[t], ()):
+            i = col[t]
+            if i < 0:
                 continue
-            sums, i = col[t]
-            # the scheme's differential, with rk carried along: distinct rows
-            # of a column nothing has written yet
+            block = entries[d + rk[0], w + rk[1]]
+            # the scheme's differential with rk carried along, and the right
+            # factor's with sign (-1)^|T|: rows nothing else writes
             for j, c in row.items():
-                sums[col[j][1], i] = c
-            # the last slot merged into rk, sign (-1)^(|P| + 1)
-            if p >= 0:
-                key = sids[t] * len(keys) + ri
-                merged = merges.get(key)
-                if merged is None:
-                    merged = merges[key] = [(at[rk2], c) for rk2, c in merge(
-                        labels[t][1][-1], keys[ri]).items()]
-                for col2, c in merged:
-                    r = col2[p][1]
-                    sums[r, i] = sums.get((r, i), 0) + (
-                        c if degs[p] % 2 else -c)
-            # the right factor's differential, sign (-1)^|T|
+                block[col[j], i] = c
             for col2, c in d_rk:
-                r = col2[t][1]
-                sums[r, i] = sums.get((r, i), 0) + (-c if degs[t] % 2 else c)
-    cx = _install(space, acc)
+                block[col2[t], i] = p - c if d & 1 else c
+            if pt < 0:
+                continue
+            # the last slot merged into rk, sign (-1)^(|P| + 1): rows (P, rk2)
+            key = sids[t] * len(keys) + ri
+            merged = merges.get(key)
+            if merged is None:
+                merged = merges[key] = _terms(
+                    merge(labels[t][1][-1], rk).items(), places, p)
+            for col2, c in merged:
+                _add(block, (col2[pt], i), c if degs[pt] & 1 else p - c, p)
+    cx = _install(scheme.field, cells, entries)
+    space = cx.space
 
     if scheme.reduced and scheme._module_known and right_known and keys:
         # weight w is complete when the bar tuples are complete at w less
@@ -473,7 +505,7 @@ def _two_sided(scheme: _BarScheme, keys: Sequence[Key],
                 space.known_zero_below = min(mwts) + min(k[1] for k in keys)
             if scheme.sign <= 0:
                 space.known_zero_above = max(mwts) + max(k[1] for k in keys)
-    return cx
+    return cx, at
 
 
 def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
@@ -485,17 +517,20 @@ def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     scheme = _BarScheme(m, n_max, w_cap, reduced)
     a = m.algebra
     f = m.field
+    keys = a.basis_keys()
     # the slot check already covers the algebra's columns
-    cx = _two_sided(scheme, a.basis_keys(),
-                    scheme.red.lobj if scheme.reduced else None,
-                    a.basis_product, a.complex, True)
+    cx, at = _two_sided(scheme, keys,
+                        scheme.red.lobj if scheme.reduced else None,
+                        a.basis_product, a.complex, True)
 
+    # the augmentation sends a bare tuple with right key bk to mk·bk
     aug = GradedMap(cx.space, m.space, 0, 0)
-    for (d, w), labs in cx.space.cells.items():
-        for i, (mk, al, bk) in enumerate(labs):
-            if not al:
+    for mk, t in scheme.bare.items():
+        for col, bk in zip(at, keys):
+            if col[t] >= 0:
+                src = (mk[0] + bk[0], mk[1] + bk[1], col[t])
                 for tk, c in m.act({mk: f.one}, {bk: f.one}).items():
-                    aug.add_entry((d, w, i), tk, c)
+                    aug.add_entry(src, tk, c)
 
     counts: Dict[Tuple[int, int, int], int] = {}
     for (_, al), d, w in zip(scheme.labels, scheme.degs, scheme.wts):
@@ -507,54 +542,61 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
     """Hom over the idempotent subalgebra from the bar tuples into n, with
     the twisted differential.  Labels are (target key, tuple)."""
     nobj = scheme.nobj
-    labels, degs, robjs = scheme.labels, scheme.degs, scheme.robjs
+    labels, degs, wts, robjs = scheme.labels, scheme.degs, scheme.wts, scheme.robjs
+    nt, p, one = len(labels), scheme.field.char, scheme.field.one
     nkeys = n.basis_keys()
-    space, acc, at = _build_space(scheme.field, (
-        (t, q, q[0] - degs[t], q[1] - scheme.wts[t], (q, labels[t]))
-        for q in nkeys for t in range(len(labels))
-        if nobj is None or nobj[q] == robjs[t]), nkeys, len(labels))
-    # unreduced, every tuple and every target key sit at object 0
-    qs_by_obj: Dict[int, List[Tuple[int, Key, List]]] = {}
-    for qi, q in enumerate(nkeys):
-        qs_by_obj.setdefault(nobj[q] if nobj is not None else 0, []).append(
-            (qi, q, at[q]))
+    at = [[-1] * nt for _ in nkeys]
+    places = dict(zip(nkeys, at)).__getitem__
+    d_target = _columns(n.complex.d)
+    # target keys by object, unreduced all at 0, each with its places and
+    # its differential
+    qs: Dict[int, List] = {}
+    cells: Dict[Tuple[int, int], List] = defaultdict(list)
+    for q, col in zip(nkeys, at):
+        obj = 0 if nobj is None else nobj[q]
+        qs.setdefault(obj, []).append(
+            (q, col, _terms(d_target.get(q, ()), places, p)))
+        for t in range(nt):
+            if robjs[t] == obj:
+                labs = cells[q[0] - degs[t], q[1] - wts[t]]
+                col[t] = len(labs)
+                labs.append((q, labels[t]))
 
-    # target differential, composed after the operator
-    for q, col in _columns(n.complex.d).items():
-        for t, slot in enumerate(at[q]):
-            if slot is None:
-                continue
-            sums, i = slot
-            for q2, c in col:
-                r = at[q2][t][1]
-                sums[r, i] = sums.get((r, i), 0) + c
-    # per tuple, the source differential precomposed with the sign
-    # (-1)^(|q| + |lab| + 1), each term the first write to its entry, and the
-    # dropped last merge, which reappears as the module action on values
-    # with the sign (-1)^|q|
-    f = scheme.field
-    acts: Dict[int, Elt] = {}  # by target key index and slot id
+    # by slot id, each target key the slot acts on nonzero, with the terms
+    acts: Dict[int, List] = {}
+    entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
     for t, row in enumerate(scheme.rows()):
-        for _, q, aq in qs_by_obj.get(robjs[t], ()):
-            r = aq[t][1]
+        d, w = degs[t], wts[t]
+        for q, col, dq in qs.get(robjs[t], ()):
+            r = col[t]
+            # the source differential precomposed: every term j of T's row
+            # sits at |T| + 1, so the sign (-1)^(|q| + |j| + 1) is one per
+            # (T, q), and each term is the first write to its entry
+            block, neg = entries[q[0] - d - 1, q[1] - w], (q[0] + d) & 1
             for j, c in row.items():
-                sums, i = aq[j]
-                sums[r, i] = c if (q[0] + degs[j]) % 2 else -c
-        p = scheme.parent[t]
-        if p < 0:
+                block[r, col[j]] = p - c if neg else c
+            # the target differential after the operator: rows (q2, T)
+            # nothing else writes
+            for col2, c in dq:
+                entries[q[0] - d, q[1] - w][col2[t], r] = c
+        pt = scheme.parent[t]
+        if pt < 0:
             continue
-        for qi, q, aq in qs_by_obj.get(robjs[p], ()):
-            key = qi * scheme.n_slots + scheme.sids[t]
-            qa = acts.get(key)
-            if qa is None:
-                qa = acts[key] = n.act({q: f.one}, {labels[t][1][-1]: f.one})
-            if not qa:
-                continue
-            sums, i = aq[p]
-            for q2, c in qa.items():
-                r = at[q2][t][1]
-                sums[r, i] = sums.get((r, i), 0) + (-c if q[0] % 2 else c)
-    cx = _install(space, acc)
+        # the dropped last merge reappears as the module action on values,
+        # sign (-1)^|q|; the slot starts where its parents end
+        acting = acts.get(scheme.sids[t])
+        if acting is None:
+            slot = labels[t][1][-1]
+            acting = acts[scheme.sids[t]] = [
+                (q, col, _terms(qa.items(), places, p))
+                for q, col, _ in qs.get(robjs[pt], ())
+                for qa in [n.act({q: one}, {slot: one})] if qa]
+        for q, col, qa in acting:
+            block, i = entries[q[0] - degs[pt], q[1] - wts[pt]], col[pt]
+            for col2, c in qa:
+                _add(block, (col2[t], i), p - c if q[0] & 1 else c, p)
+    cx = _install(scheme.field, cells, entries)
+    space = cx.space
 
     if scheme.reduced and n.space.fully_known() and nkeys:
         nwts = {k[1] for k in nkeys}
@@ -790,7 +832,7 @@ def derived_tensor(m: DgModule, n: DgModule, n_max: int,
     f = scheme.field
     return _two_sided(scheme, n.basis_keys(), scheme.nobj,
                       lambda ak, nk: n.act_left({ak: f.one}, {nk: f.one}),
-                      n.complex, n.space.fully_known())
+                      n.complex, n.space.fully_known())[0]
 
 
 def stabilization_scan(compute: Callable[[int], Cohomology],

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .linalg import Echelon, Field, Scalar, SparseMatrix, _axpy, _reduce
+from .linalg import Echelon, Field, Scalar, SparseMatrix, _add, _axpy, _reduce
 
 Key = Tuple[int, int, int]  # (degree, weight, index)
 Elt = Dict[Key, Scalar]
@@ -70,12 +70,10 @@ class BiGradedSpace:
         if (deg, wt) in self.cells:
             raise ValueError(f"duplicate cell ({deg},{wt})")
         labels = list(labels)
-        index = {lbl: i for i, lbl in enumerate(labels)}
-        if len(index) != len(labels):
+        if len(set(labels)) != len(labels):
             raise ValueError(f"repeated labels in cell ({deg},{wt})")
         if labels:
             self.cells[(deg, wt)] = labels
-            self._index[(deg, wt)] = index
             self._keys = None
 
     def basis_keys(self) -> Tuple[Key, ...]:
@@ -96,7 +94,11 @@ class BiGradedSpace:
         return [(deg, wt, i) for i in range(self.dim(deg, wt))]
 
     def key_of(self, deg: int, wt: int, label) -> Key:
-        return (deg, wt, self._index[(deg, wt)][label])
+        index = self._index.get((deg, wt))
+        if index is None:  # each cell is indexed on first use
+            index = self._index[(deg, wt)] = {
+                lbl: i for i, lbl in enumerate(self.cells[(deg, wt)])}
+        return (deg, wt, index[label])
 
     def label_of(self, key: Key):
         return self.cells[(key[0], key[1])][key[2]]
@@ -209,11 +211,7 @@ def meet_knowledge(space: BiGradedSpace,
 def elt_add(field: Field, a: Elt, b: Elt) -> Elt:
     out = dict(a)
     for k, v in b.items():
-        s = field.add(out.get(k, field.zero), v)
-        if field.is_zero(s):
-            out.pop(k, None)
-        else:
-            out[k] = s
+        _add(out, k, v, field.char)
     return out
 
 def elt_scale(field: Field, s: Scalar, a: Elt) -> Elt:
@@ -226,11 +224,7 @@ def elt_axpy(field: Field, acc: Elt, s: Scalar, a: Elt) -> None:
     if field.is_zero(s):
         return
     for k, v in a.items():
-        t = field.add(acc.get(k, field.zero), field.mul(s, v))
-        if field.is_zero(t):
-            acc.pop(k, None)
-        else:
-            acc[k] = t
+        _add(acc, k, s * v, field.char)
 
 
 class GradedMap:
@@ -313,12 +307,7 @@ class GradedMap:
                 continue
             td, tw = self.target_cell(d, w)
             for r, v in b.apply(vec).items():
-                key = (td, tw, r)
-                s = f.add(out.get(key, f.zero), v)
-                if f.is_zero(s):
-                    out.pop(key, None)
-                else:
-                    out[key] = s
+                _add(out, (td, tw, r), v, f.char)
         return out
 
     def compose(self, other: "GradedMap") -> "GradedMap":
@@ -633,46 +622,21 @@ def _columns(d: GradedMap) -> Dict[Key, List[Tuple[Key, Scalar]]]:
     return out
 
 
-def _build_space(field: Field,
-                 items: Iterable[Tuple[int, Key, int, int, object]],
-                 keys: Iterable[Key], n: int):
-    """Space from (item index, key, deg, wt, label) items, preserving
-    generation order, with no knowledge set.  Also returns one
-    {(row, col): sum} dict per cell, for the differential, and for each key
-    the list over the n item indices of (the item's cell dict, its index
-    there), None where there is no item.  Each item is placed as it
-    arrives."""
-    cells: Dict[Tuple[int, int], Tuple[List, Dict]] = {}  # labels, sums
-    at: Dict[Key, List] = {k: [None] * n for k in keys}
-    for t, k, d, w, lab in items:
-        cell = cells.get((d, w))
-        if cell is None:
-            cell = cells[(d, w)] = ([], {})
-        labs, sums = cell
-        at[k][t] = (sums, len(labs))
-        labs.append(lab)
+def _install(field: Field, cells: Dict[Tuple[int, int], List],
+             entries: Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]]
+             ) -> CochainComplex:
+    """The complex on cells {(d, w): labels} with no knowledge set, whose d
+    has each nonempty entries[(d, w)] as its block: every entry (row, col),
+    a place being its label's index in its cell, is final and nonzero."""
     sp = BiGradedSpace(field)
-    for (d, w) in sorted(cells):
-        sp.add_cell(d, w, cells[(d, w)][0])
+    sp.cells = {cell: cells[cell] for cell in sorted(cells)}
     sp.zero_outside = False
-    sp.known_cols = {}
-    return sp, {cell: cells[cell][1] for cell in sp.cells}, at
-
-
-def _install(space: BiGradedSpace, acc) -> CochainComplex:
-    """The complex whose d has a block for every cell with an entry that
-    survives cancellation; over GF(p) the sums are reduced here."""
-    f = space.field
-    p = f.char
-    cx = CochainComplex(space)
-    for (d, w), sums in acc.items():
-        if p:
-            entries = {k: v % p for k, v in sums.items() if v % p}
-        else:
-            entries = {k: v for k, v in sums.items() if v}
-        if entries:
-            b = SparseMatrix(space.dim(d + 1, w), space.dim(d, w), f)
-            b.entries = entries
+    cx = CochainComplex(sp)
+    for (d, w) in sp.cells:
+        block = entries.get((d, w))
+        if block:
+            b = SparseMatrix(sp.dim(d + 1, w), sp.dim(d, w), field)
+            b.entries = block
             cx.d.blocks[(d, w)] = b
     return cx
 

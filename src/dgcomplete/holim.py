@@ -14,7 +14,8 @@ endpoint and its factorizations are tables filled when it is checked; the
 strings are enumerated once and numbered, and each string's faces are listed
 once, as the indices of the strings they reach.  Each diagram map and each
 internal differential is read once, column by column, every term is added
-into one sum per block entry, and each block is installed once.
+into its block entry as a residue, dropping a zero sum, and each block is
+installed once.
 
 Strings longer than a cutoff span a two-sided dg ideal of the limit (every
 face and every product term only lengthens strings), so the stored object is
@@ -26,12 +27,12 @@ convention is the published one; flipping any single field must make the
 d^2 or the algebra validator fail, which is part of the certification suite.
 """
 
+from collections import defaultdict
 from typing import Dict, List, Optional, Tuple
 
-from .linalg import Field
+from .linalg import Field, _add
 from .graded import (
-    BiGradedSpace, CochainComplex, Elt, GradedMap, Key, _build_space, _columns,
-    _install,
+    BiGradedSpace, CochainComplex, Elt, GradedMap, Key, _columns, _install,
 )
 from .dg import AlgebraMorphism, DgAlgebra, ValidationReport, identity_morphism
 
@@ -406,10 +407,16 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
     paths = nonidentity_paths(cat, p_max)
     cut = _extends(cat, paths, p_max)
 
-    space, acc, at = _build_space(f, (
-        (s, vkey, len(names) + vkey[0], vkey[1], (o, names, vkey))
-        for s, (o, names) in enumerate(paths) for vkey in akeys[o]),
-        {k for keys in akeys.values() for k in keys}, len(paths))
+    # each cell's labels, and per value key each string's place, -1 for none
+    cells: Dict[Tuple[int, int], List] = defaultdict(list)
+    at: Dict[Key, List[int]] = {k: [-1] * len(paths)
+                                for keys in akeys.values() for k in keys}
+    for s, (o, names) in enumerate(paths):
+        q = len(names)
+        for vkey in akeys[o]:
+            labs = cells[q + vkey[0], vkey[1]]
+            at[vkey][s] = len(labs)
+            labs.append((o, names, vkey))
 
     # the faces of each string below the cutoff, as string indices: the
     # extensions at the target end, whose value is mapped along the new
@@ -436,25 +443,27 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
         faces.append((mapped, kept))
 
     # each map's and each internal differential's columns, read once; every
-    # term goes into its source cell's sums
+    # term is added to its entry, as two splits can reach one string
     maps = {t: _columns(diagram.maps[t]) for t in cat.arrows}
     d_ints = {x: _columns(algebras[x].complex.d) for x in cat.objects}
+    p = f.char
+    entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
     for s, (o, names) in enumerate(paths):
         d_int, (mapped, kept) = d_ints[o], faces[s]
+        q = len(names)
         for vkey in akeys[o]:
-            sums, i = at[vkey][s]
+            block, col = entries[q + vkey[0], vkey[1]], at[vkey]
+            i = col[s]
             for tv, c in d_int.get(vkey, ()):
-                r = at[tv][s][1]
-                sums[r, i] = sums.get((r, i), 0) + c
+                _add(block, (at[tv][s], i), c, p)
             odd = vkey[0] % 2
             for u, t, e in mapped:
                 for tv, c in maps[t].get(vkey, ()):
-                    r = at[tv][u][1]
-                    sums[r, i] = sums.get((r, i), 0) + (-c if e != odd else c)
+                    _add(block, (at[tv][u], i), -c if e != odd else c, p)
             for u, e in kept:
-                r = at[vkey][u][1]
-                sums[r, i] = sums.get((r, i), 0) + (-1 if e != odd else 1)
-    cx = _install(space, acc)
+                _add(block, (col[u], i), -1 if e != odd else 1, p)
+    cx = _install(f, cells, entries)
+    space = cx.space
 
     # knowledge: the cut ideal in weight column w lives in degrees
     # >= p_max + 1 + b_w, b_w the minimal internal degree at w, so the cells
@@ -492,8 +501,8 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
         out: Elt = {}
         for tv, c in prod.items():
             kk = _lim_key(space, (o1, names, tv))
-            out[kk] = f.add(out.get(kk, f.zero), f.mul(sgn, c))
-        return {kk: c for kk, c in out.items() if not f.is_zero(c)}
+            _add(out, kk, sgn * c, f.char)
+        return out
 
     unit: Elt = {}
     for x in cat.objects:

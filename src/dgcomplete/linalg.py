@@ -11,9 +11,10 @@ division goes through ``Field.inv``, since ``int / int`` would give a float.
 
 One private core, ``_reduce``, does every row reduction: it clears a row's
 leading entry against the pivot rows until that entry is no pivot, which is
-all ``Echelon.insert`` and ``SparseMatrix.rank`` need.  ``kernel_basis`` and
-``solve`` then back-substitute once, from the highest pivot down, to the
-reduced row echelon form.
+all ``Echelon.insert`` and ``SparseMatrix.rank`` need; a remainder led by 1
+or -1 (p-1) is kept as the pivot row, negated for -1, so only other leads
+take an inverse.  ``kernel_basis`` and ``solve`` then back-substitute once,
+from the highest pivot down, to the reduced row echelon form.
 """
 from __future__ import annotations
 
@@ -103,6 +104,17 @@ class Field:
 RATIONALS = Field(0)
 
 
+def _add(entries: Dict, at, c: Scalar, p: int) -> None:
+    """entries[at] += c, reduced mod p unless p is 0; a zero sum is dropped."""
+    v = entries.get(at, 0) + c
+    if p:
+        v %= p
+    if v:
+        entries[at] = v
+    else:
+        entries.pop(at, None)
+
+
 def _axpy(r: Dict[int, Scalar], a: Scalar, row: Dict[int, Scalar], p: int) -> None:
     """r -= a * row in place (mod p unless p is 0)."""
     for c, v in row.items():
@@ -125,14 +137,21 @@ def _reduce(field: Field, pivots: Dict[int, Dict[int, Scalar]],
     pivots maps each pivot column to its normalised row, the 1 left out, and
     every entry of a pivot row lies right of its pivot.  A nonzero remainder
     becomes the pivot of its leading column, which is returned; a zero
-    remainder returns None."""
+    remainder returns None.  Over GF(p) every entry of r is a residue in
+    1..p-1, so a pivot row led by 1 or p-1 needs no inverse."""
     p = field.char
     while r:
         pc = min(r)
         row = pivots.get(pc)
         if row is None:
-            inv = field.inv(r.pop(pc))
-            pivots[pc] = {c: (inv * v) % p if p else inv * v for c, v in r.items()}
+            lead = r.pop(pc)
+            if lead == p - 1:
+                for c in r:
+                    r[c] = p - r[c]
+            elif lead != 1:
+                inv = field.inv(lead)
+                r = {c: (inv * v) % p if p else inv * v for c, v in r.items()}
+            pivots[pc] = r
             return pc
         _axpy(r, r.pop(pc), row, p)
     return None
@@ -207,12 +226,7 @@ class SparseMatrix:
         out = SparseMatrix(self.rows, other.cols, f)
         for (r, c1), v1 in self.entries.items():
             for c2, v2 in other_rows.get(c1, ()):
-                key = (r, c2)
-                s = f.add(out.entries.get(key, f.zero), f.mul(v1, v2))
-                if f.is_zero(s):
-                    out.entries.pop(key, None)
-                else:
-                    out.entries[key] = s
+                _add(out.entries, (r, c2), v1 * v2, f.char)
         return out
 
     def add(self, other: "SparseMatrix") -> "SparseMatrix":
@@ -239,17 +253,11 @@ class SparseMatrix:
 
     def apply(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
         """Matrix times sparse column vector {index: scalar}."""
-        f = self.field
         out: Dict[int, Scalar] = {}
         for (r, c), v in self.entries.items():
             x = vec.get(c)
-            if x is None:
-                continue
-            s = f.add(out.get(r, f.zero), f.mul(v, x))
-            if f.is_zero(s):
-                out.pop(r, None)
-            else:
-                out[r] = s
+            if x is not None:
+                _add(out, r, v * x, self.field.char)
         return out
 
     def _row_dicts(self, skip_rows: AbstractSet[int] = frozenset()) -> List[Dict[int, Scalar]]:
@@ -362,8 +370,8 @@ class Echelon:
 
     def insert(self, row: Dict[int, Scalar]) -> bool:
         """Reduce row against the current span; returns True if rank grew."""
-        f = self.field
-        r = {c: v for c, v in row.items() if not f.is_zero(v)}
+        f, p = self.field, self.field.char
+        r = {c: v % p if p else v for c, v in row.items() if not f.is_zero(v)}
         return _reduce(f, self.pivots, r) is not None
 
 

@@ -21,7 +21,7 @@ from .graded import (
     BiGradedSpace, CochainComplex, Elt, GradedMap, Key, Window, induced_rank,
 )
 from .holim import AlgebraDiagram, SmallCategory, chain_poset, poset_category
-from .linalg import Field, RATIONALS, Scalar
+from .linalg import Field, RATIONALS, Scalar, _add
 
 Mono = Tuple[int, ...]
 
@@ -547,12 +547,7 @@ class FreeMap:
                 p = _mono_mul(m, m2)
                 if p not in alive:
                     continue
-                key = (h, p)
-                v = f.add(out.get(key, f.zero), f.mul(c, c2))
-                if f.is_zero(v):
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                _add(out, (h, p), c * c2, f.char)
         return out
 
     def validate_chain(self) -> Optional[str]:

@@ -512,6 +512,17 @@ def _line_k():
     return trivial_right(M._dg_line_algebra(F))
 
 
+def _hom_into_regular():
+    k = _residue(["x"], ["x^3"])
+    return derived_hom(k, regular_module(k.algebra), 4)
+
+
+def _tor_with_regular():
+    m = _bar_module("triangular_12")
+    a = m.algebra
+    return derived_tensor(m, DgModule(a, a.complex, dict(a.mult), side="left"), 3)
+
+
 # digests recorded from the builder that keyed each tuple's children by
 # (parent, slot) pairs: every builder must reproduce those complexes cell for
 # cell, label for label and entry for entry
@@ -541,6 +552,12 @@ GOLDEN_BUILDS = [
     ("end koszul_kx n3",
      lambda: end_algebra(M.build_scenario("koszul_kx")["module"], 3).complex,
      "c221a945a12d2666767be8313de955e0a84a3322061b46ef7b6805b971af184e"),
+    # a reduced Hom whose target the positive-weight slots act on, and a
+    # two-object reduced Tor whose last slots merge into right keys
+    ("hom k to k[x]/(x^3) n4", _hom_into_regular,
+     "087460f6473f1a7e3383401782ed02ea9a7eab0b875c8715a61ed6e51a67117a"),
+    ("tor triangular_12 with A n3", _tor_with_regular,
+     "78148e01fd5a46fc85ce241e8be91a85527985f4493a310c136511cd2d4a59dc"),
 ]
 
 

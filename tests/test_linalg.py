@@ -219,6 +219,74 @@ def test_echelon_and_rank_agree_with_kernel_rank():
             assert grown == m.rank() == m.cols - len(fresh.kernel_basis())
 
 
+def _unit_led_rows(rng, rows, cols):
+    """Sparse rows whose first entry is 1, -1 or another unit, and whose
+    other entries are small ints, negative ones unreduced."""
+    out = []
+    for _ in range(rows):
+        c0 = rng.randrange(cols)
+        row = {c0: rng.choice([1, -1, -1, 2, -3])}
+        for c in range(c0 + 1, cols):
+            if rng.random() < 0.5:
+                row[c] = rng.choice([1, -1, rng.randint(-5, 5) or 2])
+        out.append(row)
+    return out
+
+
+def _matrix(field, rows, cols):
+    m = SparseMatrix(len(rows), cols, field)
+    for r, row in enumerate(rows):
+        for c, v in row.items():
+            m[r, c] = field.of(v)
+    return m
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF], ids=["QQ", "GF"])
+def test_unit_leads_match_the_general_path(field, monkeypatch):
+    """A remainder led by 1 is kept as its pivot row and one led by -1 (p-1)
+    is negated; scaling each row by a unit other than 1 and -1 sends every
+    lead through an inverse instead.  Both give the same pivot columns,
+    ranks and kernels, every pivot row holds residues over GF(p), and a
+    row fed to Echelon.insert is never kept as a pivot row itself."""
+    rng = random.Random(43)
+    p = field.char
+    inverses = []
+    inv = Field.inv
+    monkeypatch.setattr(Field, "inv", lambda f, a: inverses.append(a) or inv(f, a))
+    counts = {"unit": 0, "scaled": 0}
+    for _ in range(60):
+        cols = rng.randint(2, 9)
+        rows = _unit_led_rows(rng, rng.randint(1, 9), cols)
+        units = [rng.choice([2, -2, 3, Fraction(1, 3), Fraction(-5, 2)]) if not p
+                 else rng.randint(2, p - 2) for _ in rows]
+        scaled = [{c: field.mul(u, field.of(v)) for c, v in row.items()}
+                  for u, row in zip(units, rows)]
+        got, want = _matrix(field, rows, cols), _matrix(field, scaled, cols)
+        got_cols, want_cols = set(), set()
+        del inverses[:]
+        got_rank = got.rank(pivot_cols=got_cols)
+        counts["unit"] += len(inverses)
+        del inverses[:]
+        want_rank = want.rank(pivot_cols=want_cols)
+        counts["scaled"] += len(inverses)
+        assert (got_rank, got_cols) == (want_rank, want_cols)
+        assert got.kernel_basis() == want.kernel_basis()
+
+        ech, ech_scaled = Echelon(field), Echelon(field)
+        for row, srow in zip(rows, scaled):
+            fed = dict(row)
+            assert ech.insert(fed) == ech_scaled.insert(srow)
+            fed.clear()  # the caller's row is not a stored pivot row
+        assert sorted(ech.pivots) == sorted(ech_scaled.pivots) == sorted(got_cols)
+        for pivots in (ech.pivots, ech_scaled.pivots, got._echelon(back=False)):
+            for pc, row in pivots.items():
+                assert all(c > pc for c in row)
+                if p:
+                    assert all(0 < v < p for v in row.values())
+        assert ech.pivots == ech_scaled.pivots
+    assert counts["unit"] < counts["scaled"] / 2
+
+
 # -- the rational scalar: an int while integral, a Fraction otherwise -------
 
 
