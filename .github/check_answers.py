@@ -3,12 +3,13 @@
 perfbench/run.py exits 0 even when an answer is wrong, so CI pipes its
 output here:
 
-    python3 perfbench/run.py ... | tail -n 1 | python3 .github/check_answers.py [--cert-floors]
+    python3 perfbench/run.py ... | tail -n 1 | python3 .github/check_answers.py [--cert-floors [WORKLOAD]]
 
 Exits 1 unless every answer is correct and no job failed.  With
 --cert-floors it also holds each workload's check.cert_frac to its seed-0
 floor: an uncertified cell is not a wrong one, but a model built too small
-drops the fraction.
+drops the fraction.  A ``--workload all`` line carries every workload; the
+line of a single-workload run carries one, named after --cert-floors.
 """
 import json
 import sys
@@ -19,9 +20,13 @@ CERT_FLOORS = {"completion_qq": 1, "completion_unreduced": 17328 / 19344,
 r = json.loads(sys.stdin.read())
 print({k: r[k] for k in ("correct", "attempted", "failed")})
 low = []
-if "--cert-floors" in sys.argv[1:]:
-    cert = {w: r["workloads"][w]["metrics"]["check.cert_frac"]["value"]
-            for w in CERT_FLOORS}
+args = sys.argv[1:]
+if "--cert-floors" in args:
+    named = args[args.index("--cert-floors") + 1:]
+    lines = ({named[0]: r} if named
+             else {w: r["workloads"][w] for w in CERT_FLOORS})
+    cert = {w: line["metrics"]["check.cert_frac"]["value"]
+            for w, line in lines.items()}
     print("cert_frac", cert)
-    low = [w for w in CERT_FLOORS if cert[w] < CERT_FLOORS[w]]
+    low = [w for w in cert if cert[w] < CERT_FLOORS[w]]
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 and not low else 1)

@@ -613,16 +613,101 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
     return cx
 
 
+def _over_witness(m: DgModule, n: DgModule, n_max: int, w_cap: int,
+                  hom: bool) -> CochainComplex:
+    """Hom_A(P, n) when hom, else P ⊗_A n, for the resolution P of m its
+    recipe builds to length n_max, keeping the generators within w_cap of
+    the lightest weight (a subcomplex, d never raising weight).
+
+    A basis element pairs a generator g_i with a basis key q of n: the map
+    g_i ↦ q, labelled (q, name) at |q| - |g_i|, or g_i ⊗ q, labelled
+    (name, q) at |g_i| + |q|.  With d(g_l) = Σ_i g_i·a_il,
+    (d f)(g_l) = d(f(g_l)) - (-1)^|f| Σ_i f(g_i)·a_il and
+    d(g_l ⊗ q) = Σ_i g_i ⊗ a_il·q + (-1)^|g_l| g_l ⊗ dq.
+
+    Every generator within min(n_max, w_cap) of the lightest weight w0 was
+    built, and every other one is heavier, so where n is fully known a
+    weight column is complete when no generator it reads lies further out,
+    and the side beyond the lightest generator is certified empty."""
+    if n_max < 0 or w_cap < 0:
+        raise ValueError("caps must be non-negative")
+    p = m.resolution(n_max)
+    f = m.field
+    char, one = f.char, f.one
+    w0 = min(w for _, _, w in p.gens)
+    kept = [i for i, (_, _, w) in enumerate(p.gens) if w - w0 <= w_cap]
+    nkeys = n.basis_keys()
+    cells: Dict[Tuple[int, int], List] = defaultdict(list)
+    at: Dict[Tuple[int, Key], Tuple[Tuple[int, int], int]] = {}
+    for i in kept:
+        name, gd, gw = p.gens[i]
+        for q in nkeys:
+            cell = (q[0] - gd, q[1] - gw) if hom else (q[0] + gd, q[1] + gw)
+            labs = cells[cell]
+            at[i, q] = cell, len(labs)
+            labs.append((q, name) if hom else (name, q))
+
+    entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
+
+    def put(i: int, q: Key, j: int, q2: Key, c: Scalar) -> None:
+        cell, col = at[i, q]
+        _add(entries[cell], (at[j, q2][1], col), c, char)
+
+    d_n = _columns(n.complex.d)
+    for i in kept:
+        gd = p.gens[i][1]
+        for q in nkeys:
+            odd = (q[0] - gd if hom else gd) & 1
+            for q2, c in d_n.get(q, ()):
+                put(i, q, i, q2, f.neg(c) if odd and not hom else c)
+        # the attaching map: f_{q,j} ↦ f_{q·a,i} for Hom and g_i ⊗ q ↦
+        # g_j ⊗ a·q for the tensor, for each term g_j·a of d(g_i)
+        for j, a in p.attaching[i]:
+            for q in nkeys:
+                if hom:
+                    odd = (q[0] - p.gens[j][1]) & 1
+                    for q2, c in n.act({q: one}, a).items():
+                        put(j, q, i, q2, c if odd else f.neg(c))
+                else:
+                    for q2, c in n.act_left(a, {q: one}).items():
+                        put(i, q, j, q2, c)
+    cx = _install(f, cells, entries)
+
+    if n.space.fully_known() and nkeys:
+        top = w0 + min(n_max, w_cap)
+        sp, nwts = cx.space, [k[1] for k in nkeys]
+        if hom:
+            # column u reads the generators at weights w - u, w in nwts
+            for u in range(max(nwts) - top, max(nwts) - w0 + 1):
+                sp.set_known(u)
+            sp.known_zero_above = max(nwts) - w0
+        else:
+            # column u reads the generators at weights u - w
+            for u in range(min(nwts) + w0, min(nwts) + top + 1):
+                sp.set_known(u)
+            sp.known_zero_below = min(nwts) + w0
+    return cx
+
+
 def derived_hom(m: DgModule, n: DgModule, n_max: int,
                 w_cap: Optional[int] = None,
                 reduced: Optional[bool] = None) -> CochainComplex:
-    """Right derived Hom from m to n over their common algebra."""
+    """Right derived Hom from m to n over their common algebra.
+
+    When m carries a resolution recipe (``DgModule.resolution``) and
+    ``reduced`` is not given, this is Hom_A(P, n) over the witness P built
+    to length n_max, its generators' weights capped at w_cap above the
+    lightest (``_over_witness``).  Otherwise, and whenever ``reduced`` is
+    passed, it is Hom from m's bar construction into n, with tuples of at
+    most n_max slots whose weights sum to at most w_cap."""
     if m.algebra is not n.algebra:
         raise ValueError("derived_hom needs modules over the same algebra")
     if n.side != "right":
         raise ValueError("derived_hom target must be a right module")
     if w_cap is None:
         w_cap = n_max
+    if reduced is None and m.resolution is not None:
+        return _over_witness(m, n, n_max, w_cap, hom=True)
     return _hom_complex_into(_BarScheme(m, n_max, w_cap, reduced, n), n)
 
 
@@ -821,13 +906,20 @@ def minimal_model(inner: EndAlgebra, w_max: int
 def derived_tensor(m: DgModule, n: DgModule, n_max: int,
                    w_cap: Optional[int] = None,
                    reduced: Optional[bool] = None) -> CochainComplex:
-    """Derived tensor product of a right module with a left module."""
+    """Derived tensor product of a right module with a left module.
+
+    When m carries a resolution recipe and ``reduced`` is not given, this
+    is P ⊗_A n over the witness P built to length n_max, as in
+    ``derived_hom``; otherwise, and whenever ``reduced`` is passed, it is
+    the two-sided bar construction of m with n as its right factor."""
     if m.algebra is not n.algebra:
         raise ValueError("derived_tensor needs modules over the same algebra")
     if m.side != "right" or n.side != "left":
         raise ValueError("derived_tensor takes a right and a left module")
     if w_cap is None:
         w_cap = n_max
+    if reduced is None and m.resolution is not None:
+        return _over_witness(m, n, n_max, w_cap, hom=False)
     scheme = _BarScheme(m, n_max, w_cap, reduced, n)
     f = scheme.field
     return _two_sided(scheme, n.basis_keys(), scheme.nobj,

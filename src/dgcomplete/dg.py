@@ -13,7 +13,9 @@ representations and the projective at object z is the right ideal e_z·A.
 from __future__ import annotations
 
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from .graded import (
     BiGradedSpace, CochainComplex, Elt, GradedMap, Key,
@@ -26,6 +28,16 @@ ProductRule = Callable[[Key, Key], Elt]
 # a summand e·A[n] of a module: the idempotent e and the inclusion
 # {algebra key x with e·x = x: module key of x}
 Summand = Tuple[Elt, Dict[Key, Key]]
+
+
+class SemiFree(NamedTuple):
+    """A semi-free module P = ⊕_i g_i·A as plain data: ``gens`` lists each
+    generator's (name, degree, weight), and ``attaching[i]`` its
+    differential d(g_i) = Σ_j g_j·a_ji as pairs (j, a_ji), each a_ji an
+    element of A."""
+
+    gens: List[Tuple[str, int, int]]
+    attaching: List[List[Tuple[int, Elt]]]
 
 
 def table_rule(table: MultTable) -> ProductRule:
@@ -286,6 +298,16 @@ class DgModule:
     the module's basis.  Only the constructors that prove it set it
     (``regular_module``, ``right_ideal_module``, and ``shift_module`` and
     ``direct_sum_modules`` of modules that carry it).  None is no claim.
+
+    ``resolution`` is a recipe for a semi-free resolution witness of a
+    right module over a positively weighted algebra: called with a length
+    L, it builds a minimal resolution P of the module as a ``SemiFree``,
+    truncated so that every generator within weight L of the lightest is
+    listed (each step of a minimal resolution raises the weight by at least
+    one).  The module keeps the recipe, never a built P.  Only
+    ``TruncatedRing.residue_module`` sets it, for k over a monomial
+    complete intersection; no other constructor carries it over, and None
+    is no claim.  ``derived_hom`` and ``derived_tensor`` read it.
     """
 
     def __init__(self, algebra: DgAlgebra, complex: CochainComplex,
@@ -300,6 +322,7 @@ class DgModule:
         self.side = side
         self.name = name
         self.projective = projective
+        self.resolution: Optional[Callable[[int], SemiFree]] = None
 
     @property
     def field(self) -> Field:

@@ -19,7 +19,10 @@ from the highest pivot down, to the reduced row echelon form.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import AbstractSet, Dict, List, Optional, Sequence, Set, Tuple
+from itertools import chain
+from typing import (
+    AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+)
 
 Scalar = object  # int or Fraction in characteristic 0, int in characteristic p
 
@@ -260,12 +263,26 @@ class SparseMatrix:
                 _add(out, r, v * x, self.field.char)
         return out
 
-    def _row_dicts(self, skip_rows: AbstractSet[int] = frozenset()) -> List[Dict[int, Scalar]]:
-        rows: List[Dict[int, Scalar]] = [dict() for _ in range(self.rows)]
-        for (r, c), v in self.entries.items():
+    def _row_dicts(self, skip_rows: AbstractSet[int] = frozenset(),
+                   extra_col: Optional[Dict[int, Scalar]] = None
+                   ) -> List[Dict[int, Scalar]]:
+        """The rows that hold an entry, in index order, each {col: value},
+        leaving out the rows in skip_rows; extra_col's nonzero entries join
+        their rows at column self.cols."""
+        rows: List[Optional[Dict[int, Scalar]]] = [None] * self.rows
+        entries: Iterable = self.entries.items()
+        if extra_col is not None:
+            extra = (((r, self.cols), b) for r, b in extra_col.items()
+                     if 0 <= r < self.rows and not self.field.is_zero(b))
+            entries = chain(entries, extra)
+        for (r, c), v in entries:
             if r not in skip_rows:
-                rows[r][c] = v
-        return rows
+                row = rows[r]
+                if row is None:
+                    rows[r] = {c: v}
+                else:
+                    row[c] = v
+        return [row for row in rows if row is not None]
 
     def _echelon(self, extra_col: Optional[Dict[int, Scalar]] = None, back: bool = True,
                  skip_rows: AbstractSet[int] = frozenset()):
@@ -277,16 +294,10 @@ class SparseMatrix:
         it to the reduced row echelon form, so non-pivot entries involve only
         free columns and the augmented column.
         """
-        rows = self._row_dicts(skip_rows)
-        if extra_col is not None:
-            for r, row in enumerate(rows):
-                b = extra_col.get(r)
-                if b is not None and not self.field.is_zero(b):
-                    row[self.cols] = b
+        rows = self._row_dicts(skip_rows, extra_col)
         pivots: Dict[int, Dict[int, Scalar]] = {}
         for row in rows:
-            if row:
-                _reduce(self.field, pivots, row)
+            _reduce(self.field, pivots, row)
         if back:
             p = self.field.char
             for pc in sorted(pivots, reverse=True):

@@ -14,7 +14,7 @@ import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .dg import (
-    AlgebraMorphism, DgAlgebra, DgCategoryPresentation, DgModule,
+    AlgebraMorphism, DgAlgebra, DgCategoryPresentation, DgModule, SemiFree,
     category_algebra, direct_sum_modules, right_ideal_module,
 )
 from .graded import (
@@ -205,7 +205,16 @@ class TruncatedRing:
                         name=name or f"{self.name}/({','.join(extra)})")
 
     def residue_module(self, name: str = "k") -> DgModule:
-        return self.quotient_module(list(self.variables) or [], name=name)
+        """k = R/(x_1..x_r).  When R is a monomial complete intersection
+        k[x_1..x_r]/(x_i^{t_i}) whose weight cap cuts no monomial, k
+        carries the recipe of its minimal resolution: ``free_resolution``
+        to the length asked, as a ``SemiFree`` over R."""
+        k = self.quotient_module(list(self.variables) or [], name=name)
+        powers = _pure_powers(self)
+        if (powers is not None and None not in powers
+                and (self.wmax is None or self.wmax >= sum(powers) - len(powers))):
+            k.resolution = lambda length: free_resolution(self, length).semi_free()
+        return k
 
     def projection_to(self, other: "TruncatedRing") -> AlgebraMorphism:
         """Monomials map to themselves where still standard, else to zero."""
@@ -495,6 +504,19 @@ class FreeComplex:
         return DgModule(ring.algebra, cx, action, side="right",
                         name=name or self.name)
 
+    def semi_free(self) -> SemiFree:
+        """The complex as a semi-free module over the ring's algebra: its
+        generators, and d(g) as pairs (index of h, ring element at h)."""
+        at = {g: i for i, (g, _, _) in enumerate(self.gens)}
+        keys = {m: self.ring.mono_key(m) for m in self.ring.monomials}
+        attaching: List[List[Tuple[int, Elt]]] = []
+        for (g, _, _) in self.gens:
+            terms: Dict[int, Elt] = {}
+            for (h, m), c in self._rows.get(g, {}).items():
+                terms.setdefault(at[h], {})[keys[m]] = c
+            attaching.append(list(terms.items()))
+        return SemiFree(list(self.gens), attaching)
+
     def module_key(self, space: BiGradedSpace, g: str, m: Mono) -> Key:
         """The key of g times m in a realization of this complex."""
         d, w = self.info[g]
@@ -642,32 +664,88 @@ def lacing_map(a: FreeComplex, b: FreeComplex) -> FreeMap:
 # -- resolutions -------------------------------------------------------------
 
 
+def _pure_powers(ring: TruncatedRing) -> Optional[List[Optional[int]]]:
+    """Per variable, the exponent t of its relation x^t, or None when it has
+    none; None outright when some relation is not a pure power, so the ring
+    is no monomial complete intersection (before any weight cap)."""
+    powers: List[Optional[int]] = [None] * len(ring.variables)
+    for rel in ring.relations:
+        held = [i for i, e in enumerate(rel) if e]
+        if len(held) != 1:
+            return None
+        powers[held[0]] = rel[held[0]]
+    return powers
+
+
+def _product_resolution(ring: TruncatedRing, powers: Sequence[Optional[int]],
+                        length: int, wt0: int = 0, name: str = "") -> FreeComplex:
+    """The Koszul-signed tensor product of one-variable resolutions of k, one
+    per variable x_i: periodic over k[x_i]/(x_i^t) when powers[i] is t (a
+    single generator when t is 1, since x_i is then 0), and x_i: A -> A for
+    a free variable, whose power is None.
+
+    Generator (j_1, ..., j_r) sits in degree -Σj at weight wt0 + Σ w(j_i),
+    where w(j) = (j // 2)·t + j % 2, and d sends it to each factor's step
+    x_i^{1 or t-1} times (.., j_i - 1, ..), with sign (-1)^(j_1 + .. +
+    j_{i-1}).  The Koszul factors are finite and kept whole; the periodic
+    ones are cut jointly, keeping the generators whose periodic indices sum
+    to at most length, and the complex is then exact above degree -length.
+    It is a resolution of k where the ring's weight cap cuts no monomial,
+    and exact in every weight up to the cap otherwise, since d keeps weight
+    and a weight slice of a free module only loses cells above the cap.
+    Names are e(x*y) for a Koszul complex, as the exterior generators read,
+    and p<j_1,..,j_r> otherwise."""
+    f = ring.field
+    n = len(powers)
+    koszul = all(t is None for t in powers)
+    periodic = [t is not None and t > 1 for t in powers]
+    ranges = [range(length + 1) if cut else range(2 if t is None else 1)
+              for t, cut in zip(powers, periodic)]
+    kept = sorted((js for js in itertools.product(*ranges)
+                   if sum(itertools.compress(js, periodic)) <= length),
+                  key=lambda js: (sum(js), [-j for j in js]))
+    if koszul:
+        names = {js: "e(" + "*".join(itertools.compress(ring.variables, js)) + ")"
+                 for js in kept}
+    else:
+        names = {js: "p" + ",".join(map(str, js)) for js in kept}
+
+    def x(i: int, e: int) -> Mono:
+        return tuple(e if l == i else 0 for l in range(n))
+
+    # per factor, the weight of each index, and the steps down from an odd
+    # index, x_i, and from an even one, x_i^(t-1)
+    weights = [[j if t is None else (j // 2) * t + j % 2 for j in r]
+               for t, r in zip(powers, ranges)]
+    steps = [(x(i, 1), x(i, t - 1) if cut else None)
+             for i, (t, cut) in enumerate(zip(powers, periodic))]
+    signs = (f.one, f.neg(f.one))
+    gens, rows = [], {}
+    for js in kept:
+        g = names[js]
+        gens.append((g, -sum(js), wt0 + sum(w[j] for w, j in zip(weights, js))))
+        row, before = {}, 0
+        for i, j in enumerate(js):
+            if j:
+                lower = names[js[:i] + (j - 1,) + js[i + 1:]]
+                row[(lower, steps[i][j % 2 == 0])] = signs[before & 1]
+                before += j
+        rows[g] = row
+    return FreeComplex(ring, gens, rows,
+                       name=name or (f"Koszul({ring.name})" if koszul else "res(k)"),
+                       honest_min=-length + 1 if any(periodic) else None)
+
+
 def koszul_resolution(ring: TruncatedRing, name: str = "") -> FreeComplex:
     """Koszul complex on the variables; a resolution of k when the ring is
     relation-free (finite and exact, so it carries no degree junk).
 
     Over a weight-truncated ring the realization stays exact in every weight
-    up to the cap, because the differential preserves weight and a weight
-    slice of a free module only loses cells above the cap.
+    up to the cap (see ``_product_resolution``).
     """
     if ring.relations:
         raise ValueError("koszul resolution needs a relation-free ring")
-    f, n = ring.field, len(ring.variables)
-    gens = []
-    rows: Rows = {}
-
-    def gname(sub: Tuple[int, ...]) -> str:
-        return "e(" + "*".join(ring.variables[i] for i in sub) + ")"
-
-    for r in range(n + 1):
-        for sub in itertools.combinations(range(n), r):
-            gens.append((gname(sub), -r, r))
-            rows[gname(sub)] = {
-                (gname(sub[:j] + sub[j + 1:]),
-                 tuple(int(k == i) for k in range(n))):
-                f.neg(f.one) if j % 2 else f.one
-                for j, i in enumerate(sub)}
-    return FreeComplex(ring, gens, rows, name=name or f"Koszul({ring.name})")
+    return _product_resolution(ring, [None] * len(ring.variables), 0, name=name)
 
 
 def periodic_resolution(ring: TruncatedRing, length: int,
@@ -681,41 +759,36 @@ def periodic_resolution(ring: TruncatedRing, length: int,
         raise ValueError("periodic resolution needs t >= 2: k[x]/(x) is k")
     if ring.wmax is not None and ring.wmax < t - 1:
         raise ValueError("ring truncation cuts below the relation")
-    gens = []
-    rows: Rows = {}
-    wt = t - 1 if socle else 0
-    for i in range(length + 1):
-        gens.append((f"p{i}", -i, wt))
-        if i + 1 <= length:
-            step = 1 if i % 2 == 0 else t - 1
-            rows[f"p{i + 1}"] = {(f"p{i}", (step,)): ring.field.one}
-            wt += step
-    return FreeComplex(ring, gens, rows,
-                       name=name or f"res(k{'_socle' if socle else ''})",
-                       honest_min=-length + 1)
+    return _product_resolution(
+        ring, [t], length, wt0=t - 1 if socle else 0,
+        name=name or f"res(k{'_socle' if socle else ''})")
 
 
 def free_resolution(ring: TruncatedRing, length: int) -> FreeComplex:
-    """Resolution of the residue field, dispatched on the ring's shape; a
-    ring spanned by 1 alone is the field, whatever its presentation."""
-    if ring.monomials == [ring.one]:
-        return FreeComplex(ring, [("e", 0, 0)], {}, name="res(k)")
-    if not ring.relations:
-        return koszul_resolution(ring)
-    if len(ring.variables) == 1 and len(ring.relations) == 1:
-        return periodic_resolution(ring, length)
-    raise ValueError(f"no built-in resolution of k over {ring.name}")
+    """Resolution of the residue field over a monomial complete intersection
+    k[x_1..x_r]/(x_i^{t_i}), free variables allowed (``_product_resolution``);
+    a ring spanned by 1 alone is the field, whatever its presentation, so
+    there every variable is 0."""
+    powers = ([1] * len(ring.variables) if ring.monomials == [ring.one]
+              else _pure_powers(ring))
+    if powers is None:
+        raise ValueError(f"no built-in resolution of k over {ring.name}")
+    return _product_resolution(ring, powers, length)
 
 
 def dual_model(ring: TruncatedRing, p: FreeComplex,
                length: int) -> Tuple[FreeComplex, FreeMap]:
     """A junk-free exact complex quasi-isomorphic to the dual of the residue
-    field, with its comparison into p's strict dual."""
+    field, with its comparison into p's strict dual: over the field or a
+    free polynomial ring, and over k[x]/(x^t).  Any other ring raises
+    ValueError."""
     pd = p.dual()
     if ring.monomials == [ring.one] or not ring.relations:
         # field or free polynomial ring: the dual of the finite exact
         # resolution is itself exact
         return pd, identity_free_map(pd)
+    if len(ring.variables) != 1:
+        raise ValueError(f"no built-in dual model of k over {ring.name}")
     pprime = periodic_resolution(ring, length, socle=True)
     t = ring.relations[0][0]
     return pprime, FreeMap(pprime, pd, {"p0": {("p0^", (t - 1,)): ring.field.one}})

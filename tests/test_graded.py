@@ -301,7 +301,7 @@ def library_complexes(field):
     the depth-4 adic tower of k[x] (26 keys), and the bar resolution and
     derived Hom of k over k[x,y]/(x², y²) at length 3 (39 and 20 keys)."""
     tower = M.build_scenario("adic_kx_4", field)["tower"].diagram()[1]
-    k = M.truncated_poly(field, ["x", "y"], ["x^2", "y^2"]).residue_module()
+    k = M.truncated_poly(field, ["x", "y"], ["x^2", "y^2"]).quotient_module(["x", "y"])
     return [holim(tower, dmax=3).complex, bar_resolution(k, 3).complex,
             derived_hom(k, k, 3)]
 

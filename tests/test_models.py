@@ -196,9 +196,41 @@ class TestResolutions:
         assert M.free_resolution(M.truncated_poly(F, [], []), 3).gens
         assert M.free_resolution(M.truncated_poly(F, ["x"], [], wmax=4), 3)
         assert M.free_resolution(M.truncated_poly(F, ["x"], ["x^2"]), 3)
+        # a ring spanned by 1 is the field, whether by relation or by cap
+        for ring in (M.truncated_poly(F, ["x"], ["x"]),
+                     M.truncated_poly(F, ["x", "y"], [], wmax=0)):
+            assert len(M.free_resolution(ring, 3).gens) == 1
+        # x*y is no pure power: not a complete intersection
         with pytest.raises(ValueError, match="no built-in resolution"):
             M.free_resolution(
-                M.truncated_poly(F, ["x", "y"], ["x^2", "y^2"]), 3)
+                M.truncated_poly(F, ["x", "y"], ["x^2", "x*y", "y^2"]), 3)
+
+
+    @pytest.mark.parametrize("variables,relations,length", [
+        (["x", "y"], ["x^2", "y^2"], 6),
+        (["x", "y"], ["x^3", "y^2"], 6),
+        (["x", "y", "z"], ["x^2", "y^2", "z^2"], 4),
+    ])
+    def test_complete_intersections_resolve_the_residue_field(
+            self, variables, relations, length):
+        """The product of periodic factors: d² = 0, and H = k at (0, 0) in
+        every weight up to the length, where every generator was built."""
+        ring = M.truncated_poly(Field(32003), variables, relations)
+        p = M.free_resolution(ring, length)
+        assert p.validate() is None
+        assert p.honest_min == -length + 1
+        cx = p.to_complex()
+        h = cx.cohomology(window=Window(-length - 1, 1, length), wmax=length)
+        assert h.dims_by_cell() == {(0, 0): 1}
+
+    def test_complete_intersections_have_no_built_in_dual_model(self):
+        ring = M.truncated_poly(F, ["x", "y"], ["x^2", "y^2"])
+        p = M.free_resolution(ring, 4)
+        with pytest.raises(ValueError,
+                           match=r"no built-in dual model of k over k\[x,y\]"):
+            M.dual_model(ring, p, 4)
+        with pytest.raises(ValueError, match="no built-in dual model"):
+            M.infin_ext_check(ring, window=(-2, 2), length=4)
 
 
 class TestFreeComplexOps:

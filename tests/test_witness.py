@@ -1,0 +1,141 @@
+"""Ext and Tor of k through its minimal-resolution witness, against the bar.
+
+``TruncatedRing.residue_module`` gives k the recipe of its minimal
+resolution over a monomial complete intersection, and ``derived_hom`` and
+``derived_tensor`` then build Hom_A(P, n) and P ⊗_A n over it.  The same k
+from ``quotient_module`` carries no recipe, so it runs on the bar: the two
+routes must agree on every cell, dimensions and certificates.
+"""
+import pytest
+
+from dgcomplete import models as M
+from dgcomplete.bar import derived_hom, derived_tensor
+from dgcomplete.dg import (
+    DgModule, direct_sum_modules, identity_morphism, regular_module,
+    restrict_scalars, shift_module,
+)
+from dgcomplete.graded import Window
+from dgcomplete.linalg import RATIONALS, Field
+from test_bar import _complex_snapshot, trivial_left
+
+GF = Field(32003)
+
+
+def _ring(t, field=GF):
+    """k[x]/(x^t), or k[x,y]/(x^2, y^2) when t is None: the ext_gfp rings."""
+    if t is None:
+        return M.truncated_poly(field, ["x", "y"], ["x^2", "y^2"])
+    return M.truncated_poly(field, ["x"], [f"x^{t}"])
+
+
+def _both(ring):
+    """k with the recipe, and k without it."""
+    k = ring.residue_module()
+    assert k.resolution is not None
+    return k, ring.quotient_module(ring.variables)
+
+
+def _table(cx, window):
+    h = cx.cohomology(window)
+    return {cell: (h.dim(*cell), h.certificate.exact_at(*cell))
+            for cell in window.grid()}
+
+
+@pytest.mark.parametrize("n", [6, 7, 8, 9])
+@pytest.mark.parametrize("t", [2, 3, 4, 5, 6, None],
+                         ids=lambda t: "k[x,y]/(x2,y2)" if t is None else f"t{t}")
+def test_witness_matches_the_bar_on_every_deck_shape(t, n):
+    """Every ext_hom and ext_tor shape an ext_gfp deck can draw: equal
+    dimensions and certificates on the whole window the job reads, and
+    every cell of the benchmark's reference grid certified."""
+    ring = _ring(t)
+    k, bar_k = _both(ring)
+    k_left = trivial_left(ring.algebra)
+    ext, tor = Window(0, n, n), Window(-n, 0, n)
+    got = _table(derived_hom(k, k, n), ext)
+    assert got == _table(derived_hom(bar_k, bar_k, n), ext)
+    assert all(got[(d, w)][1] for d in range(0, n + 1) for w in range(-n, 1))
+    got = _table(derived_tensor(k, k_left, n), tor)
+    assert got == _table(derived_tensor(bar_k, k_left, n), tor)
+    assert all(got[(d, w)][1] for d in range(-n, 1) for w in range(0, n + 1))
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF], ids=repr)
+@pytest.mark.parametrize("t", [3, None],
+                         ids=lambda t: "k[x,y]/(x2,y2)" if t is None else f"t{t}")
+def test_witness_matches_the_bar_into_targets_the_ring_acts_on(field, t):
+    """Hom of k into A, where the attaching map acts on the target, and Tor
+    with A as the left factor, where it acts on the right key."""
+    ring = _ring(t, field)
+    k, bar_k = _both(ring)
+    a = ring.algebra
+    n = 5
+    window = Window(-n, n, n)
+    reg = regular_module(a)
+    a_left = DgModule(a, a.complex, dict(a.mult), side="left")
+    for build in (lambda m: derived_hom(m, reg, n),
+                  lambda m: derived_tensor(m, a_left, n),
+                  lambda m: derived_hom(m, reg, n, w_cap=3),
+                  lambda m: derived_tensor(m, trivial_left(a), n, w_cap=2)):
+        cx = build(k)
+        assert cx.validate_d2() is None
+        assert _table(cx, window) == _table(build(bar_k), window)
+
+
+def test_witness_complexes_have_the_size_of_the_answer():
+    """One generator per Ext class, so d = 0: the 4 generators of weight at
+    most 9 over k[x]/(x^5) at length 9, where the bar's Hom complex has 432
+    elements, and 45 over k[x,y]/(x^2, y^2) at length 8, where it has
+    1681."""
+    for t, n, size in ((5, 9, 4), (None, 8, 45)):
+        k = _ring(t).residue_module()
+        for cx in (derived_hom(k, k, n),
+                   derived_tensor(k, trivial_left(k.algebra), n)):
+            assert cx.space.total_dim() == size
+            assert all(b.is_zero() for b in cx.d.blocks.values())
+
+
+def test_the_recipe_builds_inside_each_call(monkeypatch):
+    """Nothing is built when k is made, and each call builds its own
+    resolution to its own length."""
+    lengths = []
+    build = M.free_resolution
+
+    def counted(ring, length):
+        lengths.append(length)
+        return build(ring, length)
+
+    monkeypatch.setattr(M, "free_resolution", counted)
+    k = _ring(4).residue_module()
+    assert lengths == []
+    derived_hom(k, k, 6)
+    derived_tensor(k, trivial_left(k.algebra), 7)
+    derived_hom(k, k, 6)
+    assert lengths == [6, 7, 6]
+
+
+def test_passing_reduced_asks_for_the_bar():
+    k, bar_k = _both(_ring(3))
+    for reduced in (True, False):
+        assert (_complex_snapshot(derived_hom(k, k, 4, reduced=reduced))
+                == _complex_snapshot(derived_hom(bar_k, bar_k, 4, reduced=reduced)))
+    k_left = trivial_left(k.algebra)
+    assert (_complex_snapshot(derived_tensor(k, k_left, 4, reduced=True))
+            == _complex_snapshot(derived_tensor(bar_k, k_left, 4)))
+
+
+def test_only_the_residue_field_of_a_complete_intersection_carries_a_recipe():
+    k = _ring(3).residue_module()
+    derived = [shift_module(k, 1), direct_sum_modules(k, k),
+               restrict_scalars(identity_morphism(k.algebra), k)]
+    assert all(m.resolution is None for m in derived)
+    # a weight cap that cuts a monomial, or a relation that is no pure
+    # power, leaves no complete intersection
+    cut = [M.truncated_poly(GF, ["x"], [], wmax=4),
+           M.truncated_poly(GF, ["x", "y"], ["x^2", "y^2"], wmax=1),
+           M.truncated_poly(GF, ["x", "y"], ["x^2", "x*y", "y^2"])]
+    assert all(r.residue_module().resolution is None for r in cut)
+    whole = [M.truncated_poly(GF, ["x", "y"], ["x^2", "y^2"], wmax=2),
+             M.truncated_poly(GF, ["x", "y"], ["x", "y^3"]),
+             M.truncated_poly(GF, [], [])]
+    assert all(r.residue_module().resolution is not None for r in whole)
