@@ -754,17 +754,6 @@ class EndAlgebra(InnerModel):
         q, (p, _) = self.space.label_of(k)
         return q, p
 
-    def projection_to_length_zero(self) -> Tuple["EndAlgebra", GradedMap]:
-        """The quotient map onto bare matrix units (underived operators)."""
-        naive = end_algebra(self.module, 0, w_cap=self.w_cap,
-                            reduced=self.reduced,
-                            name=f"End0({self.module.name})")
-        p = GradedMap(self.space, naive.space, 0, 0)
-        for k, src, val in self.evaluations():
-            for q, c in val.items():
-                p.set_entry(k, naive.space.key_of(k[0], k[1], (q, (src, ()))), c)
-        return naive, p
-
     def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
         """The bare matrix units (q, (p, ())): p ↦ q, the underived
         operators."""

@@ -266,13 +266,6 @@ class DgAlgebra:
                     return None
         return zeros
 
-    def weight_connectedness(self) -> Optional[int]:
-        """+1 / -1 if nonzero-weight basis elements are uniformly positive /
-        negative over an orthogonal idempotent weight-0 part; else None."""
-        if self.weight_zero_idempotent_basis() is None:
-            return None
-        return self._weight_sign()
-
     def _weight_sign(self) -> Optional[int]:
         """+1 / -1 if the nonzero weights are all positive / all negative
         (+1 if there are none); else None."""
@@ -463,12 +456,6 @@ class DgCategoryPresentation:
 
     def set_differential(self, name: str, value: Dict[str, object]) -> None:
         self.differential[name] = value
-
-    def hom_dims(self) -> Dict[Tuple[str, str], int]:
-        out: Dict[Tuple[str, str], int] = {}
-        for (nm, src, tgt, d, w) in self.morphisms:
-            out[(src, tgt)] = out.get((src, tgt), 0) + 1
-        return out
 
 
 def category_algebra(pres: DgCategoryPresentation, field: Field,

@@ -281,12 +281,6 @@ class GradedMap:
                 raise ValueError(f"column value off-cell: {(kd, kw)} vs {(td, tw)}")
             b[j, i] = v
 
-    def entry(self, src_key: Key, tgt_key: Key) -> Scalar:
-        b = self.blocks.get((src_key[0], src_key[1]))
-        if b is None:
-            return self.source.field.zero
-        return b[tgt_key[2], src_key[2]]
-
     def column(self, src_key: Key) -> Elt:
         d, w, i = src_key
         b = self.blocks.get((d, w))
@@ -381,9 +375,6 @@ class Certificate:
 
     def exact_at(self, deg: int, wt: int) -> bool:
         return self.status.get((deg, wt), False)
-
-    def all_exact(self) -> bool:
-        return all(self.status.values())
 
 
 class Cohomology:

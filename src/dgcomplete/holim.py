@@ -123,10 +123,6 @@ class SmallCategory:
     def tgt(self, arrow: str):
         return self.arrows[arrow][1]
 
-    def comp(self, second: str, first: str) -> Optional[str]:
-        """Composite "first, then second": an arrow name, or None for an identity."""
-        return self.compose[(second, first)]
-
     def check(self) -> List[str]:
         out = []
         obj_set = set(self.objects)
@@ -177,18 +173,6 @@ class SmallCategory:
 
     def arrows_into(self, obj) -> List[str]:
         return list(self._into.get(obj, ()))
-
-    def factorizations(self, arrow: str) -> List[Tuple[str, str]]:
-        """All (first, second) pairs of non-identity arrows with second∘first == arrow."""
-        return list(self._factors.get(arrow, ()))
-
-
-def one_object_category(label="*") -> SmallCategory:
-    return SmallCategory([label], {}, {})
-
-
-def discrete_category(labels) -> SmallCategory:
-    return SmallCategory(list(labels), {}, {})
 
 
 def chain_poset(labels) -> SmallCategory:
@@ -379,16 +363,15 @@ class HolimAlgebra(DgAlgebra):
         return AlgebraMorphism(self, target, g)
 
 
-def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
-          p_max: Optional[int] = None, signs: Optional[SignConvention] = None,
+def holim(diagram: AlgebraDiagram, dmax: int,
+          signs: Optional[SignConvention] = None,
           name: str = "") -> HolimAlgebra:
     """Homotopy limit of a dg algebra diagram, stored up to string length p_max.
 
-    Exactly one of dmax / p_max decides the cutoff: given dmax, the cutoff is
-    forced to ``dmax - (minimal internal degree) + 1``, which certifies the
-    cohomology through degree dmax in every weight column.  Strings past the
-    cutoff span a two-sided dg ideal, so the result is a genuine dg algebra
-    regardless.
+    The cutoff p_max is ``dmax - (minimal internal degree) + 1``, which
+    certifies the cohomology through degree dmax in every weight column.
+    Strings past the cutoff span a two-sided dg ideal, so the result is a
+    genuine dg algebra regardless.
     """
     cat = diagram.cat
     sc = signs if signs is not None else DEFAULT_SIGNS
@@ -399,11 +382,7 @@ def holim(diagram: AlgebraDiagram, dmax: Optional[int] = None,
     degs = [k[0] for keys in akeys.values() for k in keys]
     if not degs:
         raise ValueError("holim of a diagram with no cells")
-    b_min = min(degs)
-    if p_max is None:
-        if dmax is None:
-            raise ValueError("holim needs dmax or p_max")
-        p_max = max(0, dmax - b_min + 1)
+    p_max = max(0, dmax - min(degs) + 1)
     paths = nonidentity_paths(cat, p_max)
     cut = _extends(cat, paths, p_max)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain
 from typing import (
-    AbstractSet, Dict, Iterable, List, Optional, Sequence, Set, Tuple,
+    AbstractSet, Dict, Iterable, List, Optional, Set, Tuple,
 )
 
 Scalar = object  # int or Fraction in characteristic 0, int in characteristic p
@@ -180,14 +180,6 @@ class SparseMatrix:
         if entries:
             for (r, c), v in entries.items():
                 self[r, c] = field.of(v)
-
-    @classmethod
-    def from_dense(cls, data: Sequence[Sequence], field: Field) -> "SparseMatrix":
-        m = cls(len(data), len(data[0]) if data else 0, field)
-        for r, row in enumerate(data):
-            for c, v in enumerate(row):
-                m[r, c] = field.of(v)
-        return m
 
     def __setitem__(self, key: Tuple[int, int], value):
         r, c = key
@@ -385,9 +377,3 @@ class Echelon:
         r = {c: v % p if p else v for c, v in row.items() if not f.is_zero(v)}
         return _reduce(f, self.pivots, r) is not None
 
-
-def identity_matrix(n: int, field: Field) -> SparseMatrix:
-    m = SparseMatrix(n, n, field)
-    for i in range(n):
-        m.entries[(i, i)] = field.one
-    return m

@@ -233,58 +233,6 @@ def truncated_poly(field: Field, variables: Sequence[str],
     return TruncatedRing(field, variables, relations, wmax, name)
 
 
-# -- square-zero extensions --------------------------------------------------
-
-
-class SquareZeroRing:
-    """R ⊕ M with M·M = 0, for M a monomial quotient module of R."""
-
-    def __init__(self, ring: TruncatedRing, algebra: DgAlgebra, shift: int):
-        self.ring = ring
-        self.algebra = algebra
-        self.shift = shift
-
-
-def square_zero(ring: TruncatedRing, module_extra: Optional[Sequence[str]] = (),
-                name: str = "") -> SquareZeroRing:
-    """Trivial extension of a monomial ring by R/(extra); None means M = 0.
-
-    The M summand is re-weighted upward so it sits in strictly positive
-    weights: weight is bookkeeping and the shift keeps the extension inside
-    the reduced-bar hypotheses.
-    """
-    if module_extra is None:
-        return SquareZeroRing(ring, ring.algebra, 0)
-    gens = [parse_mono(t, ring.variables) for t in module_extra]
-    kept = [m for m in ring.monomials
-            if not any(_divides(g, m) for g in gens)]
-    if not kept:
-        raise ValueError("square-zero module part is zero; pass None for M = 0")
-    f = ring.field
-    shift = max(0, 1 - min(sum(m) for m in kept))
-    rl = ring._labels
-    mlbl = {m: f"m({rl[m]})" for m in kept}
-    basis = [(rl[m], 0, sum(m)) for m in ring.monomials]
-    basis += [(mlbl[m], 0, sum(m) + shift) for m in kept]
-    keptset = set(kept)
-    products: Dict[Tuple[str, str], Dict[str, object]] = {}
-    for a in ring.monomials:
-        for b in ring.monomials:
-            p = _mono_mul(a, b)
-            if p in ring._alive:
-                products[(rl[a], rl[b])] = {rl[p]: 1}
-    for a in ring.monomials:
-        for m in kept:
-            p = _mono_mul(a, m)
-            if p in keptset and p in ring._alive:
-                products[(rl[a], mlbl[m])] = {mlbl[p]: 1}
-                products[(mlbl[m], rl[a])] = {mlbl[p]: 1}
-    alg = DgAlgebra.from_basis(f, basis, [rl[ring.one]], {}, products,
-                               name=name or f"{ring.name}⋉M")
-    alg.idempotents = {"*": dict(alg.unit)}
-    return SquareZeroRing(ring, alg, shift)
-
-
 # -- adic towers -------------------------------------------------------------
 
 
@@ -298,10 +246,6 @@ class AdicTower:
         self.maps = maps
         self.warnings = warnings
         self.depth = len(rings)
-
-    def quotient(self, n: int) -> TruncatedRing:
-        """R/I^n, 1-based."""
-        return self.rings[n - 1]
 
     def dims(self) -> List[int]:
         return [r.algebra.space.total_dim() for r in self.rings]
@@ -736,18 +680,6 @@ def _product_resolution(ring: TruncatedRing, powers: Sequence[Optional[int]],
                        honest_min=-length + 1 if any(periodic) else None)
 
 
-def koszul_resolution(ring: TruncatedRing, name: str = "") -> FreeComplex:
-    """Koszul complex on the variables; a resolution of k when the ring is
-    relation-free (finite and exact, so it carries no degree junk).
-
-    Over a weight-truncated ring the realization stays exact in every weight
-    up to the cap (see ``_product_resolution``).
-    """
-    if ring.relations:
-        raise ValueError("koszul resolution needs a relation-free ring")
-    return _product_resolution(ring, [None] * len(ring.variables), 0, name=name)
-
-
 def periodic_resolution(ring: TruncatedRing, length: int,
                         socle: bool = False, name: str = "") -> FreeComplex:
     """Length-truncated minimal resolution of k (or of the socle copy of k)
@@ -1167,22 +1099,6 @@ def _scen_adic_kx(field: Field, params: Dict) -> Dict:
     }
 
 
-def _scen_square_zero_kx2(field: Field, params: Dict) -> Dict:
-    ring = truncated_poly(field, ["x"], ["x^2"])
-    ext = square_zero(ring, ())
-    return {
-        "name": "square_zero_kx2",
-        "kind": "algebra_check",
-        "square_zero": ext,
-        "algebra": ext.algebra,
-        "expected": {
-            "dims_by_weight": {0: 1, 1: 2, 2: 1},
-            "total_dim": 4,
-            "shift": 1,
-        },
-    }
-
-
 def _scen_free_category(field: Field, params: Dict) -> Dict:
     wmax = int(params.get("wmax", 4))
     alg = free_quiver_category(field, wmax)
@@ -1221,7 +1137,6 @@ REGISTRY = {
     "dual_numbers": _scen_dual_numbers,
     "dual_numbers_op": _scen_dual_numbers_op,
     "koszul_kx": _scen_koszul_kx,
-    "square_zero_kx2": _scen_square_zero_kx2,
     "free_category": _scen_free_category,
 }
 

@@ -234,21 +234,6 @@ def test_end_of_contractible_module_is_acyclic():
             assert n == 0, (d, w, n)
 
 
-def test_projection_to_length_zero_is_dg_algebra_map():
-    m = contractible_module(dual_numbers())
-    b = end_algebra(m, n_max=3)
-    naive, p = b.projection_to_length_zero()
-    assert naive.validate().ok
-    assert is_chain_map(p, b.complex.d, naive.complex.d) is None
-    assert p.apply(b.unit) == naive.unit
-    for k1 in b.basis_keys():
-        i1 = p.apply({k1: F.one})
-        for k2 in b.basis_keys():
-            lhs = p.apply(b.basis_product(k1, k2))
-            rhs = naive.multiply(i1, p.apply({k2: F.one}))
-            assert lhs == rhs, (k1, k2)
-
-
 # -- derived_hom -------------------------------------------------------------
 
 def test_derived_hom_from_regular_module():

@@ -98,7 +98,7 @@ def test_cohomology_truncated_poly():
     assert c.validate_d2() is None
     assert h_dims(c) == {(0, 1): 1, (1, -1): 1}
     h = c.cohomology()
-    assert h.certificate.all_exact()
+    assert all(h.certificate.status.values())
     # representative of H^0 is x, a genuine kernel vector
     rep = h.representatives[(0, 1, 0)]
     assert rep == {(0, 1, 0): Fraction(1)}
@@ -157,7 +157,7 @@ def test_shift_point():
 def test_shift_differential_sign():
     c = two_term()
     s = c.shift(1)
-    assert s.d.entry((-1, 0, 0), (0, 0, 0)) == Fraction(-1)
+    assert s.d.column((-1, 0, 0)) == {(0, 0, 0): Fraction(-1)}
     assert h_dims(s) == {}
 
 

@@ -22,14 +22,10 @@ class TestCategories:
     def test_chain_poset_paths(self):
         cat = H.chain_poset(range(3))
         assert sorted(cat.arrows) == ["0->1", "0->2", "1->2"]
-        assert cat.comp("1->2", "0->1") == "0->2"
+        assert cat.compose[("1->2", "0->1")] == "0->2"
         assert len(H.nonidentity_paths(cat, 0)) == 3
         assert len(H.nonidentity_paths(cat, 1)) == 6
         assert len(H.nonidentity_paths(cat, 2)) == 7
-
-    def test_factorizations(self):
-        cat = H.chain_poset(range(3))
-        assert cat.factorizations("0->2") == [("0->1", "1->2")]
 
     def test_poset_closure(self):
         cat = H.poset_category(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -41,7 +37,7 @@ class TestCategories:
 
     def test_negative_path_cutoff(self):
         with pytest.raises(ValueError, match=">= 0"):
-            H.nonidentity_paths(H.one_object_category(), -1)
+            H.nonidentity_paths(H.SmallCategory(["*"], {}, {}), -1)
 
 
 class TestDiagramValidation:
@@ -89,7 +85,7 @@ class TestDiagramValidation:
 class TestHolimBasics:
     def test_one_object_is_the_algebra(self):
         alg = M.truncated_poly(F, ["x"], ["x^2"]).algebra
-        diag = H.AlgebraDiagram(H.one_object_category(), {"*": alg}, {})
+        diag = H.AlgebraDiagram(H.SmallCategory(["*"], {}, {}), {"*": alg}, {})
         hl = H.holim(diag, dmax=2)
         assert hl.validate().ok
         assert hl.space.fully_known()
@@ -98,19 +94,13 @@ class TestHolimBasics:
                 if h.dim(d, w)} == {(0, 0): 1, (0, 1): 1}
 
     def test_discrete_is_the_product(self):
-        cat = H.discrete_category(["p", "q"])
+        cat = H.SmallCategory(["p", "q"], {}, {})
         a1 = M.truncated_poly(F, ["x"], ["x^2"]).algebra
         diag = H.AlgebraDiagram(cat, {"p": a1, "q": ground_algebra()}, {})
         hl = H.holim(diag, dmax=1)
         assert hl.validate().ok
         h = hl.complex.cohomology(Window(0, 1, 2))
         assert h.dim(0, 0) == 2 and h.dim(0, 1) == 1 and h.dim(1, 0) == 0
-
-    def test_needs_a_cutoff_argument(self):
-        diag = H.AlgebraDiagram(H.one_object_category(),
-                                {"*": ground_algebra()}, {})
-        with pytest.raises(ValueError, match="dmax or p_max"):
-            H.holim(diag)
 
 
 class TestTowerHolim:
@@ -189,7 +179,7 @@ class TestConstantDiagrams:
         assert [h.dim(d, 0) for d in range(4)] == [1, 0, 0, 0]
 
     def test_components_add_up(self):
-        cat = H.discrete_category(["p", "q", "r"])
+        cat = H.SmallCategory(["p", "q", "r"], {}, {})
         diag = constant_algebra_diagram(cat, ground_algebra())
         hl = H.holim(diag, dmax=1)
         assert strict_limit_dims(diag) == {0: 3}
@@ -215,7 +205,7 @@ class TestCutoffCertificates:
         alg = M.truncated_poly(F, ["x"], ["x^3"]).algebra
         alg.space.set_known(2, 0, 0)  # weight 2 known in degree 0 alone
         assert not alg.space.fully_known()
-        diag = H.AlgebraDiagram(H.one_object_category(), {"*": alg}, {})
+        diag = H.AlgebraDiagram(H.SmallCategory(["*"], {}, {}), {"*": alg}, {})
         hl = H.holim(diag, dmax=1)
         assert not hl.space.fully_known()
         h = hl.complex.cohomology(Window(0, 1, 2))
@@ -234,13 +224,14 @@ class TestSignConvention:
     def test_every_single_flip_breaks_a_validator(self):
         cat = H.chain_poset(range(3))
         adiag = constant_algebra_diagram(cat, ground_algebra())
-        assert H.holim(adiag, p_max=2).validate().ok
+        good = H.holim(adiag, dmax=1)
+        assert good.p_max == 2 and good.validate().ok
         assert H.SignConvention.fields() == (
             "limit_drop_last", "limit_compose", "limit_drop_first",
             "limit_product")
         for name in H.SignConvention.fields():
             sc = H.DEFAULT_SIGNS.flip(name)
-            assert not H.holim(adiag, p_max=2, signs=sc).validate().ok, name
+            assert not H.holim(adiag, dmax=1, signs=sc).validate().ok, name
 
 
 class TestLazyProducts:
@@ -273,10 +264,10 @@ class TestConeAndCocone:
         ring = M.truncated_poly(F, ["x"], ["x^3"])
         self.tower = M.adic_tower(ring, ["x"], 3)
         self.cat, self.diag = self.tower.diagram()
-        self.deep = self.tower.quotient(3)
+        self.deep = self.tower.rings[2]
 
     def cone_maps(self):
-        return {i: self.deep.projection_to(self.tower.quotient(3 - i)).map
+        return {i: self.deep.projection_to(self.tower.rings[2 - i]).map
                 for i in range(3)}
 
     def test_cone_map_into_the_tower(self):
@@ -321,8 +312,8 @@ class TestInducedRankShortcut:
         _, diag = tower.diagram()
         hl = H.holim(diag, dmax=1)
         yield hl.restriction(0).map, hl.complex, diag.algebras[0].complex
-        deep = tower.quotient(3)
-        cone = {i: deep.projection_to(tower.quotient(3 - i)).map for i in range(3)}
+        deep = tower.rings[2]
+        cone = {i: deep.projection_to(tower.rings[2 - i]).map for i in range(3)}
         mor = H.holim_map_from_compatible_system(hl, deep.algebra, cone)
         yield mor.map, deep.algebra.complex, hl.complex
 
@@ -378,22 +369,22 @@ class TestSignsOnATower:
     @pytest.mark.parametrize("field", [F, GF], ids=["qq", "gf32003"])
     def test_each_face_flip_breaks_d_squared(self, field):
         diag = cubic_tower(field)
-        hl = H.holim(diag, p_max=2)
+        hl = H.holim(diag, dmax=1)
+        assert hl.p_max == 2
         assert hl.complex.validate_d2() is None
         assert hl.validate().ok
         for name in ("limit_drop_last", "limit_compose", "limit_drop_first"):
-            bad = H.holim(diag, p_max=2, signs=H.DEFAULT_SIGNS.flip(name))
+            bad = H.holim(diag, dmax=1, signs=H.DEFAULT_SIGNS.flip(name))
             assert bad.complex.validate_d2() == (0, 0), name
-        bad = H.holim(diag, p_max=2, signs=H.DEFAULT_SIGNS.flip("limit_product"))
+        bad = H.holim(diag, dmax=1, signs=H.DEFAULT_SIGNS.flip("limit_product"))
         assert bad.complex.validate_d2() is None
         assert not bad.validate().ok
 
 
 def test_building_the_limit_reads_each_input_once(monkeypatch):
     diag = M.build_scenario("adic_kx_5")["tower"].diagram()[1]
-    calls = {"apply": 0, "factorizations": 0, "paths": 0}
-    apply, factorizations = GradedMap.apply, H.SmallCategory.factorizations
-    paths = H.nonidentity_paths
+    calls = {"apply": 0, "paths": 0}
+    apply, paths = GradedMap.apply, H.nonidentity_paths
 
     def counted(name, fn):
         def wrapper(*args, **kw):
@@ -402,9 +393,7 @@ def test_building_the_limit_reads_each_input_once(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(GradedMap, "apply", counted("apply", apply))
-    monkeypatch.setattr(H.SmallCategory, "factorizations",
-                        counted("factorizations", factorizations))
     monkeypatch.setattr(H, "nonidentity_paths", counted("paths", paths))
     hl = H.holim(diag, dmax=3)
     assert hl.p_max == 4
-    assert calls == {"apply": 0, "factorizations": 0, "paths": 1}
+    assert calls == {"apply": 0, "paths": 1}

@@ -11,13 +11,20 @@ from dgcomplete.bar import bar_resolution, derived_hom, derived_tensor
 from dgcomplete.complete import double_centralizer
 from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.holim import holim
-from dgcomplete.linalg import RATIONALS, Echelon, Field, SparseMatrix, identity_matrix
+from dgcomplete.linalg import RATIONALS, Echelon, Field, SparseMatrix
 from dgcomplete.models import build_scenario, random_diagram, truncated_poly
 from test_bar import trivial_left
 
 
 def to_sympy(m: SparseMatrix) -> sympy.Matrix:
     return sympy.Matrix(m.rows, m.cols, lambda r, c: sympy.Rational(m[r, c]))
+
+
+def dense(data):
+    """The rational matrix with the given rows."""
+    return SparseMatrix(len(data), len(data[0]), RATIONALS,
+                        {(r, c): v for r, row in enumerate(data)
+                         for c, v in enumerate(row)})
 
 
 def random_matrix(rng, rows, cols, field, density=0.5, span=5):
@@ -30,12 +37,12 @@ def random_matrix(rng, rows, cols, field, density=0.5, span=5):
 
 
 def test_rank_frozen():
-    m = SparseMatrix.from_dense([[1, 2], [2, 4]], RATIONALS)
+    m = dense([[1, 2], [2, 4]])
     assert m.rank() == 1
 
 
 def test_kernel_frozen():
-    m = SparseMatrix.from_dense([[1, 1, 0], [0, 0, 1]], RATIONALS)
+    m = dense([[1, 1, 0], [0, 0, 1]])
     basis = m.kernel_basis()
     assert len(basis) == 1
     v = basis[0]
@@ -43,20 +50,20 @@ def test_kernel_frozen():
 
 
 def test_solve_frozen():
-    m = SparseMatrix.from_dense([[2, 0], [0, 3]], RATIONALS)
+    m = dense([[2, 0], [0, 3]])
     x = m.solve({0: 4, 1: 6})
     assert x == {0: Fraction(2), 1: Fraction(2)}
 
 
 def test_solve_inconsistent():
-    m = SparseMatrix.from_dense([[1, 1], [1, 1]], RATIONALS)
+    m = dense([[1, 1], [1, 1]])
     assert m.solve({0: 1, 1: 2}) is None
     assert m.solve({0: 3, 1: 3}) is not None
 
 
 @pytest.mark.parametrize("row", [3, 1, -1])
 def test_solve_rejects_rows_outside_the_matrix(row):
-    m = SparseMatrix.from_dense([[1]], RATIONALS)
+    m = dense([[1]])
     with pytest.raises(ValueError):
         m.solve({0: 1, row: 1})
 
@@ -152,14 +159,14 @@ def test_add_scale_transpose():
 
 
 def test_identity_and_apply():
-    i3 = identity_matrix(3, RATIONALS)
+    i3 = SparseMatrix(3, 3, RATIONALS, {(i, i): 1 for i in range(3)})
     assert i3.rank() == 3
     assert i3.apply({1: Fraction(5)}) == {1: Fraction(5)}
 
 
 def test_determinism_of_kernel():
-    m1 = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]], RATIONALS)
-    m2 = SparseMatrix.from_dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]], RATIONALS)
+    m1 = dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    m2 = dense([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
     assert m1.kernel_basis() == m2.kernel_basis()
     assert m1.kernel_basis()[0] == {0: Fraction(1), 1: Fraction(-2), 2: Fraction(1)}
 
@@ -168,7 +175,7 @@ GF = Field(32003)
 
 
 def test_rank_cache_follows_setitem():
-    m = SparseMatrix.from_dense([[1, 2], [2, 4]], RATIONALS)
+    m = dense([[1, 2], [2, 4]])
     assert m.rank() == 1
     m[1, 1] = 5
     assert m.rank() == 2

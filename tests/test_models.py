@@ -87,41 +87,13 @@ class TestTruncatedRing:
         assert direct.same_blocks(via)
 
 
-class TestSquareZero:
-    def test_trivial_extension_of_kx2(self):
-        sz = M.square_zero(M.truncated_poly(F, ["x"], ["x^2"]), ())
-        assert sz.algebra.space.total_dim() == 4
-        assert sz.shift == 1
-        by_wt = {}
-        for k in sz.algebra.basis_keys():
-            by_wt[k[1]] = by_wt.get(k[1], 0) + 1
-        assert by_wt == {0: 1, 1: 2, 2: 1}
-        assert sz.algebra.validate().ok
-
-    def test_zero_module_returns_base(self):
-        ring = M.truncated_poly(F, ["x"], ["x^2"])
-        sz = M.square_zero(ring, None)
-        assert sz.algebra is ring.algebra
-        assert sz.shift == 0
-
-    def test_module_part_squares_to_zero(self):
-        sz = M.square_zero(M.truncated_poly(F, ["x"], ["x^2"]), ())
-        alg = sz.algebra
-        mkeys = [k for k in alg.basis_keys()
-                 if alg.space.label_of(k).startswith("m(")]
-        f = alg.field
-        for k1 in mkeys:
-            for k2 in mkeys:
-                assert alg.multiply({k1: f.one}, {k2: f.one}) == {}
-
-
 class TestAdicTower:
     def test_xy_tower_dims(self):
         ring = M.truncated_poly(F, ["x", "y"], ["x*y"], wmax=3)
         tw = M.adic_tower(ring, ["x", "y"], 3)
         assert tw.dims() == [1, 3, 5]
         assert tw.warnings == []
-        assert tw.quotient(1).algebra.space.total_dim() == 1
+        assert tw.rings[0].algebra.space.total_dim() == 1
 
     def test_diagram_validates(self):
         ring = M.truncated_poly(F, ["x", "y"], ["x*y"], wmax=3)
@@ -147,7 +119,7 @@ class TestResolutions:
     def test_koszul_d_squared(self):
         for vs in (["x"], ["x", "y"], ["x", "y", "z"]):
             ring = M.truncated_poly(F, vs, [], wmax=4)
-            assert M.koszul_resolution(ring).validate() is None
+            assert M.free_resolution(ring, 0).validate() is None
 
     def test_periodic_d_squared(self):
         for t in (2, 3, 4):
@@ -175,7 +147,7 @@ class TestResolutions:
 
     def test_koszul_computes_residue_field(self):
         ring = M.truncated_poly(F, ["x", "y"], [], wmax=5)
-        mod = M.koszul_resolution(ring).to_module()
+        mod = M.free_resolution(ring, 0).to_module()
         h = hdims(mod.complex, -2, 1, 4)
         assert h == {(0, 0): 1}
 
@@ -258,14 +230,14 @@ class TestFreeComplexOps:
             assert h[(-j, j)] == 1
 
     def test_to_complex_is_the_complex_of_to_module(self):
-        koszul = M.koszul_resolution(M.truncated_poly(F, ["x", "y"], [], wmax=4))
+        koszul = M.free_resolution(M.truncated_poly(F, ["x", "y"], [], wmax=4), 0)
         for fc in (koszul, self.p, self.p.tensor(self.p)):
             assert (_complex_snapshot(fc.to_complex())
                     == _complex_snapshot(fc.to_module().complex)), fc.name
 
     def test_exact_complexes_tensor_exact(self):
         ring = M.truncated_poly(F, ["x"], [], wmax=6)
-        kz = M.koszul_resolution(ring)
+        kz = M.free_resolution(ring, 0)
         dd = kz.dual().tensor(kz.dual())
         assert dd.honest_tracked
         assert (dd.honest_min, dd.honest_max) == (None, None)
@@ -529,7 +501,7 @@ class TestRandomDiagram:
 class TestRegistry:
     def test_concrete_names_build(self):
         for name in ["dual_numbers", "dual_numbers_op", "koszul_kx",
-                     "adic_kx_4", "square_zero_kx2", "free_category",
+                     "adic_kx_4", "free_category",
                      "triangular_12", "triangular_123"]:
             sc = M.build_scenario(name)
             assert sc["kind"]

@@ -45,7 +45,7 @@ def tower_limit(ring, gens, depth):
     projections R -> R/I^k."""
     tower = M.adic_tower(ring, gens, depth)
     hl = H.holim(tower.diagram()[1], dmax=1)
-    projections = {i: ring.projection_to(tower.quotient(depth - i)).map
+    projections = {i: ring.projection_to(tower.rings[depth - i - 1]).map
                    for i in range(depth)}
     return hl, H.holim_map_from_compatible_system(hl, ring.algebra, projections)
 

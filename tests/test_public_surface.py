@@ -1,42 +1,150 @@
 """Every public function, class, method and instance attribute of the
-library is used somewhere, and every name a library module imports is used
-in that module.
+library serves a computation, a benchmark job or a named paper claim, and
+every name a library module imports is used in that module.
 
-A function, class or method counts as used when its name appears in src/,
-tests/ or perfbench/ other than in its own definition: as a name, an
-attribute, an imported name, or a string naming it (the benchmark's tracer
-looks functions up by string).  An instance attribute is defined by
-``self.<name> = ...`` in a library class and counts as used only when it is
-read as ``x.<name>`` or named in a string; a bare local variable of the same
-spelling does not count, and neither do writes through ``self``.
+A function, class or method counts as used only when its name is read as
+code (a name, an attribute or an imported name) in one of two places: in
+src/, outside its own definition, or in a perfbench/ file other than the
+benchmark's test_*.py self-tests.  Uses in tests/ do not count, and neither
+do string constants: the benchmark's tracer looks functions up by string,
+so a name it wraps and nothing else reads is not used.  An instance
+attribute is defined by ``self.<name> = ...`` in a library class and counts
+as used only when it is read as ``x.<name>`` in the same places; writes
+through ``self`` do not count.
 
-The check matches by name alone, so an unread attribute that shares its
-spelling with an attribute read elsewhere still passes; such attributes
-must be found by reading the code.
+A name that only tests read stays public only as a key of ``CLAIMS``, whose
+entry names the paper claim or north-star check it serves and the test
+that checks it.  A key must be a public library name that no counted use
+reaches: once a library or benchmark caller appears, its entry goes.
+
+The check matches by name alone, so an unused name that shares its
+spelling with a name read elsewhere still passes; such names must be found
+by reading the code.
 """
 import ast
+from functools import lru_cache
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LIBRARY = ROOT / "src" / "dgcomplete"
-SEARCHED = [ROOT / "src", ROOT / "tests", ROOT / "perfbench"]
+
+# qualified name -> (the claim or check it serves, the test that checks it)
+CLAIMS = {
+    "complete.completion_along_set": (
+        "completion along a set of objects: the simples, the projectives "
+        "and the algebra give one completion",
+        "tests/test_complete.py::"
+        "test_generators_of_one_thick_subcategory_give_one_completion"),
+    "dg.regular_module": (
+        "the algebra as a module generates the same thick subcategory as "
+        "the projectives, so completing along it gives the same tables",
+        "tests/test_complete.py::"
+        "test_generators_of_one_thick_subcategory_give_one_completion"),
+    "dg.shift_module": (
+        "thick subcategories are closed under shifts: a shifted projective "
+        "keeps its witness, a shifted simple has none",
+        "tests/test_complete.py::"
+        "test_projective_witness_is_set_only_by_constructors_that_prove_it"),
+    "dg.restrict_scalars": (
+        "a module restricted along an algebra map carries no projective "
+        "witness",
+        "tests/test_complete.py::"
+        "test_projective_witness_is_set_only_by_constructors_that_prove_it"),
+    "dg.DgCategoryPresentation.set_differential": (
+        "the Leibniz check of a dg category: a flipped differential sign "
+        "fails the validator",
+        "tests/test_dg.py::test_category_algebra_with_differential"),
+    "graded.cone": (
+        "the quasi-isomorphism reference: the cone of the bar resolution's "
+        "augmentation is acyclic",
+        "tests/test_bar.py::test_bar_of_algebra_is_contractible"),
+    "bar.BarData.augmentation": (
+        "the bar resolution resolves: its augmentation is a chain map with "
+        "an acyclic cone",
+        "tests/test_bar.py::test_bar_of_algebra_is_contractible"),
+    "bar.BarData.generator_counts": (
+        "the reduced bar of k over the dual numbers has one generator per "
+        "length, the size of Ext(k, k)",
+        "tests/test_bar.py::test_bar_generator_counts_dual_numbers"),
+    "holim.SignConvention.flip": (
+        "the sign mutants: flipping any one limit sign breaks d^2 or the "
+        "algebra validator",
+        "tests/test_holim.py::TestSignConvention::"
+        "test_every_single_flip_breaks_a_validator"),
+    "holim.SignConvention.fields": (
+        "the sign mutants cover every limit sign",
+        "tests/test_holim.py::TestSignConvention::"
+        "test_every_single_flip_breaks_a_validator"),
+    "holim.HolimAlgebra.restriction": (
+        "the Noetherian map test: the limit of a tower restricts "
+        "quasi-isomorphically to its deepest quotient",
+        "tests/test_holim.py::TestTowerHolim::"
+        "test_restriction_to_deepest_is_a_quasi_iso"),
+    "holim.HolimAlgebra.p_max": (
+        "the recorded string cutoff, which certifies the limit's "
+        "cohomology through dmax",
+        "tests/test_holim.py::TestTowerHolim::"
+        "test_cut_tower_still_certifies_low_degrees"),
+    "holim.holim_map_from_compatible_system": (
+        "the Noetherian map test: the cone of projections R -> R/I^n maps "
+        "onto the tower's limit",
+        "tests/test_noetherian.py::test_the_cone_of_projections_is_onto_the_limit"),
+    "models.AdicTower.warnings": (
+        "honest truncation: a tower that the ring's weight cap stabilizes "
+        "says so",
+        "tests/test_models.py::TestAdicTower::"
+        "test_cap_artifact_warns_and_stabilizes"),
+    "models.FreeComplex.to_module": (
+        "a truncated resolution of k realizes to a module with cohomology k "
+        "in its honest range",
+        "tests/test_models.py::TestResolutions::"
+        "test_resolution_computes_residue_field"),
+    "linalg.SparseMatrix.solve": (
+        "none: it stays only because perfbench/bench_trace.py wraps it by "
+        "name, and its deletion waits for a benchmark change",
+        "tests/test_linalg.py::test_solve_frozen"),
+    "bar.stabilization_scan": (
+        "none: it stays only because perfbench/bench_trace.py wraps it by "
+        "name, and its deletion waits for a benchmark change",
+        "tests/test_bar.py::test_stabilization_scan_flags"),
+    "bar.embed_strict": (
+        "none: it stays only because perfbench/bench_trace.py wraps it by "
+        "name, and its deletion waits for a benchmark change",
+        "tests/test_bar.py::test_embed_strict_is_a_quasi_isomorphism_here"),
+}
+
+
+@lru_cache(maxsize=None)
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _counted_files():
+    """The files whose code counts as a use: src/, and the benchmark's
+    job, reference and tracer code, but not its self-tests."""
+    files = sorted((ROOT / "src").rglob("*.py"))
+    files += sorted(p for p in (ROOT / "perfbench").glob("*.py")
+                    if not p.name.startswith("test_"))
+    return files
 
 
 def _public_defs():
-    """(module, qualified name, name) for module-level functions and
-    classes and the methods of module-level classes."""
+    """(qualified name, name, definition span) for module-level functions
+    and classes and the methods of module-level classes; the span is
+    (path, first line, last line)."""
     defs = []
     for path in sorted(LIBRARY.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
+        for node in _tree(path).body:
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                defs.append((path.stem, node.name, node.name))
+                defs.append((f"{path.stem}.{node.name}", node.name,
+                             (path, node.lineno, node.end_lineno)))
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef):
-                        defs.append((path.stem, f"{node.name}.{item.name}",
-                                     item.name))
-    return [d for d in defs if not d[2].startswith("_")]
+                        defs.append((f"{path.stem}.{node.name}.{item.name}",
+                                     item.name,
+                                     (path, item.lineno, item.end_lineno)))
+    return [d for d in defs if not d[1].startswith("_")]
 
 
 def _is_self_store(node):
@@ -45,50 +153,82 @@ def _is_self_store(node):
 
 
 def _public_attributes():
-    """(module, qualified name, name) for each attribute a module-level
-    class assigns through ``self``."""
+    """(qualified name, name) for each attribute a module-level class
+    assigns through ``self``."""
     defs = set()
     for path in sorted(LIBRARY.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
+        for node in _tree(path).body:
             if isinstance(node, ast.ClassDef):
                 for sub in ast.walk(node):
                     if _is_self_store(sub):
-                        defs.add((path.stem, f"{node.name}.{sub.attr}", sub.attr))
-    return sorted(d for d in defs if not d[2].startswith("_"))
+                        defs.add((f"{path.stem}.{node.name}.{sub.attr}", sub.attr))
+    return sorted(d for d in defs if not d[1].startswith("_"))
 
 
-def _used_names(attributes_only=False):
-    """Names used anywhere searched; with ``attributes_only``, only those
-    read as attributes or named in strings."""
-    used = set()
-    for top in SEARCHED:
-        for path in top.rglob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-                if isinstance(node, ast.Name):
-                    if not attributes_only:
-                        used.add(node.id)
-                elif isinstance(node, ast.Attribute) and not _is_self_store(node):
-                    used.add(node.attr)
-                elif isinstance(node, ast.alias) and not attributes_only:
-                    used.add(node.name.rsplit(".", 1)[-1])
-                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                    used.update(node.value.split("."))
-    return used
+def _reads(attributes_only=False):
+    """name -> [(path, line)] of each counted read; with
+    ``attributes_only``, only reads as an attribute."""
+    reads = {}
+    for path in _counted_files():
+        for node in ast.walk(_tree(path)):
+            if isinstance(node, ast.Name) and not attributes_only:
+                name = node.id
+            elif isinstance(node, ast.Attribute) and not _is_self_store(node):
+                name = node.attr
+            elif isinstance(node, ast.alias) and not attributes_only:
+                name = node.name.rsplit(".", 1)[-1]
+            else:
+                continue
+            reads.setdefault(name, []).append((path, node.lineno))
+    return reads
+
+
+def _used_defs():
+    reads = _reads()
+    return {qual for qual, name, (path, first, last) in _public_defs()
+            if any(p != path or not first <= line <= last
+                   for p, line in reads.get(name, ()))}
+
+
+def _used_attributes():
+    reads = _reads(attributes_only=True)
+    return {qual for qual, name in _public_attributes() if name in reads}
 
 
 def test_every_public_name_is_used():
-    used = _used_names()
-    unused = [f"{mod}.{qual}" for mod, qual, name in _public_defs()
-              if name not in used]
+    used = _used_defs()
+    unused = [qual for qual, _, _ in _public_defs()
+              if qual not in used and qual not in CLAIMS]
     assert unused == []
 
 
 def test_every_public_attribute_is_used():
-    used = _used_names(attributes_only=True)
-    unused = [f"{mod}.{qual}" for mod, qual, name in _public_attributes()
-              if name not in used]
+    used = _used_attributes()
+    unused = [qual for qual, _ in _public_attributes()
+              if qual not in used and qual not in CLAIMS]
     assert unused == []
+
+
+def _defines(node_id):
+    """Whether the test file of a node id defines its class and function."""
+    path, *names = node_id.split("::")
+    body = _tree(ROOT / path).body
+    for name in names:
+        found = [n for n in body if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                 and n.name == name]
+        if not found:
+            return False
+        body = found[0].body
+    return True
+
+
+def test_every_claim_is_a_public_name_only_tests_reach():
+    public = {qual for qual, _, _ in _public_defs()}
+    public |= {qual for qual, _ in _public_attributes()}
+    assert sorted(set(CLAIMS) - public) == []
+    used = _used_defs() | _used_attributes()
+    assert sorted(set(CLAIMS) & used) == []
+    assert [q for q, (_, test) in CLAIMS.items() if not _defines(test)] == []
 
 
 def _unused_imports(tree):
@@ -107,6 +247,5 @@ def _unused_imports(tree):
 def test_every_import_is_used():
     unused = []
     for path in sorted(LIBRARY.glob("*.py")):
-        tree = ast.parse(path.read_text(), filename=str(path))
-        unused += [f"{path.stem}.{name}" for name in _unused_imports(tree)]
+        unused += [f"{path.stem}.{name}" for name in _unused_imports(_tree(path))]
     assert unused == []
