@@ -22,6 +22,15 @@ face and every product term only lengthens strings), so the stored object is
 an honest quotient dg algebra, and its cohomology agrees with the full limit
 in a degree range recorded in the per-column certificates.
 
+Over a category free on a set of generating arrows (a chain poset is free
+on its covering arrows) the strings are the empty ones and the single
+generators, with no cut: the two-term complex prod_v A_v -> prod_e A_tgt(e),
+a -> (f_e(a_src) - a_tgt)_e, which computes the limit and its lim^1 exactly
+(Milnor's sequence; Bokstedt-Neeman's tower holim).  Composites and longer
+strings of generators span a dg ideal of the full limit whose quotient is
+this one, so the face and product rules are the same and every cell is
+certified.
+
 Every face and product sign is routed through a SignConvention.  The zero
 convention is the published one; flipping any single field must make the
 d^2 or the algebra validator fail, which is part of the certification suite.
@@ -88,26 +97,31 @@ class SmallCategory:
 
     ``compose[(second, first)]`` is the name of the composite arrow, or None
     when the composite is an identity.  Identities themselves are implicit.
-    The constructor checks totality of the table, endpoint consistency, and
-    associativity, so downstream code can trust the data.
+    ``generators``, when given, says the category is free on those arrows:
+    every arrow is the composite of exactly one string of them.  The
+    constructor checks totality of the table, endpoint consistency,
+    associativity and that freeness, so downstream code can trust the data.
     """
 
     def __init__(self, objects, arrows: Dict[str, Tuple[object, object]],
-                 compose: Dict[Tuple[str, str], Optional[str]]):
+                 compose: Dict[Tuple[str, str], Optional[str]],
+                 generators: Optional[List[str]] = None):
         self.objects = list(objects)
         self.arrows = {str(k): (v[0], v[1]) for k, v in arrows.items()}
         self.compose = dict(compose)
+        self.generators = None if generators is None else sorted(map(str, generators))
         problems = self.check()
         if problems:
             raise ValueError(f"bad category: {problems[0]}")
         # the checked data never changes, so the lookups the string builders
-        # make are tables, filled once: arrows by endpoint, in name order,
-        # and each arrow's factorizations as sorted (first, second) pairs
+        # make are tables, filled once: the arrows strings are made of (the
+        # generators of a free category) by endpoint, in name order, and
+        # each arrow's factorizations as sorted (first, second) pairs
         self._from: Dict[object, List[str]] = {x: [] for x in self.objects}
         self._into: Dict[object, List[str]] = {x: [] for x in self.objects}
         self._factors: Dict[str, List[Tuple[str, str]]] = {
             nm: [] for nm in self.arrows}
-        for nm in sorted(self.arrows):
+        for nm in self.generators or sorted(self.arrows):
             s, t = self.arrows[nm]
             self._from[s].append(nm)
             self._into[t].append(nm)
@@ -166,17 +180,31 @@ class SmallCategory:
                     right = f if hg is None else self.compose[(hg, f)]
                     if left != right:
                         out.append(f"associativity fails at ({h},{g},{f})")
+        if self.generators is not None and not out:
+            # the composites of the strings of generators, by length: free
+            # means they hit each arrow once and never an identity, so the
+            # walk stops once it has made more composites than arrows
+            gens = [g for g in self.generators if g in self.arrows]
+            made, layer = [], gens
+            while layer and len(made) <= len(self.arrows):
+                made += layer
+                layer = [self.compose[(g, h)] for h in layer if h is not None
+                         for g in gens if self.arrows[g][0] == self.arrows[h][1]]
+            if (len(gens) < len(self.generators)
+                    or sorted(made, key=str) != sorted(self.arrows)):
+                out.append("not free on its generators")
         return out
 
     def arrows_from(self, obj) -> List[str]:
-        return list(self._from.get(obj, ()))
+        return sorted(nm for nm, (s, _) in self.arrows.items() if s == obj)
 
     def arrows_into(self, obj) -> List[str]:
-        return list(self._into.get(obj, ()))
+        return sorted(nm for nm, (_, t) in self.arrows.items() if t == obj)
 
 
 def chain_poset(labels) -> SmallCategory:
-    """Total order on ``labels``: one arrow i->j for every earlier i, later j."""
+    """Total order on ``labels``: one arrow i->j for every earlier i, later j,
+    free on the covering arrows i->i+1."""
     labels = list(labels)
     arrows = {}
     for i in range(len(labels)):
@@ -188,7 +216,8 @@ def chain_poset(labels) -> SmallCategory:
         for f, (fs, ft) in arrows.items():
             if ft == gs:
                 compose[(g, f)] = f"{fs}->{gt}"
-    return SmallCategory(labels, arrows, compose)
+    return SmallCategory(labels, arrows, compose,
+                         [f"{a}->{b}" for a, b in zip(labels, labels[1:])])
 
 
 def poset_category(objects, relations) -> SmallCategory:
@@ -216,7 +245,8 @@ def poset_category(objects, relations) -> SmallCategory:
 
 
 def nonidentity_paths(cat: SmallCategory, p_max: int) -> List[Tuple[object, Tuple[str, ...]]]:
-    """Composable strings of non-identity arrows of length at most p_max.
+    """Composable strings of non-identity arrows of length at most p_max;
+    over a free category, the single generators and no longer string.
 
     Each entry is ``(final_object, names)`` with names listed first-applied
     first, so the final object is the target of the last name.  One empty
@@ -225,6 +255,8 @@ def nonidentity_paths(cat: SmallCategory, p_max: int) -> List[Tuple[object, Tupl
     """
     if p_max < 0:
         raise ValueError("p_max must be >= 0")
+    if cat.generators is not None:
+        p_max = min(p_max, 1)
     out: List[Tuple[object, Tuple[str, ...]]] = [(x, ()) for x in cat.objects]
     layer = list(out)
     for _ in range(p_max):
@@ -239,8 +271,10 @@ def nonidentity_paths(cat: SmallCategory, p_max: int) -> List[Tuple[object, Tupl
 
 def _extends(cat: SmallCategory, paths, p_max: int) -> bool:
     """Whether some string of length p_max has an outgoing arrow, that is,
-    whether strings past the cutoff exist."""
-    return any(cat._from[o] for o, names in paths if len(names) == p_max)
+    whether strings past the cutoff exist; over a free category the two-term
+    model is the whole limit, so none do."""
+    return cat.generators is None and any(
+        cat._from[o] for o, names in paths if len(names) == p_max)
 
 
 def _check_key(x, space: BiGradedSpace) -> Key:
@@ -346,9 +380,6 @@ class HolimAlgebra(DgAlgebra):
         self.diagram = diagram
         self.p_max = p_max
 
-    def key_for(self, obj, names: Tuple[str, ...], vkey: Key) -> Key:
-        return _lim_key(self.space, (obj, names, vkey))
-
     def restriction(self, obj) -> AlgebraMorphism:
         """Projection onto the empty-string component at one object.
 
@@ -371,7 +402,8 @@ def holim(diagram: AlgebraDiagram, dmax: int,
     The cutoff p_max is ``dmax - (minimal internal degree) + 1``, which
     certifies the cohomology through degree dmax in every weight column.
     Strings past the cutoff span a two-sided dg ideal, so the result is a
-    genuine dg algebra regardless.
+    genuine dg algebra regardless.  Over a free category p_max is 1 and
+    nothing is cut: the two-term model, certified in every degree.
     """
     cat = diagram.cat
     sc = signs if signs is not None else DEFAULT_SIGNS
@@ -382,7 +414,7 @@ def holim(diagram: AlgebraDiagram, dmax: int,
     degs = [k[0] for keys in akeys.values() for k in keys]
     if not degs:
         raise ValueError("holim of a diagram with no cells")
-    p_max = max(0, dmax - min(degs) + 1)
+    p_max = 1 if cat.generators is not None else max(0, dmax - min(degs) + 1)
     paths = nonidentity_paths(cat, p_max)
     cut = _extends(cat, paths, p_max)
 
@@ -423,7 +455,7 @@ def holim(diagram: AlgebraDiagram, dmax: int,
 
     # each map's and each internal differential's columns, read once; every
     # term is added to its entry, as two splits can reach one string
-    maps = {t: _columns(diagram.maps[t]) for t in cat.arrows}
+    maps = {t: _columns(diagram.maps[t]) for t in cat.generators or cat.arrows}
     d_ints = {x: _columns(algebras[x].complex.d) for x in cat.objects}
     p = f.char
     entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
@@ -514,7 +546,7 @@ def holim_map_from_compatible_system(hl: HolimAlgebra, base: DgAlgebra,
         img: Elt = {}
         for x in cat.objects:
             for vkey, c in gmaps[x].apply({k: f.one}).items():
-                img[hl.key_for(x, (), vkey)] = c
+                img[_lim_key(hl.space, (x, (), vkey))] = c
         if img:
             g.set_column(k, img)
     return AlgebraMorphism(base, hl, g)

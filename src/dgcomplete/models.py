@@ -247,9 +247,6 @@ class AdicTower:
         self.warnings = warnings
         self.depth = len(rings)
 
-    def dims(self) -> List[int]:
-        return [r.algebra.space.total_dim() for r in self.rings]
-
     def diagram(self) -> Tuple[SmallCategory, AlgebraDiagram]:
         """Deepest quotient at the initial object, projections forward."""
         cat = chain_poset(list(range(self.depth)))

@@ -12,6 +12,13 @@ def ground_algebra():
     return M.truncated_poly(F, [], []).algebra
 
 
+def string_model(diag):
+    """The same diagram over its category as a plain poset, which records
+    no generators, so ``holim`` builds every string up to its cut."""
+    poset = H.poset_category(diag.cat.objects, diag.cat.arrows.values())
+    return H.AlgebraDiagram(poset, diag.algebras, diag.maps, name=diag.name)
+
+
 def constant_algebra_diagram(cat, alg):
     ident = {k: {k: 1} for k in alg.basis_keys()}
     return H.AlgebraDiagram(cat, {o: alg for o in cat.objects},
@@ -23,9 +30,13 @@ class TestCategories:
         cat = H.chain_poset(range(3))
         assert sorted(cat.arrows) == ["0->1", "0->2", "1->2"]
         assert cat.compose[("1->2", "0->1")] == "0->2"
-        assert len(H.nonidentity_paths(cat, 0)) == 3
-        assert len(H.nonidentity_paths(cat, 1)) == 6
-        assert len(H.nonidentity_paths(cat, 2)) == 7
+        # free on its covering arrows: the strings are the single generators
+        assert cat.generators == ["0->1", "1->2"]
+        assert [len(H.nonidentity_paths(cat, p)) for p in (0, 1, 2)] == [3, 5, 5]
+        # the same order as a poset records no generators: every string
+        poset = H.poset_category(range(3), [(0, 1), (1, 2)])
+        assert poset.generators is None
+        assert [len(H.nonidentity_paths(poset, p)) for p in (0, 1, 2)] == [3, 6, 7]
 
     def test_poset_closure(self):
         cat = H.poset_category(["a", "b", "c"], [("a", "b"), ("b", "c")])
@@ -34,6 +45,15 @@ class TestCategories:
     def test_bad_category_rejected(self):
         with pytest.raises(ValueError, match="missing composite"):
             H.SmallCategory([0, 1, 2], {"a": (0, 1), "b": (1, 2)}, {})
+        chain = H.chain_poset(range(3))
+        tables = (chain.objects, chain.arrows, chain.compose)
+        endo = (["*"], {"e": ("*", "*")}, {("e", "e"): "e"})
+        # an arrow no string reaches, one reached twice, an unknown
+        # generator, and strings of every length
+        for args, gens in ((tables, ["0->1"]), (tables, chain.arrows),
+                           (tables, ["0->1", "1->2", "x"]), (endo, ["e"])):
+            with pytest.raises(ValueError, match="not free on its generators"):
+                H.SmallCategory(*args, generators=gens)
 
     def test_negative_path_cutoff(self):
         with pytest.raises(ValueError, match=">= 0"):
@@ -132,7 +152,7 @@ class TestTowerHolim:
 
     def test_cut_tower_still_certifies_low_degrees(self):
         ring = M.truncated_poly(F, ["x"], ["x^5"])
-        cat, diag = M.adic_tower(ring, ["x"], 5).diagram()
+        diag = string_model(M.adic_tower(ring, ["x"], 5).diagram()[1])
         hl = H.holim(diag, dmax=1)
         assert hl.p_max == 2
         assert not hl.space.fully_known()
@@ -222,7 +242,7 @@ class TestSignConvention:
             H.SignConvention(bogus=1)
 
     def test_every_single_flip_breaks_a_validator(self):
-        cat = H.chain_poset(range(3))
+        cat = H.poset_category(range(3), [(0, 1), (1, 2)])
         adiag = constant_algebra_diagram(cat, ground_algebra())
         good = H.holim(adiag, dmax=1)
         assert good.p_max == 2 and good.validate().ok
@@ -253,7 +273,7 @@ class TestLazyProducts:
         # one pair read computes that pair and nothing else, once
         o = cat.objects[0]
         (u,) = diag.algebras[o].unit
-        k = hl.key_for(o, (), u)
+        k = hl.space.key_of(u[0], u[1], (o, (), u))
         assert hl.basis_product(k, k) == {k: F.one}
         assert hl.basis_product(k, k) == {k: F.one}
         assert calls == [()]
@@ -335,13 +355,13 @@ GF = Field(32003)
 
 def cubic_tower(field):
     """The adic tower of k[x]/(x^3) at depth 3: projections, not identities,
-    over the chain poset on three objects, which has a composite arrow."""
+    over the chain poset on three objects, free on its two covering arrows;
+    ``string_model`` of it has the composite arrow too."""
     ring = M.truncated_poly(field, ["x"], ["x^3"])
     return M.adic_tower(ring, ["x"], 3).diagram()[1]
 
 
-def certified_dims(hl, window):
-    h = hl.complex.cohomology(window)
+def certified_dims(h):
     return {c: h.dim(*c) for c, ok in h.certificate.status.items() if ok}
 
 
@@ -358,8 +378,8 @@ class TestPrimeField:
         assert hp.validate().ok
         wmax = max(abs(k[1]) for k in hq.basis_keys())
         window = Window(0, 2, wmax)
-        dims = certified_dims(hp, window)
-        assert dims == certified_dims(hq, window)
+        dims = certified_dims(hp.complex.cohomology(window))
+        assert dims == certified_dims(hq.complex.cohomology(window))
         assert any(dims.values())
 
 
@@ -368,7 +388,7 @@ class TestSignsOnATower:
 
     @pytest.mark.parametrize("field", [F, GF], ids=["qq", "gf32003"])
     def test_each_face_flip_breaks_d_squared(self, field):
-        diag = cubic_tower(field)
+        diag = string_model(cubic_tower(field))
         hl = H.holim(diag, dmax=1)
         assert hl.p_max == 2
         assert hl.complex.validate_d2() is None
@@ -380,11 +400,66 @@ class TestSignsOnATower:
         assert bad.complex.validate_d2() is None
         assert not bad.validate().ok
 
+    @pytest.mark.parametrize("field", [F, GF], ids=["qq", "gf32003"])
+    def test_each_flip_breaks_the_two_term_model(self, field):
+        """d^2 = 0 holds on any two-term complex, so the face flips are
+        caught by Leibniz; a free category has no composite face, so the
+        compose flip changes nothing there and is caught on the poset."""
+        diag = cubic_tower(field)
+        good = H.holim(diag, dmax=1)
+        assert good.p_max == 1 and good.validate().ok
+        for name in ("limit_drop_last", "limit_drop_first", "limit_product"):
+            bad = H.holim(diag, dmax=1, signs=H.DEFAULT_SIGNS.flip(name))
+            assert bad.complex.validate_d2() is None
+            assert not bad.validate().ok, name
+        flip = H.DEFAULT_SIGNS.flip("limit_compose")
+        same = H.holim(diag, dmax=1, signs=flip)
+        assert same.complex.d.same_blocks(good.complex.d)
+        assert not H.holim(string_model(diag), dmax=1, signs=flip).validate().ok
+
+
+def towers():
+    """(id, diagram, dmax): the benchmark's k[x] towers of depth 2-8 over
+    both fields at its largest dmax, and the k[x,y] towers of
+    tests/test_noetherian.py, along the origin and along (x)."""
+    for field, fid in ((F, "qq"), (GF, "gf32003")):
+        for depth in range(2, 9):
+            tower = M.build_scenario(f"adic_kx_{depth}", field)["tower"]
+            yield f"kx{depth}-{fid}", tower.diagram()[1], 4
+    ring = M.truncated_poly(F, ["x", "y"], [], wmax=6)
+    for gens, depth in ((["x", "y"], 4), (["x"], 3)):
+        tower = M.adic_tower(ring, gens, depth)
+        yield f"kxy-{''.join(gens)}{depth}", tower.diagram()[1], 1
+
+
+@pytest.mark.parametrize("diag, dmax", [c[1:] for c in towers()],
+                         ids=[c[0] for c in towers()])
+def test_two_term_and_string_models_agree_on_towers(diag, dmax):
+    """Equal on every cell the string model certifies; the two-term model
+    certifies every cell, with the strict limit in degree 0 and nothing
+    above, where the string model's cut can show classes it does not
+    certify (7 at (5, 0) on the depth-8 tower)."""
+    wmax = max(k[1] for a in diag.algebras.values() for k in a.basis_keys())
+    window = Window(0, dmax + 3, wmax)
+    two = H.holim(diag, dmax).complex.cohomology(window)
+    strings = H.holim(string_model(diag), dmax).complex.cohomology(window)
+    assert certified_dims(strings) == {
+        c: two.dim(*c) for c in certified_dims(strings)}
+    assert all(two.certificate.exact_at(*c) for c in window.grid())
+    h0 = strict_limit_dims(diag)
+    assert {c: two.dim(*c) for c in window.grid() if two.dim(*c)} == {
+        (0, w): n for w, n in h0.items() if n}
+    if len(diag.cat.objects) == 8:
+        assert strings.dim(5, 0) == 7 and not strings.certificate.exact_at(5, 0)
+
 
 def test_building_the_limit_reads_each_input_once(monkeypatch):
-    diag = M.build_scenario("adic_kx_5")["tower"].diagram()[1]
-    calls = {"apply": 0, "paths": 0}
-    apply, paths = GradedMap.apply, H.nonidentity_paths
+    """Each internal differential and each map a face uses is read once,
+    column by column: the string model of the depth-5 tower uses all ten
+    arrows, the two-term model its four covering arrows."""
+    free = M.build_scenario("adic_kx_5")["tower"].diagram()[1]
+    calls = {}
+    apply, paths, columns = GradedMap.apply, H.nonidentity_paths, H._columns
 
     def counted(name, fn):
         def wrapper(*args, **kw):
@@ -394,6 +469,9 @@ def test_building_the_limit_reads_each_input_once(monkeypatch):
 
     monkeypatch.setattr(GradedMap, "apply", counted("apply", apply))
     monkeypatch.setattr(H, "nonidentity_paths", counted("paths", paths))
-    hl = H.holim(diag, dmax=3)
-    assert hl.p_max == 4
-    assert calls == {"apply": 0, "paths": 1}
+    monkeypatch.setattr(H, "_columns", counted("columns", columns))
+    for diag, p_max, arrows in ((string_model(free), 4, 10), (free, 1, 4)):
+        calls.update(apply=0, paths=0, columns=0)
+        hl = H.holim(diag, dmax=3)
+        assert hl.p_max == p_max
+        assert calls == {"apply": 0, "paths": 1, "columns": arrows + 5}

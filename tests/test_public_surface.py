@@ -15,7 +15,9 @@ through ``self`` do not count.
 A name that only tests read stays public only as a key of ``CLAIMS``, whose
 entry names the paper claim or north-star check it serves and the test
 that checks it.  A key must be a public library name that no counted use
-reaches: once a library or benchmark caller appears, its entry goes.
+reaches: once a library or benchmark caller appears, its entry goes.  A
+read inside the body of a function or class that ``CLAIMS`` keeps is no
+use either, since only tests reach that body.
 
 The check matches by name alone, so an unused name that shares its
 spelling with a name read elsewhere still passes; such names must be found
@@ -54,6 +56,19 @@ CLAIMS = {
         "the Leibniz check of a dg category: a flipped differential sign "
         "fails the validator",
         "tests/test_dg.py::test_category_algebra_with_differential"),
+    "graded.CochainComplex.shift": (
+        "thick subcategories are closed under shifts: the complex "
+        "shift_module shifts, with the sign on its differential",
+        "tests/test_graded.py::test_shift_differential_sign"),
+    "graded.Cohomology.dims_by_cell": (
+        "the north star's dimension tables, which every completion keeps "
+        "cell for cell",
+        "tests/test_complete.py::test_completions_keep_their_recorded_tables"),
+    "graded.BiGradedSpace.total_dim": (
+        "honest truncation: the quotients R/I^n of an adic tower grow by "
+        "one weight a step until the ring's weight cap stops them",
+        "tests/test_models.py::TestAdicTower::"
+        "test_cap_artifact_warns_and_stabilizes"),
     "graded.cone": (
         "the quasi-isomorphism reference: the cone of the bar resolution's "
         "augmentation is acyclic",
@@ -166,8 +181,10 @@ def _public_attributes():
 
 
 def _reads(attributes_only=False):
-    """name -> [(path, line)] of each counted read; with
-    ``attributes_only``, only reads as an attribute."""
+    """name -> [(path, line)] of each counted read, leaving out the reads
+    inside a body that ``CLAIMS`` keeps; with ``attributes_only``, only
+    reads as an attribute."""
+    claimed = [span for qual, _, span in _public_defs() if qual in CLAIMS]
     reads = {}
     for path in _counted_files():
         for node in ast.walk(_tree(path)):
@@ -179,7 +196,9 @@ def _reads(attributes_only=False):
                 name = node.name.rsplit(".", 1)[-1]
             else:
                 continue
-            reads.setdefault(name, []).append((path, node.lineno))
+            if not any(p == path and first <= node.lineno <= last
+                       for p, first, last in claimed):
+                reads.setdefault(name, []).append((path, node.lineno))
     return reads
 
 
