@@ -6,7 +6,10 @@ fully known: a "complete" weight column means the stored cells are all there
 is at that weight, a partial column carries a known degree interval, and
 anything else is unknown.  Certificates for cohomology are derived from that
 knowledge: a bidegree is exact only when the cells at degrees d-1, d, d+1 of
-its weight are fully known.
+its weight are fully known.  A certificate is that rule applied to the
+known degree interval of each weight over the probed region (the held cells
+and the window grid), so computing cohomology costs what the complex holds,
+not the size of the window.
 """
 from __future__ import annotations
 
@@ -365,16 +368,47 @@ class GradedMap:
 
 
 class Certificate:
-    """Per-bidegree exactness flags: True = exact, False = window-limited."""
+    """Exactness of each probed bidegree, by rule: (d, w) is exact when the
+    known degree interval of weight w holds d-1, d and d+1, and
+    window-limited otherwise.  The probed region is the held cells and the
+    window grid, cut at wmax; a cell outside it is window-limited.
 
-    def __init__(self):
-        self.status: Dict[Tuple[int, int], bool] = {}
+    ``known`` maps each weight the region reaches to its interval
+    (``BiGradedSpace.known_degrees``).  ``status`` lists every probed cell
+    with its flag, built when first read."""
 
-    def set_at(self, deg: int, wt: int, exact: bool) -> None:
-        self.status[(deg, wt)] = exact
+    def __init__(self, known: Dict[int, Optional[Tuple[Optional[int], Optional[int]]]],
+                 held: Iterable[Tuple[int, int]], window: Optional[Window] = None,
+                 wmax: Optional[int] = None):
+        self._known = known
+        self._held = frozenset(held)
+        self._window = window
+        self._wmax = wmax
+        self._status: Optional[Dict[Tuple[int, int], bool]] = None
+
+    def _probed(self, deg: int, wt: int) -> bool:
+        if self._wmax is not None and abs(wt) > self._wmax:
+            return False
+        win = self._window
+        return (deg, wt) in self._held or (
+            win is not None and win.dmin <= deg <= win.dmax and abs(wt) <= win.wmax)
 
     def exact_at(self, deg: int, wt: int) -> bool:
-        return self.status.get((deg, wt), False)
+        if not self._probed(deg, wt):
+            return False
+        iv = self._known[wt]
+        return (iv is not None and (iv[0] is None or iv[0] <= deg - 1)
+                and (iv[1] is None or deg + 1 <= iv[1]))
+
+    @property
+    def status(self) -> Dict[Tuple[int, int], bool]:
+        if self._status is None:
+            probe = set(self._held)
+            if self._window is not None:
+                probe.update(self._window.grid())
+            self._status = {c: self.exact_at(*c) for c in sorted(probe)
+                            if self._probed(*c)}
+        return self._status
 
 
 class Cohomology:
@@ -529,28 +563,30 @@ class CochainComplex:
         column is eliminated top-down with clearing (``_ranks``).
         Representatives are computed when read.
 
+        The loop runs over the cells the complex holds, since any other cell
+        has no cohomology.  The certificate is a rule over the known degree
+        interval of each weight and the probed region, the held cells and
+        the window grid: no cell of the window is visited to certify it.
+
         With wmax, only the weight columns |w| <= wmax are computed, and the
         cohomology's space knows nothing of the others.  Its knowledge is
         the complex's, one degree in from each end of a known interval, and
         it keeps the complex's certified empty rays."""
         hspace = BiGradedSpace(self.field)
-        cert = Certificate()
         blocks: Dict[Tuple[int, int], Tuple[SparseMatrix, SparseMatrix]] = {}
         ranks = self._ranks(wmax)
-        probe = set(self.space.cells)
+        weights = {w for (_, w) in self.space.cells}
         if window is not None:
-            probe.update(window.grid())
-        weights = {w for (_, w) in probe}
+            weights.update(window.weights())
         if wmax is not None:
-            probe = {c for c in probe if abs(c[1]) <= wmax}
             weights = range(-wmax, wmax + 1)
         known = self.space.known_degrees(weights)
-        for (d, w) in sorted(probe):
-            iv = known[w]
-            exact = (iv is not None and (iv[0] is None or iv[0] <= d - 1)
-                     and (iv[1] is None or d + 1 <= iv[1]))
-            cert.set_at(d, w, exact)
-            n = self.space.dim(d, w)
+        cert = Certificate(known, self.space.cells, window, wmax)
+        # a cell the complex does not hold has no cohomology
+        for (d, w), labels in sorted(self.space.cells.items()):
+            if wmax is not None and abs(w) > wmax:
+                continue
+            n = len(labels)
             h = n and n - ranks.get((d, w), 0) - ranks.get((d - 1, w), 0)
             if h > 0:
                 hspace.add_cell(d, w, [f"h{i}" for i in range(h)])

@@ -21,7 +21,7 @@ from .graded import (
     BiGradedSpace, CochainComplex, Elt, GradedMap, Key, Window, induced_rank,
 )
 from .holim import AlgebraDiagram, SmallCategory, chain_poset, poset_category
-from .linalg import Field, RATIONALS, Scalar, _add
+from .linalg import Field, RATIONALS, Scalar, SparseMatrix, _add
 
 Mono = Tuple[int, ...]
 
@@ -95,7 +95,11 @@ def _normalize_relation(rel, variables: Sequence[str]) -> Mono:
 
 class TruncatedRing:
     """Commutative ring on the standard monomials of a monomial ideal,
-    optionally truncated above a total weight."""
+    optionally truncated above a total weight.
+
+    ``_times[a][b]`` is the standard monomial a·b, absent where the product
+    dies; its keys are the standard monomials, each row in their order.
+    Every product of two standard monomials in this module reads it."""
 
     def __init__(self, field: Field, variables: Sequence[str],
                  relations: Sequence, wmax: Optional[int] = None,
@@ -121,7 +125,12 @@ class TruncatedRing:
         self.monomials = self._standard_monomials()
         self.name = name or self._default_name()
         self._labels = {m: mono_label(m, self.variables) for m in self.monomials}
-        self._alive = set(self.monomials)
+        self._times: Dict[Mono, Dict[Mono, Mono]] = {m: {} for m in self.monomials}
+        for a, row in self._times.items():
+            for b in self.monomials:
+                p = _mono_mul(a, b)
+                if p in self._times:
+                    row[b] = p
         self.algebra = self._build_algebra()
 
     def _standard_monomials(self) -> List[Mono]:
@@ -158,13 +167,10 @@ class TruncatedRing:
     def _build_algebra(self) -> DgAlgebra:
         f = self.field
         basis = [(self._labels[m], 0, sum(m)) for m in self.monomials]
-        products: Dict[Tuple[str, str], Dict[str, object]] = {}
-        for a in self.monomials:
-            for b in self.monomials:
-                p = _mono_mul(a, b)
-                if p in self._alive:
-                    products[(self._labels[a], self._labels[b])] = {
-                        self._labels[p]: 1}
+        labels = self._labels
+        products: Dict[Tuple[str, str], Dict[str, object]] = {
+            (labels[a], labels[b]): {labels[p]: 1}
+            for a, row in self._times.items() for b, p in row.items()}
         alg = DgAlgebra.from_basis(f, basis, [self._labels[self.one]],
                                    {}, products, name=self.name)
         alg.idempotents = {"*": dict(alg.unit)}
@@ -197,9 +203,8 @@ class TruncatedRing:
 
         action: Dict[Tuple[Key, Key], Elt] = {}
         for m in kept:
-            for a in self.monomials:
-                p = _mono_mul(m, a)
-                if p in keptset and p in self._alive:
+            for a, p in self._times[m].items():
+                if p in keptset:
                     action[(mkey(m), self.mono_key(a))] = {mkey(p): f.one}
         return DgModule(self.algebra, cx, action, side="right",
                         name=name or f"{self.name}/({','.join(extra)})")
@@ -222,7 +227,7 @@ class TruncatedRing:
             raise ValueError("projection needs the same variable list")
         g = GradedMap(self.algebra.space, other.algebra.space, 0, 0)
         for m in self.monomials:
-            if m in other._alive:
+            if m in other._times:
                 g.set_entry(self.mono_key(m), other.mono_key(m), self.field.one)
         return AlgebraMorphism(self.algebra, other.algebra, g)
 
@@ -334,7 +339,7 @@ class FreeComplex:
         self.honest_min = honest_min
         self.honest_max = honest_max
         self.honest_tracked = honest_tracked
-        f, alive = ring.field, ring._alive
+        f = ring.field
         self._rows: Rows = {}
         for g, row in rows.items():
             dg, wg = self.info[g]
@@ -347,10 +352,12 @@ class FreeComplex:
                         f"d({g}) hits {mono_label(m, ring.variables)}*{h}:"
                         f" weight {wh}+{sum(m)} != {wg}")
             kept = {k: c for k, c in row.items()
-                    if k[1] in alive and not f.is_zero(c)}
+                    if k[1] in ring._times and not f.is_zero(c)}
             if kept:
                 self._rows[g] = kept
         self._dual: Optional[FreeComplex] = None
+        self._laid: Optional[Tuple[Dict[Tuple[int, int], List],
+                                   Dict[str, Dict[Mono, int]]]] = None
         # weak keys: a product dies with its factor, and holds no cycle
         self._tensors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
@@ -413,17 +420,29 @@ class FreeComplex:
         self._tensors[other] = out
         return out
 
+    def _layout(self) -> Tuple[Dict[Tuple[int, int], List], Dict[str, Dict[Mono, int]]]:
+        """The realization's cells {(degree, weight): labels}, with label
+        (generator, monomial) for each generator times each monomial, and
+        the places: places[g][m] is the index of g times m in its cell.
+        Laid out once."""
+        if self._laid is None:
+            ring = self.ring
+            cells: Dict[Tuple[int, int], List] = {}
+            places: Dict[str, Dict[Mono, int]] = {}
+            for (g, d, w) in self.gens:
+                at = places[g] = {}
+                for m in ring.monomials:
+                    lbls = cells.setdefault((d, w + sum(m)), [])
+                    at[m] = len(lbls)
+                    lbls.append((g, ring._labels[m]))
+            self._laid = (cells, places)
+        return self._laid
+
     def to_complex(self) -> CochainComplex:
         """Realization as a complex over the field, without the module
-        action: a cell per (degree, weight), every cell known, with label
-        (generator, monomial) for each generator times each monomial."""
-        ring = self.ring
-        cells: Dict[Tuple[int, int], List] = {}
-        for (g, d, w) in self.gens:
-            for m in ring.monomials:
-                cells.setdefault((d, w + sum(m)), []).append((g, ring._labels[m]))
+        action: the cells of ``_layout``, every cell known."""
         sp = BiGradedSpace(self.field)
-        for (d, w), lbls in sorted(cells.items()):
+        for (d, w), lbls in sorted(self._layout()[0].items()):
             sp.add_cell(d, w, lbls)
         sp.mark_all_complete()
         return CochainComplex(sp, self.d.realize(sp, sp))
@@ -433,15 +452,14 @@ class FreeComplex:
         ``to_complex`` with each monomial acting by multiplication."""
         ring, f = self.ring, self.field
         cx = self.to_complex()
+        places = self._layout()[1]
         action: Dict[Tuple[Key, Key], Elt] = {}
-        for (g, _, _) in self.gens:
+        for (g, d, w) in self.gens:
+            at = places[g]
             for m in ring.monomials:
-                src = self.module_key(cx.space, g, m)
-                for a in ring.monomials:
-                    p = _mono_mul(m, a)
-                    if p in ring._alive:
-                        action[(src, ring.mono_key(a))] = {
-                            self.module_key(cx.space, g, p): f.one}
+                src = (d, w + sum(m), at[m])
+                for a, p in ring._times[m].items():
+                    action[(src, ring.mono_key(a))] = {(d, w + sum(p), at[p]): f.one}
         return DgModule(ring.algebra, cx, action, side="right",
                         name=name or self.name)
 
@@ -458,18 +476,13 @@ class FreeComplex:
             attaching.append(list(terms.items()))
         return SemiFree(list(self.gens), attaching)
 
-    def module_key(self, space: BiGradedSpace, g: str, m: Mono) -> Key:
-        """The key of g times m in a realization of this complex."""
-        d, w = self.info[g]
-        return space.key_of(d, w + sum(m), (g, self.ring._labels[m]))
-
 
 def _koszul(pairs: Sequence[Tuple["FreeMap", "FreeMap"]]) -> Rows:
     """Rows of the sum of f⊗g over the pairs, with the Koszul sign
     (f⊗g)(a⊗b) = (-1)^{|g||a|} f(a)⊗g(b)."""
     rows: Rows = {}
     for fm, gm in pairs:
-        f, alive = fm.source.field, fm.source.ring._alive
+        f, times = fm.source.field, fm.source.ring._times
         for (a, da, _) in fm.source.gens:
             fa = fm.entries.get(a)
             if not fa:
@@ -482,9 +495,10 @@ def _koszul(pairs: Sequence[Tuple["FreeMap", "FreeMap"]]) -> Rows:
                     continue
                 row = rows.setdefault(f"{a}|{b}", {})
                 for (h1, m1), c1 in fa.items():
+                    by_m1 = times[m1]
                     for (h2, m2), c2 in gb.items():
-                        p = _mono_mul(m1, m2)
-                        if p in alive:
+                        p = by_m1.get(m2)
+                        if p is not None:
                             key = (f"{h1}|{h2}", p)
                             row[key] = f.add(row.get(key, f.zero), f.mul(c1, c2))
     return rows
@@ -503,14 +517,14 @@ class FreeMap:
         self.deg = deg
 
     def apply(self, e: FreeElt) -> FreeElt:
-        f, alive = self.source.field, self.target.ring._alive
+        f, times = self.source.field, self.target.ring._times
         out: FreeElt = {}
         for (g, m), c in e.items():
+            by_m = times[m]
             for (h, m2), c2 in self.entries.get(g, {}).items():
-                p = _mono_mul(m, m2)
-                if p not in alive:
-                    continue
-                _add(out, (h, p), c * c2, f.char)
+                p = by_m.get(m2)
+                if p is not None:
+                    _add(out, (h, p), c * c2, f.char)
         return out
 
     def validate_chain(self) -> Optional[str]:
@@ -558,22 +572,41 @@ class FreeMap:
                        _koszul([(self, other)]), self.deg + other.deg)
 
     def realize(self, src: BiGradedSpace, tgt: BiGradedSpace) -> GradedMap:
-        """The map between realizations of the source and the target, on
-        their spaces: g times m goes to m times the image of g."""
-        ring = self.source.ring
-        out = GradedMap(src, tgt, self.deg, 0)
-        for (g, _, _) in self.source.gens:
+        """The map between the realizations of the source and the target
+        (``to_complex``), on their spaces: g times m goes to m times the
+        image of g.  Each block entry is written once, at the places of
+        ``FreeComplex._layout``.  An entry c·m2·h of the image of g must
+        keep the bidegree, |h| = |g| + deg and w_h + |m2| = w_g, else
+        ValueError; m adds |m| to both weights, so every entry it realizes
+        keeps it too."""
+        ring, f = self.source.ring, self.source.field
+        s_at, t_at = self.source._layout()[1], self.target._layout()[1]
+        t_info = self.target.info
+        blocks: Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]] = {}
+        for (g, dg, wg) in self.source.gens:
             row = self.entries.get(g)
             if not row:
                 continue
-            for m in ring.monomials:
-                img: Elt = {}
-                for (h, m2), c in row.items():
-                    p = _mono_mul(m, m2)
-                    if p in ring._alive:
-                        img[self.target.module_key(tgt, h, p)] = c
-                if img:
-                    out.set_column(self.source.module_key(src, g, m), img)
+            for (h, m2), c in row.items():
+                dh, wh = t_info[h]
+                if (dh, wh + sum(m2)) != (dg + self.deg, wg):
+                    raise ValueError(
+                        f"{g} in bidegree {(dg, wg)} maps to "
+                        f"{mono_label(m2, ring.variables)}*{h} in bidegree "
+                        f"{(dh, wh + sum(m2))}, not {(dg + self.deg, wg)}")
+            terms = [(t_at[h], m2, c) for (h, m2), c in row.items()
+                     if not f.is_zero(c)]
+            for m, col in s_at[g].items():
+                by_m, cell = ring._times[m], (dg, wg + sum(m))
+                for h_at, m2, c in terms:
+                    p = by_m.get(m2)
+                    if p is not None:
+                        blocks.setdefault(cell, {})[(h_at[p], col)] = c
+        out = GradedMap(src, tgt, self.deg, 0)
+        for (d, w), entries in blocks.items():
+            b = SparseMatrix(tgt.dim(d + self.deg, w), src.dim(d, w), f)
+            b.entries = entries
+            out.blocks[(d, w)] = b
         return out
 
 
@@ -642,9 +675,12 @@ def _product_resolution(ring: TruncatedRing, powers: Sequence[Optional[int]],
     periodic = [t is not None and t > 1 for t in powers]
     ranges = [range(length + 1) if cut else range(2 if t is None else 1)
               for t, cut in zip(powers, periodic)]
-    kept = sorted((js for js in itertools.product(*ranges)
-                   if sum(itertools.compress(js, periodic)) <= length),
-                  key=lambda js: (sum(js), [-j for j in js]))
+    # only the tuples the cut keeps, each with what the cut leaves over
+    grown = [((), length)]
+    for r, cut in zip(ranges, periodic):
+        grown = [(js + (j,), left - j if cut else left) for js, left in grown
+                 for j in (range(left + 1) if cut else r)]
+    kept = sorted((js for js, _ in grown), key=lambda js: (sum(js), [-j for j in js]))
     if koszul:
         names = {js: "e(" + "*".join(itertools.compress(ring.variables, js)) + ")"
                  for js in kept}

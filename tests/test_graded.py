@@ -8,6 +8,7 @@ import pytest
 from dgcomplete import linalg
 from dgcomplete import models as M
 from dgcomplete.bar import bar_resolution, derived_hom
+from dgcomplete import holim as H
 from dgcomplete.holim import holim
 from dgcomplete.linalg import RATIONALS, Echelon, Field
 from dgcomplete.graded import (
@@ -438,3 +439,92 @@ def test_basis_keys_are_built_once_per_set_of_cells():
     assert sp.basis_keys() is keys and isinstance(keys, tuple)
     sp.add_cell(0, 1, ["c"])
     assert sp.basis_keys() == ((0, 0, 0), (0, 0, 1), (0, 1, 0), (1, 0, 0))
+
+
+def per_cell_certificate(cx, window, wmax=None):
+    """The certificate a probe of each cell gives: every held cell and
+    every cell of the window grid, cut at wmax, is exact exactly where the
+    known degree interval of its weight holds d-1, d and d+1."""
+    out = {}
+    for (d, w) in set(cx.space.cells) | set(window.grid()):
+        if wmax is not None and abs(w) > wmax:
+            continue
+        (iv,) = cx.space.known_degrees([w]).values()
+        out[(d, w)] = (iv is not None and (iv[0] is None or iv[0] <= d - 1)
+                       and (iv[1] is None or d + 1 <= iv[1]))
+    return out
+
+
+def certificate_cases():
+    """(name, complex, window, wmax): a bar complex knowing only some
+    weights, a cut string-model holim read up to a weight, a derived Hom
+    with a certified empty ray, and a free resolution's realization inside
+    a window wider than it."""
+    kx = M.truncated_poly(F, ["x"], [], wmax=4)
+    kb = bar_resolution(kx.residue_module(), 3, w_cap=2).complex
+    tower = M.build_scenario("adic_kx_5", F)["tower"].diagram()[1]
+    poset = H.poset_category(tower.cat.objects, tower.cat.arrows.values())
+    strings = holim(H.AlgebraDiagram(poset, tower.algebras, tower.maps), dmax=1)
+    assert strings.p_max == 2
+    r3 = M.truncated_poly(F, ["x"], ["x^3"])
+    k3 = r3.residue_module()
+    return [
+        ("bar, known up to weight 2", kb, Window(-1, 0, 3), None),
+        ("cut holim up to weight 2", strings.complex, Window(-1, 3, 4), 2),
+        ("derived Hom, empty ray above 0", derived_hom(k3, k3, 3), Window(0, 1, 4), None),
+        ("free resolution, wide window",
+         M.free_resolution(r3, 3).to_complex(), Window(-6, 2, 8), None),
+    ]
+
+
+def test_certificate_rule_matches_a_probe_of_each_cell():
+    """``status`` and ``exact_at`` equal a per-cell probe on the window
+    grid, on held cells outside it, and on a ring of cells around it, where
+    every cell the probe never reached is window-limited."""
+    seen = Counter()
+    for name, cx, win, wmax in certificate_cases():
+        h = cx.cohomology(win, wmax=wmax)
+        want = per_cell_certificate(cx, win, wmax)
+        assert h.certificate.status == want, name
+        ring = {(d, w) for d in range(win.dmin - 2, win.dmax + 3)
+                for w in range(-win.wmax - 2, win.wmax + 3)}
+        for cell in ring | set(cx.space.cells):
+            assert h.certificate.exact_at(*cell) == want.get(cell, False), (name, cell)
+        seen["exact"] += any(want.values())
+        seen["limited"] += not all(want.values())
+        seen["held outside"] += any(not (win.dmin <= d <= win.dmax and abs(w) <= win.wmax)
+                                    for (d, w) in want)
+        seen["cut"] += wmax is not None and any(abs(w) > wmax for (_, w) in ring)
+    assert seen == {"exact": 4, "limited": 3, "held outside": 2, "cut": 1}, seen
+
+
+def test_cohomology_works_only_on_the_cells_the_complex_holds(monkeypatch):
+    """Hom_A(P, k) over k[x]/(x^5) at length 9 holds 4 cells; its cohomology
+    in Window(-9, 0, 9) asks for no cell of the 190-cell grid beyond those
+    and their degree neighbours, and walks no grid.  The certificate still
+    lists every probed cell when read."""
+    r = M.truncated_poly(Field(32003), ["x"], ["x^5"])
+    k = r.residue_module()
+    cx = derived_hom(k, k, 9)
+    win = Window(-9, 0, 9)
+    held = set(cx.space.cells)
+    assert len(held) == 4 and len(list(win.grid())) == 190
+    asked, walked = set(), []
+    dim, grid = BiGradedSpace.dim, Window.grid
+
+    def counted_dim(self, deg, wt):
+        asked.add((deg, wt))
+        return dim(self, deg, wt)
+
+    def counted_grid(self):
+        walked.append(self)
+        return grid(self)
+
+    monkeypatch.setattr(BiGradedSpace, "dim", counted_dim)
+    monkeypatch.setattr(Window, "grid", counted_grid)
+    h = cx.cohomology(win)
+    assert not walked
+    assert asked <= {(d + e, w) for (d, w) in held for e in (-1, 0, 1)}
+    monkeypatch.undo()
+    assert len(h.certificate.status) == len(held | set(win.grid())) == 193
+    assert h.dims_by_cell() == {cell: 1 for cell in held}

@@ -1,5 +1,6 @@
 """Model library: rings, towers, resolutions, duality, example registry."""
 import hashlib
+import itertools
 
 import pytest
 
@@ -195,6 +196,25 @@ class TestResolutions:
         h = cx.cohomology(window=Window(-length - 1, 1, length), wmax=length)
         assert h.dims_by_cell() == {(0, 0): 1}
 
+    @pytest.mark.parametrize("powers,length", [
+        ([2], 5), ([2, 2], 4), ([3, 2], 6), ([2, None], 3), ([2, 3, 2], 4),
+    ])
+    def test_generators_are_the_cut_index_tuples_in_order(self, powers, length):
+        """Only the index tuples whose periodic indices sum to at most the
+        length are built, in the order of sorting all (length + 1)^r of
+        them, so every generator keeps its name and place."""
+        variables = ["x", "y", "z"][:len(powers)]
+        ring = M.truncated_poly(F, variables, [f"{v}^{t}" for v, t in
+                                               zip(variables, powers) if t],
+                                wmax=None if all(powers) else 8)
+        ranges = [range(length + 1) if t else range(2) for t in powers]
+        every = itertools.product(*ranges)
+        kept = sorted((js for js in every
+                       if sum(j for j, t in zip(js, powers) if t) <= length),
+                      key=lambda js: (sum(js), [-j for j in js]))
+        assert ([g for g, _, _ in M.free_resolution(ring, length).gens]
+                == ["p" + ",".join(map(str, js)) for js in kept])
+
     def test_complete_intersections_have_no_built_in_dual_model(self):
         ring = M.truncated_poly(F, ["x", "y"], ["x^2", "y^2"])
         p = M.free_resolution(ring, 4)
@@ -264,6 +284,19 @@ class TestFreeComplexOps:
         pprime, rho = M.dual_model(self.ring, self.p, 4)
         assert rho.validate_chain() is None
         assert rho.dual().validate_chain() is None
+
+    def test_realize_checks_the_bidegree_of_each_entry(self):
+        """realize checks each entry of the map once: x·p0 from p1 keeps
+        the bidegree of a differential, and the same entry of a degree-0
+        map, or 1·p0 from p1, is off by one and raises ValueError."""
+        p = self.p
+        sp = p.to_complex().space
+        d = M.FreeMap(p, p, {"p1": {("p0", (1,)): F.one}}, deg=1).realize(sp, sp)
+        assert d.blocks[(-1, 1)].entries == {(0, 0): F.one}
+        for entries, deg in (({"p1": {("p0", (1,)): F.one}}, 0),
+                             ({"p1": {("p0", (0,)): F.one}}, 1)):
+            with pytest.raises(ValueError, match="bidegree"):
+                M.FreeMap(p, p, entries, deg=deg).realize(sp, sp)
 
     def test_dual_and_tensor_built_once(self):
         q = M.periodic_resolution(self.ring, 2)
@@ -397,6 +430,22 @@ class TestInfinExt:
             cells += sum(len(set(tab["left"]) | set(tab["right"]))
                          for tab in rep["tables"].values())
         assert cells and len(calls) <= 2 * cells
+
+    def test_products_of_monomials_read_the_ring_table(self, monkeypatch):
+        """Once the ring exists, every product of monomials the check
+        makes, in FreeMap.apply, the Koszul tensor and the realizations,
+        is a lookup in the ring's product table."""
+        r = M.truncated_poly(Field(32003), ["x"], ["x^3"])
+        calls = []
+        mul = M._mono_mul
+
+        def counted(a, b):
+            calls.append((a, b))
+            return mul(a, b)
+
+        monkeypatch.setattr(M, "_mono_mul", counted)
+        rep = M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2)
+        assert rep["tables"][2]["left"] and calls == []
 
     def test_ring_spanned_by_one_is_the_field(self):
         # k[x]/(x) = k: no junk Tor from a step by x^0
