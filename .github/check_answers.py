@@ -3,7 +3,7 @@
 perfbench/run.py exits 0 even when an answer is wrong, so CI pipes its
 output here:
 
-    python3 perfbench/run.py ... | tail -n 1 | python3 .github/check_answers.py [--cert-floors [WORKLOAD]]
+    python3 perfbench/run.py ... | tee /dev/stderr | tail -n 1 | python3 .github/check_answers.py [--cert-floors [WORKLOAD]]
 
 Exits 1 unless every answer is correct and no job failed.  With
 --cert-floors it also holds each workload's check.cert_frac to its seed-0

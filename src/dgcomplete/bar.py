@@ -549,18 +549,20 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
     places = dict(zip(nkeys, at)).__getitem__
     d_target = _columns(n.complex.d)
     # target keys by object, unreduced all at 0, each with its places and
-    # its differential
+    # its differential; the tuples by end object, each in its order
     qs: Dict[int, List] = {}
+    ending: Dict[int, List[int]] = defaultdict(list)
+    for t, obj in enumerate(robjs):
+        ending[obj].append(t)
     cells: Dict[Tuple[int, int], List] = defaultdict(list)
     for q, col in zip(nkeys, at):
         obj = 0 if nobj is None else nobj[q]
         qs.setdefault(obj, []).append(
             (q, col, _terms(d_target.get(q, ()), places, p)))
-        for t in range(nt):
-            if robjs[t] == obj:
-                labs = cells[q[0] - degs[t], q[1] - wts[t]]
-                col[t] = len(labs)
-                labs.append((q, labels[t]))
+        for t in ending[obj]:
+            labs = cells[q[0] - degs[t], q[1] - wts[t]]
+            col[t] = len(labs)
+            labs.append((q, labels[t]))
 
     # by slot id, each target key the slot acts on nonzero, with the terms
     acts: Dict[int, List] = {}

@@ -299,7 +299,8 @@ class DgModule:
     listed (each step of a minimal resolution raises the weight by at least
     one).  The module keeps the recipe, never a built P.  Only
     ``TruncatedRing.residue_module`` sets it, for k over a monomial
-    complete intersection; no other constructor carries it over, and None
+    complete intersection, building P from ``free_resolution``'s data
+    without its complex; no other constructor carries it over, and None
     is no claim.  ``derived_hom`` and ``derived_tensor`` read it.
     """
 

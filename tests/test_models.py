@@ -298,6 +298,18 @@ class TestFreeComplexOps:
             with pytest.raises(ValueError, match="bidegree"):
                 M.FreeMap(p, p, entries, deg=deg).realize(sp, sp)
 
+    def test_banded_realize_checks_entries_outside_the_band(self):
+        """On a band realize writes only the band's generators, but still
+        checks the bidegree of every entry of the map."""
+        p = self.p
+        band = (-1, 0)
+        sp = p.to_complex(band).space
+        assert {g for lbls in sp.cells.values() for (g, _) in lbls} == {"p0", "p1"}
+        good = M.FreeMap(p, p, {"p3": {("p2", (1,)): F.one}}, deg=1)
+        assert good.realize(sp, sp, band).blocks == {}
+        with pytest.raises(ValueError, match="bidegree"):
+            M.FreeMap(p, p, {"p3": {("p2", (0,)): F.one}}, deg=1).realize(sp, sp, band)
+
     def test_dual_and_tensor_built_once(self):
         q = M.periodic_resolution(self.ring, 2)
         assert self.p.dual() is self.p.dual()
@@ -409,6 +421,45 @@ class TestInfinExt:
         text = "".join(repr(sorted(rep.items(), key=str)) for rep in reports)
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "d1ddec90717420510b542bc3932a1535c6fa36e7a278f3136f8a8ec98ea07396")
+
+    # the window's band and the whole complex, on rings, windows and
+    # lengths the benchmark's infin_ext jobs do not draw
+    BANDED = ([(["x"], [f"x^{t}"], None) for t in range(2, 7)]
+              + [(["x"], [], 4), (["x", "y"], [], 4), ([], [], None)])
+
+    @pytest.mark.parametrize("spec", BANDED, ids=lambda s: f"{s[0]}/{s[1]}|{s[2]}")
+    def test_banded_reports_equal_whole_ones(self, spec, monkeypatch):
+        """infin_ext_check realizes only the generators of degree lo-1..hi+1;
+        its reports equal those built from the whole complexes."""
+        ring = M.truncated_poly(Field(32003), *spec)
+        runs = [(w, length, n) for w in (2, 4) for length in (2 * w, 2 * w + 2)
+                for n in ((2, 3) if w == 2 and length == 4 else (2,))]
+        banded = [M.infin_ext_check(ring, window=(-w, w), length=length, n_check=n)
+                  for w, length, n in runs]
+        whole_cx, whole_map = M.FreeComplex.to_complex, M.FreeMap.realize
+        monkeypatch.setattr(M.FreeComplex, "to_complex",
+                            lambda c, band=None: whole_cx(c))
+        monkeypatch.setattr(M.FreeMap, "realize",
+                            lambda f, src, tgt, band=None: whole_map(f, src, tgt))
+        assert banded == [M.infin_ext_check(ring, window=(-w, w), length=length,
+                                            n_check=n) for w, length, n in runs]
+
+    @pytest.mark.parametrize("t", [2, 5])
+    def test_banded_cohomology_is_certified_on_the_window_only(self, t):
+        """On the band (lo-1, hi+1) the cohomology equals the whole
+        complex's, certified, on every cell of degree lo..hi, and no held
+        cell of degree lo-1 or hi+1 is certified."""
+        p = M.free_resolution(M.truncated_poly(Field(32003), ["x"], [f"x^{t}"]), 8)
+        lo, hi = -2, 2
+        for c in (p.tensor(p), p.tensor(p).dual().dual(), p.dual()):
+            whole = c.to_complex().cohomology(Window(lo, hi, 40))
+            banded = c.to_complex((lo - 1, hi + 1)).cohomology(Window(lo, hi, 40))
+            for d, w in Window(lo, hi, 40).grid():
+                assert banded.dim(d, w) == whole.dim(d, w)
+                assert banded.certificate.exact_at(d, w)
+                assert whole.certificate.exact_at(d, w)
+            edges = [cell for cell in banded.space.cells if cell[0] in (lo - 1, hi + 1)]
+            assert edges and not any(banded.certificate.exact_at(*e) for e in edges)
 
     def test_map_ranks_only_on_nonzero_cells(self, monkeypatch):
         """induced_rank runs at most twice per cell of the tables (the

@@ -99,19 +99,68 @@ def test_the_recipe_builds_inside_each_call(monkeypatch):
     """Nothing is built when k is made, and each call builds its own
     resolution to its own length."""
     lengths = []
-    build = M.free_resolution
+    build = M._witness
 
     def counted(ring, length):
         lengths.append(length)
         return build(ring, length)
 
-    monkeypatch.setattr(M, "free_resolution", counted)
+    monkeypatch.setattr(M, "_witness", counted)
     k = _ring(4).residue_module()
     assert lengths == []
     derived_hom(k, k, 6)
     derived_tensor(k, trivial_left(k.algebra), 7)
     derived_hom(k, k, 6)
     assert lengths == [6, 7, 6]
+
+
+def _witness_of(p):
+    """The SemiFree read off a FreeComplex: its generators, and d(g) as
+    pairs (index of h, ring element at h), h in the order d(g) lists it."""
+    at = {g: i for i, (g, _, _) in enumerate(p.gens)}
+    attaching = []
+    for (g, _, _) in p.gens:
+        terms = {}
+        for (h, m), c in p.d.entries.get(g, {}).items():
+            terms.setdefault(at[h], {})[p.ring.mono_key(m)] = c
+        attaching.append(list(terms.items()))
+    return p.gens, attaching
+
+
+# every ring whose k carries the recipe: the field twice over, one variable
+# at each exponent the ext_gfp deck draws, and products of periodic factors,
+# one of them under a weight cap that cuts no monomial
+RECIPE_RINGS = [([], []), (["x"], ["x"])] + [
+    (["x"], [f"x^{t}"]) for t in range(2, 7)] + [
+    (["x", "y"], ["x^2", "y^2"]), (["x", "y"], ["x^3", "y^2"], 3),
+    (["x", "y"], ["x", "y^3"]), (["x", "y", "z"], ["x^2", "y^2", "z^2"])]
+
+
+@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
+def test_the_recipe_builds_the_witness_of_free_resolution(spec):
+    """The recipe builds its SemiFree straight from the resolution's data,
+    with no FreeComplex: at every length 0-8 it equals the witness read off
+    ``free_resolution``, generators and attaching map in the same order."""
+    ring = M.truncated_poly(GF, *spec)
+    k = ring.residue_module()
+    for length in range(9):
+        got = k.resolution(length)
+        assert (got.gens, got.attaching) == _witness_of(M.free_resolution(ring, length))
+
+
+def test_the_recipe_checks_the_bidegree_of_each_entry(monkeypatch):
+    """The recipe runs the constructor's check on every entry of its data:
+    a generator one weight too heavy for its step down raises ValueError."""
+    build = M._product_resolution
+
+    def off(*args):
+        gens, terms = build(*args)
+        gens[-1] = (gens[-1][0], gens[-1][1], gens[-1][2] + 1)
+        return gens, terms
+
+    monkeypatch.setattr(M, "_product_resolution", off)
+    with pytest.raises(ValueError, match="weight"):
+        _ring(3).residue_module().resolution(4)
 
 
 def test_passing_reduced_asks_for_the_bar():
