@@ -290,11 +290,6 @@ class _BarScheme:
         self.labels, self.degs, self.wts = labels, degs, wts
         self.robjs, self.parent, self.sids = robjs, parent, sids
         self.child, self.bare, self.slot_ids, self.n_slots = child, bare, ids, n
-        swt = [self.sign * k[1] for k in m.basis_keys()]
-        self.min_module_swt = min(swt) if swt else 0
-        self._module_known = m.space.fully_known()
-        self._algebra_known = a.space.fully_known()
-        self._honest_slots: Optional[bool] = None
 
     def rows(self) -> List[Dict[int, Scalar]]:
         """The differential of each tuple as {index: coefficient}, a list in
@@ -306,7 +301,7 @@ class _BarScheme:
         module key when P is bare, with sign (-1)^|P|; these are added, as
         they may meet a kept term or each other.  Tuples are numbered depth
         first, so P's row is in the list before T's."""
-        p, one = self.field.char, self.field.one
+        p = self.field.char
         a, m = self.algebra, self.module
         labels, parent, degs, sids = (self.labels, self.parent, self.degs,
                                       self.sids)
@@ -352,7 +347,7 @@ class _BarScheme:
             merged = merges.get(key)
             if merged is None:
                 merged = merges[key] = _terms((
-                    m.act({labels[t][0]: one}, {slots[sid]: one}) if q < 0
+                    m.action.get((labels[t][0], slots[sid]), {}) if q < 0
                     else a.basis_product(slots[sids[pt]], slots[sid])).items(),
                     place(q), p)
             for x, c in d_ak:
@@ -371,45 +366,29 @@ class _BarScheme:
             rows.append(row)
         return rows
 
-    def honest_slots(self) -> bool:
-        """Whether hidden algebra cells could only sit at heavier weights of
-        the slot sign, so the enumerated slot pattern matches the full
-        algebra wherever the weight-zero column and the light same-sign
-        columns are certified."""
-        if self._honest_slots is None:
-            self._honest_slots = self._check_honest_slots()
-        return self._honest_slots
+    def complete_top(self) -> Optional[int]:
+        """The heaviest signed total sign·w up to which every tuple was
+        enumerated, so the column of total w is complete exactly when sign·w
+        is at most it; None when no column is.
 
-    def _check_honest_slots(self) -> bool:
-        if self._algebra_known:
-            return True
-        if not self.reduced:
-            return False
-        sp = self.algebra.space
-        if not sp.column_complete(0):
-            return False
-        if self.sign >= 0 and not _side_certified_empty(sp, -1):
-            return False
-        if self.sign <= 0 and not _side_certified_empty(sp, 1):
-            return False
-        return True
-
-    def column_complete(self, wt: int) -> bool:
-        """Whether every tuple of this total weight was enumerated."""
-        if not self.reduced or not self._module_known:
-            return False
-        # slot weight sums at this total are at most the gap to the lightest
-        # module element, and each slot contributes at least 1
-        needed = self.sign * wt - self.min_module_swt
-        if needed > min(self.n_max, self.w_cap):
-            return False
-        if self._algebra_known:
-            return True
-        if not self.honest_slots():
-            return False
-        sp = self.algebra.space
-        return all(sp.column_complete(self.sign * s)
-                   for s in range(1, min(needed, self.w_cap) + 1))
+        Slot weight sums at a total are at most its gap to the lightest
+        module element, and each slot contributes at least 1, so a column
+        is complete while that gap is within both caps, the module is fully
+        known and so is the algebra, or at least its slot columns up to the
+        gap.  A partly known algebra also needs honest slots: its weight-0
+        column certified and no weight of the other sign, so that hidden
+        cells could only sit at heavier weights of the slot sign."""
+        m, sp = self.module, self.algebra.space
+        if not self.reduced or not m.space.fully_known():
+            return None
+        top = min(self.n_max, self.w_cap)
+        if not sp.fully_known():
+            if not (sp.column_complete(0)
+                    and _side_certified_empty(sp, -self.sign)):
+                return None
+            top = next((s - 1 for s in range(1, top + 1)
+                        if not sp.column_complete(self.sign * s)), top)
+        return top + min((self.sign * k[1] for k in m.basis_keys()), default=0)
 
 
 class BarData:
@@ -430,8 +409,15 @@ class BarData:
 
 
 def _terms(elt, place: Callable[[Key], int], p: int) -> List[Tuple[int, Scalar]]:
-    """Each (key, c) of elt as (its place, c), a residue over GF(p)."""
-    return [(place(k), c % p if p else c) for k, c in elt]
+    """Each (key, c) of elt as (its place, c), a residue over GF(p); a term
+    whose c is zero there is dropped, as ``DgModule.act`` drops it."""
+    out = []
+    for k, c in elt:
+        if p:
+            c %= p
+        if c:
+            out.append((place(k), c))
+    return out
 
 
 def _two_sided(scheme: _BarScheme, keys: Sequence[Key],
@@ -492,15 +478,17 @@ def _two_sided(scheme: _BarScheme, keys: Sequence[Key],
     cx = _install(scheme.field, cells, entries)
     space = cx.space
 
-    if scheme.reduced and scheme._module_known and right_known and keys:
+    top = scheme.complete_top()
+    if top is not None and right_known and keys:
         # weight w is complete when the bar tuples are complete at w less
         # the weight of the lightest right key
-        r_min = min(scheme.sign * k[1] for k in keys)
+        top += min(scheme.sign * k[1] for k in keys)
         for w in range(-scheme.w_cap, scheme.w_cap + 1):
-            if scheme.column_complete(w - scheme.sign * r_min):
+            if scheme.sign * w <= top:
                 space.set_known(w)
+        # a top means the module is known and the slots honest
         mwts = [k[1] for k in scheme.module.basis_keys()]
-        if mwts and scheme.honest_slots():
+        if mwts:
             if scheme.sign >= 0:
                 space.known_zero_below = min(mwts) + min(k[1] for k in keys)
             if scheme.sign <= 0:
@@ -543,7 +531,7 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
     the twisted differential.  Labels are (target key, tuple)."""
     nobj = scheme.nobj
     labels, degs, wts, robjs = scheme.labels, scheme.degs, scheme.wts, scheme.robjs
-    nt, p, one = len(labels), scheme.field.char, scheme.field.one
+    nt, p = len(labels), scheme.field.char
     nkeys = n.basis_keys()
     at = [[-1] * nt for _ in nkeys]
     places = dict(zip(nkeys, at)).__getitem__
@@ -592,7 +580,7 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
             acting = acts[scheme.sids[t]] = [
                 (q, col, _terms(qa.items(), places, p))
                 for q, col, _ in qs.get(robjs[pt], ())
-                for qa in [n.act({q: one}, {slot: one})] if qa]
+                for qa in [n.action.get((q, slot))] if qa]
         for q, col, qa in acting:
             block, i = entries[q[0] - degs[pt], q[1] - wts[pt]], col[pt]
             for col2, c in qa:
@@ -600,14 +588,18 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
     cx = _install(scheme.field, cells, entries)
     space = cx.space
 
-    if scheme.reduced and n.space.fully_known() and nkeys:
+    top = scheme.complete_top()
+    if top is not None and n.space.fully_known() and nkeys:
+        # column u reads the tuples at every w - u, w a weight of n, so it
+        # is complete when the heaviest of them, in the signed order, is
         nwts = {k[1] for k in nkeys}
-        lo, hi = min(nwts) - scheme.w_cap, max(nwts) + scheme.w_cap
-        for u in range(lo, hi + 1):
-            if all(scheme.column_complete(w - u) for w in nwts):
+        low = max(scheme.sign * w for w in nwts) - top
+        for u in range(min(nwts) - scheme.w_cap, max(nwts) + scheme.w_cap + 1):
+            if scheme.sign * u >= low:
                 space.set_known(u)
+        # a top means the module is known and the slots honest
         mwts = [k[1] for k in scheme.module.basis_keys()]
-        if mwts and scheme._module_known and scheme.honest_slots():
+        if mwts:
             if scheme.sign >= 0:
                 space.known_zero_above = max(nwts) - min(mwts)
             if scheme.sign <= 0:
@@ -722,21 +714,27 @@ class InnerModel(DgAlgebra):
                  module: DgModule, name: str = ""):
         super().__init__(complex, unit, product, name=name)
         self.module = module
+        self._over: Optional[DgModule] = None
 
     def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
         raise NotImplementedError
 
     def module_over_opposite(self) -> DgModule:
         """The defining module as a right module over the opposite algebra,
-        acting by signed evaluation: p·f = (-1)^{|f||p|} f(p)."""
+        acting by signed evaluation: p·f = (-1)^{|f||p|} f(p).  Built once
+        per model and kept on it, with the opposite and its mirrored
+        reduction data."""
+        if self._over is not None:
+            return self._over
         f = self.field
         m = self.module
         action: Dict[Tuple[Key, Key], Elt] = {}
         for fk, p, val in self.evaluations():
             odd = fk[0] % 2 and p[0] % 2
             action[(p, fk)] = {q: f.neg(c) if odd else c for q, c in val.items()}
-        return DgModule(_opposite(self), m.complex, action, side="right",
-                        name=f"{m.name}^" if m.name else "")
+        self._over = DgModule(_opposite(self), m.complex, action, side="right",
+                              name=f"{m.name}^" if m.name else "")
+        return self._over
 
 
 class EndAlgebra(InnerModel):

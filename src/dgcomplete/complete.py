@@ -8,7 +8,11 @@ do.  There are three:
 
 - strict: when m carries the projective witness (its summands e_j·a[n_j]
   and their inclusions), it is K-projective, so REnd_a(m) = End_a(m) on the
-  nose, and Yoneda reads it off the witness as the sum of the m·e_j;
+  nose, and Yoneda reads it off the witness as the sum of the m·e_j.  It
+  depends on m alone, so the first completion along m keeps it on m, with
+  its module over the opposite, and every later one at any caps reuses
+  them; this is the only thing a completion keeps, and it relies, as the
+  reduction data kept on an algebra does, on modules not being mutated;
 - minimal: otherwise, the cohomology H(E) of the convolution algebra E from
   the bar calculus, on the weights |w| <= w_out the outer bar reads, when a
   purity check makes it E's minimal model (``bar.minimal_model``).  E is
@@ -78,7 +82,12 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
 
     A module with the projective witness takes the strict model, exact by
     Yoneda wherever m's space is known, so it is marked complete only when m
-    is fully known and certifies nothing otherwise.  Any other module builds
+    is fully known and certifies nothing otherwise.  It depends on m alone:
+    the first completion along m builds it and keeps it on m, with its
+    module over the opposite, and later ones at any caps reuse both, so each
+    pays only for its outer bar.  Nothing that depends on the caps is kept:
+    the minimal and bar models, the outer bar and the result are built per
+    call.  Any other module builds
     E to weight w_out + spread, all the purity check up to w_out reads, and
     takes the minimal model H(E), which knows what E's cohomology certifies
     and no weight past w_out, or else E at inner_caps, which must clear
@@ -102,8 +111,11 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
 
     purity = None
     if m.projective:
+        # kept on m, as reduction_data keeps _reduction on its algebra
         inner_used = "strict"
-        inner = strict_end_algebra(m)
+        inner = getattr(m, "_strict", None)
+        if inner is None:
+            inner = m._strict = strict_end_algebra(m)
     else:
         n_in, w_in = _check_caps(inner_caps or (w_out + 2, w_out + 2), "inner")
         if w_in < w_out + 2:

@@ -297,7 +297,10 @@ class DgModule:
     L, it builds a minimal resolution P of the module as a ``SemiFree``,
     truncated so that every generator within weight L of the lightest is
     listed (each step of a minimal resolution raises the weight by at least
-    one).  The module keeps the recipe, never a built P.  Only
+    one).  The module keeps the recipe, never a built P; the only built
+    model a module keeps is the cap-free strict endomorphism algebra a
+    completion along it reads off ``projective``, with that algebra's module
+    over its opposite (see ``complete.double_centralizer``).  Only
     ``TruncatedRing.residue_module`` sets it, for k over a monomial
     complete intersection, building P from ``free_resolution``'s data
     without its complex; no other constructor carries it over, and None

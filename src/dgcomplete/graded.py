@@ -414,17 +414,17 @@ class Certificate:
 class Cohomology:
     """Cohomology of a complex: dimensions, certificate, representatives.
 
-    ``blocks`` holds, per nonzero cell (d, w), the blocks of d at (d, w) and
-    (d-1, w) from which ``representatives`` is computed on first read.  The
-    same pass keeps, per cell, the echelon of the image of d with each
+    ``representatives`` is computed on first read, per nonzero cell (d, w),
+    from the blocks of the complex's d at (d, w) and (d-1, w).  The same
+    pass keeps, per cell, the echelon of the image of d with each
     representative inserted under its own tag column, from which
     ``project`` reads the class of a cocycle."""
 
     def __init__(self, space: BiGradedSpace, certificate: Certificate,
-                 blocks: Dict[Tuple[int, int], Tuple[SparseMatrix, SparseMatrix]]):
+                 complex: "CochainComplex"):
         self.space = space
         self.certificate = certificate
-        self._blocks = blocks
+        self._complex = complex
         self._reps: Optional[Dict[Key, Elt]] = None
         # per cell: its dimension n in the complex, and the pivot rows of
         # its tagged echelon, where class i is tag column n + i
@@ -437,9 +437,11 @@ class Cohomology:
         if self._reps is None:
             self._reps = {}
             f = self.space.field
-            for (d, w), (block, prior) in sorted(self._blocks.items()):
+            block_at = self._complex.differential_block
+            for (d, w) in sorted(self.space.cells):
+                block = block_at(d, w)
                 n = block.cols
-                pivots = _image_echelon(prior).pivots
+                pivots = _image_echelon(block_at(d - 1, w)).pivots
                 chosen: List[Dict[int, Scalar]] = []
                 for v in block.kernel_basis():
                     # the tag sits right of every column of the cell, so the
@@ -573,7 +575,6 @@ class CochainComplex:
         the complex's, one degree in from each end of a known interval, and
         it keeps the complex's certified empty rays."""
         hspace = BiGradedSpace(self.field)
-        blocks: Dict[Tuple[int, int], Tuple[SparseMatrix, SparseMatrix]] = {}
         ranks = self._ranks(wmax)
         weights = {w for (_, w) in self.space.cells}
         if window is not None:
@@ -590,8 +591,6 @@ class CochainComplex:
             h = n and n - ranks.get((d, w), 0) - ranks.get((d - 1, w), 0)
             if h > 0:
                 hspace.add_cell(d, w, [f"h{i}" for i in range(h)])
-                blocks[(d, w)] = (self.differential_block(d, w),
-                                  self.differential_block(d - 1, w))
         if wmax is None:
             hspace.zero_outside = self.space.zero_outside
             cols = self.space.known_cols
@@ -604,7 +603,7 @@ class CochainComplex:
         }
         hspace.known_zero_below = self.space.known_zero_below
         hspace.known_zero_above = self.space.known_zero_above
-        return Cohomology(hspace, cert, blocks)
+        return Cohomology(hspace, cert, self)
 
     def shift(self, n: int) -> "CochainComplex":
         """c[n]: degree d piece = c's degree d+n piece; differential times (-1)^n."""

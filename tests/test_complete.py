@@ -229,6 +229,61 @@ def test_each_completion_builds_one_inner_model(monkeypatch, name, strict, end):
     assert calls == {"strict": strict, "end": end}
 
 
+def _record(r):
+    """What a completion answers: its table, certificate, model and
+    diagnostics over its default window."""
+    h = r.cohomology()
+    return h.dims_by_cell(), h.certificate.status, r.inner_used, r.diagnostics
+
+
+def _counted_strict(monkeypatch):
+    """The modules strict_end_algebra is called on, in call order."""
+    calls = []
+    build = complete.strict_end_algebra
+
+    def counted(m):
+        calls.append(m)
+        return build(m)
+
+    monkeypatch.setattr(complete, "strict_end_algebra", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name,caps", [
+    ("dual_numbers", [4, 2, 6, 2]), ("dual_numbers_op", [3, 5, 4, 3])])
+def test_completions_along_one_module_build_its_strict_model_once(
+        monkeypatch, name, caps):
+    """E = End_a(m) depends on m alone, so completions along one module at
+    any caps build E and its module over E^op once, keep them on the
+    module, and each answers what a fresh module answers."""
+    calls = _counted_strict(monkeypatch)
+    sc = M.build_scenario(name)
+    a, m = sc["algebra"], sc["module"]
+    results = [complete.double_centralizer(a, m, (c, c)) for c in caps]
+    assert calls == [m]
+    assert all(r.inner is results[0].inner for r in results)
+    assert len({id(r.completed) for r in results}) == len(caps)
+    for c, r in zip(caps, results):
+        fresh = M.build_scenario(name)
+        assert _record(r) == _record(complete.double_centralizer(
+            fresh["algebra"], fresh["module"], (c, c)))
+    assert len(calls) == 1 + len(caps)
+
+
+def test_completion_along_a_set_builds_each_new_sum_afresh(monkeypatch):
+    """completion_along_set completes along a new direct sum per call, so
+    each call builds its own strict model and still answers as before."""
+    calls = _counted_strict(monkeypatch)
+    a = M.build_scenario("triangular_12")["algebra"]
+    projectives = _projectives(a)
+    for c in (4, 2, 4):
+        got = _record(complete.completion_along_set(a, projectives, (c, c)))
+        fresh = M.build_scenario("triangular_12")["algebra"]
+        assert got == _record(complete.completion_along_set(
+            fresh, _projectives(fresh), (c, c)))
+    assert len(calls) == 6 and len({id(m) for m in calls}) == 6
+
+
 def test_completion_along_the_algebra_takes_the_strict_model():
     sc = M.build_scenario("triangular_12")
     a = sc["algebra"]

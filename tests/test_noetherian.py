@@ -20,7 +20,7 @@ from math import comb
 
 import pytest
 
-from dgcomplete.linalg import RATIONALS as F
+from dgcomplete.linalg import RATIONALS as F, SparseMatrix
 from dgcomplete.graded import Window, induced_rank
 from dgcomplete import holim as H
 from dgcomplete import models as M
@@ -64,6 +64,44 @@ def test_completion_limit_and_ring_agree_along_the_origin(variables, cap):
         dims = certified(h, window)
         assert all((0, w) in dims for w in range(cap + 1))
         assert dims == {c: monomials[c] for c in dims}
+
+
+@pytest.mark.parametrize("variables, cap, ranks", [
+    (["x", "y"], 4, [3, 4, 5]), (["x", "y", "z"], 3, [6, 10]),
+], ids=["kxy", "kxyz"])
+def test_the_completion_along_the_origin_is_the_polynomial_ring(
+        variables, cap, ranks):
+    """The theorem as rings (ROADMAP item 18): H^0 of the completion, with
+    the product p∘μ∘(i⊗i) of its classes, is commutative and generated in
+    weight 1, where every compared cell is certified.  A commutative graded
+    algebra generated by n classes of weight 1 whose Hilbert function is
+    C(w+n-1, n-1) is k[x_1..x_n] in those weights, and the dimensions are
+    the monomial counts."""
+    n = len(variables)
+    ring = M.truncated_poly(F, variables, [], wmax=cap + 2)
+    res = double_centralizer(ring.algebra, ring.residue_module(), (cap, cap))
+    h = res.cohomology(Window(0, 0, cap))
+    assert all(h.certificate.exact_at(0, w) for w in range(cap + 1))
+    assert [h.dim(0, w) for w in range(cap + 1)] == [
+        comb(w + n - 1, n - 1) for w in range(cap + 1)]
+    reps = h.representatives
+    classes = {w: [(0, w, i) for i in range(h.dim(0, w))]
+               for w in range(cap + 1)}
+
+    def times(k1, k2):
+        return h.project(res.completed.multiply(reps[k1], reps[k2]))
+
+    for x in classes[1]:
+        for w in range(cap):
+            for y in classes[w]:
+                assert times(x, y) == times(y, x), (x, y)
+    got = []
+    for w in range(2, cap + 1):
+        rows = [times(x, y) for x in classes[1] for y in classes[w - 1]]
+        span = SparseMatrix(len(rows), h.dim(0, w), F, {
+            (r, k[2]): c for r, row in enumerate(rows) for k, c in row.items()})
+        got.append(span.rank())
+    assert got == ranks == [h.dim(0, w) for w in range(2, cap + 1)]
 
 
 @ORIGIN
