@@ -153,17 +153,25 @@ def _unreducible_reason(m: DgModule, red: Optional[ReductionData]) -> str:
     return "; ".join(why) or "a basis element not homogeneous for the idempotents"
 
 
-def _module_objects(m: DgModule, red: ReductionData,
-                    side: str) -> Optional[Dict[Key, int]]:
-    """Object index per module basis key, or None if not homogeneous: each
-    key must be fixed by exactly one idempotent and killed by the rest,
-    read off the action table, where a missing entry is zero."""
-    one, table = m.field.one, m.action
+def _module_objects(m: DgModule, red: ReductionData) -> Optional[Dict[Key, int]]:
+    """Object index per module basis key, or None if not homogeneous.  Kept
+    on the module with the reduction data it was read against, as
+    ``reduction_data`` keeps ``_reduction`` on its algebra."""
+    kept = getattr(m, "_objects", None)
+    if kept is None or kept[0] is not red:
+        kept = m._objects = red, _object_map(m, red)
+    return kept[1]
+
+
+def _object_map(m: DgModule, red: ReductionData) -> Optional[Dict[Key, int]]:
+    """Each key must be fixed by exactly one idempotent and killed by the
+    rest, read off the action table, where a missing entry is zero."""
+    one, table, right = m.field.one, m.action, m.side == "right"
     out: Dict[Key, int] = {}
     for k in m.basis_keys():
         hits = []
         for i, z in enumerate(red.idempotents):
-            got = table.get((k, z) if side == "right" else (z, k))
+            got = table.get((k, z) if right else (z, k))
             if got == {k: one}:
                 hits.append(i)
             elif got:
@@ -196,11 +204,10 @@ class _BarScheme:
             raise ValueError("caps must be non-negative")
         a = m.algebra
         red = reduction_data(a)
-        mobj = _module_objects(m, red, "right") if red else None
+        mobj = _module_objects(m, red) if red else None
         nobj = None
         if mobj is not None and target is not None and reduced is not False:
-            nobj = (mobj if target is m
-                    else _module_objects(target, red, target.side))
+            nobj = mobj if target is m else _module_objects(target, red)
         if reduced is None:
             reduced = mobj is not None and (target is None or nobj is not None)
         if reduced and mobj is None:
@@ -610,8 +617,10 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
 def _over_witness(m: DgModule, n: DgModule, n_max: int, w_cap: int,
                   hom: bool) -> CochainComplex:
     """Hom_A(P, n) when hom, else P ⊗_A n, for the resolution P of m its
-    recipe builds to length n_max, keeping the generators within w_cap of
-    the lightest weight (a subcomplex, d never raising weight).
+    recipe gives at length n_max, keeping the generators within w_cap of
+    the lightest weight (a subcomplex, d never raising weight).  The recipe
+    may answer from a longer build it keeps; the cut by weight is made here,
+    per call, and nothing of it is kept.
 
     A basis element pairs a generator g_i with a basis key q of n: the map
     g_i ↦ q, labelled (q, name) at |q| - |g_i|, or g_i ⊗ q, labelled
@@ -689,11 +698,11 @@ def derived_hom(m: DgModule, n: DgModule, n_max: int,
     """Right derived Hom from m to n over their common algebra.
 
     When m carries a resolution recipe (``DgModule.resolution``) and
-    ``reduced`` is not given, this is Hom_A(P, n) over the witness P built
-    to length n_max, its generators' weights capped at w_cap above the
-    lightest (``_over_witness``).  Otherwise, and whenever ``reduced`` is
-    passed, it is Hom from m's bar construction into n, with tuples of at
-    most n_max slots whose weights sum to at most w_cap."""
+    ``reduced`` is not given, this is Hom_A(P, n) over the witness P its
+    recipe gives at length n_max, its generators' weights capped at w_cap
+    above the lightest (``_over_witness``).  Otherwise, and whenever
+    ``reduced`` is passed, it is Hom from m's bar construction into n, with
+    tuples of at most n_max slots whose weights sum to at most w_cap."""
     if m.algebra is not n.algebra:
         raise ValueError("derived_hom needs modules over the same algebra")
     if n.side != "right":
@@ -898,7 +907,7 @@ def derived_tensor(m: DgModule, n: DgModule, n_max: int,
     """Derived tensor product of a right module with a left module.
 
     When m carries a resolution recipe and ``reduced`` is not given, this
-    is P ⊗_A n over the witness P built to length n_max, as in
+    is P ⊗_A n over the witness P its recipe gives at length n_max, as in
     ``derived_hom``; otherwise, and whenever ``reduced`` is passed, it is
     the two-sided bar construction of m with n as its right factor."""
     if m.algebra is not n.algebra:

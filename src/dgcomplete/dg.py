@@ -294,17 +294,22 @@ class DgModule:
 
     ``resolution`` is a recipe for a semi-free resolution witness of a
     right module over a positively weighted algebra: called with a length
-    L, it builds a minimal resolution P of the module as a ``SemiFree``,
+    L, it gives a minimal resolution P of the module as a ``SemiFree``,
     truncated so that every generator within weight L of the lightest is
     listed (each step of a minimal resolution raises the weight by at least
-    one).  The module keeps the recipe, never a built P; the only built
-    model a module keeps is the cap-free strict endomorphism algebra a
-    completion along it reads off ``projective``, with that algebra's module
-    over its opposite (see ``complete.double_centralizer``).  Only
-    ``TruncatedRing.residue_module`` sets it, for k over a monomial
-    complete intersection, building P from ``free_resolution``'s data
-    without its complex; no other constructor carries it over, and None
-    is no claim.  ``derived_hom`` and ``derived_tensor`` read it.
+    one).  Only ``TruncatedRing.residue_module`` sets it, for k over a
+    monomial complete intersection, building P from ``free_resolution``'s
+    data without its complex; its recipe keeps its longest build and
+    answers a shorter length with that build's prefix, which is the build
+    at that length.  No other constructor carries it over, and None is no
+    claim.  ``derived_hom`` and ``derived_tensor`` read it.
+
+    Nothing a module keeps depends on a cap, but for that longest build,
+    a prefix of the cap-free resolution.  It keeps its object map for the
+    reduced bar (``bar._module_objects``), and the cap-free strict
+    endomorphism algebra a completion along it reads off ``projective``,
+    with that algebra's module over its opposite (see
+    ``complete.double_centralizer``).
     """
 
     def __init__(self, algebra: DgAlgebra, complex: CochainComplex,

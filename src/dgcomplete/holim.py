@@ -13,9 +13,9 @@ The differential is built by string index.  The category's arrows by
 endpoint and its factorizations are tables filled when it is checked; the
 strings are enumerated once and numbered, and each string's faces are listed
 once, as the indices of the strings they reach.  Each diagram map and each
-internal differential is read once, column by column, every term is added
-into its block entry as a residue, dropping a zero sum, and each block is
-installed once.
+internal differential is read column by column at the diagram's first holim
+and kept on the diagram; every term is added into its block entry as a
+residue, dropping a zero sum, and each block is installed once.
 
 Strings longer than a cutoff span a two-sided dg ideal of the limit (every
 face and every product term only lengthens strings), so the stored object is
@@ -311,6 +311,10 @@ class AlgebraDiagram:
     its target; given either as a GradedMap or as a column dict
     ``{basis key: image element}``, whose keys must be basis keys of the
     source and the target space (KeyError otherwise).
+
+    The diagram is not changed after construction, so what every holim
+    reads of it is a table, filled at the first holim and kept, as the
+    category keeps its arrows by endpoint (``_tables``).
     """
 
     def __init__(self, cat: SmallCategory, algebras: Dict[object, DgAlgebra],
@@ -328,6 +332,18 @@ class AlgebraDiagram:
             src = self.algebras[cat.src(nm)]
             tgt = self.algebras[cat.tgt(nm)]
             self.maps[nm] = _columns_to_map(maps[nm], src.space, tgt.space)
+        self._read: Optional[Tuple[Dict, Dict, bool]] = None
+
+    def _tables(self) -> Tuple[Dict, Dict, bool]:
+        """The columns of each generating map and of each algebra's d, and
+        whether every algebra is fully known."""
+        if self._read is None:
+            cat, algebras = self.cat, self.algebras
+            self._read = (
+                {t: _columns(self.maps[t]) for t in cat.generators or cat.arrows},
+                {x: _columns(algebras[x].complex.d) for x in cat.objects},
+                all(algebras[x].space.fully_known() for x in cat.objects))
+        return self._read
 
     @property
     def field(self) -> Field:
@@ -453,10 +469,10 @@ def holim(diagram: AlgebraDiagram, dmax: int,
                         for pair in cat._factors[nm])
         faces.append((mapped, kept))
 
-    # each map's and each internal differential's columns, read once; every
-    # term is added to its entry, as two splits can reach one string
-    maps = {t: _columns(diagram.maps[t]) for t in cat.generators or cat.arrows}
-    d_ints = {x: _columns(algebras[x].complex.d) for x in cat.objects}
+    # each map's and each internal differential's columns, read once per
+    # diagram; every term is added to its entry, as two splits can reach
+    # one string
+    maps, d_ints, known = diagram._tables()
     p = f.char
     entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
     for s, (o, names) in enumerate(paths):
@@ -480,7 +496,7 @@ def holim(diagram: AlgebraDiagram, dmax: int,
     # >= p_max + 1 + b_w, b_w the minimal internal degree at w, so the cells
     # through p_max + b_w are complete and cohomology is certified through
     # p_max + b_w - 1 there, which is dmax or more
-    if all(algebras[x].space.fully_known() for x in cat.objects):
+    if known:
         if not cut:
             space.mark_all_complete()
         else:

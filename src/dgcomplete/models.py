@@ -8,6 +8,7 @@ derived computation an honest finite quotient.
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import random
 import weakref
@@ -214,14 +215,33 @@ class TruncatedRing:
     def residue_module(self, name: str = "k") -> DgModule:
         """k = R/(x_1..x_r).  When R is a monomial complete intersection
         k[x_1..x_r]/(x_i^{t_i}) whose weight cap cuts no monomial, k
-        carries the recipe of its minimal resolution: ``_witness``, which
-        builds it to the length asked as a ``SemiFree`` over R, straight
-        from the data ``free_resolution`` builds its complex from."""
+        carries the recipe of its minimal resolution as a ``SemiFree`` over
+        R, built by ``_witness`` straight from the data ``free_resolution``
+        builds its complex from.
+
+        The recipe keeps its longest build.  Its generators are sorted by
+        index sum, which is minus the degree, and each d(g) reaches only
+        lighter ones, so the build at length L is the prefix of any longer
+        build: a call no longer than the kept one returns that prefix as
+        fresh lists, and a longer one builds afresh and keeps that build
+        instead."""
         k = self.quotient_module(list(self.variables) or [], name=name)
         powers = _pure_powers(self)
         if (powers is not None and None not in powers
                 and (self.wmax is None or self.wmax >= sum(powers) - len(powers))):
-            k.resolution = lambda length: _witness(self, length)
+            longest: Optional[Tuple[int, SemiFree]] = None
+
+            def resolution(length: int) -> SemiFree:
+                nonlocal longest
+                if length < 0:
+                    raise ValueError("resolution length must be non-negative")
+                if longest is None or longest[0] < length:
+                    longest = length, _witness(self, length)
+                gens, attaching = longest[1]
+                n = bisect.bisect_right(gens, length, key=lambda g: -g[1])
+                return SemiFree(gens[:n], [row[:] for row in attaching[:n]])
+
+            k.resolution = resolution
         return k
 
     def projection_to(self, other: "TruncatedRing") -> AlgebraMorphism:
@@ -743,8 +763,8 @@ def _free_complex(ring: TruncatedRing, powers: Sequence[Optional[int]],
 
 
 def _witness(ring: TruncatedRing, length: int) -> SemiFree:
-    """The recipe of ``residue_module``: ``_product_resolution`` as a
-    SemiFree, each entry's bidegree checked and dead or zero ones dropped
+    """What ``residue_module``'s recipe builds: ``_product_resolution`` as
+    a SemiFree, each entry's bidegree checked and dead or zero ones dropped
     as ``FreeComplex`` does."""
     gens, terms = _product_resolution(ring, _pure_powers(ring), length)
     bidegrees = [(d, w) for (_, d, w) in gens]

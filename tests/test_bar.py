@@ -11,9 +11,9 @@ from dgcomplete.dg import (
 )
 from dgcomplete.graded import BiGradedSpace, CochainComplex, cone, is_chain_map
 from dgcomplete.bar import (
-    _reduction_data, bar_resolution, derived_hom, derived_tensor, embed_strict,
-    end_algebra, minimal_model, reduction_data, stabilization_scan,
-    strict_end_algebra,
+    _object_map, _reduction_data, bar_resolution, derived_hom, derived_tensor,
+    embed_strict, end_algebra, minimal_model, reduction_data,
+    stabilization_scan, strict_end_algebra,
 )
 
 F = RATIONALS
@@ -625,6 +625,24 @@ def test_hom_into_a_target_mixing_objects_is_unreduced():
         derived_hom(m, n, 3, reduced=False))
     with pytest.raises(ValueError, match="target module is not object"):
         derived_hom(m, n, 3, reduced=True)
+
+
+def test_a_module_keeps_its_object_map_and_a_refusal_too(monkeypatch):
+    """Three Homs into a target that mixes objects read the source's map
+    and the target's None once each, and answer alike."""
+    reads = []
+
+    def counted(m, red):
+        reads.append(m.name)
+        return _object_map(m, red)
+
+    monkeypatch.setattr("dgcomplete.bar._object_map", counted)
+    a = paper_category()
+    n = _simples_mixing_objects(a)
+    m = right_ideal_module(a, a.idempotents["X1"], name="P1")
+    got = [_complex_snapshot(derived_hom(m, n, 3)) for _ in range(3)]
+    assert reads == ["P1", "S1+S2"]
+    assert got[0] == got[1] == got[2]
 
 
 def test_reduced_bar_refusal_names_the_homogeneity_that_fails():

@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from dgcomplete import complete
+from dgcomplete import bar, complete
 from dgcomplete import models as M
 from dgcomplete.bar import embed_strict, end_algebra, strict_end_algebra
 from dgcomplete.dg import (
@@ -268,6 +268,29 @@ def test_completions_along_one_module_build_its_strict_model_once(
         assert _record(r) == _record(complete.double_centralizer(
             fresh["algebra"], fresh["module"], (c, c)))
     assert len(calls) == 1 + len(caps)
+
+
+def test_completions_along_one_module_read_its_object_map_once(monkeypatch):
+    """The module over the strict model's opposite is kept, so three
+    completions along one module read its object map once, and each
+    answers what a fresh module answers."""
+    reads = []
+    read = bar._object_map
+
+    def counted(m, red):
+        reads.append(m)
+        return read(m, red)
+
+    monkeypatch.setattr(bar, "_object_map", counted)
+    sc = M.build_scenario("dual_numbers")
+    a, m = sc["algebra"], sc["module"]
+    results = [complete.double_centralizer(a, m, (c, c)) for c in (4, 2, 5)]
+    over = results[0].inner.module_over_opposite()
+    assert reads == [over]
+    for c, r in zip((4, 2, 5), results):
+        fresh = M.build_scenario("dual_numbers")
+        assert _record(r) == _record(complete.double_centralizer(
+            fresh["algebra"], fresh["module"], (c, c)))
 
 
 def test_completion_along_a_set_builds_each_new_sum_afresh(monkeypatch):

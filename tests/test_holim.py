@@ -475,3 +475,33 @@ def test_building_the_limit_reads_each_input_once(monkeypatch):
         hl = H.holim(diag, dmax=3)
         assert hl.p_max == p_max
         assert calls == {"apply": 0, "paths": 1, "columns": arrows + 5}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: string_model(M.build_scenario("adic_kx_4")["tower"].diagram()[1]),
+    lambda: M.random_diagram(2, F)[1]], ids=["kx4-strings", "random2"])
+def test_holims_of_one_diagram_read_its_inputs_once(monkeypatch, build):
+    """The first holim keeps the columns of each map and internal d on the
+    diagram, so later holims at other dmax read none, and each answers
+    what the holim of a fresh diagram answers: dims, certificates, d."""
+    calls = []
+    columns = H._columns
+
+    def counted(d):
+        calls.append(d)
+        return columns(d)
+
+    monkeypatch.setattr(H, "_columns", counted)
+    diag = build()
+    cat = diag.cat
+    reads = len(cat.generators or cat.arrows) + len(cat.objects)
+    for dmax in (2, 4, 3):
+        before = len(calls)
+        got = H.holim(diag, dmax)
+        assert len(calls) - before == (reads if dmax == 2 else 0)
+        want = H.holim(build(), dmax)
+        window = Window(0, dmax + 1, max(abs(k[1]) for k in got.basis_keys()))
+        hg, hw = got.complex.cohomology(window), want.complex.cohomology(window)
+        assert hg.dims_by_cell() == hw.dims_by_cell()
+        assert hg.certificate.status == hw.certificate.status
+        assert got.complex.d.same_blocks(want.complex.d)

@@ -95,25 +95,6 @@ def test_witness_complexes_have_the_size_of_the_answer():
             assert all(b.is_zero() for b in cx.d.blocks.values())
 
 
-def test_the_recipe_builds_inside_each_call(monkeypatch):
-    """Nothing is built when k is made, and each call builds its own
-    resolution to its own length."""
-    lengths = []
-    build = M._witness
-
-    def counted(ring, length):
-        lengths.append(length)
-        return build(ring, length)
-
-    monkeypatch.setattr(M, "_witness", counted)
-    k = _ring(4).residue_module()
-    assert lengths == []
-    derived_hom(k, k, 6)
-    derived_tensor(k, trivial_left(k.algebra), 7)
-    derived_hom(k, k, 6)
-    assert lengths == [6, 7, 6]
-
-
 def _witness_of(p):
     """The SemiFree read off a FreeComplex: its generators, and d(g) as
     pairs (index of h, ring element at h), h in the order d(g) lists it."""
@@ -146,6 +127,81 @@ def test_the_recipe_builds_the_witness_of_free_resolution(spec):
     for length in range(9):
         got = k.resolution(length)
         assert (got.gens, got.attaching) == _witness_of(M.free_resolution(ring, length))
+
+
+def test_the_recipe_keeps_its_longest_build(monkeypatch):
+    """Nothing is built when k is made; a call no longer than the kept
+    build reads its prefix, a longer one builds afresh, and a second k over
+    the same ring keeps a build of its own."""
+    lengths = []
+    build = M._witness
+
+    def counted(ring, length):
+        lengths.append(length)
+        return build(ring, length)
+
+    monkeypatch.setattr(M, "_witness", counted)
+    ring = _ring(4)
+    k = ring.residue_module()
+    assert lengths == []
+    derived_hom(k, k, 6)
+    derived_tensor(k, trivial_left(k.algebra), 7)
+    derived_hom(k, k, 6)
+    assert lengths == [6, 7]
+    other = ring.residue_module()
+    derived_hom(other, other, 6)
+    assert lengths == [6, 7, 6]
+    with pytest.raises(ValueError, match="non-negative"):
+        k.resolution(-1)
+
+
+@pytest.mark.parametrize("field", [RATIONALS, GF], ids=repr)
+@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
+def test_each_shorter_length_reads_the_prefix_of_the_kept_build(field, spec):
+    """After a build at length 10, every length 10..0 answers exactly what
+    a build at that length does: generators, attaching map and order."""
+    ring = M.truncated_poly(field, *spec)
+    k = ring.residue_module()
+    k.resolution(10)
+    for length in range(10, -1, -1):
+        got, want = k.resolution(length), M._witness(ring, length)
+        assert (got.gens, got.attaching) == (want.gens, want.attaching)
+
+
+@pytest.mark.parametrize("t", [5, None],
+                         ids=lambda t: "k[x,y]/(x2,y2)" if t is None else f"t{t}")
+def test_ext_and_tor_over_one_module_answer_what_fresh_modules_answer(t):
+    """Ext and Tor over one k at lengths 8, 6, 9, 7, 6, one of them with a
+    weight cap, equal the same calls over a fresh k each time."""
+    ring = _ring(t)
+    k_left = trivial_left(ring.algebra)
+    k = ring.residue_module()
+    calls = [(8, None), (6, None), (9, None), (7, 4), (6, None)]
+    for n, w_cap in calls:
+        fresh = ring.residue_module()
+        for got, want, window in (
+                (derived_hom(k, k, n, w_cap), derived_hom(fresh, fresh, n, w_cap),
+                 Window(0, n, n)),
+                (derived_tensor(k, k_left, n, w_cap),
+                 derived_tensor(fresh, k_left, n, w_cap), Window(-n, 0, n))):
+            assert _complex_snapshot(got) == _complex_snapshot(want)
+            assert _table(got, window) == _table(want, window)
+
+
+def test_editing_a_returned_witness_leaves_the_next_answer_unchanged():
+    """Each answer is fresh lists over the kept build, at the kept length
+    and below it."""
+    ring = _ring(3)
+    k = ring.residue_module()
+    for length in (6, 6, 4):
+        p = k.resolution(length)
+        p.gens.clear()
+        for row in p.attaching:
+            row.clear()
+        p.attaching.append([])
+    for length in (6, 4):
+        got, want = k.resolution(length), M._witness(ring, length)
+        assert (got.gens, got.attaching) == (want.gens, want.attaching)
 
 
 def test_the_recipe_checks_the_bidegree_of_each_entry(monkeypatch):
