@@ -1,5 +1,15 @@
 """Bar resolutions, derived Hom/Tor, and convolution endomorphism algebras.
 
+One Hom builder (``_hom_complex_into``) and one tensor builder
+(``_two_sided``) build every Hom and tensor complex, out of any semi-free
+module in the layout of ``dg.SemiFree``: per generator a label, bidegree
+and end object, the scalar terms of d, and the terms with a coefficient in
+the algebra as flat parallel lists.  m's bar construction (``_BarScheme``)
+has the inner differential as its scalar terms and one term per tuple, its
+parent times its last slot; the resolution witness of
+``DgModule.resolution`` has no scalar terms.  A builder also takes P's
+certificate and the weights it may mark known, which the tensor keeps.
+
 The reduced bar construction tensors over the span of the weight-zero
 idempotents whenever the algebra is weight-connected; slot tuples are then
 composable chains and every weight column is finite.  The unreduced variant
@@ -16,9 +26,9 @@ integer id.  A tuple's parent is the tuple without its last slot, its child
 by a slot is found under parent * n_slots + slot id, and its differential row
 (computed once) is its parent's row with the slot appended, plus the slot's
 own differential and its merge with the slot (or module key) before it.  The
-builders place each (tuple, key) at an int, its index in its cell, and write
-each block entry once, as a residue over GF(p) with its sign folded in, adding
-only the terms that can land on an entry already written.
+builders place each (generator, key) at an int, its index in its cell, and
+write each block entry once, as a residue over GF(p) with its sign folded
+in, adding only the terms that can land on an entry already written.
 """
 from __future__ import annotations
 
@@ -28,7 +38,7 @@ from typing import (
     Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
 )
 
-from .dg import DgAlgebra, DgModule
+from .dg import DgAlgebra, DgModule, SemiFree
 from .graded import (
     BiGradedSpace, CochainComplex, Cohomology, Elt, GradedMap, Key,
     _columns, _install,
@@ -182,19 +192,20 @@ def _object_map(m: DgModule, red: ReductionData) -> Optional[Dict[Key, int]]:
     return out
 
 
-class _BarScheme:
-    """Composable slot tuples (module key, bar slots) over m, with the
-    inner differential: internal terms plus first and middle merges.
+class _BarScheme(SemiFree):
+    """The bar tuples (module key, bar slots) over m as a semi-free module:
+    the tuples are its generators, the inner differential (internal terms
+    plus first and middle merges) its scalar ``rows()``, and each tuple
+    with slots has one term with a coefficient in the algebra, its parent
+    (the tuple without its last slot) times that slot.
 
-    Tuples are numbered depth first, and ``labels``, ``degs``, ``wts``,
-    ``robjs`` and ``parent`` are flat lists over that index.  The
-    parent of a tuple is the tuple without its last slot, -1 for a bare
-    module key, and ``sids`` is the id its last slot got in ``slot_ids``
-    when it first fit.  ``child`` maps parent * ``n_slots`` + slot id back
-    to the index, and ``bare`` a module key to its bare tuple.  ``rows``
-    gives the differential over the same index.  Whether the scheme is
-    reduced is decided before enumerating, from the source and, when given,
-    the target module, whose object per key is ``nobj``."""
+    Tuples are numbered depth first, so a term's ``src`` is its tuple and
+    ``dst`` the parent, and ``kid`` is the id the slot got in ``keys`` (and
+    ``slot_ids``) when it first fit.  ``child`` maps parent * ``n_slots`` +
+    slot id back to the index, and ``bare`` a module key to its bare tuple.
+    Whether the scheme is reduced is decided before enumerating, from the
+    source and, when given, the target module, whose object per key is
+    ``nobj``."""
 
     def __init__(self, m: DgModule, n_max: int, w_cap: int,
                  reduced: Optional[bool], target: Optional[DgModule] = None):
@@ -219,7 +230,7 @@ class _BarScheme:
             raise ValueError("target module is not object-homogeneous")
         self.module = m
         self.algebra = a
-        self.field = m.field
+        self.field = f = m.field
         self.n_max = n_max
         # the cap bounds the slot weight sum, not the total: that filtration
         # is raised by the differential and added by convolution, so the
@@ -242,12 +253,16 @@ class _BarScheme:
         labels: List[TupleLabel] = []
         degs: List[int] = []
         wts: List[int] = []
-        robjs: List[int] = []
-        parent: List[int] = []
-        sids: List[int] = []
+        objs: List[int] = []
+        src: List[int] = []
+        dst: List[int] = []
+        kid: List[int] = []
+        coef: List[Scalar] = []
         child: Dict[int, int] = {}
         ids: Dict[Key, int] = {}
         n = len(akeys)
+        # the term of T = P + (ak,) is P·ak with sign (-1)^(|P| + 1)
+        signs = (f.neg(f.one), f.one)
 
         # reduced slots share one weight sign, so the slot weight sum is
         # capped by keeping |weight| within the room the earlier slots left
@@ -267,15 +282,18 @@ class _BarScheme:
                     if room is None or abs(ak[1]) <= room]
             deeper = len(al) + 1 < n_max
             base = t * n
+            sign = signs[deg & 1]
             for ak, sid, dd, dw, rk, rest in cands:
                 u = len(labels)
                 lab = al + (ak,)
                 labels.append((mk, lab))
                 degs.append(deg + dd)
                 wts.append(wt + dw)
-                robjs.append(rk)
-                parent.append(t)
-                sids.append(sid)
+                objs.append(rk)
+                src.append(u)
+                dst.append(t)
+                kid.append(sid)
+                coef.append(sign)
                 child[base + sid] = u
                 if deeper and rest != 0:
                     extend(u, mk, lab, deg + dd, wt + dw, rk, rest)
@@ -288,14 +306,11 @@ class _BarScheme:
             labels.append((mk, ()))
             degs.append(mk[0])
             wts.append(mk[1])
-            robjs.append(ro)
-            parent.append(-1)
-            sids.append(-1)
+            objs.append(ro)
             if n_max and room != 0:
                 extend(t, mk, (), mk[0], mk[1], ro, room)
 
-        self.labels, self.degs, self.wts = labels, degs, wts
-        self.robjs, self.parent, self.sids = robjs, parent, sids
+        super().__init__(labels, degs, wts, objs, src, dst, kid, coef, list(ids))
         self.child, self.bare, self.slot_ids, self.n_slots = child, bare, ids, n
 
     def rows(self) -> List[Dict[int, Scalar]]:
@@ -306,14 +321,14 @@ class _BarScheme:
         under the same prefix sign.  Its new terms are d(ak), with sign
         (-1)^(|P| + 1), and the merge of ak into P's last slot, or into the
         module key when P is bare, with sign (-1)^|P|; these are added, as
-        they may meet a kept term or each other.  Tuples are numbered depth
-        first, so P's row is in the list before T's."""
+        they may meet a kept term or each other.  P·ak itself is T's term
+        with a coefficient in the algebra.  Tuples are numbered depth first,
+        so the terms come in index order and P's row is written before T's."""
         p = self.field.char
         a, m = self.algebra, self.module
-        labels, parent, degs, sids = (self.labels, self.parent, self.degs,
-                                      self.sids)
+        labels, degs = self.labels, self.degs
         child, bare, ids, n = self.child, self.bare, self.slot_ids, self.n_slots
-        slots = list(ids)  # slot keys by id
+        slots = self.keys  # slot keys by id
         d_mod, d_alg = _columns(m.complex.d), _columns(a.complex.d)
 
         def left(t: int, slot: Key) -> RuntimeError:
@@ -331,15 +346,16 @@ class _BarScheme:
                 return x
             return of
 
+        rows: List[Dict[int, Scalar]] = [{}] * len(labels)
+        for mk, t in bare.items():
+            rows[t] = dict(_terms(d_mod.get(mk, ()), place(-1), p))
+        # each tuple's parent and last slot id, filled as the terms come
+        parent, sids = [-1] * len(labels), [-1] * len(labels)
         d_slot: Dict[int, List] = {}  # by slot id
         merges: Dict[int, List] = {}  # by bare tuple or slot id, and slot id
-        rows: List[Dict[int, Scalar]] = []
-        for t in range(len(labels)):
-            pt = parent[t]
-            if pt < 0:
-                rows.append(dict(_terms(d_mod.get(labels[t][0], ()), place(-1), p)))
-                continue
-            sid, prow, row = sids[t], rows[pt], {}
+        for t, pt, sid in zip(self.src, self.dst, self.kid):
+            parent[t], sids[t] = pt, sid
+            prow, row = rows[pt], {}
             try:
                 for j, c in prow.items():
                     row[child[j * n + sid]] = c
@@ -370,13 +386,13 @@ class _BarScheme:
                     _add(row, u, p - c if odd else c, p)
                 else:
                     row[u] = p - c if odd else c
-            rows.append(row)
+            rows[t] = row
         return rows
 
-    def complete_top(self) -> Optional[int]:
-        """The heaviest signed total sign·w up to which every tuple was
-        enumerated, so the column of total w is complete exactly when sign·w
-        is at most it; None when no column is.
+    def certified(self) -> Cert:
+        """The builders' certificate (``Cert``), or None when no column is
+        complete: every tuple of signed total sign·w up to top was
+        enumerated, and the lightest generator is a module key.
 
         Slot weight sums at a total are at most its gap to the lightest
         module element, and each slot contributes at least 1, so a column
@@ -385,33 +401,31 @@ class _BarScheme:
         gap.  A partly known algebra also needs honest slots: its weight-0
         column certified and no weight of the other sign, so that hidden
         cells could only sit at heavier weights of the slot sign."""
-        m, sp = self.module, self.algebra.space
+        m, sp, s = self.module, self.algebra.space, self.sign
         if not self.reduced or not m.space.fully_known():
             return None
         top = min(self.n_max, self.w_cap)
         if not sp.fully_known():
             if not (sp.column_complete(0)
-                    and _side_certified_empty(sp, -self.sign)):
+                    and _side_certified_empty(sp, -s)):
                 return None
-            top = next((s - 1 for s in range(1, top + 1)
-                        if not sp.column_complete(self.sign * s)), top)
-        return top + min((self.sign * k[1] for k in m.basis_keys()), default=0)
+            top = next((i - 1 for i in range(1, top + 1)
+                        if not sp.column_complete(s * i)), top)
+        mwts = [s * k[1] for k in m.basis_keys()]
+        if not mwts:
+            return s, top, None
+        return s, top + min(mwts), s * min(mwts)
 
 
 class BarData:
     """Two-sided bar complex of a right module with its augmentation."""
 
-    def __init__(self, module: DgModule, complex: CochainComplex,
-                 augmentation: GradedMap,
+    def __init__(self, complex: CochainComplex, augmentation: GradedMap,
                  generator_counts: Dict[Tuple[int, int, int], int],
-                 n_max: int, w_cap: int, reduced: bool):
-        self.module = module
-        self.algebra = module.algebra
+                 reduced: bool):
         self.complex = complex
         self.augmentation = augmentation
         self.generator_counts = generator_counts
-        self.n_max = n_max
-        self.w_cap = w_cap
         self.reduced = reduced
 
 
@@ -427,18 +441,29 @@ def _terms(elt, place: Callable[[Key], int], p: int) -> List[Tuple[int, Scalar]]
     return out
 
 
-def _two_sided(scheme: _BarScheme, keys: Sequence[Key],
+# a builder's certificate (sign, top, light): every generator of signed weight
+# sign·w <= top is present, and light is the lightest weight (None for none)
+Cert = Optional[Tuple[int, int, Optional[int]]]
+# a weight interval (lo, hi), both ends included
+Band = Tuple[int, int]
+
+
+def _two_sided(src: SemiFree, keys: Sequence[Key],
                lobj: Optional[Dict[Key, int]], merge: Callable[[Key, Key], Elt],
-               rcx: CochainComplex, right_known: bool
+               rcx: CochainComplex, window: Band, cert: Cert
                ) -> Tuple[CochainComplex, List[List[int]]]:
-    """Bar tuples of the scheme tensored with a right factor over the
-    idempotents.  The right factor is plain data: its basis keys, the object
-    each key starts at (None when unreduced), the merge of a last slot into
-    a key, and its complex.  Labels are (module key, slots, right key).
-    Also returns each right key's place per tuple, -1 where there is none."""
-    labels, degs, wts, robjs = scheme.labels, scheme.degs, scheme.wts, scheme.robjs
-    parent, sids = scheme.parent, scheme.sids
-    nt, p, w_cap = len(labels), scheme.field.char, scheme.w_cap
+    """The semi-free module src tensored over the idempotents with a right
+    factor given as plain data: its basis keys, the object each starts at
+    (None when unreduced), the merge of an algebra key into a key, and its
+    complex.  Only the total weights within window are kept, and only
+    they are marked known; a label is src's with the right key appended.
+    Also returns each right key's place per generator, -1 where there is
+    none.  d(g ⊗ r) is d(g) with each term g'·(c·a) merged as c·g' ⊗ a·r,
+    plus (-1)^|g| g ⊗ dr; cert is None when the right factor is not fully
+    known."""
+    labels, degs, wts, objs = src.labels, src.degs, src.wts, src.objs
+    nt, p = len(labels), rcx.field.char
+    v0, v1 = window
     at = [[-1] * nt for _ in keys]
     places = dict(zip(keys, at)).__getitem__
     d_right = _columns(rcx.d)
@@ -451,55 +476,60 @@ def _two_sided(scheme: _BarScheme, keys: Sequence[Key],
     cells: Dict[Tuple[int, int], List] = defaultdict(list)
     for t in range(nt):
         lab, d, w = labels[t], degs[t], wts[t]
-        for rk, col, _, _ in right.get(robjs[t], ()):
-            if abs(w + rk[1]) <= w_cap:
+        for rk, col, _, _ in right.get(objs[t], ()):
+            if v0 <= w + rk[1] <= v1:
                 labs = cells[d + rk[0], w + rk[1]]
                 col[t] = len(labs)
                 labs.append(lab + (rk,))
 
-    merges: Dict[int, List] = {}  # by slot id and key index
+    tsrc, tdst, kid, coef = src.src, src.dst, src.kid, src.coef
+    nx, nk = len(tsrc), len(keys)
+    merges: Dict[int, List] = {}  # by algebra key id and right key index
     entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
-    for t, row in enumerate(scheme.rows()):
-        pt, d, w = parent[t], degs[t], wts[t]
-        for rk, col, ri, d_rk in right.get(robjs[t], ()):
+    rows = src.rows()
+    x1 = 0
+    for t in range(nt):
+        d, w = degs[t], wts[t]
+        x0 = x1
+        while x1 < nx and tsrc[x1] == t:
+            x1 += 1
+        mine = range(x0, x1)  # t's terms
+        for rk, col, ri, d_rk in right.get(objs[t], ()):
             i = col[t]
             if i < 0:
                 continue
             block = entries[d + rk[0], w + rk[1]]
-            # the scheme's differential with rk carried along, and the right
-            # factor's with sign (-1)^|T|: rows nothing else writes
-            for j, c in row.items():
-                block[col[j], i] = c
+            # the scalar terms with rk carried along, and the right factor's
+            # differential with sign (-1)^|g|: rows nothing else writes
+            if rows is not None:
+                for j, c in rows[t].items():
+                    block[col[j], i] = c
             for col2, c in d_rk:
                 block[col2[t], i] = p - c if d & 1 else c
-            if pt < 0:
-                continue
-            # the last slot merged into rk, sign (-1)^(|P| + 1): rows (P, rk2)
-            key = sids[t] * len(keys) + ri
-            merged = merges.get(key)
-            if merged is None:
-                merged = merges[key] = _terms(
-                    merge(labels[t][1][-1], rk).items(), places, p)
-            for col2, c in merged:
-                _add(block, (col2[pt], i), c if degs[pt] & 1 else p - c, p)
-    cx = _install(scheme.field, cells, entries)
+            # each term g_j·(c·a) of d(g_t) merged into rk: rows (g_j, rk2)
+            for x in mine:
+                merged = merges.get(kid[x] * nk + ri)
+                if merged is None:
+                    merged = merges[kid[x] * nk + ri] = _terms(
+                        merge(src.keys[kid[x]], rk).items(), places, p)
+                j, s = tdst[x], coef[x]
+                for col2, c in merged:
+                    _add(block, (col2[j], i), c * s, p)
+    cx = _install(rcx.field, cells, entries)
     space = cx.space
 
-    top = scheme.complete_top()
-    if top is not None and right_known and keys:
-        # weight w is complete when the bar tuples are complete at w less
-        # the weight of the lightest right key
-        top += min(scheme.sign * k[1] for k in keys)
-        for w in range(-scheme.w_cap, scheme.w_cap + 1):
-            if scheme.sign * w <= top:
+    if cert is not None and keys:
+        # w is complete when the generators are at w less the lightest right
+        # key's weight, and empty beyond the lightest generator and key
+        sign, top, light = cert
+        near = sign * min(sign * k[1] for k in keys)
+        for w in range(v0, v1 + 1):
+            if sign * (w - near) <= top:
                 space.set_known(w)
-        # a top means the module is known and the slots honest
-        mwts = [k[1] for k in scheme.module.basis_keys()]
-        if mwts:
-            if scheme.sign >= 0:
-                space.known_zero_below = min(mwts) + min(k[1] for k in keys)
-            if scheme.sign <= 0:
-                space.known_zero_above = max(mwts) + max(k[1] for k in keys)
+        if light is not None and sign > 0:
+            space.known_zero_below = light + near
+        elif light is not None:
+            space.known_zero_above = light + near
     return cx, at
 
 
@@ -514,9 +544,8 @@ def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     f = m.field
     keys = a.basis_keys()
     # the slot check already covers the algebra's columns
-    cx, at = _two_sided(scheme, keys,
-                        scheme.red.lobj if scheme.reduced else None,
-                        a.basis_product, a.complex, True)
+    cx, at = _two_sided(scheme, keys, scheme.red.lobj if scheme.reduced else None,
+                        a.basis_product, a.complex, (-w_cap, w_cap), scheme.certified())
 
     # the augmentation sends a bare tuple with right key bk to mk·bk
     aug = GradedMap(cx.space, m.space, 0, 0)
@@ -530,24 +559,28 @@ def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     counts: Dict[Tuple[int, int, int], int] = {}
     for (_, al), d, w in zip(scheme.labels, scheme.degs, scheme.wts):
         counts[(len(al), d, w)] = counts.get((len(al), d, w), 0) + 1
-    return BarData(m, cx, aug, counts, n_max, scheme.w_cap, scheme.reduced)
+    return BarData(cx, aug, counts, scheme.reduced)
 
 
-def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
-    """Hom over the idempotent subalgebra from the bar tuples into n, with
-    the twisted differential.  Labels are (target key, tuple)."""
-    nobj = scheme.nobj
-    labels, degs, wts, robjs = scheme.labels, scheme.degs, scheme.wts, scheme.robjs
-    nt, p = len(labels), scheme.field.char
+def _hom_complex_into(src: SemiFree, n: DgModule,
+                      nobj: Optional[Dict[Key, int]], band: Band,
+                      cert: Cert) -> CochainComplex:
+    """Hom over the idempotents from the semi-free module src into n: the
+    map g ↦ q, labelled (q, g's label), sits at |q| - |g|, and
+    (d f)(g) = d(f(g)) - (-1)^|f| f(d g), a term g'·(c·a) of d(g) read as
+    c·f(g')·a.  cert counts only when n is fully known, and marks known
+    only the columns within n's weights less band."""
+    labels, degs, wts, objs = src.labels, src.degs, src.wts, src.objs
+    nt, p = len(labels), n.field.char
     nkeys = n.basis_keys()
     at = [[-1] * nt for _ in nkeys]
     places = dict(zip(nkeys, at)).__getitem__
     d_target = _columns(n.complex.d)
     # target keys by object, unreduced all at 0, each with its places and
-    # its differential; the tuples by end object, each in its order
+    # its differential; the generators by end object, each in its order
     qs: Dict[int, List] = {}
     ending: Dict[int, List[int]] = defaultdict(list)
-    for t, obj in enumerate(robjs):
+    for t, obj in enumerate(objs):
         ending[obj].append(t)
     cells: Dict[Tuple[int, int], List] = defaultdict(list)
     for q, col in zip(nkeys, at):
@@ -559,159 +592,103 @@ def _hom_complex_into(scheme: _BarScheme, n: DgModule) -> CochainComplex:
             col[t] = len(labs)
             labs.append((q, labels[t]))
 
-    # by slot id, each target key the slot acts on nonzero, with the terms
-    acts: Dict[int, List] = {}
     entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
-    for t, row in enumerate(scheme.rows()):
+    rows = src.rows()
+    for t in range(nt):
         d, w = degs[t], wts[t]
-        for q, col, dq in qs.get(robjs[t], ()):
+        for q, col, dq in qs.get(objs[t], ()):
             r = col[t]
-            # the source differential precomposed: every term j of T's row
-            # sits at |T| + 1, so the sign (-1)^(|q| + |j| + 1) is one per
-            # (T, q), and each term is the first write to its entry
-            block, neg = entries[q[0] - d - 1, q[1] - w], (q[0] + d) & 1
-            for j, c in row.items():
-                block[r, col[j]] = p - c if neg else c
-            # the target differential after the operator: rows (q2, T)
+            # the scalar terms precomposed: every term j of t's row sits at
+            # |t| + 1, so the sign (-1)^(|q| + |j| + 1) is one per (t, q),
+            # and each term is the first write to its entry
+            if rows is not None:
+                block, neg = entries[q[0] - d - 1, q[1] - w], (q[0] + d) & 1
+                for j, c in rows[t].items():
+                    block[r, col[j]] = p - c if neg else c
+            # the target differential after the operator: rows (q2, t)
             # nothing else writes
             for col2, c in dq:
                 entries[q[0] - d, q[1] - w][col2[t], r] = c
-        pt = scheme.parent[t]
-        if pt < 0:
-            continue
-        # the dropped last merge reappears as the module action on values,
-        # sign (-1)^|q|; the slot starts where its parents end
-        acting = acts.get(scheme.sids[t])
+    # each term g_j·(c·a) of d(g_t) acts on values, sign -(-1)^(|q| - |g_j|);
+    # by key id, each target key a (starting where g_j ends) moves, and how
+    acts: Dict[int, List] = {}
+    for t, j, x, s in zip(src.src, src.dst, src.kid, src.coef):
+        acting = acts.get(x)
         if acting is None:
-            slot = labels[t][1][-1]
-            acting = acts[scheme.sids[t]] = [
+            a = src.keys[x]
+            acting = acts[x] = [
                 (q, col, _terms(qa.items(), places, p))
-                for q, col, _ in qs.get(robjs[pt], ())
-                for qa in [n.action.get((q, slot))] if qa]
+                for q, col, _ in qs.get(objs[j], ())
+                for qa in [n.action.get((q, a))] if qa]
+        dj, wj = degs[j], wts[j]
         for q, col, qa in acting:
-            block, i = entries[q[0] - degs[pt], q[1] - wts[pt]], col[pt]
+            block, i = entries[q[0] - dj, q[1] - wj], col[j]
+            c_q = s if (q[0] - dj) & 1 else -s
             for col2, c in qa:
-                _add(block, (col2[t], i), p - c if q[0] & 1 else c, p)
-    cx = _install(scheme.field, cells, entries)
+                _add(block, (col2[t], i), c * c_q, p)
+    cx = _install(n.field, cells, entries)
     space = cx.space
 
-    top = scheme.complete_top()
-    if top is not None and n.space.fully_known() and nkeys:
-        # column u reads the tuples at every w - u, w a weight of n, so it
-        # is complete when the heaviest of them, in the signed order, is
-        nwts = {k[1] for k in nkeys}
-        low = max(scheme.sign * w for w in nwts) - top
-        for u in range(min(nwts) - scheme.w_cap, max(nwts) + scheme.w_cap + 1):
-            if scheme.sign * u >= low:
+    if cert is not None and nkeys and n.space.fully_known():
+        # column u reads the generators at w - u, w a weight of n: complete
+        # when the heaviest of them is within top, empty beyond the lightest
+        sign, top, light = cert
+        lo, hi = min(k[1] for k in nkeys), max(k[1] for k in nkeys)
+        far = hi if sign > 0 else lo
+        for u in range(lo - band[1], hi - band[0] + 1):
+            if sign * (far - u) <= top:
                 space.set_known(u)
-        # a top means the module is known and the slots honest
-        mwts = [k[1] for k in scheme.module.basis_keys()]
-        if mwts:
-            if scheme.sign >= 0:
-                space.known_zero_above = max(nwts) - min(mwts)
-            if scheme.sign <= 0:
-                space.known_zero_below = min(nwts) - max(mwts)
+        if light is not None and sign > 0:
+            space.known_zero_above = far - light
+        elif light is not None:
+            space.known_zero_below = far - light
     return cx
 
 
-def _over_witness(m: DgModule, n: DgModule, n_max: int, w_cap: int,
-                  hom: bool) -> CochainComplex:
-    """Hom_A(P, n) when hom, else P ⊗_A n, for the resolution P of m its
-    recipe gives at length n_max, keeping the generators within w_cap of
-    the lightest weight (a subcomplex, d never raising weight).  The recipe
-    may answer from a longer build it keeps; the cut by weight is made here,
-    per call, and nothing of it is kept.
+def _replacement(m: DgModule, n: DgModule, n_max: int, w_cap: int,
+                 reduced: Optional[bool]
+                 ) -> Tuple[SemiFree, Optional[Dict[Key, int]], Cert, Band, Band]:
+    """A semi-free replacement P of m, the object of each key of n (None
+    over one object), P's certificate, the generator weights the Hom
+    builder marks columns for, and the weights of P ⊗ n the tensor keeps.
 
-    A basis element pairs a generator g_i with a basis key q of n: the map
-    g_i ↦ q, labelled (q, name) at |q| - |g_i|, or g_i ⊗ q, labelled
-    (name, q) at |g_i| + |q|.  With d(g_l) = Σ_i g_i·a_il,
-    (d f)(g_l) = d(f(g_l)) - (-1)^|f| Σ_i f(g_i)·a_il and
-    d(g_l ⊗ q) = Σ_i g_i ⊗ a_il·q + (-1)^|g_l| g_l ⊗ dq.
-
-    Every generator within min(n_max, w_cap) of the lightest weight w0 was
-    built, and every other one is heavier, so where n is fully known a
-    weight column is complete when no generator it reads lies further out,
-    and the side beyond the lightest generator is certified empty."""
+    When m carries a resolution recipe (``DgModule.resolution``) and
+    ``reduced`` is not given, P is the witness the recipe gives at length
+    n_max, cut per call to the generators within w_cap of the lightest
+    weight w0.  A recipe's algebra is positively weighted, so d lowers
+    weight and the cut is a subcomplex, the sign is +1, every generator
+    within min(n_max, w_cap) of w0 is listed, the Hom reads the kept
+    weights and the tensor keeps all it reaches.  Otherwise P is m's bar,
+    with tuples of at most n_max slots whose weights sum to at most w_cap,
+    and both bands are (-w_cap, w_cap)."""
+    if reduced is not None or m.resolution is None:
+        scheme = _BarScheme(m, n_max, w_cap, reduced, n)
+        return scheme, scheme.nobj, scheme.certified(), (-w_cap, w_cap), (-w_cap, w_cap)
     if n_max < 0 or w_cap < 0:
         raise ValueError("caps must be non-negative")
     p = m.resolution(n_max)
-    f = m.field
-    char, one = f.char, f.one
-    w0 = min(w for _, _, w in p.gens)
-    kept = [i for i, (_, _, w) in enumerate(p.gens) if w - w0 <= w_cap]
-    nkeys = n.basis_keys()
-    cells: Dict[Tuple[int, int], List] = defaultdict(list)
-    at: Dict[Tuple[int, Key], Tuple[Tuple[int, int], int]] = {}
-    for i in kept:
-        name, gd, gw = p.gens[i]
-        for q in nkeys:
-            cell = (q[0] - gd, q[1] - gw) if hom else (q[0] + gd, q[1] + gw)
-            labs = cells[cell]
-            at[i, q] = cell, len(labs)
-            labs.append((q, name) if hom else (name, q))
-
-    entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
-
-    def put(i: int, q: Key, j: int, q2: Key, c: Scalar) -> None:
-        cell, col = at[i, q]
-        _add(entries[cell], (at[j, q2][1], col), c, char)
-
-    d_n = _columns(n.complex.d)
-    for i in kept:
-        gd = p.gens[i][1]
-        for q in nkeys:
-            odd = (q[0] - gd if hom else gd) & 1
-            for q2, c in d_n.get(q, ()):
-                put(i, q, i, q2, f.neg(c) if odd and not hom else c)
-        # the attaching map: f_{q,j} ↦ f_{q·a,i} for Hom and g_i ⊗ q ↦
-        # g_j ⊗ a·q for the tensor, for each term g_j·a of d(g_i)
-        for j, a in p.attaching[i]:
-            for q in nkeys:
-                if hom:
-                    odd = (q[0] - p.gens[j][1]) & 1
-                    for q2, c in n.act({q: one}, a).items():
-                        put(j, q, i, q2, c if odd else f.neg(c))
-                else:
-                    for q2, c in n.act_left(a, {q: one}).items():
-                        put(i, q, j, q2, c)
-    cx = _install(f, cells, entries)
-
-    if n.space.fully_known() and nkeys:
-        top = w0 + min(n_max, w_cap)
-        sp, nwts = cx.space, [k[1] for k in nkeys]
-        if hom:
-            # column u reads the generators at weights w - u, w in nwts
-            for u in range(max(nwts) - top, max(nwts) - w0 + 1):
-                sp.set_known(u)
-            sp.known_zero_above = max(nwts) - w0
-        else:
-            # column u reads the generators at weights u - w
-            for u in range(min(nwts) + w0, min(nwts) + top + 1):
-                sp.set_known(u)
-            sp.known_zero_below = min(nwts) + w0
-    return cx
+    w0 = min(p.wts)
+    p = p.cut([i for i, w in enumerate(p.wts) if w - w0 <= w_cap])
+    nwts = [q[1] for q in n.basis_keys()] or [0]
+    return (p, None, (1, w0 + min(n_max, w_cap), w0), (w0, w0 + w_cap),
+            (min(nwts) + w0, max(nwts) + w0 + w_cap))
 
 
 def derived_hom(m: DgModule, n: DgModule, n_max: int,
                 w_cap: Optional[int] = None,
                 reduced: Optional[bool] = None) -> CochainComplex:
-    """Right derived Hom from m to n over their common algebra.
-
-    When m carries a resolution recipe (``DgModule.resolution``) and
-    ``reduced`` is not given, this is Hom_A(P, n) over the witness P its
-    recipe gives at length n_max, its generators' weights capped at w_cap
-    above the lightest (``_over_witness``).  Otherwise, and whenever
-    ``reduced`` is passed, it is Hom from m's bar construction into n, with
-    tuples of at most n_max slots whose weights sum to at most w_cap."""
+    """Right derived Hom from m to n over their common algebra: Hom_A(P, n)
+    built by the one Hom builder, for the semi-free replacement P of m that
+    ``_replacement`` chooses: the witness of m's resolution recipe, or,
+    whenever ``reduced`` is passed or there is no recipe, m's bar."""
     if m.algebra is not n.algebra:
         raise ValueError("derived_hom needs modules over the same algebra")
     if n.side != "right":
         raise ValueError("derived_hom target must be a right module")
     if w_cap is None:
         w_cap = n_max
-    if reduced is None and m.resolution is not None:
-        return _over_witness(m, n, n_max, w_cap, hom=True)
-    return _hom_complex_into(_BarScheme(m, n_max, w_cap, reduced, n), n)
+    p, nobj, cert, band, _ = _replacement(m, n, n_max, w_cap, reduced)
+    return _hom_complex_into(p, n, nobj, band, cert)
 
 
 class InnerModel(DgAlgebra):
@@ -750,10 +727,8 @@ class EndAlgebra(InnerModel):
     """Derived endomorphisms of a module, with the convolution product."""
 
     def __init__(self, complex: CochainComplex, unit: Elt, product,
-                 module: DgModule, n_max: int, w_cap: int, reduced: bool,
-                 name: str = ""):
+                 module: DgModule, w_cap: int, reduced: bool, name: str = ""):
         super().__init__(complex, unit, product, module, name=name)
-        self.n_max = n_max
         self.w_cap = w_cap
         self.reduced = reduced
 
@@ -779,7 +754,7 @@ def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     if w_cap is None:
         w_cap = n_max
     scheme = _BarScheme(m, n_max, w_cap, reduced, m)
-    cx = _hom_complex_into(scheme, m)
+    cx = _hom_complex_into(scheme, m, scheme.nobj, (-w_cap, w_cap), scheme.certified())
     f = m.field
     space, one = cx.space, f.one
     unit: Elt = {space.key_of(0, 0, (q, (q, ()))): one for q in m.basis_keys()}
@@ -799,7 +774,7 @@ def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
         except KeyError:
             return {}
 
-    return EndAlgebra(cx, unit, product, m, n_max, scheme.w_cap, scheme.reduced,
+    return EndAlgebra(cx, unit, product, m, w_cap, scheme.reduced,
                       name=name or f"End({m.name})")
 
 
@@ -904,25 +879,17 @@ def minimal_model(inner: EndAlgebra, w_max: int
 def derived_tensor(m: DgModule, n: DgModule, n_max: int,
                    w_cap: Optional[int] = None,
                    reduced: Optional[bool] = None) -> CochainComplex:
-    """Derived tensor product of a right module with a left module.
-
-    When m carries a resolution recipe and ``reduced`` is not given, this
-    is P ⊗_A n over the witness P its recipe gives at length n_max, as in
-    ``derived_hom``; otherwise, and whenever ``reduced`` is passed, it is
-    the two-sided bar construction of m with n as its right factor."""
+    """Derived tensor product of a right module with a left module: P ⊗_A n
+    built by the one tensor builder, for P as in ``derived_hom``."""
     if m.algebra is not n.algebra:
         raise ValueError("derived_tensor needs modules over the same algebra")
     if m.side != "right" or n.side != "left":
         raise ValueError("derived_tensor takes a right and a left module")
     if w_cap is None:
         w_cap = n_max
-    if reduced is None and m.resolution is not None:
-        return _over_witness(m, n, n_max, w_cap, hom=False)
-    scheme = _BarScheme(m, n_max, w_cap, reduced, n)
-    f = scheme.field
-    return _two_sided(scheme, n.basis_keys(), scheme.nobj,
-                      lambda ak, nk: n.act_left({ak: f.one}, {nk: f.one}),
-                      n.complex, n.space.fully_known())[0]
+    p, nobj, cert, _, window = _replacement(m, n, n_max, w_cap, reduced)
+    return _two_sided(p, n.basis_keys(), nobj, lambda a, q: n.action.get((a, q), {}),
+                      n.complex, window, cert if n.space.fully_known() else None)[0]
 
 
 def stabilization_scan(compute: Callable[[int], Cohomology],

@@ -13,8 +13,9 @@ representations and the projective at object z is the right ideal e_z·A.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from typing import (
-    Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
 )
 
 from .graded import (
@@ -30,14 +31,41 @@ ProductRule = Callable[[Key, Key], Elt]
 Summand = Tuple[Elt, Dict[Key, Key]]
 
 
-class SemiFree(NamedTuple):
-    """A semi-free module P = ⊕_i g_i·A as plain data: ``gens`` lists each
-    generator's (name, degree, weight), and ``attaching[i]`` its
-    differential d(g_i) = Σ_j g_j·a_ji as pairs (j, a_ji), each a_ji an
-    element of A."""
+class SemiFree:
+    """A semi-free module P = ⊕_i g_i·A as the flat lists that the one Hom
+    builder and the one tensor builder of ``bar`` read.  Generator g_i has
+    the label ``labels[i]`` (a tuple), the bidegree (``degs[i]``,
+    ``wts[i]``) and the object ``objs[i]`` it ends at (0 over one object).
+    Term x of d, in order of ``src``, puts g_j·(c·a) into d(g_i) for
+    i, j, c = src[x], dst[x], coef[x] and a = keys[kid[x]].  ``rows()``
+    gives the terms of d with a scalar coefficient, per generator
+    {index: coefficient}, or None when there are none."""
 
-    gens: List[Tuple[str, int, int]]
-    attaching: List[List[Tuple[int, Elt]]]
+    __slots__ = ("labels", "degs", "wts", "objs", "src", "dst", "kid", "coef", "keys")
+
+    def __init__(self, labels: List[tuple], degs: List[int], wts: List[int], objs: List[int],
+                 src: List[int], dst: List[int], kid: List[int], coef: List, keys: List[Key]):
+        self.labels, self.degs, self.wts, self.objs = labels, degs, wts, objs
+        self.src, self.dst, self.kid, self.coef = src, dst, kid, coef
+        self.keys = keys
+
+    def rows(self) -> Optional[List[Dict[int, object]]]:
+        return None
+
+    def cut(self, keep: Sequence[int]) -> "SemiFree":
+        """The generators keep, ascending and closed under d, numbered in
+        order, with their terms, as fresh lists (not ``rows()``).  A prefix
+        is sliced: renumbering it too makes small Ext calls 1.5x as slow."""
+        n = len(keep)
+        if keep[-1] == n - 1:
+            t = bisect_left(self.src, n)
+            return SemiFree(self.labels[:n], self.degs[:n], self.wts[:n], self.objs[:n], self.src[:t],
+                            self.dst[:t], self.kid[:t], self.coef[:t], self.keys[:])
+        new = dict(zip(keep, range(n)))
+        xs = [x for x, i in enumerate(self.src) if i in new]
+        return SemiFree(*([c[i] for i in keep] for c in (self.labels, self.degs, self.wts, self.objs)),
+                        [new[self.src[x]] for x in xs], [new[self.dst[x]] for x in xs],
+                        [self.kid[x] for x in xs], [self.coef[x] for x in xs], self.keys[:])
 
 
 def table_rule(table: MultTable) -> ProductRule:
@@ -294,15 +322,15 @@ class DgModule:
 
     ``resolution`` is a recipe for a semi-free resolution witness of a
     right module over a positively weighted algebra: called with a length
-    L, it gives a minimal resolution P of the module as a ``SemiFree``,
-    truncated so that every generator within weight L of the lightest is
-    listed (each step of a minimal resolution raises the weight by at least
-    one).  Only ``TruncatedRing.residue_module`` sets it, for k over a
-    monomial complete intersection, building P from ``free_resolution``'s
-    data without its complex; its recipe keeps its longest build and
-    answers a shorter length with that build's prefix, which is the build
-    at that length.  No other constructor carries it over, and None is no
-    claim.  ``derived_hom`` and ``derived_tensor`` read it.
+    L, it gives a minimal resolution P of the module as a ``SemiFree``, in
+    the layout ``bar``'s builders read, listing every generator within
+    weight L of the lightest (each step of a minimal resolution raises the
+    weight by at least one).  Only ``TruncatedRing.residue_module`` sets
+    it, for k over a monomial complete intersection; its recipe keeps its
+    longest build and answers a shorter length with that build's prefix,
+    which is the build at that length.  No other constructor carries it
+    over, and None is no claim.  ``derived_hom`` and ``derived_tensor``
+    read it.
 
     Nothing a module keeps depends on a cap, but for that longest build,
     a prefix of the cap-free resolution.  It keeps its object map for the

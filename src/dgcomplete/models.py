@@ -222,9 +222,9 @@ class TruncatedRing:
         The recipe keeps its longest build.  Its generators are sorted by
         index sum, which is minus the degree, and each d(g) reaches only
         lighter ones, so the build at length L is the prefix of any longer
-        build: a call no longer than the kept one returns that prefix as
-        fresh lists, and a longer one builds afresh and keeps that build
-        instead."""
+        build, generators and terms alike: a call no longer than the kept
+        one returns that prefix as fresh lists, and a longer one builds
+        afresh and keeps that build instead."""
         k = self.quotient_module(list(self.variables) or [], name=name)
         powers = _pure_powers(self)
         if (powers is not None and None not in powers
@@ -237,9 +237,8 @@ class TruncatedRing:
                     raise ValueError("resolution length must be non-negative")
                 if longest is None or longest[0] < length:
                     longest = length, _witness(self, length)
-                gens, attaching = longest[1]
-                n = bisect.bisect_right(gens, length, key=lambda g: -g[1])
-                return SemiFree(gens[:n], [row[:] for row in attaching[:n]])
+                p = longest[1]
+                return p.cut(range(bisect.bisect_right(p.degs, length, key=int.__neg__)))
 
             k.resolution = resolution
         return k
@@ -764,14 +763,18 @@ def _free_complex(ring: TruncatedRing, powers: Sequence[Optional[int]],
 
 def _witness(ring: TruncatedRing, length: int) -> SemiFree:
     """What ``residue_module``'s recipe builds: ``_product_resolution`` as
-    a SemiFree, each entry's bidegree checked and dead or zero ones dropped
-    as ``FreeComplex`` does."""
+    a SemiFree over R's one object, whose ``keys`` are R's monomials, each
+    entry's bidegree checked and dead or zero ones dropped as
+    ``FreeComplex`` does."""
     gens, terms = _product_resolution(ring, _pure_powers(ring), length)
     bidegrees = [(d, w) for (_, d, w) in gens]
     _check_bidegrees(ring, enumerate(terms), bidegrees, bidegrees, 1)
-    keys = {m: ring.mono_key(m) for m in ring.monomials}
-    return SemiFree(gens, [[(j, {keys[m]: c}) for (j, m), c in row.items()
-                            if m in keys and c] for row in terms])
+    at = {m: i for i, m in enumerate(ring.monomials)}
+    flat = [(i, j, at[m], c) for i, row in enumerate(terms)
+            for (j, m), c in row.items() if m in at and c]
+    return SemiFree([(g,) for (g, _, _) in gens], [d for (_, d, _) in gens],
+                    [w for (_, _, w) in gens], [0] * len(gens),
+                    *([x[i] for x in flat] for i in range(4)), [ring.mono_key(m) for m in ring.monomials])
 
 
 def periodic_resolution(ring: TruncatedRing, length: int,

@@ -6,6 +6,8 @@ resolution over a monomial complete intersection, and ``derived_hom`` and
 from ``quotient_module`` carries no recipe, so it runs on the bar: the two
 routes must agree on every cell, dimensions and certificates.
 """
+import hashlib
+
 import pytest
 
 from dgcomplete import models as M
@@ -95,9 +97,25 @@ def test_witness_complexes_have_the_size_of_the_answer():
             assert all(b.is_zero() for b in cx.d.blocks.values())
 
 
+def _plain(w):
+    """A SemiFree's generators (name, degree, weight), and per generator
+    its terms as pairs (index of h, ring element at h), in their order."""
+    attaching = [[] for _ in w.labels]
+    for i, j, x, c in zip(w.src, w.dst, w.kid, w.coef):
+        attaching[i].append((j, {w.keys[x]: c}))
+    return ([(g, d, wt) for (g,), d, wt in zip(w.labels, w.degs, w.wts)],
+            attaching)
+
+
+def _fields(w):
+    return (w.labels, w.degs, w.wts, w.objs, w.src, w.dst, w.kid, w.coef,
+            w.keys)
+
+
 def _witness_of(p):
-    """The SemiFree read off a FreeComplex: its generators, and d(g) as
-    pairs (index of h, ring element at h), h in the order d(g) lists it."""
+    """The SemiFree read off a FreeComplex, as ``_plain`` reads it: its
+    generators, and d(g) as pairs (index of h, ring element at h), h in
+    the order d(g) lists it."""
     at = {g: i for i, (g, _, _) in enumerate(p.gens)}
     attaching = []
     for (g, _, _) in p.gens:
@@ -126,7 +144,7 @@ def test_the_recipe_builds_the_witness_of_free_resolution(spec):
     k = ring.residue_module()
     for length in range(9):
         got = k.resolution(length)
-        assert (got.gens, got.attaching) == _witness_of(M.free_resolution(ring, length))
+        assert _plain(got) == _witness_of(M.free_resolution(ring, length))
 
 
 def test_the_recipe_keeps_its_longest_build(monkeypatch):
@@ -165,7 +183,7 @@ def test_each_shorter_length_reads_the_prefix_of_the_kept_build(field, spec):
     k.resolution(10)
     for length in range(10, -1, -1):
         got, want = k.resolution(length), M._witness(ring, length)
-        assert (got.gens, got.attaching) == (want.gens, want.attaching)
+        assert _fields(got) == _fields(want)
 
 
 @pytest.mark.parametrize("t", [5, None],
@@ -195,13 +213,12 @@ def test_editing_a_returned_witness_leaves_the_next_answer_unchanged():
     k = ring.residue_module()
     for length in (6, 6, 4):
         p = k.resolution(length)
-        p.gens.clear()
-        for row in p.attaching:
-            row.clear()
-        p.attaching.append([])
+        for col in _fields(p):
+            col.clear()
+        p.src.append(0)
     for length in (6, 4):
         got, want = k.resolution(length), M._witness(ring, length)
-        assert (got.gens, got.attaching) == (want.gens, want.attaching)
+        assert _fields(got) == _fields(want)
 
 
 def test_the_recipe_checks_the_bidegree_of_each_entry(monkeypatch):
@@ -244,3 +261,126 @@ def test_only_the_residue_field_of_a_complete_intersection_carries_a_recipe():
              M.truncated_poly(GF, ["x", "y"], ["x", "y^3"]),
              M.truncated_poly(GF, [], [])]
     assert all(r.residue_module().resolution is not None for r in whole)
+
+
+def _ext(k, n, w_cap=None):
+    return derived_hom(k, k, n, w_cap).cohomology(Window(0, n, n))
+
+
+def _tor(k, n, w_cap=None):
+    return derived_tensor(k, trivial_left(k.algebra), n, w_cap).cohomology(
+        Window(-n, 0, n))
+
+
+# Ext and Tor over the witness as the benchmark reads them, pinned as
+# GOLDEN_BUILDS pins the bar: the jobs that hold ext_gfp's median, the
+# two-variable ring, and a weight cap below the length.  Only dimensions
+# and certificates are hashed: nothing reads the witness's labels or
+# their order within a cell.
+GOLDEN_WITNESS = [
+    ("ext k[x]/(x^5) n9", lambda: _ext(_ring(5).residue_module(), 9),
+     "57f97b3ab6300d30663f2ed31373e468e48af3155d72ee456a60fc5659ee275a"),
+    ("tor k[x]/(x^5) n9", lambda: _tor(_ring(5).residue_module(), 9),
+     "550f76ed6a00916f831c18778f0f5d78a757b497eba840bd079a72770f681360"),
+    ("ext k[x,y]/(x^2,y^2) n8", lambda: _ext(_ring(None).residue_module(), 8),
+     "20f26f366c30b4d2d5ca9b477ac5d68fca0608a7e1a0fb3e8695177f43b044db"),
+    ("tor k[x,y]/(x^2,y^2) n8", lambda: _tor(_ring(None).residue_module(), 8),
+     "615db9532b5d713fb4936afdf9671703c20c770b07df98546e037030d854eed1"),
+    ("ext k[x]/(x^3) n8 w_cap 4",
+     lambda: _ext(_ring(3).residue_module(), 8, 4),
+     "5dc061ca6101c1c2eccf368cc31dd6eff7147b5873b8c816b878c639ee756bea"),
+    ("tor k[x]/(x^3) n8 w_cap 4",
+     lambda: _tor(_ring(3).residue_module(), 8, 4),
+     "2ab035acc29b04a88f8f42439eaebd0d6912c93f68a361101afbb0d57dbc2a47"),
+]
+
+
+@pytest.mark.parametrize("build,digest", [b[1:] for b in GOLDEN_WITNESS],
+                         ids=[b[0] for b in GOLDEN_WITNESS])
+def test_witness_cohomology_keeps_its_recorded_digests(build, digest):
+    h = build()
+    text = repr((sorted(h.dims_by_cell().items()),
+                 sorted(h.certificate.status.items())))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def _tor_at(t, n, w_cap, wt):
+    ring = _ring(t)
+    return derived_tensor(ring.residue_module(),
+                          trivial_left(ring.algebra, wt=wt), n, w_cap)
+
+
+# What the witness's complexes keep and mark known, beyond dimensions and
+# certificates in one window: its Tor keeps every total weight P ⊗ n
+# reaches, also past the weight cap when the left factor sits at positive
+# weight, and both mark known only the columns up to the certified-empty
+# ray.  Hashed with the knowledge of the complex and of its cohomology;
+# recorded before the witness moved onto the bar's builders.
+GOLDEN_WITNESS_REACH = [
+    ("tor k[x]/(x^3) n8 w_cap 4, k at weight 2",
+     lambda: _tor_at(3, 8, 4, 2), Window(-8, 0, 8),
+     "429184e3a61e25b14c8793f00c50055ac8f12c90a1898156b297698611b3e254"),
+    ("tor k[x]/(x^5) n9, k at weight 3",
+     lambda: _tor_at(5, 9, None, 3), Window(-9, 0, 12),
+     "019d5e49fe0dd8000efd9551e1191fba098ee68c3c624d518be167904905b26c"),
+    ("tor k[x]/(x^5) n9", lambda: _tor_at(5, 9, None, 0), Window(-9, 0, 9),
+     "4db34f89ada77ee8420abea107a422adf8c6582a00d7d228ebb3cd87fa269ce0"),
+    ("ext k[x]/(x^5) n9",
+     lambda: (lambda k: derived_hom(k, k, 9))(_ring(5).residue_module()),
+     Window(0, 9, 9),
+     "5d1efb1378bc8594ec56a8365b1b11877ce9ec91793332da7f5bdb60cbd14902"),
+]
+
+
+@pytest.mark.parametrize("build,window,digest",
+                         [b[1:] for b in GOLDEN_WITNESS_REACH],
+                         ids=[b[0] for b in GOLDEN_WITNESS_REACH])
+def test_witness_reach_and_knowledge_keep_their_recorded_digests(
+        build, window, digest):
+    cx = build()
+    h = cx.cohomology(window)
+    text = repr((sorted(h.dims_by_cell().items()),
+                 sorted(h.certificate.status.items()),
+                 [(sorted(sp.known_cols.items()), sp.zero_outside,
+                   sp.known_zero_below, sp.known_zero_above)
+                  for sp in (cx.space, h.space)]))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def test_ext_and_tor_read_the_action_table_directly(monkeypatch):
+    """Neither builder goes through ``DgModule.act`` or ``act_left``: over
+    the witness and over the bar, each product is read off ``action``."""
+    calls = []
+    for name in ("act", "act_left"):
+        real = getattr(DgModule, name)
+        monkeypatch.setattr(DgModule, name,
+                            lambda self, *args, real=real:
+                            calls.append(1) or real(self, *args))
+    ring = _ring(5)
+    k, k_left = ring.residue_module(), trivial_left(ring.algebra)
+    for build in (lambda: derived_hom(k, k, 9),
+                  lambda: derived_tensor(k, k_left, 9),
+                  lambda: derived_tensor(k, k_left, 9, reduced=True)):
+        build()
+        assert calls == []
+
+
+@pytest.mark.parametrize("relations,n,w_cap", [
+    (["x^3", "y^2"], 5, 2), (["x^6", "y^2"], 5, 4), (["x^3", "y^2"], 4, 4)],
+    ids=lambda v: str(v))
+def test_a_weight_cut_inside_the_length_matches_the_bar(relations, n, w_cap):
+    """Over two variables of unequal exponents the generators within w_cap
+    of the lightest weight are no prefix of the resolution at length n: Ext
+    and Tor over what the cut keeps equal the bar's on every cell."""
+    ring = M.truncated_poly(GF, ["x", "y"], relations)
+    k, bar_k = _both(ring)
+    wts = k.resolution(n).wts
+    kept = [i for i, w in enumerate(wts) if w <= w_cap]
+    assert kept != list(range(len(kept)))
+    k_left = trivial_left(ring.algebra)
+    for build, window in ((lambda m: derived_hom(m, m, n, w_cap), Window(0, n, n)),
+                          (lambda m: derived_tensor(m, k_left, n, w_cap),
+                           Window(-n, 0, n))):
+        cx = build(k)
+        assert cx.validate_d2() is None
+        assert _table(cx, window) == _table(build(bar_k), window)
