@@ -654,11 +654,11 @@ def _replacement(m: DgModule, n: DgModule, n_max: int, w_cap: int,
 
     When m carries a resolution recipe (``DgModule.resolution``) and
     ``reduced`` is not given, P is the witness the recipe gives at length
-    n_max, cut per call to the generators within w_cap of the lightest
-    weight w0.  A recipe's algebra is positively weighted, so d lowers
-    weight and the cut is a subcomplex, the sign is +1, every generator
-    within min(n_max, w_cap) of w0 is listed, the Hom reads the kept
-    weights and the tensor keeps all it reaches.  Otherwise P is m's bar,
+    n_max and weight cap w_cap, one copy of the generators within w_cap of
+    the lightest weight w0.  A recipe's algebra is positively weighted, so
+    d lowers weight and the cut is a subcomplex, the sign is +1, every
+    generator within min(n_max, w_cap) of w0 is listed, the Hom reads the
+    kept weights and the tensor keeps all it reaches.  Otherwise P is m's bar,
     with tuples of at most n_max slots whose weights sum to at most w_cap,
     and both bands are (-w_cap, w_cap)."""
     if reduced is not None or m.resolution is None:
@@ -666,9 +666,8 @@ def _replacement(m: DgModule, n: DgModule, n_max: int, w_cap: int,
         return scheme, scheme.nobj, scheme.certified(), (-w_cap, w_cap), (-w_cap, w_cap)
     if n_max < 0 or w_cap < 0:
         raise ValueError("caps must be non-negative")
-    p = m.resolution(n_max)
+    p = m.resolution(n_max, w_cap)
     w0 = min(p.wts)
-    p = p.cut([i for i, w in enumerate(p.wts) if w - w0 <= w_cap])
     nwts = [q[1] for q in n.basis_keys()] or [0]
     return (p, None, (1, w0 + min(n_max, w_cap), w0), (w0, w0 + w_cap),
             (min(nwts) + w0, max(nwts) + w0 + w_cap))
@@ -780,18 +779,18 @@ def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
 
 class MinimalModel(InnerModel):
     """The cohomology H(E) of a convolution algebra E on the weight columns
-    |w| <= w_max, as a graded algebra with d = 0.
+    |w| <= w_max, or on all of them, as a graded algebra with d = 0.
 
     i sends a class to its representative in E and p is
     ``Cohomology.project``, so the product is m₂ = p∘μ∘(i⊗i).  Each
     representative lies in one block of E, between the module keys
     ``ends``, and a product of classes whose blocks do not compose is zero
     with no multiply.  ``minimal_model`` builds it only where purity makes
-    it E's minimal model.
+    it E's minimal model, and ``purity`` is the record of that check.
     """
 
     def __init__(self, inner: EndAlgebra, h: Cohomology,
-                 ends: Dict[Key, Tuple[Key, Key]]):
+                 ends: Dict[Key, Tuple[Key, Key]], purity: Dict):
         reps = h.representatives
 
         def product(k1: Key, k2: Key) -> Elt:
@@ -803,6 +802,7 @@ class MinimalModel(InnerModel):
                          product, inner.module, name=f"H({inner.name})")
         self.inner = inner
         self.representatives = reps
+        self.purity = purity
         self._ends = ends
 
     def ends(self, k: Key) -> Tuple[Key, Key]:
@@ -834,10 +834,13 @@ def _line(cells: Sequence[Tuple[int, int]],
     return Fraction(0)
 
 
-def minimal_model(inner: EndAlgebra, w_max: int
+def minimal_model(inner: EndAlgebra, w_max: Optional[int]
                   ) -> Tuple[Optional[MinimalModel], Dict]:
     """E's minimal model on the weight columns |w| <= w_max, the weights an
     outer bar capped at w_max reads, or None; and a record of the check.
+    With w_max None the model and the check take every weight of E, and the
+    model knows what E knows: all of it, when E was built with nothing cut
+    and marked complete, so one model then serves an outer bar at any cap.
 
     The model is built where every class of H(E) there lies on one line
     d = c·w and every cell of the defining module on a parallel one
@@ -869,7 +872,7 @@ def minimal_model(inner: EndAlgebra, w_max: int
             record["reason"] = f"representative of {k} spans several blocks"
             return None, record
         ends[k] = blocks.pop()
-    model = MinimalModel(inner, h, ends)
+    model = MinimalModel(inner, h, ends, record)
     if reduction_data(model) is None:
         record["reason"] = "not weight-connected over its weight-0 classes"
         return None, record

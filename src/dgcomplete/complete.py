@@ -4,22 +4,34 @@ The completed algebra of a module m over a is the endomorphism algebra of m
 taken over the opposite of its inner endomorphism algebra, opposed again.
 The inner algebra is the derived endomorphism algebra REnd_a(m), and the
 construction is invariant under quasi-isomorphism of it, so any model will
-do.  There are three:
+do.  REnd_a(m) depends on m alone, so a module keeps one cap-free inner
+model, with its module over the opposite, or the reason it has none, and
+every completion along it at any caps reuses them and builds only its
+outer bar; this is the only thing a completion keeps, and it relies, as the
+reduction data kept on an algebra does, on modules not being mutated.
+There are two cap-free models:
 
 - strict: when m carries the projective witness (its summands e_j·a[n_j]
   and their inclusions), it is K-projective, so REnd_a(m) = End_a(m) on the
-  nose, and Yoneda reads it off the witness as the sum of the m·e_j.  It
-  depends on m alone, so the first completion along m keeps it on m, with
-  its module over the opposite, and every later one at any caps reuses
-  them; this is the only thing a completion keeps, and it relies, as the
-  reduction data kept on an algebra does, on modules not being mutated;
-- minimal: otherwise, the cohomology H(E) of the convolution algebra E from
-  the bar calculus, on the weights |w| <= w_out the outer bar reads, when a
-  purity check makes it E's minimal model (``bar.minimal_model``).  E is
-  built only to w_out + spread, the range of m's weights: a reduced bar
-  tuple in column u has slot weight sum at most spread + |u|, so E's tuples,
-  d and column certificates on |u| <= w_out, and H(E) there, are the same
-  as at the inner caps;
+  nose, and Yoneda reads it off the witness as the sum of the m·e_j;
+- uncut minimal: when m's reduced bar is finite, because no chain of the
+  algebra's nonzero-weight basis keys (arrows between the objects of its
+  idempotents) from m's objects reaches a cycle, the convolution algebra E
+  built at the caps (L, W) of the longest chain cuts nothing, so it is
+  REnd_a(m) exactly and complete; its cohomology H(E) on all weights is its
+  minimal model when the purity check below holds.  Such a bar can still
+  be large (2^n - 1 tuples for the simples of 1 -> ... -> n), so a call
+  builds it only when its inner caps admit (L, W), the bound the bar model
+  respects, and a call they do not admit keeps nothing.
+
+Any other call builds one of two models per call:
+
+- minimal: the cohomology H(E) of E on the weights |w| <= w_out the outer
+  bar reads, when the purity check makes it E's minimal model
+  (``bar.minimal_model``).  E is built only to w_out + spread, the range of
+  m's weights: a reduced bar tuple in column u has slot weight sum at most
+  spread + |u|, so E's tuples, d and column certificates on |u| <= w_out,
+  and H(E) there, are the same as at the inner caps;
 - bar: E at the inner caps, which bound only this fallback, where the check
   fails.
 
@@ -40,9 +52,12 @@ the failing condition, instead of returning a table with no certified cell.
 """
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .bar import end_algebra, minimal_model, strict_end_algebra
+from .bar import (
+    MinimalModel, StrictEndAlgebra, _module_objects, end_algebra,
+    minimal_model, reduction_data, strict_end_algebra,
+)
 from .dg import DgAlgebra, DgModule, direct_sum_modules
 from .graded import Cohomology, Window
 
@@ -73,6 +88,64 @@ class CompletionResult:
         return self.completed.complex.cohomology(window=window or self.window)
 
 
+def _uncut_caps(m: DgModule) -> Union[Caps, str]:
+    """(L, W): the most slots and the heaviest slot weight sum of any
+    reduced bar tuple over m, so that E at those caps cuts nothing; or why
+    m's reduced bar is not finite.
+
+    A tuple is a chain of the algebra's nonzero-weight basis keys, each an
+    arrow from its lobj to its robj, starting at the object of a module key:
+    the bar is finite when no such chain reaches a directed cycle.  The
+    reason is kept with m, so it names only what depends on m alone."""
+    a = m.algebra
+    if not (a.space.fully_known() and m.space.fully_known()):
+        return "the algebra or the module is not fully known"
+    red = reduction_data(a)
+    objs = _module_objects(m, red) if red else None
+    if objs is None:
+        return "no reduced bar"
+    arrows: Dict[int, List[Tuple[int, int]]] = {}
+    for k in a.basis_keys():
+        if k[1]:
+            arrows.setdefault(red.lobj[k], []).append((red.robj[k], abs(k[1])))
+    longest: Dict[int, Caps] = {}  # per object, the longest chain from it
+    walking = set()
+
+    def walk(o: int) -> Optional[int]:
+        """Fill longest[o]; return the object a chain from o cycles at."""
+        if o in walking:
+            return o
+        if o not in longest:
+            walking.add(o)
+            n = w = 0
+            for t, wt in arrows.get(o, ()):
+                at = walk(t)
+                if at is not None:
+                    return at
+                n, w = max(n, longest[t][0] + 1), max(w, longest[t][1] + wt)
+            walking.discard(o)
+            longest[o] = (n, w)
+        return None
+
+    starts = sorted(set(objs.values()))
+    for o in starts:
+        at = walk(o)
+        if at is not None:
+            return f"slots cycle at object {at}"
+    return (max((longest[o][0] for o in starts), default=0),
+            max((longest[o][1] for o in starts), default=0))
+
+
+def _uncut_model(m: DgModule, caps: Caps) -> Union[MinimalModel, str]:
+    """REnd_a(m) as the minimal model of E built at m's uncut caps: nothing
+    is cut, so E is complete, and H(E) is taken on all weights; or why the
+    purity check refuses it."""
+    inner = end_algebra(m, caps[0], w_cap=caps[1], name=f"End({m.name})")
+    inner.space.mark_all_complete()
+    model, purity = minimal_model(inner, None)
+    return model if model is not None else f"uncut H(E): {purity['reason']}"
+
+
 def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
                        inner_caps: Optional[Caps] = None,
                        window: Optional[Window] = None,
@@ -80,21 +153,29 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
                        name: str = "") -> CompletionResult:
     """Complete a along m: endomorphisms of m over the opposite of End(m).
 
-    A module with the projective witness takes the strict model, exact by
-    Yoneda wherever m's space is known, so it is marked complete only when m
-    is fully known and certifies nothing otherwise.  It depends on m alone:
-    the first completion along m builds it and keeps it on m, with its
-    module over the opposite, and later ones at any caps reuse both, so each
-    pays only for its outer bar.  Nothing that depends on the caps is kept:
-    the minimal and bar models, the outer bar and the result are built per
-    call.  Any other module builds
-    E to weight w_out + spread, all the purity check up to w_out reads, and
-    takes the minimal model H(E), which knows what E's cohomology certifies
-    and no weight past w_out, or else E at inner_caps, which must clear
-    w_out by at least 2 and default to that margin.
-    ``diagnostics["strict"]`` records the witness behind the first choice,
-    and ``diagnostics["minimal"]`` the line found or the cell off it (None
-    for a strict model).
+    The inner model is REnd_a(m), which depends on m alone, so a module
+    keeps one cap-free inner model, or the reason it has none, and every
+    completion along it at any caps reuses the model and its module over
+    the opposite and pays only for its outer bar.  A module with the
+    projective witness keeps the strict model, exact by Yoneda wherever m's
+    space is known, so it is marked complete only when m is fully known and
+    certifies nothing otherwise.  Any other module whose reduced bar is
+    finite (``_uncut_caps``) keeps the minimal model of E built uncut, once
+    a call's inner caps admit the uncut caps (L, W): a call never builds
+    past its inner caps, and one that cannot admit them keeps nothing.
+    Nothing that depends on the caps is kept.
+
+    Every other call builds per call: E to weight w_out + spread, all the
+    purity check up to w_out reads, and takes the minimal model H(E), which
+    knows what E's cohomology certifies and no weight past w_out, or else E
+    at inner_caps, which must clear w_out by at least 2 and default to that
+    margin.  ``diagnostics["strict"]`` records the projective witness,
+    ``diagnostics["minimal"]`` the line found or the cell off it (None for
+    a strict model), and ``diagnostics["cap_free"]`` is None when the inner
+    model is the module's kept one and otherwise says why not: the slots
+    cycle, the uncut caps exceed the inner caps, the uncut H(E) is refused,
+    the algebra or the module is not fully known, or there is no reduced
+    bar.
 
     The outer model is the reduced bar at caps; an inner algebra it cannot
     reduce over raises ValueError naming the failing condition.
@@ -108,19 +189,32 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     if m.side != "right":
         raise ValueError("completion needs a right module")
     n_out, w_out = _check_caps(caps, "outer")
-
-    purity = None
-    if m.projective:
-        # kept on m, as reduction_data keeps _reduction on its algebra
-        inner_used = "strict"
-        inner = getattr(m, "_strict", None)
-        if inner is None:
-            inner = m._strict = strict_end_algebra(m)
-    else:
+    if not m.projective:
         n_in, w_in = _check_caps(inner_caps or (w_out + 2, w_out + 2), "inner")
         if w_in < w_out + 2:
             raise ValueError(
                 "inner caps must clear the outer weight cap by at least 2")
+
+    # kept on m, as reduction_data keeps _reduction on its algebra
+    cap_free = getattr(m, "_cap_free", None)
+    if cap_free is None:
+        if m.projective:
+            cap_free = m._cap_free = strict_end_algebra(m)
+        else:
+            uncut = _uncut_caps(m)
+            if isinstance(uncut, str):
+                cap_free = m._cap_free = uncut
+            elif uncut[0] > n_in or uncut[1] > w_in:
+                cap_free = (f"uncut caps {uncut} exceed the inner caps "
+                            f"{(n_in, w_in)}")
+            else:
+                cap_free = m._cap_free = _uncut_model(m, uncut)
+
+    if isinstance(cap_free, StrictEndAlgebra):
+        inner_used, inner, purity = "strict", cap_free, None
+    elif isinstance(cap_free, MinimalModel):
+        inner_used, inner, purity = "minimal", cap_free, dict(cap_free.purity)
+    else:
         mw = [k[1] for k in m.basis_keys()]
         w_read = min(w_in, w_out + (max(mw) - min(mw) if mw else 0))
         inner = end_algebra(m, n_in, w_cap=w_read, name=f"End({m.name})")
@@ -139,6 +233,7 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
         "strict": {"witness": m.projective,
                    "module_known": m.space.fully_known()},
         "minimal": purity,
+        "cap_free": cap_free if isinstance(cap_free, str) else None,
         "outer": {"budget": None},
     }
     return CompletionResult(inner, inner_used, completed, win, diagnostics)

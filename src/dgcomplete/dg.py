@@ -325,19 +325,22 @@ class DgModule:
     L, it gives a minimal resolution P of the module as a ``SemiFree``, in
     the layout ``bar``'s builders read, listing every generator within
     weight L of the lightest (each step of a minimal resolution raises the
-    weight by at least one).  Only ``TruncatedRing.residue_module`` sets
-    it, for k over a monomial complete intersection; its recipe keeps its
-    longest build and answers a shorter length with that build's prefix,
-    which is the build at that length.  No other constructor carries it
-    over, and None is no claim.  ``derived_hom`` and ``derived_tensor``
-    read it.
+    weight by at least one); called with a weight cap W as well, it keeps
+    only the generators within W of the lightest, in the same one copy.
+    Only ``TruncatedRing.residue_module`` sets it, for k over a monomial
+    complete intersection; its recipe keeps its longest build and answers
+    a shorter length with that build's prefix, which is the build at that
+    length.  No other constructor carries it over, and None is no claim.
+    ``derived_hom`` and ``derived_tensor`` read it.
 
     Nothing a module keeps depends on a cap, but for that longest build,
     a prefix of the cap-free resolution.  It keeps its object map for the
-    reduced bar (``bar._module_objects``), and the cap-free strict
-    endomorphism algebra a completion along it reads off ``projective``,
-    with that algebra's module over its opposite (see
-    ``complete.double_centralizer``).
+    reduced bar (``bar._module_objects``), and one cap-free inner model
+    REnd(m) that completions along it read, with that model's module over
+    its opposite, or the reason it has none (see
+    ``complete.double_centralizer``): the strict endomorphism algebra read
+    off ``projective``, or else, where m's reduced bar is finite, the
+    minimal model of its convolution algebra built uncut.
     """
 
     def __init__(self, algebra: DgAlgebra, complex: CochainComplex,
@@ -352,7 +355,7 @@ class DgModule:
         self.side = side
         self.name = name
         self.projective = projective
-        self.resolution: Optional[Callable[[int], SemiFree]] = None
+        self.resolution: Optional[Callable[..., SemiFree]] = None
 
     @property
     def field(self) -> Field:

@@ -224,21 +224,27 @@ class TruncatedRing:
         lighter ones, so the build at length L is the prefix of any longer
         build, generators and terms alike: a call no longer than the kept
         one returns that prefix as fresh lists, and a longer one builds
-        afresh and keeps that build instead."""
+        afresh and keeps that build instead.  Given a weight cap as well,
+        the one copy keeps only the prefix's generators within it of the
+        lightest, which d maps among themselves, since it lowers weight."""
         k = self.quotient_module(list(self.variables) or [], name=name)
         powers = _pure_powers(self)
         if (powers is not None and None not in powers
                 and (self.wmax is None or self.wmax >= sum(powers) - len(powers))):
             longest: Optional[Tuple[int, SemiFree]] = None
 
-            def resolution(length: int) -> SemiFree:
+            def resolution(length: int, w_cap: Optional[int] = None) -> SemiFree:
                 nonlocal longest
                 if length < 0:
                     raise ValueError("resolution length must be non-negative")
                 if longest is None or longest[0] < length:
                     longest = length, _witness(self, length)
                 p = longest[1]
-                return p.cut(range(bisect.bisect_right(p.degs, length, key=int.__neg__)))
+                keep = range(bisect.bisect_right(p.degs, length, key=int.__neg__))
+                if w_cap is not None:
+                    top = min(p.wts[i] for i in keep) + w_cap
+                    keep = [i for i in keep if p.wts[i] <= top]
+                return p.cut(keep)
 
             k.resolution = resolution
         return k

@@ -510,3 +510,40 @@ GOLDEN_TABLES = [
                          ids=[g[0] for g in GOLDEN_TABLES])
 def test_completions_keep_their_recorded_tables(build, digest):
     assert _table_digest(build()) == digest
+
+
+@pytest.mark.parametrize("name,n", [("triangular_12", 2), ("triangular_123", 3)])
+def test_the_completion_along_the_simples_is_the_path_algebra(name, n):
+    """ROADMAP item 18: H^0 of the completion along the simples of the path
+    algebra of 1 -> ... -> n, with the product p∘μ∘(i⊗i) of its classes, is
+    the path algebra on the certified cells: n - w paths at weight w, no
+    class in another degree, and the weight-1 arrows compose in one order
+    only, onto the path of weight 2.  Checked at two caps on one module, so
+    the second call reads the kept uncut model."""
+    sc = M.build_scenario(name)
+    a, m = sc["algebra"], sc["module"]
+    results = [complete.double_centralizer(a, m, (c, c)) for c in (3, 2)]
+    assert results[0].inner is results[1].inner
+    for cap, res in zip((3, 2), results):
+        assert res.diagnostics["cap_free"] is None
+        win = Window(-2, 2, cap)
+        h = res.cohomology(win)
+        cert, _ = _certified(h, win)
+        assert {(0, w) for w in range(cap + 1)} <= set(cert)
+        assert {c: h.dim(*c) for c in cert} == {
+            c: max(n - c[1], 0) if c[0] == 0 and c[1] >= 0 else 0 for c in cert}
+        reps = h.representatives
+
+        def times(k1, k2):
+            return h.project(res.completed.multiply(reps[k1], reps[k2]))
+
+        arrows = h.space.keys(0, 1)
+        products = {(x, y): times(x, y) for x in arrows for y in arrows}
+        nonzero = [xy for xy, p in products.items() if p]
+        if n == 2:
+            assert nonzero == []
+        else:
+            assert len(nonzero) == 1
+            (x, y), = nonzero
+            assert x != y and products[(y, x)] == {}
+            assert list(products[(x, y)]) == h.space.keys(0, 2)

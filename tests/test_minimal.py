@@ -11,7 +11,9 @@ import pytest
 from dgcomplete import complete
 from dgcomplete import models as M
 from dgcomplete.bar import _reduction_data, end_algebra, minimal_model, reduction_data
-from dgcomplete.dg import DgModule, direct_sum_modules
+from dgcomplete.dg import (
+    DgCategoryPresentation, DgModule, category_algebra, direct_sum_modules,
+)
 from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.linalg import RATIONALS as F
 
@@ -152,12 +154,14 @@ def test_e_at_the_weights_read_agrees_with_e_at_the_inner_caps(build, cap):
 
 
 @pytest.mark.parametrize("build,cap,w_read,keys", [
-    (lambda: _koszul(6), 6, 6, 64), (_staggered_simples, 3, 4, 3)],
+    (lambda: _koszul(6), 6, 6, 64), (_staggered_simples, 3, 1, 3)],
     ids=["koszul_kx w6 cap 6", "staggered simples cap 3"])
 def test_the_minimal_path_builds_e_only_to_the_cap_plus_the_spread(
         build, cap, w_read, keys):
     """E is read only to the outer cap plus the module's spread: for k over
-    k[x] (spread 0) 64 keys at cap 6, where the inner caps would give 252."""
+    k[x] (spread 0) 64 keys at cap 6, where the inner caps would give 252.
+    A finite bar needs less: S1 ⊕ S2 over 1 -> 2 has one slot of weight 1,
+    so E is built uncut at W = 1, where the cap plus the spread is 4."""
     sc = build()
     r = complete.double_centralizer(sc["algebra"], sc["module"], (cap, cap))
     assert r.inner_used == "minimal"
@@ -273,3 +277,183 @@ def test_koszul_kx_completes_at_cap_8_over_nine_outer_elements():
     h = r.cohomology(Window(-2, 2, 8))
     assert {c: h.dim(*c) for c in h.space.cells if h.certificate.exact_at(*c)} == {
         (0, w): 1 for w in range(0, 9)}
+
+
+# -- the uncut model kept on a module with a finite bar ----------------------
+
+def _counted_ends(monkeypatch):
+    """The (module, n_max, w_cap, reduced) of every end_algebra a
+    completion builds, in call order."""
+    calls = []
+    build = complete.end_algebra
+
+    def counted(m, n_max, w_cap=None, reduced=None, name=""):
+        calls.append((m, n_max, w_cap, reduced))
+        return build(m, n_max, w_cap=w_cap, reduced=reduced, name=name)
+
+    monkeypatch.setattr(complete, "end_algebra", counted)
+    return calls
+
+
+def _answer(r):
+    h = r.cohomology()
+    return (h.dims_by_cell(), h.certificate.status, r.inner_used,
+            r.diagnostics["minimal"])
+
+
+# a module with a finite bar, its uncut caps (L, W), and the outer caps at
+# which the kept model certifies more than the per-call one: triangular_n
+# along its simples has one chain of n - 1 slots of weight 1, 1 -> ... -> n
+FINITE = [(f"triangular_{n}", lambda n=n: _triangular(n), (n - 1, n - 1), ())
+          for n in range(2, 8)] + [
+    ("staggered simples", _staggered_simples, (1, 1), (1,))]
+
+
+@pytest.mark.parametrize("order", ["rising", "falling"])
+@pytest.mark.parametrize("build,uncut,more", [f[1:] for f in FINITE],
+                         ids=[f[0] for f in FINITE])
+def test_completions_along_one_module_build_its_uncut_model_once(
+        monkeypatch, build, uncut, more, order):
+    """E built uncut is REnd(m) at every cap, so completions along one
+    module at caps 1-5, with inner caps that admit its uncut caps, build it
+    once and then only one outer bar per call, and each answers what a fresh
+    module answers on the per-call path (forced here by refusing the route,
+    since caps clearing the outer cap by 2 admit most of these modules).
+
+    One cell set differs: at cap 1 the staggered simples' per-call H(E)
+    holds only weight 0, whose sign nothing fixes, so its outer bar
+    certifies no cell; the uncut model has its class at (2, -2), and the
+    outer bar certifies the weights -1 and 0, with the values cap 2 gives."""
+    caps = [1, 2, 3, 4, 5] if order == "rising" else [5, 4, 3, 2, 1]
+    inner = (max(uncut[0], 7), max(uncut[1], 7))
+    calls = _counted_ends(monkeypatch)
+    sc = build()
+    a, m = sc["algebra"], sc["module"]
+    results = [complete.double_centralizer(a, m, (c, c), inner_caps=inner)
+               for c in caps]
+    assert [c[1:] for c in calls if c[0] is m] == [(*uncut, None)]
+    over = results[0].inner.module_over_opposite()
+    assert [c for c in calls if c[0] is not m] == [
+        (over, c, c, True) for c in caps]
+    assert all(r.inner is results[0].inner for r in results)
+    assert all(r.diagnostics["cap_free"] is None for r in results)
+    monkeypatch.setattr(complete, "_uncut_caps", lambda m: "refused")
+    for c, r in zip(caps, results):
+        fresh = build()
+        per_call = complete.double_centralizer(
+            fresh["algebra"], fresh["module"], (c, c), inner_caps=inner)
+        assert per_call.diagnostics["cap_free"] == "refused"
+        got, want = _answer(r), _answer(per_call)
+        if c in more:
+            assert not any(want[1].values())
+            certified = {cell for cell, ok in got[1].items() if ok}
+            assert certified == {cell for cell in got[1] if cell[1] <= 0}
+            two = results[caps.index(2)].cohomology()
+            assert all(r.cohomology().dim(*cell) == two.dim(*cell)
+                       and two.certificate.exact_at(*cell) for cell in certified)
+            got, want = got[:1] + got[2:], want[:1] + want[2:]
+        assert got == want
+
+
+def test_koszul_kx_never_builds_the_uncut_model(monkeypatch):
+    """k over k[x]: the slot x is a loop, so the bar is infinite, the module
+    keeps that refusal, and every call builds E per call to cap + spread."""
+    calls = _counted_ends(monkeypatch)
+    sc = _koszul(7)
+    a, m = sc["algebra"], sc["module"]
+    caps = [3, 6, 4, 3]
+    for c in caps:
+        r = complete.double_centralizer(a, m, (c, c))
+        assert r.inner_used == "minimal"
+        assert r.diagnostics["cap_free"] == "slots cycle at object 0"
+    assert [c[1:] for c in calls if c[0] is m] == [
+        (c + 2, c, None) for c in caps]
+    assert m._cap_free == "slots cycle at object 0"
+
+
+def test_triangular_7_builds_per_call_until_its_inner_caps_admit_6_6(
+        monkeypatch):
+    """Its uncut caps (6, 6) exceed inner caps (4, 4), which then build E
+    per call and keep nothing; the first call whose inner caps admit them
+    builds and keeps the uncut model, which later calls at (4, 4) read."""
+    calls = _counted_ends(monkeypatch)
+    sc = _triangular(7)
+    a, m = sc["algebra"], sc["module"]
+    reasons = []
+    for inner in [(4, 4), (4, 4), (6, 5), (5, 6), (6, 6), (4, 4)]:
+        r = complete.double_centralizer(a, m, (2, 2), inner_caps=inner)
+        assert r.inner_used == "minimal"
+        reasons.append(r.diagnostics["cap_free"])
+    too_small = "uncut caps (6, 6) exceed the inner caps {}".format
+    assert reasons == [too_small((4, 4)), too_small((4, 4)), too_small((6, 5)),
+                       too_small((5, 6)), None, None]
+    assert [c[1:] for c in calls if c[0] is m] == [
+        (4, 2, None), (4, 2, None), (6, 2, None), (5, 2, None), (6, 6, None)]
+
+
+def _off_line_chain():
+    """The simples of 1 -a-> 2 -b-> 3 with a at weight 1 and b at weight 2:
+    Ext¹ at (1, -1) and (1, -2) lie on no one line through the origin."""
+    pres = DgCategoryPresentation(["O1", "O2", "O3"])
+    for i in (1, 2, 3):
+        pres.add_morphism(f"e{i}", f"O{i}", f"O{i}", identity=True)
+    pres.add_morphism("a", "O1", "O2", wt=1)
+    pres.add_morphism("b", "O2", "O3", wt=2)
+    pres.add_morphism("ab", "O1", "O3", wt=3)
+    pres.set_then("a", "b", {"ab": 1})
+    alg = category_algebra(pres, F, name="1 -1-> 2 -2-> 3")
+    return {"algebra": alg, "module": M.sum_of_simples(alg, ["O1", "O2", "O3"])}
+
+
+def _partly_known_simple():
+    """S(O1) over 1 -> 2 whose space claims nothing beyond its cell."""
+    alg = M.path_chain_algebra(F, 2)
+    m = _simple_at(alg, "O1", 0, 0)
+    m.space.zero_outside = False
+    m.space.known_cols = {}
+    return {"algebra": alg, "module": m}
+
+
+@pytest.mark.parametrize("build,cap,reason", [
+    (lambda: _koszul(5), 3, "slots cycle at object 0"),
+    (lambda: _triangular(7), 2, "uncut caps (6, 6) exceed the inner caps (4, 4)"),
+    (_off_line_chain, 1, "uncut H(E): class at (1, -2) off its line"),
+    (_partly_known_simple, 2, "the algebra or the module is not fully known"),
+], ids=["cycle", "caps", "off line", "not known"])
+def test_diagnostics_say_why_the_inner_model_is_built_per_call(build, cap, reason):
+    """``diagnostics["cap_free"]`` names why a module has no kept inner
+    model, and a second call reads the same reason."""
+    sc = build()
+    for _ in range(2):
+        r = complete.double_centralizer(sc["algebra"], sc["module"], (cap, cap))
+        assert r.diagnostics["cap_free"] == reason
+        assert r.inner_used == "minimal"
+
+
+def test_the_off_line_chain_keeps_its_refusal_and_builds_per_call():
+    """The uncut H(E) fails purity at (1, -2), past outer cap 1: the call
+    takes the minimal model per call at cap 1 and the bar model at cap 2,
+    as a module without the route would."""
+    sc = _off_line_chain()
+    a, m = sc["algebra"], sc["module"]
+    assert complete._uncut_caps(m) == (2, 3)
+    got = [complete.double_centralizer(a, m, (c, c)) for c in (1, 2, 1)]
+    assert [r.inner_used for r in got] == ["minimal", "bar", "minimal"]
+    assert m._cap_free == "uncut H(E): class at (1, -2) off its line"
+
+
+def test_a_module_that_is_not_object_homogeneous_has_no_reduced_bar():
+    """S1 ⊕ S2 over 1 -> 2 in the basis s1 + s2, s1 - s2: the idempotents
+    do not fix its keys, so there are no slots to chain."""
+    alg = M.path_chain_algebra(F, 2)
+    sp = BiGradedSpace(F)
+    sp.add_cell(0, 0, ["u", "v"])
+    sp.mark_all_complete()
+    u, v = sp.keys(0, 0)
+    half = F.of("1/2")
+    e1, e2 = (next(iter(alg.idempotents[o])) for o in ("O1", "O2"))
+    action = {(u, e1): {u: half, v: half}, (v, e1): {u: half, v: half},
+              (u, e2): {u: half, v: -half}, (v, e2): {u: -half, v: half}}
+    m = DgModule(alg, CochainComplex(sp), action, side="right", name="rotated")
+    assert m.validate().ok
+    assert complete._uncut_caps(m) == "no reduced bar"

@@ -13,7 +13,7 @@ import pytest
 from dgcomplete import models as M
 from dgcomplete.bar import derived_hom, derived_tensor
 from dgcomplete.dg import (
-    DgModule, direct_sum_modules, identity_morphism, regular_module,
+    DgModule, SemiFree, direct_sum_modules, identity_morphism, regular_module,
     restrict_scalars, shift_module,
 )
 from dgcomplete.graded import Window
@@ -219,6 +219,33 @@ def test_editing_a_returned_witness_leaves_the_next_answer_unchanged():
     for length in (6, 4):
         got, want = k.resolution(length), M._witness(ring, length)
         assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
+def test_a_weight_cap_cuts_the_kept_build_in_the_one_copy(monkeypatch, spec):
+    """Given a weight cap, the recipe answers with the generators of the
+    length's prefix within it of the lightest, as cutting its plain answer
+    by weight does, and Ext and Tor copy the kept build once per call."""
+    ring = M.truncated_poly(GF, *spec)
+    k = ring.residue_module()
+    k.resolution(8)
+    for length in (8, 5):
+        whole = k.resolution(length)
+        w0 = min(whole.wts)
+        for w_cap in range(length + 2):
+            want = whole.cut([i for i, w in enumerate(whole.wts) if w - w0 <= w_cap])
+            assert _fields(k.resolution(length, w_cap)) == _fields(want)
+    copies = []
+    cut = SemiFree.cut
+
+    def counted(p, keep):
+        copies.append(p)
+        return cut(p, keep)
+
+    monkeypatch.setattr(SemiFree, "cut", counted)
+    derived_hom(k, k, 6, 3)
+    derived_tensor(k, trivial_left(k.algebra), 7)
+    assert len(copies) == 2
 
 
 def test_the_recipe_checks_the_bidegree_of_each_entry(monkeypatch):
