@@ -410,30 +410,68 @@ class TestInfinExt:
         # P, P^, P^^, P', P'^, P⊗P, (P⊗P)^, (P⊗P)^^, P^⊗P^, P'⊗P', (P'⊗P')^
         assert len(built) <= 11
 
-    def test_reports_pinned_over_a_prime_field(self):
-        gf = Field(32003)
-        reports = [M.infin_ext_check(M.truncated_poly(gf, ["x"], [f"x^{t}"]),
-                                     window=(-3, 3), length=6)
-                   for t in range(2, 7)]
-        reports += [M.infin_ext_check(M.truncated_poly(gf, vs, [], wmax=4),
-                                      window=(-2, 2), length=4)
-                    for vs in (["x"], ["x", "y"])]
+    @staticmethod
+    def _digest(reports):
         text = "".join(repr(sorted(rep.items(), key=str)) for rep in reports)
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "d1ddec90717420510b542bc3932a1535c6fa36e7a278f3136f8a8ec98ea07396")
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_reports_pinned_over_a_prime_field(self):
+        """The benchmark's shapes and the free lines, over GF(32003) and
+        over QQ; every entry of a report is an integer, so the two digests
+        are one."""
+        for field, digest in (
+                (Field(32003),
+                 "d1ddec90717420510b542bc3932a1535c6fa36e7a278f3136f8a8ec98ea07396"),
+                (F, "d1ddec90717420510b542bc3932a1535c6fa36e7a278f3136f8a8ec98ea07396")):
+            reports = [M.infin_ext_check(M.truncated_poly(field, ["x"], [f"x^{t}"]),
+                                         window=(-3, 3), length=6)
+                       for t in range(2, 7)]
+            reports += [M.infin_ext_check(M.truncated_poly(field, vs, [], wmax=4),
+                                          window=(-2, 2), length=4)
+                        for vs in (["x"], ["x", "y"])]
+            assert self._digest(reports) == digest, field
 
     # the window's band and the whole complex, on rings, windows and
     # lengths the benchmark's infin_ext jobs do not draw
     BANDED = ([(["x"], [f"x^{t}"], None) for t in range(2, 7)]
               + [(["x"], [], 4), (["x", "y"], [], 4), ([], [], None)])
+    BANDED_RUNS = [(w, length, n) for w in (2, 4) for length in (2 * w, 2 * w + 2)
+                   for n in ((2, 3) if w == 2 and length == 4 else (2,))]
+
+    def test_banded_shapes_keep_their_pinned_reports(self):
+        """Every report of the BANDED shapes, the field k and n_check 3
+        among them, over GF(32003)."""
+        reports = [M.infin_ext_check(M.truncated_poly(Field(32003), *spec),
+                                     window=(-w, w), length=length, n_check=n)
+                   for spec in self.BANDED for w, length, n in self.BANDED_RUNS]
+        assert self._digest(reports) == (
+            "541fe2390b19811a272bfb99952f2d47e85f44418fbbdcef95de4ac41f76bc80")
+
+    # the closed form of the certified degrees: the rings with and without
+    # a power above 1, every window -3 <= lo <= 0 <= hi <= 2, three lengths
+    CERTIFIED = [([], [], None), (["x"], ["x"], None), (["x"], [], 4),
+                 (["x", "y"], [], 3)] + [(["x"], [f"x^{t}"], None) for t in (2, 3, 5)]
+
+    @pytest.mark.parametrize("spec", CERTIFIED, ids=lambda s: f"{s[0]}/{s[1]}|{s[2]}")
+    def test_certified_degrees_follow_the_closed_form(self, spec):
+        """[max(lo, 1 - length), min(hi, length - 1)] at every n when some
+        relation is a power above 1, the window [lo, hi] otherwise."""
+        ring = M.truncated_poly(F, *spec)
+        periodic = any(max(rel) > 1 for rel in ring.relations)
+        for lo in range(-3, 1):
+            for hi in range(0, 3):
+                for length in range(2 * max(-lo, hi), 2 * max(-lo, hi) + 3):
+                    rep = M.infin_ext_check(ring, window=(lo, hi), length=length)
+                    want = ([max(lo, 1 - length), min(hi, length - 1)] if periodic
+                            else [lo, hi])
+                    assert rep["certified_degrees"] == {1: want, 2: want}, (lo, hi, length)
 
     @pytest.mark.parametrize("spec", BANDED, ids=lambda s: f"{s[0]}/{s[1]}|{s[2]}")
     def test_banded_reports_equal_whole_ones(self, spec, monkeypatch):
         """infin_ext_check realizes only the generators of degree lo-1..hi+1;
         its reports equal those built from the whole complexes."""
         ring = M.truncated_poly(Field(32003), *spec)
-        runs = [(w, length, n) for w in (2, 4) for length in (2 * w, 2 * w + 2)
-                for n in ((2, 3) if w == 2 and length == 4 else (2,))]
+        runs = self.BANDED_RUNS
         banded = [M.infin_ext_check(ring, window=(-w, w), length=length, n_check=n)
                   for w, length, n in runs]
         whole_cx, whole_map = M.FreeComplex.to_complex, M.FreeMap.realize
