@@ -358,16 +358,13 @@ class AlgebraDiagram:
             e = self.maps[t].apply(e)
         return e
 
-    def morphism(self, arrow: str) -> AlgebraMorphism:
-        return AlgebraMorphism(self.algebras[self.cat.src(arrow)],
-                               self.algebras[self.cat.tgt(arrow)],
-                               self.maps[arrow])
-
     def validate(self, seed: int = 0) -> ValidationReport:
         """Unital chain algebra maps on every arrow, functorial on composites."""
         violations = []
         for nm in sorted(self.cat.arrows):
-            rep = self.morphism(nm).validate(seed=seed)
+            rep = AlgebraMorphism(self.algebras[self.cat.src(nm)],
+                                  self.algebras[self.cat.tgt(nm)],
+                                  self.maps[nm]).validate(seed=seed)
             if not rep.ok:
                 violations.append((f"map:{nm}", rep.violations[0]))
         for (g, f) in sorted(self.cat.compose):

@@ -205,12 +205,6 @@ class SparseMatrix:
                 and self.cols == other.cols and self.field == other.field
                 and self.entries == other.entries)
 
-    def transpose(self) -> "SparseMatrix":
-        t = SparseMatrix(self.cols, self.rows, self.field)
-        for (r, c), v in self.entries.items():
-            t.entries[(c, r)] = v
-        return t
-
     def mul(self, other: "SparseMatrix") -> "SparseMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch {self.rows}x{self.cols} @ {other.rows}x{other.cols}")

@@ -5,15 +5,22 @@ registry.
 Rings here are spanned by standard monomials of a monomial ideal, optionally
 cut off above a weight bound; that keeps every product table exact and every
 derived computation an honest finite quotient.
+
+A free complex over such a ring is a ``dg.SemiFree``, the layout the Hom
+and tensor builders of ``bar`` read; its maps are the same flat lists plus
+a degree.  Duals, tensors, composites and the d² and chain-map checks are
+small functions over those lists, and a complex is realized over the field
+as P ⊗_R R by ``bar._two_sided``.  ``_witness`` builds every resolution.
 """
 from __future__ import annotations
 
 import bisect
 import itertools
 import random
-import weakref
+from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from .bar import _two_sided
 from .dg import (
     AlgebraMorphism, DgAlgebra, DgCategoryPresentation, DgModule, SemiFree,
     category_algebra, direct_sum_modules, right_ideal_module,
@@ -22,7 +29,7 @@ from .graded import (
     BiGradedSpace, CochainComplex, Elt, GradedMap, Key, Window, induced_rank,
 )
 from .holim import AlgebraDiagram, SmallCategory, chain_poset, poset_category
-from .linalg import Field, RATIONALS, Scalar, SparseMatrix
+from .linalg import Field, RATIONALS, Scalar, SparseMatrix, _add
 
 Mono = Tuple[int, ...]
 
@@ -216,8 +223,8 @@ class TruncatedRing:
         """k = R/(x_1..x_r).  When R is a monomial complete intersection
         k[x_1..x_r]/(x_i^{t_i}) whose weight cap cuts no monomial, k
         carries the recipe of its minimal resolution as a ``SemiFree`` over
-        R, built by ``_witness`` straight from the data ``free_resolution``
-        builds its complex from.
+        R: what ``free_resolution`` returns, built by the one builder
+        ``_witness``, which refuses a negative length.
 
         The recipe keeps its longest build.  Its generators are sorted by
         index sum, which is minus the degree, and each d(g) reaches only
@@ -235,10 +242,9 @@ class TruncatedRing:
 
             def resolution(length: int, w_cap: Optional[int] = None) -> SemiFree:
                 nonlocal longest
-                if length < 0:
-                    raise ValueError("resolution length must be non-negative")
-                if longest is None or longest[0] < length:
-                    longest = length, _witness(self, length)
+                # a negative length goes to _witness too, which refuses it
+                if longest is None or not 0 <= length <= longest[0]:
+                    longest = length, _witness(self, powers, length)
                 p = longest[1]
                 keep = range(bisect.bisect_right(p.degs, length, key=int.__neg__))
                 if w_cap is not None:
@@ -332,345 +338,272 @@ def adic_tower(ring: TruncatedRing, ideal_gens: Sequence[str],
 
 
 # -- free complexes over a ring ----------------------------------------------
+#
+# A free complex over a TruncatedRing R is a ``dg.SemiFree`` over R's one
+# object whose keys are R's monomial keys, each kid an index into
+# ``R.monomials``, with no scalar terms and its terms in order of src.  A map
+# of free complexes is the same four lists plus its degree: term x puts
+# coef[x]·m·h into f(g) for g, h = src[x], dst[x] and m = R.monomials[kid[x]].
+# Every complex or map the functions below build has at most one term per
+# (g, h, m) and none with a zero coefficient.
 
-FreeElt = Dict[Tuple[str, Mono], Scalar]
-Rows = Dict[str, FreeElt]
-Band = Optional[Tuple[int, int]]
+Map = Tuple[List[int], List[int], List[int], List[Scalar], int]
+# a realization: the complex over the field, and at[i][g], the place of g
+# times the i-th monomial in its cell, -1 where it is not realized
+Realized = Tuple[CochainComplex, List[List[int]]]
 
 
-def _check_bidegrees(ring: TruncatedRing, rows: Iterable[Tuple[str, FreeElt]],
-                     src: Dict, tgt: Dict, deg: int) -> None:
-    """Each entry c·m·h of each (g, image of g) in rows, dead m included,
-    keeps the bidegree of a map of degree deg, |h| = |g| + deg and
-    w_h + |m| = w_g; else ValueError."""
+def _check_bidegrees(ring: TruncatedRing, terms: Iterable[Tuple[int, int, Mono]],
+                     src: SemiFree, tgt: SemiFree, deg: int) -> None:
+    """Each term (g, h, m) of a map of degree deg from src to tgt, dead m
+    included, keeps the bidegree, |h| = |g| + deg and w_h + |m| = w_g;
+    else ValueError."""
     weights = ring._weights
-    for g, row in rows:
-        dg, wg = src[g]
-        for (h, m) in row:
-            dh, wh = tgt[h]
-            wm = weights[m] if m in weights else sum(m)
-            if dh != dg + deg or wh + wm != wg:
-                raise ValueError(
-                    f"{g} in bidegree {(dg, wg)} maps to {mono_label(m, ring.variables)}"
-                    f"*{h} in bidegree {(dh, wh + wm)}, not {(dg + deg, wg)}"
-                    " (degree, weight)")
+    for g, h, m in terms:
+        dg, wg, dh, wh = src.degs[g], src.wts[g], tgt.degs[h], tgt.wts[h]
+        wm = weights[m] if m in weights else sum(m)
+        if dh != dg + deg or wh + wm != wg:
+            raise ValueError(
+                f"{src.labels[g]} in bidegree {(dg, wg)} maps to "
+                f"{mono_label(m, ring.variables)}*{tgt.labels[h]} in bidegree "
+                f"{(dh, wh + wm)}, not {(dg + deg, wg)} (degree, weight)")
 
 
-class FreeComplex:
-    """Bounded complex of finite free modules over a TruncatedRing.
-
-    ``gens`` lists (name, degree, weight).  ``rows[g]`` is d(g) as
-    {(h, monomial tuple): field scalar}, the ring coefficient of h being a
-    sum of such terms; degrees rise by one and weights balance, which the
-    constructor checks on every entry before it drops dead or zero ones.
-    ``d`` reads the differential as a degree-1 FreeMap to the complex.
-
-    When ``honest_tracked`` is set, ``honest_min``/``honest_max`` bound the
-    degrees where the cohomology agrees with the untruncated object (None
-    meaning unbounded on that side); untracked complexes make no claim.
-    ``dual()`` and ``tensor(other)`` build each complex once and keep it.
-    """
-
-    def __init__(self, ring: TruncatedRing, gens: Sequence[Tuple[str, int, int]],
-                 rows: Rows, name: str = "",
-                 honest_min: Optional[int] = None,
-                 honest_max: Optional[int] = None,
-                 honest_tracked: bool = True):
-        self.ring = ring
-        self.field = ring.field
-        self.gens = list(gens)
-        self.info = {n: (d, w) for (n, d, w) in self.gens}
-        if len(self.info) != len(self.gens):
-            raise ValueError("duplicate generator names")
-        self.name = name
-        self.honest_min = honest_min
-        self.honest_max = honest_max
-        self.honest_tracked = honest_tracked
-        _check_bidegrees(ring, rows.items(), self.info, self.info, 1)
-        times, char = ring._times, ring.field.char
-        self._rows: Rows = {}
-        for g, row in rows.items():
-            kept = {k: c for k, c in row.items()
-                    if k[1] in times and (c % char if char else c)}
-            if kept:
-                self._rows[g] = kept
-        self._dual: Optional[FreeComplex] = None
-        self._laid: Dict[Band, Tuple[Dict, Dict]] = {}
-        # weak keys: a product dies with its factor, and holds no cycle
-        self._tensors: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    @property
-    def d(self) -> "FreeMap":
-        """The differential, a degree-1 map of the complex to itself."""
-        return FreeMap(self, self, self._rows, deg=1)
-
-    def validate(self) -> Optional[str]:
-        """First generator with d² != 0, or None."""
-        dd = self.d.compose(self.d).entries
-        return next((g for (g, _, _) in self.gens if g in dd), None)
-
-    def dual(self) -> "FreeComplex":
-        """Hom into the ring; generator g^ in bidegree (-deg, -wt)."""
-        if self._dual is None:
-            hmin = None if self.honest_max is None else -self.honest_max
-            hmax = None if self.honest_min is None else -self.honest_min
-            self._dual = FreeComplex(
-                self.ring, [(f"{g}^", -d, -w) for (g, d, w) in self.gens],
-                self.d.transpose(), name=f"({self.name})^",
-                honest_min=hmin, honest_max=hmax,
-                honest_tracked=self.honest_tracked)
-        return self._dual
-
-    def tensor(self, other: "FreeComplex") -> "FreeComplex":
-        """Tensor over the ring, differential d⊗1 + 1⊗d.
-
-        Honesty bounds survive only when both factors are junk-free above
-        and generated in degrees <= 0: removed cells then sit below every
-        tracked degree, so the comparison long exact sequence localizes the
-        damage under max(honest_min).
-        """
-        if other.ring is not self.ring:
-            raise ValueError("tensor needs complexes over the same ring")
-        if other in self._tensors:
-            return self._tensors[other]
-
-        def exact(c: "FreeComplex") -> bool:
-            return (c.honest_tracked and c.honest_min is None
-                    and c.honest_max is None)
-
-        # two exact complexes tensor to the true object outright
-        trackable = (exact(self) and exact(other)) or (
-            self.honest_tracked and other.honest_tracked
-            and self.honest_max is None and other.honest_max is None
-            and all(d <= 0 for (_, d, _) in self.gens + other.gens))
-        gens = [(f"{g}|{h}", dg + dh, wg + wh)
-                for (g, dg, wg) in self.gens for (h, dh, wh) in other.gens]
-        rows = _koszul([(self.d, identity_free_map(other)),
-                        (identity_free_map(self), other.d)])
-        mins = [b for b in (self.honest_min, other.honest_min) if b is not None]
-        out = FreeComplex(self.ring, gens, rows,
-                          name=f"{self.name}⊗{other.name}",
-                          honest_min=(max(mins) if mins else None) if trackable
-                          else None,
-                          honest_tracked=trackable)
-        self._tensors[other] = out
-        return out
-
-    def _layout(self, band: Band = None) -> Tuple[Dict[Tuple[int, int], List],
-                                                  Dict[str, Dict[Mono, int]]]:
-        """The realization's cells {(degree, weight): labels}, label
-        (generator, monomial) for each generator of degree in the band (all
-        when None) times each monomial, and the places: places[g][m] is the
-        index of g times m in its cell.  Laid out once per band."""
-        laid = self._laid.get(band)
-        if laid is None:
-            ring = self.ring
-            weights, labels = ring._weights, ring._labels
-            cells: Dict[Tuple[int, int], List] = {}
-            places: Dict[str, Dict[Mono, int]] = {}
-            for (g, d, w) in self.gens:
-                if band is not None and not band[0] <= d <= band[1]:
-                    continue
-                at = places[g] = {}
-                for m in ring.monomials:
-                    lbls = cells.setdefault((d, w + weights[m]), [])
-                    at[m] = len(lbls)
-                    lbls.append((g, labels[m]))
-            laid = self._laid[band] = (cells, places)
-        return laid
-
-    def to_complex(self, band: Band = None) -> CochainComplex:
-        """Realization as a complex over the field, without the module
-        action: the cells of ``_layout``, every cell known.  On a degree
-        band (lo, hi) only generators of degree lo..hi are realized and each
-        weight the whole complex reaches is known on lo..hi alone, so the
-        cohomology is the whole complex's, certified, on lo+1..hi-1 only."""
-        sp = BiGradedSpace(self.field)
-        for (d, w), lbls in sorted(self._layout(band)[0].items()):
-            sp.add_cell(d, w, lbls)
-        if band is None:
-            sp.mark_all_complete()
-        elif self.gens:
-            wts = [w for (_, _, w) in self.gens]
-            for w in range(min(wts), max(wts) + max(self.ring._weights.values()) + 1):
-                sp.set_known(w, *band)
-        return CochainComplex(sp, self.d.realize(sp, sp, band))
-
-    def to_module(self, name: str = "") -> DgModule:
-        """Realization as a right module over the ring's algebra:
-        ``to_complex`` with each monomial acting by multiplication."""
-        ring, f = self.ring, self.field
-        cx = self.to_complex()
-        places = self._layout()[1]
-        action: Dict[Tuple[Key, Key], Elt] = {}
-        for (g, d, w) in self.gens:
-            at = places[g]
-            for m in ring.monomials:
-                src = (d, w + sum(m), at[m])
-                for a, p in ring._times[m].items():
-                    action[(src, ring.mono_key(a))] = {(d, w + sum(p), at[p]): f.one}
-        return DgModule(ring.algebra, cx, action, side="right",
-                        name=name or self.name)
+def _check_map(ring: TruncatedRing, f: Map, src: SemiFree, tgt: SemiFree) -> None:
+    monos = ring.monomials
+    _check_bidegrees(ring, ((g, h, monos[k]) for g, h, k in zip(*f[:3])), src, tgt, f[4])
 
 
-def _koszul(pairs: Sequence[Tuple["FreeMap", "FreeMap"]]) -> Rows:
-    """Rows of the sum of f⊗g over the pairs, with the Koszul sign
-    (f⊗g)(a⊗b) = (-1)^{|g||a|} f(a)⊗g(b)."""
-    rows: Rows = {}
-    names: Dict[Tuple[str, str], str] = {}
-    for fm, gm in pairs:
-        times, char = fm.source.ring._times, fm.source.field.char
-        for (a, da, _) in fm.source.gens:
-            fa = fm.entries.get(a)
-            if not fa:
-                continue
-            if gm.deg * da % 2:
-                fa = {k: -c for k, c in fa.items()}
-            for (b, _, _) in gm.source.gens:
-                gb = gm.entries.get(b)
-                if not gb:
-                    continue
-                row = rows.setdefault(f"{a}|{b}", {})
-                for (h1, m1), c1 in fa.items():
-                    by_m1 = times[m1]
-                    for (h2, m2), c2 in gb.items():
-                        p = by_m1.get(m2)
-                        if p is not None:
-                            hh = (names.get((h1, h2))
-                                  or names.setdefault((h1, h2), f"{h1}|{h2}"))
-                            v = row.get((hh, p), 0) + c1 * c2
-                            row[hh, p] = v % char if char else v
+def _index_times(ring: TruncatedRing) -> List[Dict[int, int]]:
+    """``ring._times`` by index into ``ring.monomials``."""
+    at = {m: i for i, m in enumerate(ring.monomials)}
+    return [{at[b]: at[p] for b, p in ring._times[a].items()} for a in ring.monomials]
+
+
+def _lists(terms: Iterable[Tuple[int, int, int, Scalar]]) -> List[List]:
+    """Terms (src, dst, kid, coef) as the four flat lists."""
+    terms = list(terms)
+    return [[t[i] for t in terms] for i in range(4)]
+
+
+def _d(p: SemiFree) -> Map:
+    """The differential, a map of degree 1 of p to itself."""
+    return p.src, p.dst, p.kid, p.coef, 1
+
+
+def _rows(f: Map, n: int) -> List[List[Tuple[int, int, Scalar]]]:
+    """The terms (h, kid, coef) of f(g) for each of the n source generators."""
+    rows: List[List[Tuple[int, int, Scalar]]] = [[] for _ in range(n)]
+    for g, h, k, c in zip(*f[:4]):
+        rows[g].append((h, k, c))
     return rows
 
 
-class FreeMap:
-    """Map of free complexes raising degree by ``deg`` (0 for a chain map,
-    1 for a differential): ``entries[g]`` is the image of g as
-    {(h, monomial tuple): field scalar}."""
+def _flat(rows: Sequence[Dict[Tuple[int, int], Scalar]], deg: int) -> Map:
+    """The map whose f(g) is rows[g], {(h, kid): coef}, zero terms dropped."""
+    return (*_lists((g, h, k, c) for g, row in enumerate(rows)
+                    for (h, k), c in row.items() if c), deg)
 
-    def __init__(self, source: FreeComplex, target: FreeComplex,
-                 entries: Rows, deg: int = 0):
-        self.source = source
-        self.target = target
-        self.entries = entries
-        self.deg = deg
 
-    def validate_chain(self) -> Optional[str]:
-        """First source generator where d∘f != f∘d, or None."""
-        left = self.target.d.compose(self).entries
-        right = self.compose(self.source.d).entries
-        return next((g for (g, _, _) in self.source.gens
-                     if left.get(g) != right.get(g)), None)
+def _compose_rows(ring: TruncatedRing, outer: Map, inner: Map, n_mid: int,
+                  n_src: int) -> List[Dict[Tuple[int, int], Scalar]]:
+    """outer ∘ inner as rows {(h, kid): coef} per source generator, zero
+    sums dropped: a term c·m·h of inner(g) goes to c·m·outer(h)."""
+    times, char = _index_times(ring), ring.field.char
+    after = _rows(outer, n_mid)
+    rows: List[Dict[Tuple[int, int], Scalar]] = [{} for _ in range(n_src)]
+    for g, h, k, c in zip(*inner[:4]):
+        by_m, row = times[k], rows[g]
+        for h2, k2, c2 in after[h]:
+            p = by_m.get(k2)
+            if p is not None:
+                v = row.get((h2, p), 0) + c * c2
+                row[h2, p] = v % char if char else v
+    return [{key: c for key, c in row.items() if c} for row in rows]
 
-    def compose(self, inner: "FreeMap") -> "FreeMap":
-        """self ∘ inner; middle complexes must agree generator by generator.
-        A term c·m·h of inner(g) goes to c·m·self(h), dead products dropped."""
-        if inner.target.info != self.source.info:
-            raise ValueError("composition mismatch")
-        times, outer = self.target.ring._times, self.entries
-        char = self.source.field.char
-        entries: Rows = {}
-        for (g, _, _) in inner.source.gens:
-            img: FreeElt = {}
-            for (h, m), c in inner.entries.get(g, {}).items():
-                by_m, after = times.get(m), outer.get(h)
-                if by_m is None or not after:
-                    continue
-                for (k, m2), c2 in after.items():
-                    p = by_m.get(m2)
+
+def _compose(ring: TruncatedRing, outer: Map, inner: Map, n_mid: int, n_src: int) -> Map:
+    """outer ∘ inner, for n_mid generators between them and n_src before."""
+    return _flat(_compose_rows(ring, outer, inner, n_mid, n_src), outer[4] + inner[4])
+
+
+def _d_squared_fault(ring: TruncatedRing, p: SemiFree) -> Optional[int]:
+    """First generator with d² != 0, or None."""
+    n = len(p.labels)
+    return next((g for g, row in enumerate(_compose_rows(ring, _d(p), _d(p), n, n))
+                 if row), None)
+
+
+def _chain_fault(ring: TruncatedRing, f: Map, source: SemiFree,
+                 target: SemiFree) -> Optional[int]:
+    """First source generator where d∘f != f∘d, or None."""
+    n = len(source.labels)
+    left = _compose_rows(ring, _d(target), f, len(target.labels), n)
+    right = _compose_rows(ring, f, _d(source), n, n)
+    return next((g for g in range(n) if left[g] != right[g]), None)
+
+
+def _transpose(ring: TruncatedRing, f: Map, target: SemiFree) -> Map:
+    """The map between duals, from the target's to the source's: each term
+    c·m·h of f(g) gives h^ ↦ (-1)^{deg·(|h|+1)} c·m·g^."""
+    neg, deg, degs = ring.field.neg, f[4], target.degs
+    rows: List[Dict[Tuple[int, int], Scalar]] = [{} for _ in degs]
+    for g, h, k, c in zip(*f[:4]):
+        rows[h][g, k] = neg(c) if deg * (degs[h] + 1) % 2 else c
+    return _flat(rows, deg)
+
+
+def _dual(ring: TruncatedRing, p: SemiFree) -> SemiFree:
+    """Hom into the ring: g^ in bidegree (-|g|, -w_g), in g's place, and d
+    the transpose of p's (``_transpose``)."""
+    return SemiFree([lab + ("^",) for lab in p.labels], [-d for d in p.degs],
+                    [-w for w in p.wts], [0] * len(p.labels),
+                    *_transpose(ring, _d(p), p)[:4], p.keys)
+
+
+def _tensor(ring: TruncatedRing, p: SemiFree, q: SemiFree) -> SemiFree:
+    """Tensor over the ring, a⊗b numbered a·|q| + b, with differential
+    d⊗1 + 1⊗d (``_tensor_rows``)."""
+    n, nq = len(p.labels), len(q.labels)
+    d_1 = _tensor_rows(ring, _d(p), _identity(ring, q), p.degs, nq, nq)
+    one_d = _tensor_rows(ring, _identity(ring, p), _d(q), p.degs, nq, nq)
+    # no term h⊗b of d(a)⊗b lands on a term a⊗h' of a⊗d(b), since h ≠ a
+    return SemiFree([la + lb for la in p.labels for lb in q.labels],
+                    [da + db for da in p.degs for db in q.degs],
+                    [wa + wb for wa in p.wts for wb in q.wts], [0] * n * nq,
+                    *_flat([{**r1, **r2} for r1, r2 in zip(d_1, one_d)], 1)[:4], p.keys)
+
+
+def _tensor_rows(ring: TruncatedRing, f: Map, g: Map, f_degs: Sequence[int],
+            nb: int, nt: int) -> List[Dict[Tuple[int, int], Scalar]]:
+    """f⊗g as rows {(h, kid): coef}, with the Koszul sign
+    (f⊗g)(a⊗b) = (-1)^{|g||a|} f(a)⊗g(b), for f's source generators in
+    degrees f_degs and nb source and nt target generators of g; a⊗b is
+    numbered a·nb + b, h1⊗h2 is h1·nt + h2, and dead products drop."""
+    times, char, neg = _index_times(ring), ring.field.char, ring.field.neg
+    f_rows, g_rows = _rows(f, len(f_degs)), _rows(g, nb)
+    rows: List[Dict[Tuple[int, int], Scalar]] = []
+    for a, da in enumerate(f_degs):
+        fa = [(h, k, neg(c)) for h, k, c in f_rows[a]] if g[4] * da % 2 else f_rows[a]
+        for b in range(nb):
+            row: Dict[Tuple[int, int], Scalar] = {}
+            for h1, k1, c1 in fa:
+                by_m = times[k1]
+                for h2, k2, c2 in g_rows[b]:
+                    p = by_m.get(k2)
                     if p is not None:
-                        v = img.get((k, p), 0) + c * c2
-                        img[k, p] = v % char if char else v
-            if 0 in img.values():
-                img = {k: v for k, v in img.items() if v}
-            if img:
-                entries[g] = img
-        return FreeMap(inner.source, self.target, entries, self.deg + inner.deg)
+                        v = row.get((h1 * nt + h2, p), 0) + c1 * c2
+                        row[h1 * nt + h2, p] = v % char if char else v
+            rows.append(row)
+    return rows
 
-    def transpose(self) -> Rows:
-        """Rows of the map between duals: each entry c·h of the image of g
-        gives h^ ↦ (-1)^{deg·(|h|+1)} c·g^."""
-        char, info = self.source.field.char, self.target.info
-        rows: Rows = {}
-        hats: Dict[str, str] = {}
-        for g, row in self.entries.items():
-            g_hat = f"{g}^"
-            for (h, m), c in row.items():
-                if self.deg * (info[h][0] + 1) % 2:
-                    c = -c % char if char else -c
-                h_hat = hats.get(h) or hats.setdefault(h, f"{h}^")
-                rows.setdefault(h_hat, {})[(g_hat, m)] = c
-        return rows
 
-    def dual(self) -> "FreeMap":
-        """The transpose, from the target's dual to the source's."""
-        return FreeMap(self.target.dual(), self.source.dual(), self.transpose(),
-                       self.deg)
+def _tensor_map(ring: TruncatedRing, f: Map, g: Map, f_degs: Sequence[int],
+                nb: int, nt: int) -> Map:
+    """f⊗g (``_tensor_rows``), numbered as ``_tensor`` numbers generators."""
+    return _flat(_tensor_rows(ring, f, g, f_degs, nb, nt), f[4] + g[4])
 
-    def tensor(self, other: "FreeMap") -> "FreeMap":
-        """Tensor of maps, with the Koszul sign of ``_koszul``."""
-        return FreeMap(self.source.tensor(other.source),
-                       self.target.tensor(other.target),
-                       _koszul([(self, other)]), self.deg + other.deg)
 
-    def realize(self, src: BiGradedSpace, tgt: BiGradedSpace,
-                band: Band = None) -> GradedMap:
-        """The map between the realizations of the source and the target
-        on one degree band (``to_complex``), on their spaces: g times m
-        goes to m times the image of g, on the band's generators, each
-        block entry written once at the places of ``FreeComplex._layout``.
-        Every entry c·m2·h of the map, in the band or not, must keep the
-        bidegree, |h| = |g| + deg and w_h + |m2| = w_g, else ValueError;
-        m adds |m| to both weights, so every entry it realizes keeps it."""
-        ring, info = self.source.ring, self.source.info
-        _check_bidegrees(ring, self.entries.items(), info, self.target.info, self.deg)
-        char, times, weights = ring.field.char, ring._times, ring._weights
-        s_at, t_at = self.source._layout(band)[1], self.target._layout(band)[1]
-        blocks: Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]] = {}
-        for g, at in s_at.items():
-            row = self.entries.get(g)
-            if not row:
-                continue
-            dg, wg = info[g]
-            terms = [(t_at[h], m2, c) for (h, m2), c in row.items()
-                     if h in t_at and (c % char if char else c)]
-            for m, col in at.items():
-                by_m, cell = times[m], (dg, wg + weights[m])
-                for h_at, m2, c in terms:
-                    p = by_m.get(m2)
-                    if p is not None:
-                        blocks.setdefault(cell, {})[(h_at[p], col)] = c
-        out = GradedMap(src, tgt, self.deg, 0)
-        for (d, w), entries in blocks.items():
-            b = SparseMatrix(tgt.dim(d + self.deg, w), src.dim(d, w), ring.field)
+def _diagonal(ring: TruncatedRing, signs: Sequence[int]) -> Map:
+    """The degree-0 map g_i ↦ (-1)^signs[i] g_i."""
+    one, n = ring.field.one, len(signs)
+    return (list(range(n)), list(range(n)), [0] * n,
+            [ring.field.neg(one) if s & 1 else one for s in signs], 0)
+
+
+def _identity(ring: TruncatedRing, p: SemiFree) -> Map:
+    return _diagonal(ring, [0] * len(p.labels))
+
+
+def _biduality(ring: TruncatedRing, p: SemiFree) -> Map:
+    """Evaluation g ↦ (-1)^{|g|} g^^, from p to its double dual; the sign
+    absorbs the negated differential that two passes of the dual give."""
+    return _diagonal(ring, p.degs)
+
+
+def _lacing(ring: TruncatedRing, a: SemiFree, b: SemiFree) -> Map:
+    """a^∨ ⊗ b^∨ -> (a⊗b)^∨, g^⊗h^ ↦ (-1)^{|g||h|} (g⊗h)^, with the
+    chain-map sign."""
+    return _diagonal(ring, [dg * dh for dg in a.degs for dh in b.degs])
+
+
+def _realize(ring: TruncatedRing, p: SemiFree,
+             band: Optional[Tuple[int, int]] = None) -> Realized:
+    """P ⊗_R R over the field, through ``bar._two_sided``, after checking
+    the bidegree of each term of d, with its places; every cell is known.
+    On a degree band (lo, hi) only the generators of degree lo..hi are
+    realized, the terms of d that leave the band dropped, and each weight
+    the whole complex reaches is known on lo..hi alone, so the cohomology
+    is the whole complex's, certified, on lo+1..hi-1 only."""
+    _check_map(ring, _d(p), p, p)
+    n = len(p.labels)
+    window = (min(p.wts, default=0), max(p.wts, default=0) + max(ring._weights.values()))
+    if band is not None:
+        keep = [g for g, d in enumerate(p.degs) if band[0] <= d <= band[1]]
+        new = dict(zip(keep, range(len(keep))))
+        terms = [(new[g], new[h], k, c) for g, h, k, c in zip(p.src, p.dst, p.kid, p.coef)
+                 if g in new and h in new]
+        p = SemiFree(*([col[g] for g in keep] for col in (p.labels, p.degs, p.wts, p.objs)),
+                     *_lists(terms), p.keys)
+    a = ring.algebra
+    cx, at = _two_sided(p, p.keys, None, a.basis_product, a.complex, window, None)
+    sp = cx.space
+    if band is None:
+        sp.mark_all_complete()
+        return cx, at
+    sp.zero_outside = True
+    if n:
+        for w in range(window[0], window[1] + 1):
+            sp.set_known(w, *band)
+    whole = [[-1] * n for _ in at]
+    for col, full in zip(at, whole):
+        for g, i in zip(keep, col):
+            full[g] = i
+    return cx, whole
+
+
+def _realize_map(ring: TruncatedRing, f: Map, source: SemiFree, target: SemiFree,
+                 src: Realized, tgt: Realized) -> GradedMap:
+    """f between the realizations of source and target: g times m goes to m
+    times f(g), on the realized generators.  Every term c·m2·h of f,
+    realized or not, must keep the bidegree, |h| = |g| + deg and
+    w_h + |m2| = w_g, else ValueError; m adds |m| to both weights, so every
+    entry it realizes keeps it."""
+    _check_map(ring, f, source, target)
+    (s_cx, s_at), (t_cx, t_at) = src, tgt
+    times, char, weights = _index_times(ring), ring.field.char, ring._weights
+    blocks: Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]] = defaultdict(dict)
+    for g, h, k, c in zip(*f[:4]):
+        dg, wg = source.degs[g], source.wts[g]
+        for i, p in times[k].items():
+            col, row = s_at[i][g], t_at[p][h]
+            if col >= 0 and row >= 0:
+                _add(blocks[dg, wg + weights[ring.monomials[i]]], (row, col), c, char)
+    s_sp, t_sp, deg = s_cx.space, t_cx.space, f[4]
+    out = GradedMap(s_sp, t_sp, deg, 0)
+    for (d, w), entries in blocks.items():
+        if entries:
+            b = out.blocks[(d, w)] = SparseMatrix(t_sp.dim(d + deg, w), s_sp.dim(d, w),
+                                                  ring.field)
             b.entries = entries
-            out.blocks[(d, w)] = b
-        return out
+    return out
 
 
-def identity_free_map(c: FreeComplex) -> FreeMap:
-    return FreeMap(c, c, {g: {(g, c.ring.one): c.field.one}
-                          for (g, _, _) in c.gens})
-
-
-def biduality_map(src: FreeComplex, tgt: FreeComplex) -> FreeMap:
-    """Evaluation g ↦ (-1)^{deg g} g^^; the sign absorbs the negated
-    differential that two passes of the dual convention produce."""
-    f = src.field
-    return FreeMap(src, tgt, {
-        g: {(f"{g}^^", src.ring.one): f.neg(f.one) if d % 2 else f.one}
-        for (g, d, _) in src.gens})
-
-
-def lacing_map(a: FreeComplex, b: FreeComplex) -> FreeMap:
-    """A^∨ ⊗ B^∨ -> (A⊗B)^∨ on dual generators, with the chain-map sign."""
-    f = a.field
-    entries: Rows = {}
-    for (g, dg, _) in a.gens:
-        for (h, dh, _) in b.gens:
-            sign = f.neg(f.one) if (dg * dh) % 2 else f.one
-            entries[f"{g}^|{h}^"] = {(f"{g}|{h}^", a.ring.one): sign}
-    return FreeMap(a.dual().tensor(b.dual()), a.tensor(b).dual(), entries)
+def realize_module(ring: TruncatedRing, p: SemiFree, name: str = "") -> DgModule:
+    """P ⊗_R R as a right module over the ring's algebra: the complex of
+    ``_realize``, each monomial acting by multiplication."""
+    cx, at = _realize(ring, p)
+    times, weights, keys = _index_times(ring), ring._weights, p.keys
+    w_of = [weights[m] for m in ring.monomials]
+    one = ring.field.one
+    action: Dict[Tuple[Key, Key], Elt] = {}
+    for i, col in enumerate(at):
+        for g, place in enumerate(col):
+            d, w = p.degs[g], p.wts[g]
+            for a, q in times[i].items():
+                action[((d, w + w_of[i], place), keys[a])] = {(d, w + w_of[q], at[q][g]): one}
+    return DgModule(ring.algebra, cx, action, side="right",
+                    name=name or f"free module over {ring.name}")
 
 
 # -- resolutions -------------------------------------------------------------
@@ -689,14 +622,24 @@ def _pure_powers(ring: TruncatedRing) -> Optional[List[Optional[int]]]:
     return powers
 
 
+def _resolved_powers(ring: TruncatedRing) -> List[Optional[int]]:
+    """The powers ``free_resolution`` resolves k with: ``_pure_powers``, or
+    1 for every variable of a ring spanned by 1 alone, which is the field
+    whatever its presentation; ValueError for any other ring."""
+    powers = ([1] * len(ring.variables) if ring.monomials == [ring.one]
+              else _pure_powers(ring))
+    if powers is None:
+        raise ValueError(f"no built-in resolution of k over {ring.name}")
+    return powers
+
+
 def _product_resolution(ring: TruncatedRing, powers: Sequence[Optional[int]],
                         length: int, wt0: int = 0) -> Tuple[List, List[Dict]]:
     """The Koszul-signed tensor product of one-variable resolutions of k, one
     per variable x_i: periodic over k[x_i]/(x_i^t) when powers[i] is t (a
     single generator when t is 1, since x_i is then 0), and x_i: A -> A for
-    a free variable, whose power is None.  The one builder of k's
-    resolutions, as FreeComplex (``_free_complex``) or SemiFree
-    (``_witness``).
+    a free variable, whose power is None.  The data every resolution of k
+    is built from, by ``_witness``.
 
     Generator (j_1, ..., j_r) sits in degree -Σj at weight wt0 + Σ w(j_i),
     where w(j) = (j // 2)·t + j % 2, and d sends it to each factor's step
@@ -754,37 +697,29 @@ def _product_resolution(ring: TruncatedRing, powers: Sequence[Optional[int]],
     return gens, terms
 
 
-def _free_complex(ring: TruncatedRing, powers: Sequence[Optional[int]],
-                  length: int, wt0: int = 0, name: str = "") -> FreeComplex:
-    """``_product_resolution`` as a FreeComplex."""
+def _witness(ring: TruncatedRing, powers: Sequence[Optional[int]], length: int,
+             wt0: int = 0) -> SemiFree:
+    """The one builder of free complexes from data: ``_product_resolution``
+    as a SemiFree over R's one object, whose ``keys`` are R's monomials,
+    each entry's bidegree checked before dead or zero ones drop.  What
+    ``free_resolution``, ``periodic_resolution`` and ``residue_module``'s
+    recipe return."""
+    if length < 0:
+        raise ValueError("resolution length must be non-negative")
     gens, terms = _product_resolution(ring, powers, length, wt0)
-    rows = {g: {(gens[j][0], m): c for (j, m), c in row.items()}
-            for (g, _, _), row in zip(gens, terms)}
-    koszul = all(t is None for t in powers)
-    return FreeComplex(ring, gens, rows,
-                       name=name or (f"Koszul({ring.name})" if koszul else "res(k)"),
-                       honest_min=-length + 1 if any((t or 0) > 1 for t in powers)
-                       else None)
-
-
-def _witness(ring: TruncatedRing, length: int) -> SemiFree:
-    """What ``residue_module``'s recipe builds: ``_product_resolution`` as
-    a SemiFree over R's one object, whose ``keys`` are R's monomials, each
-    entry's bidegree checked and dead or zero ones dropped as
-    ``FreeComplex`` does."""
-    gens, terms = _product_resolution(ring, _pure_powers(ring), length)
-    bidegrees = [(d, w) for (_, d, w) in gens]
-    _check_bidegrees(ring, enumerate(terms), bidegrees, bidegrees, 1)
     at = {m: i for i, m in enumerate(ring.monomials)}
     flat = [(i, j, at[m], c) for i, row in enumerate(terms)
             for (j, m), c in row.items() if m in at and c]
-    return SemiFree([(g,) for (g, _, _) in gens], [d for (_, d, _) in gens],
-                    [w for (_, _, w) in gens], [0] * len(gens),
-                    *([x[i] for x in flat] for i in range(4)), [ring.mono_key(m) for m in ring.monomials])
+    p = SemiFree([(g,) for (g, _, _) in gens], [d for (_, d, _) in gens],
+                 [w for (_, _, w) in gens], [0] * len(gens),
+                 *_lists(flat), [ring.mono_key(m) for m in ring.monomials])
+    _check_bidegrees(ring, ((i, j, m) for i, row in enumerate(terms) for (j, m) in row),
+                     p, p, 1)
+    return p
 
 
 def periodic_resolution(ring: TruncatedRing, length: int,
-                        socle: bool = False, name: str = "") -> FreeComplex:
+                        socle: bool = False) -> SemiFree:
     """Length-truncated minimal resolution of k (or of the socle copy of k)
     over a one-variable truncated power ring k[x]/(x^t)."""
     if len(ring.variables) != 1 or len(ring.relations) != 1:
@@ -794,39 +729,34 @@ def periodic_resolution(ring: TruncatedRing, length: int,
         raise ValueError("periodic resolution needs t >= 2: k[x]/(x) is k")
     if ring.wmax is not None and ring.wmax < t - 1:
         raise ValueError("ring truncation cuts below the relation")
-    return _free_complex(
-        ring, [t], length, wt0=t - 1 if socle else 0,
-        name=name or f"res(k{'_socle' if socle else ''})")
+    return _witness(ring, [t], length, t - 1 if socle else 0)
 
 
-def free_resolution(ring: TruncatedRing, length: int) -> FreeComplex:
+def free_resolution(ring: TruncatedRing, length: int) -> SemiFree:
     """Resolution of the residue field over a monomial complete intersection
-    k[x_1..x_r]/(x_i^{t_i}), free variables allowed (``_product_resolution``);
-    a ring spanned by 1 alone is the field, whatever its presentation, so
-    there every variable is 0."""
-    powers = ([1] * len(ring.variables) if ring.monomials == [ring.one]
-              else _pure_powers(ring))
-    if powers is None:
-        raise ValueError(f"no built-in resolution of k over {ring.name}")
-    return _free_complex(ring, powers, length)
+    k[x_1..x_r]/(x_i^{t_i}), free variables allowed, with the powers of
+    ``_resolved_powers``."""
+    return _witness(ring, _resolved_powers(ring), length)
 
 
-def dual_model(ring: TruncatedRing, p: FreeComplex,
-               length: int) -> Tuple[FreeComplex, FreeMap]:
-    """A junk-free exact complex quasi-isomorphic to the dual of the residue
-    field, with its comparison into p's strict dual: over the field or a
-    free polynomial ring, and over k[x]/(x^t).  Any other ring raises
-    ValueError."""
-    pd = p.dual()
+def dual_model(ring: TruncatedRing, p: SemiFree,
+               length: int) -> Tuple[SemiFree, Map, SemiFree]:
+    """A junk-free exact complex P' quasi-isomorphic to the dual of the
+    residue field, its comparison into p's strict dual, and that dual: over
+    the field or a free polynomial ring P' is the dual itself, and over
+    k[x]/(x^t) the resolution of the socle, p0 going to x^(t-1)·p0^.  Any
+    other ring raises ValueError."""
     if ring.monomials == [ring.one] or not ring.relations:
         # field or free polynomial ring: the dual of the finite exact
         # resolution is itself exact
-        return pd, identity_free_map(pd)
+        pd = _dual(ring, p)
+        return pd, _identity(ring, pd), pd
     if len(ring.variables) != 1:
         raise ValueError(f"no built-in dual model of k over {ring.name}")
     pprime = periodic_resolution(ring, length, socle=True)
     t = ring.relations[0][0]
-    return pprime, FreeMap(pprime, pd, {"p0": {("p0^", (t - 1,)): ring.field.one}})
+    return (pprime, ([0], [0], [ring.monomials.index((t - 1,))], [ring.field.one], 0),
+            _dual(ring, p))
 
 
 # -- biduality comparison for tensor powers ----------------------------------
@@ -839,67 +769,80 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
     Left route per n: resolve k, tensor n times, dualize twice.  Right
     route: re-resolve an exact model of the dual, tensor n times, dualize
     once.  The verdict says whether the canonical comparison map is an
-    isomorphism on every certified bidegree inside the window.
+    isomorphism on every certified bidegree inside the window, at each n
+    from 2 to n_check.
 
-    The cohomology at degrees lo..hi reads only the generators of degree
-    lo-1..hi+1, so only that band is realized (``FreeComplex.to_complex``);
-    d² on the resolution and the chain-map checks run on the whole maps.
+    The certified degrees are [max(lo, 1 - length), min(hi, length - 1)]
+    when some power of the resolution is above 1, since its periodic
+    factors are cut at the length, and the window otherwise.  The
+    cohomology at degrees lo..hi reads only the generators of degree
+    lo-1..hi+1, so only that band is realized (``_realize``); d² on the
+    resolution and the chain-map checks run on the whole maps.
     """
     lo, hi = window
+    if n_check < 2:
+        raise ValueError("n_check must be at least 2: the verdict compares "
+                         "the tensor powers from 2 on")
+    if lo > hi:
+        raise ValueError(f"empty window: lo {lo} is above hi {hi}")
     if length < 2 * max(abs(lo), abs(hi)):
         raise ValueError("resolution length must be at least twice the window")
+    if any((t or 0) > 1 for t in _resolved_powers(ring)):
+        cert_lo, cert_hi = max(lo, 1 - length), min(hi, length - 1)
+    else:
+        cert_lo, cert_hi = lo, hi
     p = free_resolution(ring, length)
-    bad = p.validate()
+    bad = _d_squared_fault(ring, p)
     if bad is not None:
-        raise RuntimeError(f"resolution fails d-squared at {bad}")
-    pprime, rho = dual_model(ring, p, length)
-    if rho.validate_chain() is not None:
+        raise RuntimeError(f"resolution fails d-squared at {p.labels[bad]}")
+    pprime, rho, pd = dual_model(ring, p, length)
+    if _chain_fault(ring, rho, pprime, pd) is not None:
         raise RuntimeError("dual comparison is not a chain map")
 
     report: Dict = {"ring": ring.name, "window": [lo, hi], "length": length,
                     "certified_degrees": {}, "biduality": {}, "tables": {},
                     "per_degree": {}}
     verdict_ok, witness = True, None
-    t_n, tp_n, rho_n = p, pprime, rho
-    kappa_n = identity_free_map(p.dual())
+    # t_n = P^⊗n and its dual, tp_n = P'^⊗n, rho_n: tp_n -> (P^)^⊗n and
+    # kappa_n: (P^)^⊗n -> t_n's dual; (P^)^⊗n itself is never built
+    t_n, t_dual, tp_n, rho_n = p, pd, pprime, rho
+    kappa_n, pd_degs = _identity(ring, pd), pd.degs
     band = (lo - 1, hi + 1)
     for n in range(1, n_check + 1):
         if n > 1:
             prev = t_n
-            t_n = prev.tensor(p)
-            tp_n = tp_n.tensor(pprime)
-            rho_n = rho_n.tensor(rho)
-            kappa_n = lacing_map(prev, p).compose(
-                kappa_n.tensor(identity_free_map(p.dual())))
+            t_n = _tensor(ring, prev, p)
+            t_dual = _dual(ring, t_n)
+            rho_n = _tensor_map(ring, rho_n, rho, tp_n.degs, len(pprime.labels), len(pd.labels))
+            tp_n = _tensor(ring, tp_n, pprime)
+            kappa_n = _compose(
+                ring, _lacing(ring, prev, p),
+                _tensor_map(ring, kappa_n, _identity(ring, pd), pd_degs, len(pd.labels),
+                            len(pd.labels)),
+                len(t_n.labels), len(t_n.labels))
+            pd_degs = [d + e for d in pd_degs for e in pd.degs]
 
-        left_cx = t_n.dual().dual()
-        right_cx = tp_n.dual()
-        comparison = kappa_n.compose(rho_n).dual()
-        phi = biduality_map(t_n, left_cx)
-        if phi.validate_chain() is not None:
+        left_cx = _dual(ring, t_dual)
+        right_cx = _dual(ring, tp_n)
+        comparison = _transpose(
+            ring, _compose(ring, kappa_n, rho_n, len(pd_degs), len(tp_n.labels)), t_dual)
+        phi = _biduality(ring, t_n)
+        if _chain_fault(ring, phi, t_n, left_cx) is not None:
             raise RuntimeError("biduality relabeling is not a chain map")
-        if comparison.validate_chain() is not None:
+        if _chain_fault(ring, comparison, left_cx, right_cx) is not None:
             raise RuntimeError("comparison map is not a chain map")
 
-        cert_lo, cert_hi = lo, hi
-        wcaps = []
-        for cx in (left_cx, right_cx):
-            if not cx.honest_tracked:
-                raise RuntimeError("lost track of honesty bounds")
-            if cx.honest_min is not None:
-                cert_lo = max(cert_lo, cx.honest_min)
-            if cx.honest_max is not None:
-                cert_hi = min(cert_hi, cx.honest_max)
-            # a weight cap on the ring truncates weight slices from above
-            if cx.ring.wmax is not None:
-                wcaps.append(cx.ring.wmax + min(w for (_, _, w) in cx.gens))
-        wt_cert = min(wcaps) if wcaps else None
+        # a weight cap on the ring truncates weight slices from above
+        wt_cert = (None if ring.wmax is None
+                   else ring.wmax + min(min(left_cx.wts), min(right_cx.wts)))
         report["certified_degrees"][n] = [cert_lo, cert_hi]
         report.setdefault("certified_weight_max", {})[n] = wt_cert
 
-        cx_t, cx_left, cx_right = (c.to_complex(band) for c in (t_n, left_cx, right_cx))
-        lam = comparison.realize(cx_left.space, cx_right.space, band)
-        phi_map = phi.realize(cx_t.space, cx_left.space, band)
+        real_t, real_left, real_right = (_realize(ring, c, band)
+                                         for c in (t_n, left_cx, right_cx))
+        lam = _realize_map(ring, comparison, left_cx, right_cx, real_left, real_right)
+        phi_map = _realize_map(ring, phi, t_n, left_cx, real_t, real_left)
+        cx_t, cx_left, cx_right = real_t[0], real_left[0], real_right[0]
 
         win = Window(lo, hi, max((abs(w) for cx in (cx_left, cx_right)
                                   for (_, w) in cx.space.cells), default=0))

@@ -3,7 +3,7 @@ import pytest
 
 from dgcomplete.linalg import RATIONALS
 from dgcomplete.dg import (
-    AlgebraMorphism, DgAlgebra, DgCategoryPresentation, category_algebra,
+    AlgebraMorphism, DgAlgebra, DgCategoryPresentation, DgModule, category_algebra,
     direct_sum_modules, identity_morphism, regular_module,
     restrict_scalars, right_ideal_module, shift_module,
 )
@@ -242,6 +242,30 @@ def test_module_shift_and_direct_sum_validate():
     t = direct_sum_modules(m, s)
     assert t.validate().ok
     assert t.space.total_dim() == 4
+
+
+def test_module_validator_catches_a_broken_action():
+    """The regular module validates, on the right and on the left; the
+    same action with the unit dropped on one key, or with a product moved
+    to the wrong weight, does not."""
+    a = dual_numbers_algebra()
+    m = regular_module(a)
+    assert m.validate().ok
+    (unit_key,) = a.unit
+    km = next(k for k in m.basis_keys() if (k, unit_key) in m.action)
+    no_unit = {key: e for key, e in m.action.items() if key != (km, unit_key)}
+    kinds = {k for k, _ in DgModule(a, m.complex, no_unit, side="right").validate().violations}
+    assert "unital" in kinds
+    shifted = dict(m.action)
+    shifted[(km, unit_key)] = {(km[0], km[1] + 1, 0): F.one}
+    kinds = {k for k, _ in DgModule(a, m.complex, shifted, side="right").validate().violations}
+    assert "grading" in kinds
+    # the algebra as a left module, acting through act_left
+    left = DgModule(a, a.complex, dict(a.mult), side="left")
+    assert left.validate().ok
+    no_unit = {key: e for key, e in a.mult.items() if key != (unit_key, km)}
+    kinds = {k for k, _ in DgModule(a, a.complex, no_unit, side="left").validate().violations}
+    assert "unital" in kinds
 
 
 def test_weight_connectedness():

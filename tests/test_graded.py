@@ -473,7 +473,7 @@ def certificate_cases():
         ("cut holim up to weight 2", strings.complex, Window(-1, 3, 4), 2),
         ("derived Hom, empty ray above 0", derived_hom(k3, k3, 3), Window(0, 1, 4), None),
         ("free resolution, wide window",
-         M.free_resolution(r3, 3).to_complex(), Window(-6, 2, 8), None),
+         M._realize(r3, M.free_resolution(r3, 3))[0], Window(-6, 2, 8), None),
     ]
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from dgcomplete.linalg import RATIONALS as F, Field
 from dgcomplete.graded import Window
-from dgcomplete.dg import DgModule, regular_module, right_ideal_module
+from dgcomplete.dg import DgModule, SemiFree, regular_module, right_ideal_module
 from dgcomplete.bar import derived_hom
 from dgcomplete.complete import completion_along_set, double_centralizer
 from dgcomplete import models as M
@@ -120,35 +120,36 @@ class TestResolutions:
     def test_koszul_d_squared(self):
         for vs in (["x"], ["x", "y"], ["x", "y", "z"]):
             ring = M.truncated_poly(F, vs, [], wmax=4)
-            assert M.free_resolution(ring, 0).validate() is None
+            assert M._d_squared_fault(ring, M.free_resolution(ring, 0)) is None
 
     def test_periodic_d_squared(self):
         for t in (2, 3, 4):
             ring = M.truncated_poly(F, ["x"], [f"x^{t}"])
-            assert M.periodic_resolution(ring, 6).validate() is None
+            assert M._d_squared_fault(ring, M.periodic_resolution(ring, 6)) is None
 
     def test_periodic_weights(self):
         ring = M.truncated_poly(F, ["x"], ["x^3"])
         p = M.periodic_resolution(ring, 4)
-        assert [(d, w) for (_, d, w) in p.gens] == [
+        assert list(zip(p.degs, p.wts)) == [
             (0, 0), (-1, 1), (-2, 3), (-3, 4), (-4, 6)]
         s = M.periodic_resolution(ring, 2, socle=True)
-        assert [(d, w) for (_, d, w) in s.gens] == [(0, 2), (-1, 3), (-2, 5)]
+        assert list(zip(s.degs, s.wts)) == [(0, 2), (-1, 3), (-2, 5)]
 
     def test_resolution_computes_residue_field(self):
         ring = M.truncated_poly(F, ["x"], ["x^2"])
         p = M.periodic_resolution(ring, 5)
-        mod = p.to_module()
+        mod = M.realize_module(ring, p)
         assert mod.validate().ok
         h = hdims(mod.complex, -5, 1, 8)
-        # k in degree 0 plus the truncation syzygy below the honest range
+        # k in degree 0 plus the truncation syzygy below the certified
+        # degrees, which start at 1 - length
         assert h[(0, 0)] == 1
-        assert all(d >= p.honest_min or d == -5 for (d, w) in h)
+        assert all(d >= -4 or d == -5 for (d, w) in h)
         assert {(d, w): v for (d, w), v in h.items() if d > -5} == {(0, 0): 1}
 
     def test_koszul_computes_residue_field(self):
         ring = M.truncated_poly(F, ["x", "y"], [], wmax=5)
-        mod = M.free_resolution(ring, 0).to_module()
+        mod = M.realize_module(ring, M.free_resolution(ring, 0))
         h = hdims(mod.complex, -2, 1, 4)
         assert h == {(0, 0): 1}
 
@@ -156,23 +157,42 @@ class TestResolutions:
         with pytest.raises(ValueError, match="t >= 2"):
             M.periodic_resolution(M.truncated_poly(F, ["x"], ["x"]), 4)
 
-    def test_bidegree_checked_before_dead_entries_drop(self):
+    def test_negative_lengths_are_refused(self):
+        """free_resolution and periodic_resolution refuse a negative length
+        through the one builder, as the recipe does, also after a build it
+        keeps; an empty complex came back before."""
+        r3 = M.truncated_poly(F, ["x"], ["x^3"])
+        k = r3.residue_module()
+        k.resolution(4)
+        for build in (lambda: M.free_resolution(r3, -1),
+                      lambda: M.periodic_resolution(r3, -1),
+                      lambda: M.periodic_resolution(r3, -1, socle=True),
+                      lambda: M.free_resolution(M.truncated_poly(F, ["x"], [], wmax=3), -1),
+                      lambda: k.resolution(-1)):
+            with pytest.raises(ValueError, match="resolution length must be non-negative"):
+                build()
+
+    def test_bidegree_checked_before_dead_entries_drop(self, monkeypatch):
         ring = M.truncated_poly(F, ["x"], ["x^2"])
         gens = [("a", 0, 0), ("b", -1, 1)]
         # x^2 is dead in the ring, but d(b) = x^2·a still breaks weight
+        monkeypatch.setattr(M, "_product_resolution",
+                            lambda *args: (gens, [{}, {(0, (2,)): F.one}]))
         with pytest.raises(ValueError, match="weight"):
-            M.FreeComplex(ring, gens, {"b": {("a", (2,)): F.one}})
-        c = M.FreeComplex(ring, gens, {"b": {("a", (1,)): F.one}})
-        assert c.d.entries == {"b": {("a", (1,)): F.one}}
+            M.free_resolution(ring, 1)
+        monkeypatch.setattr(M, "_product_resolution",
+                            lambda *args: (gens, [{}, {(0, (1,)): F.one}]))
+        c = M.free_resolution(ring, 1)
+        assert (c.src, c.dst, c.kid, c.coef) == ([1], [0], [1], [F.one])
 
     def test_free_resolution_dispatch(self):
-        assert M.free_resolution(M.truncated_poly(F, [], []), 3).gens
-        assert M.free_resolution(M.truncated_poly(F, ["x"], [], wmax=4), 3)
-        assert M.free_resolution(M.truncated_poly(F, ["x"], ["x^2"]), 3)
+        assert M.free_resolution(M.truncated_poly(F, [], []), 3).labels
+        assert M.free_resolution(M.truncated_poly(F, ["x"], [], wmax=4), 3).labels
+        assert M.free_resolution(M.truncated_poly(F, ["x"], ["x^2"]), 3).labels
         # a ring spanned by 1 is the field, whether by relation or by cap
         for ring in (M.truncated_poly(F, ["x"], ["x"]),
                      M.truncated_poly(F, ["x", "y"], [], wmax=0)):
-            assert len(M.free_resolution(ring, 3).gens) == 1
+            assert len(M.free_resolution(ring, 3).labels) == 1
         # x*y is no pure power: not a complete intersection
         with pytest.raises(ValueError, match="no built-in resolution"):
             M.free_resolution(
@@ -190,9 +210,8 @@ class TestResolutions:
         every weight up to the length, where every generator was built."""
         ring = M.truncated_poly(Field(32003), variables, relations)
         p = M.free_resolution(ring, length)
-        assert p.validate() is None
-        assert p.honest_min == -length + 1
-        cx = p.to_complex()
+        assert M._d_squared_fault(ring, p) is None
+        cx = M._realize(ring, p)[0]
         h = cx.cohomology(window=Window(-length - 1, 1, length), wmax=length)
         assert h.dims_by_cell() == {(0, 0): 1}
 
@@ -212,7 +231,7 @@ class TestResolutions:
         kept = sorted((js for js in every
                        if sum(j for j, t in zip(js, powers) if t) <= length),
                       key=lambda js: (sum(js), [-j for j in js]))
-        assert ([g for g, _, _ in M.free_resolution(ring, length).gens]
+        assert ([g for (g,) in M.free_resolution(ring, length).labels]
                 == ["p" + ",".join(map(str, js)) for js in kept])
 
     def test_complete_intersections_have_no_built_in_dual_model(self):
@@ -226,96 +245,95 @@ class TestResolutions:
 
 
 class TestFreeComplexOps:
+    """Duals, tensors and maps of free complexes, all in the flat layout of
+    ``dg.SemiFree``; a map is its four lists plus its degree."""
+
     def setup_method(self):
         self.ring = M.truncated_poly(F, ["x"], ["x^2"])
         self.p = M.periodic_resolution(self.ring, 4)
 
     def test_dual_d_squared(self):
-        assert self.p.dual().validate() is None
-        assert self.p.dual().dual().validate() is None
-
-    def test_dual_flips_honesty(self):
-        d = self.p.dual()
-        assert (d.honest_min, d.honest_max) == (None, -self.p.honest_min)
-        dd = d.dual()
-        assert (dd.honest_min, dd.honest_max) == (self.p.honest_min, None)
+        d = M._dual(self.ring, self.p)
+        assert M._d_squared_fault(self.ring, d) is None
+        assert M._d_squared_fault(self.ring, M._dual(self.ring, d)) is None
 
     def test_tensor_d_squared_and_tor(self):
-        t2 = self.p.tensor(self.p)
-        assert t2.validate() is None
-        assert t2.honest_min == self.p.honest_min
-        h = hdims(t2.to_module().complex, -3, 0, 10)
+        t2 = M._tensor(self.ring, self.p, self.p)
+        assert M._d_squared_fault(self.ring, t2) is None
+        h = hdims(M.realize_module(self.ring, t2).complex, -3, 0, 10)
         # Tor of the residue field with itself: one class per degree
         for j in range(0, 4):
             assert h[(-j, j)] == 1
 
     def test_to_complex_is_the_complex_of_to_module(self):
-        koszul = M.free_resolution(M.truncated_poly(F, ["x", "y"], [], wmax=4), 0)
-        for fc in (koszul, self.p, self.p.tensor(self.p)):
-            assert (_complex_snapshot(fc.to_complex())
-                    == _complex_snapshot(fc.to_module().complex)), fc.name
-
-    def test_exact_complexes_tensor_exact(self):
-        ring = M.truncated_poly(F, ["x"], [], wmax=6)
-        kz = M.free_resolution(ring, 0)
-        dd = kz.dual().tensor(kz.dual())
-        assert dd.honest_tracked
-        assert (dd.honest_min, dd.honest_max) == (None, None)
+        kxy = M.truncated_poly(F, ["x", "y"], [], wmax=4)
+        for ring, fc in ((kxy, M.free_resolution(kxy, 0)), (self.ring, self.p),
+                         (self.ring, M._tensor(self.ring, self.p, self.p))):
+            assert (_complex_snapshot(M._realize(ring, fc)[0])
+                    == _complex_snapshot(M.realize_module(ring, fc).complex))
 
     def test_lacing_is_a_chain_map(self):
-        assert M.lacing_map(self.p, self.p).validate_chain() is None
+        def lacing_fault(ring, a, b):
+            return M._chain_fault(
+                ring, M._lacing(ring, a, b),
+                M._tensor(ring, M._dual(ring, a), M._dual(ring, b)),
+                M._dual(ring, M._tensor(ring, a, b)))
+
+        assert lacing_fault(self.ring, self.p, self.p) is None
         r3 = M.truncated_poly(F, ["x"], ["x^3"])
         q = M.periodic_resolution(r3, 4)
-        assert M.lacing_map(q, q).validate_chain() is None
-        assert M.lacing_map(q.tensor(q), q).validate_chain() is None
+        assert lacing_fault(r3, q, q) is None
+        assert lacing_fault(r3, M._tensor(r3, q, q), q) is None
 
     def test_biduality_is_a_chain_map(self):
-        t2 = self.p.tensor(self.p)
-        phi = M.biduality_map(t2, t2.dual().dual())
-        assert phi.validate_chain() is None
+        ring = self.ring
+        t2 = M._tensor(ring, self.p, self.p)
+        phi = M._biduality(ring, t2)
+        assert M._chain_fault(ring, phi, t2, M._dual(ring, M._dual(ring, t2))) is None
 
     def test_free_map_compose_and_tensor(self):
-        ident = M.identity_free_map(self.p)
-        assert ident.validate_chain() is None
-        assert ident.compose(ident).validate_chain() is None
-        assert ident.tensor(ident).validate_chain() is None
+        ring, p = self.ring, self.p
+        n = len(p.labels)
+        ident = M._identity(ring, p)
+        assert M._chain_fault(ring, ident, p, p) is None
+        assert M._chain_fault(ring, M._compose(ring, ident, ident, n, n), p, p) is None
+        p2 = M._tensor(ring, p, p)
+        assert M._chain_fault(ring, M._tensor_map(ring, ident, ident, p.degs, n, n),
+                              p2, p2) is None
+        # and a map that is no chain map is caught
+        assert M._chain_fault(ring, M._diagonal(ring, [d == -1 for d in p.degs]),
+                              p, p) is not None
 
     def test_free_map_dual(self):
-        pprime, rho = M.dual_model(self.ring, self.p, 4)
-        assert rho.validate_chain() is None
-        assert rho.dual().validate_chain() is None
+        ring = self.ring
+        pprime, rho, pd = M.dual_model(ring, self.p, 4)
+        assert M._chain_fault(ring, rho, pprime, pd) is None
+        assert M._chain_fault(ring, M._transpose(ring, rho, pd), M._dual(ring, pd),
+                              M._dual(ring, pprime)) is None
 
     def test_realize_checks_the_bidegree_of_each_entry(self):
         """realize checks each entry of the map once: x·p0 from p1 keeps
         the bidegree of a differential, and the same entry of a degree-0
         map, or 1·p0 from p1, is off by one and raises ValueError."""
-        p = self.p
-        sp = p.to_complex().space
-        d = M.FreeMap(p, p, {"p1": {("p0", (1,)): F.one}}, deg=1).realize(sp, sp)
+        ring, p = self.ring, self.p
+        real = M._realize(ring, p)
+        d = M._realize_map(ring, ([1], [0], [1], [F.one], 1), p, p, real, real)
         assert d.blocks[(-1, 1)].entries == {(0, 0): F.one}
-        for entries, deg in (({"p1": {("p0", (1,)): F.one}}, 0),
-                             ({"p1": {("p0", (0,)): F.one}}, 1)):
+        for kid, deg in ((1, 0), (0, 1)):
             with pytest.raises(ValueError, match="bidegree"):
-                M.FreeMap(p, p, entries, deg=deg).realize(sp, sp)
+                M._realize_map(ring, ([1], [0], [kid], [F.one], deg), p, p, real, real)
 
     def test_banded_realize_checks_entries_outside_the_band(self):
         """On a band realize writes only the band's generators, but still
         checks the bidegree of every entry of the map."""
-        p = self.p
-        band = (-1, 0)
-        sp = p.to_complex(band).space
-        assert {g for lbls in sp.cells.values() for (g, _) in lbls} == {"p0", "p1"}
-        good = M.FreeMap(p, p, {"p3": {("p2", (1,)): F.one}}, deg=1)
-        assert good.realize(sp, sp, band).blocks == {}
+        ring, p = self.ring, self.p
+        real = M._realize(ring, p, (-1, 0))
+        sp = real[0].space
+        assert {lab[0] for lbls in sp.cells.values() for lab in lbls} == {"p0", "p1"}
+        good = ([3], [2], [1], [F.one], 1)
+        assert M._realize_map(ring, good, p, p, real, real).blocks == {}
         with pytest.raises(ValueError, match="bidegree"):
-            M.FreeMap(p, p, {"p3": {("p2", (0,)): F.one}}, deg=1).realize(sp, sp, band)
-
-    def test_dual_and_tensor_built_once(self):
-        q = M.periodic_resolution(self.ring, 2)
-        assert self.p.dual() is self.p.dual()
-        assert self.p.tensor(q) is self.p.tensor(q)
-        assert self.p.tensor(self.p) is not self.p.tensor(q)
-        assert M.lacing_map(self.p, q).target is self.p.tensor(q).dual()
+            M._realize_map(ring, ([3], [2], [0], [F.one], 1), p, p, real, real)
 
 
 class TestDualModule:
@@ -397,18 +415,45 @@ class TestInfinExt:
         }
 
     def test_report_builds_each_complex_once(self, monkeypatch):
+        """Every complex is a SemiFree, built once: the band each
+        realization cuts is not counted."""
         r = M.truncated_poly(F, ["x"], ["x^3"])
         built = []
-        init = M.FreeComplex.__init__
+        init = SemiFree.__init__
+        realize = M._realize
 
-        def counted(self, *args, **kwargs):
+        def counted(self, *args):
             built.append(self)
-            init(self, *args, **kwargs)
+            init(self, *args)
 
-        monkeypatch.setattr(M.FreeComplex, "__init__", counted)
+        def uncounted(ring, p, band=None):
+            before = len(built)
+            out = realize(ring, p, band)
+            del built[before:]
+            return out
+
+        monkeypatch.setattr(SemiFree, "__init__", counted)
+        monkeypatch.setattr(M, "_realize", uncounted)
         M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2)
-        # P, P^, P^^, P', P'^, P⊗P, (P⊗P)^, (P⊗P)^^, P^⊗P^, P'⊗P', (P'⊗P')^
-        assert len(built) <= 11
+        # P, P^, P^^, P', P'^, P⊗P, (P⊗P)^, (P⊗P)^^, P'⊗P', (P'⊗P')^
+        assert len(built) <= 10
+
+    @pytest.mark.parametrize("n_check", [0, 1, -2])
+    def test_too_few_tensor_powers_are_refused(self, n_check, monkeypatch):
+        """The verdict compares the powers from 2 on, so n_check below 2,
+        which once compared nothing and called it an isomorphism, raises
+        before anything is built."""
+        monkeypatch.setattr(M, "_witness", lambda *args: pytest.fail("built"))
+        with pytest.raises(ValueError, match="n_check must be at least 2"):
+            M.infin_ext_check(M.truncated_poly(F, ["x"], ["x^3"]),
+                              window=(-2, 2), length=4, n_check=n_check)
+
+    def test_an_empty_window_is_refused_before_any_build(self, monkeypatch):
+        monkeypatch.setattr(M, "_witness", lambda *args: pytest.fail("built"))
+        for window in ((1, 0), (0, -1), (2, -2)):
+            with pytest.raises(ValueError, match="empty window"):
+                M.infin_ext_check(M.truncated_poly(F, ["x"], ["x^3"]),
+                                  window=window, length=4)
 
     @staticmethod
     def _digest(reports):
@@ -474,11 +519,8 @@ class TestInfinExt:
         runs = self.BANDED_RUNS
         banded = [M.infin_ext_check(ring, window=(-w, w), length=length, n_check=n)
                   for w, length, n in runs]
-        whole_cx, whole_map = M.FreeComplex.to_complex, M.FreeMap.realize
-        monkeypatch.setattr(M.FreeComplex, "to_complex",
-                            lambda c, band=None: whole_cx(c))
-        monkeypatch.setattr(M.FreeMap, "realize",
-                            lambda f, src, tgt, band=None: whole_map(f, src, tgt))
+        whole = M._realize
+        monkeypatch.setattr(M, "_realize", lambda ring, p, band=None: whole(ring, p))
         assert banded == [M.infin_ext_check(ring, window=(-w, w), length=length,
                                             n_check=n) for w, length, n in runs]
 
@@ -487,11 +529,13 @@ class TestInfinExt:
         """On the band (lo-1, hi+1) the cohomology equals the whole
         complex's, certified, on every cell of degree lo..hi, and no held
         cell of degree lo-1 or hi+1 is certified."""
-        p = M.free_resolution(M.truncated_poly(Field(32003), ["x"], [f"x^{t}"]), 8)
+        ring = M.truncated_poly(Field(32003), ["x"], [f"x^{t}"])
+        p = M.free_resolution(ring, 8)
+        p2 = M._tensor(ring, p, p)
         lo, hi = -2, 2
-        for c in (p.tensor(p), p.tensor(p).dual().dual(), p.dual()):
-            whole = c.to_complex().cohomology(Window(lo, hi, 40))
-            banded = c.to_complex((lo - 1, hi + 1)).cohomology(Window(lo, hi, 40))
+        for c in (p2, M._dual(ring, M._dual(ring, p2)), M._dual(ring, p)):
+            whole = M._realize(ring, c)[0].cohomology(Window(lo, hi, 40))
+            banded = M._realize(ring, c, (lo - 1, hi + 1))[0].cohomology(Window(lo, hi, 40))
             for d, w in Window(lo, hi, 40).grid():
                 assert banded.dim(d, w) == whole.dim(d, w)
                 assert banded.certificate.exact_at(d, w)
@@ -522,7 +566,7 @@ class TestInfinExt:
 
     def test_products_of_monomials_read_the_ring_table(self, monkeypatch):
         """Once the ring exists, every product of monomials the check
-        makes, in FreeMap.apply, the Koszul tensor and the realizations,
+        makes, in composites, tensors of maps and the realizations,
         is a lookup in the ring's product table."""
         r = M.truncated_poly(Field(32003), ["x"], ["x^3"])
         calls = []

@@ -81,6 +81,34 @@ CLAIMS = {
         "the reduced bar of k over the dual numbers has one generator per "
         "length, the size of Ext(k, k)",
         "tests/test_bar.py::test_bar_generator_counts_dual_numbers"),
+    "dg.DgAlgebra.validate": (
+        "the d², Leibniz and associativity validator: an algebra whose "
+        "product is not associative fails it",
+        "tests/test_dg.py::test_bad_associativity_reported_with_triple"),
+    "dg.DgModule.validate": (
+        "the module validator: an action that is not unital or breaks the "
+        "grading fails it",
+        "tests/test_dg.py::test_module_validator_catches_a_broken_action"),
+    "dg.DgModule.act_left": (
+        "the module validator on left modules, which acts through it",
+        "tests/test_dg.py::test_module_validator_catches_a_broken_action"),
+    "graded.CochainComplex.validate_d2": (
+        "the d² validator: each face-sign mutant of a limit fails it",
+        "tests/test_holim.py::TestSignsOnATower::"
+        "test_each_face_flip_breaks_d_squared"),
+    "dg.AlgebraMorphism.validate": (
+        "the validator of unital chain algebra maps: a map that is not "
+        "unital fails it",
+        "tests/test_dg.py::test_restrict_scalars_rejects_non_multiplicative"),
+    "graded.GradedMap.same_blocks": (
+        "functoriality: the composite of a tower's projections equals the "
+        "projection it composes to",
+        "tests/test_models.py::TestTruncatedRing::test_projection_composes"),
+    "holim.AlgebraDiagram.validate": (
+        "the functoriality validator: a diagram of algebras whose composite "
+        "arrow is not the composite of its maps fails it",
+        "tests/test_holim.py::TestDiagramValidation::"
+        "test_functoriality_violation_detected"),
     "holim.SignConvention.flip": (
         "the sign mutants: flipping any one limit sign breaks d^2 or the "
         "algebra validator",
@@ -109,9 +137,10 @@ CLAIMS = {
         "says so",
         "tests/test_models.py::TestAdicTower::"
         "test_cap_artifact_warns_and_stabilizes"),
-    "models.FreeComplex.to_module": (
-        "a truncated resolution of k realizes to a module with cohomology k "
-        "in its honest range",
+    "models.realize_module": (
+        "a truncated resolution of k realizes, as P ⊗_R R, to a module with "
+        "cohomology k in its certified degrees (ROADMAP item 10 completes "
+        "along it)",
         "tests/test_models.py::TestResolutions::"
         "test_resolution_computes_residue_field"),
     "linalg.SparseMatrix.solve": (
