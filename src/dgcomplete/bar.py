@@ -7,8 +7,8 @@ and end object, the scalar terms of d, and the terms with a coefficient in
 the algebra as flat parallel lists.  m's bar construction (``_BarScheme``)
 has the inner differential as its scalar terms and one term per tuple, its
 parent times its last slot; the resolution witness of
-``DgModule.resolution`` has no scalar terms.  A builder also takes P's
-certificate and the weights it may mark known, which the tensor keeps.
+``DgModule.resolution`` has no scalar terms.  A builder marks known only
+what P's certificate says; the tensor also takes the weights it keeps.
 
 The reduced bar construction tensors over the span of the weight-zero
 idempotents whenever the algebra is weight-connected; slot tuples are then
@@ -391,7 +391,7 @@ class _BarScheme(SemiFree):
 
     def certified(self) -> Cert:
         """The builders' certificate (``Cert``), or None when no column is
-        complete: every tuple of signed total sign·w up to top was
+        complete: every tuple within top of the lightest weight was
         enumerated, and the lightest generator is a module key.
 
         Slot weight sums at a total are at most its gap to the lightest
@@ -412,9 +412,7 @@ class _BarScheme(SemiFree):
             top = next((i - 1 for i in range(1, top + 1)
                         if not sp.column_complete(s * i)), top)
         mwts = [s * k[1] for k in m.basis_keys()]
-        if not mwts:
-            return s, top, None
-        return s, top + min(mwts), s * min(mwts)
+        return s, top, s * min(mwts) if mwts else None
 
 
 class BarData:
@@ -441,8 +439,8 @@ def _terms(elt, place: Callable[[Key], int], p: int) -> List[Tuple[int, Scalar]]
     return out
 
 
-# a builder's certificate (sign, top, light): every generator of signed weight
-# sign·w <= top is present, and light is the lightest weight (None for none)
+# a builder's certificate (sign, top, light): every generator w with
+# sign·(w - light) <= top is present, light the lightest (None for none)
 Cert = Optional[Tuple[int, int, Optional[int]]]
 # a weight interval (lo, hi), both ends included
 Band = Tuple[int, int]
@@ -455,12 +453,11 @@ def _two_sided(src: SemiFree, keys: Sequence[Key],
     """The semi-free module src tensored over the idempotents with a right
     factor given as plain data: its basis keys, the object each starts at
     (None when unreduced), the merge of an algebra key into a key, and its
-    complex.  Only the total weights within window are kept, and only
-    they are marked known; a label is src's with the right key appended.
-    Also returns each right key's place per generator, -1 where there is
-    none.  d(g ⊗ r) is d(g) with each term g'·(c·a) merged as c·g' ⊗ a·r,
-    plus (-1)^|g| g ⊗ dr; cert is None when the right factor is not fully
-    known."""
+    complex.  Only the total weights within window are kept, and cert alone
+    marks the known ones (cert is None when the right factor is not fully
+    known); a label is src's with the right key appended.  Also returns each
+    right key's place per generator, -1 where there is none.  d(g ⊗ r) is
+    d(g) with each term g'·(c·a) merged as c·g' ⊗ a·r, plus (-1)^|g| g ⊗ dr."""
     labels, degs, wts, objs = src.labels, src.degs, src.wts, src.objs
     nt, p = len(labels), rcx.field.char
     v0, v1 = window
@@ -519,17 +516,20 @@ def _two_sided(src: SemiFree, keys: Sequence[Key],
     space = cx.space
 
     if cert is not None and keys:
-        # w is complete when the generators are at w less the lightest right
-        # key's weight, and empty beyond the lightest generator and key
+        # w reads the generators at w less the right keys' weights: empty
+        # beyond the edge near + light, complete the top weights inside it
         sign, top, light = cert
-        near = sign * min(sign * k[1] for k in keys)
-        for w in range(v0, v1 + 1):
-            if sign * (w - near) <= top:
-                space.set_known(w)
-        if light is not None and sign > 0:
-            space.known_zero_below = light + near
-        elif light is not None:
-            space.known_zero_above = light + near
+        if light is None:  # no generators: the zero complex
+            space.mark_all_complete()
+            return cx, at
+        edge = sign * min(sign * k[1] for k in keys) + light
+        lo, hi = sorted((edge, edge + sign * top))
+        for w in range(max(lo, v0), min(hi, v1) + 1):
+            space.set_known(w)
+        if sign > 0:
+            space.known_zero_below = edge
+        else:
+            space.known_zero_above = edge
     return cx, at
 
 
@@ -541,19 +541,19 @@ def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
         w_cap = n_max
     scheme = _BarScheme(m, n_max, w_cap, reduced)
     a = m.algebra
-    f = m.field
     keys = a.basis_keys()
     # the slot check already covers the algebra's columns
     cx, at = _two_sided(scheme, keys, scheme.red.lobj if scheme.reduced else None,
                         a.basis_product, a.complex, (-w_cap, w_cap), scheme.certified())
 
-    # the augmentation sends a bare tuple with right key bk to mk·bk
+    # the augmentation sends a bare tuple with right key bk to mk·bk, read
+    # off the action table
     aug = GradedMap(cx.space, m.space, 0, 0)
     for mk, t in scheme.bare.items():
         for col, bk in zip(at, keys):
             if col[t] >= 0:
                 src = (mk[0] + bk[0], mk[1] + bk[1], col[t])
-                for tk, c in m.act({mk: f.one}, {bk: f.one}).items():
+                for tk, c in m.action.get((mk, bk), {}).items():
                     aug.add_entry(src, tk, c)
 
     counts: Dict[Tuple[int, int, int], int] = {}
@@ -563,13 +563,12 @@ def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
 
 
 def _hom_complex_into(src: SemiFree, n: DgModule,
-                      nobj: Optional[Dict[Key, int]], band: Band,
-                      cert: Cert) -> CochainComplex:
+                      nobj: Optional[Dict[Key, int]], cert: Cert) -> CochainComplex:
     """Hom over the idempotents from the semi-free module src into n: the
     map g ↦ q, labelled (q, g's label), sits at |q| - |g|, and
     (d f)(g) = d(f(g)) - (-1)^|f| f(d g), a term g'·(c·a) of d(g) read as
-    c·f(g')·a.  cert counts only when n is fully known, and marks known
-    only the columns within n's weights less band."""
+    c·f(g')·a.  cert, which counts only when n is fully known, alone marks
+    the known columns."""
     labels, degs, wts, objs = src.labels, src.degs, src.wts, src.objs
     nt, p = len(labels), n.field.char
     nkeys = n.basis_keys()
@@ -630,46 +629,48 @@ def _hom_complex_into(src: SemiFree, n: DgModule,
     space = cx.space
 
     if cert is not None and nkeys and n.space.fully_known():
-        # column u reads the generators at w - u, w a weight of n: complete
-        # when the heaviest of them is within top, empty beyond the lightest
+        # column u reads the generators at w - u, w a weight of n: empty
+        # beyond the edge far - light, complete the top columns inside it
         sign, top, light = cert
-        lo, hi = min(k[1] for k in nkeys), max(k[1] for k in nkeys)
-        far = hi if sign > 0 else lo
-        for u in range(lo - band[1], hi - band[0] + 1):
-            if sign * (far - u) <= top:
-                space.set_known(u)
-        if light is not None and sign > 0:
-            space.known_zero_above = far - light
-        elif light is not None:
-            space.known_zero_below = far - light
+        if light is None:  # no generators: the zero complex
+            space.mark_all_complete()
+            return cx
+        edge = sign * max(sign * k[1] for k in nkeys) - light
+        lo, hi = sorted((edge, edge - sign * top))
+        for u in range(lo, hi + 1):
+            space.set_known(u)
+        if sign > 0:
+            space.known_zero_above = edge
+        else:
+            space.known_zero_below = edge
     return cx
 
 
 def _replacement(m: DgModule, n: DgModule, n_max: int, w_cap: int,
                  reduced: Optional[bool]
-                 ) -> Tuple[SemiFree, Optional[Dict[Key, int]], Cert, Band, Band]:
+                 ) -> Tuple[SemiFree, Optional[Dict[Key, int]], Cert, Band]:
     """A semi-free replacement P of m, the object of each key of n (None
-    over one object), P's certificate, the generator weights the Hom
-    builder marks columns for, and the weights of P ⊗ n the tensor keeps.
+    over one object), P's certificate, and the weights of P ⊗ n the tensor
+    keeps.
 
     When m carries a resolution recipe (``DgModule.resolution``) and
     ``reduced`` is not given, P is the witness the recipe gives at length
     n_max and weight cap w_cap, one copy of the generators within w_cap of
     the lightest weight w0.  A recipe's algebra is positively weighted, so
     d lowers weight and the cut is a subcomplex, the sign is +1, every
-    generator within min(n_max, w_cap) of w0 is listed, the Hom reads the
-    kept weights and the tensor keeps all it reaches.  Otherwise P is m's bar,
-    with tuples of at most n_max slots whose weights sum to at most w_cap,
-    and both bands are (-w_cap, w_cap)."""
+    generator within min(n_max, w_cap) of w0 is listed, and the tensor keeps
+    all it reaches.  Otherwise P is m's bar, with tuples of at most n_max
+    slots whose weights sum to at most w_cap, and the tensor keeps the
+    total weights within w_cap."""
     if reduced is not None or m.resolution is None:
         scheme = _BarScheme(m, n_max, w_cap, reduced, n)
-        return scheme, scheme.nobj, scheme.certified(), (-w_cap, w_cap), (-w_cap, w_cap)
+        return scheme, scheme.nobj, scheme.certified(), (-w_cap, w_cap)
     if n_max < 0 or w_cap < 0:
         raise ValueError("caps must be non-negative")
     p = m.resolution(n_max, w_cap)
     w0 = min(p.wts)
     nwts = [q[1] for q in n.basis_keys()] or [0]
-    return (p, None, (1, w0 + min(n_max, w_cap), w0), (w0, w0 + w_cap),
+    return (p, None, (1, min(n_max, w_cap), w0),
             (min(nwts) + w0, max(nwts) + w0 + w_cap))
 
 
@@ -678,16 +679,17 @@ def derived_hom(m: DgModule, n: DgModule, n_max: int,
                 reduced: Optional[bool] = None) -> CochainComplex:
     """Right derived Hom from m to n over their common algebra: Hom_A(P, n)
     built by the one Hom builder, for the semi-free replacement P of m that
-    ``_replacement`` chooses: the witness of m's resolution recipe, or,
-    whenever ``reduced`` is passed or there is no recipe, m's bar."""
+    ``_replacement`` chooses (the witness of m's resolution recipe, or,
+    whenever ``reduced`` is passed or there is no recipe, m's bar), known
+    where P's certificate says."""
     if m.algebra is not n.algebra:
         raise ValueError("derived_hom needs modules over the same algebra")
     if n.side != "right":
         raise ValueError("derived_hom target must be a right module")
     if w_cap is None:
         w_cap = n_max
-    p, nobj, cert, band, _ = _replacement(m, n, n_max, w_cap, reduced)
-    return _hom_complex_into(p, n, nobj, band, cert)
+    p, nobj, cert, _ = _replacement(m, n, n_max, w_cap, reduced)
+    return _hom_complex_into(p, n, nobj, cert)
 
 
 class InnerModel(DgAlgebra):
@@ -753,7 +755,7 @@ def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     if w_cap is None:
         w_cap = n_max
     scheme = _BarScheme(m, n_max, w_cap, reduced, m)
-    cx = _hom_complex_into(scheme, m, scheme.nobj, (-w_cap, w_cap), scheme.certified())
+    cx = _hom_complex_into(scheme, m, scheme.nobj, scheme.certified())
     f = m.field
     space, one = cx.space, f.one
     unit: Elt = {space.key_of(0, 0, (q, (q, ()))): one for q in m.basis_keys()}
@@ -807,6 +809,12 @@ class MinimalModel(InnerModel):
 
     def ends(self, k: Key) -> Tuple[Key, Key]:
         return self._ends[k]
+
+    def _weight_sign(self) -> Optional[int]:
+        """H(E)'s sign; held at weight 0, as a cut may leave it, E's (+1
+        where E has both signs or none)."""
+        weighted = any(k[1] for k in self.basis_keys())
+        return super()._weight_sign() if weighted else self.inner._weight_sign() or 1
 
     def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
         """The length-zero part of i(h), the one bare unit of h's block;
@@ -890,7 +898,7 @@ def derived_tensor(m: DgModule, n: DgModule, n_max: int,
         raise ValueError("derived_tensor takes a right and a left module")
     if w_cap is None:
         w_cap = n_max
-    p, nobj, cert, _, window = _replacement(m, n, n_max, w_cap, reduced)
+    p, nobj, cert, window = _replacement(m, n, n_max, w_cap, reduced)
     return _two_sided(p, n.basis_keys(), nobj, lambda a, q: n.action.get((a, q), {}),
                       n.complex, window, cert if n.space.fully_known() else None)[0]
 

@@ -1083,7 +1083,6 @@ def _scen_dual_numbers_op(field: Field, params: Dict) -> Dict:
         "module": m,
         "caps": (wmax + 2, wmax + 2),
         "window": (-2, 3),
-        "report_wmax": wmax,
         "expected": {"h_dims": {c: n for c, n in h_dims.items()
                                 if abs(c[1]) <= wmax}},
     }
@@ -1097,7 +1096,6 @@ def _scen_koszul_kx(field: Field, params: Dict) -> Dict:
         "kind": "completion",
         "algebra": ring.algebra,
         "module": ring.residue_module(),
-        "ring": ring,
         "caps": tuple(params.get("caps", (wmax, wmax))),
         "inner_caps": tuple(params.get("inner_caps", (wmax + 2, wmax + 2))),
         "window": (-2, 2),
@@ -1114,12 +1112,8 @@ def _scen_adic_kx(field: Field, params: Dict) -> Dict:
         "name": f"adic_kx_{depth}",
         "kind": "holim_tower",
         "tower": tower,
-        "dmax": int(params.get("dmax", 2)),
-        "expected": {
-            "h0_total": depth,
-            "h0_by_weight": {w: 1 for w in range(0, depth)},
-            "quotient_dims": list(range(1, depth + 1)),
-        },
+        "expected": {"h0_total": depth,
+                     "quotient_dims": list(range(1, depth + 1))},
     }
 
 
@@ -1134,10 +1128,7 @@ def _scen_free_category(field: Field, params: Dict) -> Dict:
         "module": m,
         "caps": (wmax, wmax),
         "window": (-2, 2),
-        "expected": {
-            "hom_dims_by_weight": {w: 2 for w in range(1, wmax + 1)},
-            "h_dims": {(0, 0): 1},
-        },
+        "expected": {"h_dims": {(0, 0): 1}},
     }
 
 

@@ -306,7 +306,7 @@ def _answer(r):
 # along its simples has one chain of n - 1 slots of weight 1, 1 -> ... -> n
 FINITE = [(f"triangular_{n}", lambda n=n: _triangular(n), (n - 1, n - 1), ())
           for n in range(2, 8)] + [
-    ("staggered simples", _staggered_simples, (1, 1), (1,))]
+    ("staggered simples", _staggered_simples, (1, 1), ())]
 
 
 @pytest.mark.parametrize("order", ["rising", "falling"])
@@ -320,10 +320,10 @@ def test_completions_along_one_module_build_its_uncut_model_once(
     module answers on the per-call path (forced here by refusing the route,
     since caps clearing the outer cap by 2 admit most of these modules).
 
-    One cell set differs: at cap 1 the staggered simples' per-call H(E)
-    holds only weight 0, whose sign nothing fixes, so its outer bar
-    certifies no cell; the uncut model has its class at (2, -2), and the
-    outer bar certifies the weights -1 and 0, with the values cap 2 gives."""
+    At cap 1 the staggered simples' per-call H(E) holds only weight 0, and
+    takes the negative weight sign of its E, whose class the uncut model
+    keeps at (2, -2): both outer bars certify the weights -1 and 0, 12 of
+    18 cells, with the values cap 2 gives."""
     caps = [1, 2, 3, 4, 5] if order == "rising" else [5, 4, 3, 2, 1]
     inner = (max(uncut[0], 7), max(uncut[1], 7))
     calls = _counted_ends(monkeypatch)

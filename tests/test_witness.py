@@ -16,7 +16,7 @@ from dgcomplete.dg import (
     DgModule, SemiFree, direct_sum_modules, identity_morphism, regular_module,
     restrict_scalars, shift_module,
 )
-from dgcomplete.graded import Window
+from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.linalg import RATIONALS, Field
 from test_bar import _complex_snapshot, trivial_left
 
@@ -385,3 +385,43 @@ def test_a_weight_cut_inside_the_length_matches_the_bar(relations, n, w_cap):
         cx = build(k)
         assert cx.validate_d2() is None
         assert _table(cx, window) == _table(build(bar_k), window)
+
+
+def _knowledge(cx):
+    sp = cx.space
+    return sorted(sp.known_cols.items()), sp.known_zero_below, sp.known_zero_above
+
+
+@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
+def test_the_bar_and_the_witness_know_the_same_columns(spec):
+    """Ext and Tor of k know the same columns and the same certified-empty
+    ray over the witness and over the bar, at every length 0-8, with no
+    weight cap and with cap 2: each marks the columns its certificate
+    reaches from the ray's edge inward, and none inside the ray."""
+    ring = M.truncated_poly(GF, *spec)
+    k, k_left = ring.residue_module(), trivial_left(ring.algebra)
+    for n in range(9):
+        for w_cap in (None, 2):
+            for build in (lambda **kw: derived_hom(k, k, n, w_cap, **kw),
+                          lambda **kw: derived_tensor(k, k_left, n, w_cap, **kw)):
+                assert _knowledge(build()) == _knowledge(build(reduced=True))
+
+
+def _k_at(a, wt):
+    """k as a right module placed at weight wt."""
+    sp = BiGradedSpace(a.field)
+    sp.add_cell(0, wt, ["m"])
+    mk = (0, wt, 0)
+    action = {(mk, x): {mk: a.field.one} for x in a.basis_keys() if x[1] == 0}
+    return DgModule(a, CochainComplex(sp), action, side="right")
+
+
+def test_a_module_off_weight_zero_keeps_the_columns_its_ext_knows():
+    """Ext(k(2), k(2)) over k[x]/(x^5) at length 4, k placed at weight 2,
+    answers what Ext(k, k) answers, certified at weights -4..0 in degrees
+    0-3: the bar's generators four weights heavier than k(2) are there."""
+    a = _ring(5).algebra
+    window = Window(0, 4, 6)
+    got = _table(derived_hom(_k_at(a, 2), _k_at(a, 2), 4), window)
+    assert got == _table(derived_hom(_k_at(a, 0), _k_at(a, 0), 4), window)
+    assert all(got[(d, w)][1] for d in range(4) for w in range(-4, 1))
