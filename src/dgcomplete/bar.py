@@ -19,7 +19,9 @@ the labels of a convolution algebra or of its minimal model, mirrored from
 the base for the opposite that ``module_over_opposite`` acts through, and
 found by asking every idempotent product for any other algebra.  The minimal
 model is the cohomology of a convolution algebra with the product its
-representatives induce, built where a purity check makes it formal.
+representatives induce, built where a purity check makes it formal; the
+witness model is Ext(k, k) read off k's resolution witness, with the Yoneda
+product its chain-map lifts give, under the same check.
 
 Each slot tuple is an integer index, numbered depth first, and each slot an
 integer id.  A tuple's parent is the tuple without its last slot, its child
@@ -455,7 +457,8 @@ def _two_sided(src: SemiFree, keys: Sequence[Key],
     (None when unreduced), the merge of an algebra key into a key, and its
     complex.  Only the total weights within window are kept, and cert alone
     marks the known ones (cert is None when the right factor is not fully
-    known); a label is src's with the right key appended.  Also returns each
+    known), all of them when src or the right factor has nothing to tensor;
+    a label is src's with the right key appended.  Also returns each
     right key's place per generator, -1 where there is none.  d(g ⊗ r) is
     d(g) with each term g'·(c·a) merged as c·g' ⊗ a·r, plus (-1)^|g| g ⊗ dr."""
     labels, degs, wts, objs = src.labels, src.degs, src.wts, src.objs
@@ -515,11 +518,11 @@ def _two_sided(src: SemiFree, keys: Sequence[Key],
     cx = _install(rcx.field, cells, entries)
     space = cx.space
 
-    if cert is not None and keys:
+    if cert is not None:
         # w reads the generators at w less the right keys' weights: empty
         # beyond the edge near + light, complete the top weights inside it
         sign, top, light = cert
-        if light is None:  # no generators: the zero complex
+        if light is None or not keys:  # no generators or no keys: zero
             space.mark_all_complete()
             return cx, at
         edge = sign * min(sign * k[1] for k in keys) + light
@@ -568,7 +571,8 @@ def _hom_complex_into(src: SemiFree, n: DgModule,
     map g ↦ q, labelled (q, g's label), sits at |q| - |g|, and
     (d f)(g) = d(f(g)) - (-1)^|f| f(d g), a term g'·(c·a) of d(g) read as
     c·f(g')·a.  cert, which counts only when n is fully known, alone marks
-    the known columns."""
+    the known columns, all of them when src has no generators or n no
+    keys."""
     labels, degs, wts, objs = src.labels, src.degs, src.wts, src.objs
     nt, p = len(labels), n.field.char
     nkeys = n.basis_keys()
@@ -628,11 +632,11 @@ def _hom_complex_into(src: SemiFree, n: DgModule,
     cx = _install(n.field, cells, entries)
     space = cx.space
 
-    if cert is not None and nkeys and n.space.fully_known():
+    if cert is not None and n.space.fully_known():
         # column u reads the generators at w - u, w a weight of n: empty
         # beyond the edge far - light, complete the top columns inside it
         sign, top, light = cert
-        if light is None:  # no generators: the zero complex
+        if light is None or not nkeys:  # no generators or no keys: zero
             space.mark_all_complete()
             return cx
         edge = sign * max(sign * k[1] for k in nkeys) - light
@@ -842,6 +846,26 @@ def _line(cells: Sequence[Tuple[int, int]],
     return Fraction(0)
 
 
+def _purity(classes: BiGradedSpace, m: DgModule) -> Dict:
+    """The record of the purity check on the cells of classes over the
+    module m: the slope c of the line d = c·w (``_line``), m's offset d0
+    from it, ``off_line``, the first class or module cell off its line (None
+    if there is none), and ``reason``, why no model is built (None if one
+    can be)."""
+    cells, mcells = sorted(classes.cells), sorted(m.space.cells)
+    c = _line(cells, mcells)
+    d0 = mcells[0][0] - c * mcells[0][1] if mcells else Fraction(0)
+    record: Dict = {"slope": c, "offset": d0, "off_line": None, "reason": None}
+    off = ([("class", cell) for cell in cells if cell[0] != c * cell[1]]
+           + [("module cell", cell) for cell in mcells
+              if cell[0] - c * cell[1] != d0])
+    if off:
+        what, cell = off[0]
+        record["off_line"] = cell
+        record["reason"] = f"{what} at {cell} off its line"
+    return record
+
+
 def minimal_model(inner: EndAlgebra, w_max: Optional[int]
                   ) -> Tuple[Optional[MinimalModel], Dict]:
     """E's minimal model on the weight columns |w| <= w_max, the weights an
@@ -860,18 +884,8 @@ def minimal_model(inner: EndAlgebra, w_max: Optional[int]
     was).
     """
     h = inner.complex.cohomology(wmax=w_max)
-    cells = sorted(h.space.cells)
-    mcells = sorted(inner.module.space.cells)
-    c = _line(cells, mcells)
-    d0 = mcells[0][0] - c * mcells[0][1] if mcells else Fraction(0)
-    record: Dict = {"slope": c, "offset": d0, "off_line": None, "reason": None}
-    off = ([("class", cell) for cell in cells if cell[0] != c * cell[1]]
-           + [("module cell", cell) for cell in mcells
-              if cell[0] - c * cell[1] != d0])
-    if off:
-        what, cell = off[0]
-        record["off_line"] = cell
-        record["reason"] = f"{what} at {cell} off its line"
+    record = _purity(h.space, inner.module)
+    if record["reason"] is not None:
         return None, record
     ends: Dict[Key, Tuple[Key, Key]] = {}
     for k, rep in h.representatives.items():
@@ -885,6 +899,130 @@ def minimal_model(inner: EndAlgebra, w_max: Optional[int]
         record["reason"] = "not weight-connected over its weight-0 classes"
         return None, record
     return model, record
+
+
+class WitnessModel(InnerModel):
+    """REnd_a(k) read off the minimal resolution witness P of k's recipe
+    (``DgModule.resolution``): its classes are Hom_a(P, k), whose d is
+    zero, as ``derived_hom`` builds it, the map g ↦ q labelled (q, g's
+    label), knowing what P's certificate says.  k has one key q0, so every
+    class runs from q0 to q0 (``ends``), and only the unit, p0 ↦ q0 for P's
+    one generator p0 in degree 0, acts on k.  The weight sign is the
+    algebra's own, as E's at the same caps: P is positively weighted.
+
+    The product is Yoneda's, f·g = f∘G for the chain map G: P → P over g
+    that ``lift`` finds, evaluated only for the pairs something reads, and
+    with no lift where a factor is the unit or no class sits at the sum of
+    the bidegrees.  P is rebuilt from the recipe, a prefix of its kept
+    build, only for a lift."""
+
+    def __init__(self, hom: CochainComplex, m: DgModule, caps: Tuple[int, int],
+                 purity: Dict):
+        (one,) = hom.space.keys(0, 0)  # p0 ↦ q0
+        super().__init__(hom, {one: m.field.one}, self._yoneda, m,
+                         name=f"Ext({m.name})")
+        (self._q0,) = m.basis_keys()
+        self._one, self.caps, self.purity = one, caps, purity
+        self._witness: Optional[Tuple] = None
+        self._lifts: Dict[Key, List[Dict[Tuple[int, Key], Scalar]]] = {}
+
+    def ends(self, k: Key) -> Tuple[Key, Key]:
+        return self._q0, self._q0
+
+    def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
+        yield self._one, self._q0, {self._q0: self.field.one}
+
+    def _realized(self) -> Tuple:
+        """P, P ⊗_A A over the field (``_two_sided``) on the weights the cut
+        keeps exact, within the weight cap of the lightest, and the place
+        (d, w, i) there of each generator t times algebra key b, (t, b),
+        with its inverse."""
+        if self._witness is None:
+            p = self.module.resolution(*self.caps)
+            a = self.module.algebra
+            keys = a.basis_keys()
+            cx, at = _two_sided(p, keys, None, a.basis_product, a.complex,
+                                (min(p.wts), min(p.wts) + self.caps[1]), None)
+            place = {(t, b): (p.degs[t] + b[0], p.wts[t] + b[1], i)
+                     for b, col in zip(keys, at) for t, i in enumerate(col) if i >= 0}
+            self._witness = p, cx, place, {v: tb for tb, v in place.items()}
+        return self._witness
+
+    def lift(self, src: SemiFree, values: Dict[int, Elt], bideg: Tuple[int, int]
+             ) -> List[Dict[Tuple[int, Key], Scalar]]:
+        """The chain map F: src → P of bidegree bideg over an A-linear
+        cocycle src → k[bideg], given on src's generators by values: ε∘F is
+        that cocycle and d∘F = (-1)^|F| F∘d.  F(g) is a sum of P's
+        generators t times algebra keys b, {(t, b): c}, found one generator
+        of src at a time, highest degree first.  ε sends p0 to q0 and kills
+        p0·x for x of positive weight, so in degree 0 F(g) = c·p0 for
+        values[g] = c·q0; below it F(g) is one solve of d in P ⊗_A A onto
+        (-1)^|F| F(d g)."""
+        p, cx, place, at = self._realized()
+        a, char = self.module.algebra, self.field.char
+        (unit,), p0 = a.unit, p.degs.index(0)
+        sign = -1 if bideg[0] & 1 else 1  # _add reduces it over GF(p)
+        rows = src.rows()
+        terms: Dict[int, List] = defaultdict(list)
+        for g, j, x, c in zip(src.src, src.dst, src.kid, src.coef):
+            terms[g].append((j, c, src.keys[x]))
+        lifted: List[Dict[Tuple[int, Key], Scalar]] = [{} for _ in src.degs]
+        for g in sorted(range(len(src.degs)), key=lambda i: -src.degs[i]):
+            d, w = src.degs[g] + bideg[0], src.wts[g] + bideg[1]
+            if d == 0:
+                lifted[g] = {(p0, unit): c for c in values.get(g, {}).values()}
+                continue
+            want: Dict[int, Scalar] = {}
+            for j, c in (rows[g].items() if rows is not None else ()):
+                for tb, v in lifted[j].items():
+                    _add(want, place[tb][2], sign * c * v, char)
+            for j, c, ak in terms[g]:
+                for (t, b), v in lifted[j].items():
+                    for b2, v2 in a.basis_product(b, ak).items():
+                        _add(want, place[(t, b2)][2], sign * c * v * v2, char)
+            if want:
+                x = cx.differential_block(d, w).solve(want)
+                if x is None:
+                    raise RuntimeError(f"no lift of generator {src.labels[g]} "
+                                       f"into the witness at ({d}, {w})")
+                lifted[g] = {at[(d, w, i)]: v for i, v in x.items()}
+        return lifted
+
+    def _yoneda(self, k1: Key, k2: Key) -> Elt:
+        if (k1[0] + k2[0], k1[1] + k2[1]) not in self.space.cells:
+            return {}
+        if self._one in (k1, k2):
+            return {k2 if k1 == self._one else k1: self.field.one}
+        p = self._realized()[0]
+        label, key_of = self.space.label_of, self.space.key_of
+        g_lift = self._lifts.get(k2)
+        if g_lift is None:
+            q2, g2 = label(k2)
+            g_lift = self._lifts[k2] = self.lift(
+                p, {p.labels.index(g2): {q2: self.field.one}}, k2[:2])
+        q1, g1 = label(k1)
+        t1, out = p.labels.index(g1), {}
+        for t, image in enumerate(g_lift):
+            for (j, b), c in image.items():
+                if j == t1:
+                    for q, v in self.module.action.get((q1, b), {}).items():
+                        _add(out, key_of(q[0] - p.degs[t], q[1] - p.wts[t],
+                                         (q, p.labels[t])), c * v, self.field.char)
+        return out
+
+
+def witness_model(m: DgModule, w_max: int) -> Tuple[Optional[WitnessModel], Dict]:
+    """REnd_a(m) on the weights |w| <= w_max, the weights an outer bar
+    capped at w_max reads, from m's resolution recipe: Hom_a(P, m) for the
+    witness P at length and weight cap w_max, which lists every generator
+    of weight at most w_max, since each step of a minimal resolution adds
+    weight.  None when the purity check (``minimal_model``'s) finds a class
+    or a module cell off its line; the record of the check either way."""
+    hom = derived_hom(m, m, w_max)
+    record = _purity(hom.space, m)
+    if record["reason"] is not None:
+        return None, record
+    return WitnessModel(hom, m, (w_max, w_max), record), record
 
 
 def derived_tensor(m: DgModule, n: DgModule, n_max: int,

@@ -24,7 +24,18 @@ There are two cap-free models:
   builds it only when its inner caps admit (L, W), the bound the bar model
   respects, and a call they do not admit keeps nothing.
 
-Any other call builds one of two models per call:
+Any other call builds its model per call.  A module with a resolution
+recipe (``DgModule.resolution``: k over a monomial complete intersection or
+a one-variable ring, koszul_kx's among them) first tries
+
+- witness: Ext_a(m, m) = Hom_a(P, m) over the minimal resolution witness P
+  to weight w_out, with the Yoneda product (``bar.witness_model``), when
+  the purity check below holds; it builds no E.
+
+Where that check fails (η at (2, -t) over k[x]/(x^t) once w_out reaches t),
+and for a module with no recipe (k over k[x, y], simples whose uncut caps
+exceed the inner caps, sums and shifts), the call builds m's convolution
+algebra E and takes one of
 
 - minimal: the cohomology H(E) of E on the weights |w| <= w_out the outer
   bar reads, when the purity check makes it E's minimal model
@@ -35,14 +46,14 @@ Any other call builds one of two models per call:
 - bar: E at the inner caps, which bound only this fallback, where the check
   fails.
 
-Purity: every class of H(E) lies on one line d = c·w and m on a parallel
-one.  A transferred A∞ operation m_n has degree 2 - n and weight 0, so with
-inputs and output on that line it vanishes unless n = 2; the higher actions
-on m vanish the same way.  So the minimal model is formal: H(E) with d = 0
-and m₂ = p∘μ∘(i⊗i), where i picks representatives and p reads classes.  No
-homotopy and no A∞ code are needed.  Every model acts on m by evaluating
-its length-zero part (``bar.InnerModel``), so the choice of model is the
-only branch.
+Purity: every class lies on one line d = c·w and m on a parallel one.  A
+transferred A∞ operation m_n has degree 2 - n and weight 0, so with inputs
+and output on that line it vanishes unless n = 2; the higher actions on m
+vanish the same way.  So the model is formal: the cohomology with d = 0 and
+its product, m₂ = p∘μ∘(i⊗i) on H(E), where i picks representatives and p
+reads classes, or Yoneda's on Ext.  No homotopy and no A∞ code are needed.
+Every model acts on m by evaluating its length-zero part
+(``bar.InnerModel``), so the choice of model is the only branch.
 
 The outer model is always the reduced bar, the only one whose cells can be
 certified.  Where the inner algebra is not weight-connected over orthogonal
@@ -56,7 +67,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bar import (
     MinimalModel, StrictEndAlgebra, _module_objects, end_algebra,
-    minimal_model, reduction_data, strict_end_algebra,
+    minimal_model, reduction_data, strict_end_algebra, witness_model,
 )
 from .dg import DgAlgebra, DgModule, direct_sum_modules
 from .graded import Cohomology, Window
@@ -165,11 +176,15 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     past its inner caps, and one that cannot admit them keeps nothing.
     Nothing that depends on the caps is kept.
 
-    Every other call builds per call: E to weight w_out + spread, all the
-    purity check up to w_out reads, and takes the minimal model H(E), which
-    knows what E's cohomology certifies and no weight past w_out, or else E
-    at inner_caps, which must clear w_out by at least 2 and default to that
-    margin.  ``diagnostics["strict"]`` records the projective witness,
+    Every other call builds per call.  A module with a resolution recipe
+    first tries the witness model, Ext read off the recipe's witness to
+    weight w_out with the Yoneda product, which knows what the witness
+    certifies; where it is refused, and for any other module, the call
+    builds E to weight w_out + spread, all the purity check up to w_out
+    reads, and takes the minimal model H(E), which knows what E's
+    cohomology certifies and no weight past w_out, or else E at inner_caps,
+    which must clear w_out by at least 2 and default to that margin.
+    ``diagnostics["strict"]`` records the projective witness,
     ``diagnostics["minimal"]`` the line found or the cell off it (None for
     a strict model), and ``diagnostics["cap_free"]`` is None when the inner
     model is the module's kept one and otherwise says why not: the slots
@@ -215,6 +230,10 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     elif isinstance(cap_free, MinimalModel):
         inner_used, inner, purity = "minimal", cap_free, dict(cap_free.purity)
     else:
+        inner, purity = (witness_model(m, w_out) if m.resolution is not None
+                         else (None, None))
+        inner_used = "witness"
+    if inner is None:
         mw = [k[1] for k in m.basis_keys()]
         w_read = min(w_in, w_out + (max(mw) - min(mw) if mw else 0))
         inner = end_algebra(m, n_in, w_cap=w_read, name=f"End({m.name})")

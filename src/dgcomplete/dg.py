@@ -328,10 +328,14 @@ class DgModule:
     weight by at least one); called with a weight cap W as well, it keeps
     only the generators within W of the lightest, in the same one copy.
     Only ``TruncatedRing.residue_module`` sets it, for k over a monomial
-    complete intersection; its recipe keeps its longest build and answers
-    a shorter length with that build's prefix, which is the build at that
-    length.  No other constructor carries it over, and None is no claim.
-    ``derived_hom`` and ``derived_tensor`` read it.
+    complete intersection or over any one-variable ring, which is
+    k[x]/(x^n) for n its number of monomials: k[x] under the weight cap W
+    reads as the power W + 1.  Its one degree-0 generator goes to k's one
+    key.  Its recipe keeps its longest build and answers a shorter length
+    with that build's prefix, which is the build at that length.  No other
+    constructor carries it over, and None is no claim.  ``derived_hom``,
+    ``derived_tensor`` and the witness model of completions along k
+    (``bar.witness_model``) read it.
 
     Nothing a module keeps depends on a cap, but for that longest build,
     a prefix of the cap-free resolution.  It keeps its object map for the

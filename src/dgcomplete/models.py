@@ -224,7 +224,11 @@ class TruncatedRing:
         k[x_1..x_r]/(x_i^{t_i}) whose weight cap cuts no monomial, k
         carries the recipe of its minimal resolution as a ``SemiFree`` over
         R: what ``free_resolution`` returns, built by the one builder
-        ``_witness``, which refuses a negative length.
+        ``_witness``, which refuses a negative length.  Over one variable R
+        is k[x]/(x^n) for n its number of monomials, whatever cuts them:
+        k[x] under the weight cap W reads as the power W + 1, which is
+        exact for the algebra R holds (x^i·x^j = 0 once i + j > W), where
+        ``free_resolution`` reads a free variable as the Koszul complex.
 
         The recipe keeps its longest build.  Its generators are sorted by
         index sum, which is minus the degree, and each d(g) reaches only
@@ -235,7 +239,8 @@ class TruncatedRing:
         the one copy keeps only the prefix's generators within it of the
         lightest, which d maps among themselves, since it lowers weight."""
         k = self.quotient_module(list(self.variables) or [], name=name)
-        powers = _pure_powers(self)
+        powers = ([len(self.monomials)] if len(self.variables) == 1
+                  else _pure_powers(self))
         if (powers is not None and None not in powers
                 and (self.wmax is None or self.wmax >= sum(powers) - len(powers))):
             longest: Optional[Tuple[int, SemiFree]] = None

@@ -194,13 +194,14 @@ def _registry_completion(name):
 
 @pytest.mark.parametrize("name,inner", [
     ("dual_numbers", "strict"), ("dual_numbers_op", "strict"),
-    ("free_category", "strict"), ("koszul_kx", "minimal"),
+    ("free_category", "strict"), ("koszul_kx", "witness"),
     ("triangular_12", "minimal"), ("triangular_123", "minimal"),
 ])
 def test_registry_completions_keep_their_models(name, inner):
     """koszul_kx completes along k and triangular_* along their simples:
-    neither is projective, and both pass the purity check, so they take the
-    minimal model.  Every one keeps the reduced outer scheme."""
+    neither is projective, and both pass the purity check, so k, which
+    carries a resolution recipe, takes the witness model, and the simples
+    the minimal model.  Every one keeps the reduced outer scheme."""
     r = _registry_completion(name)
     assert r.inner_used == inner
     assert r.reduced_outer
@@ -211,9 +212,11 @@ def test_registry_completions_keep_their_models(name, inner):
 
 
 @pytest.mark.parametrize("name,strict,end", [
-    ("koszul_kx", 0, 2), ("triangular_12", 0, 2), ("dual_numbers_op", 1, 1)])
+    ("koszul_kx", 0, 1), ("triangular_12", 0, 2), ("dual_numbers_op", 1, 1)])
 def test_each_completion_builds_one_inner_model(monkeypatch, name, strict, end):
-    calls = {"strict": 0, "end": 0}
+    """One inner model and one outer bar: the strict model, E built uncut,
+    or the witness model of k, which builds no inner end_algebra."""
+    calls = {"strict": 0, "end": 0, "witness": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -225,8 +228,10 @@ def test_each_completion_builds_one_inner_model(monkeypatch, name, strict, end):
                         counted("strict", complete.strict_end_algebra))
     monkeypatch.setattr(complete, "end_algebra",
                         counted("end", complete.end_algebra))
+    monkeypatch.setattr(complete, "witness_model",
+                        counted("witness", complete.witness_model))
     _registry_completion(name)
-    assert calls == {"strict": strict, "end": end}
+    assert calls == {"strict": strict, "end": end, "witness": 2 - end - strict}
 
 
 def _record(r):

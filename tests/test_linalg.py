@@ -352,11 +352,15 @@ def _adic_tower_holim(model=lambda diag: diag):
 
 
 def _koszul_completion():
-    """The complex a k[x] completion eliminates: the outer complex over the
-    minimal model has d = 0 (ε² = 0, and ε acts on k by zero), so it is
-    the inner convolution algebra E, whose cohomology the model is."""
-    sc = build_scenario("koszul_kx", params={"wmax": 4})
-    res = double_centralizer(sc["algebra"], sc["module"], (3, 3), inner_caps=(5, 5))
+    """The complex a k[x] completion eliminates on the per-call branch,
+    which k takes without its resolution recipe, as k over k[x, y] does: the
+    outer complex over the minimal model has d = 0 (ε² = 0, and ε acts on k
+    by zero), so it is the inner convolution algebra E, whose cohomology the
+    model is.  The deck's k carries the recipe and takes the witness model
+    (``test_the_witness_path_stays_integral``)."""
+    ring = truncated_poly(RATIONALS, ["x"], [], wmax=4)
+    res = double_centralizer(ring.algebra, ring.quotient_module(["x"]), (3, 3),
+                             inner_caps=(5, 5))
     assert res.inner_used == "minimal" and not res.completed.complex.d.blocks
     return res.inner.inner.complex, Window(-2, 2, 3), res.inner
 
@@ -376,6 +380,26 @@ def test_qq_benchmark_paths_stay_integral(build):
         assert len(projected) > 2
         reps += [x for e in projected for x in e.values()]
     assert {type(v) for v in entries + reps} == {int}
+
+
+@pytest.mark.parametrize("variables,relations,wmax,cap", [
+    (["x"], [], 4, 3), (["x"], ["x^2"], None, 4),
+    (["x", "y"], ["x^2", "y^2"], None, 3)],
+    ids=["koszul_kx w4 cap 3", "k[x]/(x^2) cap 4", "k[x,y]/(x^2,y^2) cap 3"])
+def test_the_witness_path_stays_integral(variables, relations, wmax, cap):
+    """k with its recipe completes over the witness model: its classes and
+    the outer complex over them have d = 0, and its unit and every product,
+    those the lifts solve for over k[x]/(x^2) and k[x,y]/(x^2,y^2) too, are
+    Python ints."""
+    ring = truncated_poly(RATIONALS, variables, relations, wmax=wmax)
+    res = double_centralizer(ring.algebra, ring.residue_module(), (cap, cap))
+    assert res.inner_used == "witness" and not res.inner.complex.d.blocks
+    if wmax is not None:
+        assert not res.completed.complex.d.blocks
+    model = res.inner
+    values = [x for e in [model.unit] + list(model.mult.values()) for x in e.values()]
+    assert len(values) > len(model.basis_keys())
+    assert {type(v) for v in values} == {int}
 
 
 # -- kernels and solutions against an independent reduced row echelon form --

@@ -143,10 +143,6 @@ CLAIMS = {
         "along it)",
         "tests/test_models.py::TestResolutions::"
         "test_resolution_computes_residue_field"),
-    "linalg.SparseMatrix.solve": (
-        "none: it stays only because perfbench/bench_trace.py wraps it by "
-        "name, and its deletion waits for a benchmark change",
-        "tests/test_linalg.py::test_solve_frozen"),
     "bar.stabilization_scan": (
         "none: it stays only because perfbench/bench_trace.py wraps it by "
         "name, and its deletion waits for a benchmark change",

@@ -252,15 +252,18 @@ def test_only_the_residue_field_of_a_complete_intersection_carries_a_recipe():
     derived = [shift_module(k, 1), direct_sum_modules(k, k),
                restrict_scalars(identity_morphism(k.algebra), k)]
     assert all(m.resolution is None for m in derived)
-    # a weight cap that cuts a monomial, or a relation that is no pure
-    # power, leaves no complete intersection
-    cut = [M.truncated_poly(GF, ["x"], [], wmax=4),
+    # a weight cap that cuts a monomial of two variables, or a relation
+    # that is no pure power, leaves no complete intersection
+    cut = [M.truncated_poly(GF, ["x", "y"], [], wmax=4),
            M.truncated_poly(GF, ["x", "y"], ["x^2", "y^2"], wmax=1),
            M.truncated_poly(GF, ["x", "y"], ["x^2", "x*y", "y^2"])]
     assert all(r.residue_module().resolution is None for r in cut)
+    # one variable under any cut is k[x]/(x^n), n its number of monomials
     whole = [M.truncated_poly(GF, ["x", "y"], ["x^2", "y^2"], wmax=2),
              M.truncated_poly(GF, ["x", "y"], ["x", "y^3"]),
-             M.truncated_poly(GF, [], [])]
+             M.truncated_poly(GF, [], []),
+             M.truncated_poly(GF, ["x"], [], wmax=4),
+             M.truncated_poly(GF, ["x"], ["x^5"], wmax=2)]
     assert all(r.residue_module().resolution is not None for r in whole)
 
 
@@ -425,3 +428,44 @@ def test_a_module_off_weight_zero_keeps_the_columns_its_ext_knows():
     got = _table(derived_hom(_k_at(a, 2), _k_at(a, 2), 4), window)
     assert got == _table(derived_hom(_k_at(a, 0), _k_at(a, 0), 4), window)
     assert all(got[(d, w)][1] for d in range(4) for w in range(-4, 1))
+
+
+@pytest.mark.parametrize("spec,t", [
+    ((["x"], [], 4), 5), ((["x"], ["x^5"], 2), 3), ((["x"], [], 0), 1)],
+    ids=["k[x] w4", "k[x]/(x^5) w2", "k[x] w0"])
+def test_one_variable_under_a_weight_cap_reads_as_a_power(spec, t):
+    """k[x] under the weight cap W is the algebra k[x]/(x^(W+1)), and any
+    one-variable ring is k[x]/(x^t) for t its number of monomials: k's
+    recipe builds what k's over that power builds, and Ext and Tor over it
+    equal the bar's on every cell."""
+    ring = M.truncated_poly(GF, *spec)
+    k, bar_k = _both(ring)
+    power = M.truncated_poly(GF, ["x"], [f"x^{t}"])
+    for length in range(9):
+        assert _fields(k.resolution(length)) == _fields(M.free_resolution(power, length))
+    k_left = trivial_left(ring.algebra)
+    for n in (4, 6):
+        ext, tor = Window(0, n, n), Window(-n, 0, n)
+        assert _table(derived_hom(k, k, n), ext) == _table(derived_hom(bar_k, bar_k, n), ext)
+        assert (_table(derived_tensor(k, k_left, n), tor)
+                == _table(derived_tensor(bar_k, k_left, n), tor))
+
+
+def _zero(a, side):
+    return DgModule(a, CochainComplex(BiGradedSpace(a.field)), {}, side=side, name="0")
+
+
+@pytest.mark.parametrize("reduced", [None, True], ids=["witness", "bar"])
+def test_hom_into_and_tensor_with_the_zero_module_are_complete(reduced):
+    """Hom(k, 0) and Tor(k, 0) over k[x]/(x^2) are zero complexes, known
+    everywhere as a source with no generators is: all 49 cells of the
+    window -3..3 at weights |w| <= 3 certified, over the witness and over
+    the bar."""
+    ring = _ring(2)
+    k = ring.residue_module()
+    window = Window(-3, 3, 3)
+    for cx in (derived_hom(k, _zero(ring.algebra, "right"), 3, reduced=reduced),
+               derived_tensor(k, _zero(ring.algebra, "left"), 3, reduced=reduced)):
+        assert cx.space.fully_known()
+        got = _table(cx, window)
+        assert len(got) == 49 and set(got.values()) == {(0, True)}
