@@ -205,31 +205,14 @@ class _BarScheme(SemiFree):
     ``dst`` the parent, and ``kid`` is the id the slot got in ``keys`` (and
     ``slot_ids``) when it first fit.  ``child`` maps parent * ``n_slots`` +
     slot id back to the index, and ``bare`` a module key to its bare tuple.
-    Whether the scheme is reduced is decided before enumerating, from the
-    source and, when given, the target module, whose object per key is
-    ``nobj``."""
+    The tuples do not depend on a target, so m keeps each scheme, with its
+    ``rows()`` and ``certified()`` once asked, per caps and reducedness
+    (``_bar_scheme``), relying on modules not being mutated."""
 
-    def __init__(self, m: DgModule, n_max: int, w_cap: int,
-                 reduced: Optional[bool], target: Optional[DgModule] = None):
-        if m.side != "right":
-            raise ValueError("bar source must be a right module")
-        if n_max < 0 or w_cap < 0:
-            raise ValueError("caps must be non-negative")
+    def __init__(self, m: DgModule, n_max: int, w_cap: int, reduced: bool):
         a = m.algebra
-        red = reduction_data(a)
-        mobj = _module_objects(m, red) if red else None
-        nobj = None
-        if mobj is not None and target is not None and reduced is not False:
-            nobj = mobj if target is m else _module_objects(target, red)
-        if reduced is None:
-            reduced = mobj is not None and (target is None or nobj is not None)
-        if reduced and mobj is None:
-            raise ValueError(
-                "reduced bar needs a weight-connected algebra and an "
-                f"object-homogeneous module (here {a.name or 'unnamed'} and "
-                f"{m.name or 'unnamed'}): " + _unreducible_reason(m, red))
-        if reduced and target is not None and nobj is None:
-            raise ValueError("target module is not object-homogeneous")
+        red = reduction_data(a) if reduced else None
+        mobj = _module_objects(m, red) if reduced else None
         self.module = m
         self.algebra = a
         self.field = f = m.field
@@ -239,9 +222,10 @@ class _BarScheme(SemiFree):
         # truncation is an honest quotient in both structures
         self.w_cap = w_cap
         self.reduced = reduced
-        self.red = red if reduced else None
-        self.nobj = nobj
+        self.red = red
         self.sign = red.sign if reduced else 0
+        self._rows: Optional[List[Dict[int, Scalar]]] = None
+        self._cert = _UNSET
 
         # slots by the object they start at; unreduced, everything is object 0
         akeys = a.basis_keys()
@@ -326,6 +310,8 @@ class _BarScheme(SemiFree):
         they may meet a kept term or each other.  P·ak itself is T's term
         with a coefficient in the algebra.  Tuples are numbered depth first,
         so the terms come in index order and P's row is written before T's."""
+        if self._rows is not None:
+            return self._rows
         p = self.field.char
         a, m = self.algebra, self.module
         labels, degs = self.labels, self.degs
@@ -389,6 +375,7 @@ class _BarScheme(SemiFree):
                 else:
                     row[u] = p - c if odd else c
             rows[t] = row
+        self._rows = rows
         return rows
 
     def certified(self) -> Cert:
@@ -403,6 +390,11 @@ class _BarScheme(SemiFree):
         gap.  A partly known algebra also needs honest slots: its weight-0
         column certified and no weight of the other sign, so that hidden
         cells could only sit at heavier weights of the slot sign."""
+        if self._cert is _UNSET:
+            self._cert = self._certificate()
+        return self._cert
+
+    def _certificate(self) -> Cert:
         m, sp, s = self.module, self.algebra.space, self.sign
         if not self.reduced or not m.space.fully_known():
             return None
@@ -415,6 +407,39 @@ class _BarScheme(SemiFree):
                         if not sp.column_complete(s * i)), top)
         mwts = [s * k[1] for k in m.basis_keys()]
         return s, top, s * min(mwts) if mwts else None
+
+
+def _bar_scheme(m: DgModule, n_max: int, w_cap: int, reduced: Optional[bool],
+                target: Optional[DgModule] = None
+                ) -> Tuple[_BarScheme, Optional[Dict[Key, int]]]:
+    """m's bar scheme at the caps, the one m keeps per (n_max, w_cap,
+    reduced) or a new one it then keeps, and the target's object per key
+    (``nobj``, None unreduced), read per call.  Whether the scheme is
+    reduced is decided first, from m and, when given, the target."""
+    if m.side != "right":
+        raise ValueError("bar source must be a right module")
+    if n_max < 0 or w_cap < 0:
+        raise ValueError("caps must be non-negative")
+    a = m.algebra
+    red = reduction_data(a)
+    mobj = _module_objects(m, red) if red else None
+    nobj = None
+    if mobj is not None and target is not None and reduced is not False:
+        nobj = mobj if target is m else _module_objects(target, red)
+    if reduced is None:
+        reduced = mobj is not None and (target is None or nobj is not None)
+    if reduced and mobj is None:
+        raise ValueError(
+            "reduced bar needs a weight-connected algebra and an "
+            f"object-homogeneous module (here {a.name or 'unnamed'} and "
+            f"{m.name or 'unnamed'}): " + _unreducible_reason(m, red))
+    if reduced and target is not None and nobj is None:
+        raise ValueError("target module is not object-homogeneous")
+    kept = m.__dict__.setdefault("_schemes", {})
+    scheme = kept.get((n_max, w_cap, reduced))
+    if scheme is None:
+        scheme = kept[n_max, w_cap, reduced] = _BarScheme(m, n_max, w_cap, reduced)
+    return scheme, nobj
 
 
 class BarData:
@@ -542,7 +567,7 @@ def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     two-sided bar complex with the algebra itself as the right factor."""
     if w_cap is None:
         w_cap = n_max
-    scheme = _BarScheme(m, n_max, w_cap, reduced)
+    scheme, _ = _bar_scheme(m, n_max, w_cap, reduced)
     a = m.algebra
     keys = a.basis_keys()
     # the slot check already covers the algebra's columns
@@ -664,11 +689,12 @@ def _replacement(m: DgModule, n: DgModule, n_max: int, w_cap: int,
     d lowers weight and the cut is a subcomplex, the sign is +1, every
     generator within min(n_max, w_cap) of w0 is listed, and the tensor keeps
     all it reaches.  Otherwise P is m's bar, with tuples of at most n_max
-    slots whose weights sum to at most w_cap, and the tensor keeps the
-    total weights within w_cap."""
+    slots whose weights sum to at most w_cap, the scheme m keeps at those
+    caps (``_bar_scheme``), with n's objects read per call, and the tensor
+    keeps the total weights within w_cap."""
     if reduced is not None or m.resolution is None:
-        scheme = _BarScheme(m, n_max, w_cap, reduced, n)
-        return scheme, scheme.nobj, scheme.certified(), (-w_cap, w_cap)
+        scheme, nobj = _bar_scheme(m, n_max, w_cap, reduced, n)
+        return scheme, nobj, scheme.certified(), (-w_cap, w_cap)
     if n_max < 0 or w_cap < 0:
         raise ValueError("caps must be non-negative")
     p = m.resolution(n_max, w_cap)
@@ -758,8 +784,8 @@ def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     """Derived endomorphism DG algebra of m."""
     if w_cap is None:
         w_cap = n_max
-    scheme = _BarScheme(m, n_max, w_cap, reduced, m)
-    cx = _hom_complex_into(scheme, m, scheme.nobj, scheme.certified())
+    scheme, nobj = _bar_scheme(m, n_max, w_cap, reduced, m)
+    cx = _hom_complex_into(scheme, m, nobj, scheme.certified())
     f = m.field
     space, one = cx.space, f.one
     unit: Elt = {space.key_of(0, 0, (q, (q, ()))): one for q in m.basis_keys()}

@@ -6,9 +6,12 @@ The inner algebra is the derived endomorphism algebra REnd_a(m), and the
 construction is invariant under quasi-isomorphism of it, so any model will
 do.  REnd_a(m) depends on m alone, so a module keeps one cap-free inner
 model, with its module over the opposite, or the reason it has none, and
-every completion along it at any caps reuses them and builds only its
-outer bar; this is the only thing a completion keeps, and it relies, as the
-reduction data kept on an algebra does, on modules not being mutated.
+every completion along it at any caps reuses them.  What depends on caps is
+kept only at exactly those caps: m keeps its witness model (below) per
+outer weight cap, and every module keeps each bar scheme built over it
+(``bar._bar_scheme``), the outer one over a kept model's module included.
+Hom complexes, E and cohomology are built per call.  All of this relies, as
+the reduction data kept on an algebra does, on modules not being mutated.
 There are two cap-free models:
 
 - strict: when m carries the projective witness (its summands e_j·a[n_j]
@@ -30,7 +33,8 @@ a one-variable ring, koszul_kx's among them) first tries
 
 - witness: Ext_a(m, m) = Hom_a(P, m) over the minimal resolution witness P
   to weight w_out, with the Yoneda product (``bar.witness_model``), when
-  the purity check below holds; it builds no E.
+  the purity check below holds; it builds no E, and m keeps it, or its
+  refusal, per w_out.
 
 Where that check fails (η at (2, -t) over k[x]/(x^t) once w_out reaches t),
 and for a module with no recipe (k over k[x, y], simples whose uncut caps
@@ -174,12 +178,14 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     finite (``_uncut_caps``) keeps the minimal model of E built uncut, once
     a call's inner caps admit the uncut caps (L, W): a call never builds
     past its inner caps, and one that cannot admit them keeps nothing.
-    Nothing that depends on the caps is kept.
 
-    Every other call builds per call.  A module with a resolution recipe
-    first tries the witness model, Ext read off the recipe's witness to
-    weight w_out with the Yoneda product, which knows what the witness
-    certifies; where it is refused, and for any other module, the call
+    Every other call builds its model per call, but for the witness model:
+    a module with a resolution recipe first tries Ext read off the recipe's
+    witness to weight w_out with the Yoneda product, which knows what the
+    witness certifies, and keeps it, or its refusal, per w_out.  So each
+    kept model's module over the opposite is stable, and the bar scheme of
+    the outer model over it, kept per caps, is reused.  Where the witness
+    is refused, and for any other module, the call
     builds E to weight w_out + spread, all the purity check up to w_out
     reads, and takes the minimal model H(E), which knows what E's
     cohomology certifies and no weight past w_out, or else E at inner_caps,
@@ -230,8 +236,12 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     elif isinstance(cap_free, MinimalModel):
         inner_used, inner, purity = "minimal", cap_free, dict(cap_free.purity)
     else:
-        inner, purity = (witness_model(m, w_out) if m.resolution is not None
-                         else (None, None))
+        inner = purity = None
+        if m.resolution is not None:
+            kept = m.__dict__.setdefault("_witnesses", {})  # per w_out
+            if w_out not in kept:
+                kept[w_out] = witness_model(m, w_out)
+            inner, purity = kept[w_out][0], dict(kept[w_out][1])
         inner_used = "witness"
     if inner is None:
         mw = [k[1] for k in m.basis_keys()]
@@ -264,16 +274,24 @@ def completion_along_set(a: DgAlgebra, s: Sequence[DgModule], caps: Caps,
                          name: str = "") -> CompletionResult:
     """Complete along a finite generator set.  The inner algebra of the
     direct sum is the category algebra of derived homs between the pairs,
-    so a singleton set agrees with double_centralizer exactly."""
+    so a singleton set agrees with double_centralizer exactly.  The
+    algebra keeps the sum per tuple of generators, matched by identity, so
+    what the sum keeps serves every call along that tuple."""
     mods = list(s)
     if not mods:
         raise ValueError("generator set must be nonempty")
     for m in mods:
         if m.algebra is not a:
             raise ValueError("generators must share the algebra being completed")
-    total = mods[0]
-    for m in mods[1:]:
-        total = direct_sum_modules(total, m,
-                                   name=f"{total.name or 'm'}⊕{m.name or 'm'}")
+    # the entry holds the generators, so their ids stay theirs
+    kept = a.__dict__.setdefault("_sums", {})
+    ids = tuple(map(id, mods))
+    if ids not in kept:
+        total = mods[0]
+        for m in mods[1:]:
+            total = direct_sum_modules(
+                total, m, name=f"{total.name or 'm'}⊕{m.name or 'm'}")
+        kept[ids] = mods, total
+    total = kept[ids][1]
     return double_centralizer(a, total, caps, inner_caps=inner_caps,
                               window=window, name=name)

@@ -337,8 +337,10 @@ class DgModule:
     ``derived_tensor`` and the witness model of completions along k
     (``bar.witness_model``) read it.
 
-    Nothing a module keeps depends on a cap, but for that longest build,
-    a prefix of the cap-free resolution.  It keeps its object map for the
+    What a module keeps that depends on caps is kept at exactly those caps:
+    each bar scheme built over it (``bar._bar_scheme``) and its witness
+    model per outer weight cap; the recipe's longest build is a prefix of
+    the cap-free resolution.  It keeps its object map for the
     reduced bar (``bar._module_objects``), and one cap-free inner model
     REnd(m) that completions along it read, with that model's module over
     its opposite, or the reason it has none (see

@@ -298,18 +298,58 @@ def test_completions_along_one_module_read_its_object_map_once(monkeypatch):
             fresh["algebra"], fresh["module"], (c, c)))
 
 
-def test_completion_along_a_set_builds_each_new_sum_afresh(monkeypatch):
-    """completion_along_set completes along a new direct sum per call, so
-    each call builds its own strict model and still answers as before."""
+def test_completion_along_a_set_keeps_one_sum_per_generator_tuple(
+        monkeypatch):
+    """completion_along_set keeps the direct sum per tuple of generators,
+    matched by identity, so calls along one tuple build its strict model
+    once, and a new tuple builds its own; each still answers as a fresh
+    algebra does."""
     calls = _counted_strict(monkeypatch)
     a = M.build_scenario("triangular_12")["algebra"]
     projectives = _projectives(a)
+    results = []
     for c in (4, 2, 4):
-        got = _record(complete.completion_along_set(a, projectives, (c, c)))
+        results.append(complete.completion_along_set(a, projectives, (c, c)))
         fresh = M.build_scenario("triangular_12")["algebra"]
-        assert got == _record(complete.completion_along_set(
+        assert _record(results[-1]) == _record(complete.completion_along_set(
             fresh, _projectives(fresh), (c, c)))
-    assert len(calls) == 6 and len({id(m) for m in calls}) == 6
+    assert all(r.inner is results[0].inner for r in results)
+    assert len(calls) == 4 and len({id(m) for m in calls}) == 4
+    assert calls[0] is results[0].inner.module
+    other = complete.completion_along_set(a, _projectives(a), (2, 2))
+    assert other.inner.module is not calls[0] and len(calls) == 5
+
+
+def test_completion_along_the_simples_builds_its_sum_and_uncut_model_once(
+        monkeypatch):
+    """Two calls along the simples of triangular_123 build the direct sum
+    and its uncut model once: the second reads the sum kept on the algebra
+    and the model kept on the sum."""
+    sums, uncut = [], []
+    sum_of, model_of = complete.direct_sum_modules, complete._uncut_model
+
+    def counted_sum(*args, **kwargs):
+        sums.append(args)
+        return sum_of(*args, **kwargs)
+
+    def counted_model(m, caps):
+        uncut.append((m, caps))
+        return model_of(m, caps)
+
+    monkeypatch.setattr(complete, "direct_sum_modules", counted_sum)
+    monkeypatch.setattr(complete, "_uncut_model", counted_model)
+    a = M.build_scenario("triangular_123")["algebra"]
+    simples = [M.simple_module(a, o) for o in a.idempotents]
+    first, second = (complete.completion_along_set(a, simples, (2, 2))
+                     for _ in range(2))
+    assert len(sums) == len(simples) - 1 == 2
+    assert [m for m, _ in uncut] == [first.inner.module]
+    assert second.inner is first.inner
+    fresh = M.build_scenario("triangular_123")["algebra"]
+    assert _record(second) == _record(first) == _record(
+        complete.completion_along_set(
+            fresh, [M.simple_module(fresh, o) for o in fresh.idempotents],
+            (2, 2)))
 
 
 def test_completion_along_the_algebra_takes_the_strict_model():

@@ -11,7 +11,7 @@ must give the same tables too.
 """
 import pytest
 
-from dgcomplete import complete
+from dgcomplete import bar, complete
 from dgcomplete import models as M
 from dgcomplete.bar import (
     _reduction_data, end_algebra, minimal_model, reduction_data, witness_model,
@@ -361,18 +361,24 @@ def test_completions_along_one_module_build_its_uncut_model_once(
 
 def test_koszul_kx_never_builds_the_uncut_model(monkeypatch):
     """k over k[x]: the slot x is a loop, so the bar is infinite and the
-    module keeps that refusal.  k carries a resolution recipe, so every
-    call builds the witness model at its outer weight cap and no inner
-    end_algebra at all: the outer bar is the only one built."""
+    module keeps that refusal.  k carries a resolution recipe, so a call
+    takes the witness model at its outer weight cap, which k keeps per cap,
+    and builds no inner end_algebra at all: the outer bar is the only one
+    built, over the kept model's module, which keeps its scheme per caps."""
     calls = _counted_ends(monkeypatch)
-    witnesses = []
-    build = complete.witness_model
+    witnesses, schemes = [], []
+    build, scheme = complete.witness_model, bar._BarScheme
 
     def counted(m, w_max):
         witnesses.append((m, w_max))
         return build(m, w_max)
 
+    def counted_scheme(m, n_max, w_cap, reduced):
+        schemes.append((m, n_max, w_cap, reduced))
+        return scheme(m, n_max, w_cap, reduced)
+
     monkeypatch.setattr(complete, "witness_model", counted)
+    monkeypatch.setattr(bar, "_BarScheme", counted_scheme)
     sc = _koszul(7)
     a, m = sc["algebra"], sc["module"]
     caps = [3, 6, 4, 5, 3]
@@ -382,8 +388,10 @@ def test_koszul_kx_never_builds_the_uncut_model(monkeypatch):
         assert r.inner_used == "witness"
         assert r.diagnostics["cap_free"] == "slots cycle at object 0"
         overs.append(r.inner.module_over_opposite())
-    assert witnesses == [(m, c) for c in caps]
+    assert witnesses == [(m, c) for c in caps[:4]]
+    assert overs[4] is overs[0] and len({id(o) for o in overs}) == 4
     assert calls == [(over, c, c, True) for over, c in zip(overs, caps)]
+    assert schemes == [(over, c, c, True) for over, c in zip(overs, caps[:4])]
     assert m._cap_free == "slots cycle at object 0"
 
 

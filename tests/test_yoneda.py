@@ -13,7 +13,7 @@ import pytest
 from dgcomplete import complete
 from dgcomplete import models as M
 from dgcomplete.bar import (
-    MinimalModel, WitnessModel, _BarScheme, _purity, derived_hom, end_algebra,
+    MinimalModel, WitnessModel, _bar_scheme, _purity, derived_hom, end_algebra,
     minimal_model, witness_model,
 )
 from dgcomplete.linalg import RATIONALS, Field, SparseMatrix
@@ -45,7 +45,7 @@ def _pair(k, cap, pure=True):
         wm = WitnessModel(hom, k, (cap, cap), record)
         q0, = k.basis_keys()
         bm = MinimalModel(e, h, {c: (q0, q0) for c in h.representatives}, record)
-    scheme = _BarScheme(k, cap + 2, cap, None, k)
+    scheme, _ = _bar_scheme(k, cap + 2, cap, None, k)
     psi = wm.lift(scheme, {t: {q: f.one} for q, t in scheme.bare.items()}, (0, 0))
     p = wm._realized()[0]
 
