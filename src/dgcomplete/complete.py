@@ -9,8 +9,9 @@ model, with its module over the opposite, or the reason it has none, and
 every completion along it at any caps reuses them.  What depends on caps is
 kept only at exactly those caps: m keeps its witness model (below) per
 outer weight cap, and every module keeps each bar scheme built over it
-(``bar._bar_scheme``), the outer one over a kept model's module included.
-Hom complexes, E and cohomology are built per call.  All of this relies, as
+(``bar._bar_scheme``), the outer one over a kept model's module included,
+but for the scheme of a per-call E, which goes with the call.  Hom
+complexes, E and cohomology are built per call.  All of this relies, as
 the reduction data kept on an algebra does, on modules not being mutated.
 There are two cap-free models:
 
@@ -70,7 +71,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .bar import (
-    MinimalModel, StrictEndAlgebra, _module_objects, end_algebra,
+    EndAlgebra, MinimalModel, StrictEndAlgebra, _module_objects, end_algebra,
     minimal_model, reduction_data, strict_end_algebra, witness_model,
 )
 from .dg import DgAlgebra, DgModule, direct_sum_modules
@@ -161,6 +162,18 @@ def _uncut_model(m: DgModule, caps: Caps) -> Union[MinimalModel, str]:
     return model if model is not None else f"uncut H(E): {purity['reason']}"
 
 
+def _per_call_end(m: DgModule, n_max: int, w_cap: int) -> EndAlgebra:
+    """m's E at the caps, dropping whatever bar scheme the build added to
+    those m keeps (``bar._bar_scheme``): a per-call model leaves nothing on
+    m, so completing it at many caps holds no scheme past each call."""
+    kept = m.__dict__.setdefault("_schemes", {})
+    before = set(kept)
+    inner = end_algebra(m, n_max, w_cap=w_cap, name=f"End({m.name})")
+    for key in set(kept) - before:
+        del kept[key]
+    return inner
+
+
 def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
                        inner_caps: Optional[Caps] = None,
                        window: Optional[Window] = None,
@@ -185,11 +198,11 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     witness certifies, and keeps it, or its refusal, per w_out.  So each
     kept model's module over the opposite is stable, and the bar scheme of
     the outer model over it, kept per caps, is reused.  Where the witness
-    is refused, and for any other module, the call
-    builds E to weight w_out + spread, all the purity check up to w_out
-    reads, and takes the minimal model H(E), which knows what E's
-    cohomology certifies and no weight past w_out, or else E at inner_caps,
-    which must clear w_out by at least 2 and default to that margin.
+    is refused, and for any other module, the call builds E to weight
+    w_out + spread, all the purity check up to w_out reads, and takes the
+    minimal model H(E), which knows what E's cohomology certifies and no
+    weight past w_out, or else E at inner_caps, which must clear w_out by
+    at least 2 and default to that margin; m keeps no scheme either adds.
     ``diagnostics["strict"]`` records the projective witness,
     ``diagnostics["minimal"]`` the line found or the cell off it (None for
     a strict model), and ``diagnostics["cap_free"]`` is None when the inner
@@ -246,10 +259,10 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
     if inner is None:
         mw = [k[1] for k in m.basis_keys()]
         w_read = min(w_in, w_out + (max(mw) - min(mw) if mw else 0))
-        inner = end_algebra(m, n_in, w_cap=w_read, name=f"End({m.name})")
+        inner = _per_call_end(m, n_in, w_read)
         model, purity = minimal_model(inner, w_out)
         if model is None and w_read < w_in:
-            inner = end_algebra(m, n_in, w_cap=w_in, name=inner.name)
+            inner = _per_call_end(m, n_in, w_in)
         inner_used, inner = ("bar", inner) if model is None else ("minimal", model)
     over = inner.module_over_opposite()
 

@@ -575,7 +575,7 @@ class CochainComplex:
         the complex's, one degree in from each end of a known interval, and
         it keeps the complex's certified empty rays."""
         hspace = BiGradedSpace(self.field)
-        ranks = self._ranks(wmax)
+        ranks = self._ranks(wmax) if self.d.blocks else {}
         weights = {w for (_, w) in self.space.cells}
         if window is not None:
             weights.update(window.weights())
@@ -583,14 +583,18 @@ class CochainComplex:
             weights = range(-wmax, wmax + 1)
         known = self.space.known_degrees(weights)
         cert = Certificate(known, self.space.cells, window, wmax)
-        # a cell the complex does not hold has no cohomology
+        # a cell the complex does not hold has no cohomology; each class
+        # cell is a fresh list over the shared labels h0, h1, ..., distinct
+        # by construction
+        names: List[str] = []
         for (d, w), labels in sorted(self.space.cells.items()):
             if wmax is not None and abs(w) > wmax:
                 continue
             n = len(labels)
             h = n and n - ranks.get((d, w), 0) - ranks.get((d - 1, w), 0)
             if h > 0:
-                hspace.add_cell(d, w, [f"h{i}" for i in range(h)])
+                names.extend(f"h{i}" for i in range(len(names), h))
+                hspace.cells[(d, w)] = names[:h]
         if wmax is None:
             hspace.zero_outside = self.space.zero_outside
             cols = self.space.known_cols
@@ -655,15 +659,16 @@ def _install(field: Field, cells: Dict[Tuple[int, int], List],
     has each nonempty entries[(d, w)] as its block: every entry (row, col),
     a place being its label's index in its cell, is final and nonzero."""
     sp = BiGradedSpace(field)
-    sp.cells = {cell: cells[cell] for cell in sorted(cells)}
+    held = sp.cells = {cell: cells[cell] for cell in sorted(cells)}
     sp.zero_outside = False
     cx = CochainComplex(sp)
-    for (d, w) in sp.cells:
+    blocks = cx.d.blocks
+    for (d, w), labels in held.items():
         block = entries.get((d, w))
         if block:
-            b = SparseMatrix(sp.dim(d + 1, w), sp.dim(d, w), field)
+            b = SparseMatrix(len(held[d + 1, w]), len(labels), field)
             b.entries = block
-            cx.d.blocks[(d, w)] = b
+            blocks[(d, w)] = b
     return cx
 
 

@@ -10,11 +10,17 @@ table: each pair of cells is multiplied the first time something reads it,
 so a limit read only through its cohomology multiplies nothing.
 
 The differential is built by string index.  The category's arrows by
-endpoint and its factorizations are tables filled when it is checked; the
-strings are enumerated once and numbered, and each string's faces are listed
-once, as the indices of the strings they reach.  Each diagram map and each
+endpoint and its factorizations are tables filled when it is checked.  The
+strings up to a cutoff depend on the category and the cutoff alone, and
+their faces on the signs as well, so the category keeps one string scheme
+per (cutoff, sign fields): the strings enumerated once and numbered,
+whether strings past the cutoff exist, and each string's faces, listed once
+as the indices of the strings they reach.  Each diagram map and each
 internal differential is read column by column at the diagram's first holim
-and kept on the diagram; every term is added into its block entry as a
+and kept on the diagram.  The complex is assembled per call: cells, labels
+and places for every string, entries only for the strings with a face or
+an internal d (a free category's strings at the cutoff, about half of a
+tower's, have neither); every term is added into its block entry as a
 residue, dropping a zero sum, and each block is installed once.
 
 Strings longer than a cutoff span a two-sided dg ideal of the limit (every
@@ -101,6 +107,11 @@ class SmallCategory:
     every arrow is the composite of exactly one string of them.  The
     constructor checks totality of the table, endpoint consistency,
     associativity and that freeness, so downstream code can trust the data.
+
+    The data never changes after the check, so the category keeps what the
+    string builders read of it: its arrows by endpoint and each arrow's
+    factorizations, filled once, and the string scheme of each (cutoff,
+    sign fields) a holim asked for (``_string_scheme``).
     """
 
     def __init__(self, objects, arrows: Dict[str, Tuple[object, object]],
@@ -130,6 +141,8 @@ class SmallCategory:
                 self._factors[h].append((f, g))
         for pairs in self._factors.values():
             pairs.sort()
+        # the string scheme of each (cutoff, sign fields) holim asked for
+        self._strings: Dict[Tuple[int, ...], Tuple] = {}
 
     def src(self, arrow: str):
         return self.arrows[arrow][0]
@@ -277,6 +290,46 @@ def _extends(cat: SmallCategory, paths, p_max: int) -> bool:
         cat._from[o] for o, names in paths if len(names) == p_max)
 
 
+def _string_scheme(cat: SmallCategory, p_max: int, sc: SignConvention
+                   ) -> Tuple[List, bool, List[Tuple[List, List]]]:
+    """The strings up to p_max (``nonidentity_paths``), whether strings past
+    the cutoff exist (``_extends``), and each string's faces, which depend
+    on the category, the cutoff and the signs alone: the scheme the category
+    keeps per (p_max, sign fields), built on first use.
+
+    The faces of a string below the cutoff are its extensions at the target
+    end, whose value is mapped along the new arrow, as (string, arrow,
+    exponent), and its extensions at the source end and the splits of one
+    arrow into two, which keep the value, as (string, exponent); each
+    exponent is that of the face's sign less the value's internal degree.
+    A string at the cutoff has none."""
+    key = (p_max,) + tuple(getattr(sc, fld) for fld in _SIGN_FIELDS)
+    scheme = cat._strings.get(key)
+    if scheme is not None:
+        return scheme
+    paths = nonidentity_paths(cat, p_max)
+    index = {lab: s for s, lab in enumerate(paths)}
+    faces: List[Tuple[List, List]] = []
+    for o, names in paths:
+        q = len(names)
+        if q == p_max:
+            faces.append(([], []))
+            continue
+        e = (q + 1 + sc.limit_drop_last) % 2
+        mapped = [(index[(cat.tgt(t), names + (t,))], t, e)
+                  for t in cat._from[o]]
+        lsrc = cat.src(names[0]) if names else o
+        kept = [(index[(o, (t,) + names)], sc.limit_drop_first)
+                for t in cat._into[lsrc]]
+        for idx, nm in enumerate(names):
+            e = (1 + idx + sc.limit_compose) % 2
+            kept.extend((index[(o, names[:idx] + pair + names[idx + 1:])], e)
+                        for pair in cat._factors[nm])
+        faces.append((mapped, kept))
+    scheme = cat._strings[key] = (paths, _extends(cat, paths, p_max), faces)
+    return scheme
+
+
 def _check_key(x, space: BiGradedSpace) -> Key:
     """``x`` itself if it is a basis key of the space; else KeyError."""
     if (isinstance(x, tuple) and len(x) == 3 and isinstance(x[2], int)
@@ -417,6 +470,10 @@ def holim(diagram: AlgebraDiagram, dmax: int,
     Strings past the cutoff span a two-sided dg ideal, so the result is a
     genuine dg algebra regardless.  Over a free category p_max is 1 and
     nothing is cut: the two-term model, certified in every degree.
+
+    The strings and their faces are read off the scheme the category keeps
+    per (p_max, signs); the complex, its knowledge, unit and product rule
+    are built per call.
     """
     cat = diagram.cat
     sc = signs if signs is not None else DEFAULT_SIGNS
@@ -428,8 +485,7 @@ def holim(diagram: AlgebraDiagram, dmax: int,
     if not degs:
         raise ValueError("holim of a diagram with no cells")
     p_max = 1 if cat.generators is not None else max(0, dmax - min(degs) + 1)
-    paths = nonidentity_paths(cat, p_max)
-    cut = _extends(cat, paths, p_max)
+    paths, cut, faces = _string_scheme(cat, p_max, sc)
 
     # each cell's labels, and per value key each string's place, -1 for none
     cells: Dict[Tuple[int, int], List] = defaultdict(list)
@@ -442,43 +498,28 @@ def holim(diagram: AlgebraDiagram, dmax: int,
             at[vkey][s] = len(labs)
             labs.append((o, names, vkey))
 
-    # the faces of each string below the cutoff, as string indices: the
-    # extensions at the target end, whose value is mapped along the new
-    # arrow, and the extensions at the source end and the splits of one
-    # arrow into two, which keep the value.  Each carries the exponent of
-    # its sign less the value's internal degree.
-    index = {lab: s for s, lab in enumerate(paths)}
-    faces: List[Tuple[List, List]] = []
-    for o, names in paths:
-        q = len(names)
-        if q == p_max:
-            faces.append(([], []))
-            continue
-        e = (q + 1 + sc.limit_drop_last) % 2
-        mapped = [(index[(cat.tgt(t), names + (t,))], t, e)
-                  for t in cat._from[o]]
-        lsrc = cat.src(names[0]) if names else o
-        kept = [(index[(o, (t,) + names)], sc.limit_drop_first)
-                for t in cat._into[lsrc]]
-        for idx, nm in enumerate(names):
-            e = (1 + idx + sc.limit_compose) % 2
-            kept.extend((index[(o, names[:idx] + pair + names[idx + 1:])], e)
-                        for pair in cat._factors[nm])
-        faces.append((mapped, kept))
-
     # each map's and each internal differential's columns, read once per
     # diagram; every term is added to its entry, as two splits can reach
-    # one string
+    # one string.  Only strings with a face or an internal d have terms,
+    # and a block is made when its first term is.
     maps, d_ints, known = diagram._tables()
     p = f.char
-    entries: Dict[Tuple[int, int], Dict] = defaultdict(dict)
+    entries: Dict[Tuple[int, int], Dict] = {}
     for s, (o, names) in enumerate(paths):
         d_int, (mapped, kept) = d_ints[o], faces[s]
+        if not (d_int or mapped or kept):
+            continue
         q = len(names)
         for vkey in akeys[o]:
-            block, col = entries[q + vkey[0], vkey[1]], at[vkey]
+            terms = d_int.get(vkey, ())
+            if not (terms or mapped or kept):
+                continue
+            cell = (q + vkey[0], vkey[1])
+            block, col = entries.get(cell), at[vkey]
+            if block is None:
+                block = entries[cell] = {}
             i = col[s]
-            for tv, c in d_int.get(vkey, ()):
+            for tv, c in terms:
                 _add(block, (at[tv][s], i), c, p)
             odd = vkey[0] % 2
             for u, t, e in mapped:
@@ -528,10 +569,12 @@ def holim(diagram: AlgebraDiagram, dmax: int,
             _add(out, kk, sgn * c, f.char)
         return out
 
+    # the empty strings come first, one per object in order, so the unit's
+    # component at object x sits at place at[vkey][x's index]
     unit: Elt = {}
-    for x in cat.objects:
+    for s, x in enumerate(cat.objects):
         for vkey, c in algebras[x].unit.items():
-            unit[_lim_key(space, (x, (), vkey))] = c
+            unit[(vkey[0], vkey[1], at[vkey][s])] = c
 
     label = name or (f"holim({diagram.name})" if diagram.name else "holim")
     return HolimAlgebra(cx, unit, product, diagram, p_max, name=label)

@@ -505,3 +505,87 @@ def test_holims_of_one_diagram_read_its_inputs_once(monkeypatch, build):
         assert hg.dims_by_cell() == hw.dims_by_cell()
         assert hg.certificate.status == hw.certificate.status
         assert got.complex.d.same_blocks(want.complex.d)
+
+
+def _tower_diagram():
+    return M.build_scenario("adic_kx_4")["tower"].diagram()[1]
+
+
+def _dg_poset_diagram():
+    """random_diagram(38): a five-object poset with strings of length three
+    and the dg line, whose internal d is nonzero, at its minimal objects."""
+    return M.random_diagram(38, F)[1]
+
+
+def _limit_snapshot(hl):
+    """Cells with their labels, every block's entries, knowledge, unit and
+    the cutoff."""
+    sp = hl.space
+    return (hl.p_max, sp.cells, sp.known_cols, sp.zero_outside,
+            sp.known_zero_below, sp.known_zero_above,
+            {cell: (b.rows, b.cols, b.entries)
+             for cell, b in hl.complex.d.blocks.items()}, hl.unit)
+
+
+@pytest.mark.parametrize("dmaxes", [[1, 2, 3, 4], [4, 3, 2, 1], [2, 2, 3, 2]],
+                         ids=["ascending", "descending", "repeated"])
+@pytest.mark.parametrize("build", [
+    _tower_diagram, lambda: string_model(_tower_diagram()), _dg_poset_diagram],
+    ids=["kx4-tower", "kx4-strings", "random38"])
+def test_a_kept_string_scheme_builds_what_a_fresh_category_builds(build, dmaxes):
+    """Every holim after the first on a category reads the string scheme it
+    keeps per cutoff; each equals the holim over a freshly built one."""
+    diag = build()
+    for dmax in dmaxes:
+        assert _limit_snapshot(H.holim(diag, dmax)) == _limit_snapshot(
+            H.holim(build(), dmax))
+    assert {key[0] for key in diag.cat._strings} == {
+        H.holim(diag, dmax).p_max for dmax in dmaxes}
+
+
+@pytest.mark.parametrize("build", [
+    lambda: string_model(cubic_tower(F)), _dg_poset_diagram],
+    ids=["cubic-strings", "random38"])
+def test_a_flip_after_the_default_reads_its_own_faces(build):
+    """The scheme is kept per sign fields, so a mutant built after the
+    default on the same category still breaks d^2 or the algebra axioms."""
+    diag = build()
+    assert H.holim(diag, dmax=1).validate().ok
+    for name in H.SignConvention.fields():
+        bad = H.holim(diag, dmax=1, signs=H.DEFAULT_SIGNS.flip(name))
+        assert bad.complex.validate_d2() is not None or not bad.validate().ok, name
+    assert H.holim(diag, dmax=1).validate().ok
+
+
+@pytest.mark.parametrize("build, dmaxes, runs", [
+    (_tower_diagram, [1, 2, 3, 4], 1),
+    (lambda: constant_algebra_diagram(
+        H.poset_category(range(3), [(0, 1), (1, 2)]), ground_algebra()),
+     [1, 2, 3, 2], 3)], ids=["kx4-tower", "poset"])
+def test_the_strings_are_built_once_per_cutoff(monkeypatch, build, dmaxes, runs):
+    """A free category's cutoff is always 1, so a tower builds its strings
+    once; a poset's cutoff follows dmax, and a repeated one is kept."""
+    calls = []
+    paths = H.nonidentity_paths
+
+    def counted(cat, p_max):
+        calls.append(p_max)
+        return paths(cat, p_max)
+
+    monkeypatch.setattr(H, "nonidentity_paths", counted)
+    diag = build()
+    for dmax in dmaxes:
+        H.holim(diag, dmax)
+    assert len(calls) == runs
+
+
+def test_each_class_cell_has_its_own_labels():
+    """Cohomology shares its label strings, never a cell's list."""
+    h = H.holim(_tower_diagram(), 2).complex.cohomology(Window(0, 2, 4))
+    cells = h.space.cells
+    assert len(cells) > 1
+    first, *rest = sorted(cells)
+    before = {c: list(cells[c]) for c in rest}
+    cells[first].append("edited")
+    assert {c: cells[c] for c in rest} == before
+    assert all(cells[c] == [f"h{i}" for i in range(len(cells[c]))] for c in rest)

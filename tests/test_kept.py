@@ -3,7 +3,8 @@ by (n_max, w_cap, reduced), and its witness model per outer weight cap.
 
 Every builder that reads a kept scheme must build what it builds over a
 fresh module, in any order of caps, and a kept witness model must multiply
-as a fresh one.  A model built per call keeps nothing on the module.
+as a fresh one.  A model built per call, its E's bar scheme included,
+keeps nothing on the module.
 """
 import gc
 import tracemalloc
@@ -94,7 +95,7 @@ def test_a_kept_witness_model_multiplies_as_a_fresh_one():
 def test_a_per_call_model_keeps_nothing_on_its_module():
     """k over k[x, y] has no recipe and an infinite bar, so its inner model
     is built per call: once the result goes, so does its module over the
-    opposite, though k keeps the schemes of its own bar."""
+    opposite, and k keeps no scheme of its own bar."""
     ring = M.truncated_poly(F, ["x", "y"], [], wmax=4)
     k = ring.residue_module()
     r = complete.double_centralizer(ring.algebra, k, (2, 2))
@@ -104,13 +105,36 @@ def test_a_per_call_model_keeps_nothing_on_its_module():
     del r
     gc.collect()
     assert over() is None
-    assert k._schemes and not hasattr(k, "_witnesses")
+    assert not k._schemes and not hasattr(k, "_witnesses")
+
+
+def test_a_per_call_e_at_large_inner_caps_leaves_nothing_behind():
+    """At caps (7, 7) the per-call E of k over k[x, y] is built at inner
+    caps (9, 7), a scheme of about 2.5 MB that k used to keep; now the call
+    leaves under 0.2 MB (tracemalloc), while end_algebra called directly
+    still keeps its scheme."""
+    ring = M.truncated_poly(F, ["x", "y"], [], wmax=9)
+    k = ring.residue_module()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        r = complete.double_centralizer(ring.algebra, k, (7, 7))
+        assert r.inner_used == "minimal"
+        del r
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert not k._schemes and kept < 200_000
+    end_algebra(k, 3, w_cap=2)
+    assert sorted(k._schemes) == [(3, 2, True)]
 
 
 def test_what_triangular_7_keeps_along_its_simples_stays_small():
     """Completing triangular_7 along its simples at caps 1..6 keeps the sum,
-    its uncut model, the schemes of its per-call E at (3, 1), (4, 2), (5, 3)
-    and the outer schemes over the kept model: about 0.2 MB (tracemalloc)."""
+    its uncut model and the outer schemes over the kept model, but no
+    scheme of its per-call E at (3, 1), (4, 2), (5, 3) (tracemalloc)."""
     a = M.build_scenario("triangular_1234567")["algebra"]
     simples = [M.simple_module(a, o) for o in a.idempotents]
     gc.collect()
