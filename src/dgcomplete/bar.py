@@ -13,12 +13,9 @@ what P's certificate says; the tensor also takes the weights it keeps.
 The reduced bar construction tensors over the span of the weight-zero
 idempotents whenever the algebra is weight-connected; slot tuples are then
 composable chains and every weight column is finite.  The unreduced variant
-tensors over the ground field and carries no exactness certificates.  The
-objects each basis element runs between (its reduction data) are read off
-the labels of a convolution algebra or of its minimal model, mirrored from
-the base for the opposite that ``module_over_opposite`` acts through, and
-found by asking every idempotent product for any other algebra.  The minimal
-model is the cohomology of a convolution algebra with the product its
+tensors over the ground field and carries no exactness certificates; the
+objects each basis element runs between are its ``reduction_data``.  The
+minimal model is the cohomology of a convolution algebra with the product its
 representatives induce, built where a purity check makes it formal; the
 witness model is Ext(k, k) read off k's resolution witness, with the Yoneda
 product its chain-map lifts give, under the same check.
@@ -34,13 +31,14 @@ in, adding only the terms that can land on an entry already written.
 """
 from __future__ import annotations
 
+import math
 from collections import defaultdict
 from fractions import Fraction
 from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Tuple,
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
 )
 
-from .dg import DgAlgebra, DgModule, SemiFree
+from .dg import DgAlgebra, DgModule, SemiFree, _UNSET
 from .graded import (
     BiGradedSpace, CochainComplex, Cohomology, Elt, GradedMap, Key,
     _columns, _install,
@@ -48,6 +46,7 @@ from .graded import (
 from .linalg import Scalar, _add
 
 TupleLabel = Tuple[Key, Tuple[Key, ...]]
+Caps = Tuple[int, int]
 
 
 def _side_certified_empty(sp: BiGradedSpace, side: int) -> bool:
@@ -79,24 +78,25 @@ class ReductionData:
         self.robj = robj
 
 
-_UNSET = object()  # reduction_data not yet computed; None is an answer
-
-
 def reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
     """Reduction structure of a weight-connected algebra, or None.
 
     Requires every basis element to be left/right homogeneous for the
     weight-zero idempotents, so tensor products over that subalgebra keep
-    the obvious basis of composable tuples.  Computed once per algebra.  A
-    convolution algebra or its minimal model reads each element's objects
-    off its ``ends``, the opposite that ``module_over_opposite`` acts
-    through carries its base's data mirrored, and any other algebra asks
-    every idempotent product.
+    the obvious basis of composable tuples.  A convolution algebra or its
+    minimal model reads each element's objects off its ``ends``; an
+    opposite mirrors its base's data, as z ·op k = k·z for z in degree 0;
+    any other algebra asks every idempotent product.
     """
-    red = getattr(a, "_reduction", _UNSET)
-    if red is _UNSET:
-        red = a._reduction = _reduction_data(a, getattr(a, "ends", None))
-    return red
+    if a._reduction is _UNSET:
+        base = a._opposite_of
+        if base is None:
+            a._reduction = _reduction_data(a, getattr(a, "ends", None))
+        else:
+            red = reduction_data(base)
+            a._reduction = None if red is None else ReductionData(
+                red.sign, red.idempotents, red.robj, red.lobj)
+    return a._reduction
 
 
 def _reduction_data(a: DgAlgebra, ends: Optional[Callable[[Key], Tuple[Key, Key]]]
@@ -139,16 +139,6 @@ def _reduction_data(a: DgAlgebra, ends: Optional[Callable[[Key], Tuple[Key, Key]
     return ReductionData(sign, zs, lobj, robj)
 
 
-def _opposite(a: DgAlgebra) -> DgAlgebra:
-    """a's opposite, carrying a's reduction data with the sides swapped:
-    the idempotents sit in degree 0, so z ·op k = k·z with no sign."""
-    op = a.opposite()
-    red = reduction_data(a)
-    op._reduction = (None if red is None else
-                     ReductionData(red.sign, red.idempotents, red.robj, red.lobj))
-    return op
-
-
 def _unreducible_reason(m: DgModule, red: Optional[ReductionData]) -> str:
     """Which conditions of the reduced bar m and its algebra fail, worked
     out only once the reduced bar is refused."""
@@ -165,14 +155,13 @@ def _unreducible_reason(m: DgModule, red: Optional[ReductionData]) -> str:
     return "; ".join(why) or "a basis element not homogeneous for the idempotents"
 
 
-def _module_objects(m: DgModule, red: ReductionData) -> Optional[Dict[Key, int]]:
-    """Object index per module basis key, or None if not homogeneous.  Kept
-    on the module with the reduction data it was read against, as
-    ``reduction_data`` keeps ``_reduction`` on its algebra."""
-    kept = getattr(m, "_objects", None)
-    if kept is None or kept[0] is not red:
-        kept = m._objects = red, _object_map(m, red)
-    return kept[1]
+def _module_objects(m: DgModule) -> Optional[Dict[Key, int]]:
+    """Object index per module basis key, or None when m's algebra has no
+    reduction data or m is not homogeneous; kept on m."""
+    if m._objects is _UNSET:
+        red = reduction_data(m.algebra)
+        m._objects = None if red is None else _object_map(m, red)
+    return m._objects
 
 
 def _object_map(m: DgModule, red: ReductionData) -> Optional[Dict[Key, int]]:
@@ -194,6 +183,58 @@ def _object_map(m: DgModule, red: ReductionData) -> Optional[Dict[Key, int]]:
     return out
 
 
+def _uncut_caps(m: DgModule) -> Union[Caps, str]:
+    """(L, W): the most slots and the heaviest slot weight sum of any
+    reduced bar tuple over m, so that a bar at caps past them cuts nothing;
+    or why m's reduced bar is not finite, naming only what depends on m.
+    A tuple is a chain of the algebra's nonzero-weight basis keys, each an
+    arrow from its lobj to its robj, starting at the object of a module key:
+    the bar is finite when no such chain reaches a directed cycle."""
+    if m._uncut is _UNSET:
+        m._uncut = _longest_chains(m)
+    return m._uncut
+
+
+def _longest_chains(m: DgModule) -> Union[Caps, str]:
+    a = m.algebra
+    if not (a.space.fully_known() and m.space.fully_known()):
+        return "the algebra or the module is not fully known"
+    objs = _module_objects(m)
+    if objs is None:
+        return "no reduced bar"
+    red = reduction_data(a)
+    arrows: Dict[int, List[Tuple[int, int]]] = {}
+    for k in a.basis_keys():
+        if k[1]:
+            arrows.setdefault(red.lobj[k], []).append((red.robj[k], abs(k[1])))
+    longest: Dict[int, Caps] = {}  # per object, the longest chain from it
+    walking = set()
+
+    def walk(o: int) -> Optional[int]:
+        """Fill longest[o]; return the object a chain from o cycles at."""
+        if o in walking:
+            return o
+        if o not in longest:
+            walking.add(o)
+            n = w = 0
+            for t, wt in arrows.get(o, ()):
+                at = walk(t)
+                if at is not None:
+                    return at
+                n, w = max(n, longest[t][0] + 1), max(w, longest[t][1] + wt)
+            walking.discard(o)
+            longest[o] = (n, w)
+        return None
+
+    starts = sorted(set(objs.values()))
+    for o in starts:
+        at = walk(o)
+        if at is not None:
+            return f"slots cycle at object {at}"
+    return (max((longest[o][0] for o in starts), default=0),
+            max((longest[o][1] for o in starts), default=0))
+
+
 class _BarScheme(SemiFree):
     """The bar tuples (module key, bar slots) over m as a semi-free module:
     the tuples are its generators, the inner differential (internal terms
@@ -205,14 +246,14 @@ class _BarScheme(SemiFree):
     ``dst`` the parent, and ``kid`` is the id the slot got in ``keys`` (and
     ``slot_ids``) when it first fit.  ``child`` maps parent * ``n_slots`` +
     slot id back to the index, and ``bare`` a module key to its bare tuple.
-    The tuples do not depend on a target, so m keeps each scheme, with its
-    ``rows()`` and ``certified()`` once asked, per caps and reducedness
-    (``_bar_scheme``), relying on modules not being mutated."""
+    The tuples do not depend on a target, so m keeps the scheme, with its
+    ``rows()`` and the caps-free part of ``certified`` once asked
+    (``_bar_scheme``; the stores are listed on ``dg.DgModule``)."""
 
     def __init__(self, m: DgModule, n_max: int, w_cap: int, reduced: bool):
         a = m.algebra
         red = reduction_data(a) if reduced else None
-        mobj = _module_objects(m, red) if reduced else None
+        mobj = _module_objects(m) if reduced else None
         self.module = m
         self.algebra = a
         self.field = f = m.field
@@ -225,7 +266,7 @@ class _BarScheme(SemiFree):
         self.red = red
         self.sign = red.sign if reduced else 0
         self._rows: Optional[List[Dict[int, Scalar]]] = None
-        self._cert = _UNSET
+        self._known = _UNSET
 
         # slots by the object they start at; unreduced, everything is object 0
         akeys = a.basis_keys()
@@ -378,10 +419,12 @@ class _BarScheme(SemiFree):
         self._rows = rows
         return rows
 
-    def certified(self) -> Cert:
-        """The builders' certificate (``Cert``), or None when no column is
-        complete: every tuple within top of the lightest weight was
-        enumerated, and the lightest generator is a module key.
+    def certified(self, n_max: int, w_cap: int) -> Cert:
+        """The builders' certificate (``Cert``) at the asked caps, or None
+        when no column is complete: every tuple within top of the lightest
+        weight was enumerated, and the lightest generator is a module key.
+        The asked caps are the scheme's own, or past them when they read as
+        m's uncut caps (``_bar_scheme``), which cut nothing.
 
         Slot weight sums at a total are at most its gap to the lightest
         module element, and each slot contributes at least 1, so a column
@@ -390,56 +433,66 @@ class _BarScheme(SemiFree):
         gap.  A partly known algebra also needs honest slots: its weight-0
         column certified and no weight of the other sign, so that hidden
         cells could only sit at heavier weights of the slot sign."""
-        if self._cert is _UNSET:
-            self._cert = self._certificate()
-        return self._cert
+        if self._known is _UNSET:
+            self._known = self._known_columns()
+        if self._known is None:
+            return None
+        s, known, lightest = self._known
+        return s, min(n_max, w_cap, known), lightest
 
-    def _certificate(self) -> Cert:
+    def _known_columns(self) -> Optional[Tuple[int, float, Optional[int]]]:
+        """(sign, the heaviest slot column known, lightest module weight),
+        the part of ``certified`` the caps do not change; None when nothing
+        is certified.  A fully known algebra knows every column."""
         m, sp, s = self.module, self.algebra.space, self.sign
         if not self.reduced or not m.space.fully_known():
             return None
-        top = min(self.n_max, self.w_cap)
+        known = math.inf
         if not sp.fully_known():
-            if not (sp.column_complete(0)
-                    and _side_certified_empty(sp, -s)):
+            if not (sp.column_complete(0) and _side_certified_empty(sp, -s)):
                 return None
-            top = next((i - 1 for i in range(1, top + 1)
-                        if not sp.column_complete(s * i)), top)
+            top = min(self.n_max, self.w_cap)
+            known = next((i - 1 for i in range(1, top + 1)
+                          if not sp.column_complete(s * i)), top)
         mwts = [s * k[1] for k in m.basis_keys()]
-        return s, top, s * min(mwts) if mwts else None
+        return s, known, s * min(mwts) if mwts else None
 
 
 def _bar_scheme(m: DgModule, n_max: int, w_cap: int, reduced: Optional[bool],
-                target: Optional[DgModule] = None
-                ) -> Tuple[_BarScheme, Optional[Dict[Key, int]]]:
-    """m's bar scheme at the caps, the one m keeps per (n_max, w_cap,
-    reduced) or a new one it then keeps, and the target's object per key
-    (``nobj``, None unreduced), read per call.  Whether the scheme is
-    reduced is decided first, from m and, when given, the target."""
+                target: Optional[DgModule] = None, keep: bool = True
+                ) -> Tuple[_BarScheme, Optional[Dict[Key, int]], Cert]:
+    """m's bar scheme at the caps, the target's object per key (``nobj``,
+    None unreduced) and the certificate (``certified``) the asked caps give.  Whether the scheme
+    is reduced is decided first, from m and, when given, the target.  A
+    reduced cap past m's uncut one (``_uncut_caps``) reads as it, with the
+    same tuples.  m keeps a scheme it builds unless keep is False."""
     if m.side != "right":
         raise ValueError("bar source must be a right module")
     if n_max < 0 or w_cap < 0:
         raise ValueError("caps must be non-negative")
     a = m.algebra
-    red = reduction_data(a)
-    mobj = _module_objects(m, red) if red else None
+    mobj = _module_objects(m)
     nobj = None
     if mobj is not None and target is not None and reduced is not False:
-        nobj = mobj if target is m else _module_objects(target, red)
+        nobj = _module_objects(target)
     if reduced is None:
         reduced = mobj is not None and (target is None or nobj is not None)
     if reduced and mobj is None:
         raise ValueError(
             "reduced bar needs a weight-connected algebra and an "
             f"object-homogeneous module (here {a.name or 'unnamed'} and "
-            f"{m.name or 'unnamed'}): " + _unreducible_reason(m, red))
+            f"{m.name or 'unnamed'}): " + _unreducible_reason(m, reduction_data(a)))
     if reduced and target is not None and nobj is None:
         raise ValueError("target module is not object-homogeneous")
-    kept = m.__dict__.setdefault("_schemes", {})
-    scheme = kept.get((n_max, w_cap, reduced))
+    key, uncut = (n_max, w_cap, reduced), _uncut_caps(m) if reduced else None
+    if isinstance(uncut, tuple):
+        key = (min(n_max, uncut[0]), min(w_cap, uncut[1]), True)
+    scheme = m._schemes.get(key)
     if scheme is None:
-        scheme = kept[n_max, w_cap, reduced] = _BarScheme(m, n_max, w_cap, reduced)
-    return scheme, nobj
+        scheme = _BarScheme(m, *key)
+        if keep:
+            m._schemes[key] = scheme
+    return scheme, nobj, scheme.certified(n_max, w_cap)
 
 
 class BarData:
@@ -567,12 +620,12 @@ def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     two-sided bar complex with the algebra itself as the right factor."""
     if w_cap is None:
         w_cap = n_max
-    scheme, _ = _bar_scheme(m, n_max, w_cap, reduced)
+    scheme, _, cert = _bar_scheme(m, n_max, w_cap, reduced)
     a = m.algebra
     keys = a.basis_keys()
     # the slot check already covers the algebra's columns
     cx, at = _two_sided(scheme, keys, scheme.red.lobj if scheme.reduced else None,
-                        a.basis_product, a.complex, (-w_cap, w_cap), scheme.certified())
+                        a.basis_product, a.complex, (-w_cap, w_cap), cert)
 
     # the augmentation sends a bare tuple with right key bk to mk·bk, read
     # off the action table
@@ -693,8 +746,7 @@ def _replacement(m: DgModule, n: DgModule, n_max: int, w_cap: int,
     caps (``_bar_scheme``), with n's objects read per call, and the tensor
     keeps the total weights within w_cap."""
     if reduced is not None or m.resolution is None:
-        scheme, nobj = _bar_scheme(m, n_max, w_cap, reduced, n)
-        return scheme, nobj, scheme.certified(), (-w_cap, w_cap)
+        return (*_bar_scheme(m, n_max, w_cap, reduced, n), (-w_cap, w_cap))
     if n_max < 0 or w_cap < 0:
         raise ValueError("caps must be non-negative")
     p = m.resolution(n_max, w_cap)
@@ -739,8 +791,7 @@ class InnerModel(DgAlgebra):
     def module_over_opposite(self) -> DgModule:
         """The defining module as a right module over the opposite algebra,
         acting by signed evaluation: p·f = (-1)^{|f||p|} f(p).  Built once
-        per model and kept on it, with the opposite and its mirrored
-        reduction data."""
+        per model and kept on it."""
         if self._over is not None:
             return self._over
         f = self.field
@@ -749,7 +800,7 @@ class InnerModel(DgAlgebra):
         for fk, p, val in self.evaluations():
             odd = fk[0] % 2 and p[0] % 2
             action[(p, fk)] = {q: f.neg(c) if odd else c for q, c in val.items()}
-        self._over = DgModule(_opposite(self), m.complex, action, side="right",
+        self._over = DgModule(self.opposite(), m.complex, action, side="right",
                               name=f"{m.name}^" if m.name else "")
         return self._over
 
@@ -782,10 +833,14 @@ class EndAlgebra(InnerModel):
 def end_algebra(m: DgModule, n_max: int, w_cap: Optional[int] = None,
                 reduced: Optional[bool] = None, name: str = "") -> EndAlgebra:
     """Derived endomorphism DG algebra of m."""
-    if w_cap is None:
-        w_cap = n_max
-    scheme, nobj = _bar_scheme(m, n_max, w_cap, reduced, m)
-    cx = _hom_complex_into(scheme, m, nobj, scheme.certified())
+    return _end_algebra(m, n_max, n_max if w_cap is None else w_cap, reduced, name)
+
+
+def _end_algebra(m: DgModule, n_max: int, w_cap: int, reduced: Optional[bool] = None,
+                 name: str = "", keep: bool = True) -> EndAlgebra:
+    """``end_algebra``; with keep False, for a per-call E, m keeps no scheme."""
+    scheme, nobj, cert = _bar_scheme(m, n_max, w_cap, reduced, m, keep)
+    cx = _hom_complex_into(scheme, m, nobj, cert)
     f = m.field
     space, one = cx.space, f.one
     unit: Elt = {space.key_of(0, 0, (q, (q, ()))): one for q in m.basis_keys()}

@@ -29,6 +29,7 @@ ProductRule = Callable[[Key, Key], Elt]
 # a summand e·A[n] of a module: the idempotent e and the inclusion
 # {algebra key x with e·x = x: module key of x}
 Summand = Tuple[Elt, Dict[Key, Key]]
+_UNSET = object()  # a store not yet filled, where None is an answer
 
 
 class SemiFree:
@@ -100,6 +101,9 @@ class DgAlgebra:
         # missing pair is zero
         self._memo: MultTable = {}
         self._filled = False
+        self._opposite_of: Optional[DgAlgebra] = None  # opposite
+        self._reduction = _UNSET  # bar.reduction_data
+        self._sums: Dict[Tuple[int, ...], Tuple] = {}  # complete.completion_along_set
 
     @property
     def field(self) -> Field:
@@ -205,9 +209,11 @@ class DgAlgebra:
             e = self.basis_product(k2, k1)
             return elt_scale(f, minus, e) if k1[0] % 2 and k2[0] % 2 else e
 
-        return DgAlgebra(self.complex, dict(self.unit), product,
-                         name=f"{self.name}^op" if self.name else "",
-                         idempotents={k: dict(v) for k, v in self.idempotents.items()})
+        op = DgAlgebra(self.complex, dict(self.unit), product,
+                       name=f"{self.name}^op" if self.name else "",
+                       idempotents={k: dict(v) for k, v in self.idempotents.items()})
+        op._opposite_of = self
+        return op
 
     def validate(self, assoc_budget: int = 2_000_000, seed: int = 0,
                  pair_budget: int = 4_000_000) -> ValidationReport:
@@ -331,22 +337,33 @@ class DgModule:
     complete intersection or over any one-variable ring, which is
     k[x]/(x^n) for n its number of monomials: k[x] under the weight cap W
     reads as the power W + 1.  Its one degree-0 generator goes to k's one
-    key.  Its recipe keeps its longest build and answers a shorter length
-    with that build's prefix, which is the build at that length.  No other
-    constructor carries it over, and None is no claim.  ``derived_hom``,
-    ``derived_tensor`` and the witness model of completions along k
-    (``bar.witness_model``) read it.
+    key.  No other constructor carries it over, and None is no claim.
+    ``derived_hom``, ``derived_tensor`` and the witness model of
+    completions along k (``bar.witness_model``) read it.
 
-    What a module keeps that depends on caps is kept at exactly those caps:
-    each bar scheme built over it (``bar._bar_scheme``) and its witness
-    model per outer weight cap; the recipe's longest build is a prefix of
-    the cap-free resolution.  It keeps its object map for the
-    reduced bar (``bar._module_objects``), and one cap-free inner model
-    REnd(m) that completions along it read, with that model's module over
-    its opposite, or the reason it has none (see
-    ``complete.double_centralizer``): the strict endomorphism algebra read
-    off ``projective``, or else, where m's reduced bar is finite, the
-    minimal model of its convolution algebra built uncut.
+    The stores the library keeps, each declared in its class's
+    ``__init__``, written only by its owner, keyed by what changes the
+    answer, one entry each unless a bound is given, and relying on modules,
+    algebras and categories not being mutated:
+
+    - ``DgAlgebra._reduction`` (``bar.reduction_data``): the reduction data
+      or None; an opposite mirrors its base's, ``_opposite_of``.
+    - ``DgAlgebra._sums`` (``complete.completion_along_set``): the direct
+      sum per tuple of generators asked, matched by identity.
+    - ``DgModule._objects`` (``bar._module_objects``): each key's object for
+      the reduced bar, or None; ``DgModule._uncut`` (``bar._uncut_caps``):
+      the caps (L, W) of its longest tuple, or why the bar is not finite.
+    - ``DgModule._schemes`` (``bar._bar_scheme``): a bar scheme per (n_max,
+      w_cap, reduced) asked, a cap past the uncut one read as it, so a
+      finite bar keeps at most (L + 1)(W + 1) reduced ones; the certificate
+      is still the asked caps'.  A per-call E adds none.
+    - ``DgModule._cap_free`` (``complete.double_centralizer``): the cap-free
+      inner model, strict or uncut minimal, or why there is none; and
+      ``DgModule._witnesses``, same owner: a witness model per w_out asked.
+    - ``SmallCategory._strings`` (``holim._string_scheme``): a string scheme
+      per (cutoff, sign fields) asked, a cutoff past an acyclic category's
+      longest string L read as L, so at most L + 1 per sign fields; a
+      category with a cycle keeps none.
     """
 
     def __init__(self, algebra: DgAlgebra, complex: CochainComplex,
@@ -362,6 +379,11 @@ class DgModule:
         self.name = name
         self.projective = projective
         self.resolution: Optional[Callable[..., SemiFree]] = None
+        self._objects = _UNSET  # bar._module_objects
+        self._uncut = _UNSET  # bar._uncut_caps
+        self._schemes: Dict[Tuple[int, int, bool], SemiFree] = {}  # bar._bar_scheme
+        self._cap_free = None  # complete.double_centralizer
+        self._witnesses: Dict[int, Tuple] = {}  # complete.double_centralizer
 
     @property
     def field(self) -> Field:

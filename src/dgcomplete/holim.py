@@ -10,14 +10,12 @@ table: each pair of cells is multiplied the first time something reads it,
 so a limit read only through its cohomology multiplies nothing.
 
 The differential is built by string index.  The category's arrows by
-endpoint and its factorizations are tables filled when it is checked.  The
-strings up to a cutoff depend on the category and the cutoff alone, and
-their faces on the signs as well, so the category keeps one string scheme
-per (cutoff, sign fields): the strings enumerated once and numbered,
-whether strings past the cutoff exist, and each string's faces, listed once
-as the indices of the strings they reach.  Each diagram map and each
-internal differential is read column by column at the diagram's first holim
-and kept on the diagram.  The complex is assembled per call: cells, labels
+endpoint and its factorizations are tables filled when it is checked, and
+it keeps its string schemes (``_string_scheme``): the strings numbered,
+whether strings past the cutoff exist, and each string's faces as the
+indices of the strings they reach.  Each diagram map and each internal
+differential is read column by column at the diagram's first holim and
+kept on the diagram.  The complex is assembled per call: cells, labels
 and places for every string, entries only for the strings with a face or
 an internal d (a free category's strings at the cutoff, about half of a
 tower's, have neither); every term is added into its block entry as a
@@ -109,9 +107,8 @@ class SmallCategory:
     associativity and that freeness, so downstream code can trust the data.
 
     The data never changes after the check, so the category keeps what the
-    string builders read of it: its arrows by endpoint and each arrow's
-    factorizations, filled once, and the string scheme of each (cutoff,
-    sign fields) a holim asked for (``_string_scheme``).
+    string builders read of it, its arrows by endpoint, factorizations and
+    longest string, and the string schemes (``_string_scheme``).
     """
 
     def __init__(self, objects, arrows: Dict[str, Tuple[object, object]],
@@ -141,8 +138,13 @@ class SmallCategory:
                 self._factors[h].append((f, g))
         for pairs in self._factors.values():
             pairs.sort()
-        # the string scheme of each (cutoff, sign fields) holim asked for
-        self._strings: Dict[Tuple[int, ...], Tuple] = {}
+        # the longest string, None for a cycle: the ends of the strings of n
+        # arrows, until none or until n passes the object count (a repeat)
+        ends, n = set(self.objects), 0
+        while ends and n <= len(self.objects):
+            ends, n = {self.tgt(t) for o in ends for t in self._from[o]}, n + 1
+        self._longest = None if ends else max(n - 1, 0)
+        self._strings: Dict[Tuple, Tuple] = {}  # holim._string_scheme
 
     def src(self, arrow: str):
         return self.arrows[arrow][0]
@@ -295,7 +297,10 @@ def _string_scheme(cat: SmallCategory, p_max: int, sc: SignConvention
     """The strings up to p_max (``nonidentity_paths``), whether strings past
     the cutoff exist (``_extends``), and each string's faces, which depend
     on the category, the cutoff and the signs alone: the scheme the category
-    keeps per (p_max, sign fields), built on first use.
+    keeps per (cutoff, sign fields), built on first use (see
+    ``dg.DgModule``).  Past an acyclic category's longest string the
+    strings, ``_extends`` and faces stay the same, so such a cutoff reads as
+    that length; a category with a cycle keeps none.
 
     The faces of a string below the cutoff are its extensions at the target
     end, whose value is mapped along the new arrow, as (string, arrow,
@@ -303,6 +308,8 @@ def _string_scheme(cat: SmallCategory, p_max: int, sc: SignConvention
     arrow into two, which keep the value, as (string, exponent); each
     exponent is that of the face's sign less the value's internal degree.
     A string at the cutoff has none."""
+    if cat._longest is not None:
+        p_max = min(p_max, cat._longest)
     key = (p_max,) + tuple(getattr(sc, fld) for fld in _SIGN_FIELDS)
     scheme = cat._strings.get(key)
     if scheme is not None:
@@ -326,7 +333,9 @@ def _string_scheme(cat: SmallCategory, p_max: int, sc: SignConvention
             kept.extend((index[(o, names[:idx] + pair + names[idx + 1:])], e)
                         for pair in cat._factors[nm])
         faces.append((mapped, kept))
-    scheme = cat._strings[key] = (paths, _extends(cat, paths, p_max), faces)
+    scheme = paths, _extends(cat, paths, p_max), faces
+    if cat._longest is not None:
+        cat._strings[key] = scheme
     return scheme
 
 
@@ -471,9 +480,8 @@ def holim(diagram: AlgebraDiagram, dmax: int,
     genuine dg algebra regardless.  Over a free category p_max is 1 and
     nothing is cut: the two-term model, certified in every degree.
 
-    The strings and their faces are read off the scheme the category keeps
-    per (p_max, signs); the complex, its knowledge, unit and product rule
-    are built per call.
+    The strings and their faces are read off the category's scheme
+    (``_string_scheme``); the rest is built per call.
     """
     cat = diagram.cat
     sc = signs if signs is not None else DEFAULT_SIGNS

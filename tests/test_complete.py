@@ -390,7 +390,9 @@ def test_right_ideal_of_a_partly_known_algebra_certifies_nothing():
 
 def test_strict_inner_model_ignores_inner_caps():
     """inner_caps bound only the convolution model, so a projective module
-    accepts caps that would be too tight for it and gives the same tables."""
+    accepts caps that would be too tight for it and gives the same tables.
+    Caps must still be non-negative integers, inner_caps too whenever they
+    are given: a float is not rounded and a bool is not read as 0 or 1."""
     sc = M.build_scenario("dual_numbers_op")
     a, m = sc["algebra"], sc["module"]
     plain = complete.double_centralizer(a, m, (3, 3)).cohomology()
@@ -402,6 +404,16 @@ def test_strict_inner_model_ignores_inner_caps():
     with pytest.raises(ValueError, match="clear the outer weight cap"):
         complete.double_centralizer(a, M.simple_module(a, "X1"), (3, 3),
                                     inner_caps=(3, 3))
+    simple = M.simple_module(a, "X1")
+    for module, caps, inner in [(m, (2.7, 2), None), (m, (True, 2), None),
+                                (m, (3, 3), (3.5, 3)), (m, (3, 3), (3, False)),
+                                (simple, (2, 2), (4, 4.0)), (simple, (2, "2"), None)]:
+        with pytest.raises(ValueError, match="must be two integers"):
+            complete.double_centralizer(a, module, caps, inner_caps=inner)
+    for module, caps, inner in [(m, (3, 3), (-1, 3)), (m, (3, -1), None),
+                                (simple, (2, 2), (-1, 4))]:
+        with pytest.raises(ValueError, match="must be non-negative"):
+            complete.double_centralizer(a, module, caps, inner_caps=inner)
 
 
 def test_completion_whose_inner_algebra_has_shifts_at_weight_zero_fails_fast():

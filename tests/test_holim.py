@@ -534,13 +534,39 @@ def _limit_snapshot(hl):
     ids=["kx4-tower", "kx4-strings", "random38"])
 def test_a_kept_string_scheme_builds_what_a_fresh_category_builds(build, dmaxes):
     """Every holim after the first on a category reads the string scheme it
-    keeps per cutoff; each equals the holim over a freshly built one."""
+    keeps per cutoff, a cutoff past the longest string read as that length;
+    each equals the holim over a freshly built one."""
     diag = build()
     for dmax in dmaxes:
         assert _limit_snapshot(H.holim(diag, dmax)) == _limit_snapshot(
             H.holim(build(), dmax))
+    longest = max(len(names) for _, names in H.nonidentity_paths(diag.cat, 20))
     assert {key[0] for key in diag.cat._strings} == {
-        H.holim(diag, dmax).p_max for dmax in dmaxes}
+        min(H.holim(diag, dmax).p_max, longest) for dmax in dmaxes}
+
+
+def _idempotent_diagram():
+    """k over one object with an idempotent arrow, e·e = e: a cycle, so
+    there are strings of every length."""
+    cat = H.SmallCategory(["a"], {"e": ("a", "a")}, {("e", "e"): "e"})
+    return constant_algebra_diagram(cat, ground_algebra())
+
+
+def test_string_schemes_are_never_kept_twice_and_a_cycle_keeps_none():
+    """random_diagram(38)'s longest string has length 3, so dmax 1..12
+    (cutoffs 2..13) keep two schemes, neither equal to the other.  The
+    idempotent's strings grow with every cutoff, so its category keeps no
+    scheme, and each holim equals the holim over a fresh category."""
+    diag = _dg_poset_diagram()
+    for dmax in range(1, 13):
+        H.holim(diag, dmax)
+    kept = list(diag.cat._strings.values())
+    assert len(kept) == 2 and kept[0] != kept[1]
+    cyclic = _idempotent_diagram()
+    for dmax in [*range(1, 13), *range(11, 0, -1)]:
+        assert _limit_snapshot(H.holim(cyclic, dmax)) == _limit_snapshot(
+            H.holim(_idempotent_diagram(), dmax))
+    assert not cyclic.cat._strings
 
 
 @pytest.mark.parametrize("build", [
@@ -557,14 +583,20 @@ def test_a_flip_after_the_default_reads_its_own_faces(build):
     assert H.holim(diag, dmax=1).validate().ok
 
 
+def _chain_of_three():
+    return constant_algebra_diagram(
+        H.poset_category(range(3), [(0, 1), (1, 2)]), ground_algebra())
+
+
 @pytest.mark.parametrize("build, dmaxes, runs", [
     (_tower_diagram, [1, 2, 3, 4], 1),
-    (lambda: constant_algebra_diagram(
-        H.poset_category(range(3), [(0, 1), (1, 2)]), ground_algebra()),
-     [1, 2, 3, 2], 3)], ids=["kx4-tower", "poset"])
+    (_chain_of_three, [1, 2, 3, 2], 1),
+    (_chain_of_three, [0, 1, 0, 2], 2)], ids=["kx4-tower", "poset", "poset-short"])
 def test_the_strings_are_built_once_per_cutoff(monkeypatch, build, dmaxes, runs):
     """A free category's cutoff is always 1, so a tower builds its strings
-    once; a poset's cutoff follows dmax, and a repeated one is kept."""
+    once; a poset's cutoff follows dmax (cutoff dmax + 1 here) up to its
+    longest string, 0 -> 1 -> 2 of length 2, and reads as that length past
+    it, and a repeated one is kept."""
     calls = []
     paths = H.nonidentity_paths
 

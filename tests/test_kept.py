@@ -1,9 +1,10 @@
 """What a module keeps per caps: each bar scheme it is the source of, keyed
-by (n_max, w_cap, reduced), and its witness model per outer weight cap.
+by (n_max, w_cap, reduced) with a cap past its finite bar's uncut cap read
+as that cap, and its witness model per outer weight cap.
 
 Every builder that reads a kept scheme must build what it builds over a
-fresh module, in any order of caps, and a kept witness model must multiply
-as a fresh one.  A model built per call, its E's bar scheme included,
+fresh module at the asked caps, none read as an uncut one, in any order of
+caps, and a kept witness model must multiply as a fresh one.  A model built per call, its E's bar scheme included,
 keeps nothing on the module.
 """
 import gc
@@ -12,7 +13,7 @@ import weakref
 
 import pytest
 
-from dgcomplete import complete
+from dgcomplete import bar, complete
 from dgcomplete import models as M
 from dgcomplete.bar import (
     bar_resolution, derived_hom, derived_tensor, end_algebra, witness_model,
@@ -44,6 +45,14 @@ def _builds(m):
     ]
 
 
+def _unclamped(monkeypatch, build):
+    """build() with no cap read as an uncut one, so each scheme is built at
+    the asked caps: the reference a scheme read past them must match."""
+    with monkeypatch.context() as mp:
+        mp.setattr(bar, "_uncut_caps", lambda m: "refused")
+        return build()
+
+
 def _snapshot(cx, c):
     """Cells, knowledge, every block's entries, and the cohomology's table
     and certificate."""
@@ -55,19 +64,52 @@ def _snapshot(cx, c):
             h.dims_by_cell(), h.certificate.status)
 
 
+# the uncut caps (L, W) of each module's reduced bar: the simples of
+# 1 -> 2 -> 3 chain two slots of weight 1; x is a loop, so over k[x] and
+# k[x,y]/(x^2, y^2) the bar is infinite and no cap is cut
+UNCUT = {"triangular_123": (2, 2), "kx_qq": (99, 99), "kxy_square_zero_gfp": (99, 99)}
+
+
 @pytest.mark.parametrize("caps", [[1, 2, 3], [3, 2, 1], [2, 2, 3, 2, 2]],
                          ids=["ascending", "descending", "repeated"])
 @pytest.mark.parametrize("name", ["triangular_123", "kx_qq", "kxy_square_zero_gfp"])
-def test_kept_schemes_build_what_a_fresh_module_builds(name, caps):
+def test_kept_schemes_build_what_a_fresh_module_builds(monkeypatch, name, caps):
     """The four builders share m's schemes: bar_resolution, derived_hom and
-    derived_tensor at (c, c) read one, end_algebra at (c + 1, c) another."""
+    derived_tensor at (c, c) read one, end_algebra at (c + 1, c) another,
+    each cap past the uncut one read as it."""
     m = _module(name)
     kept = _builds(m)
     for c in caps:
         for i, build in enumerate(kept):
-            assert _snapshot(build(c), c) == _snapshot(_builds(_module(name))[i](c), c)
+            fresh = _unclamped(monkeypatch, lambda: _builds(_module(name))[i](c))
+            assert _snapshot(build(c), c) == _snapshot(fresh, c)
+    n_cut, w_cut = UNCUT[name]
     assert sorted(m._schemes) == sorted(
-        {(n, c, True) for c in caps for n in (c, c + 1)})
+        {(min(n, n_cut), min(c, w_cut), True) for c in caps for n in (c, c + 1)})
+
+
+@pytest.mark.parametrize("name", ["triangular_12", "triangular_123"])
+def test_outer_caps_past_a_finite_bar_share_one_scheme(monkeypatch, name):
+    """The module over the opposite of a triangular kept model has a finite
+    bar, so completions at caps 2, 3 and 4, as the deck asks them, keep one
+    outer scheme where they kept three with the same tuples; each still
+    certifies to its own caps and answers what a fresh module answers with
+    every outer scheme built at the asked caps."""
+    def completions(sc):
+        return [complete.double_centralizer(sc["algebra"], sc["module"], (c, c),
+                                            inner_caps=(c + 2, c + 2))
+                for c in (2, 3, 4)]
+
+    results = completions(M.build_scenario(name))
+    over = results[0].inner.module_over_opposite()
+    assert all(r.inner.module_over_opposite() is over for r in results)
+    assert len(over._schemes) == 1
+    assert [bar._bar_scheme(over, c, c, True, over)[2][1] for c in (2, 3, 4)] == [2, 3, 4]
+    fresh = _unclamped(monkeypatch, lambda: completions(M.build_scenario(name)))
+    assert sorted(fresh[0].inner.module_over_opposite()._schemes) == [
+        (c, c, True) for c in (2, 3, 4)]
+    for c, r, fresh in zip((2, 3, 4), results, fresh):
+        assert _snapshot(r.completed.complex, c) == _snapshot(fresh.completed.complex, c)
 
 
 def test_a_kept_witness_model_multiplies_as_a_fresh_one():
@@ -105,7 +147,7 @@ def test_a_per_call_model_keeps_nothing_on_its_module():
     del r
     gc.collect()
     assert over() is None
-    assert not k._schemes and not hasattr(k, "_witnesses")
+    assert not k._schemes and not k._witnesses
 
 
 def test_a_per_call_e_at_large_inner_caps_leaves_nothing_behind():

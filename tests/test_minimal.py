@@ -297,7 +297,8 @@ def test_koszul_kx_completes_at_cap_8_over_nine_outer_elements():
 
 def _counted_ends(monkeypatch):
     """The (module, n_max, w_cap, reduced) of every end_algebra a
-    completion builds, in call order."""
+    completion builds, in call order: the uncut E and the outer model; a
+    per-call E goes past it and is counted by ``_counted_schemes``."""
     calls = []
     build = complete.end_algebra
 
@@ -306,6 +307,22 @@ def _counted_ends(monkeypatch):
         return build(m, n_max, w_cap=w_cap, reduced=reduced, name=name)
 
     monkeypatch.setattr(complete, "end_algebra", counted)
+    return calls
+
+
+def _counted_schemes(monkeypatch):
+    """The (module, n_max, w_cap, reduced) of every bar scheme a completion
+    builds, in build order: one per E built over m, the uncut E and each
+    per-call E, which keeps no scheme, and one per outer scheme a module
+    over the opposite keeps."""
+    calls = []
+    build = bar._BarScheme
+
+    def counted(m, n_max, w_cap, reduced):
+        calls.append((m, n_max, w_cap, reduced))
+        return build(m, n_max, w_cap, reduced)
+
+    monkeypatch.setattr(bar, "_BarScheme", counted)
     return calls
 
 
@@ -329,9 +346,11 @@ def test_completions_along_one_module_build_its_uncut_model_once(
         monkeypatch, build, uncut, order):
     """E built uncut is REnd(m) at every cap, so completions along one
     module at caps 1-5, with inner caps that admit its uncut caps, build it
-    once and then only one outer bar per call, and each answers what a fresh
-    module answers on the per-call path (forced here by refusing the route,
-    since caps clearing the outer cap by 2 admit most of these modules).
+    once and then only one outer model per call, whose bar schemes are one
+    per caps as read past the module over the opposite's own uncut caps, and
+    each answers what a fresh module answers on the per-call path with no
+    cap read as an uncut one (forced here by refusing the route, since caps
+    clearing the outer cap by 2 admit most of these modules).
 
     At cap 1 the staggered simples' per-call H(E) holds only weight 0, and
     takes the negative weight sign of its E, whose class the uncut model
@@ -339,18 +358,24 @@ def test_completions_along_one_module_build_its_uncut_model_once(
     18 cells, with the values cap 2 gives."""
     caps = [1, 2, 3, 4, 5] if order == "rising" else [5, 4, 3, 2, 1]
     inner = (max(uncut[0], 7), max(uncut[1], 7))
-    calls = _counted_ends(monkeypatch)
+    ends, calls = _counted_ends(monkeypatch), _counted_schemes(monkeypatch)
     sc = build()
     a, m = sc["algebra"], sc["module"]
     results = [complete.double_centralizer(a, m, (c, c), inner_caps=inner)
                for c in caps]
-    assert [c[1:] for c in calls if c[0] is m] == [(*uncut, None)]
+    assert [c[1:] for c in ends if c[0] is m] == [(*uncut, None)]
+    assert [c[1:] for c in calls if c[0] is m] == [(*uncut, True)]
     over = results[0].inner.module_over_opposite()
+    assert [c for c in ends if c[0] is not m] == [(over, c, c, True) for c in caps]
+    n_cut, w_cut = bar._uncut_caps(over)
+    read = [(over, min(c, n_cut), min(c, w_cut), True) for c in caps]
     assert [c for c in calls if c[0] is not m] == [
-        (over, c, c, True) for c in caps]
+        r for i, r in enumerate(read) if r not in read[:i]]
     assert all(r.inner is results[0].inner for r in results)
     assert all(r.diagnostics["cap_free"] is None for r in results)
+    # the reference reads no cap as an uncut one, its outer schemes included
     monkeypatch.setattr(complete, "_uncut_caps", lambda m: "refused")
+    monkeypatch.setattr(bar, "_uncut_caps", lambda m: "refused")
     for c, r in zip(caps, results):
         fresh = build()
         per_call = complete.double_centralizer(
@@ -363,22 +388,18 @@ def test_koszul_kx_never_builds_the_uncut_model(monkeypatch):
     """k over k[x]: the slot x is a loop, so the bar is infinite and the
     module keeps that refusal.  k carries a resolution recipe, so a call
     takes the witness model at its outer weight cap, which k keeps per cap,
-    and builds no inner end_algebra at all: the outer bar is the only one
-    built, over the kept model's module, which keeps its scheme per caps."""
-    calls = _counted_ends(monkeypatch)
-    witnesses, schemes = [], []
-    build, scheme = complete.witness_model, bar._BarScheme
+    and builds no inner E at all: the outer bar is the only one built, over
+    the kept model's module, which keeps its scheme per caps (ε² = 0 in
+    Ext(k, k), but ε is a loop, so that bar is infinite too)."""
+    calls, schemes = _counted_ends(monkeypatch), _counted_schemes(monkeypatch)
+    witnesses = []
+    build = complete.witness_model
 
     def counted(m, w_max):
         witnesses.append((m, w_max))
         return build(m, w_max)
 
-    def counted_scheme(m, n_max, w_cap, reduced):
-        schemes.append((m, n_max, w_cap, reduced))
-        return scheme(m, n_max, w_cap, reduced)
-
     monkeypatch.setattr(complete, "witness_model", counted)
-    monkeypatch.setattr(bar, "_BarScheme", counted_scheme)
     sc = _koszul(7)
     a, m = sc["algebra"], sc["module"]
     caps = [3, 6, 4, 5, 3]
@@ -400,7 +421,7 @@ def test_triangular_7_builds_per_call_until_its_inner_caps_admit_6_6(
     """Its uncut caps (6, 6) exceed inner caps (4, 4), which then build E
     per call and keep nothing; the first call whose inner caps admit them
     builds and keeps the uncut model, which later calls at (4, 4) read."""
-    calls = _counted_ends(monkeypatch)
+    ends, calls = _counted_ends(monkeypatch), _counted_schemes(monkeypatch)
     sc = _triangular(7)
     a, m = sc["algebra"], sc["module"]
     reasons = []
@@ -412,7 +433,10 @@ def test_triangular_7_builds_per_call_until_its_inner_caps_admit_6_6(
     assert reasons == [too_small((4, 4)), too_small((4, 4)), too_small((6, 5)),
                        too_small((5, 6)), None, None]
     assert [c[1:] for c in calls if c[0] is m] == [
-        (4, 2, None), (4, 2, None), (6, 2, None), (5, 2, None), (6, 6, None)]
+        (4, 2, True), (4, 2, True), (6, 2, True), (5, 2, True), (6, 6, True)]
+    assert [c[1:] for c in ends if c[0] is m] == [(6, 6, None)]
+    assert [c[1:] for c in ends if c[0] is not m] == [(2, 2, True)] * 6
+    assert list(m._schemes) == [(6, 6, True)]
 
 
 def _off_line_chain():

@@ -50,15 +50,29 @@ def tower_limit(ring, gens, depth):
     return hl, H.holim_map_from_compatible_system(hl, ring.algebra, projections)
 
 
-@ORIGIN
-def test_completion_limit_and_ring_agree_along_the_origin(variables, cap):
-    ring = polynomial_ring(variables)
-    n = len(variables)
+@pytest.mark.parametrize("variables, relations, cap, inner", [
+    (["x"], [], 3, "witness"), (["x", "y"], [], 3, "minimal"),
+    (["x", "y", "z"], [], 2, "minimal"),
+    (["x", "y"], ["x*y"], 3, "minimal"),
+    (["x", "y"], ["x^2", "x*y"], 3, "minimal"),
+    (["x", "y", "z"], ["x*y", "y*z", "x*z"], 3, "minimal"),
+    (["x", "y"], ["x^3"], 3, "bar"),
+    (["x", "y"], ["x^2*y"], 3, "bar"),
+], ids=["kx", "kxy", "kxyz", "kxy/(xy)", "kxy/(x2,xy)", "kxyz/(xy,yz,xz)",
+        "kxy/(x3)", "kxy/(x2y)"])
+def test_completion_limit_and_ring_agree_along_the_origin(
+        variables, relations, cap, inner):
+    """Both routes give the ring's own dimension per weight, its monomial
+    count, on every cell they certify, over polynomial rings and over
+    monomial rings that are not (ROADMAP item 18).  The inner model each
+    completion takes is pinned too: the last two rings fail the purity
+    check (η off the line over k[x]/(x^3)) and take the bar model."""
+    ring = M.truncated_poly(F, variables, relations, wmax=WMAX)
     window = Window(-1, 1, cap)
-    monomials = {(d, w): comb(w + n - 1, n - 1) if d == 0 and w >= 0 else 0
-                 for d, w in window.grid()}
+    monomials = {(d, w): ring.algebra.space.dim(d, w) for d, w in window.grid()}
     completion = double_centralizer(ring.algebra, ring.residue_module(),
                                     (cap, cap))
+    assert completion.inner_used == inner
     hl, _ = tower_limit(ring, variables, cap + 1)
     for h in (completion.cohomology(window), hl.complex.cohomology(window)):
         dims = certified(h, window)

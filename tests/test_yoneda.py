@@ -45,7 +45,7 @@ def _pair(k, cap, pure=True):
         wm = WitnessModel(hom, k, (cap, cap), record)
         q0, = k.basis_keys()
         bm = MinimalModel(e, h, {c: (q0, q0) for c in h.representatives}, record)
-    scheme, _ = _bar_scheme(k, cap + 2, cap, None, k)
+    scheme, _, _ = _bar_scheme(k, cap + 2, cap, None, k)
     psi = wm.lift(scheme, {t: {q: f.one} for q, t in scheme.bare.items()}, (0, 0))
     p = wm._realized()[0]
 
