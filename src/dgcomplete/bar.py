@@ -15,10 +15,10 @@ idempotents whenever the algebra is weight-connected; slot tuples are then
 composable chains and every weight column is finite.  The unreduced variant
 tensors over the ground field and carries no exactness certificates; the
 objects each basis element runs between are its ``reduction_data``.  The
-minimal model is the cohomology of a convolution algebra with the product its
-representatives induce, built where a purity check makes it formal; the
-witness model is Ext(k, k) read off k's resolution witness, with the Yoneda
-product its chain-map lifts give, under the same check.
+witness model is Ext(m, m) of a semisimple module m read off its minimal
+resolution (``_minimal_resolution``, built weight by weight, with no scalar
+terms), with the Yoneda product its chain-map lifts give, where a purity
+check makes it formal.
 
 Each slot tuple is an integer index, numbered depth first, and each slot an
 integer id.  A tuple's parent is the tuple without its last slot, its child
@@ -31,6 +31,7 @@ in, adding only the terms that can land on an entry already written.
 """
 from __future__ import annotations
 
+import bisect
 import math
 from collections import defaultdict
 from fractions import Fraction
@@ -43,7 +44,7 @@ from .graded import (
     BiGradedSpace, CochainComplex, Cohomology, Elt, GradedMap, Key,
     _columns, _install,
 )
-from .linalg import Scalar, _add
+from .linalg import Echelon, Scalar, SparseMatrix, _add
 
 TupleLabel = Tuple[Key, Tuple[Key, ...]]
 Caps = Tuple[int, int]
@@ -83,8 +84,8 @@ def reduction_data(a: DgAlgebra) -> Optional[ReductionData]:
 
     Requires every basis element to be left/right homogeneous for the
     weight-zero idempotents, so tensor products over that subalgebra keep
-    the obvious basis of composable tuples.  A convolution algebra or its
-    minimal model reads each element's objects off its ``ends``; an
+    the obvious basis of composable tuples.  A convolution algebra or a
+    witness model reads each element's objects off its ``ends``; an
     opposite mirrors its base's data, as z ·op k = k·z for z in degree 0;
     any other algebra asks every idempotent product.
     """
@@ -808,12 +809,6 @@ class InnerModel(DgAlgebra):
 class EndAlgebra(InnerModel):
     """Derived endomorphisms of a module, with the convolution product."""
 
-    def __init__(self, complex: CochainComplex, unit: Elt, product,
-                 module: DgModule, w_cap: int, reduced: bool, name: str = ""):
-        super().__init__(complex, unit, product, module, name=name)
-        self.w_cap = w_cap
-        self.reduced = reduced
-
     def ends(self, k: Key) -> Tuple[Key, Key]:
         """The module keys (q, p) of the element F = (q, (p, slots)): the
         product fixes F by q's identity on the left and p's on the right."""
@@ -860,56 +855,7 @@ def _end_algebra(m: DgModule, n_max: int, w_cap: int, reduced: Optional[bool] = 
         except KeyError:
             return {}
 
-    return EndAlgebra(cx, unit, product, m, w_cap, scheme.reduced,
-                      name=name or f"End({m.name})")
-
-
-class MinimalModel(InnerModel):
-    """The cohomology H(E) of a convolution algebra E on the weight columns
-    |w| <= w_max, or on all of them, as a graded algebra with d = 0.
-
-    i sends a class to its representative in E and p is
-    ``Cohomology.project``, so the product is m₂ = p∘μ∘(i⊗i).  Each
-    representative lies in one block of E, between the module keys
-    ``ends``, and a product of classes whose blocks do not compose is zero
-    with no multiply.  ``minimal_model`` builds it only where purity makes
-    it E's minimal model, and ``purity`` is the record of that check.
-    """
-
-    def __init__(self, inner: EndAlgebra, h: Cohomology,
-                 ends: Dict[Key, Tuple[Key, Key]], purity: Dict):
-        reps = h.representatives
-
-        def product(k1: Key, k2: Key) -> Elt:
-            if ends[k1][1] != ends[k2][0]:
-                return {}
-            return h.project(inner.multiply(reps[k1], reps[k2]))
-
-        super().__init__(CochainComplex(h.space), h.project(inner.unit),
-                         product, inner.module, name=f"H({inner.name})")
-        self.inner = inner
-        self.representatives = reps
-        self.purity = purity
-        self._ends = ends
-
-    def ends(self, k: Key) -> Tuple[Key, Key]:
-        return self._ends[k]
-
-    def _weight_sign(self) -> Optional[int]:
-        """H(E)'s sign; held at weight 0, as a cut may leave it, E's (+1
-        where E has both signs or none)."""
-        weighted = any(k[1] for k in self.basis_keys())
-        return super()._weight_sign() if weighted else self.inner._weight_sign() or 1
-
-    def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
-        """The length-zero part of i(h), the one bare unit of h's block;
-        purity leaves no higher action."""
-        label = self.inner.space.label_of
-        for h, rep in self.representatives.items():
-            for k, c in rep.items():
-                q, (p, slots) = label(k)
-                if not slots:
-                    yield h, p, {q: c}
+    return EndAlgebra(cx, unit, product, m, name=name or f"End({m.name})")
 
 
 def _line(cells: Sequence[Tuple[int, int]],
@@ -947,101 +893,187 @@ def _purity(classes: BiGradedSpace, m: DgModule) -> Dict:
     return record
 
 
-def minimal_model(inner: EndAlgebra, w_max: Optional[int]
-                  ) -> Tuple[Optional[MinimalModel], Dict]:
-    """E's minimal model on the weight columns |w| <= w_max, the weights an
-    outer bar capped at w_max reads, or None; and a record of the check.
-    With w_max None the model and the check take every weight of E, and the
-    model knows what E knows: all of it, when E was built with nothing cut
-    and marked complete, so one model then serves an outer bar at any cap.
+def _semisimple_refusal(m: DgModule) -> Optional[str]:
+    """Why ``_minimal_resolution`` refuses m, or None."""
+    a, red = m.algebra, reduction_data(m.algebra)
+    if not (a.space.fully_known() and m.space.fully_known()):
+        return "the algebra or the module is not fully known"
+    if not (a.complex.d.is_zero() and m.complex.d.is_zero()):
+        return "d is not zero on the algebra or the module"
+    if red is None or red.sign < 0:
+        return "the algebra has no positive reduction data"
+    if _module_objects(m) is None:
+        return "the module has no reduction data: a key is not fixed by one idempotent"
+    return next((f"the basis element {x} of nonzero weight acts on the key {q}"
+                 for q in m.basis_keys() for x in a.basis_keys()
+                 if x[1] and m.action.get((q, x))), None)
 
-    The model is built where every class of H(E) there lies on one line
-    d = c·w and every cell of the defining module on a parallel one
-    d = c·w + d0, which makes it formal (see ``complete``), and where, as
-    whenever E is reducible, each representative lies in one block of
-    module keys and the model is weight-connected.  The record holds c, d0,
-    ``off_line``, the first class or module cell off its line (None if
-    there is none), and ``reason``, why no model was built (None if one
-    was).
-    """
-    h = inner.complex.cohomology(wmax=w_max)
-    record = _purity(h.space, inner.module)
-    if record["reason"] is not None:
-        return None, record
-    ends: Dict[Key, Tuple[Key, Key]] = {}
-    for k, rep in h.representatives.items():
-        blocks = {inner.ends(x) for x in rep}
-        if len(blocks) != 1:
-            record["reason"] = f"representative of {k} spans several blocks"
-            return None, record
-        ends[k] = blocks.pop()
-    model = MinimalModel(inner, h, ends, record)
-    if reduction_data(model) is None:
-        record["reason"] = "not weight-connected over its weight-0 classes"
-        return None, record
-    return model, record
+
+def _minimal_resolution(m: DgModule, length: int,
+                        w_cap: Optional[int] = None) -> SemiFree:
+    """The minimal semi-free resolution P of a semisimple right module m:
+    d = 0 on m and on its fully known algebra, which has positive reduction
+    data, and each key fixed by its object's idempotent and killed by every
+    basis element of nonzero weight (k, the simples, their sums and
+    shifts); any other m raises ValueError naming the condition.
+
+    P holds the generators of length at most ``length`` within w_cap of m's
+    lightest key (no cut when None), by length, key, then weight.  Each
+    belongs to one key q, labelled (q, length, index); (q, 0, 0) sits at q
+    and goes to q.  d lowers the length and keeps the weight, so m keeps its
+    longest build (``DgModule._resolved``) and each call cuts it."""
+    if length < 0 or (w_cap is not None and w_cap < 0):
+        raise ValueError("caps must be non-negative")
+    cap = math.inf if w_cap is None else w_cap
+    kept = m._resolved or (-1, -1, None)
+    if kept[0] < length or kept[1] < cap:
+        why = _semisimple_refusal(m)
+        if why is not None:
+            raise ValueError(f"no minimal resolution of {m.name or 'the module'}: {why}")
+        built = max(length, kept[0]), max(cap, kept[1])
+        m._resolved = kept = (*built, _resolve(m, *built))
+    p = kept[2]
+    keep = range(bisect.bisect_right(p.labels, length, key=lambda lab: lab[1]))
+    if keep and cap < kept[1]:
+        top = min(p.wts) + cap
+        keep = [i for i in keep if p.wts[i] <= top]
+    return p.cut(keep)
+
+
+def _resolve(m: DgModule, length: int, cap: float) -> SemiFree:
+    """``_minimal_resolution``'s build, one key at a time: at each length s,
+    in each (weight, degree, object) cell of the length s - 1 generators
+    times A from the lightest weight up, one generator per kernel vector of
+    d (of the augmentation at s = 1) outside the lighter new ones times A."""
+    a, f = m.algebra, m.field
+    p, red, mobj = f.char, reduction_data(a), _module_objects(m)
+    keys = list(a.basis_keys())
+    kid = {b: i for i, b in enumerate(keys)}
+    starting: Dict[int, List[Key]] = defaultdict(list)  # basis keys by lobj
+    for b in keys:
+        starting[red.lobj[b]].append(b)
+    mkeys = m.basis_keys()
+    top = min((q[1] for q in mkeys), default=0) + cap
+    # per generator: label, degree, weight, object, d(g) as (t, b, c): t·(c·b)
+    gens: List[Tuple] = [((q, 0, 0), q[0], q[1], mobj[q], []) for q in mkeys]
+    last = {q: [i] for i, q in enumerate(mkeys)}
+
+    def image(t: int, b: Key) -> Iterator[Tuple[object, Scalar]]:
+        """d(t·b) by (generator, key) places, or the augmentation's q·b."""
+        label, *_, d_t = gens[t]
+        if label[1] == 0:
+            yield from m.action.get((label[0], b), {}).items()
+        for j, x, c in d_t:
+            for z, v in a.basis_product(x, b).items():
+                yield (j, z), c * v
+
+    for s in range(1, length + 1):
+        for q in mkeys:
+            cells: Dict[Tuple[int, int, int], List[Tuple[int, Key]]] = defaultdict(list)
+            for t in last[q]:
+                _, d_t, w_t, o_t, _ = gens[t]
+                for b in starting[o_t]:
+                    if w_t + b[1] <= top:
+                        cells[w_t + b[1], d_t + b[0], red.robj[b]].append((t, b))
+            # per cell, each new generator g and key y with d(g)·y in it
+            covered: Dict[Tuple[int, int, int], List[Tuple[int, Key]]] = defaultdict(list)
+            last[q] = []
+            for (w, d, o), elems in sorted(cells.items()):
+                col = {tb: i for i, tb in enumerate(elems)}
+                rows: Dict[object, int] = {}
+                entries: Dict[Tuple[int, int], Scalar] = {}
+                for i, tb in enumerate(elems):
+                    for x, c in image(*tb):
+                        _add(entries, (rows.setdefault(x, len(rows)), i), c, p)
+                dmat = SparseMatrix(len(rows), len(elems), f)
+                dmat.entries, span = entries, Echelon(f)
+                for g, y in covered[w, d, o]:  # d(g·y) = d(g)·y
+                    vec: Dict[int, Scalar] = {}
+                    for x, c in image(g, y):
+                        _add(vec, col[x], c, p)
+                    span.insert(vec)
+                for vec in dmat.kernel_basis():
+                    if span.insert(vec):
+                        last[q].append(len(gens))
+                        gens.append(((q, s, len(last[q]) - 1), d - 1, w, o,
+                                     [(*elems[i], c) for i, c in vec.items()]))
+                        for y in starting[o]:
+                            if y[1] and w + y[1] <= top:
+                                covered[w + y[1], d + y[0], red.robj[y]].append((len(gens) - 1, y))
+    labels, degs, wts, objs, terms = [list(c) for c in zip(*gens)] or [[]] * 5
+    flat = [(g, t, kid[b], c) for g, d_g in enumerate(terms) for t, b, c in d_g]
+    return SemiFree(labels, degs, wts, objs, *([x[i] for x in flat] for i in range(4)),
+                    keys)
 
 
 class WitnessModel(InnerModel):
-    """REnd_a(k) read off the minimal resolution witness P of k's recipe
-    (``DgModule.resolution``): its classes are Hom_a(P, k), whose d is
-    zero, as ``derived_hom`` builds it, the map g ↦ q labelled (q, g's
-    label), knowing what P's certificate says.  k has one key q0, so every
-    class runs from q0 to q0 (``ends``), and only the unit, p0 ↦ q0 for P's
-    one generator p0 in degree 0, acts on k.  The weight sign is the
-    algebra's own, as E's at the same caps: P is positively weighted.
+    """REnd_a(m) of a semisimple module m read off its minimal resolution P
+    (``_minimal_resolution``): its classes are Hom_a(P, m), whose d is zero,
+    the map g ↦ q labelled (q, g's label), knowing what P's certificate
+    says.  A class runs from g's key to q (``ends``); those out of a key's
+    first generator act on m, and the unit is the sum of the identities.
 
     The product is Yoneda's, f·g = f∘G for the chain map G: P → P over g
     that ``lift`` finds, evaluated only for the pairs something reads, and
-    with no lift where a factor is the unit or no class sits at the sum of
-    the bidegrees.  P is rebuilt from the recipe, a prefix of its kept
-    build, only for a lift."""
+    with no lift where the ends do not compose, a factor is an identity,
+    or no class sits at the sum of the bidegrees."""
 
-    def __init__(self, hom: CochainComplex, m: DgModule, caps: Tuple[int, int],
-                 purity: Dict):
-        (one,) = hom.space.keys(0, 0)  # p0 ↦ q0
-        super().__init__(hom, {one: m.field.one}, self._yoneda, m,
-                         name=f"Ext({m.name})")
-        (self._q0,) = m.basis_keys()
-        self._one, self.caps, self.purity = one, caps, purity
-        self._witness: Optional[Tuple] = None
+    def __init__(self, hom: CochainComplex, p: SemiFree, m: DgModule,
+                 caps: Tuple[int, int]):
+        idem = reduction_data(m.algebra).idempotents
+        # each key's first generator, times its object's idempotent, goes to the key
+        self._firsts = {lab[0]: (t, idem[p.objs[t]])
+                        for t, lab in enumerate(p.labels) if lab[1] == 0}
+        unit = {hom.space.key_of(0, 0, (q, (q, 0, 0))): m.field.one for q in self._firsts}
+        super().__init__(hom, unit, self._yoneda, m, name=f"Ext({m.name})")
+        self.caps, self._p = caps, p
+        self._tensor: Optional[Tuple] = None
         self._lifts: Dict[Key, List[Dict[Tuple[int, Key], Scalar]]] = {}
 
     def ends(self, k: Key) -> Tuple[Key, Key]:
-        return self._q0, self._q0
+        q, g = self.space.label_of(k)
+        return q, g[0]
+
+    def _weight_sign(self) -> Optional[int]:
+        """-1 for m at one weight, where no class is positive, even if the
+        cut leaves only weight 0; else the classes' own."""
+        if len({q[1] for q in self.module.basis_keys()}) == 1:
+            return -1
+        return super()._weight_sign()
 
     def evaluations(self) -> Iterator[Tuple[Key, Key, Elt]]:
-        yield self._one, self._q0, {self._q0: self.field.one}
+        for k in self.basis_keys():
+            q, g = self.space.label_of(k)
+            if g[1] == 0:
+                yield k, g[0], {q: self.field.one}
 
     def _realized(self) -> Tuple:
-        """P, P ⊗_A A over the field (``_two_sided``) on the weights the cut
-        keeps exact, within the weight cap of the lightest, and the place
-        (d, w, i) there of each generator t times algebra key b, (t, b),
-        with its inverse."""
-        if self._witness is None:
-            p = self.module.resolution(*self.caps)
-            a = self.module.algebra
+        """P, P ⊗_A A over the field (``_two_sided``) within P's weight cut,
+        and the place (d, w, i) there of each generator t times algebra key
+        b, (t, b), with its inverse."""
+        if self._tensor is None:
+            p, a = self._p, self.module.algebra
             keys = a.basis_keys()
-            cx, at = _two_sided(p, keys, None, a.basis_product, a.complex,
-                                (min(p.wts), min(p.wts) + self.caps[1]), None)
+            cx, at = _two_sided(p, keys, reduction_data(a).lobj, a.basis_product,
+                                a.complex, (min(p.wts), min(p.wts) + self.caps[1]), None)
             place = {(t, b): (p.degs[t] + b[0], p.wts[t] + b[1], i)
                      for b, col in zip(keys, at) for t, i in enumerate(col) if i >= 0}
-            self._witness = p, cx, place, {v: tb for tb, v in place.items()}
-        return self._witness
+            self._tensor = p, cx, place, {v: tb for tb, v in place.items()}
+        return self._tensor
 
     def lift(self, src: SemiFree, values: Dict[int, Elt], bideg: Tuple[int, int]
              ) -> List[Dict[Tuple[int, Key], Scalar]]:
         """The chain map F: src → P of bidegree bideg over an A-linear
-        cocycle src → k[bideg], given on src's generators by values: ε∘F is
+        cocycle src → m[bideg], given on src's generators by values: ε∘F is
         that cocycle and d∘F = (-1)^|F| F∘d.  F(g) is a sum of P's
         generators t times algebra keys b, {(t, b): c}, found one generator
-        of src at a time, highest degree first.  ε sends p0 to q0 and kills
-        p0·x for x of positive weight, so in degree 0 F(g) = c·p0 for
-        values[g] = c·q0; below it F(g) is one solve of d in P ⊗_A A onto
-        (-1)^|F| F(d g)."""
+        of src at a time, highest degree first, and left zero past P's
+        weight cut, where no class reads it.  As ε kills every t·b but the
+        firsts', F(g) is c·(q's first) for each c·q in values[g], plus one
+        solve of d in P ⊗_A A onto (-1)^|F| F(d g)."""
         p, cx, place, at = self._realized()
         a, char = self.module.algebra, self.field.char
-        (unit,), p0 = a.unit, p.degs.index(0)
+        top = min(p.wts) + self.caps[1]
         sign = -1 if bideg[0] & 1 else 1  # _add reduces it over GF(p)
         rows = src.rows()
         terms: Dict[int, List] = defaultdict(list)
@@ -1050,9 +1082,9 @@ class WitnessModel(InnerModel):
         lifted: List[Dict[Tuple[int, Key], Scalar]] = [{} for _ in src.degs]
         for g in sorted(range(len(src.degs)), key=lambda i: -src.degs[i]):
             d, w = src.degs[g] + bideg[0], src.wts[g] + bideg[1]
-            if d == 0:
-                lifted[g] = {(p0, unit): c for c in values.get(g, {}).values()}
+            if w > top:  # past P's cut: no class reads F(g), nor any F that needs it
                 continue
+            image = {self._firsts[q]: c for q, c in values.get(g, {}).items()}
             want: Dict[int, Scalar] = {}
             for j, c in (rows[g].items() if rows is not None else ()):
                 for tb, v in lifted[j].items():
@@ -1066,22 +1098,24 @@ class WitnessModel(InnerModel):
                 if x is None:
                     raise RuntimeError(f"no lift of generator {src.labels[g]} "
                                        f"into the witness at ({d}, {w})")
-                lifted[g] = {at[(d, w, i)]: v for i, v in x.items()}
+                image.update((at[(d, w, i)], v) for i, v in x.items())
+            lifted[g] = image
         return lifted
 
     def _yoneda(self, k1: Key, k2: Key) -> Elt:
         if (k1[0] + k2[0], k1[1] + k2[1]) not in self.space.cells:
             return {}
-        if self._one in (k1, k2):
-            return {k2 if k1 == self._one else k1: self.field.one}
-        p = self._realized()[0]
         label, key_of = self.space.label_of, self.space.key_of
+        (q1, g1), (q2, g2) = label(k1), label(k2)
+        if g1[0] != q2:
+            return {}
+        if g1 == (q1, 0, 0) or g2 == (q2, 0, 0):  # an identity class
+            return {k2 if g1 == (q1, 0, 0) else k1: self.field.one}
+        p = self._p
         g_lift = self._lifts.get(k2)
         if g_lift is None:
-            q2, g2 = label(k2)
             g_lift = self._lifts[k2] = self.lift(
                 p, {p.labels.index(g2): {q2: self.field.one}}, k2[:2])
-        q1, g1 = label(k1)
         t1, out = p.labels.index(g1), {}
         for t, image in enumerate(g_lift):
             for (j, b), c in image.items():
@@ -1092,18 +1126,31 @@ class WitnessModel(InnerModel):
         return out
 
 
-def witness_model(m: DgModule, w_max: int) -> Tuple[Optional[WitnessModel], Dict]:
-    """REnd_a(m) on the weights |w| <= w_max, the weights an outer bar
-    capped at w_max reads, from m's resolution recipe: Hom_a(P, m) for the
-    witness P at length and weight cap w_max, which lists every generator
-    of weight at most w_max, since each step of a minimal resolution adds
-    weight.  None when the purity check (``minimal_model``'s) finds a class
-    or a module cell off its line; the record of the check either way."""
-    hom = derived_hom(m, m, w_max)
+def witness_model(m: DgModule, w_max: int
+                  ) -> Tuple[Optional[WitnessModel], Union[Dict, str]]:
+    """REnd_a(m) of a semisimple module m on the weights an outer bar capped
+    at w_max reads: Hom_a(P, m) over m's minimal resolution P to length and
+    weight cap w_max plus m's weight spread, which reaches every generator
+    those weights read, since each step of P adds weight.  None where the
+    purity check (``_purity``) finds a class or a module cell off its line,
+    or the model is not weight-connected; with the check's record, or why
+    ``_minimal_resolution`` refuses m."""
+    mw = [q[1] for q in m.basis_keys()]
+    cap = w_max + (max(mw) - min(mw) if mw else 0)
+    try:
+        p = _minimal_resolution(m, cap, cap)
+    except ValueError as refusal:
+        return None, str(refusal)
+    hom = _hom_complex_into(p, m, _module_objects(m),
+                            (1, cap, min(mw) if mw else None))
     record = _purity(hom.space, m)
     if record["reason"] is not None:
         return None, record
-    return WitnessModel(hom, m, (w_max, w_max), record), record
+    model = WitnessModel(hom, p, m, (cap, cap))
+    if reduction_data(model) is None:
+        record["reason"] = "not weight-connected over its weight-0 classes"
+        return None, record
+    return model, record
 
 
 def derived_tensor(m: DgModule, n: DgModule, n_max: int,

@@ -58,7 +58,7 @@ class SemiFree:
         order, with their terms, as fresh lists (not ``rows()``).  A prefix
         is sliced: renumbering it too makes small Ext calls 1.5x as slow."""
         n = len(keep)
-        if keep[-1] == n - 1:
+        if not n or keep[-1] == n - 1:
             t = bisect_left(self.src, n)
             return SemiFree(self.labels[:n], self.degs[:n], self.wts[:n], self.objs[:n], self.src[:t],
                             self.dst[:t], self.kid[:t], self.coef[:t], self.keys[:])
@@ -338,8 +338,8 @@ class DgModule:
     k[x]/(x^n) for n its number of monomials: k[x] under the weight cap W
     reads as the power W + 1.  Its one degree-0 generator goes to k's one
     key.  No other constructor carries it over, and None is no claim.
-    ``derived_hom``, ``derived_tensor`` and the witness model of
-    completions along k (``bar.witness_model``) read it.
+    ``derived_hom`` and ``derived_tensor`` read it; completions resolve k
+    with no recipe (``bar._minimal_resolution``).
 
     The stores the library keeps, each declared in its class's
     ``__init__``, written only by its owner, keyed by what changes the
@@ -357,9 +357,12 @@ class DgModule:
       w_cap, reduced) asked, a cap past the uncut one read as it, so a
       finite bar keeps at most (L + 1)(W + 1) reduced ones; the certificate
       is still the asked caps'.  A per-call E adds none.
-    - ``DgModule._cap_free`` (``complete.double_centralizer``): the cap-free
-      inner model, strict or uncut minimal, or why there is none; and
-      ``DgModule._witnesses``, same owner: a witness model per w_out asked.
+    - ``DgModule._resolved`` (``bar._minimal_resolution``): the longest
+      minimal resolution built, with its length and weight cap; a call past
+      either builds to the larger of each.
+    - ``DgModule._cap_free`` (``complete.double_centralizer``): the strict
+      model only; ``DgModule._witnesses``, same owner: per w_out asked, the
+      witness model, or None with the purity record or the refusal.
     - ``SmallCategory._strings`` (``holim._string_scheme``): a string scheme
       per (cutoff, sign fields) asked, a cutoff past an acyclic category's
       longest string L read as L, so at most L + 1 per sign fields; a
@@ -382,6 +385,7 @@ class DgModule:
         self._objects = _UNSET  # bar._module_objects
         self._uncut = _UNSET  # bar._uncut_caps
         self._schemes: Dict[Tuple[int, int, bool], SemiFree] = {}  # bar._bar_scheme
+        self._resolved: Optional[Tuple] = None  # bar._minimal_resolution
         self._cap_free = None  # complete.double_centralizer
         self._witnesses: Dict[int, Tuple] = {}  # complete.double_centralizer
 

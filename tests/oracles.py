@@ -2,10 +2,13 @@
 
 These deliberately avoid the string machinery: strict limits of
 degree-zero diagrams are equalizer kernels, nothing more.  Engine output
-has to reproduce them exactly.
+has to reproduce them exactly.  The class algebra of a convolution algebra
+is the reference the witness model's Yoneda product is checked against.
 """
 from typing import Dict
 
+from dgcomplete.bar import InnerModel
+from dgcomplete.graded import CochainComplex
 from dgcomplete.linalg import SparseMatrix
 
 
@@ -43,3 +46,33 @@ def strict_limit_dims(diag) -> Dict[int, int]:
         mat = SparseMatrix(len(rows), len(cols), f, entries)
         out[w] = len(mat.kernel_basis())
     return out
+
+
+class ClassAlgebra(InnerModel):
+    """The cohomology H(E) of a convolution algebra E (``bar.end_algebra``)
+    on the weight columns |w| <= w_max, with d = 0 and the product
+    m₂ = p∘μ∘(i⊗i): i sends a class to its representative in E and p is
+    ``Cohomology.project``.  Where every class lies on one line d = c·w
+    (``bar._purity``), every higher transferred operation vanishes by
+    degree and this is E's minimal model, so the library's witness model,
+    Ext with the Yoneda product, must be isomorphic to it.  Its module is
+    acted on by the length-zero part of each representative."""
+
+    def __init__(self, e, w_max):
+        h = e.complex.cohomology(wmax=w_max)
+        reps = h.representatives
+
+        def product(k1, k2):
+            return h.project(e.multiply(reps[k1], reps[k2]))
+
+        super().__init__(CochainComplex(h.space), h.project(e.unit), product,
+                         e.module, name=f"H({e.name})")
+        self.inner, self.representatives = e, reps
+
+    def evaluations(self):
+        label = self.inner.space.label_of
+        for c, rep in self.representatives.items():
+            for k, v in rep.items():
+                q, (p, slots) = label(k)
+                if not slots:
+                    yield c, p, {q: v}

@@ -195,13 +195,13 @@ def _registry_completion(name):
 @pytest.mark.parametrize("name,inner", [
     ("dual_numbers", "strict"), ("dual_numbers_op", "strict"),
     ("free_category", "strict"), ("koszul_kx", "witness"),
-    ("triangular_12", "minimal"), ("triangular_123", "minimal"),
+    ("triangular_12", "witness"), ("triangular_123", "witness"),
 ])
 def test_registry_completions_keep_their_models(name, inner):
     """koszul_kx completes along k and triangular_* along their simples:
-    neither is projective, and both pass the purity check, so k, which
-    carries a resolution recipe, takes the witness model, and the simples
-    the minimal model.  Every one keeps the reduced outer scheme."""
+    neither is projective, both are semisimple and pass the purity check,
+    so both take the witness model, Ext read off their minimal resolution.
+    Every one keeps the reduced outer scheme."""
     r = _registry_completion(name)
     assert r.inner_used == inner
     assert r.reduced_outer
@@ -212,10 +212,10 @@ def test_registry_completions_keep_their_models(name, inner):
 
 
 @pytest.mark.parametrize("name,strict,end", [
-    ("koszul_kx", 0, 1), ("triangular_12", 0, 2), ("dual_numbers_op", 1, 1)])
+    ("koszul_kx", 0, 1), ("triangular_12", 0, 1), ("dual_numbers_op", 1, 1)])
 def test_each_completion_builds_one_inner_model(monkeypatch, name, strict, end):
-    """One inner model and one outer bar: the strict model, E built uncut,
-    or the witness model of k, which builds no inner end_algebra."""
+    """One inner model and one outer bar: the strict model, or the witness
+    model of k or of the simples, which builds no inner end_algebra."""
     calls = {"strict": 0, "end": 0, "witness": 0}
 
     def counted(key, fn):
@@ -323,27 +323,28 @@ def test_completion_along_a_set_keeps_one_sum_per_generator_tuple(
 def test_completion_along_the_simples_builds_its_sum_and_uncut_model_once(
         monkeypatch):
     """Two calls along the simples of triangular_123 build the direct sum
-    and its uncut model once: the second reads the sum kept on the algebra
-    and the model kept on the sum."""
+    and its minimal resolution once, at the caps (2, 2) the witness model
+    reads: the second call reads the sum kept on the algebra and the
+    witness model kept on the sum."""
     sums, uncut = [], []
-    sum_of, model_of = complete.direct_sum_modules, complete._uncut_model
+    sum_of, resolve = complete.direct_sum_modules, bar._resolve
 
     def counted_sum(*args, **kwargs):
         sums.append(args)
         return sum_of(*args, **kwargs)
 
-    def counted_model(m, caps):
-        uncut.append((m, caps))
-        return model_of(m, caps)
+    def counted_resolve(m, length, cap):
+        uncut.append((m, length, cap))
+        return resolve(m, length, cap)
 
     monkeypatch.setattr(complete, "direct_sum_modules", counted_sum)
-    monkeypatch.setattr(complete, "_uncut_model", counted_model)
+    monkeypatch.setattr(bar, "_resolve", counted_resolve)
     a = M.build_scenario("triangular_123")["algebra"]
     simples = [M.simple_module(a, o) for o in a.idempotents]
     first, second = (complete.completion_along_set(a, simples, (2, 2))
                      for _ in range(2))
     assert len(sums) == len(simples) - 1 == 2
-    assert [m for m, _ in uncut] == [first.inner.module]
+    assert uncut == [(first.inner.module, 2, 2)]
     assert second.inner is first.inner
     fresh = M.build_scenario("triangular_123")["algebra"]
     assert _record(second) == _record(first) == _record(
@@ -391,8 +392,9 @@ def test_right_ideal_of_a_partly_known_algebra_certifies_nothing():
 def test_strict_inner_model_ignores_inner_caps():
     """inner_caps bound only the convolution model, so a projective module
     accepts caps that would be too tight for it and gives the same tables.
-    Caps must still be non-negative integers, inner_caps too whenever they
-    are given: a float is not rounded and a bool is not read as 0 or 1."""
+    Caps must still be two non-negative integers, inner_caps too whenever
+    they are given: a float is not rounded, a bool is not read as 0 or 1,
+    and a bool beside two integers does not pass for a pair."""
     sc = M.build_scenario("dual_numbers_op")
     a, m = sc["algebra"], sc["module"]
     plain = complete.double_centralizer(a, m, (3, 3)).cohomology()
@@ -407,7 +409,9 @@ def test_strict_inner_model_ignores_inner_caps():
     simple = M.simple_module(a, "X1")
     for module, caps, inner in [(m, (2.7, 2), None), (m, (True, 2), None),
                                 (m, (3, 3), (3.5, 3)), (m, (3, 3), (3, False)),
-                                (simple, (2, 2), (4, 4.0)), (simple, (2, "2"), None)]:
+                                (simple, (2, 2), (4, 4.0)), (simple, (2, "2"), None),
+                                (m, (2, True, 2), None), (m, (2, 2, False), None),
+                                (simple, (2, 2), (4, 4, True))]:
         with pytest.raises(ValueError, match="must be two integers"):
             complete.double_centralizer(a, module, caps, inner_caps=inner)
     for module, caps, inner in [(m, (3, 3), (-1, 3)), (m, (3, -1), None),
@@ -442,7 +446,7 @@ def test_generators_of_one_thick_subcategory_give_one_completion(name, common):
     results = [complete.double_centralizer(a, sc["module"], sc["caps"]),
                complete.completion_along_set(a, projectives, sc["caps"]),
                complete.double_centralizer(a, regular_module(a), sc["caps"])]
-    assert [r.inner_used for r in results] == ["minimal", "strict", "strict"]
+    assert [r.inner_used for r in results] == ["witness", "strict", "strict"]
     win = Window(-2, 2, 4)
     hs = [r.cohomology(win) for r in results]
     cells = [c for c in win.grid() if all(h.certificate.exact_at(*c) for h in hs)]
@@ -576,13 +580,14 @@ def test_the_completion_along_the_simples_is_the_path_algebra(name, n):
     the path algebra on the certified cells: n - w paths at weight w, no
     class in another degree, and the weight-1 arrows compose in one order
     only, onto the path of weight 2.  Checked at two caps on one module, so
-    the second call reads the kept uncut model."""
+    the second call, at the lower cap, cuts the minimal resolution the
+    first kept."""
     sc = M.build_scenario(name)
     a, m = sc["algebra"], sc["module"]
     results = [complete.double_centralizer(a, m, (c, c)) for c in (3, 2)]
-    assert results[0].inner is results[1].inner
+    assert results[1].inner._p.labels == results[0].inner._p.labels
     for cap, res in zip((3, 2), results):
-        assert res.diagnostics["cap_free"] is None
+        assert res.diagnostics["witness"] is None
         win = Window(-2, 2, cap)
         h = res.cohomology(win)
         cert, _ = _certified(h, win)

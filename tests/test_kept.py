@@ -18,7 +18,7 @@ from dgcomplete import models as M
 from dgcomplete.bar import (
     bar_resolution, derived_hom, derived_tensor, end_algebra, witness_model,
 )
-from dgcomplete.dg import DgModule
+from dgcomplete.dg import DgModule, regular_module
 from dgcomplete.graded import Window
 from dgcomplete.linalg import RATIONALS as F, Field
 
@@ -90,22 +90,26 @@ def test_kept_schemes_build_what_a_fresh_module_builds(monkeypatch, name, caps):
 
 @pytest.mark.parametrize("name", ["triangular_12", "triangular_123"])
 def test_outer_caps_past_a_finite_bar_share_one_scheme(monkeypatch, name):
-    """The module over the opposite of a triangular kept model has a finite
-    bar, so completions at caps 2, 3 and 4, as the deck asks them, keep one
-    outer scheme where they kept three with the same tuples; each still
-    certifies to its own caps and answers what a fresh module answers with
-    every outer scheme built at the asked caps."""
-    def completions(sc):
-        return [complete.double_centralizer(sc["algebra"], sc["module"], (c, c),
-                                            inner_caps=(c + 2, c + 2))
-                for c in (2, 3, 4)]
+    """The module over the opposite of a triangular algebra's kept strict
+    model, the completion along the algebra itself, has a finite bar, so
+    completions at caps 2, 3 and 4 keep one outer scheme where they kept
+    three with the same tuples; each still certifies to its own caps and
+    answers what a fresh module answers with every outer scheme built at
+    the asked caps.  (A witness model knows only the columns its cap reads,
+    so the module over its opposite has no uncut caps and keeps its scheme
+    per caps.)"""
+    def completions(a):
+        m = regular_module(a)
+        return [complete.double_centralizer(a, m, (c, c)) for c in (2, 3, 4)]
 
-    results = completions(M.build_scenario(name))
+    results = completions(M.build_scenario(name)["algebra"])
+    assert [r.inner_used for r in results] == ["strict"] * 3
     over = results[0].inner.module_over_opposite()
     assert all(r.inner.module_over_opposite() is over for r in results)
     assert len(over._schemes) == 1
     assert [bar._bar_scheme(over, c, c, True, over)[2][1] for c in (2, 3, 4)] == [2, 3, 4]
-    fresh = _unclamped(monkeypatch, lambda: completions(M.build_scenario(name)))
+    fresh = _unclamped(monkeypatch,
+                       lambda: completions(M.build_scenario(name)["algebra"]))
     assert sorted(fresh[0].inner.module_over_opposite()._schemes) == [
         (c, c, True) for c in (2, 3, 4)]
     for c, r, fresh in zip((2, 3, 4), results, fresh):
@@ -135,34 +139,35 @@ def test_a_kept_witness_model_multiplies_as_a_fresh_one():
 
 
 def test_a_per_call_model_keeps_nothing_on_its_module():
-    """k over k[x, y] has no recipe and an infinite bar, so its inner model
-    is built per call: once the result goes, so does its module over the
-    opposite, and k keeps no scheme of its own bar."""
-    ring = M.truncated_poly(F, ["x", "y"], [], wmax=4)
+    """k over k[x]/(x^3) has Ext² at (2, -3), off the line d = -w, so at
+    cap 3 its witness model is refused and E is built per call: once the
+    result goes, so does its module over the opposite, and k keeps no
+    scheme of its own bar, only the refusal and its resolution."""
+    ring = M.truncated_poly(F, ["x"], ["x^3"])
     k = ring.residue_module()
-    r = complete.double_centralizer(ring.algebra, k, (2, 2))
-    assert (r.inner_used, r.diagnostics["cap_free"]) == (
-        "minimal", "slots cycle at object 0")
+    r = complete.double_centralizer(ring.algebra, k, (3, 3))
+    assert (r.inner_used, r.diagnostics["witness"]) == (
+        "bar", "class at (2, -3) off its line")
     over = weakref.ref(r.inner.module_over_opposite())
     del r
     gc.collect()
     assert over() is None
-    assert not k._schemes and not k._witnesses
+    assert not k._schemes and [model for model, _ in k._witnesses.values()] == [None]
 
 
 def test_a_per_call_e_at_large_inner_caps_leaves_nothing_behind():
-    """At caps (7, 7) the per-call E of k over k[x, y] is built at inner
-    caps (9, 7), a scheme of about 2.5 MB that k used to keep; now the call
-    leaves under 0.2 MB (tracemalloc), while end_algebra called directly
-    still keeps its scheme."""
-    ring = M.truncated_poly(F, ["x", "y"], [], wmax=9)
+    """At caps (5, 5) the per-call E of k over k[x, y]/(x^3), whose witness
+    model purity refuses, is built at inner caps (7, 7), a scheme of about
+    2 MB; the call leaves under 0.2 MB (tracemalloc), while end_algebra
+    called directly still keeps its scheme."""
+    ring = M.truncated_poly(F, ["x", "y"], ["x^3"], wmax=7)
     k = ring.residue_module()
     gc.collect()
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        r = complete.double_centralizer(ring.algebra, k, (7, 7))
-        assert r.inner_used == "minimal"
+        r = complete.double_centralizer(ring.algebra, k, (5, 5))
+        assert r.inner_used == "bar"
         del r
         gc.collect()
         kept = tracemalloc.get_traced_memory()[0] - base
@@ -175,8 +180,8 @@ def test_a_per_call_e_at_large_inner_caps_leaves_nothing_behind():
 
 def test_what_triangular_7_keeps_along_its_simples_stays_small():
     """Completing triangular_7 along its simples at caps 1..6 keeps the sum,
-    its uncut model and the outer schemes over the kept model, but no
-    scheme of its per-call E at (3, 1), (4, 2), (5, 3) (tracemalloc)."""
+    its resolution, a witness model per cap and the outer schemes over
+    them, under 1 MB (tracemalloc)."""
     a = M.build_scenario("triangular_1234567")["algebra"]
     simples = [M.simple_module(a, o) for o in a.idempotents]
     gc.collect()

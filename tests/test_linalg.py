@@ -352,25 +352,33 @@ def _adic_tower_holim(model=lambda diag: diag):
 
 
 def _koszul_completion():
-    """The complex a k[x] completion eliminates on the per-call branch,
-    which k takes without its resolution recipe, as k over k[x, y] does: the
-    outer complex over the minimal model has d = 0 (ε² = 0, and ε acts on k
-    by zero), so it is the inner convolution algebra E, whose cohomology the
-    model is.  The deck's k carries the recipe and takes the witness model
-    (``test_the_witness_path_stays_integral``)."""
+    """The complex a k[x] completion eliminates: the witness model's minimal
+    resolution P of k, found with no recipe read, realized
+    over the field as P ⊗_A A, on which its products solve.  The outer
+    complex over the model has d = 0 (ε² = 0, and ε acts on k by zero)."""
     ring = truncated_poly(RATIONALS, ["x"], [], wmax=4)
     res = double_centralizer(ring.algebra, ring.quotient_module(["x"]), (3, 3),
                              inner_caps=(5, 5))
-    assert res.inner_used == "minimal" and not res.completed.complex.d.blocks
-    return res.inner.inner.complex, Window(-2, 2, 3), res.inner
+    assert res.inner_used == "witness" and not res.completed.complex.d.blocks
+    return res.inner._realized()[1], Window(-2, 2, 3), res.inner
+
+
+def _bar_model_completion():
+    """The inner convolution algebra E a completion builds per call where
+    the witness model is refused: k over k[x]/(x^3), whose Ext² at (2, -3)
+    is off the line d = -w at cap 3."""
+    ring = truncated_poly(RATIONALS, ["x"], ["x^3"], wmax=4)
+    res = double_centralizer(ring.algebra, ring.quotient_module(["x"]), (3, 3),
+                             inner_caps=(5, 5))
+    assert res.inner_used == "bar"
+    return res.inner.complex
 
 
 @pytest.mark.parametrize("build", [_adic_tower_holim, _koszul_completion])
 def test_qq_benchmark_paths_stay_integral(build):
     """The adic tower and k[x] completion paths never meet a non-integer, so
     every differential entry and representative stays a Python int, and so
-    does every output of the minimal model's projection p: its unit and
-    its products."""
+    does every output of the witness model: its unit and its products."""
     cx, win, *model = build()
     entries = [v for b in cx.d.blocks.values() for v in b.entries.values()]
     reps = [x for e in cx.cohomology(win).representatives.values() for x in e.values()]
@@ -487,7 +495,7 @@ def _clearing_complexes():
     # no block sits above another
     yield "adic tower holim", lambda: _adic_tower_holim(string_model)[0]
     yield "random diagram holim", lambda: holim(random_diagram(11, RATIONALS)[1], dmax=3).complex
-    yield "double centralizer", lambda: _koszul_completion()[0]
+    yield "double centralizer", _bar_model_completion
 
 
 @pytest.mark.parametrize("build", [b for _, b in _clearing_complexes()],

@@ -1,26 +1,30 @@
-"""The minimal inner model: a completion over H(E) instead of over E.
+"""The minimal inner model: a completion over Ext(m, m) instead of over E.
 
-Where every class of H(E) up to the outer weight cap lies on one line
-d = c·w and the module on a parallel one, every transferred m_n with n >= 3
-vanishes by degree, so H(E) with d = 0 and m₂ = p∘μ∘(i⊗i) is E's minimal
-model.  The completion is invariant under that quasi-isomorphism, so it must
-give the bar model's tables wherever both certify.  k over k[x], which
-carries a resolution recipe, passes the same check through the witness
-model, Ext read off its minimal resolution with the Yoneda product, and
-must give the same tables too.
+A module m that is semisimple (``bar._minimal_resolution``) has a minimal
+resolution P, and Ext(m, m) = Hom_a(P, m) with the Yoneda product is the
+witness model.  Where every class up to the outer weight cap lies on one
+line d = c·w and the module on a parallel one, every transferred m_n with
+n >= 3 vanishes by degree, so that model is E's minimal model.  The
+completion is invariant under that quasi-isomorphism, so it must give the
+bar model's tables wherever both certify.  The class algebra H(E) with the
+product p∘μ∘(i⊗i) (``oracles.ClassAlgebra``) is the reference for the
+witness model's product.
 """
 import pytest
 
 from dgcomplete import bar, complete
 from dgcomplete import models as M
 from dgcomplete.bar import (
-    _reduction_data, end_algebra, minimal_model, reduction_data, witness_model,
+    _minimal_resolution, _purity, _reduction_data, end_algebra, reduction_data,
+    witness_model,
 )
 from dgcomplete.dg import (
     DgCategoryPresentation, DgModule, category_algebra, direct_sum_modules,
+    right_ideal_module,
 )
 from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.linalg import RATIONALS as F
+from oracles import ClassAlgebra
 
 
 def _forced_bar(m, cap):
@@ -65,11 +69,10 @@ def _staggered_simples():
     return {"algebra": alg, "module": m}
 
 
-# every bar-inner job shape the completion_qq deck draws, under any seed
-# (so those of seeds 0 and 7), with the inner model it takes: koszul_kx
-# (ring wmax, cap), whose k carries a recipe, and triangular (length, cap),
-# plus k[x,y] and k[x,y,z] along the origin and a module with keys at two
-# weights
+# every job shape with a non-strict inner model the completion_qq deck
+# draws, under any seed (so those of seeds 0 and 7): koszul_kx (ring wmax,
+# cap) and triangular (length, cap), plus k[x,y] and k[x,y,z] along the
+# origin and a module with keys at two weights; all take the witness model
 SHAPES = (
     [(f"koszul_kx w{w} cap 3", lambda w=w: _koszul(w), 3, "witness")
      for w in range(4, 8)]
@@ -77,14 +80,14 @@ SHAPES = (
        ("koszul_kx w5 cap 5", lambda: _koszul(5), 5, "witness"),
        ("koszul_kx w6 cap 6", lambda: _koszul(6), 6, "witness"),
        ("koszul_kx w7 cap 6", lambda: _koszul(7), 6, "witness")]
-    + [(f"triangular_{n} cap {c}", lambda n=n: _triangular(n), c, "minimal")
+    + [(f"triangular_{n} cap {c}", lambda n=n: _triangular(n), c, "witness")
        for n, c in [(n, c) for n in (2, 3, 4) for c in (2, 3, 4)]
        + [(5, 2), (5, 3), (6, 3), (6, 4), (7, 2), (7, 3), (7, 4)]]
-    + [("k[x,y] w5 cap 3", lambda: _origin(["x", "y"], 5), 3, "minimal"),
-       ("k[x,y] w6 cap 4", lambda: _origin(["x", "y"], 6), 4, "minimal"),
-       ("k[x,y,z] w4 cap 2", lambda: _origin(["x", "y", "z"], 4), 2, "minimal"),
-       ("k[x,y,z] w5 cap 3", lambda: _origin(["x", "y", "z"], 5), 3, "minimal"),
-       ("staggered simples of 1 -> 2 cap 3", _staggered_simples, 3, "minimal")]
+    + [("k[x,y] w5 cap 3", lambda: _origin(["x", "y"], 5), 3, "witness"),
+       ("k[x,y] w6 cap 4", lambda: _origin(["x", "y"], 6), 4, "witness"),
+       ("k[x,y,z] w4 cap 2", lambda: _origin(["x", "y", "z"], 4), 2, "witness"),
+       ("k[x,y,z] w5 cap 3", lambda: _origin(["x", "y", "z"], 5), 3, "witness"),
+       ("staggered simples of 1 -> 2 cap 3", _staggered_simples, 3, "witness")]
 )
 
 
@@ -97,6 +100,7 @@ def test_minimal_model_agrees_with_the_bar_model(build, cap, model):
     assert r.inner_used == model
     assert r.diagnostics["minimal"] == {"slope": -1, "offset": 0,
                                         "off_line": None, "reason": None}
+    assert r.diagnostics["witness"] is None
     bar = _forced_bar(sc["module"], cap)
     assert len(r.completed.basis_keys()) <= len(bar.basis_keys())
     hm = r.cohomology()
@@ -106,8 +110,8 @@ def test_minimal_model_agrees_with_the_bar_model(build, cap, model):
     assert both
     for c in both:
         assert hm.dim(*c) == hb.dim(*c), c
-    # the knowledge the model carries is E's, or the witness's, which knows
-    # the same columns, so it certifies the same cells
+    # the witness model knows the columns E knows up to the cap, so it
+    # certifies the same cells
     assert hm.certificate.status == hb.certificate.status
 
 
@@ -119,7 +123,7 @@ def _spread(m):
 def _columns_agree(small, big, cap):
     """E built at a small weight cap and at a large one agree on every
     column |u| <= cap: its keys per cell, d, known columns and rays; and so
-    do their minimal models at cap, class for class."""
+    do their class algebras at cap, class for class."""
     ss, bs = small.space, big.space
     cells = sorted(c for c in bs.cells if abs(c[1]) <= cap)
     assert cells == sorted(c for c in ss.cells if abs(c[1]) <= cap)
@@ -136,8 +140,8 @@ def _columns_agree(small, big, cap):
         bs.known_zero_above, bs.known_zero_below, bs.zero_outside)
     hs, hb = (e.complex.cohomology(wmax=cap) for e in (small, big))
     assert hs.certificate.status == hb.certificate.status
-    (ms, rs), (mb, rb) = minimal_model(small, cap), minimal_model(big, cap)
-    assert ms is not None and rs == rb
+    ms, mb = ClassAlgebra(small, cap), ClassAlgebra(big, cap)
+    assert _purity(ms.space, small.module) == _purity(mb.space, big.module)
     assert {c: ms.space.dim(*c) for c in ms.space.cells} == {
         c: mb.space.dim(*c) for c in mb.space.cells}
     assert ms.space.known_cols == mb.space.known_cols
@@ -152,8 +156,10 @@ def _columns_agree(small, big, cap):
 @pytest.mark.parametrize("build,cap", [s[1:3] for s in SHAPES],
                          ids=[s[0] for s in SHAPES])
 def test_e_at_the_weights_read_agrees_with_e_at_the_inner_caps(build, cap):
-    """The minimal path builds E only to cap + spread: every reduced bar
-    tuple in column u has slot weight sum at most spread + |u|."""
+    """E read only to the outer cap plus the module's spread is E at the
+    inner caps on the columns the outer bar reads: every reduced bar tuple
+    in column u has slot weight sum at most spread + |u|.  The witness
+    model's resolution is cut at the same weight."""
     m = build()["module"]
     w_read = min(cap + 2, cap + _spread(m))
     small = end_algebra(m, cap + 2, w_cap=w_read)
@@ -161,26 +167,33 @@ def test_e_at_the_weights_read_agrees_with_e_at_the_inner_caps(build, cap):
     _columns_agree(small, big, cap)
 
 
-@pytest.mark.parametrize("build,cap,w_read,keys", [
-    (lambda: _origin(["x", "y"], 6), 4, 4, 116), (_staggered_simples, 3, 1, 3)],
+@pytest.mark.parametrize("build,cap,w_read,gens,classes", [
+    (lambda: _origin(["x", "y"], 6), 4, 4, 4, 4), (_staggered_simples, 3, 4, 3, 3)],
     ids=["k[x,y] w6 cap 4", "staggered simples cap 3"])
-def test_the_minimal_path_builds_e_only_to_the_cap_plus_the_spread(
-        build, cap, w_read, keys):
-    """E is read only to the outer cap plus the module's spread: for k over
-    k[x, y] (spread 0, and no resolution recipe, so the per-call branch)
-    116 keys at cap 4, where the inner caps would give 1352.  A finite bar
-    needs less: S1 ⊕ S2 over 1 -> 2 has one slot of weight 1, so E is built
-    uncut at W = 1, where the cap plus the spread is 4."""
+def test_the_witness_path_builds_p_only_to_the_cap_plus_the_spread(
+        build, cap, w_read, gens, classes):
+    """The witness model reads P to length and weight cap the outer cap plus
+    the module's spread: for k over k[x, y] (spread 0) the Koszul complex,
+    4 generators and 4 classes, where E at the inner caps has 1352 keys; S1
+    ⊕ S2[1, -1] over 1 -> 2 (spread 1) resolves to 3 generators, S1's
+    second at weight 1 past the cap, and its class at (2, -2)."""
     sc = build()
     r = complete.double_centralizer(sc["algebra"], sc["module"], (cap, cap))
-    assert r.inner_used == "minimal"
-    assert r.inner.inner.w_cap == w_read
-    assert len(r.inner.inner.basis_keys()) == keys
+    assert r.inner_used == "witness"
+    assert r.inner.caps == (w_read, w_read)
+    assert len(r.inner._p.labels) == gens
+    assert len(r.inner.basis_keys()) == classes
 
 
 def _model(sc, cap):
-    inner = end_algebra(sc["module"], cap + 2, w_cap=cap + 2)
-    model, record = minimal_model(inner, cap)
+    model = ClassAlgebra(end_algebra(sc["module"], cap + 2, w_cap=cap + 2), cap)
+    record = _purity(model.space, sc["module"])
+    assert record["reason"] is None, record
+    return model
+
+
+def _witness(sc, cap):
+    model, record = witness_model(sc["module"], cap)
     assert model is not None, record
     return model
 
@@ -191,14 +204,21 @@ MODELS = {
     "k[x,y] w5 cap 3": lambda: _model(_origin(["x", "y"], 5), 3),
     "k[x,y,z] w4 cap 2": lambda: _model(_origin(["x", "y", "z"], 4), 2),
 }
+WITNESSES = {
+    "koszul_kx w7 cap 6": lambda: _witness(_koszul(7), 6),
+    "triangular_1234 cap 4": lambda: _witness(_triangular(4), 4),
+    "k[x,y] w5 cap 3": lambda: _witness(_origin(["x", "y"], 5), 3),
+    "k[x,y,z] w4 cap 2": lambda: _witness(_origin(["x", "y", "z"], 4), 2),
+}
 
 
 @pytest.mark.parametrize("build", MODELS.values(), ids=MODELS.keys())
 def test_the_product_is_the_product_of_representatives_up_to_a_boundary(build):
-    """i∘m₂(a, b) - i(a)·i(b) is a coboundary of E for every pair of classes
-    whose product lands within the model's weights, found by an independent
-    solve of d x = that difference; and the model is a unital associative
-    graded algebra with the module acting on it."""
+    """The reference the witness model is checked against: in the class
+    algebra, i∘m₂(a, b) - i(a)·i(b) is a coboundary of E for every pair of
+    classes whose product lands within its weights, found by an independent
+    solve of d x = that difference; and it is a unital associative graded
+    algebra with the module acting on it."""
     model = build()
     e, reps, f = model.inner, model.representatives, model.field
     assert model.validate().ok
@@ -225,8 +245,9 @@ def test_the_product_is_the_product_of_representatives_up_to_a_boundary(build):
 
 
 def test_classes_of_k_over_k_x_y_form_an_exterior_algebra():
-    """Ext of k over k[x, y] is Λ[ε₁, ε₂]: ε_i² = 0 and ε₁ε₂ = -ε₂ε₁ ≠ 0."""
-    model = MODELS["k[x,y] w5 cap 3"]()
+    """Ext of k over k[x, y] is Λ[ε₁, ε₂]: ε_i² = 0 and ε₁ε₂ = -ε₂ε₁ ≠ 0,
+    read off the Koszul complex, found with no recipe."""
+    model = WITNESSES["k[x,y] w5 cap 3"]()
     assert {c: model.space.dim(*c) for c in model.space.cells} == {
         (0, 0): 1, (1, -1): 2, (2, -2): 1}
     e1, e2 = model.space.keys(1, -1)
@@ -237,8 +258,10 @@ def test_classes_of_k_over_k_x_y_form_an_exterior_algebra():
     assert model.basis_product(e2, e1) == {top: -prod[top]}
 
 
-@pytest.mark.parametrize("build", MODELS.values(), ids=MODELS.keys())
+@pytest.mark.parametrize("build", WITNESSES.values(), ids=WITNESSES.keys())
 def test_reduction_data_of_the_model_matches_the_product_scan(build):
+    """The witness model's reduction data, read off each class's ends, is
+    what asking its products gives."""
     model = build()
     red, scan = reduction_data(model), _reduction_data(model)
     assert (red.sign, red.idempotents, red.lobj, red.robj) == (
@@ -248,8 +271,8 @@ def test_reduction_data_of_the_model_matches_the_product_scan(build):
 def test_a_class_off_the_line_falls_back_to_the_bar_model():
     """k[x]/(x^5) has Ext² at (2, -5): at outer cap 6 it lies within the
     weights the outer bar reads, off the line d = -w, so the witness model
-    is refused and the per-call branch runs as if it had never been tried,
-    its H(E) refused for the same class."""
+    is refused and the call takes E itself at the inner caps, with the
+    record of the check in the diagnostics."""
     sc = _koszul(4)
     witness, record = witness_model(sc["module"], 6)
     assert witness is None and record["off_line"] == (2, -5)
@@ -259,8 +282,9 @@ def test_a_class_off_the_line_falls_back_to_the_bar_model():
     record = r.diagnostics["minimal"]
     assert record["off_line"] == (2, -5) and record["slope"] == -1
     assert "(2, -5)" in record["reason"]
-    # the bar model is E at the inner caps, as if E had never been cut
-    assert r.inner.w_cap == 8
+    assert r.diagnostics["witness"] == record["reason"]
+    # the bar model is E at the inner caps
+    assert r.inner.space.cells == end_algebra(sc["module"], 8, w_cap=8).space.cells
     hr = r.cohomology()
     hb = _forced_bar(sc["module"], 6).complex.cohomology(r.window)
     assert hr.certificate.status == hb.certificate.status
@@ -282,6 +306,23 @@ def test_the_model_knows_no_weight_past_its_cap():
         assert sp.known_degrees([-5])[-5] is None
 
 
+@pytest.mark.parametrize("n", [2, 4, 7])
+def test_a_cut_that_leaves_weight_0_alone_keeps_the_negative_sign(n):
+    """At cap 0 the witness model of the simples of triangular_n holds only
+    its n identity classes; P is positively weighted and the simples sit at
+    one weight, so no class of REnd is positive and the model's sign is -1
+    all the same.  The completion then certifies its weight-0 column: the n
+    idempotents, and nothing in another degree."""
+    sc = _triangular(n)
+    r = complete.double_centralizer(sc["algebra"], sc["module"], (0, 0))
+    assert r.inner_used == "witness" and reduction_data(r.inner).sign == -1
+    assert {w for (_, w) in r.inner.space.cells} == {0}
+    h = r.cohomology()
+    assert {c for c, ok in h.certificate.status.items() if ok} == {
+        (d, 0) for d in range(-2, 4)}
+    assert h.dims_by_cell() == {(0, 0): n}
+
+
 def test_koszul_kx_completes_at_cap_8_over_nine_outer_elements():
     sc = _koszul(10)
     r = complete.double_centralizer(sc["algebra"], sc["module"], (8, 8))
@@ -293,12 +334,12 @@ def test_koszul_kx_completes_at_cap_8_over_nine_outer_elements():
         (0, w): 1 for w in range(0, 9)}
 
 
-# -- the uncut model kept on a module with a finite bar ----------------------
+# -- the resolution and the witness models kept on a module -----------------
 
 def _counted_ends(monkeypatch):
     """The (module, n_max, w_cap, reduced) of every end_algebra a
-    completion builds, in call order: the uncut E and the outer model; a
-    per-call E goes past it and is counted by ``_counted_schemes``."""
+    completion builds, in call order: the outer model; the bar model's E
+    goes past it and is counted by ``_counted_schemes``."""
     calls = []
     build = complete.end_algebra
 
@@ -312,9 +353,8 @@ def _counted_ends(monkeypatch):
 
 def _counted_schemes(monkeypatch):
     """The (module, n_max, w_cap, reduced) of every bar scheme a completion
-    builds, in build order: one per E built over m, the uncut E and each
-    per-call E, which keeps no scheme, and one per outer scheme a module
-    over the opposite keeps."""
+    builds, in build order: one per bar model's E over m, which keeps no
+    scheme, and one per outer scheme a module over the opposite keeps."""
     calls = []
     build = bar._BarScheme
 
@@ -326,10 +366,37 @@ def _counted_schemes(monkeypatch):
     return calls
 
 
+def _counted_builds(monkeypatch):
+    """The (module, length, weight cap) of every minimal resolution built,
+    in build order."""
+    calls = []
+    build = bar._resolve
+
+    def counted(m, length, cap):
+        calls.append((m, length, cap))
+        return build(m, length, cap)
+
+    monkeypatch.setattr(bar, "_resolve", counted)
+    return calls
+
+
+def _counted_witnesses(monkeypatch):
+    """The (module, w_max) of every witness model a completion builds."""
+    calls = []
+    build = complete.witness_model
+
+    def counted(m, w_max):
+        calls.append((m, w_max))
+        return build(m, w_max)
+
+    monkeypatch.setattr(complete, "witness_model", counted)
+    return calls
+
+
 def _answer(r):
     h = r.cohomology()
     return (h.dims_by_cell(), h.certificate.status, r.inner_used,
-            r.diagnostics["minimal"])
+            r.diagnostics["minimal"], r.diagnostics["witness"])
 
 
 # a module with a finite bar and its uncut caps (L, W): triangular_n along
@@ -344,99 +411,113 @@ FINITE = [(f"triangular_{n}", lambda n=n: _triangular(n), (n - 1, n - 1))
                          ids=[f[0] for f in FINITE])
 def test_completions_along_one_module_build_its_uncut_model_once(
         monkeypatch, build, uncut, order):
-    """E built uncut is REnd(m) at every cap, so completions along one
-    module at caps 1-5, with inner caps that admit its uncut caps, build it
-    once and then only one outer model per call, whose bar schemes are one
-    per caps as read past the module over the opposite's own uncut caps, and
-    each answers what a fresh module answers on the per-call path with no
-    cap read as an uncut one (forced here by refusing the route, since caps
-    clearing the outer cap by 2 admit most of these modules).
+    """Completions along one module of a finite bar at caps 1-5 build m's
+    minimal resolution only past its longest build, to the cap plus m's
+    spread (once per cap rising, once falling), and cut it per call.  Each
+    cap builds one witness model, which m keeps, and one outer model, whose
+    bar scheme its module over the opposite keeps; no E over m is built.
+    Each call answers what a fresh module answers with no cap read as an
+    uncut one, its resolution and its outer schemes built at the asked caps
+    (forced here by refusing the route).
 
-    At cap 1 the staggered simples' per-call H(E) holds only weight 0, and
-    takes the negative weight sign of its E, whose class the uncut model
-    keeps at (2, -2): both outer bars certify the weights -1 and 0, 12 of
-    18 cells, with the values cap 2 gives."""
+    At cap 1 the staggered simples' witness model reads P to weight 2, the
+    cap plus the spread, so it holds the class at (2, -2) and takes the
+    negative weight sign of REnd(m): its outer bar certifies the weights -1
+    and 0, 12 of 18 cells."""
     caps = [1, 2, 3, 4, 5] if order == "rising" else [5, 4, 3, 2, 1]
-    inner = (max(uncut[0], 7), max(uncut[1], 7))
     ends, calls = _counted_ends(monkeypatch), _counted_schemes(monkeypatch)
+    builds, witnesses = _counted_builds(monkeypatch), _counted_witnesses(monkeypatch)
     sc = build()
     a, m = sc["algebra"], sc["module"]
-    results = [complete.double_centralizer(a, m, (c, c), inner_caps=inner)
-               for c in caps]
-    assert [c[1:] for c in ends if c[0] is m] == [(*uncut, None)]
-    assert [c[1:] for c in calls if c[0] is m] == [(*uncut, True)]
-    over = results[0].inner.module_over_opposite()
-    assert [c for c in ends if c[0] is not m] == [(over, c, c, True) for c in caps]
-    n_cut, w_cut = bar._uncut_caps(over)
-    read = [(over, min(c, n_cut), min(c, w_cut), True) for c in caps]
-    assert [c for c in calls if c[0] is not m] == [
-        r for i, r in enumerate(read) if r not in read[:i]]
-    assert all(r.inner is results[0].inner for r in results)
-    assert all(r.diagnostics["cap_free"] is None for r in results)
+    results = [complete.double_centralizer(a, m, (c, c)) for c in caps]
+    grown = caps if order == "rising" else caps[:1]
+    assert builds == [(m, c + _spread(m), c + _spread(m)) for c in grown]
+    assert bar._uncut_caps(m) == uncut
+    assert witnesses == [(m, c) for c in caps]
+    assert [c for c in calls if c[0] is m] == []
+    overs = [r.inner.module_over_opposite() for r in results]
+    assert ends == [(over, c, c, True) for over, c in zip(overs, caps)]
+    assert calls == [(over, c, c, True) for over, c in zip(overs, caps)]
+    assert all(r.diagnostics["witness"] is None for r in results)
+    if build is _staggered_simples:
+        h = results[caps.index(1)].cohomology()
+        cert = [c for c, ok in h.certificate.status.items() if ok]
+        assert {w for _, w in cert} == {-1, 0}
+        assert (len(cert), len(h.certificate.status)) == (12, 18)
     # the reference reads no cap as an uncut one, its outer schemes included
-    monkeypatch.setattr(complete, "_uncut_caps", lambda m: "refused")
     monkeypatch.setattr(bar, "_uncut_caps", lambda m: "refused")
     for c, r in zip(caps, results):
         fresh = build()
-        per_call = complete.double_centralizer(
-            fresh["algebra"], fresh["module"], (c, c), inner_caps=inner)
-        assert per_call.diagnostics["cap_free"] == "refused"
+        per_call = complete.double_centralizer(fresh["algebra"], fresh["module"], (c, c))
+        assert fresh["module"]._resolved[:2] == (c + _spread(m),) * 2
         assert _answer(r) == _answer(per_call)
 
 
 def test_koszul_kx_never_builds_the_uncut_model(monkeypatch):
-    """k over k[x]: the slot x is a loop, so the bar is infinite and the
-    module keeps that refusal.  k carries a resolution recipe, so a call
-    takes the witness model at its outer weight cap, which k keeps per cap,
-    and builds no inner E at all: the outer bar is the only one built, over
-    the kept model's module, which keeps its scheme per caps (ε² = 0 in
-    Ext(k, k), but ε is a loop, so that bar is infinite too)."""
+    """k over k[x]: the slot x is a loop, so the bar is infinite and so is
+    k's resolution.  A call takes the witness model at its outer weight cap,
+    which k keeps per cap, over k's resolution cut from its longest build,
+    which only a longer cap builds again, and builds no inner E at all: the
+    outer bar is the only one built, over the kept model's module, which
+    keeps its scheme per caps (ε² = 0 in Ext(k, k), but ε is a loop, so
+    that bar is infinite too)."""
     calls, schemes = _counted_ends(monkeypatch), _counted_schemes(monkeypatch)
-    witnesses = []
-    build = complete.witness_model
-
-    def counted(m, w_max):
-        witnesses.append((m, w_max))
-        return build(m, w_max)
-
-    monkeypatch.setattr(complete, "witness_model", counted)
+    builds, witnesses = _counted_builds(monkeypatch), _counted_witnesses(monkeypatch)
     sc = _koszul(7)
     a, m = sc["algebra"], sc["module"]
     caps = [3, 6, 4, 5, 3]
     overs = []
     for c in caps:
         r = complete.double_centralizer(a, m, (c, c))
-        assert r.inner_used == "witness"
-        assert r.diagnostics["cap_free"] == "slots cycle at object 0"
+        assert r.inner_used == "witness" and r.diagnostics["witness"] is None
         overs.append(r.inner.module_over_opposite())
     assert witnesses == [(m, c) for c in caps[:4]]
+    assert builds == [(m, 3, 3), (m, 6, 6)]
     assert overs[4] is overs[0] and len({id(o) for o in overs}) == 4
     assert calls == [(over, c, c, True) for over, c in zip(overs, caps)]
     assert schemes == [(over, c, c, True) for over, c in zip(overs, caps[:4])]
-    assert m._cap_free == "slots cycle at object 0"
+    assert bar._uncut_caps(m) == "slots cycle at object 0"
 
 
-def test_triangular_7_builds_per_call_until_its_inner_caps_admit_6_6(
-        monkeypatch):
-    """Its uncut caps (6, 6) exceed inner caps (4, 4), which then build E
-    per call and keep nothing; the first call whose inner caps admit them
-    builds and keeps the uncut model, which later calls at (4, 4) read."""
+def test_triangular_7_takes_the_witness_model_at_any_inner_caps(monkeypatch):
+    """Inner caps bound only the bar model: triangular_7 along its simples
+    takes the witness model at inner caps (4, 4) as at (6, 6), builds its
+    resolution once, at the outer caps (2, 2), where P has all 13 of its
+    generators and the uncut bar 127 tuples, and builds no E over m."""
     ends, calls = _counted_ends(monkeypatch), _counted_schemes(monkeypatch)
+    builds = _counted_builds(monkeypatch)
     sc = _triangular(7)
     a, m = sc["algebra"], sc["module"]
-    reasons = []
     for inner in [(4, 4), (4, 4), (6, 5), (5, 6), (6, 6), (4, 4)]:
         r = complete.double_centralizer(a, m, (2, 2), inner_caps=inner)
-        assert r.inner_used == "minimal"
-        reasons.append(r.diagnostics["cap_free"])
-    too_small = "uncut caps (6, 6) exceed the inner caps {}".format
-    assert reasons == [too_small((4, 4)), too_small((4, 4)), too_small((6, 5)),
-                       too_small((5, 6)), None, None]
-    assert [c[1:] for c in calls if c[0] is m] == [
-        (4, 2, True), (4, 2, True), (6, 2, True), (5, 2, True), (6, 6, True)]
-    assert [c[1:] for c in ends if c[0] is m] == [(6, 6, None)]
-    assert [c[1:] for c in ends if c[0] is not m] == [(2, 2, True)] * 6
-    assert list(m._schemes) == [(6, 6, True)]
+        assert r.inner_used == "witness" and r.diagnostics["witness"] is None
+    assert builds == [(m, 2, 2)] and len(m._resolved[2].labels) == 13
+    assert [c for c in calls if c[0] is m] == [] and not m._schemes
+    assert [c[1:] for c in ends] == [(2, 2, True)] * 6
+    assert list(m._witnesses) == [2]
+
+
+def _check_bidegrees(p):
+    """Each term t·(c·b) of d(g) keeps the bidegree, |t| + |b| = |g| + 1
+    and w_t + w_b = w_g, as ``models._check_bidegrees`` checks a recipe's,
+    and reaches a generator of g's key one step shorter."""
+    for g, t, x, c in zip(p.src, p.dst, p.kid, p.coef):
+        b = p.keys[x]
+        assert (p.degs[t] + b[0], p.wts[t] + b[1]) == (p.degs[g] + 1, p.wts[g]), (
+            p.labels[g], p.labels[t])
+        assert (p.labels[t][0], p.labels[t][1] + 1) == p.labels[g][:2]
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_the_simples_of_triangular_n_resolve_to_2n_minus_1_generators(n):
+    """triangular_n is the path algebra of 1 -> ... -> n, which is
+    hereditary: its n simples resolve in one step, n generators at (0, 0)
+    and n - 1 at (-1, 1), where the uncut bar has 2^n - 1 tuples."""
+    m = _triangular(n)["module"]
+    p = _minimal_resolution(m, 8, 8)
+    _check_bidegrees(p)
+    assert sorted(zip(p.degs, p.wts)) == [(-1, 1)] * (n - 1) + [(0, 0)] * n
+    assert len(bar._bar_scheme(m, n - 1, n - 1, True)[0].labels) == 2 ** n - 1
 
 
 def _off_line_chain():
@@ -462,40 +543,29 @@ def _partly_known_simple():
     return {"algebra": alg, "module": m}
 
 
-@pytest.mark.parametrize("build,cap,reason,model", [
-    (lambda: _koszul(5), 3, "slots cycle at object 0", "witness"),
-    (lambda: _triangular(7), 2, "uncut caps (6, 6) exceed the inner caps (4, 4)",
-     "minimal"),
-    (_off_line_chain, 1, "uncut H(E): class at (1, -2) off its line", "minimal"),
-    (_partly_known_simple, 2, "the algebra or the module is not fully known",
-     "minimal"),
-], ids=["cycle", "caps", "off line", "not known"])
-def test_diagnostics_say_why_the_inner_model_is_built_per_call(
-        build, cap, reason, model):
-    """``diagnostics["cap_free"]`` names why a module has no kept inner
-    model, and a second call reads the same reason."""
-    sc = build()
-    for _ in range(2):
-        r = complete.double_centralizer(sc["algebra"], sc["module"], (cap, cap))
-        assert r.diagnostics["cap_free"] == reason
-        assert r.inner_used == model
+def _dg_line():
+    """k over the dg line, whose d sends its weight-1 generator ξ to η."""
+    alg = M._dg_line_algebra(F)
+    sp = BiGradedSpace(F)
+    sp.add_cell(0, 0, ["k"])
+    mk = sp.key_of(0, 0, "k")
+    return {"algebra": alg,
+            "module": DgModule(alg, CochainComplex(sp), {(mk, k): {mk: 1} for k in alg.unit},
+                               side="right", name="k")}
 
 
-def test_the_off_line_chain_keeps_its_refusal_and_builds_per_call():
-    """The uncut H(E) fails purity at (1, -2), past outer cap 1: the call
-    takes the minimal model per call at cap 1 and the bar model at cap 2,
-    as a module without the route would."""
-    sc = _off_line_chain()
-    a, m = sc["algebra"], sc["module"]
-    assert complete._uncut_caps(m) == (2, 3)
-    got = [complete.double_centralizer(a, m, (c, c)) for c in (1, 2, 1)]
-    assert [r.inner_used for r in got] == ["minimal", "bar", "minimal"]
-    assert m._cap_free == "uncut H(E): class at (1, -2) off its line"
+def _arrow_acting():
+    """e1·A over 1 -> 2, the projective at 1, without its projective
+    witness: the arrow acts on it, so it is not semisimple."""
+    alg = M.path_chain_algebra(F, 2)
+    p1 = right_ideal_module(alg, alg.idempotents["O1"])
+    return {"algebra": alg,
+            "module": DgModule(alg, p1.complex, p1.action, name="e1·A")}
 
 
-def test_a_module_that_is_not_object_homogeneous_has_no_reduced_bar():
+def _rotated():
     """S1 ⊕ S2 over 1 -> 2 in the basis s1 + s2, s1 - s2: the idempotents
-    do not fix its keys, so there are no slots to chain."""
+    do not fix its keys."""
     alg = M.path_chain_algebra(F, 2)
     sp = BiGradedSpace(F)
     sp.add_cell(0, 0, ["u", "v"])
@@ -506,5 +576,101 @@ def test_a_module_that_is_not_object_homogeneous_has_no_reduced_bar():
     action = {(u, e1): {u: half, v: half}, (v, e1): {u: half, v: half},
               (u, e2): {u: half, v: -half}, (v, e2): {u: -half, v: half}}
     m = DgModule(alg, CochainComplex(sp), action, side="right", name="rotated")
+    return {"algebra": alg, "module": m}
+
+
+def _negative_arrows():
+    """The simples of 1 -> 2 with the arrow at weight -1."""
+    pres = DgCategoryPresentation(["O1", "O2"])
+    for i in (1, 2):
+        pres.add_morphism(f"e{i}", f"O{i}", f"O{i}", identity=True)
+    pres.add_morphism("a", "O1", "O2", wt=-1)
+    alg = category_algebra(pres, F, name="1 -(-1)-> 2")
+    return {"algebra": alg, "module": M.sum_of_simples(alg, ["O1", "O2"])}
+
+
+# the modules with no minimal resolution, each with the condition it fails
+REFUSED = [
+    ("d not zero", _dg_line, "d is not zero on the algebra or the module"),
+    ("not known", _partly_known_simple, "the algebra or the module is not fully known"),
+    ("arrow acts", _arrow_acting, "of nonzero weight acts on the key"),
+    ("rotated", _rotated, "the module has no reduction data"),
+    ("negative weights", _negative_arrows, "the algebra has no positive reduction data"),
+]
+
+
+@pytest.mark.parametrize("build,reason", [r[1:] for r in REFUSED],
+                         ids=[r[0] for r in REFUSED])
+def test_a_module_that_is_not_semisimple_has_no_minimal_resolution(build, reason):
+    m = build()["module"]
+    with pytest.raises(ValueError, match=reason):
+        _minimal_resolution(m, 2, 2)
+    assert m._resolved is None
+
+
+# the refused modules whose E the reduced outer bar can reduce over: over
+# e1·A and the rotated module E has weight-0 classes outside degree 0, so
+# their completions raise the reduced bar's ValueError, as they always have
+PER_CALL = [r for r in REFUSED if r[1] not in (_arrow_acting, _rotated)]
+
+
+@pytest.mark.parametrize("build,cap,reason", [
+    (_off_line_chain, 2, "class at (1, -2) off its line")] + [
+    (build, 2, reason) for _, build, reason in PER_CALL],
+    ids=["off line"] + [r[0] for r in PER_CALL])
+def test_diagnostics_say_why_the_inner_model_is_built_per_call(
+        build, cap, reason):
+    """``diagnostics["witness"]`` names why a module takes the bar model,
+    built per call: why it has no minimal resolution, or the purity check's reason,
+    whose record ``diagnostics["minimal"]`` holds; a second call reads the
+    same reason."""
+    sc = build()
+    for _ in range(2):
+        r = complete.double_centralizer(sc["algebra"], sc["module"], (cap, cap))
+        assert r.inner_used == "bar"
+        assert reason in r.diagnostics["witness"]
+        purity = r.diagnostics["minimal"]
+        assert (purity or {}).get("reason") == (reason if purity else None)
+
+
+@pytest.mark.parametrize("cap,cells", [(1, 18), (2, 30)])
+@pytest.mark.parametrize("build,certified", [(_dg_line, True), (_partly_known_simple, False)],
+                         ids=["d not zero", "not known"])
+def test_a_refused_module_with_a_pure_e_keeps_its_answers(build, certified, cap, cells):
+    """k over the dg line and the partly known simple have a pure H(E) but
+    no minimal resolution, so they take the bar model.  Their answers are
+    the ones the deleted per-call minimal model gave: the dg line certifies
+    all 18 cells at cap 1 and all 30 at cap 2, k at (0, 0) and zero
+    elsewhere; the partly known simple holds k at (0, 0) and certifies
+    nothing."""
+    sc = build()
+    r = complete.double_centralizer(sc["algebra"], sc["module"], (cap, cap))
+    h = r.cohomology()
+    status = h.certificate.status
+    assert r.inner_used == "bar" and h.dims_by_cell() == {(0, 0): 1}
+    assert len(status) == cells and all(ok == certified for ok in status.values())
+    assert {c: h.dim(*c) for c in status} == {c: int(c == (0, 0)) for c in status}
+
+
+def test_the_off_line_chain_keeps_its_refusal_and_builds_per_call():
+    """The witness model at cap 2 fails purity at (1, -2), a class cap 1
+    cuts: m keeps the refusal per cap, and each call at cap 2 takes the bar
+    model per call, as each at cap 1 reads the kept witness model."""
+    sc = _off_line_chain()
+    a, m = sc["algebra"], sc["module"]
+    assert bar._uncut_caps(m) == (2, 3)
+    got = [complete.double_centralizer(a, m, (c, c)) for c in (1, 2, 1, 2)]
+    assert [r.inner_used for r in got] == ["witness", "bar", "witness", "bar"]
+    assert got[2].inner is got[0].inner and got[3].inner is not got[1].inner
+    model, record = m._witnesses[2]
+    assert model is None and record["reason"] == "class at (1, -2) off its line"
+
+
+def test_a_module_that_is_not_object_homogeneous_has_no_reduced_bar():
+    """S1 ⊕ S2 over 1 -> 2 in the basis s1 + s2, s1 - s2: the idempotents
+    do not fix its keys, so there are no slots to chain, and no minimal
+    resolution is built."""
+    m = _rotated()["module"]
     assert m.validate().ok
-    assert complete._uncut_caps(m) == "no reduced bar"
+    assert bar._uncut_caps(m) == "no reduced bar"
+    assert "no reduction data" in witness_model(m, 2)[1]

@@ -60,6 +60,22 @@ CLAIMS = {
         "thick subcategories are closed under shifts: the complex "
         "shift_module shifts, with the sign on its differential",
         "tests/test_graded.py::test_shift_differential_sign"),
+    "graded.Cohomology.project": (
+        "the Noetherian theorem as rings: classes of the completion "
+        "multiply as p∘μ∘(i⊗i), so H^0 along the simples of a triangular "
+        "algebra is its path algebra",
+        "tests/test_complete.py::"
+        "test_the_completion_along_the_simples_is_the_path_algebra"),
+    "graded.Cohomology.representatives": (
+        "the i of p∘μ∘(i⊗i): a cocycle per class, whose products the ring "
+        "check of the completion along the simples multiplies",
+        "tests/test_complete.py::"
+        "test_the_completion_along_the_simples_is_the_path_algebra"),
+    "complete.CompletionResult.inner": (
+        "the completion is the double centralizer over REnd_a(m): the inner "
+        "model it was taken over, kept on m and read again per cap",
+        "tests/test_minimal.py::"
+        "test_completions_along_one_module_build_its_uncut_model_once"),
     "graded.Cohomology.dims_by_cell": (
         "the north star's dimension tables, which every completion keeps "
         "cell for cell",

@@ -7,11 +7,12 @@ from ``quotient_module`` carries no recipe, so it runs on the bar: the two
 routes must agree on every cell, dimensions and certificates.
 """
 import hashlib
+import math
 
 import pytest
 
 from dgcomplete import models as M
-from dgcomplete.bar import derived_hom, derived_tensor
+from dgcomplete.bar import _minimal_resolution, derived_hom, derived_tensor
 from dgcomplete.dg import (
     DgModule, SemiFree, direct_sum_modules, identity_morphism, regular_module,
     restrict_scalars, shift_module,
@@ -19,6 +20,7 @@ from dgcomplete.dg import (
 from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.linalg import RATIONALS, Field
 from test_bar import _complex_snapshot, trivial_left
+from test_minimal import _check_bidegrees
 
 GF = Field(32003)
 
@@ -109,6 +111,23 @@ RECIPE_RINGS = [([], []), (["x"], ["x"])] + [
     (["x"], [f"x^{t}"]) for t in range(2, 7)] + [
     (["x", "y"], ["x^2", "y^2"]), (["x", "y"], ["x^3", "y^2"], 3),
     (["x", "y"], ["x", "y^3"]), (["x", "y", "z"], ["x^2", "y^2", "z^2"])]
+
+
+@pytest.mark.parametrize("w_cap", [None, 2])
+@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
+def test_the_minimal_resolution_has_the_recipes_betti_numbers(spec, w_cap):
+    """The minimal resolution ``_minimal_resolution`` finds for k, reading no recipe,
+    has the recipe's generators per bidegree at every length 0-8, uncut and
+    under a weight cap of 2, each term of its d keeping its bidegree; the
+    builds come from the one longest build k keeps."""
+    ring = M.truncated_poly(GF, *spec)
+    k, bare = ring.residue_module(), ring.quotient_module(ring.variables)
+    for length in range(9):
+        p = _minimal_resolution(bare, length, w_cap)
+        _check_bidegrees(p)
+        want = k.resolution(length, w_cap)
+        assert sorted(zip(p.degs, p.wts)) == sorted(zip(want.degs, want.wts)), length
+    assert bare._resolved[:2] == (8, math.inf if w_cap is None else w_cap)
 
 
 @pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
