@@ -6,19 +6,20 @@ module in the layout of ``dg.SemiFree``: per generator a label, bidegree
 and end object, the scalar terms of d, and the terms with a coefficient in
 the algebra as flat parallel lists.  m's bar construction (``_BarScheme``)
 has the inner differential as its scalar terms and one term per tuple, its
-parent times its last slot; the resolution witness of
-``DgModule.resolution`` has no scalar terms.  A builder marks known only
-what P's certificate says; the tensor also takes the weights it keeps.
+parent times its last slot.  A semisimple module m has one more, its
+minimal resolution (``_minimal_resolution``, built weight by weight, with
+no scalar terms), which Ext, Tor and completions all read, the bar serving
+every other module.  A builder marks known only what P's certificate says;
+the tensor also takes the weights it keeps.
 
 The reduced bar construction tensors over the span of the weight-zero
 idempotents whenever the algebra is weight-connected; slot tuples are then
 composable chains and every weight column is finite.  The unreduced variant
 tensors over the ground field and carries no exactness certificates; the
 objects each basis element runs between are its ``reduction_data``.  The
-witness model is Ext(m, m) of a semisimple module m read off its minimal
-resolution (``_minimal_resolution``, built weight by weight, with no scalar
-terms), with the Yoneda product its chain-map lifts give, where a purity
-check makes it formal.
+witness model is Ext(m, m) of a semisimple module read off its minimal
+resolution, with the Yoneda product its chain-map lifts give, where a
+purity check makes it formal.
 
 Each slot tuple is an integer index, numbered depth first, and each slot an
 integer id.  A tuple's parent is the tuple without its last slot, its child
@@ -736,25 +737,29 @@ def _replacement(m: DgModule, n: DgModule, n_max: int, w_cap: int,
     over one object), P's certificate, and the weights of P ⊗ n the tensor
     keeps.
 
-    When m carries a resolution recipe (``DgModule.resolution``) and
-    ``reduced`` is not given, P is the witness the recipe gives at length
-    n_max and weight cap w_cap, one copy of the generators within w_cap of
-    the lightest weight w0.  A recipe's algebra is positively weighted, so
-    d lowers weight and the cut is a subcomplex, the sign is +1, every
-    generator within min(n_max, w_cap) of w0 is listed, and the tensor keeps
-    all it reaches.  Otherwise P is m's bar, with tuples of at most n_max
-    slots whose weights sum to at most w_cap, the scheme m keeps at those
-    caps (``_bar_scheme``), with n's objects read per call, and the tensor
-    keeps the total weights within w_cap."""
-    if reduced is not None or m.resolution is None:
-        return (*_bar_scheme(m, n_max, w_cap, reduced, n), (-w_cap, w_cap))
-    if n_max < 0 or w_cap < 0:
-        raise ValueError("caps must be non-negative")
-    p = m.resolution(n_max, w_cap)
-    w0 = min(p.wts)
-    nwts = [q[1] for q in n.basis_keys()] or [0]
-    return (p, None, (1, min(n_max, w_cap), w0),
-            (min(nwts) + w0, max(nwts) + w0 + w_cap))
+    When ``reduced`` is not given, m is a right module, n has an object per
+    key and m is semisimple, P is m's minimal resolution
+    (``_minimal_resolution``) at length n_max and weight cap w_cap, one
+    copy of the generators within w_cap of the lightest weight w0 (0 when
+    m is zero).  Its algebra is positively weighted, so d lowers weight and
+    the cut is a subcomplex, the sign is +1, every generator within
+    min(n_max, w_cap) of w0 is listed, and the tensor keeps all it reaches.
+    Otherwise P is m's bar, with tuples of at most n_max slots whose weights
+    sum to at most w_cap, the scheme m keeps at those caps
+    (``_bar_scheme``), with n's objects read per call, and the tensor keeps
+    the total weights within w_cap."""
+    nobj = _module_objects(n) if reduced is None and m.side == "right" else None
+    if nobj is not None:
+        try:
+            p = _minimal_resolution(m, n_max, w_cap)
+        except ValueError:  # not semisimple, or a negative cap: the bar's turn
+            pass
+        else:
+            w0 = min(p.wts, default=0)
+            nwts = [q[1] for q in n.basis_keys()] or [0]
+            return (p, nobj, (1, min(n_max, w_cap), w0 if p.wts else None),
+                    (min(nwts) + w0, max(nwts) + w0 + w_cap))
+    return (*_bar_scheme(m, n_max, w_cap, reduced, n), (-w_cap, w_cap))
 
 
 def derived_hom(m: DgModule, n: DgModule, n_max: int,
@@ -762,9 +767,9 @@ def derived_hom(m: DgModule, n: DgModule, n_max: int,
                 reduced: Optional[bool] = None) -> CochainComplex:
     """Right derived Hom from m to n over their common algebra: Hom_A(P, n)
     built by the one Hom builder, for the semi-free replacement P of m that
-    ``_replacement`` chooses (the witness of m's resolution recipe, or,
-    whenever ``reduced`` is passed or there is no recipe, m's bar), known
-    where P's certificate says."""
+    ``_replacement`` chooses (m's minimal resolution when m is semisimple,
+    or, whenever ``reduced`` is passed or m is not, m's bar), known where
+    P's certificate says."""
     if m.algebra is not n.algebra:
         raise ValueError("derived_hom needs modules over the same algebra")
     if n.side != "right":
@@ -921,15 +926,19 @@ def _minimal_resolution(m: DgModule, length: int,
     lightest key (no cut when None), by length, key, then weight.  Each
     belongs to one key q, labelled (q, length, index); (q, 0, 0) sits at q
     and goes to q.  d lowers the length and keeps the weight, so m keeps its
-    longest build (``DgModule._resolved``) and each call cuts it."""
+    longest build (``DgModule._resolved``) and each call cuts it; a refused
+    m keeps its refusal there instead."""
     if length < 0 or (w_cap is not None and w_cap < 0):
         raise ValueError("caps must be non-negative")
     cap = math.inf if w_cap is None else w_cap
-    kept = m._resolved or (-1, -1, None)
-    if kept[0] < length or kept[1] < cap:
+    if m._resolved is None:
         why = _semisimple_refusal(m)
         if why is not None:
-            raise ValueError(f"no minimal resolution of {m.name or 'the module'}: {why}")
+            m._resolved = f"no minimal resolution of {m.name or 'the module'}: {why}"
+    if isinstance(m._resolved, str):
+        raise ValueError(m._resolved)
+    kept = m._resolved or (-1, -1, None)
+    if kept[0] < length or kept[1] < cap:
         built = max(length, kept[0]), max(cap, kept[1])
         m._resolved = kept = (*built, _resolve(m, *built))
     p = kept[2]
@@ -958,14 +967,21 @@ def _resolve(m: DgModule, length: int, cap: float) -> SemiFree:
     gens: List[Tuple] = [((q, 0, 0), q[0], q[1], mobj[q], []) for q in mkeys]
     last = {q: [i] for i, q in enumerate(mkeys)}
 
+    def graded(x: Key, b: Key, z: Key) -> Key:
+        """z, a term of x·b, which must sit at the sum of their bidegrees."""
+        if z[0] != x[0] + b[0] or z[1] != x[1] + b[1]:
+            raise RuntimeError(f"the term {z} of {x}·{b} is off their bidegree")
+        return z
+
     def image(t: int, b: Key) -> Iterator[Tuple[object, Scalar]]:
         """d(t·b) by (generator, key) places, or the augmentation's q·b."""
         label, *_, d_t = gens[t]
         if label[1] == 0:
-            yield from m.action.get((label[0], b), {}).items()
+            for z, v in m.action.get((label[0], b), {}).items():
+                yield graded(label[0], b, z), v
         for j, x, c in d_t:
             for z, v in a.basis_product(x, b).items():
-                yield (j, z), c * v
+                yield (j, graded(x, b, z)), c * v
 
     for s in range(1, length + 1):
         for q in mkeys:
@@ -1157,7 +1173,9 @@ def derived_tensor(m: DgModule, n: DgModule, n_max: int,
                    w_cap: Optional[int] = None,
                    reduced: Optional[bool] = None) -> CochainComplex:
     """Derived tensor product of a right module with a left module: P ⊗_A n
-    built by the one tensor builder, for P as in ``derived_hom``."""
+    built by the one tensor builder, for P as in ``derived_hom``: m's
+    minimal resolution when m is semisimple and ``reduced`` is not passed,
+    else m's bar."""
     if m.algebra is not n.algebra:
         raise ValueError("derived_tensor needs modules over the same algebra")
     if m.side != "right" or n.side != "left":

@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple,
+    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
 )
 
 from .graded import (
@@ -326,21 +326,6 @@ class DgModule:
     (``regular_module``, ``right_ideal_module``, and ``shift_module`` and
     ``direct_sum_modules`` of modules that carry it).  None is no claim.
 
-    ``resolution`` is a recipe for a semi-free resolution witness of a
-    right module over a positively weighted algebra: called with a length
-    L, it gives a minimal resolution P of the module as a ``SemiFree``, in
-    the layout ``bar``'s builders read, listing every generator within
-    weight L of the lightest (each step of a minimal resolution raises the
-    weight by at least one); called with a weight cap W as well, it keeps
-    only the generators within W of the lightest, in the same one copy.
-    Only ``TruncatedRing.residue_module`` sets it, for k over a monomial
-    complete intersection or over any one-variable ring, which is
-    k[x]/(x^n) for n its number of monomials: k[x] under the weight cap W
-    reads as the power W + 1.  Its one degree-0 generator goes to k's one
-    key.  No other constructor carries it over, and None is no claim.
-    ``derived_hom`` and ``derived_tensor`` read it; completions resolve k
-    with no recipe (``bar._minimal_resolution``).
-
     The stores the library keeps, each declared in its class's
     ``__init__``, written only by its owner, keyed by what changes the
     answer, one entry each unless a bound is given, and relying on modules,
@@ -358,8 +343,9 @@ class DgModule:
       finite bar keeps at most (L + 1)(W + 1) reduced ones; the certificate
       is still the asked caps'.  A per-call E adds none.
     - ``DgModule._resolved`` (``bar._minimal_resolution``): the longest
-      minimal resolution built, with its length and weight cap; a call past
-      either builds to the larger of each.
+      minimal resolution built, with its length and weight cap, which Ext,
+      Tor and completions all read; a call past either builds to the larger
+      of each.  A module that is not semisimple keeps its refusal there.
     - ``DgModule._cap_free`` (``complete.double_centralizer``): the strict
       model only; ``DgModule._witnesses``, same owner: per w_out asked, the
       witness model, or None with the purity record or the refusal.
@@ -381,11 +367,10 @@ class DgModule:
         self.side = side
         self.name = name
         self.projective = projective
-        self.resolution: Optional[Callable[..., SemiFree]] = None
         self._objects = _UNSET  # bar._module_objects
         self._uncut = _UNSET  # bar._uncut_caps
         self._schemes: Dict[Tuple[int, int, bool], SemiFree] = {}  # bar._bar_scheme
-        self._resolved: Optional[Tuple] = None  # bar._minimal_resolution
+        self._resolved: Union[None, str, Tuple] = None  # bar._minimal_resolution
         self._cap_free = None  # complete.double_centralizer
         self._witnesses: Dict[int, Tuple] = {}  # complete.double_centralizer
 

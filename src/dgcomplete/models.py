@@ -10,11 +10,11 @@ A free complex over such a ring is a ``dg.SemiFree``, the layout the Hom
 and tensor builders of ``bar`` read; its maps are the same flat lists plus
 a degree.  Duals, tensors, composites and the d² and chain-map checks are
 small functions over those lists, and a complex is realized over the field
-as P ⊗_R R by ``bar._two_sided``.  ``_witness`` builds every resolution.
+as P ⊗_R R by ``bar._two_sided``.  ``_witness`` builds every closed-form
+resolution.
 """
 from __future__ import annotations
 
-import bisect
 import itertools
 import random
 from collections import defaultdict
@@ -220,45 +220,9 @@ class TruncatedRing:
                         name=name or f"{self.name}/({','.join(extra)})")
 
     def residue_module(self, name: str = "k") -> DgModule:
-        """k = R/(x_1..x_r).  When R is a monomial complete intersection
-        k[x_1..x_r]/(x_i^{t_i}) whose weight cap cuts no monomial, k
-        carries the recipe of its minimal resolution as a ``SemiFree`` over
-        R: what ``free_resolution`` returns, built by the one builder
-        ``_witness``, which refuses a negative length.  Over one variable R
-        is k[x]/(x^n) for n its number of monomials, whatever cuts them:
-        k[x] under the weight cap W reads as the power W + 1, which is
-        exact for the algebra R holds (x^i·x^j = 0 once i + j > W), where
-        ``free_resolution`` reads a free variable as the Koszul complex.
-
-        The recipe keeps its longest build.  Its generators are sorted by
-        index sum, which is minus the degree, and each d(g) reaches only
-        lighter ones, so the build at length L is the prefix of any longer
-        build, generators and terms alike: a call no longer than the kept
-        one returns that prefix as fresh lists, and a longer one builds
-        afresh and keeps that build instead.  Given a weight cap as well,
-        the one copy keeps only the prefix's generators within it of the
-        lightest, which d maps among themselves, since it lowers weight."""
-        k = self.quotient_module(list(self.variables) or [], name=name)
-        powers = ([len(self.monomials)] if len(self.variables) == 1
-                  else _pure_powers(self))
-        if (powers is not None and None not in powers
-                and (self.wmax is None or self.wmax >= sum(powers) - len(powers))):
-            longest: Optional[Tuple[int, SemiFree]] = None
-
-            def resolution(length: int, w_cap: Optional[int] = None) -> SemiFree:
-                nonlocal longest
-                # a negative length goes to _witness too, which refuses it
-                if longest is None or not 0 <= length <= longest[0]:
-                    longest = length, _witness(self, powers, length)
-                p = longest[1]
-                keep = range(bisect.bisect_right(p.degs, length, key=int.__neg__))
-                if w_cap is not None:
-                    top = min(p.wts[i] for i in keep) + w_cap
-                    keep = [i for i in keep if p.wts[i] <= top]
-                return p.cut(keep)
-
-            k.resolution = resolution
-        return k
+        """k = R/(x_1..x_r).  Ext and Tor out of it read its minimal
+        resolution (``bar._minimal_resolution``), which k keeps."""
+        return self.quotient_module(self.variables, name=name)
 
     def projection_to(self, other: "TruncatedRing") -> AlgebraMorphism:
         """Monomials map to themselves where still standard, else to zero."""
@@ -614,27 +578,20 @@ def realize_module(ring: TruncatedRing, p: SemiFree, name: str = "") -> DgModule
 # -- resolutions -------------------------------------------------------------
 
 
-def _pure_powers(ring: TruncatedRing) -> Optional[List[Optional[int]]]:
-    """Per variable, the exponent t of its relation x^t, or None when it has
-    none; None outright when some relation is not a pure power, so the ring
-    is no monomial complete intersection (before any weight cap)."""
+def _resolved_powers(ring: TruncatedRing) -> List[Optional[int]]:
+    """The powers ``free_resolution`` resolves k with: per variable, the
+    exponent t of its relation x^t, or None when it has none; 1 for every
+    variable of a ring spanned by 1 alone, which is the field whatever its
+    presentation.  Any other ring with a relation that is no pure power is
+    no monomial complete intersection and raises ValueError."""
+    if ring.monomials == [ring.one]:
+        return [1] * len(ring.variables)
     powers: List[Optional[int]] = [None] * len(ring.variables)
     for rel in ring.relations:
         held = [i for i, e in enumerate(rel) if e]
         if len(held) != 1:
-            return None
+            raise ValueError(f"no built-in resolution of k over {ring.name}")
         powers[held[0]] = rel[held[0]]
-    return powers
-
-
-def _resolved_powers(ring: TruncatedRing) -> List[Optional[int]]:
-    """The powers ``free_resolution`` resolves k with: ``_pure_powers``, or
-    1 for every variable of a ring spanned by 1 alone, which is the field
-    whatever its presentation; ValueError for any other ring."""
-    powers = ([1] * len(ring.variables) if ring.monomials == [ring.one]
-              else _pure_powers(ring))
-    if powers is None:
-        raise ValueError(f"no built-in resolution of k over {ring.name}")
     return powers
 
 
@@ -707,8 +664,7 @@ def _witness(ring: TruncatedRing, powers: Sequence[Optional[int]], length: int,
     """The one builder of free complexes from data: ``_product_resolution``
     as a SemiFree over R's one object, whose ``keys`` are R's monomials,
     each entry's bidegree checked before dead or zero ones drop.  What
-    ``free_resolution``, ``periodic_resolution`` and ``residue_module``'s
-    recipe return."""
+    ``free_resolution`` and ``periodic_resolution`` return."""
     if length < 0:
         raise ValueError("resolution length must be non-negative")
     gens, terms = _product_resolution(ring, powers, length, wt0)

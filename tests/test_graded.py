@@ -300,12 +300,12 @@ def kernel_extension_count(c, d, w):
 def library_complexes(field):
     """Complexes the library builds on the benchmark's paths: the holim of
     the depth-4 adic tower of k[x] (16 keys, its two-term model), and the
-    bar resolution and derived Hom of k over k[x,y]/(x², y²) at length 3
-    (39 and 20 keys)."""
+    bar resolution and the bar's derived Hom of k over k[x,y]/(x², y²) at
+    length 3 (39 and 20 keys)."""
     tower = M.build_scenario("adic_kx_4", field)["tower"].diagram()[1]
     k = M.truncated_poly(field, ["x", "y"], ["x^2", "y^2"]).quotient_module(["x", "y"])
     return [holim(tower, dmax=3).complex, bar_resolution(k, 3).complex,
-            derived_hom(k, k, 3)]
+            derived_hom(k, k, 3, reduced=True)]
 
 
 def random_complexes(field, seed, count):

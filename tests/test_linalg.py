@@ -481,7 +481,7 @@ def test_kernel_and_solve_match_sympy_rref(field):
 
 
 def _gfp_residue(variables, relations):
-    """k without a resolution recipe, so its derived functors run on the bar."""
+    """k, whose derived functors run on the bar when ``reduced`` is passed."""
     return truncated_poly(GF, variables, relations).quotient_module(variables)
 
 
@@ -489,8 +489,9 @@ def _clearing_complexes():
     for variables, relations, n in ((["x"], ["x^5"], 6), (["x", "y"], ["x^2", "y^2"], 4)):
         k = _gfp_residue(variables, relations)
         yield f"bar {relations}", lambda k=k, n=n: bar_resolution(k, n).complex
-        yield f"hom {relations}", lambda k=k, n=n: derived_hom(k, k, n)
-        yield f"tor {relations}", lambda k=k, n=n: derived_tensor(k, trivial_left(k.algebra), n)
+        yield f"hom {relations}", lambda k=k, n=n: derived_hom(k, k, n, reduced=True)
+        yield f"tor {relations}", lambda k=k, n=n: derived_tensor(
+            k, trivial_left(k.algebra), n, reduced=True)
     # the string model: the two-term model has one block per weight, so
     # no block sits above another
     yield "adic tower holim", lambda: _adic_tower_holim(string_model)[0]
@@ -520,7 +521,7 @@ def test_cohomology_reduces_only_the_rows_clearing_leaves(monkeypatch):
     columns of the block above (206 of them); a row left over is dependent
     only for a class H^{d,w} whose block below is eliminated."""
     k = _gfp_residue(["x"], ["x^5"])
-    cx = derived_tensor(k, trivial_left(k.algebra), 9)
+    cx = derived_tensor(k, trivial_left(k.algebra), 9, reduced=True)
     received = []
     reduce = linalg._reduce
 

@@ -601,11 +601,19 @@ REFUSED = [
 
 @pytest.mark.parametrize("build,reason", [r[1:] for r in REFUSED],
                          ids=[r[0] for r in REFUSED])
-def test_a_module_that_is_not_semisimple_has_no_minimal_resolution(build, reason):
+def test_a_module_that_is_not_semisimple_has_no_minimal_resolution(
+        monkeypatch, build, reason):
+    """The refusal names the condition, and m keeps it: a second call, at
+    larger caps, raises it again without checking m again."""
+    checks = []
+    check = bar._semisimple_refusal
+    monkeypatch.setattr(bar, "_semisimple_refusal",
+                        lambda m: checks.append(m) or check(m))
     m = build()["module"]
-    with pytest.raises(ValueError, match=reason):
-        _minimal_resolution(m, 2, 2)
-    assert m._resolved is None
+    for caps in ((2, 2), (3, 3)):
+        with pytest.raises(ValueError, match=reason):
+            _minimal_resolution(m, *caps)
+    assert checks == [m] and reason in m._resolved
 
 
 # the refused modules whose E the reduced outer bar can reduce over: over

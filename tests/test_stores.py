@@ -8,6 +8,8 @@ on:
 - any read of ``__dict__``;
 - any ``getattr``, ``hasattr``, ``setattr`` or ``delattr`` of a private
   name;
+- any ``nonlocal`` or ``global``: a name rebound from an inner scope is a
+  store hidden in a closure or a module;
 - a private attribute set or filled (an item assigned or deleted, or a
   mutating method such as ``setdefault`` called on it) on another object
   that is not declared in the ``__init__`` of one of those three classes,
@@ -36,7 +38,7 @@ def _private(name: str) -> bool:
 
 class _Scan(ast.NodeVisitor):
     """Per module: each class's bases and ``__init__`` declarations, every
-    private attribute written, and every violation of the first two rules."""
+    private attribute written, and every violation of the first three rules."""
 
     def __init__(self, module: str):
         self.module = module
@@ -104,6 +106,12 @@ class _Scan(ast.NodeVisitor):
             self.reflection.append(f"{self.where(node)}: reads __dict__")
         self.generic_visit(node)
 
+    def visit_Nonlocal(self, node: ast.Nonlocal) -> None:
+        self.reflection.append(f"{self.where(node)}: nonlocal {', '.join(node.names)}")
+
+    def visit_Global(self, node: ast.Global) -> None:
+        self.reflection.append(f"{self.where(node)}: global {', '.join(node.names)}")
+
     def visit_Call(self, node: ast.Call) -> None:
         f = node.func
         if isinstance(f, ast.Name) and f.id in REFLECTION and len(node.args) > 1:
@@ -162,11 +170,18 @@ def test_the_scan_finds_each_kind_of_site(tmp_path):
         "    m._objects = getattr(m, '_objects', None)\n"
         "    m._schemes[1] = kept\n"
         "def end(m):\n"
-        "    m._schemes.pop(1)\n")
+        "    m._schemes.pop(1)\n"
+        "def recipe():\n"
+        "    longest = None\n"
+        "    def build():\n"
+        "        nonlocal longest\n"
+        "        global BUILT\n")
     found = scan(tmp_path)
     assert found == [
         "bar.py:2: reads __dict__",
         "bar.py:3: getattr of _objects",
+        "bar.py:10: nonlocal longest",
+        "bar.py:11: global BUILT",
         "bar.py:3: _objects is not declared in a store class",
         "_schemes is written by ['bar.end', 'bar.scheme']",
     ]

@@ -1,10 +1,11 @@
-"""Ext and Tor of k through its minimal-resolution witness, against the bar.
+"""Ext and Tor of a semisimple module through its minimal resolution,
+against the bar.
 
-``TruncatedRing.residue_module`` gives k the recipe of its minimal
-resolution over a monomial complete intersection, and ``derived_hom`` and
-``derived_tensor`` then build Hom_A(P, n) and P ⊗_A n over it.  The same k
-from ``quotient_module`` carries no recipe, so it runs on the bar: the two
-routes must agree on every cell, dimensions and certificates.
+``derived_hom`` and ``derived_tensor`` build Hom_A(P, n) and P ⊗_A n over
+the minimal resolution P of a semisimple module (``bar._minimal_resolution``:
+k, the simples, their sums and shifts), which the module keeps.  Passed
+``reduced=True``, they run on the module's bar instead: the two routes must
+agree on every cell, dimensions and certificates.
 """
 import hashlib
 import math
@@ -12,15 +13,16 @@ import math
 import pytest
 
 from dgcomplete import models as M
-from dgcomplete.bar import _minimal_resolution, derived_hom, derived_tensor
+from dgcomplete.bar import (
+    _bar_scheme, _minimal_resolution, derived_hom, derived_tensor,
+)
 from dgcomplete.dg import (
-    DgModule, SemiFree, direct_sum_modules, identity_morphism, regular_module,
-    restrict_scalars, shift_module,
+    DgModule, SemiFree, direct_sum_modules, regular_module, shift_module,
 )
 from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.linalg import RATIONALS, Field
 from test_bar import _complex_snapshot, trivial_left
-from test_minimal import _check_bidegrees
+from test_minimal import _check_bidegrees, _counted_builds
 
 GF = Field(32003)
 
@@ -30,13 +32,6 @@ def _ring(t, field=GF):
     if t is None:
         return M.truncated_poly(field, ["x", "y"], ["x^2", "y^2"])
     return M.truncated_poly(field, ["x"], [f"x^{t}"])
-
-
-def _both(ring):
-    """k with the recipe, and k without it."""
-    k = ring.residue_module()
-    assert k.resolution is not None
-    return k, ring.quotient_module(ring.variables)
 
 
 def _table(cx, window):
@@ -53,14 +48,14 @@ def test_witness_matches_the_bar_on_every_deck_shape(t, n):
     dimensions and certificates on the whole window the job reads, and
     every cell of the benchmark's reference grid certified."""
     ring = _ring(t)
-    k, bar_k = _both(ring)
+    k = ring.residue_module()
     k_left = trivial_left(ring.algebra)
     ext, tor = Window(0, n, n), Window(-n, 0, n)
     got = _table(derived_hom(k, k, n), ext)
-    assert got == _table(derived_hom(bar_k, bar_k, n), ext)
+    assert got == _table(derived_hom(k, k, n, reduced=True), ext)
     assert all(got[(d, w)][1] for d in range(0, n + 1) for w in range(-n, 1))
     got = _table(derived_tensor(k, k_left, n), tor)
-    assert got == _table(derived_tensor(bar_k, k_left, n), tor)
+    assert got == _table(derived_tensor(k, k_left, n, reduced=True), tor)
     assert all(got[(d, w)][1] for d in range(-n, 1) for w in range(0, n + 1))
 
 
@@ -71,19 +66,19 @@ def test_witness_matches_the_bar_into_targets_the_ring_acts_on(field, t):
     """Hom of k into A, where the attaching map acts on the target, and Tor
     with A as the left factor, where it acts on the right key."""
     ring = _ring(t, field)
-    k, bar_k = _both(ring)
+    k = ring.residue_module()
     a = ring.algebra
     n = 5
     window = Window(-n, n, n)
     reg = regular_module(a)
     a_left = DgModule(a, a.complex, dict(a.mult), side="left")
-    for build in (lambda m: derived_hom(m, reg, n),
-                  lambda m: derived_tensor(m, a_left, n),
-                  lambda m: derived_hom(m, reg, n, w_cap=3),
-                  lambda m: derived_tensor(m, trivial_left(a), n, w_cap=2)):
-        cx = build(k)
+    for build in (lambda **kw: derived_hom(k, reg, n, **kw),
+                  lambda **kw: derived_tensor(k, a_left, n, **kw),
+                  lambda **kw: derived_hom(k, reg, n, w_cap=3, **kw),
+                  lambda **kw: derived_tensor(k, trivial_left(a), n, w_cap=2, **kw)):
+        cx = build()
         assert cx.validate_d2() is None
-        assert _table(cx, window) == _table(build(bar_k), window)
+        assert _table(cx, window) == _table(build(reduced=True), window)
 
 
 def test_witness_complexes_have_the_size_of_the_answer():
@@ -104,79 +99,75 @@ def _fields(w):
             w.keys)
 
 
-# every ring whose k carries the recipe: the field twice over, one variable
-# at each exponent the ext_gfp deck draws, and products of periodic factors,
-# one of them under a weight cap that cuts no monomial
-RECIPE_RINGS = [([], []), (["x"], ["x"])] + [
+def _betti(p):
+    """P's generators per bidegree."""
+    return sorted(zip(p.degs, p.wts))
+
+
+def _within(p, w_cap):
+    """P's generators within w_cap of its lightest, all of them when None."""
+    if w_cap is None:
+        return p
+    return p.cut([i for i, w in enumerate(p.wts) if w - min(p.wts) <= w_cap])
+
+
+# the rings ``free_resolution`` resolves k over: the field twice over, one
+# variable at each exponent the ext_gfp deck draws, and products of
+# periodic factors, one of them under a weight cap that cuts no monomial
+RESOLVED_RINGS = [([], []), (["x"], ["x"])] + [
     (["x"], [f"x^{t}"]) for t in range(2, 7)] + [
     (["x", "y"], ["x^2", "y^2"]), (["x", "y"], ["x^3", "y^2"], 3),
     (["x", "y"], ["x", "y^3"]), (["x", "y", "z"], ["x^2", "y^2", "z^2"])]
 
 
 @pytest.mark.parametrize("w_cap", [None, 2])
-@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
-def test_the_minimal_resolution_has_the_recipes_betti_numbers(spec, w_cap):
-    """The minimal resolution ``_minimal_resolution`` finds for k, reading no recipe,
-    has the recipe's generators per bidegree at every length 0-8, uncut and
-    under a weight cap of 2, each term of its d keeping its bidegree; the
-    builds come from the one longest build k keeps."""
-    ring = M.truncated_poly(GF, *spec)
-    k, bare = ring.residue_module(), ring.quotient_module(ring.variables)
-    for length in range(9):
-        p = _minimal_resolution(bare, length, w_cap)
-        _check_bidegrees(p)
-        want = k.resolution(length, w_cap)
-        assert sorted(zip(p.degs, p.wts)) == sorted(zip(want.degs, want.wts)), length
-    assert bare._resolved[:2] == (8, math.inf if w_cap is None else w_cap)
-
-
-@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
-def test_the_recipe_builds_the_witness_of_free_resolution(spec):
-    """The recipe and ``free_resolution`` build one layout: at every length
-    0-8 they give equal lists, field for field."""
+@pytest.mark.parametrize("spec", RESOLVED_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
+def test_the_minimal_resolution_has_free_resolutions_betti_numbers(spec, w_cap):
+    """The minimal resolution ``_minimal_resolution`` finds for k has
+    ``free_resolution``'s generators per bidegree at every length 0-8,
+    uncut and under a weight cap of 2, each term of its d keeping its
+    bidegree; the builds come from the one longest build k keeps."""
     ring = M.truncated_poly(GF, *spec)
     k = ring.residue_module()
     for length in range(9):
-        assert _fields(k.resolution(length)) == _fields(M.free_resolution(ring, length))
+        p = _minimal_resolution(k, length, w_cap)
+        _check_bidegrees(p)
+        want = _within(M.free_resolution(ring, length), w_cap)
+        assert _betti(p) == _betti(want), length
+    assert k._resolved[:2] == (8, math.inf if w_cap is None else w_cap)
 
 
-def test_the_recipe_keeps_its_longest_build(monkeypatch):
-    """Nothing is built when k is made; a call no longer than the kept
-    build reads its prefix, a longer one builds afresh, and a second k over
-    the same ring keeps a build of its own."""
-    lengths = []
-    build = M._witness
-
-    def counted(ring, powers, length):
-        lengths.append(length)
-        return build(ring, powers, length)
-
-    monkeypatch.setattr(M, "_witness", counted)
+def test_a_module_keeps_its_longest_minimal_resolution(monkeypatch):
+    """Nothing is built when k is made; Ext or Tor no longer than the kept
+    build reads it, a longer one builds afresh, and a second k over the
+    same ring keeps a build of its own.  A negative length is refused."""
+    builds = _counted_builds(monkeypatch)
     ring = _ring(4)
     k = ring.residue_module()
-    assert lengths == []
+    assert builds == []
     derived_hom(k, k, 6)
     derived_tensor(k, trivial_left(k.algebra), 7)
     derived_hom(k, k, 6)
-    assert lengths == [6, 7]
+    assert builds == [(k, 6, 6), (k, 7, 7)]
     other = ring.residue_module()
     derived_hom(other, other, 6)
-    assert lengths == [6, 7, 6]
-    with pytest.raises(ValueError, match="non-negative"):
-        k.resolution(-1)
+    assert builds[2:] == [(other, 6, 6)]
+    for build in (lambda: _minimal_resolution(k, -1), lambda: derived_hom(k, k, -1)):
+        with pytest.raises(ValueError, match="non-negative"):
+            build()
 
 
 @pytest.mark.parametrize("field", [RATIONALS, GF], ids=repr)
-@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
+@pytest.mark.parametrize("spec", RESOLVED_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
 def test_each_shorter_length_reads_the_prefix_of_the_kept_build(field, spec):
     """After a build at length 10, every length 10..0 answers exactly what
     a build at that length does: generators, attaching map and order."""
     ring = M.truncated_poly(field, *spec)
     k = ring.residue_module()
-    k.resolution(10)
+    _minimal_resolution(k, 10)
     for length in range(10, -1, -1):
-        got, want = k.resolution(length), M.free_resolution(ring, length)
-        assert _fields(got) == _fields(want)
+        want = _minimal_resolution(ring.residue_module(), length)
+        assert _fields(_minimal_resolution(k, length)) == _fields(want)
 
 
 @pytest.mark.parametrize("t", [5, None],
@@ -205,29 +196,28 @@ def test_editing_a_returned_witness_leaves_the_next_answer_unchanged():
     ring = _ring(3)
     k = ring.residue_module()
     for length in (6, 6, 4):
-        p = k.resolution(length)
+        p = _minimal_resolution(k, length)
         for col in _fields(p):
             col.clear()
         p.src.append(0)
     for length in (6, 4):
-        got, want = k.resolution(length), M.free_resolution(ring, length)
-        assert _fields(got) == _fields(want)
+        want = _minimal_resolution(ring.residue_module(), length)
+        assert _fields(_minimal_resolution(k, length)) == _fields(want)
 
 
-@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
+@pytest.mark.parametrize("spec", RESOLVED_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
 def test_a_weight_cap_cuts_the_kept_build_in_the_one_copy(monkeypatch, spec):
-    """Given a weight cap, the recipe answers with the generators of the
+    """Given a weight cap, the kept build answers with the generators of the
     length's prefix within it of the lightest, as cutting its plain answer
     by weight does, and Ext and Tor copy the kept build once per call."""
     ring = M.truncated_poly(GF, *spec)
     k = ring.residue_module()
-    k.resolution(8)
+    _minimal_resolution(k, 8)
     for length in (8, 5):
-        whole = k.resolution(length)
-        w0 = min(whole.wts)
+        whole = _minimal_resolution(k, length)
         for w_cap in range(length + 2):
-            want = whole.cut([i for i, w in enumerate(whole.wts) if w - w0 <= w_cap])
-            assert _fields(k.resolution(length, w_cap)) == _fields(want)
+            assert (_fields(_minimal_resolution(k, length, w_cap))
+                    == _fields(_within(whole, w_cap)))
     copies = []
     cut = SemiFree.cut
 
@@ -241,49 +231,18 @@ def test_a_weight_cap_cuts_the_kept_build_in_the_one_copy(monkeypatch, spec):
     assert len(copies) == 2
 
 
-def test_the_recipe_checks_the_bidegree_of_each_entry(monkeypatch):
-    """The recipe runs the constructor's check on every entry of its data:
-    a generator one weight too heavy for its step down raises ValueError."""
-    build = M._product_resolution
-
-    def off(*args):
-        gens, terms = build(*args)
-        gens[-1] = (gens[-1][0], gens[-1][1], gens[-1][2] + 1)
-        return gens, terms
-
-    monkeypatch.setattr(M, "_product_resolution", off)
-    with pytest.raises(ValueError, match="weight"):
-        _ring(3).residue_module().resolution(4)
-
-
 def test_passing_reduced_asks_for_the_bar():
-    k, bar_k = _both(_ring(3))
-    for reduced in (True, False):
-        assert (_complex_snapshot(derived_hom(k, k, 4, reduced=reduced))
-                == _complex_snapshot(derived_hom(bar_k, bar_k, 4, reduced=reduced)))
-    k_left = trivial_left(k.algebra)
-    assert (_complex_snapshot(derived_tensor(k, k_left, 4, reduced=True))
-            == _complex_snapshot(derived_tensor(bar_k, k_left, 4)))
-
-
-def test_only_the_residue_field_of_a_complete_intersection_carries_a_recipe():
+    """k runs on its minimal resolution by default and on its bar whenever
+    ``reduced`` is passed: Hom(P, k) has one element per generator of P,
+    Hom(B, k) one per bar tuple, reduced or not, and so has B ⊗ k."""
     k = _ring(3).residue_module()
-    derived = [shift_module(k, 1), direct_sum_modules(k, k),
-               restrict_scalars(identity_morphism(k.algebra), k)]
-    assert all(m.resolution is None for m in derived)
-    # a weight cap that cuts a monomial of two variables, or a relation
-    # that is no pure power, leaves no complete intersection
-    cut = [M.truncated_poly(GF, ["x", "y"], [], wmax=4),
-           M.truncated_poly(GF, ["x", "y"], ["x^2", "y^2"], wmax=1),
-           M.truncated_poly(GF, ["x", "y"], ["x^2", "x*y", "y^2"])]
-    assert all(r.residue_module().resolution is None for r in cut)
-    # one variable under any cut is k[x]/(x^n), n its number of monomials
-    whole = [M.truncated_poly(GF, ["x", "y"], ["x^2", "y^2"], wmax=2),
-             M.truncated_poly(GF, ["x", "y"], ["x", "y^3"]),
-             M.truncated_poly(GF, [], []),
-             M.truncated_poly(GF, ["x"], [], wmax=4),
-             M.truncated_poly(GF, ["x"], ["x^5"], wmax=2)]
-    assert all(r.residue_module().resolution is not None for r in whole)
+    k_left = trivial_left(k.algebra)
+    assert derived_hom(k, k, 4).space.total_dim() == len(_minimal_resolution(k, 4, 4).labels) == 4
+    for reduced in (True, False):
+        tuples = len(_bar_scheme(k, 4, 4, reduced)[0].labels)
+        assert derived_hom(k, k, 4, reduced=reduced).space.total_dim() == tuples
+    tuples = len(_bar_scheme(k, 4, 4, True)[0].labels)
+    assert derived_tensor(k, k_left, 4, reduced=True).space.total_dim() == tuples
 
 
 def _ext(k, n, w_cap=None):
@@ -295,11 +254,12 @@ def _tor(k, n, w_cap=None):
         Window(-n, 0, n))
 
 
-# Ext and Tor over the witness as the benchmark reads them, pinned as
-# GOLDEN_BUILDS pins the bar: the jobs that hold ext_gfp's median, the
-# two-variable ring, and a weight cap below the length.  Only dimensions
-# and certificates are hashed: nothing reads the witness's labels or
-# their order within a cell.
+# Ext and Tor over k's minimal resolution as the benchmark reads them,
+# pinned as GOLDEN_BUILDS pins the bar: the jobs that hold ext_gfp's
+# median, the two-variable ring, and a weight cap below the length.  Only
+# dimensions and certificates are hashed: nothing reads P's labels or
+# their order within a cell.  Recorded over a closed-form resolution of k
+# that the minimal resolution replaced, with every digest unchanged.
 GOLDEN_WITNESS = [
     ("ext k[x]/(x^5) n9", lambda: _ext(_ring(5).residue_module(), 9),
      "57f97b3ab6300d30663f2ed31373e468e48af3155d72ee456a60fc5659ee275a"),
@@ -338,7 +298,8 @@ def _tor_at(t, n, w_cap, wt):
 # reaches, also past the weight cap when the left factor sits at positive
 # weight, and both mark known only the columns up to the certified-empty
 # ray.  Hashed with the knowledge of the complex and of its cohomology;
-# recorded before the witness moved onto the bar's builders.
+# recorded before the witness moved onto the bar's builders, and over the
+# closed-form resolution of k as GOLDEN_WITNESS was.
 GOLDEN_WITNESS_REACH = [
     ("tor k[x]/(x^3) n8 w_cap 4, k at weight 2",
      lambda: _tor_at(3, 8, 4, 2), Window(-8, 0, 8),
@@ -392,21 +353,23 @@ def test_ext_and_tor_read_the_action_table_directly(monkeypatch):
     (["x^3", "y^2"], 5, 2), (["x^6", "y^2"], 5, 4), (["x^3", "y^2"], 4, 4)],
     ids=lambda v: str(v))
 def test_a_weight_cut_inside_the_length_matches_the_bar(relations, n, w_cap):
-    """Over two variables of unequal exponents the generators within w_cap
-    of the lightest weight are no prefix of the resolution at length n: Ext
+    """Over two variables of unequal exponents the weight cap cuts inside
+    the length: some generator of length at most n is heavier than w_cap,
+    and over x^6 the ones within it are no prefix of the resolution.  Ext
     and Tor over what the cut keeps equal the bar's on every cell."""
     ring = M.truncated_poly(GF, ["x", "y"], relations)
-    k, bar_k = _both(ring)
-    wts = k.resolution(n).wts
+    k = ring.residue_module()
+    wts = _minimal_resolution(k, n).wts
     kept = [i for i, w in enumerate(wts) if w <= w_cap]
-    assert kept != list(range(len(kept)))
+    assert len(kept) < len(wts)
+    assert (kept != list(range(len(kept)))) == (relations[0] == "x^6")
     k_left = trivial_left(ring.algebra)
-    for build, window in ((lambda m: derived_hom(m, m, n, w_cap), Window(0, n, n)),
-                          (lambda m: derived_tensor(m, k_left, n, w_cap),
+    for build, window in ((lambda **kw: derived_hom(k, k, n, w_cap, **kw), Window(0, n, n)),
+                          (lambda **kw: derived_tensor(k, k_left, n, w_cap, **kw),
                            Window(-n, 0, n))):
-        cx = build(k)
+        cx = build()
         assert cx.validate_d2() is None
-        assert _table(cx, window) == _table(build(bar_k), window)
+        assert _table(cx, window) == _table(build(reduced=True), window)
 
 
 def _knowledge(cx):
@@ -414,7 +377,7 @@ def _knowledge(cx):
     return sorted(sp.known_cols.items()), sp.known_zero_below, sp.known_zero_above
 
 
-@pytest.mark.parametrize("spec", RECIPE_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
+@pytest.mark.parametrize("spec", RESOLVED_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
 def test_the_bar_and_the_witness_know_the_same_columns(spec):
     """Ext and Tor of k know the same columns and the same certified-empty
     ray over the witness and over the bar, at every length 0-8, with no
@@ -455,19 +418,20 @@ def test_a_module_off_weight_zero_keeps_the_columns_its_ext_knows():
 def test_one_variable_under_a_weight_cap_reads_as_a_power(spec, t):
     """k[x] under the weight cap W is the algebra k[x]/(x^(W+1)), and any
     one-variable ring is k[x]/(x^t) for t its number of monomials: k's
-    recipe builds what k's over that power builds, and Ext and Tor over it
-    equal the bar's on every cell."""
+    minimal resolution has the generators per bidegree of k's over that
+    power, and Ext and Tor over it equal the bar's on every cell."""
     ring = M.truncated_poly(GF, *spec)
-    k, bar_k = _both(ring)
+    k = ring.residue_module()
     power = M.truncated_poly(GF, ["x"], [f"x^{t}"])
     for length in range(9):
-        assert _fields(k.resolution(length)) == _fields(M.free_resolution(power, length))
+        assert _betti(_minimal_resolution(k, length)) == _betti(M.free_resolution(power, length))
     k_left = trivial_left(ring.algebra)
     for n in (4, 6):
         ext, tor = Window(0, n, n), Window(-n, 0, n)
-        assert _table(derived_hom(k, k, n), ext) == _table(derived_hom(bar_k, bar_k, n), ext)
+        assert (_table(derived_hom(k, k, n), ext)
+                == _table(derived_hom(k, k, n, reduced=True), ext))
         assert (_table(derived_tensor(k, k_left, n), tor)
-                == _table(derived_tensor(bar_k, k_left, n), tor))
+                == _table(derived_tensor(k, k_left, n, reduced=True), tor))
 
 
 def _zero(a, side):
@@ -488,3 +452,79 @@ def test_hom_into_and_tensor_with_the_zero_module_are_complete(reduced):
         assert cx.space.fully_known()
         got = _table(cx, window)
         assert len(got) == 49 and set(got.values()) == {(0, True)}
+
+
+@pytest.mark.parametrize("reduced", [None, True], ids=["minimal", "bar"])
+def test_ext_and_tor_out_of_the_zero_module_are_complete(reduced):
+    """The zero module is semisimple and its minimal resolution empty: Hom
+    out of it into k and into 0, and its Tor with k, are zero complexes
+    known at every cell of the window, over P and over the bar."""
+    ring = _ring(2)
+    a = ring.algebra
+    zero = _zero(a, "right")
+    window = Window(-3, 3, 3)
+    for cx in (derived_hom(zero, ring.residue_module(), 3, reduced=reduced),
+               derived_hom(zero, zero, 3, reduced=reduced),
+               derived_tensor(zero, trivial_left(a), 3, reduced=reduced)):
+        assert cx.space.fully_known() and cx.space.total_dim() == 0
+        got = _table(cx, window)
+        assert len(got) == 49 and set(got.values()) == {(0, True)}
+    assert (zero._resolved is None) == (reduced is True)
+
+
+def _left_twin(m):
+    """A semisimple right module m as a left module: each weight-0 key
+    acts on the left as on the right, every other key by zero."""
+    action = {(x, q): v for (q, x), v in m.action.items()}
+    return DgModule(m.algebra, m.complex, action, side="left", name=m.name)
+
+
+def _gf_k(variables, relations, wmax=None):
+    return M.truncated_poly(GF, variables, relations, wmax=wmax).residue_module()
+
+
+# semisimple modules beyond the deck's: k over koszul_kx, the simples of
+# the triangular path algebras, k over rings with no closed-form
+# resolution, and a shift and a sum of k
+SEMISIMPLE = [
+    (f"koszul_kx w{w}", lambda w=w: M.build_scenario("koszul_kx", params={"wmax": w})["module"])
+    for w in (4, 6)] + [
+    (f"S(O{i}) of triangular_{n}",
+     lambda n=n, i=i: M.simple_module(M.path_chain_algebra(RATIONALS, n), f"O{i}"))
+    for n in (2, 3, 4) for i in range(1, n + 1)] + [
+    ("k[x,y] w5", lambda: _gf_k(["x", "y"], [], 5)),
+    ("k[x,y]/(x2,xy,y2)", lambda: _gf_k(["x", "y"], ["x^2", "x*y", "y^2"])),
+    ("k[x,y]/(xy) w5", lambda: _gf_k(["x", "y"], ["x*y"], 5)),
+    ("k[x,y,z]/(x2,y2,z2)", lambda: _gf_k(["x", "y", "z"], ["x^2", "y^2", "z^2"])),
+    ("k[x]/(x4)", lambda: _ring(4).residue_module()),
+    ("k[1] over k[x]/(x3)", lambda: shift_module(_ring(3).residue_module(), 1)),
+    ("k+k over k[x]/(x3)",
+     lambda: (lambda k: direct_sum_modules(k, k))(_ring(3).residue_module())),
+]
+
+
+@pytest.mark.parametrize("n", [3, 5])
+@pytest.mark.parametrize("build", [s[1] for s in SEMISIMPLE], ids=[s[0] for s in SEMISIMPLE])
+def test_every_semisimple_module_matches_the_bar(build, n):
+    """Ext(m, m), Hom(m, A) and Tor(m, m) over m's minimal resolution equal
+    the same over its bar on every cell of the window, dimensions and
+    certificates, and some cell is certified."""
+    m = build()
+    a = m.algebra
+    window = Window(-n - 1, n + 1, n + 3)
+    for functor in (lambda **kw: derived_hom(m, m, n, **kw),
+                    lambda **kw: derived_hom(m, regular_module(a), n, **kw),
+                    lambda **kw: derived_tensor(m, _left_twin(m), n, **kw)):
+        got = _table(functor(), window)
+        assert got == _table(functor(reduced=True), window)
+        assert any(ok for _, ok in got.values())
+    assert m._resolved[:2] == (n, n)
+
+
+def test_ext_over_the_minimal_resolution_has_the_size_of_the_answer():
+    """Ext(k, k) over k[x, y] under weight cap 5 at length 5: 4 elements,
+    one per generator of k's Koszul resolution, where the bar's Hom complex
+    has 396."""
+    k = _gf_k(["x", "y"], [], 5)
+    assert derived_hom(k, k, 5).space.total_dim() == 4
+    assert derived_hom(k, k, 5, reduced=True).space.total_dim() == 396
