@@ -8,9 +8,10 @@ the algebra as flat parallel lists.  m's bar construction (``_BarScheme``)
 has the inner differential as its scalar terms and one term per tuple, its
 parent times its last slot.  A semisimple module m has one more, its
 minimal resolution (``_minimal_resolution``, built weight by weight, with
-no scalar terms), which Ext, Tor and completions all read, the bar serving
-every other module.  A builder marks known only what P's certificate says;
-the tensor also takes the weights it keeps.
+no scalar terms), which Ext, Tor, completions and
+``models.free_resolution`` all read, the bar serving every other module.
+A builder marks known only what P's certificate says; the tensor also
+takes the weights it keeps.
 
 The reduced bar construction tensors over the span of the weight-zero
 idempotents whenever the algebra is weight-connected; slot tuples are then

@@ -344,8 +344,9 @@ class DgModule:
       is still the asked caps'.  A per-call E adds none.
     - ``DgModule._resolved`` (``bar._minimal_resolution``): the longest
       minimal resolution built, with its length and weight cap, which Ext,
-      Tor and completions all read; a call past either builds to the larger
-      of each.  A module that is not semisimple keeps its refusal there.
+      Tor, completions and ``models.free_resolution`` all read; a call past
+      either builds to the larger of each.  A module that is not
+      semisimple keeps its refusal there.
     - ``DgModule._cap_free`` (``complete.double_centralizer``): the strict
       model only; ``DgModule._witnesses``, same owner: per w_out asked, the
       witness model, or None with the purity record or the refusal.

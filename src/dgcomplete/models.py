@@ -10,8 +10,8 @@ A free complex over such a ring is a ``dg.SemiFree``, the layout the Hom
 and tensor builders of ``bar`` read; its maps are the same flat lists plus
 a degree.  Duals, tensors, composites and the d² and chain-map checks are
 small functions over those lists, and a complex is realized over the field
-as P ⊗_R R by ``bar._two_sided``.  ``_witness`` builds every closed-form
-resolution.
+as P ⊗_R R by ``bar._two_sided``.  k's resolution is its minimal one,
+``bar._minimal_resolution``, the one Ext and Tor read.
 """
 from __future__ import annotations
 
@@ -20,7 +20,7 @@ import random
 from collections import defaultdict
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .bar import _two_sided
+from .bar import _minimal_resolution, _two_sided
 from .dg import (
     AlgebraMorphism, DgAlgebra, DgCategoryPresentation, DgModule, SemiFree,
     category_algebra, direct_sum_modules, right_ideal_module,
@@ -322,25 +322,18 @@ Map = Tuple[List[int], List[int], List[int], List[Scalar], int]
 Realized = Tuple[CochainComplex, List[List[int]]]
 
 
-def _check_bidegrees(ring: TruncatedRing, terms: Iterable[Tuple[int, int, Mono]],
-                     src: SemiFree, tgt: SemiFree, deg: int) -> None:
-    """Each term (g, h, m) of a map of degree deg from src to tgt, dead m
-    included, keeps the bidegree, |h| = |g| + deg and w_h + |m| = w_g;
-    else ValueError."""
-    weights = ring._weights
-    for g, h, m in terms:
+def _check_map(ring: TruncatedRing, f: Map, src: SemiFree, tgt: SemiFree) -> None:
+    """Each term (g, h, m) of a map of degree deg from src to tgt keeps the
+    bidegree, |h| = |g| + deg and w_h + |m| = w_g; else ValueError."""
+    deg = f[4]
+    for g, h, k in zip(*f[:3]):
+        m = ring.monomials[k]
         dg, wg, dh, wh = src.degs[g], src.wts[g], tgt.degs[h], tgt.wts[h]
-        wm = weights[m] if m in weights else sum(m)
-        if dh != dg + deg or wh + wm != wg:
+        if dh != dg + deg or wh + ring._weights[m] != wg:
             raise ValueError(
                 f"{src.labels[g]} in bidegree {(dg, wg)} maps to "
                 f"{mono_label(m, ring.variables)}*{tgt.labels[h]} in bidegree "
-                f"{(dh, wh + wm)}, not {(dg + deg, wg)} (degree, weight)")
-
-
-def _check_map(ring: TruncatedRing, f: Map, src: SemiFree, tgt: SemiFree) -> None:
-    monos = ring.monomials
-    _check_bidegrees(ring, ((g, h, monos[k]) for g, h, k in zip(*f[:3])), src, tgt, f[4])
+                f"{(dh, wh + ring._weights[m])}, not {(dg + deg, wg)} (degree, weight)")
 
 
 def _index_times(ring: TruncatedRing) -> List[Dict[int, int]]:
@@ -578,146 +571,58 @@ def realize_module(ring: TruncatedRing, p: SemiFree, name: str = "") -> DgModule
 # -- resolutions -------------------------------------------------------------
 
 
-def _resolved_powers(ring: TruncatedRing) -> List[Optional[int]]:
-    """The powers ``free_resolution`` resolves k with: per variable, the
-    exponent t of its relation x^t, or None when it has none; 1 for every
-    variable of a ring spanned by 1 alone, which is the field whatever its
-    presentation.  Any other ring with a relation that is no pure power is
-    no monomial complete intersection and raises ValueError."""
-    if ring.monomials == [ring.one]:
-        return [1] * len(ring.variables)
-    powers: List[Optional[int]] = [None] * len(ring.variables)
-    for rel in ring.relations:
-        held = [i for i, e in enumerate(rel) if e]
-        if len(held) != 1:
-            raise ValueError(f"no built-in resolution of k over {ring.name}")
-        powers[held[0]] = rel[held[0]]
-    return powers
-
-
-def _product_resolution(ring: TruncatedRing, powers: Sequence[Optional[int]],
-                        length: int, wt0: int = 0) -> Tuple[List, List[Dict]]:
-    """The Koszul-signed tensor product of one-variable resolutions of k, one
-    per variable x_i: periodic over k[x_i]/(x_i^t) when powers[i] is t (a
-    single generator when t is 1, since x_i is then 0), and x_i: A -> A for
-    a free variable, whose power is None.  The data every resolution of k
-    is built from, by ``_witness``.
-
-    Generator (j_1, ..., j_r) sits in degree -Σj at weight wt0 + Σ w(j_i),
-    where w(j) = (j // 2)·t + j % 2, and d sends it to each factor's step
-    x_i^{1 or t-1} times (.., j_i - 1, ..), with sign (-1)^(j_1 + .. +
-    j_{i-1}).  The Koszul factors are finite and kept whole; the periodic
-    ones are cut jointly, keeping the generators whose periodic indices sum
-    to at most length, and the complex is then exact above degree -length.
-    It is a resolution of k where the ring's weight cap cuts no monomial,
-    and exact in every weight up to the cap otherwise, since d keeps weight
-    and a weight slice of a free module only loses cells above the cap.
-    Names are e(x*y) for a Koszul complex, as the exterior generators read,
-    and p<j_1,..,j_r> otherwise.  Returns the generators (name, degree,
-    weight) and, per generator, d(g_i) as {(j, monomial): sign}."""
-    f = ring.field
-    n = len(powers)
-    koszul = all(t is None for t in powers)
-    periodic = [t is not None and t > 1 for t in powers]
-    ranges = [range(length + 1) if cut else range(2 if t is None else 1)
-              for t, cut in zip(powers, periodic)]
-
-    def x(i: int, e: int) -> Mono:
-        return tuple(e if l == i else 0 for l in range(n))
-
-    # per factor, the weight of each index, and the steps down from an odd
-    # index, x_i, and from an even one, x_i^(t-1)
-    weights = [[j if t is None else (j // 2) * t + j % 2 for j in r]
-               for t, r in zip(powers, ranges)]
-    steps = [(x(i, 1), x(i, t - 1) if cut else None)
-             for i, (t, cut) in enumerate(zip(powers, periodic))]
-    signs = (f.one, f.neg(f.one))
-    # the tuples the cut keeps, each with what the cut leaves over, its index
-    # sum and weight; sorted by index sum, each index from the largest down
-    grown = [((), length, 0, wt0)]
-    for r, cut, w in zip(ranges, periodic, weights):
-        grown = [(js + (j,), left - j if cut else left, s + j, wt + w[j])
-                 for js, left, s, wt in grown
-                 for j in (range(left + 1) if cut else r)]
-    grown.sort(key=lambda g: (-g[2], g[0]), reverse=True)
-    at = {g[0]: i for i, g in enumerate(grown)}
-    label = "p" + ",".join(["%d"] * n)
-    gens, terms = [], []
-    for js, _, s, wt in grown:
-        if koszul:
-            name = "e(" + "*".join(itertools.compress(ring.variables, js)) + ")"
-        else:
-            name = label % js
-        gens.append((name, -s, wt))
-        row, before = {}, 0
-        for i, j in enumerate(js):
-            if j:
-                row[at[js[:i] + (j - 1,) + js[i + 1:]], steps[i][j % 2 == 0]] = (
-                    signs[before & 1])
-                before += j
-        terms.append(row)
-    return gens, terms
-
-
-def _witness(ring: TruncatedRing, powers: Sequence[Optional[int]], length: int,
-             wt0: int = 0) -> SemiFree:
-    """The one builder of free complexes from data: ``_product_resolution``
-    as a SemiFree over R's one object, whose ``keys`` are R's monomials,
-    each entry's bidegree checked before dead or zero ones drop.  What
-    ``free_resolution`` and ``periodic_resolution`` return."""
-    if length < 0:
-        raise ValueError("resolution length must be non-negative")
-    gens, terms = _product_resolution(ring, powers, length, wt0)
-    at = {m: i for i, m in enumerate(ring.monomials)}
-    flat = [(i, j, at[m], c) for i, row in enumerate(terms)
-            for (j, m), c in row.items() if m in at and c]
-    p = SemiFree([(g,) for (g, _, _) in gens], [d for (_, d, _) in gens],
-                 [w for (_, _, w) in gens], [0] * len(gens),
-                 *_lists(flat), [ring.mono_key(m) for m in ring.monomials])
-    _check_bidegrees(ring, ((i, j, m) for i, row in enumerate(terms) for (j, m) in row),
-                     p, p, 1)
-    return p
-
-
-def periodic_resolution(ring: TruncatedRing, length: int,
-                        socle: bool = False) -> SemiFree:
-    """Length-truncated minimal resolution of k (or of the socle copy of k)
-    over a one-variable truncated power ring k[x]/(x^t)."""
-    if len(ring.variables) != 1 or len(ring.relations) != 1:
-        raise ValueError("periodic resolution needs k[x]/(x^t)")
-    t = ring.relations[0][0]
-    if t < 2:
-        raise ValueError("periodic resolution needs t >= 2: k[x]/(x) is k")
-    if ring.wmax is not None and ring.wmax < t - 1:
-        raise ValueError("ring truncation cuts below the relation")
-    return _witness(ring, [t], length, t - 1 if socle else 0)
+def _periodic(ring: TruncatedRing) -> bool:
+    """Whether k has no finite resolution over the ring: some relation has
+    total degree above 1 and the ring is not spanned by 1."""
+    return ring.monomials != [ring.one] and any(sum(rel) > 1 for rel in ring.relations)
 
 
 def free_resolution(ring: TruncatedRing, length: int) -> SemiFree:
-    """Resolution of the residue field over a monomial complete intersection
-    k[x_1..x_r]/(x_i^{t_i}), free variables allowed, with the powers of
-    ``_resolved_powers``."""
-    return _witness(ring, _resolved_powers(ring), length)
+    """k's minimal resolution over the ring's algebra, the one Ext and Tor
+    read (``bar._minimal_resolution``), as a SemiFree whose ``keys`` are
+    R's monomials in order.
+
+    Where k has no finite resolution (``_periodic``) it is cut at the
+    length, and exact above degree -length.  Otherwise it is built whole,
+    to length max(length, r) for r variables, and cut at the ring's weight
+    cap: over free variables under a cap it is then the Koszul complex in
+    every weight up to the cap, and the generators past the cap, which
+    resolve k over the truncated algebra, lie only in weights past what
+    ``infin_ext_check`` certifies."""
+    if length < 0:
+        raise ValueError("resolution length must be non-negative")
+    k = ring.residue_module()
+    if _periodic(ring):
+        return _minimal_resolution(k, length)
+    return _minimal_resolution(k, max(length, len(ring.variables)), ring.wmax)
 
 
-def dual_model(ring: TruncatedRing, p: SemiFree,
-               length: int) -> Tuple[SemiFree, Map, SemiFree]:
+def _check_dual_model(ring: TruncatedRing) -> None:
+    """ValueError unless ``dual_model`` has a model over the ring: the
+    field, a free polynomial ring, or one variable."""
+    if ring.monomials != [ring.one] and ring.relations and len(ring.variables) != 1:
+        raise ValueError(f"no built-in dual model of k over {ring.name}")
+
+
+def dual_model(ring: TruncatedRing, p: SemiFree) -> Tuple[SemiFree, Map, SemiFree]:
     """A junk-free exact complex P' quasi-isomorphic to the dual of the
-    residue field, its comparison into p's strict dual, and that dual: over
-    the field or a free polynomial ring P' is the dual itself, and over
-    k[x]/(x^t) the resolution of the socle, p0 going to x^(t-1)·p0^.  Any
-    other ring raises ValueError."""
+    residue field, its comparison into the strict dual of p, k's resolution
+    (``free_resolution``), and that dual.  Over the field or a free
+    polynomial ring P' is the dual itself.  Over one variable with a
+    relation, P' resolves the socle, k at the weight of the ring's top
+    monomial x^s: it is p with every weight raised by s, and p0' goes to
+    x^s·p0^.  A ring under a cap that cuts below its relation is read as
+    the smaller power.  Any other ring raises ValueError."""
+    _check_dual_model(ring)
     if ring.monomials == [ring.one] or not ring.relations:
         # field or free polynomial ring: the dual of the finite exact
         # resolution is itself exact
         pd = _dual(ring, p)
         return pd, _identity(ring, pd), pd
-    if len(ring.variables) != 1:
-        raise ValueError(f"no built-in dual model of k over {ring.name}")
-    pprime = periodic_resolution(ring, length, socle=True)
-    t = ring.relations[0][0]
-    return (pprime, ([0], [0], [ring.monomials.index((t - 1,))], [ring.field.one], 0),
-            _dual(ring, p))
+    s = len(ring.monomials) - 1
+    pprime = SemiFree(p.labels, p.degs, [w + s for w in p.wts], p.objs,
+                      p.src, p.dst, p.kid, p.coef, p.keys)
+    return pprime, ([0], [0], [s], [ring.field.one], 0), _dual(ring, p)
 
 
 # -- biduality comparison for tensor powers ----------------------------------
@@ -727,18 +632,19 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
                     length: int = 8, n_check: int = 2) -> Dict:
     """Compare tensor powers of the residue field with duals-of-duals.
 
-    Left route per n: resolve k, tensor n times, dualize twice.  Right
-    route: re-resolve an exact model of the dual, tensor n times, dualize
-    once.  The verdict says whether the canonical comparison map is an
-    isomorphism on every certified bidegree inside the window, at each n
-    from 2 to n_check.
+    Left route per n: resolve k (``free_resolution``), tensor n times,
+    dualize twice.  Right route: re-resolve an exact model of the dual
+    (``dual_model``), tensor n times, dualize once.  The verdict says
+    whether the canonical comparison map is an isomorphism on every
+    certified bidegree inside the window, at each n from 2 to n_check.  A
+    ring with no dual model is refused before anything is built.
 
     The certified degrees are [max(lo, 1 - length), min(hi, length - 1)]
-    when some power of the resolution is above 1, since its periodic
-    factors are cut at the length, and the window otherwise.  The
-    cohomology at degrees lo..hi reads only the generators of degree
-    lo-1..hi+1, so only that band is realized (``_realize``); d² on the
-    resolution and the chain-map checks run on the whole maps.
+    where k has no finite resolution (``_periodic``), since the resolution
+    is cut at the length, and the window otherwise.  The cohomology at
+    degrees lo..hi reads only the generators of degree lo-1..hi+1, so only
+    that band is realized (``_realize``); d² on the resolution and the
+    chain-map checks run on the whole maps.
     """
     lo, hi = window
     if n_check < 2:
@@ -748,7 +654,8 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
         raise ValueError(f"empty window: lo {lo} is above hi {hi}")
     if length < 2 * max(abs(lo), abs(hi)):
         raise ValueError("resolution length must be at least twice the window")
-    if any((t or 0) > 1 for t in _resolved_powers(ring)):
+    _check_dual_model(ring)
+    if _periodic(ring):
         cert_lo, cert_hi = max(lo, 1 - length), min(hi, length - 1)
     else:
         cert_lo, cert_hi = lo, hi
@@ -756,7 +663,7 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
     bad = _d_squared_fault(ring, p)
     if bad is not None:
         raise RuntimeError(f"resolution fails d-squared at {p.labels[bad]}")
-    pprime, rho, pd = dual_model(ring, p, length)
+    pprime, rho, pd = dual_model(ring, p)
     if _chain_fault(ring, rho, pprime, pd) is not None:
         raise RuntimeError("dual comparison is not a chain map")
 

@@ -4,8 +4,10 @@ These deliberately avoid the string machinery: strict limits of
 degree-zero diagrams are equalizer kernels, nothing more.  Engine output
 has to reproduce them exactly.  The class algebra of a convolution algebra
 is the reference the witness model's Yoneda product is checked against.
+k's Betti numbers over a monomial complete intersection have a closed form.
 """
-from typing import Dict
+import itertools
+from typing import Dict, List, Sequence, Tuple
 
 from dgcomplete.bar import InnerModel
 from dgcomplete.graded import CochainComplex
@@ -76,3 +78,14 @@ class ClassAlgebra(InnerModel):
                 q, (p, slots) = label(k)
                 if not slots:
                     yield c, p, {q: v}
+
+
+def residue_betti(powers: Sequence[int], length: int) -> List[Tuple[int, int]]:
+    """The bidegrees of the generators of k's minimal resolution over
+    k[x_1..x_r]/(x_i^t_i), cut at the length: the tensor product of one
+    periodic resolution per variable (Tate), one generator (-Σj, Σ w_i(j_i))
+    per index tuple with Σj <= length, where w(j) = (j // 2)·t + j % 2 and
+    j_i is 0 where t_i is 1, since x_i is then 0.  Sorted."""
+    ranges = [range(length + 1) if t > 1 else range(1) for t in powers]
+    return sorted((-sum(js), sum((j // 2) * t + j % 2 for j, t in zip(js, powers)))
+                  for js in itertools.product(*ranges) if sum(js) <= length)

@@ -30,7 +30,7 @@ def _module(name):
     if name == "kx_qq":
         return M.truncated_poly(F, ["x"], [], wmax=5).quotient_module(["x"])
     ring = M.truncated_poly(Field(32003), ["x", "y"], ["x^2", "y^2"])
-    return ring.residue_module()  # carries a recipe, which reduced=True skips
+    return ring.residue_module()  # resolves minimally, which reduced=True skips
 
 
 def _builds(m):

@@ -395,7 +395,7 @@ def test_qq_benchmark_paths_stay_integral(build):
     (["x", "y"], ["x^2", "y^2"], None, 3)],
     ids=["koszul_kx w4 cap 3", "k[x]/(x^2) cap 4", "k[x,y]/(x^2,y^2) cap 3"])
 def test_the_witness_path_stays_integral(variables, relations, wmax, cap):
-    """k with its recipe completes over the witness model: its classes and
+    """k completes over the witness model: its classes and
     the outer complex over them have d = 0, and its unit and every product,
     those the lifts solve for over k[x]/(x^2) and k[x,y]/(x^2,y^2) too, are
     Python ints."""

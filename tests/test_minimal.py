@@ -499,7 +499,7 @@ def test_triangular_7_takes_the_witness_model_at_any_inner_caps(monkeypatch):
 
 def _check_bidegrees(p):
     """Each term t·(c·b) of d(g) keeps the bidegree, |t| + |b| = |g| + 1
-    and w_t + w_b = w_g, as ``models._check_bidegrees`` checks a recipe's,
+    and w_t + w_b = w_g, as ``models._check_map`` checks a free complex's,
     and reaches a generator of g's key one step shorter."""
     for g, t, x, c in zip(p.src, p.dst, p.kid, p.coef):
         b = p.keys[x]

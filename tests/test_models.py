@@ -1,6 +1,5 @@
 """Model library: rings, towers, resolutions, duality, example registry."""
 import hashlib
-import itertools
 
 import pytest
 
@@ -125,19 +124,21 @@ class TestResolutions:
     def test_periodic_d_squared(self):
         for t in (2, 3, 4):
             ring = M.truncated_poly(F, ["x"], [f"x^{t}"])
-            assert M._d_squared_fault(ring, M.periodic_resolution(ring, 6)) is None
+            assert M._d_squared_fault(ring, M.free_resolution(ring, 6)) is None
 
     def test_periodic_weights(self):
+        """k's resolution over k[x]/(x^3), and the socle's, k at the weight
+        2 of x^2: the same generators two weights heavier."""
         ring = M.truncated_poly(F, ["x"], ["x^3"])
-        p = M.periodic_resolution(ring, 4)
+        p = M.free_resolution(ring, 4)
         assert list(zip(p.degs, p.wts)) == [
             (0, 0), (-1, 1), (-2, 3), (-3, 4), (-4, 6)]
-        s = M.periodic_resolution(ring, 2, socle=True)
+        s = M.dual_model(ring, M.free_resolution(ring, 2))[0]
         assert list(zip(s.degs, s.wts)) == [(0, 2), (-1, 3), (-2, 5)]
 
     def test_resolution_computes_residue_field(self):
         ring = M.truncated_poly(F, ["x"], ["x^2"])
-        p = M.periodic_resolution(ring, 5)
+        p = M.free_resolution(ring, 5)
         mod = M.realize_module(ring, p)
         assert mod.validate().ok
         h = hdims(mod.complex, -5, 1, 8)
@@ -153,33 +154,14 @@ class TestResolutions:
         h = hdims(mod.complex, -2, 1, 4)
         assert h == {(0, 0): 1}
 
-    def test_periodic_refuses_the_field(self):
-        with pytest.raises(ValueError, match="t >= 2"):
-            M.periodic_resolution(M.truncated_poly(F, ["x"], ["x"]), 4)
-
     def test_negative_lengths_are_refused(self):
-        """free_resolution and periodic_resolution refuse a negative length
-        through the one builder; an empty complex came back before."""
+        """free_resolution refuses a negative length, also where k has a
+        finite resolution and the build would reach it anyway."""
         r3 = M.truncated_poly(F, ["x"], ["x^3"])
         for build in (lambda: M.free_resolution(r3, -1),
-                      lambda: M.periodic_resolution(r3, -1),
-                      lambda: M.periodic_resolution(r3, -1, socle=True),
                       lambda: M.free_resolution(M.truncated_poly(F, ["x"], [], wmax=3), -1)):
             with pytest.raises(ValueError, match="resolution length must be non-negative"):
                 build()
-
-    def test_bidegree_checked_before_dead_entries_drop(self, monkeypatch):
-        ring = M.truncated_poly(F, ["x"], ["x^2"])
-        gens = [("a", 0, 0), ("b", -1, 1)]
-        # x^2 is dead in the ring, but d(b) = x^2·a still breaks weight
-        monkeypatch.setattr(M, "_product_resolution",
-                            lambda *args: (gens, [{}, {(0, (2,)): F.one}]))
-        with pytest.raises(ValueError, match="weight"):
-            M.free_resolution(ring, 1)
-        monkeypatch.setattr(M, "_product_resolution",
-                            lambda *args: (gens, [{}, {(0, (1,)): F.one}]))
-        c = M.free_resolution(ring, 1)
-        assert (c.src, c.dst, c.kid, c.coef) == ([1], [0], [1], [F.one])
 
     def test_free_resolution_dispatch(self):
         assert M.free_resolution(M.truncated_poly(F, [], []), 3).labels
@@ -189,53 +171,41 @@ class TestResolutions:
         for ring in (M.truncated_poly(F, ["x"], ["x"]),
                      M.truncated_poly(F, ["x", "y"], [], wmax=0)):
             assert len(M.free_resolution(ring, 3).labels) == 1
-        # x*y is no pure power: not a complete intersection
-        with pytest.raises(ValueError, match="no built-in resolution"):
-            M.free_resolution(
-                M.truncated_poly(F, ["x", "y"], ["x^2", "x*y", "y^2"]), 3)
+        # x*y is no pure power, and k still resolves: over k[x,y]/(x,y)^2
+        # the resolution is linear, with 2^i generators at length i
+        p = M.free_resolution(
+            M.truncated_poly(F, ["x", "y"], ["x^2", "x*y", "y^2"]), 3)
+        assert sorted(zip(p.degs, p.wts), reverse=True) == [
+            (-i, i) for i in range(4) for _ in range(2 ** i)]
 
-
-    @pytest.mark.parametrize("variables,relations,length", [
-        (["x", "y"], ["x^2", "y^2"], 6),
-        (["x", "y"], ["x^3", "y^2"], 6),
-        (["x", "y", "z"], ["x^2", "y^2", "z^2"], 4),
+    @pytest.mark.parametrize("variables,relations,wmax,length", [
+        (["x", "y"], ["x^2", "y^2"], None, 6),
+        (["x", "y"], ["x^3", "y^2"], None, 6),
+        (["x", "y", "z"], ["x^2", "y^2", "z^2"], None, 4),
+        (["x", "y"], ["x^2", "x*y", "y^2"], None, 6),
+        (["x", "y"], ["x*y"], 4, 6),
     ])
     def test_complete_intersections_resolve_the_residue_field(
-            self, variables, relations, length):
-        """The product of periodic factors: d² = 0, and H = k at (0, 0) in
-        every weight up to the length, where every generator was built."""
-        ring = M.truncated_poly(Field(32003), variables, relations)
+            self, variables, relations, wmax, length):
+        """k's resolution over monomial complete intersections and over two
+        rings that are none: d² = 0, and H = k at (0, 0) in every weight up
+        to the length, where every generator was built."""
+        ring = M.truncated_poly(Field(32003), variables, relations, wmax=wmax)
         p = M.free_resolution(ring, length)
         assert M._d_squared_fault(ring, p) is None
         cx = M._realize(ring, p)[0]
         h = cx.cohomology(window=Window(-length - 1, 1, length), wmax=length)
         assert h.dims_by_cell() == {(0, 0): 1}
 
-    @pytest.mark.parametrize("powers,length", [
-        ([2], 5), ([2, 2], 4), ([3, 2], 6), ([2, None], 3), ([2, 3, 2], 4),
-    ])
-    def test_generators_are_the_cut_index_tuples_in_order(self, powers, length):
-        """Only the index tuples whose periodic indices sum to at most the
-        length are built, in the order of sorting all (length + 1)^r of
-        them, so every generator keeps its name and place."""
-        variables = ["x", "y", "z"][:len(powers)]
-        ring = M.truncated_poly(F, variables, [f"{v}^{t}" for v, t in
-                                               zip(variables, powers) if t],
-                                wmax=None if all(powers) else 8)
-        ranges = [range(length + 1) if t else range(2) for t in powers]
-        every = itertools.product(*ranges)
-        kept = sorted((js for js in every
-                       if sum(j for j, t in zip(js, powers) if t) <= length),
-                      key=lambda js: (sum(js), [-j for j in js]))
-        assert ([g for (g,) in M.free_resolution(ring, length).labels]
-                == ["p" + ",".join(map(str, js)) for js in kept])
-
-    def test_complete_intersections_have_no_built_in_dual_model(self):
+    def test_complete_intersections_have_no_built_in_dual_model(self, monkeypatch):
+        """dual_model refuses a ring of two variables with relations, and
+        infin_ext_check refuses it before it resolves anything."""
         ring = M.truncated_poly(F, ["x", "y"], ["x^2", "y^2"])
         p = M.free_resolution(ring, 4)
         with pytest.raises(ValueError,
                            match=r"no built-in dual model of k over k\[x,y\]"):
-            M.dual_model(ring, p, 4)
+            M.dual_model(ring, p)
+        monkeypatch.setattr(M, "free_resolution", lambda *args: pytest.fail("built"))
         with pytest.raises(ValueError, match="no built-in dual model"):
             M.infin_ext_check(ring, window=(-2, 2), length=4)
 
@@ -246,7 +216,7 @@ class TestFreeComplexOps:
 
     def setup_method(self):
         self.ring = M.truncated_poly(F, ["x"], ["x^2"])
-        self.p = M.periodic_resolution(self.ring, 4)
+        self.p = M.free_resolution(self.ring, 4)
 
     def test_dual_d_squared(self):
         d = M._dual(self.ring, self.p)
@@ -277,7 +247,7 @@ class TestFreeComplexOps:
 
         assert lacing_fault(self.ring, self.p, self.p) is None
         r3 = M.truncated_poly(F, ["x"], ["x^3"])
-        q = M.periodic_resolution(r3, 4)
+        q = M.free_resolution(r3, 4)
         assert lacing_fault(r3, q, q) is None
         assert lacing_fault(r3, M._tensor(r3, q, q), q) is None
 
@@ -302,7 +272,7 @@ class TestFreeComplexOps:
 
     def test_free_map_dual(self):
         ring = self.ring
-        pprime, rho, pd = M.dual_model(ring, self.p, 4)
+        pprime, rho, pd = M.dual_model(ring, self.p)
         assert M._chain_fault(ring, rho, pprime, pd) is None
         assert M._chain_fault(ring, M._transpose(ring, rho, pd), M._dual(ring, pd),
                               M._dual(ring, pprime)) is None
@@ -325,7 +295,8 @@ class TestFreeComplexOps:
         ring, p = self.ring, self.p
         real = M._realize(ring, p, (-1, 0))
         sp = real[0].space
-        assert {lab[0] for lbls in sp.cells.values() for lab in lbls} == {"p0", "p1"}
+        assert ({lab[:-1] for lbls in sp.cells.values() for lab in lbls}
+                == {p.labels[0], p.labels[1]})
         good = ([3], [2], [1], [F.one], 1)
         assert M._realize_map(ring, good, p, p, real, real).blocks == {}
         with pytest.raises(ValueError, match="bidegree"):
@@ -383,7 +354,8 @@ class TestInfinExt:
 
         monkeypatch.setattr(DgModule, "__init__", counted)
         rep = M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2)
-        assert built == []
+        # k, whose minimal resolution is P; every complex after it is free
+        assert [m.name for m in built] == ["k"]
         # the report as computed through module realizations
         assert rep == {
             "ring": "k[x]/(x^3)", "window": [-3, 3], "length": 6,
@@ -412,7 +384,8 @@ class TestInfinExt:
 
     def test_report_builds_each_complex_once(self, monkeypatch):
         """Every complex is a SemiFree, built once: the band each
-        realization cuts is not counted."""
+        realization cuts is not counted, and P is the cut of the whole
+        build k keeps."""
         r = M.truncated_poly(F, ["x"], ["x^3"])
         built = []
         init = SemiFree.__init__
@@ -431,21 +404,32 @@ class TestInfinExt:
         monkeypatch.setattr(SemiFree, "__init__", counted)
         monkeypatch.setattr(M, "_realize", uncounted)
         M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2)
-        # P, P^, P^^, P', P'^, P⊗P, (P⊗P)^, (P⊗P)^^, P'⊗P', (P'⊗P')^
-        assert len(built) <= 10
+        # k's whole build, P, P^, P^^, P', P'^, P⊗P, (P⊗P)^, (P⊗P)^^,
+        # P'⊗P', (P'⊗P')^
+        assert len(built) <= 11
+
+    def test_a_capped_power_reads_as_the_smaller_power(self):
+        """k[x]/(x^5) under the weight cap 2 is the algebra k[x]/(x^3): its
+        socle is x^2, and its tables are k[x]/(x^3)'s."""
+        capped = M.infin_ext_check(M.truncated_poly(F, ["x"], ["x^5"], wmax=2),
+                                   window=(-3, 3), length=6)
+        power = M.infin_ext_check(M.truncated_poly(F, ["x"], ["x^3"]),
+                                  window=(-3, 3), length=6)
+        assert capped["tables"] == power["tables"]
+        assert capped["certified_degrees"] == power["certified_degrees"]
 
     @pytest.mark.parametrize("n_check", [0, 1, -2])
     def test_too_few_tensor_powers_are_refused(self, n_check, monkeypatch):
         """The verdict compares the powers from 2 on, so n_check below 2,
         which once compared nothing and called it an isomorphism, raises
         before anything is built."""
-        monkeypatch.setattr(M, "_witness", lambda *args: pytest.fail("built"))
+        monkeypatch.setattr(M, "free_resolution", lambda *args: pytest.fail("built"))
         with pytest.raises(ValueError, match="n_check must be at least 2"):
             M.infin_ext_check(M.truncated_poly(F, ["x"], ["x^3"]),
                               window=(-2, 2), length=4, n_check=n_check)
 
     def test_an_empty_window_is_refused_before_any_build(self, monkeypatch):
-        monkeypatch.setattr(M, "_witness", lambda *args: pytest.fail("built"))
+        monkeypatch.setattr(M, "free_resolution", lambda *args: pytest.fail("built"))
         for window in ((1, 0), (0, -1), (2, -2)):
             with pytest.raises(ValueError, match="empty window"):
                 M.infin_ext_check(M.truncated_poly(F, ["x"], ["x^3"]),

@@ -22,6 +22,7 @@ from dgcomplete.dg import (
 from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.linalg import RATIONALS, Field
 from test_bar import _complex_snapshot, trivial_left
+from oracles import residue_betti
 from test_minimal import _check_bidegrees, _counted_builds
 
 GF = Field(32003)
@@ -111,9 +112,9 @@ def _within(p, w_cap):
     return p.cut([i for i, w in enumerate(p.wts) if w - min(p.wts) <= w_cap])
 
 
-# the rings ``free_resolution`` resolves k over: the field twice over, one
-# variable at each exponent the ext_gfp deck draws, and products of
-# periodic factors, one of them under a weight cap that cuts no monomial
+# k over the field twice over, one variable at each exponent the ext_gfp
+# deck draws, and products of periodic factors, one of them under a weight
+# cap that cuts no monomial
 RESOLVED_RINGS = [([], []), (["x"], ["x"])] + [
     (["x"], [f"x^{t}"]) for t in range(2, 7)] + [
     (["x", "y"], ["x^2", "y^2"]), (["x", "y"], ["x^3", "y^2"], 3),
@@ -122,18 +123,22 @@ RESOLVED_RINGS = [([], []), (["x"], ["x"])] + [
 
 @pytest.mark.parametrize("w_cap", [None, 2])
 @pytest.mark.parametrize("spec", RESOLVED_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
-def test_the_minimal_resolution_has_free_resolutions_betti_numbers(spec, w_cap):
-    """The minimal resolution ``_minimal_resolution`` finds for k has
-    ``free_resolution``'s generators per bidegree at every length 0-8,
-    uncut and under a weight cap of 2, each term of its d keeping its
-    bidegree; the builds come from the one longest build k keeps."""
+def test_the_minimal_resolution_has_the_closed_form_betti_numbers(spec, w_cap):
+    """The minimal resolution ``_minimal_resolution`` finds for k has the
+    generators per bidegree of the closed form (``oracles.residue_betti``)
+    at every length 0-8, uncut and under a weight cap of 2, each term of
+    its d keeping its bidegree; the builds come from the one longest build
+    k keeps."""
     ring = M.truncated_poly(GF, *spec)
     k = ring.residue_module()
+    powers = [max(rel[i] for rel in ring.relations) for i in range(len(ring.variables))]
     for length in range(9):
         p = _minimal_resolution(k, length, w_cap)
         _check_bidegrees(p)
-        want = _within(M.free_resolution(ring, length), w_cap)
-        assert _betti(p) == _betti(want), length
+        want = residue_betti(powers, length)
+        if w_cap is not None:
+            want = [(d, w) for d, w in want if w <= w_cap]
+        assert _betti(p) == want, length
     assert k._resolved[:2] == (8, math.inf if w_cap is None else w_cap)
 
 
@@ -422,9 +427,8 @@ def test_one_variable_under_a_weight_cap_reads_as_a_power(spec, t):
     power, and Ext and Tor over it equal the bar's on every cell."""
     ring = M.truncated_poly(GF, *spec)
     k = ring.residue_module()
-    power = M.truncated_poly(GF, ["x"], [f"x^{t}"])
     for length in range(9):
-        assert _betti(_minimal_resolution(k, length)) == _betti(M.free_resolution(power, length))
+        assert _betti(_minimal_resolution(k, length)) == residue_betti([t], length)
     k_left = trivial_left(ring.algebra)
     for n in (4, 6):
         ext, tor = Window(0, n, n), Window(-n, 0, n)
