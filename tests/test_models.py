@@ -1,5 +1,6 @@
 """Model library: rings, towers, resolutions, duality, example registry."""
 import hashlib
+import itertools
 
 import pytest
 
@@ -154,6 +155,22 @@ class TestResolutions:
         h = hdims(mod.complex, -2, 1, 4)
         assert h == {(0, 0): 1}
 
+    def test_periodic_refuses_the_field(self):
+        """A ring spanned by 1 is the field, whose k resolves in length 0,
+        even where a relation above degree 1 survives under the cap: it is
+        not periodic, and infin_ext_check certifies its whole window, where
+        a periodic ring's cut at length 0 certifies no degree."""
+        x2 = M.truncated_poly(F, ["x"], ["x^2"])
+        assert M._periodic(x2)
+        for ring in (M.truncated_poly(F, [], []),
+                     M.truncated_poly(F, ["x"], ["x"]),
+                     M.truncated_poly(F, ["x"], ["x^2"], wmax=0)):
+            assert not M._periodic(ring)
+            rep = M.infin_ext_check(ring, window=(0, 0), length=0)
+            assert rep["certified_degrees"] == {1: [0, 0], 2: [0, 0]}
+        rep = M.infin_ext_check(x2, window=(0, 0), length=0)
+        assert rep["certified_degrees"] == {1: [1, -1], 2: [1, -1]}
+
     def test_negative_lengths_are_refused(self):
         """free_resolution refuses a negative length, also where k has a
         finite resolution and the build would reach it anyway."""
@@ -196,6 +213,28 @@ class TestResolutions:
         cx = M._realize(ring, p)[0]
         h = cx.cohomology(window=Window(-length - 1, 1, length), wmax=length)
         assert h.dims_by_cell() == {(0, 0): 1}
+
+    @pytest.mark.parametrize("powers,length", [
+        ([2], 5), ([2, 2], 4), ([3, 2], 6), ([2, None], 3), ([2, 3, 2], 4),
+    ])
+    def test_generators_are_the_cut_index_tuples_in_order(self, powers, length):
+        """Over k[x_i]/(x_i^t_i), with a free variable (t None) under the cap
+        8, k's resolution has in each weight up to the cap one generator per
+        index tuple whose indices sum to at most the length (a free
+        variable's index is 0 or 1), at the tuple's bidegree (-Σj, Σ w(j)),
+        w(j) = (j // 2)·t + j % 2, and P lists them by length, then weight."""
+        variables = ["x", "y", "z"][:len(powers)]
+        ring = M.truncated_poly(F, variables, [f"{v}^{t}" for v, t in
+                                               zip(variables, powers) if t],
+                                wmax=None if all(powers) else 8)
+        ranges = [range(length + 1) if t else range(2) for t in powers]
+        kept = [js for js in itertools.product(*ranges) if sum(js) <= length]
+        want = sorted(((-sum(js), sum((j // 2) * (t or 0) + j % 2
+                                      for j, t in zip(js, powers)))
+                       for js in kept), key=lambda b: (-b[0], b[1]))
+        p = M.free_resolution(ring, length)
+        assert [(d, w) for d, w in zip(p.degs, p.wts)
+                if ring.wmax is None or w <= ring.wmax] == want
 
     def test_complete_intersections_have_no_built_in_dual_model(self, monkeypatch):
         """dual_model refuses a ring of two variables with relations, and
