@@ -329,7 +329,7 @@ class DgModule:
     The stores the library keeps, each declared in its class's
     ``__init__``, written only by its owner, keyed by what changes the
     answer, one entry each unless a bound is given, and relying on modules,
-    algebras and categories not being mutated:
+    algebras, categories and rings not being mutated:
 
     - ``DgAlgebra._reduction`` (``bar.reduction_data``): the reduction data
       or None; an opposite mirrors its base's, ``_opposite_of``.
@@ -354,6 +354,12 @@ class DgModule:
       per (cutoff, sign fields) asked, a cutoff past an acyclic category's
       longest string L read as L, so at most L + 1 per sign fields; a
       category with a cycle keeps none.
+    - ``models.TruncatedRing._k`` (``models.free_resolution``): k, whose
+      ``_resolved`` serves every later resolution over the ring.
+    - ``models.TruncatedRing._powers`` (``models._tensor_powers``): per
+      length asked, the checked tensor powers of k's resolution cut there
+      with their duals and comparison maps, n from 1 up to the largest
+      n_check asked at that length.
     """
 
     def __init__(self, algebra: DgAlgebra, complex: CochainComplex,

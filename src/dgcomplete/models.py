@@ -12,6 +12,12 @@ a degree.  Duals, tensors, composites and the d² and chain-map checks are
 small functions over those lists, and a complex is realized over the field
 as P ⊗_R R by ``bar._two_sided``.  k's resolution is its minimal one,
 ``bar._minimal_resolution``, the one Ext and Tor read.
+
+A ring keeps what its inputs determine: k, whose kept build serves every
+later resolution, and per length the tensor powers of k's resolution with
+their duals and comparison maps (``_tensor_powers``), each checked once
+when it is built.  Realizations over the field, cohomology and reports
+are computed on every call.
 """
 from __future__ import annotations
 
@@ -108,7 +114,17 @@ class TruncatedRing:
     ``_times[a][b]`` is the standard monomial a·b, absent where the product
     dies; its keys are the standard monomials, each row in their order.
     Every product of two standard monomials in this module reads it, and
-    every free complex reads their weights off ``_weights``."""
+    every free complex reads their weights off ``_weights``.
+
+    The ring keeps two stores, declared here, each written by one function
+    and relying on the ring not being mutated:
+
+    - ``_k`` (``free_resolution``): k, built on the first call, which keeps
+      its longest minimal resolution (``DgModule._resolved``); one entry.
+    - ``_powers`` (``_tensor_powers``): per length asked, the structures
+      over R of the tensor powers P^⊗n of k's resolution cut there, n from
+      1 up to the largest n_check asked at that length; so one list per
+      length asked, each as long as the largest n_check."""
 
     def __init__(self, field: Field, variables: Sequence[str],
                  relations: Sequence, wmax: Optional[int] = None,
@@ -142,6 +158,8 @@ class TruncatedRing:
                 if p in self._times:
                     row[b] = p
         self.algebra = self._build_algebra()
+        self._k: Optional[DgModule] = None  # free_resolution
+        self._powers: Dict[int, List[Power]] = {}  # _tensor_powers
 
     def _standard_monomials(self) -> List[Mono]:
         nvar = len(self.variables)
@@ -317,6 +335,13 @@ def adic_tower(ring: TruncatedRing, ideal_gens: Sequence[str],
 # (g, h, m) and none with a zero coefficient.
 
 Map = Tuple[List[int], List[int], List[int], List[Scalar], int]
+# the structures over R of the n-th tensor power of k's resolution P
+# (``_tensor_powers``): t = P^⊗n, t's dual, tp = P'^⊗n, ρ_n: tp -> (P^)^⊗n,
+# κ_n: (P^)^⊗n -> t's dual and the degrees of (P^)^⊗n's generators, which
+# build the next power; then left = t's double dual, right = tp's dual, the
+# comparison left -> right and the biduality φ: t -> left
+Power = Tuple[SemiFree, SemiFree, SemiFree, Map, Map, List[int],
+              SemiFree, SemiFree, Map, Map]
 # a realization: the complex over the field, and at[i][g], the place of g
 # times the i-th monomial in its cell, -1 where it is not realized
 Realized = Tuple[CochainComplex, List[List[int]]]
@@ -588,13 +613,17 @@ def free_resolution(ring: TruncatedRing, length: int) -> SemiFree:
     cap: over free variables under a cap it is then the Koszul complex in
     every weight up to the cap, and the generators past the cap, which
     resolve k over the truncated algebra, lie only in weights past what
-    ``infin_ext_check`` certifies."""
+    ``infin_ext_check`` certifies.
+
+    The ring keeps k (``TruncatedRing._k``), so k's kept build serves every
+    later call; each call returns a fresh cut of it."""
     if length < 0:
         raise ValueError("resolution length must be non-negative")
-    k = ring.residue_module()
+    if ring._k is None:
+        ring._k = ring.residue_module()
     if _periodic(ring):
-        return _minimal_resolution(k, length)
-    return _minimal_resolution(k, max(length, len(ring.variables)), ring.wmax)
+        return _minimal_resolution(ring._k, length)
+    return _minimal_resolution(ring._k, max(length, len(ring.variables)), ring.wmax)
 
 
 def _check_dual_model(ring: TruncatedRing) -> None:
@@ -628,6 +657,55 @@ def dual_model(ring: TruncatedRing, p: SemiFree) -> Tuple[SemiFree, Map, SemiFre
 # -- biduality comparison for tensor powers ----------------------------------
 
 
+def _tensor_powers(ring: TruncatedRing, length: int, n_check: int) -> List[Power]:
+    """The structures over R of P^⊗n for n = 1..n_check (``Power``), P k's
+    resolution at the length (``free_resolution``), as the ring keeps them
+    (``TruncatedRing._powers``).  A length asked first builds P and its
+    dual model (``dual_model``) and checks d² on P and that ρ is a chain
+    map; each power not yet kept is built from the one before and kept
+    once φ_n and the comparison pass the chain-map check.  A failing check
+    raises RuntimeError and keeps nothing it did not pass."""
+    if length not in ring._powers:
+        p = free_resolution(ring, length)
+        bad = _d_squared_fault(ring, p)
+        if bad is not None:
+            raise RuntimeError(f"resolution fails d-squared at {p.labels[bad]}")
+        pprime, rho, pd = dual_model(ring, p)
+        if _chain_fault(ring, rho, pprime, pd) is not None:
+            raise RuntimeError("dual comparison is not a chain map")
+        ring._powers[length] = [_compared(ring, p, pd, pprime, rho, _identity(ring, pd),
+                                          pd.degs)]
+    p, pd, pprime, rho = ring._powers[length][0][:4]
+    while len(ring._powers[length]) < n_check:
+        prev, _, tp, rho_n, kappa, pd_degs = ring._powers[length][-1][:6]
+        t = _tensor(ring, prev, p)
+        # (P^)^⊗n itself is never built
+        ring._powers[length].append(_compared(
+            ring, t, _dual(ring, t), _tensor(ring, tp, pprime),
+            _tensor_map(ring, rho_n, rho, tp.degs, len(pprime.labels), len(pd.labels)),
+            _compose(ring, _lacing(ring, prev, p),
+                     _tensor_map(ring, kappa, _identity(ring, pd), pd_degs, len(pd.labels),
+                                 len(pd.labels)),
+                     len(t.labels), len(t.labels)),
+            [d + e for d in pd_degs for e in pd.degs]))
+    return ring._powers[length][:n_check]
+
+
+def _compared(ring: TruncatedRing, t: SemiFree, t_dual: SemiFree, tp: SemiFree,
+              rho: Map, kappa: Map, pd_degs: List[int]) -> Power:
+    """A power with its double dual, tp's dual, the comparison between them
+    and the biduality, after both maps pass the chain-map check."""
+    left, right = _dual(ring, t_dual), _dual(ring, tp)
+    comparison = _transpose(ring, _compose(ring, kappa, rho, len(pd_degs), len(tp.labels)),
+                            t_dual)
+    phi = _biduality(ring, t)
+    if _chain_fault(ring, phi, t, left) is not None:
+        raise RuntimeError("biduality relabeling is not a chain map")
+    if _chain_fault(ring, comparison, left, right) is not None:
+        raise RuntimeError("comparison map is not a chain map")
+    return t, t_dual, tp, rho, kappa, pd_degs, left, right, comparison, phi
+
+
 def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
                     length: int = 8, n_check: int = 2) -> Dict:
     """Compare tensor powers of the residue field with duals-of-duals.
@@ -639,12 +717,17 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
     certified bidegree inside the window, at each n from 2 to n_check.  A
     ring with no dual model is refused before anything is built.
 
+    The complexes and maps over R depend only on the ring and the length,
+    so the ring keeps them (``_tensor_powers``), and d² on the resolution
+    and the chain-map checks run on the whole maps once, when each is
+    built.  The realizations, their cohomology and the report are computed
+    on every call.
+
     The certified degrees are [max(lo, 1 - length), min(hi, length - 1)]
     where k has no finite resolution (``_periodic``), since the resolution
     is cut at the length, and the window otherwise.  The cohomology at
     degrees lo..hi reads only the generators of degree lo-1..hi+1, so only
-    that band is realized (``_realize``); d² on the resolution and the
-    chain-map checks run on the whole maps.
+    that band is realized (``_realize``).
     """
     lo, hi = window
     if n_check < 2:
@@ -659,47 +742,14 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
         cert_lo, cert_hi = max(lo, 1 - length), min(hi, length - 1)
     else:
         cert_lo, cert_hi = lo, hi
-    p = free_resolution(ring, length)
-    bad = _d_squared_fault(ring, p)
-    if bad is not None:
-        raise RuntimeError(f"resolution fails d-squared at {p.labels[bad]}")
-    pprime, rho, pd = dual_model(ring, p)
-    if _chain_fault(ring, rho, pprime, pd) is not None:
-        raise RuntimeError("dual comparison is not a chain map")
 
     report: Dict = {"ring": ring.name, "window": [lo, hi], "length": length,
                     "certified_degrees": {}, "biduality": {}, "tables": {},
                     "per_degree": {}}
     verdict_ok, witness = True, None
-    # t_n = P^⊗n and its dual, tp_n = P'^⊗n, rho_n: tp_n -> (P^)^⊗n and
-    # kappa_n: (P^)^⊗n -> t_n's dual; (P^)^⊗n itself is never built
-    t_n, t_dual, tp_n, rho_n = p, pd, pprime, rho
-    kappa_n, pd_degs = _identity(ring, pd), pd.degs
     band = (lo - 1, hi + 1)
-    for n in range(1, n_check + 1):
-        if n > 1:
-            prev = t_n
-            t_n = _tensor(ring, prev, p)
-            t_dual = _dual(ring, t_n)
-            rho_n = _tensor_map(ring, rho_n, rho, tp_n.degs, len(pprime.labels), len(pd.labels))
-            tp_n = _tensor(ring, tp_n, pprime)
-            kappa_n = _compose(
-                ring, _lacing(ring, prev, p),
-                _tensor_map(ring, kappa_n, _identity(ring, pd), pd_degs, len(pd.labels),
-                            len(pd.labels)),
-                len(t_n.labels), len(t_n.labels))
-            pd_degs = [d + e for d in pd_degs for e in pd.degs]
-
-        left_cx = _dual(ring, t_dual)
-        right_cx = _dual(ring, tp_n)
-        comparison = _transpose(
-            ring, _compose(ring, kappa_n, rho_n, len(pd_degs), len(tp_n.labels)), t_dual)
-        phi = _biduality(ring, t_n)
-        if _chain_fault(ring, phi, t_n, left_cx) is not None:
-            raise RuntimeError("biduality relabeling is not a chain map")
-        if _chain_fault(ring, comparison, left_cx, right_cx) is not None:
-            raise RuntimeError("comparison map is not a chain map")
-
+    powers = _tensor_powers(ring, length, n_check)
+    for n, (t_n, *_, left_cx, right_cx, comparison, phi) in enumerate(powers, 1):
         # a weight cap on the ring truncates weight slices from above
         wt_cert = (None if ring.wmax is None
                    else ring.wmax + min(min(left_cx.wts), min(right_cx.wts)))

@@ -236,6 +236,33 @@ class TestResolutions:
         assert [(d, w) for d, w in zip(p.degs, p.wts)
                 if ring.wmax is None or w <= ring.wmax] == want
 
+    @pytest.mark.parametrize("spec", [(["x"], ["x^3"], None), (["x", "y"], [], 4),
+                                      ([], [], None)], ids=lambda s: f"{s[0]}/{s[1]}|{s[2]}")
+    def test_the_ring_keeps_k(self, spec, monkeypatch):
+        """free_resolution builds k once per ring, and k's kept build serves
+        every later call: lengths asked in any order are a fresh ring's
+        answers, and a returned P is the caller's to edit."""
+        def columns(p):
+            return [getattr(p, name) for name in SemiFree.__slots__]
+
+        lengths = (6, 4, 8, 6)
+        fresh = [columns(M.free_resolution(M.truncated_poly(F, *spec), n)) for n in lengths]
+        ring = M.truncated_poly(F, *spec)
+        built = []
+        init = DgModule.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(DgModule, "__init__", counted)
+        for n, want in zip(lengths, fresh):
+            p = M.free_resolution(ring, n)
+            assert columns(p) == want, n
+            for column in columns(p):
+                column.insert(0, None)
+        assert [m.name for m in built] == ["k"]
+
     def test_complete_intersections_have_no_built_in_dual_model(self, monkeypatch):
         """dual_model refuses a ring of two variables with relations, and
         infin_ext_check refuses it before it resolves anything."""
@@ -395,6 +422,9 @@ class TestInfinExt:
         rep = M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2)
         # k, whose minimal resolution is P; every complex after it is free
         assert [m.name for m in built] == ["k"]
+        # a second call reads what the ring keeps
+        assert M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2) == rep
+        assert [m.name for m in built] == ["k"]
         # the report as computed through module realizations
         assert rep == {
             "ring": "k[x]/(x^3)", "window": [-3, 3], "length": 6,
@@ -424,7 +454,8 @@ class TestInfinExt:
     def test_report_builds_each_complex_once(self, monkeypatch):
         """Every complex is a SemiFree, built once: the band each
         realization cuts is not counted, and P is the cut of the whole
-        build k keeps."""
+        build k keeps.  The ring keeps them, so a second call builds none
+        outside the realizations."""
         r = M.truncated_poly(F, ["x"], ["x^3"])
         built = []
         init = SemiFree.__init__
@@ -446,6 +477,54 @@ class TestInfinExt:
         # k's whole build, P, P^, P^^, P', P'^, P⊗P, (P⊗P)^, (P⊗P)^^,
         # P'⊗P', (P'⊗P')^
         assert len(built) <= 11
+        built.clear()
+        M.infin_ext_check(r, window=(-3, 3), length=6, n_check=2)
+        assert built == []
+
+    def test_checks_run_once_when_each_structure_is_built(self, monkeypatch):
+        """A sign flipped in P⊗P fails the comparison's chain check, and the
+        power that failed is not kept: with the tensor mended, the next call
+        equals a fresh ring's.  A second identical call runs no d² or
+        chain-map check, while every realization of a complex or a map
+        still checks the bidegree of each term."""
+        spec, run = (["x", "y"], [], 4), {"window": (-2, 2), "length": 4}
+        ring = M.truncated_poly(F, *spec)
+        tensor = M._tensor
+        flipped = []
+
+        def flip_first(ring, p, q):
+            out = tensor(ring, p, q)
+            if not flipped:  # P⊗P, the first tensor built
+                flipped.append(out)
+                out.coef[0] = ring.field.neg(out.coef[0])
+            return out
+
+        monkeypatch.setattr(M, "_tensor", flip_first)
+        with pytest.raises(RuntimeError, match="comparison map is not a chain map"):
+            M.infin_ext_check(ring, **run)
+        assert flipped and len(ring._powers[4]) == 1
+        monkeypatch.setattr(M, "_tensor", tensor)
+        fresh = M.infin_ext_check(M.truncated_poly(F, *spec), **run)
+        assert M.infin_ext_check(ring, **run) == fresh
+
+        calls = {}
+
+        def counted(name):
+            inner = getattr(M, name)
+
+            def call(*args):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args)
+            monkeypatch.setattr(M, name, call)
+
+        for name in ("_d_squared_fault", "_chain_fault", "_check_map", "_realize",
+                     "_realize_map"):
+            counted(name)
+        assert M.infin_ext_check(ring, **run) == fresh
+        assert "_d_squared_fault" not in calls and "_chain_fault" not in calls
+        # three complexes and two maps per power
+        assert calls["_realize"] == 6 and calls["_realize_map"] == 4
+        assert calls["_check_map"] == 10
 
     def test_a_capped_power_reads_as_the_smaller_power(self):
         """k[x]/(x^5) under the weight cap 2 is the algebra k[x]/(x^3): its
@@ -542,6 +621,28 @@ class TestInfinExt:
         monkeypatch.setattr(M, "_realize", lambda ring, p, band=None: whole(ring, p))
         assert banded == [M.infin_ext_check(ring, window=(-w, w), length=length,
                                             n_check=n) for w, length, n in runs]
+
+    # (window half-width, length, n_check) asked of one ring in turn:
+    # n_check 2 -> 3 -> 2, lengths 6 -> 4 -> 8 -> 6, windows ±1, ±2, ±3
+    KEPT_RUNS = [(3, 6, 2), (3, 6, 3), (3, 6, 2), (2, 4, 2), (2, 8, 2), (2, 6, 2),
+                 (1, 6, 2), (2, 6, 2), (3, 6, 2)]
+
+    @pytest.mark.parametrize("field", [F, Field(32003)], ids=["QQ", "GF(32003)"])
+    @pytest.mark.parametrize("spec", [(["x"], [f"x^{t}"], None) for t in range(2, 7)]
+                             + [(["x"], ["x^5"], 2), (["x", "y"], [], 4), ([], [], None)],
+                             ids=lambda s: f"{s[0]}/{s[1]}|{s[2]}")
+    def test_kept_reports_equal_fresh_ones(self, field, spec):
+        """Each report read off what one ring keeps, at every length,
+        window and n_check in turn, equals the report of a fresh ring.
+        Inside the window the tables do not depend on the length; the
+        capped power's ``certified_weight_max`` does, through the lightest
+        generator of the powers' duals."""
+        ring = M.truncated_poly(field, *spec)
+        for w, length, n in self.KEPT_RUNS:
+            fresh = M.infin_ext_check(M.truncated_poly(field, *spec), window=(-w, w),
+                                      length=length, n_check=n)
+            assert M.infin_ext_check(ring, window=(-w, w), length=length,
+                                     n_check=n) == fresh, (w, length, n)
 
     @pytest.mark.parametrize("t", [2, 5])
     def test_banded_cohomology_is_certified_on_the_window_only(self, t):

@@ -1,9 +1,9 @@
 """What the library keeps has one owner per store.
 
 A store is a private attribute the library fills on a ``DgModule``, a
-``DgAlgebra`` or a ``SmallCategory`` after building it (the list is in the
-``DgModule`` docstring).  This walks the source of ``dgcomplete`` and fails
-on:
+``DgAlgebra``, a ``SmallCategory`` or a ``TruncatedRing`` after building it
+(the list is in the ``DgModule`` docstring).  This walks the source of
+``dgcomplete`` and fails on:
 
 - any read of ``__dict__``;
 - any ``getattr``, ``hasattr``, ``setattr`` or ``delattr`` of a private
@@ -12,10 +12,10 @@ on:
   store hidden in a closure or a module;
 - a private attribute set or filled (an item assigned or deleted, or a
   mutating method such as ``setdefault`` called on it) on another object
-  that is not declared in the ``__init__`` of one of those three classes,
+  that is not declared in the ``__init__`` of one of those four classes,
   or on ``self`` in a method when neither its class's ``__init__`` nor a
   base's declares it;
-- a store of those three classes written from more than one function,
+- a store of those four classes written from more than one function,
   its declaration on ``self`` in ``__init__`` aside.
 
 The check goes by name: a store filled through a local alias is not seen,
@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
 
 LIBRARY = Path(__file__).resolve().parent.parent / "src" / "dgcomplete"
-OWNERS = ("DgModule", "DgAlgebra", "SmallCategory")
+OWNERS = ("DgModule", "DgAlgebra", "SmallCategory", "TruncatedRing")
 FILLS = {"add", "append", "clear", "discard", "extend", "insert", "pop",
          "popitem", "remove", "setdefault", "update"}
 REFLECTION = {"getattr", "hasattr", "setattr", "delattr"}
