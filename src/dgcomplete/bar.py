@@ -597,24 +597,29 @@ def _two_sided(src: SemiFree, keys: Sequence[Key],
                 for col2, c in merged:
                     _add(block, (col2[j], i), c * s, p)
     cx = _install(rcx.field, cells, entries)
-    space = cx.space
-
     if cert is not None:
-        # w reads the generators at w less the right keys' weights: empty
-        # beyond the edge near + light, complete the top weights inside it
-        sign, top, light = cert
-        if light is None or not keys:  # no generators or no keys: zero
-            space.mark_all_complete()
-            return cx, at
-        edge = sign * min(sign * k[1] for k in keys) + light
-        lo, hi = sorted((edge, edge + sign * top))
-        for w in range(max(lo, v0), min(hi, v1) + 1):
-            space.set_known(w)
-        if sign > 0:
-            space.known_zero_below = edge
-        else:
-            space.known_zero_above = edge
+        _mark_known(cx.space, keys, cert, window)
     return cx, at
+
+
+def _mark_known(space: BiGradedSpace, keys: Sequence[Key], cert: Cert,
+                window: Tuple[float, float]) -> None:
+    """Mark known the weights within window that a builder's certificate
+    vouches for: weight w reads the generators at w less the keys' weights,
+    so it is empty beyond the edge near + light and complete for the top
+    weights inside it; all of them with no generators or no keys."""
+    sign, top, light = cert
+    if light is None or not keys:
+        space.mark_all_complete()
+        return
+    edge = sign * min(sign * k[1] for k in keys) + light
+    lo, hi = sorted((edge, edge + sign * top))
+    for w in range(max(lo, window[0]), min(hi, window[1]) + 1):
+        space.set_known(w)
+    if sign > 0:
+        space.known_zero_below = edge
+    else:
+        space.known_zero_above = edge
 
 
 def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
@@ -711,23 +716,12 @@ def _hom_complex_into(src: SemiFree, n: DgModule,
             for col2, c in qa:
                 _add(block, (col2[t], i), c * c_q, p)
     cx = _install(n.field, cells, entries)
-    space = cx.space
-
     if cert is not None and n.space.fully_known():
-        # column u reads the generators at w - u, w a weight of n: empty
-        # beyond the edge far - light, complete the top columns inside it
+        # column u reads the generators at w - u, w a weight of n: the
+        # tensor's rule mirrored, with the weights of the generators negated
         sign, top, light = cert
-        if light is None or not nkeys:  # no generators or no keys: zero
-            space.mark_all_complete()
-            return cx
-        edge = sign * max(sign * k[1] for k in nkeys) - light
-        lo, hi = sorted((edge, edge - sign * top))
-        for u in range(lo, hi + 1):
-            space.set_known(u)
-        if sign > 0:
-            space.known_zero_above = edge
-        else:
-            space.known_zero_below = edge
+        _mark_known(cx.space, nkeys, (-sign, top, None if light is None else -light),
+                    (-math.inf, math.inf))
     return cx
 
 

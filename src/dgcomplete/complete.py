@@ -111,9 +111,9 @@ def double_centralizer(a: DgAlgebra, m: DgModule, caps: Caps,
                 "inner caps must clear the outer weight cap by at least 2")
 
     if m.projective:
-        if m._cap_free is None:
-            m._cap_free = strict_end_algebra(m)
-        inner_used, inner, purity, why = "strict", m._cap_free, None, None
+        if m._strict is None:
+            m._strict = strict_end_algebra(m)
+        inner_used, inner, purity, why = "strict", m._strict, None, None
     else:
         if w_out not in m._witnesses:
             m._witnesses[w_out] = witness_model(m, w_out)

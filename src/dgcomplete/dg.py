@@ -9,13 +9,20 @@ The opposite algebra is a signed view of the same rule, not a copy.
 For category algebras the product is path concatenation: mult(f, g) = "f then
 g", nonzero only when tgt(f) = src(g); right modules are then covariant
 representations and the projective at object z is the right ideal e_z·A.
+
+Every validator runs its checks through one runner, ``_run_checks``: each
+check tries every tuple over its key pools, or past its budget a fixed number
+of draws from the one ``random.Random(0)`` its validator's checks share, and
+reports its first failing tuple.
 """
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_left
+from itertools import product
 from typing import (
-    Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+    Callable, Dict, List, Optional, Sequence, Tuple, Union,
 )
 
 from .graded import (
@@ -72,6 +79,26 @@ class SemiFree:
 def table_rule(table: MultTable) -> ProductRule:
     """The product rule of a stored table; omitted pairs are zero."""
     return lambda k1, k2: table.get((k1, k2), {})
+
+
+def _run_checks(checks: Sequence[tuple], violations: List[Tuple[str, object]]) -> str:
+    """Run each check (name, key pools, budget, draws, predicate) in order:
+    on every tuple over the pools while there are at most budget of them,
+    else on draws tuples from one generator the checks share in turn.  The
+    first tuple that fails the predicate joins violations under the name.
+    Returns the mode, sampled when any check sampled."""
+    rng = random.Random(0)
+    mode = "exhaustive"
+    for name, pools, budget, draws, holds in checks:
+        if math.prod(map(len, pools)) <= budget:
+            tuples = product(*pools)
+        else:
+            mode = "sampled(seed=0)"
+            tuples = (tuple(rng.choice(p) for p in pools) for _ in range(draws))
+        bad = next((t for t in tuples if not holds(*t)), None)
+        if bad is not None:
+            violations.append((name, bad))
+    return mode
 
 
 class ValidationReport:
@@ -215,8 +242,7 @@ class DgAlgebra:
         op._opposite_of = self
         return op
 
-    def validate(self, assoc_budget: int = 2_000_000, seed: int = 0,
-                 pair_budget: int = 4_000_000) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         f = self.field
         violations: List[Tuple[str, object]] = []
         keys = self.basis_keys()
@@ -236,48 +262,21 @@ class DgAlgebra:
                 violations.append(("left_unit", k))
             if self.multiply(one_elt, self.unit) != one_elt:
                 violations.append(("right_unit", k))
-        # Leibniz on all pairs (or a sample if too many)
-        n = len(keys)
-        mode = "exhaustive"
-        rng = random.Random(seed)
-        if n * n <= pair_budget:
-            pair_iter: Iterable[Tuple[Key, Key]] = ((a, b) for a in keys for b in keys)
-        else:
-            mode = f"sampled(seed={seed})"
-            pair_iter = ((rng.choice(keys), rng.choice(keys)) for _ in range(200_000))
-        for (ka, kb) in pair_iter:
+
+        def leibniz(ka: Key, kb: Key) -> bool:
             ea, eb = {ka: f.one}, {kb: f.one}
-            lhs = self.d(self.basis_product(ka, kb))
             sign = f.of(1 if ka[0] % 2 == 0 else -1)
-            rhs = elt_add(f, self.multiply(self.d(ea), eb),
-                          elt_scale(f, sign, self.multiply(ea, self.d(eb))))
-            if lhs != rhs:
-                violations.append(("leibniz", (ka, kb)))
-                break
-        # associativity
-        if n ** 3 <= assoc_budget:
-            for ka in keys:
-                for kb in keys:
-                    ab = self.basis_product(ka, kb)
-                    for kc in keys:
-                        lhs = self.multiply(ab, {kc: f.one})
-                        rhs = self.multiply({ka: f.one}, self.basis_product(kb, kc))
-                        if lhs != rhs:
-                            violations.append(("associativity", (ka, kb, kc)))
-                            break
-                    if violations and violations[-1][0] == "associativity":
-                        break
-                if violations and violations[-1][0] == "associativity":
-                    break
-        else:
-            mode = f"sampled(seed={seed})"
-            for _ in range(50_000):
-                ka, kb, kc = rng.choice(keys), rng.choice(keys), rng.choice(keys)
-                lhs = self.multiply(self.basis_product(ka, kb), {kc: f.one})
-                rhs = self.multiply({ka: f.one}, self.basis_product(kb, kc))
-                if lhs != rhs:
-                    violations.append(("associativity", (ka, kb, kc)))
-                    break
+            return self.d(self.basis_product(ka, kb)) == elt_add(
+                f, self.multiply(self.d(ea), eb),
+                elt_scale(f, sign, self.multiply(ea, self.d(eb))))
+
+        def associative(ka: Key, kb: Key, kc: Key) -> bool:
+            return (self.multiply(self.basis_product(ka, kb), {kc: f.one})
+                    == self.multiply({ka: f.one}, self.basis_product(kb, kc)))
+
+        mode = _run_checks([("leibniz", (keys, keys), 4_000_000, 200_000, leibniz),
+                            ("associativity", (keys, keys, keys), 2_000_000, 50_000,
+                             associative)], violations)
         return ValidationReport(not violations, violations, mode)
 
     def weight_zero_idempotent_basis(self) -> Optional[List[Key]]:
@@ -347,7 +346,7 @@ class DgModule:
       Tor, completions and ``models.free_resolution`` all read; a call past
       either builds to the larger of each.  A module that is not
       semisimple keeps its refusal there.
-    - ``DgModule._cap_free`` (``complete.double_centralizer``): the strict
+    - ``DgModule._strict`` (``complete.double_centralizer``): the strict
       model only; ``DgModule._witnesses``, same owner: per w_out asked, the
       witness model, or None with the purity record or the refusal.
     - ``SmallCategory._strings`` (``holim._string_scheme``): a string scheme
@@ -378,7 +377,7 @@ class DgModule:
         self._uncut = _UNSET  # bar._uncut_caps
         self._schemes: Dict[Tuple[int, int, bool], SemiFree] = {}  # bar._bar_scheme
         self._resolved: Union[None, str, Tuple] = None  # bar._minimal_resolution
-        self._cap_free = None  # complete.double_centralizer
+        self._strict = None  # complete.double_centralizer
         self._witnesses: Dict[int, Tuple] = {}  # complete.double_centralizer
 
     @property
@@ -420,7 +419,7 @@ class DgModule:
     def d(self, m: Elt) -> Elt:
         return self.complex.d.apply(m)
 
-    def validate(self, seed: int = 0, budget: int = 4_000_000) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         f = self.field
         violations: List[Tuple[str, object]] = []
         bad = self.complex.validate_d2()
@@ -445,43 +444,27 @@ class DgModule:
                 if kt[0] != km[0] + ka[0] or kt[1] != km[1] + ka[1]:
                     violations.append(("grading", (k1, k2, kt)))
                     break
-        # associativity over the algebra and Leibniz
-        n = len(mkeys) * len(akeys) * len(akeys)
-        mode = "exhaustive"
-        rng = random.Random(seed)
-        if n <= budget:
-            triples = ((km, ka, kb) for km in mkeys for ka in akeys for kb in akeys)
-        else:
-            mode = f"sampled(seed={seed})"
-            triples = ((rng.choice(mkeys), rng.choice(akeys), rng.choice(akeys))
-                       for _ in range(100_000))
-        for (km, ka, kb) in triples:
-            me, ae, be = {km: f.one}, {ka: f.one}, {kb: f.one}
-            if right:
-                lhs = action(action(me, ae), be)
-                rhs = action(me, self.algebra.basis_product(ka, kb))
-            else:
-                lhs = action(action(me, be), ae)  # a·(b·m)
-                rhs = action(me, self.algebra.basis_product(ka, kb))
-            if lhs != rhs:
-                violations.append(("action_associativity", (km, ka, kb)))
-                break
-        for km in mkeys:
-            for ka in akeys:
-                me, ae = {km: f.one}, {ka: f.one}
-                if right:
-                    lhs = self.d(action(me, ae))
-                    sign = f.of(1 if km[0] % 2 == 0 else -1)
-                    rhs = elt_add(f, action(self.d(me), ae),
-                                  elt_scale(f, sign, self.act(me, self.algebra.d(ae))))
-                else:
-                    lhs = self.d(self.act_left(ae, me))
-                    sign = f.of(1 if ka[0] % 2 == 0 else -1)
-                    rhs = elt_add(f, self.act_left(self.algebra.d(ae), me),
-                                  elt_scale(f, sign, self.act_left(ae, self.d(me))))
-                if lhs != rhs:
-                    violations.append(("leibniz", (km, ka)))
-                    break
+
+        def associative(km: Key, ka: Key, kb: Key) -> bool:
+            # (m·a)·b = m·(ab) on the right, a·(b·m) = (ab)·m on the left
+            me, first, then = {km: f.one}, {ka: f.one}, {kb: f.one}
+            if not right:
+                first, then = then, first
+            return action(action(me, first), then) == action(
+                me, self.algebra.basis_product(ka, kb))
+
+        def leibniz(km: Key, ka: Key) -> bool:
+            # d(m·a) = dm·a + (-1)^|m| m·da on the right and
+            # d(a·m) = da·m + (-1)^|a| a·dm on the left
+            me, ae = {km: f.one}, {ka: f.one}
+            dm, da = action(self.d(me), ae), action(me, self.algebra.d(ae))
+            first, signed = (dm, da) if right else (da, dm)
+            sign = f.of(1 if (km if right else ka)[0] % 2 == 0 else -1)
+            return self.d(action(me, ae)) == elt_add(f, first, elt_scale(f, sign, signed))
+
+        mode = _run_checks([("action_associativity", (mkeys, akeys, akeys), 4_000_000,
+                             100_000, associative),
+                            ("leibniz", (mkeys, akeys), math.inf, 0, leibniz)], violations)
         return ValidationReport(not violations, violations, mode)
 
 
@@ -565,7 +548,7 @@ class AlgebraMorphism:
     def apply(self, a: Elt) -> Elt:
         return self.map.apply(a)
 
-    def validate(self, seed: int = 0, budget: int = 4_000_000) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         violations: List[Tuple[str, object]] = []
         if (self.map.deg_shift, self.map.wt_shift) != (0, 0):
             violations.append(("shift", (self.map.deg_shift, self.map.wt_shift)))
@@ -576,19 +559,13 @@ class AlgebraMorphism:
             violations.append(("chain_map", bad))
         f = self.source.field
         keys = self.source.basis_keys()
-        mode = "exhaustive"
-        if len(keys) ** 2 <= budget:
-            pairs: Iterable[Tuple[Key, Key]] = ((a, b) for a in keys for b in keys)
-        else:
-            mode = f"sampled(seed={seed})"
-            rng = random.Random(seed)
-            pairs = ((rng.choice(keys), rng.choice(keys)) for _ in range(100_000))
-        for (ka, kb) in pairs:
-            lhs = self.apply(self.source.basis_product(ka, kb))
-            rhs = self.target.multiply(self.apply({ka: f.one}), self.apply({kb: f.one}))
-            if lhs != rhs:
-                violations.append(("multiplicative", (ka, kb)))
-                break
+
+        def multiplicative(ka: Key, kb: Key) -> bool:
+            return self.apply(self.source.basis_product(ka, kb)) == self.target.multiply(
+                self.apply({ka: f.one}), self.apply({kb: f.one}))
+
+        mode = _run_checks([("multiplicative", (keys, keys), 4_000_000, 100_000,
+                             multiplicative)], violations)
         return ValidationReport(not violations, violations, mode)
 
 

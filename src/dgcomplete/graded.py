@@ -9,7 +9,9 @@ knowledge: a bidegree is exact only when the cells at degrees d-1, d, d+1 of
 its weight are fully known.  A certificate is that rule applied to the
 known degree interval of each weight over the probed region (the held cells
 and the window grid), so computing cohomology costs what the complex holds,
-not the size of the window.
+not the size of the window.  The d², chain-map and functoriality checks all
+compare maps through ``GradedMap.differs_at``: the first source cell where
+one map and ± the other differ.
 """
 from __future__ import annotations
 
@@ -321,50 +323,24 @@ class GradedMap:
                 out.blocks[(d, w)] = prod
         return out
 
-    def add(self, other: "GradedMap") -> "GradedMap":
-        if (self.deg_shift, self.wt_shift) != (other.deg_shift, other.wt_shift):
-            raise ValueError("shift mismatch in add")
-        out = GradedMap(self.source, self.target, self.deg_shift, self.wt_shift)
-        for key, b in self.blocks.items():
-            out.blocks[key] = SparseMatrix(b.rows, b.cols, b.field, dict(b.entries))
-        for key, b in other.blocks.items():
-            if key in out.blocks:
-                s = out.blocks[key].add(b)
-                if s.is_zero():
-                    del out.blocks[key]
-                else:
-                    out.blocks[key] = s
-            else:
-                out.blocks[key] = SparseMatrix(b.rows, b.cols, b.field, dict(b.entries))
-        return out
-
-    def scale(self, s) -> "GradedMap":
-        out = GradedMap(self.source, self.target, self.deg_shift, self.wt_shift)
-        s = self.source.field.of(s)
-        if self.source.field.is_zero(s):
-            return out
-        for key, b in self.blocks.items():
-            out.blocks[key] = b.scale(s)
-        return out
-
-    def neg(self) -> "GradedMap":
-        return self.scale(-1)
-
-    def sub(self, other: "GradedMap") -> "GradedMap":
-        return self.add(other.neg())
-
     def is_zero(self) -> bool:
         return all(b.is_zero() for b in self.blocks.values())
 
-    def first_nonzero_cell(self) -> Optional[Tuple[int, int]]:
-        for key in sorted(self.blocks):
-            if not self.blocks[key].is_zero():
-                return key
+    def differs_at(self, other: "GradedMap", sign: int = 1) -> Optional[Tuple[int, int]]:
+        """The first source cell, in sorted order, where self and sign·other
+        differ, or None; a missing block is zero, and shifts are not read."""
+        f = self.source.field
+        for cell in sorted(self.blocks.keys() | other.blocks.keys()):
+            a, b = self.blocks.get(cell), other.blocks.get(cell)
+            mine, theirs = a.entries if a else {}, b.entries if b else {}
+            if any(not f.is_zero(mine.get(at, 0) - sign * theirs.get(at, 0))
+                   for at in mine.keys() | theirs.keys()):
+                return cell
         return None
 
     def same_blocks(self, other: "GradedMap") -> bool:
         return ((self.deg_shift, self.wt_shift) == (other.deg_shift, other.wt_shift)
-                and self.sub(other).is_zero())
+                and self.differs_at(other) is None)
 
 
 class Certificate:
@@ -525,8 +501,7 @@ class CochainComplex:
 
     def validate_d2(self) -> Optional[Tuple[int, int]]:
         """First source cell where d∘d is nonzero, or None."""
-        dd = self.d.compose(self.d)
-        return dd.first_nonzero_cell()
+        return self.d.compose(self.d).differs_at(GradedMap(self.space, self.space, 2, 0))
 
     def differential_block(self, deg: int, wt: int) -> SparseMatrix:
         b = self.d.block_at(deg, wt)
@@ -617,10 +592,10 @@ class CochainComplex:
             sp.add_cell(d - n, w, lbls)
         sp.copy_knowledge_from(self.space, deg_offset=n)
         dd = GradedMap(sp, sp, 1, 0)
-        sign = f.of(1 if n % 2 == 0 else -1)
         for (d, w), b in self.d.blocks.items():
             if not b.is_zero():
-                dd.blocks[(d - n, w)] = b.scale(sign)
+                dd.blocks[(d - n, w)] = SparseMatrix(b.rows, b.cols, f, {
+                    at: f.neg(v) if n % 2 else v for at, v in b.entries.items()})
         return CochainComplex(sp, dd)
 
     def direct_sum(self, other: "CochainComplex") -> "CochainComplex":
@@ -692,10 +667,8 @@ def induced_rank(f: GradedMap, src: "CochainComplex", tgt: "CochainComplex",
 
 
 def is_chain_map(f: GradedMap, d_src: GradedMap, d_tgt: GradedMap) -> Optional[Tuple[int, int]]:
-    """First cell where d∘f - (-1)^{deg f} f∘d fails, or None if a chain map."""
-    sign = f.source.field.of(1 if f.deg_shift % 2 == 0 else -1)
-    delta = d_tgt.compose(f).sub(f.compose(d_src).scale(sign))
-    return delta.first_nonzero_cell()
+    """First cell where d∘f = (-1)^{deg f} f∘d fails, or None if a chain map."""
+    return d_tgt.compose(f).differs_at(f.compose(d_src), -1 if f.deg_shift % 2 else 1)
 
 
 def cone(f: GradedMap, src: CochainComplex, tgt: CochainComplex) -> CochainComplex:

@@ -420,13 +420,13 @@ class AlgebraDiagram:
             e = self.maps[t].apply(e)
         return e
 
-    def validate(self, seed: int = 0) -> ValidationReport:
+    def validate(self) -> ValidationReport:
         """Unital chain algebra maps on every arrow, functorial on composites."""
         violations = []
         for nm in sorted(self.cat.arrows):
             rep = AlgebraMorphism(self.algebras[self.cat.src(nm)],
                                   self.algebras[self.cat.tgt(nm)],
-                                  self.maps[nm]).validate(seed=seed)
+                                  self.maps[nm]).validate()
             if not rep.ok:
                 violations.append((f"map:{nm}", rep.violations[0]))
         for (g, f) in sorted(self.cat.compose):

@@ -74,9 +74,6 @@ class Field:
     def add(self, a, b):
         return a + b if self.char == 0 else (a + b) % self.char
 
-    def sub(self, a, b):
-        return a - b if self.char == 0 else (a - b) % self.char
-
     def mul(self, a, b):
         return a * b if self.char == 0 else (a * b) % self.char
 
@@ -217,28 +214,6 @@ class SparseMatrix:
             for c2, v2 in other_rows.get(c1, ()):
                 _add(out.entries, (r, c2), v1 * v2, f.char)
         return out
-
-    def add(self, other: "SparseMatrix") -> "SparseMatrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
-        f = self.field
-        out = SparseMatrix(self.rows, self.cols, f, dict(self.entries))
-        for key, v in other.entries.items():
-            out[key] = f.add(out[key], v)
-        return out
-
-    def scale(self, s) -> "SparseMatrix":
-        f = self.field
-        s = f.of(s)
-        out = SparseMatrix(self.rows, self.cols, f)
-        if f.is_zero(s):
-            return out
-        for key, v in self.entries.items():
-            out.entries[key] = f.mul(s, v)
-        return out
-
-    def neg(self) -> "SparseMatrix":
-        return self.scale(-1)
 
     def apply(self, vec: Dict[int, Scalar]) -> Dict[int, Scalar]:
         """Matrix times sparse column vector {index: scalar}."""

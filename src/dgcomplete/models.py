@@ -661,15 +661,13 @@ def _tensor_powers(ring: TruncatedRing, length: int, n_check: int) -> List[Power
     """The structures over R of P^⊗n for n = 1..n_check (``Power``), P k's
     resolution at the length (``free_resolution``), as the ring keeps them
     (``TruncatedRing._powers``).  A length asked first builds P and its
-    dual model (``dual_model``) and checks d² on P and that ρ is a chain
-    map; each power not yet kept is built from the one before and kept
-    once φ_n and the comparison pass the chain-map check.  A failing check
-    raises RuntimeError and keeps nothing it did not pass."""
+    dual model (``dual_model``) and checks that ρ is a chain map; each
+    power not yet kept, P the first, is built from the one before and kept
+    once φ_n and the comparison pass the chain-map check and P^⊗n and
+    P'^⊗n the d² check.  A failing check raises RuntimeError and keeps
+    nothing it did not pass."""
     if length not in ring._powers:
         p = free_resolution(ring, length)
-        bad = _d_squared_fault(ring, p)
-        if bad is not None:
-            raise RuntimeError(f"resolution fails d-squared at {p.labels[bad]}")
         pprime, rho, pd = dual_model(ring, p)
         if _chain_fault(ring, rho, pprime, pd) is not None:
             raise RuntimeError("dual comparison is not a chain map")
@@ -694,7 +692,8 @@ def _tensor_powers(ring: TruncatedRing, length: int, n_check: int) -> List[Power
 def _compared(ring: TruncatedRing, t: SemiFree, t_dual: SemiFree, tp: SemiFree,
               rho: Map, kappa: Map, pd_degs: List[int]) -> Power:
     """A power with its double dual, tp's dual, the comparison between them
-    and the biduality, after both maps pass the chain-map check."""
+    and the biduality, after both maps pass the chain-map check and t and
+    tp the d² check."""
     left, right = _dual(ring, t_dual), _dual(ring, tp)
     comparison = _transpose(ring, _compose(ring, kappa, rho, len(pd_degs), len(tp.labels)),
                             t_dual)
@@ -703,6 +702,10 @@ def _compared(ring: TruncatedRing, t: SemiFree, t_dual: SemiFree, tp: SemiFree,
         raise RuntimeError("biduality relabeling is not a chain map")
     if _chain_fault(ring, comparison, left, right) is not None:
         raise RuntimeError("comparison map is not a chain map")
+    for power in (t, tp):
+        bad = _d_squared_fault(ring, power)
+        if bad is not None:
+            raise RuntimeError(f"tensor power fails d-squared at {power.labels[bad]}")
     return t, t_dual, tp, rho, kappa, pd_degs, left, right, comparison, phi
 
 
@@ -718,9 +721,9 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
     ring with no dual model is refused before anything is built.
 
     The complexes and maps over R depend only on the ring and the length,
-    so the ring keeps them (``_tensor_powers``), and d² on the resolution
-    and the chain-map checks run on the whole maps once, when each is
-    built.  The realizations, their cohomology and the report are computed
+    so the ring keeps them (``_tensor_powers``), and the d² checks on the
+    powers and the chain-map checks on the whole maps run once, when each
+    is built.  The realizations, their cohomology and the report are computed
     on every call.
 
     The certified degrees are [max(lo, 1 - length), min(hi, length - 1)]

@@ -7,8 +7,9 @@ from dgcomplete.dg import (
     direct_sum_modules, identity_morphism, regular_module,
     restrict_scalars, right_ideal_module, shift_module,
 )
-from dgcomplete.graded import GradedMap
+from dgcomplete.graded import CochainComplex, GradedMap, elt_scale
 from dgcomplete.bar import reduction_data
+from dgcomplete import models as M
 
 F = RATIONALS
 
@@ -86,6 +87,37 @@ def test_bad_associativity_reported_with_triple():
     assert not rep.ok
     assoc = [v for k, v in rep.violations if k == "associativity"]
     assert assoc and len(assoc[0]) == 3
+
+
+def test_a_sampled_check_draws_the_pinned_tuples():
+    """k[x,y,z,w] under the weight cap 6 has 210 keys, so Leibniz runs on
+    all pairs and associativity is sampled, from the one random.Random(0)
+    of the validator: with every product of the 6th key by a key of
+    positive weight doubled, the first failing triple drawn is pinned."""
+    a = M.truncated_poly(F, ["x", "y", "z", "w"], [], wmax=6).algebra
+    keys = a.basis_keys()
+    assert len(keys) == 210
+
+    def doubled(k1, k2):
+        e = a.basis_product(k1, k2)
+        return elt_scale(F, 2, e) if k1 == keys[5] and k2[1] > 0 else e
+
+    rep = DgAlgebra(a.complex, a.unit, doubled).validate()
+    assert rep.violations == [("associativity", ((0, 2, 3), (0, 2, 0), (0, 1, 1)))]
+    assert rep.mode == "sampled(seed=0)"
+
+
+def test_a_module_reports_its_first_leibniz_failure():
+    """The regular module of the dg line summed with itself, its
+    differential dropped, breaks Leibniz at both summands' units; like
+    every check, the report lists only the first failing pair."""
+    line = M._dg_line_algebra(F)
+    r = regular_module(line)
+    s = direct_sum_modules(r, r)
+    assert s.validate().ok
+    rep = DgModule(line, CochainComplex(s.space), s.action).validate()
+    assert rep.violations == [("leibniz", ((0, 0, 0), (0, 1, 0)))]
+    assert rep.mode == "exhaustive"
 
 
 def test_opposite_of_commutative_even_algebra_is_identical():

@@ -277,6 +277,62 @@ def test_is_chain_map_detects_violation():
     assert is_chain_map(bad, a.d, b.d) == (0, 0)
 
 
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("field", [RATIONALS, Field(32003)], ids=["qq", "gf32003"])
+def test_differs_at_matches_a_dense_reference(field, sign):
+    """differs_at names the first cell, in sorted order, where two maps'
+    dense blocks differ up to the sign, a missing or empty block reading as
+    zero: on random pairs where other is sign·self with a block dropped,
+    added, emptied or changed, or left alone."""
+    rng = random.Random(53)
+    sp = BiGradedSpace(field)
+    cells = [(d, w) for d in range(3) for w in range(-1, 2)]
+    for d, w in cells:
+        sp.add_cell(d, w, [f"b{i}" for i in range(rng.randint(1, 3))])
+
+    def dense(g, cell):
+        b, n = g.block_at(*cell), sp.dim(*cell)
+        return [[b[r, c] if b else 0 for c in range(n)] for r in range(n)]
+
+    def reference(g, h):
+        return next((cell for cell in cells if any(
+            not field.is_zero(x - sign * y)
+            for rx, ry in zip(dense(g, cell), dense(h, cell)) for x, y in zip(rx, ry))),
+            None)
+
+    def random_block(g, cell):
+        b = g.ensure_block(*cell)
+        for r in range(b.rows):
+            for c in range(b.cols):
+                if rng.random() < 0.5:
+                    b[r, c] = field.of(rng.randint(-3, 3))
+
+    outcomes = Counter()
+    for _ in range(300):
+        g, h = GradedMap(sp, sp), GradedMap(sp, sp)
+        for cell in cells:
+            if rng.random() < 0.6:
+                random_block(g, cell)
+                h.ensure_block(*cell).entries = {
+                    at: field.of(sign * v) for at, v in g.blocks[cell].entries.items()}
+        cell = rng.choice(cells)
+        edit = rng.choice(["drop", "add", "empty", "change", "none"])
+        if edit == "drop":
+            h.blocks.pop(cell, None)
+        elif edit == "add":
+            random_block(h, cell)
+        elif edit == "empty":
+            g.ensure_block(*cell).entries = {}
+        elif edit == "change":
+            h.ensure_block(*cell)[0, 0] = field.of(h.ensure_block(*cell)[0, 0] + 1)
+        want = reference(g, h)
+        assert g.differs_at(h, sign) == want
+        assert (g.differs_at(h, sign) is None) == (h.differs_at(g, sign) is None)
+        outcomes[want is None, edit] += 1
+    assert outcomes[True, "none"] and outcomes[False, "change"]
+    assert outcomes[False, "drop"] and outcomes[True, "drop"]
+
+
 # -- rank-formula dimensions and lazy representatives ----------------------
 
 FIELDS = [RATIONALS, Field(32003)]

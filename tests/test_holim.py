@@ -302,7 +302,10 @@ class TestConeAndCocone:
     def test_incompatible_cone_raises(self):
         hl = H.holim(self.diag, dmax=0)
         fmaps = self.cone_maps()
-        fmaps[1] = fmaps[1].scale(F.of(2))
+        # the map to the middle ring doubled, as column data
+        g = fmaps[1]
+        fmaps[1] = {k: {t: 2 * c for t, c in g.column(k).items()}
+                    for k in g.source.basis_keys()}
         with pytest.raises(ValueError, match="cone maps incompatible"):
             H.holim_map_from_compatible_system(hl, self.deep.algebra, fmaps)
 

@@ -148,16 +148,6 @@ def test_mul_against_sympy():
         assert to_sympy(prod) == to_sympy(a) * to_sympy(b)
 
 
-def test_add_scale_neg():
-    rng = random.Random(29)
-    for _ in range(20):
-        a = random_matrix(rng, 4, 5, RATIONALS)
-        b = random_matrix(rng, 4, 5, RATIONALS)
-        assert to_sympy(a.add(b)) == to_sympy(a) + to_sympy(b)
-        assert to_sympy(a.scale(Fraction(-3, 2))) == to_sympy(a) * sympy.Rational(-3, 2)
-        assert a.add(a.neg()).is_zero()
-
-
 def test_identity_and_apply():
     i3 = SparseMatrix(3, 3, RATIONALS, {(i, i): 1 for i in range(3)})
     assert i3.rank() == 3

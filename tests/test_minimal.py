@@ -233,7 +233,7 @@ def test_the_product_is_the_product_of_representatives_up_to_a_boundary(build):
             diff = e.multiply(reps[k1], reps[k2])
             for k, c in model.basis_product(k1, k2).items():
                 for x, v in reps[k].items():
-                    s = f.sub(diff.get(x, f.zero), f.mul(c, v))
+                    s = f.add(diff.get(x, f.zero), f.neg(f.mul(c, v)))
                     if f.is_zero(s):
                         diff.pop(x)
                     else:

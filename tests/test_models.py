@@ -526,6 +526,26 @@ class TestInfinExt:
         assert calls["_realize"] == 6 and calls["_realize_map"] == 4
         assert calls["_check_map"] == 10
 
+    def test_a_power_that_fails_d_squared_is_refused(self, monkeypatch):
+        """Over k[x]/(x^3) a sign flipped in P⊗P passes both chain-map
+        checks but breaks d² on P⊗P, so the call raises and keeps no
+        power past P."""
+        ring = M.truncated_poly(F, ["x"], ["x^3"])
+        tensor = M._tensor
+        flipped = []
+
+        def flip_first(ring, p, q):
+            out = tensor(ring, p, q)
+            if not flipped:  # P⊗P, the first tensor built
+                flipped.append(out)
+                out.coef[0] = ring.field.neg(out.coef[0])
+            return out
+
+        monkeypatch.setattr(M, "_tensor", flip_first)
+        with pytest.raises(RuntimeError, match="fails d-squared"):
+            M.infin_ext_check(ring, window=(-3, 3), length=6)
+        assert flipped and len(ring._powers[6]) == 1
+
     def test_a_capped_power_reads_as_the_smaller_power(self):
         """k[x]/(x^5) under the weight cap 2 is the algebra k[x]/(x^3): its
         socle is x^2, and its tables are k[x]/(x^3)'s."""
