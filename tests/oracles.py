@@ -5,6 +5,8 @@ degree-zero diagrams are equalizer kernels, nothing more.  Engine output
 has to reproduce them exactly.  The class algebra of a convolution algebra
 is the reference the witness model's Yoneda product is checked against.
 k's Betti numbers over a monomial complete intersection have a closed form.
+A space's knowledge is compared as its readers see it (``knowledge``), so
+no pinned value depends on how a space stores it.
 """
 import itertools
 from typing import Dict, List, Sequence, Tuple
@@ -12,6 +14,16 @@ from typing import Dict, List, Sequence, Tuple
 from dgcomplete.bar import InnerModel
 from dgcomplete.graded import CochainComplex
 from dgcomplete.linalg import SparseMatrix
+
+
+# the weights a space's knowledge is read on: wider than any test's cells
+KNOWN_WEIGHTS = range(-40, 41)
+
+
+def knowledge(sp) -> Tuple:
+    """A space's knowledge as its readers see it: the known degree interval
+    of each weight in KNOWN_WEIGHTS, and whether it is fully known."""
+    return sorted(sp.known_degrees(KNOWN_WEIGHTS).items()), sp.fully_known()
 
 
 def strict_limit_dims(diag) -> Dict[int, int]:

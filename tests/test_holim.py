@@ -5,7 +5,7 @@ from dgcomplete.linalg import RATIONALS as F, Echelon, Field
 from dgcomplete.graded import GradedMap, Window, induced_rank, is_chain_map
 from dgcomplete import holim as H
 from dgcomplete import models as M
-from oracles import strict_limit_dims
+from oracles import knowledge, strict_limit_dims
 
 
 def ground_algebra():
@@ -524,8 +524,7 @@ def _limit_snapshot(hl):
     """Cells with their labels, every block's entries, knowledge, unit and
     the cutoff."""
     sp = hl.space
-    return (hl.p_max, sp.cells, sp.known_cols, sp.zero_outside,
-            sp.known_zero_below, sp.known_zero_above,
+    return (hl.p_max, sp.cells, knowledge(sp),
             {cell: (b.rows, b.cols, b.entries)
              for cell, b in hl.complex.d.blocks.items()}, hl.unit)
 

@@ -21,6 +21,7 @@ from dgcomplete.bar import (
 from dgcomplete.dg import DgModule, regular_module
 from dgcomplete.graded import Window
 from dgcomplete.linalg import RATIONALS as F, Field
+from oracles import knowledge
 
 
 def _module(name):
@@ -58,8 +59,7 @@ def _snapshot(cx, c):
     and certificate."""
     sp = cx.space
     h = cx.cohomology(Window(-c - 2, c + 2, c + 1))
-    return (sp.cells, sp.known_cols, sp.zero_outside, sp.known_zero_below,
-            sp.known_zero_above,
+    return (sp.cells, knowledge(sp),
             {cell: (b.rows, b.cols, b.entries) for cell, b in cx.d.blocks.items()},
             h.dims_by_cell(), h.certificate.status)
 

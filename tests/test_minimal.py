@@ -24,7 +24,7 @@ from dgcomplete.dg import (
 )
 from dgcomplete.graded import BiGradedSpace, CochainComplex, Window
 from dgcomplete.linalg import RATIONALS as F
-from oracles import ClassAlgebra
+from oracles import KNOWN_WEIGHTS, ClassAlgebra
 
 
 def _forced_bar(m, cap):
@@ -122,8 +122,9 @@ def _spread(m):
 
 def _columns_agree(small, big, cap):
     """E built at a small weight cap and at a large one agree on every
-    column |u| <= cap: its keys per cell, d, known columns and rays; and so
-    do their class algebras at cap, class for class."""
+    column |u| <= cap: its keys per cell, d and known degrees; past both
+    caps' columns they know the same; and so do their class algebras at
+    cap, class for class."""
     ss, bs = small.space, big.space
     cells = sorted(c for c in bs.cells if abs(c[1]) <= cap)
     assert cells == sorted(c for c in ss.cells if abs(c[1]) <= cap)
@@ -134,10 +135,12 @@ def _columns_agree(small, big, cap):
         for k in keys:
             assert small.complex.d.apply({k: 1}) == big.complex.d.apply({k: 1})
     for u in range(-cap, cap + 1):
-        assert ss.known_cols.get(u) == bs.known_cols.get(u), u
+        assert ss.known_degrees([u]) == bs.known_degrees([u]), u
         assert ss.column_complete(u) == bs.column_complete(u), u
-    assert (ss.known_zero_above, ss.known_zero_below, ss.zero_outside) == (
-        bs.known_zero_above, bs.known_zero_below, bs.zero_outside)
+    # past both caps' columns each knows only what its certificate's edge says
+    far = [u for u in KNOWN_WEIGHTS if abs(u) > cap + 2]
+    assert ss.known_degrees(far) == bs.known_degrees(far)
+    assert ss.fully_known() == bs.fully_known()
     hs, hb = (e.complex.cohomology(wmax=cap) for e in (small, big))
     assert hs.certificate.status == hb.certificate.status
     ms, mb = ClassAlgebra(small, cap), ClassAlgebra(big, cap)
