@@ -52,22 +52,6 @@ TupleLabel = Tuple[Key, Tuple[Key, ...]]
 Caps = Tuple[int, int]
 
 
-def _side_certified_empty(sp: BiGradedSpace, side: int) -> bool:
-    """Whether every weight of the given sign is certified to be zero."""
-    for w in sp.weights():
-        if (w > 0) if side > 0 else (w < 0):
-            return False
-    if sp.zero_outside:
-        return all(sp.column_complete(w) for w in sp.known_cols
-                   if ((w > 0) if side > 0 else (w < 0)))
-    bound = sp.known_zero_above if side > 0 else sp.known_zero_below
-    if bound is None:
-        return False
-    if side > 0:
-        return all(sp.column_complete(w) for w in range(1, bound + 1))
-    return all(sp.column_complete(w) for w in range(bound, 0))
-
-
 class ReductionData:
     """Weight-zero idempotent system with source/target objects per basis key."""
 
@@ -452,7 +436,7 @@ class _BarScheme(SemiFree):
             return None
         known = math.inf
         if not sp.fully_known():
-            if not (sp.column_complete(0) and _side_certified_empty(sp, -s)):
+            if not (sp.column_complete(0) and sp.side_certified_empty(-s)):
                 return None
             top = min(self.n_max, self.w_cap)
             known = next((i - 1 for i in range(1, top + 1)
@@ -606,20 +590,20 @@ def _mark_known(space: BiGradedSpace, keys: Sequence[Key], cert: Cert,
                 window: Tuple[float, float]) -> None:
     """Mark known the weights within window that a builder's certificate
     vouches for: weight w reads the generators at w less the keys' weights,
-    so it is empty beyond the edge near + light and complete for the top
-    weights inside it; all of them with no generators or no keys."""
+    so it is empty beyond the edge near + light, complete for the top
+    weights inside it and unknown past those; all of them with no
+    generators or no keys.  A cell beyond the edge raises RuntimeError."""
     sign, top, light = cert
     if light is None or not keys:
         space.mark_all_complete()
         return
     edge = sign * min(sign * k[1] for k in keys) + light
+    if any(sign * (w - edge) < 0 for (_, w) in space.cells):
+        raise RuntimeError(f"a cell lies beyond the certified edge {edge}")
     lo, hi = sorted((edge, edge + sign * top))
     for w in range(max(lo, window[0]), min(hi, window[1]) + 1):
         space.set_known(w)
-    if sign > 0:
-        space.known_zero_below = edge
-    else:
-        space.known_zero_above = edge
+    space.unknown = (edge, None) if sign > 0 else (None, edge)
 
 
 def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
@@ -1255,10 +1239,7 @@ def strict_end_algebra(m: DgModule) -> StrictEndAlgebra:
     sp = BiGradedSpace(f)
     for (d, w) in sorted(cells):
         sp.add_cell(d, w, cells[(d, w)])
-    if m.space.fully_known():
-        sp.mark_all_complete()
-    else:
-        sp.zero_outside = False  # known nowhere
+    sp.unknown = None if m.space.fully_known() else (None, None)
 
     key_of = {lab: (d, w, i) for (d, w), labs in cells.items()
               for i, lab in enumerate(labs)}

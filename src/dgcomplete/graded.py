@@ -1,12 +1,13 @@
 """Bigraded spaces and cochain complexes inside a truncation window.
 
 Basis keys are triples (degree, weight, index).  Elements are sparse dicts
-mapping keys to scalars.  Every space tracks which (degree, weight) cells are
-fully known: a "complete" weight column means the stored cells are all there
-is at that weight, a partial column carries a known degree interval, and
-anything else is unknown.  Certificates for cohomology are derived from that
-knowledge: a bidegree is exact only when the cells at degrees d-1, d, d+1 of
-its weight are fully known.  A certificate is that rule applied to the
+mapping keys to scalars.  What a space knows follows one rule: a weight
+listed in ``known_cols`` is known on its degree interval, and an unlisted
+weight is complete (its stored cells are all there is) unless it lies in
+the one interval of weights ``unknown``, where nothing of it is known.
+Only this module reads that rule.  Certificates for cohomology are derived
+from it: a bidegree (d, w) is exact only when degrees d-1, d and d+1 of
+weight w are known.  A certificate applies that test to the
 known degree interval of each weight over the probed region (the held cells
 and the window grid), so computing cohomology costs what the complex holds,
 not the size of the window.  The d², chain-map and functoriality checks all
@@ -21,6 +22,7 @@ from .linalg import Echelon, Field, Scalar, SparseMatrix, _add, _axpy, _reduce
 
 Key = Tuple[int, int, int]  # (degree, weight, index)
 Elt = Dict[Key, Scalar]
+Interval = Tuple[Optional[int], Optional[int]]  # (lo, hi), None unbounded
 
 
 class Window:
@@ -61,14 +63,11 @@ class BiGradedSpace:
         self.field = field
         self.cells: Dict[Tuple[int, int], List] = {}
         self._index: Dict[Tuple[int, int], Dict] = {}
-        # weight -> (lo, hi) known degree interval, None meaning unbounded.
-        # Weights absent from known_cols: known zero if zero_outside, else unknown.
-        self.known_cols: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-        self.zero_outside = True
-        # certified empty rays: every weight strictly below known_zero_below
-        # (resp. strictly above known_zero_above) has no cells at any cap
-        self.known_zero_below: Optional[int] = None
-        self.known_zero_above: Optional[int] = None
+        # the one rule: known_cols maps a weight to its known degree
+        # interval; an unlisted weight is unknown inside the weight
+        # interval ``unknown`` and complete outside it (everywhere if None)
+        self.known_cols: Dict[int, Interval] = {}
+        self.unknown: Optional[Interval] = None
         self._keys: Optional[Tuple[Key, ...]] = None
 
     def add_cell(self, deg: int, wt: int, labels: Sequence) -> None:
@@ -117,98 +116,72 @@ class BiGradedSpace:
     # -- knowledge tracking ------------------------------------------------
 
     def mark_all_complete(self) -> None:
-        self.known_cols = {w: (None, None) for w in self.weights()}
-        self.zero_outside = True
+        self.known_cols = {}
+        self.unknown = None
 
     def set_known(self, wt: int, lo: Optional[int] = None, hi: Optional[int] = None) -> None:
         self.known_cols[wt] = (lo, hi)
 
-    def _ray_known(self, wt: int) -> bool:
-        below = self.known_zero_below is not None and wt < self.known_zero_below
-        above = self.known_zero_above is not None and wt > self.known_zero_above
-        if not (below or above):
-            return False
-        return all(w != wt for (_, w) in self.cells)
+    def _interval(self, wt: int) -> Optional[Interval]:
+        u = self.unknown
+        inside = u is not None and (u[0] is None or u[0] <= wt) and (u[1] is None or wt <= u[1])
+        return self.known_cols.get(wt, None if inside else (None, None))
 
-    def known_degrees(self, weights: Iterable[int]
-                      ) -> Dict[int, Optional[Tuple[Optional[int], Optional[int]]]]:
+    def known_degrees(self, weights: Iterable[int]) -> Dict[int, Optional[Interval]]:
         """The known degree interval (lo, hi) of each weight, None meaning
-        unbounded, or None where nothing at that weight is known.  A weight
-        in a certified empty ray that holds no cell is known everywhere."""
-        occupied = {w for (_, w) in self.cells}
-        below, above = self.known_zero_below, self.known_zero_above
-        out: Dict[int, Optional[Tuple[Optional[int], Optional[int]]]] = {}
-        for w in weights:
-            iv = self.known_cols.get(w)
-            if (((below is not None and w < below)
-                 or (above is not None and w > above)) and w not in occupied):
-                iv = (None, None)
-            elif iv is None and self.zero_outside:
-                iv = (None, None)
-            out[w] = iv
-        return out
+        unbounded, or None where nothing at that weight is known: its listed
+        interval, else all of it outside ``unknown`` and nothing inside."""
+        return {w: self._interval(w) for w in weights}
 
     def column_complete(self, wt: int) -> bool:
-        iv = self.known_cols.get(wt)
-        if iv == (None, None):
-            return True
-        if self._ray_known(wt):
-            return True
-        if iv is not None:
-            return False
-        return self.zero_outside
+        return self._interval(wt) == (None, None)
 
     def fully_known(self) -> bool:
-        return self.zero_outside and all(
-            self.column_complete(w) for w in self.weights())
+        """Nothing is unknown and every listed column is complete."""
+        return self.unknown is None and all(
+            iv == (None, None) for iv in self.known_cols.values())
+
+    def side_certified_empty(self, side: int) -> bool:
+        """Whether every weight of the sign of side is complete and holds no
+        cell, so that no cap could add one: the unknown weights there,
+        side..end, and all listed ones there must be listed complete."""
+        u = self.unknown or (0, 0)  # none of either sign is unknown
+        end = u[1] if side > 0 else u[0]
+        return (end is not None and all(side * w <= 0 for (_, w) in self.cells)
+                and all(self.column_complete(w) for w in range(side, end + side, side))
+                and all(iv == (None, None) for w, iv in self.known_cols.items()
+                        if side * w > 0))
 
     def copy_knowledge_from(self, other: "BiGradedSpace", deg_offset: int = 0) -> None:
-        self.zero_outside = other.zero_outside
-        self.known_zero_below = other.known_zero_below
-        self.known_zero_above = other.known_zero_above
-        self.known_cols = {}
-        for w, (lo, hi) in other.known_cols.items():
-            self.known_cols[w] = (None if lo is None else lo - deg_offset,
-                                  None if hi is None else hi - deg_offset)
+        self.unknown = other.unknown
+        self.known_cols = {w: tuple(None if e is None else e - deg_offset for e in iv)
+                           for w, iv in other.known_cols.items()}
+
+
+def _hull(ivs: Sequence[Optional[Interval]]) -> Optional[Interval]:
+    """The least interval holding every given one, None for none."""
+    ivs = [iv for iv in ivs if iv is not None]
+    if not ivs:
+        return None
+    los, his = zip(*ivs)
+    return (None if None in los else min(los), None if None in his else max(his))
 
 
 def meet_knowledge(space: BiGradedSpace,
                    parts: Sequence[Tuple[BiGradedSpace, int]]) -> None:
-    """Set space's knowledge to: known at (d,w) iff every (part, off) knows (d+off, w)."""
-    space.zero_outside = all(p.zero_outside for p, _ in parts)
-    cols: Dict[int, Tuple[Optional[int], Optional[int]]] = {}
-    weights = set()
-    for p, _ in parts:
-        weights.update(p.known_cols)
-    for w in weights:
-        lo: Optional[int] = None
-        hi: Optional[int] = None
-        ok = True
-        for p, off in parts:
-            if p._ray_known(w):
-                continue
-            iv = p.known_cols.get(w)
-            if iv is None:
-                if not p.zero_outside:
-                    ok = False
-                    break
-                continue
-            plo, phi = iv
-            if plo is not None:
-                cand = plo - off
-                lo = cand if lo is None else max(lo, cand)
-            if phi is not None:
-                cand = phi - off
-                hi = cand if hi is None else min(hi, cand)
-        if ok and (lo is None or hi is None or lo <= hi):
-            cols[w] = (lo, hi)
+    """Set space's knowledge to: known at (d,w) iff every (part, off) knows
+    (d+off, w), except that the unknown weights are the hull of the parts'
+    ones (a part that knows all adds none).  A weight a part lists that all
+    know is listed with the meet of their intervals, even an empty one."""
+    cols: Dict[int, Interval] = {}
+    for w in set().union(*(p.known_cols for p, _ in parts)):
+        ivs = [(p._interval(w), off) for p, off in parts]
+        if all(iv is not None for iv, _ in ivs):
+            los = [iv[0] - off for iv, off in ivs if iv[0] is not None]
+            his = [iv[1] - off for iv, off in ivs if iv[1] is not None]
+            cols[w] = (max(los, default=None), min(his, default=None))
     space.known_cols = cols
-    lows = [p.known_zero_below for p, _ in parts]
-    space.known_zero_below = (
-        min(lows) if lows and all(b is not None for b in lows) else None)
-    highs = [p.known_zero_above for p, _ in parts]
-    space.known_zero_above = (
-        max(highs) if highs and all(b is not None for b in highs) else None)
+    space.unknown = _hull([p.unknown for p, _ in parts])
 
 
 # -- element helpers -------------------------------------------------------
@@ -353,7 +326,7 @@ class Certificate:
     (``BiGradedSpace.known_degrees``).  ``status`` lists every probed cell
     with its flag, built when first read."""
 
-    def __init__(self, known: Dict[int, Optional[Tuple[Optional[int], Optional[int]]]],
+    def __init__(self, known: Dict[int, Optional[Interval]],
                  held: Iterable[Tuple[int, int]], window: Optional[Window] = None,
                  wmax: Optional[int] = None):
         self._known = known
@@ -545,10 +518,12 @@ class CochainComplex:
         interval of each weight and the probed region, the held cells and
         the window grid: no cell of the window is visited to certify it.
 
-        With wmax, only the weight columns |w| <= wmax are computed, and the
-        cohomology's space knows nothing of the others.  Its knowledge is
-        the complex's, one degree in from each end of a known interval, and
-        it keeps the complex's certified empty rays."""
+        Its space lists the complex's known columns, each one degree in from
+        both ends, and has the complex's unknown weights.  With wmax, only
+        the columns |w| <= wmax are computed: the space lists those the
+        complex knows, and knows a heavier weight only outside the hull of
+        the complex's unknown weights and of the cells and partial columns
+        it holds past wmax; none when the complex has no unknown weights."""
         hspace = BiGradedSpace(self.field)
         ranks = self._ranks(wmax) if self.d.blocks else {}
         weights = {w for (_, w) in self.space.cells}
@@ -571,17 +546,18 @@ class CochainComplex:
                 names.extend(f"h{i}" for i in range(len(names), h))
                 hspace.cells[(d, w)] = names[:h]
         if wmax is None:
-            hspace.zero_outside = self.space.zero_outside
+            hspace.unknown = self.space.unknown
             cols = self.space.known_cols
         else:
-            hspace.zero_outside = False
+            past = {w for (_, w) in self.space.cells}.union(
+                w for w, iv in self.space.known_cols.items() if iv != (None, None))
+            hspace.unknown = _hull([self.space.unknown or (None, None)]
+                                   + [(w, w) for w in past if abs(w) > wmax])
             cols = {w: iv for w, iv in known.items() if iv is not None}
         hspace.known_cols = {
             w: (None if lo is None else lo + 1, None if hi is None else hi - 1)
             for w, (lo, hi) in cols.items()
         }
-        hspace.known_zero_below = self.space.known_zero_below
-        hspace.known_zero_above = self.space.known_zero_above
         return Cohomology(hspace, cert, self)
 
     def shift(self, n: int) -> "CochainComplex":
@@ -630,12 +606,12 @@ def _columns(d: GradedMap) -> Dict[Key, List[Tuple[Key, Scalar]]]:
 def _install(field: Field, cells: Dict[Tuple[int, int], List],
              entries: Dict[Tuple[int, int], Dict[Tuple[int, int], Scalar]]
              ) -> CochainComplex:
-    """The complex on cells {(d, w): labels} with no knowledge set, whose d
+    """The complex on cells {(d, w): labels}, known nowhere, whose d
     has each nonempty entries[(d, w)] as its block: every entry (row, col),
     a place being its label's index in its cell, is final and nonzero."""
     sp = BiGradedSpace(field)
     held = sp.cells = {cell: cells[cell] for cell in sorted(cells)}
-    sp.zero_outside = False
+    sp.unknown = (None, None)
     cx = CochainComplex(sp)
     blocks = cx.d.blocks
     for (d, w), labels in held.items():

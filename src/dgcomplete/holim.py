@@ -444,9 +444,9 @@ class AlgebraDiagram:
 class HolimAlgebra(DgAlgebra):
     """Dg algebra of compatible strings built from a diagram.
 
-    Carries the diagram and the string cutoff; per-weight certificates on
-    ``space.known_cols`` say through which degree the cutoff provably does
-    not disturb cohomology.
+    Carries the diagram and the string cutoff; with a cutoff, each weight
+    its strings reach is listed as known through the last degree the cutoff
+    provably leaves complete, and every other weight is complete.
     """
 
     def __init__(self, complex: CochainComplex, unit: Elt, product,
@@ -543,10 +543,8 @@ def holim(diagram: AlgebraDiagram, dmax: int,
     # through p_max + b_w are complete and cohomology is certified through
     # p_max + b_w - 1 there, which is dmax or more
     if known:
-        if not cut:
-            space.mark_all_complete()
-        else:
-            space.zero_outside = True
+        space.unknown = None
+        if cut:
             lowest: Dict[int, int] = {}
             for d, w, _ in sorted(k for keys in akeys.values() for k in keys):
                 lowest.setdefault(w, d)

@@ -535,10 +535,9 @@ def _realize(ring: TruncatedRing, p: SemiFree,
     a = ring.algebra
     cx, at = _two_sided(p, p.keys, None, a.basis_product, a.complex, window, None)
     sp = cx.space
+    sp.unknown = None
     if band is None:
-        sp.mark_all_complete()
         return cx, at
-    sp.zero_outside = True
     if n:
         for w in range(window[0], window[1] + 1):
             sp.set_known(w, *band)

@@ -7,7 +7,7 @@ import pytest
 
 from dgcomplete import linalg
 from dgcomplete import models as M
-from dgcomplete.bar import bar_resolution, derived_hom
+from dgcomplete.bar import _mark_known, bar_resolution, derived_hom
 from dgcomplete import holim as H
 from dgcomplete.holim import holim
 from dgcomplete.linalg import RATIONALS, Echelon, Field
@@ -110,33 +110,186 @@ def test_cohomology_partial_column_certificates():
     for d in range(0, 4):
         sp.add_cell(d, 0, [f"e{d}"])
     sp.set_known(0, lo=0, hi=3)  # degrees beyond 3 unknown
-    sp.zero_outside = True
+    sp.unknown = None  # every other weight complete
     c = CochainComplex(sp)
     h = c.cohomology()
     assert h.certificate.exact_at(1, 0)
     assert h.certificate.exact_at(2, 0)
     assert not h.certificate.exact_at(3, 0)  # needs unknown degree 4
-    assert not h.certificate.exact_at(-1, 0)  # needs unknown degree... -1 known zero? lo=0
+    assert not h.certificate.exact_at(-1, 0)  # needs degree -2, below lo = 0
     assert h.certificate.exact_at(5, 0) is False
 
 
 def test_cohomology_certificates_read_each_weight_once_per_call():
-    """A weight in a certified empty ray is known wherever it holds no cell;
-    an occupied one, or any weight without an interval when zero_outside
-    is off, is known nowhere."""
+    """A listed weight is known on its interval; an unlisted one is known
+    nowhere inside the unknown weights and everywhere outside them, also
+    where it holds a cell: the reader does not look at cells, so a cell
+    past an edge is refused where the edge is written (``_mark_known``)."""
     sp = BiGradedSpace(F)
     sp.add_cell(0, 0, ["a"])
     sp.add_cell(0, 3, ["b"])
     sp.set_known(0)
     sp.set_known(-1, lo=0, hi=2)
-    sp.zero_outside = False
-    sp.known_zero_above = 1
+    sp.unknown = (None, 1)
     assert sp.known_degrees([-2, -1, 0, 2, 3]) == {
-        -2: None, -1: (0, 2), 0: (None, None), 2: (None, None), 3: None}
+        -2: None, -1: (0, 2), 0: (None, None), 2: (None, None), 3: (None, None)}
     h = CochainComplex(sp).cohomology(Window(-1, 2, 3))
     exact = {c for c, ok in h.certificate.status.items() if ok}
     assert exact == {(d, 0) for d in range(-1, 3)} | {(1, -1)} | {
-        (d, 2) for d in range(-1, 3)}
+        (d, w) for d in range(-1, 3) for w in (2, 3)}
+
+
+# -- the one rule of knowledge -------------------------------------------------
+
+# every shape of the unknown weights: none, all, from an edge e on, up to e
+UNKNOWN_SHAPES = {"none": None, "all": (None, None), "from 1": (1, None),
+                  "up to 1": (None, 1)}
+# listed columns at weights inside and outside each shape: complete,
+# partial on either side, and empty (lo > hi)
+LISTED = [{-3: (None, None), 0: (0, 3), 2: (None, 1), 4: (2, 1)},
+          {-2: (1, 2), 0: (None, None), 1: (5, 4), 3: (-1, None)}]
+DEGREES, WEIGHTS = range(-12, 13), range(-12, 13)
+
+
+def _knows(unknown, listed, d, w):
+    """The reference, per cell: a listed weight knows its degrees lo..hi;
+    an unlisted one knows every degree unless w is among the weights the
+    shape leaves unknown, spelled out as a set."""
+    if w in listed:
+        lo, hi = listed[w]
+        return (lo is None or lo <= d) and (hi is None or d <= hi)
+    if unknown is None:
+        return True
+    lo, hi = unknown
+    return w not in range(-99 if lo is None else lo, 100 if hi is None else hi + 1)
+
+
+def _space(unknown, listed):
+    sp = BiGradedSpace(F)
+    for w, (lo, hi) in listed.items():
+        sp.set_known(w, lo, hi)
+    sp.unknown = unknown
+    return sp
+
+
+def _known_cells(sp):
+    """The cells of the box that sp's known_degrees reads as known."""
+    return {(d, w) for w, iv in sp.known_degrees(WEIGHTS).items() if iv is not None
+            for d in DEGREES
+            if (iv[0] is None or iv[0] <= d) and (iv[1] is None or d <= iv[1])}
+
+
+@pytest.mark.parametrize("listed", LISTED, ids=["listed-a", "listed-b"])
+@pytest.mark.parametrize("shape", UNKNOWN_SHAPES)
+def test_known_degrees_column_complete_and_fully_known_follow_the_rule(shape, listed):
+    unknown = UNKNOWN_SHAPES[shape]
+    sp = _space(unknown, listed)
+    want = {(d, w) for d in DEGREES for w in WEIGHTS if _knows(unknown, listed, d, w)}
+    assert _known_cells(sp) == want
+    for w in WEIGHTS:
+        assert sp.column_complete(w) == all((d, w) in want for d in DEGREES), w
+    assert sp.fully_known() == (len(want) == len(DEGREES) * len(WEIGHTS))
+    assert _space(unknown, {w: (None, None) for w in listed}).fully_known() == (
+        unknown is None)
+
+
+@pytest.mark.parametrize("cell", [None, 2, -2])
+@pytest.mark.parametrize("listed", LISTED + [{}, {1: (None, None)}],
+                         ids=["listed-a", "listed-b", "none-listed", "1-complete"])
+@pytest.mark.parametrize("shape", UNKNOWN_SHAPES)
+def test_side_certified_empty_follows_the_rule(shape, listed, cell):
+    """A sign is certified empty when no cell has a weight of that sign and
+    every cell of the box at such a weight is known."""
+    unknown = UNKNOWN_SHAPES[shape]
+    sp = _space(unknown, listed)
+    if cell is not None:
+        sp.add_cell(0, cell, ["c"])
+    for side in (1, -1):
+        want = all(side * w <= 0 for _, w in sp.cells) and all(
+            _knows(unknown, listed, d, w) for d in DEGREES for w in WEIGHTS if side * w > 0)
+        assert sp.side_certified_empty(side) == want, side
+
+
+@pytest.mark.parametrize("right", UNKNOWN_SHAPES)
+@pytest.mark.parametrize("left", UNKNOWN_SHAPES)
+def test_direct_sum_and_cone_know_what_every_part_knows(left, right):
+    """A direct sum knows (d, w) exactly when both parts do; a cone of
+    a -> b exactly when a knows (d + 1, w) and b knows (d, w)."""
+    ua, ub = UNKNOWN_SHAPES[left], UNKNOWN_SHAPES[right]
+    a = CochainComplex(_space(ua, LISTED[0]))
+    b = CochainComplex(_space(ub, LISTED[1]))
+    both = {(d, w) for d in DEGREES for w in WEIGHTS
+            if _knows(ua, LISTED[0], d, w) and _knows(ub, LISTED[1], d, w)}
+    assert _known_cells(a.direct_sum(b).space) == both
+    shifted = {(d, w) for d in DEGREES for w in WEIGHTS
+               if _knows(ua, LISTED[0], d + 1, w) and _knows(ub, LISTED[1], d, w)}
+    cn = cone(GradedMap(a.space, b.space, 0, 0), a, b)
+    assert _known_cells(cn.space) == shifted
+
+
+def test_a_direct_sum_across_a_gap_knows_no_weight_in_it():
+    """Unknown from 2 on and up to -2 leave -1..1 unlisted-known or listed
+    in both parts, but the sum's unknown weights are their hull, all of
+    them: -1, which neither part lists, is unknown in the sum, while the
+    listed 0 and 1 keep what both parts know there."""
+    a = CochainComplex(_space((2, None), LISTED[0]))
+    b = CochainComplex(_space((None, -2), LISTED[1]))
+    s = a.direct_sum(b).space
+    assert s.unknown == (None, None)
+    both = {(d, w) for d in DEGREES for w in WEIGHTS
+            if _knows((2, None), LISTED[0], d, w) and _knows((None, -2), LISTED[1], d, w)}
+    assert {w for _, w in both - _known_cells(s)} == {-1}
+    assert _known_cells(s) <= both
+
+
+def _known_at_weight_zero_on(lo, hi):
+    """An empty complex whose weight 0 is known on degrees lo..hi alone."""
+    sp = BiGradedSpace(F)
+    sp.set_known(0, lo, hi)
+    return CochainComplex(sp)
+
+
+def _certified(cx):
+    status = cx.cohomology(Window(-2, 10, 0)).certificate.status
+    assert len(status) == 13
+    return {cell for cell, ok in status.items() if ok}
+
+
+def test_a_direct_sum_of_disjoint_known_degrees_certifies_nothing_there():
+    a, b = _known_at_weight_zero_on(0, 3), _known_at_weight_zero_on(5, 8)
+    assert _certified(a) == {(1, 0), (2, 0)}
+    assert _certified(b) == {(6, 0), (7, 0)}
+    s = a.direct_sum(b)
+    assert _certified(s) == set()
+    assert not s.space.column_complete(0)
+
+
+def test_a_cone_of_disjoint_known_degrees_certifies_nothing_there():
+    """The cone knows degree d where a knows d + 1 and b knows d: a knows
+    -1..2 shifted and b knows 5..8, which do not meet."""
+    a, b = _known_at_weight_zero_on(0, 3), _known_at_weight_zero_on(5, 8)
+    cn = cone(GradedMap(a.space, b.space, 0, 0), a, b)
+    assert _certified(cn) == set()
+    assert not cn.space.column_complete(0)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_mark_known_refuses_a_cell_past_the_edge(sign):
+    """The certificate (sign, top, light) puts the edge at the lightest key
+    weight (in the sign's order) plus light; every weight past it is read
+    as complete, so a cell there raises, and one on the edge does not."""
+    keys = [(0, sign * 2, 0), (0, sign * 3, 0)]
+    for wt, ok in ((sign * 3, True), (sign * 2, True), (sign * 1, False)):
+        sp = BiGradedSpace(F)
+        sp.add_cell(0, wt, ["g"])
+        sp.unknown = (None, None)
+        if ok:
+            _mark_known(sp, keys, (sign, 1, 0), (-9, 9))
+            assert sp.unknown == ((2, None) if sign > 0 else (None, -2))
+            assert sorted(sp.known_cols) == sorted((sign * 2, sign * 3))
+        else:
+            with pytest.raises(RuntimeError, match="beyond the certified edge"):
+                _mark_known(sp, keys, (sign, 1, 0), (-9, 9))
 
 
 def test_shift_zero_and_double():
@@ -453,12 +606,12 @@ def test_project_reads_the_class_of_a_cocycle(field):
 
 def test_cohomology_up_to_a_weight_is_the_cohomology_there():
     """cohomology(wmax=n) has the full cohomology's cells, certificates and
-    representatives at |w| <= n, and no knowledge of heavier weights
-    outside the complex's certified empty rays."""
+    representatives at |w| <= n, and knows a heavier weight only where the
+    complex has unknown weights and is certified to hold nothing: complete
+    there and with no cell."""
     for c in random_complexes(F, 79, 6):
-        below, above = c.space.known_zero_below, c.space.known_zero_above
-        in_ray = {w: (below is not None and w < below)
-                  or (above is not None and w > above) for w in (1, -1)}
+        in_ray = {w: c.space.unknown is not None and c.space.column_complete(w)
+                  and all(cw != w for _, cw in c.space.cells) for w in (1, -1)}
         full = c.cohomology(Window(-2, 2, 1))
         cut = c.cohomology(Window(-2, 2, 1), wmax=0)
         assert cut.dims_by_cell() == {
@@ -476,14 +629,24 @@ def test_a_cohomology_space_keeps_its_complex_rays():
     sp = BiGradedSpace(F)
     sp.add_cell(0, 0, ["a"])
     sp.add_cell(1, -2, ["b"])
-    sp.zero_outside = False
-    sp.known_zero_below = -3
-    sp.known_zero_above = 0
+    sp.unknown = (-3, 0)  # empty below -3 and above 0
     for wmax in (None, 1, 4):
         hsp = CochainComplex(sp).cohomology(wmax=wmax).space
-        assert (hsp.known_zero_below, hsp.known_zero_above) == (-3, 0)
+        assert hsp.unknown == (-3, 0)
         assert hsp.column_complete(1) and hsp.column_complete(-4)
         assert not hsp.column_complete(-2)
+
+
+def test_a_cut_cohomology_does_not_know_a_held_column_past_wmax():
+    """A complex unknown from weight 0 on, summed with a fully known point
+    at weight -3, is complete at -3 by the hull; cut at wmax 1 its
+    cohomology holds no class there, so it knows -3 no more, and still
+    knows -5, where the sum holds nothing and is complete."""
+    s = CochainComplex(_space((0, None), {})).direct_sum(point_complex(0, -3))
+    assert s.space.column_complete(-3) and s.space.column_complete(-5)
+    cut = s.cohomology(wmax=1).space
+    assert s.cohomology().space.column_complete(-3)
+    assert not cut.column_complete(-3) and cut.column_complete(-5)
 
 
 def test_basis_keys_are_built_once_per_set_of_cells():

@@ -541,8 +541,8 @@ def _partly_known_simple():
     """S(O1) over 1 -> 2 whose space claims nothing beyond its cell."""
     alg = M.path_chain_algebra(F, 2)
     m = _simple_at(alg, "O1", 0, 0)
-    m.space.zero_outside = False
     m.space.known_cols = {}
+    m.space.unknown = (None, None)
     return {"algebra": alg, "module": m}
 
 

@@ -379,10 +379,10 @@ def test_a_weight_cut_inside_the_length_matches_the_bar(relations, n, w_cap):
 
 @pytest.mark.parametrize("spec", RESOLVED_RINGS, ids=lambda s: f"{s[0]}/{s[1]}")
 def test_the_bar_and_the_witness_know_the_same_columns(spec):
-    """Ext and Tor of k know the same columns and the same certified-empty
-    ray over the witness and over the bar, at every length 0-8, with no
-    weight cap and with cap 2: each marks the columns its certificate
-    reaches from the ray's edge inward, and none inside the ray."""
+    """Ext and Tor of k know the same degrees of every weight over the
+    witness and over the bar, at every length 0-8, with no weight cap and
+    with cap 2: each lists the columns its certificate reaches from the
+    edge inward, and past the edge, the certified-empty ray, lists none."""
     ring = M.truncated_poly(GF, *spec)
     k, k_left = ring.residue_module(), trivial_left(ring.algebra)
     for n in range(9):
