@@ -609,15 +609,27 @@ def _mark_known(space: BiGradedSpace, keys: Sequence[Key], cert: Cert,
 def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
                    reduced: Optional[bool] = None) -> BarData:
     """Semifree bar replacement of m with augmentation back to m: the
-    two-sided bar complex with the algebra itself as the right factor."""
+    two-sided bar complex with the algebra itself as the right factor.
+
+    m keeps the result per (n_max, w_cap, reduced) asked, reduced as
+    ``_bar_scheme`` decides it (``DgModule._bars``), and a later call
+    returns the kept object, whose blocks keep their ranks once eliminated;
+    callers must not edit it.  d² is checked once, before the result is
+    kept: a failure raises RuntimeError naming the cell and keeps nothing."""
     if w_cap is None:
         w_cap = n_max
     scheme, _, cert = _bar_scheme(m, n_max, w_cap, reduced)
+    key = (n_max, w_cap, scheme.reduced)
+    if key in m._bars:
+        return m._bars[key]
     a = m.algebra
     keys = a.basis_keys()
     # the slot check already covers the algebra's columns
     cx, at = _two_sided(scheme, keys, scheme.red.lobj if scheme.reduced else None,
                         a.basis_product, a.complex, (-w_cap, w_cap), cert)
+    bad = cx.validate_d2()
+    if bad is not None:
+        raise RuntimeError(f"bar resolution fails d-squared at cell {bad}")
 
     # the augmentation sends a bare tuple with right key bk to mk·bk, read
     # off the action table
@@ -632,7 +644,8 @@ def bar_resolution(m: DgModule, n_max: int, w_cap: Optional[int] = None,
     counts: Dict[Tuple[int, int, int], int] = {}
     for (_, al), d, w in zip(scheme.labels, scheme.degs, scheme.wts):
         counts[(len(al), d, w)] = counts.get((len(al), d, w), 0) + 1
-    return BarData(cx, aug, counts, scheme.reduced)
+    m._bars[key] = BarData(cx, aug, counts, scheme.reduced)
+    return m._bars[key]
 
 
 def _hom_complex_into(src: SemiFree, n: DgModule,

@@ -341,6 +341,10 @@ class DgModule:
       w_cap, reduced) asked, a cap past the uncut one read as it, so a
       finite bar keeps at most (L + 1)(W + 1) reduced ones; the certificate
       is still the asked caps'.  A per-call E adds none.
+    - ``DgModule._bars`` (``bar.bar_resolution``): the d²-checked
+      ``BarData`` per (n_max, w_cap, reduced) asked, reduced as decided and
+      the caps as asked, not read as uncut ones, since the kept window and
+      certificate follow them; one entry per caps asked.
     - ``DgModule._resolved`` (``bar._minimal_resolution``): the longest
       minimal resolution built, with its length and weight cap, which Ext,
       Tor, completions and ``models.free_resolution`` all read; a call past
@@ -359,6 +363,10 @@ class DgModule:
       length asked, the checked tensor powers of k's resolution cut there
       with their duals and comparison maps, n from 1 up to the largest
       n_check asked at that length.
+    - ``models.TruncatedRing._realized`` (``models._realizations``): per
+      (length, band) asked, the realizations over the field of each kept
+      power's three complexes and two maps, n from 1 up to the largest
+      n_check asked there; one entry per (length, band) asked.
     """
 
     def __init__(self, algebra: DgAlgebra, complex: CochainComplex,
@@ -376,6 +384,7 @@ class DgModule:
         self._objects = _UNSET  # bar._module_objects
         self._uncut = _UNSET  # bar._uncut_caps
         self._schemes: Dict[Tuple[int, int, bool], SemiFree] = {}  # bar._bar_scheme
+        self._bars: Dict[Tuple[int, int, bool], object] = {}  # bar.bar_resolution
         self._resolved: Union[None, str, Tuple] = None  # bar._minimal_resolution
         self._strict = None  # complete.double_centralizer
         self._witnesses: Dict[int, Tuple] = {}  # complete.double_centralizer

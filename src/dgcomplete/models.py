@@ -14,10 +14,11 @@ as P ⊗_R R by ``bar._two_sided``.  k's resolution is its minimal one,
 ``bar._minimal_resolution``, the one Ext and Tor read.
 
 A ring keeps what its inputs determine: k, whose kept build serves every
-later resolution, and per length the tensor powers of k's resolution with
-their duals and comparison maps (``_tensor_powers``), each checked once
-when it is built.  Realizations over the field, cohomology and reports
-are computed on every call.
+later resolution, per length the tensor powers of k's resolution with
+their duals and comparison maps (``_tensor_powers``), and per length and
+degree band their realizations over the field (``_realizations``), each
+checked once when it is built.  Cohomology and reports are computed on
+every call.
 """
 from __future__ import annotations
 
@@ -116,15 +117,19 @@ class TruncatedRing:
     Every product of two standard monomials in this module reads it, and
     every free complex reads their weights off ``_weights``.
 
-    The ring keeps two stores, declared here, each written by one function
-    and relying on the ring not being mutated:
+    The ring keeps three stores, declared here, each written by one
+    function and relying on the ring not being mutated:
 
     - ``_k`` (``free_resolution``): k, built on the first call, which keeps
       its longest minimal resolution (``DgModule._resolved``); one entry.
     - ``_powers`` (``_tensor_powers``): per length asked, the structures
       over R of the tensor powers P^⊗n of k's resolution cut there, n from
       1 up to the largest n_check asked at that length; so one list per
-      length asked, each as long as the largest n_check."""
+      length asked, each as long as the largest n_check.
+    - ``_realized`` (``_realizations``): per (length, band) asked, each kept
+      power's three complexes and two maps realized over the field on the
+      degree band, n from 1 up to the largest n_check asked there; one
+      list per (length, band) asked."""
 
     def __init__(self, field: Field, variables: Sequence[str],
                  relations: Sequence, wmax: Optional[int] = None,
@@ -160,6 +165,7 @@ class TruncatedRing:
         self.algebra = self._build_algebra()
         self._k: Optional[DgModule] = None  # free_resolution
         self._powers: Dict[int, List[Power]] = {}  # _tensor_powers
+        self._realized: Dict[Tuple[int, Tuple[int, int]], List[Realizations]] = {}  # _realizations
 
     def _standard_monomials(self) -> List[Mono]:
         nvar = len(self.variables)
@@ -345,6 +351,10 @@ Power = Tuple[SemiFree, SemiFree, SemiFree, Map, Map, List[int],
 # a realization: the complex over the field, and at[i][g], the place of g
 # times the i-th monomial in its cell, -1 where it is not realized
 Realized = Tuple[CochainComplex, List[List[int]]]
+# a power realized on a degree band (``_realizations``): the complexes of
+# P^⊗n, its double dual and P'^⊗n's dual, then the comparison λ and the
+# biduality φ
+Realizations = Tuple[CochainComplex, CochainComplex, CochainComplex, GradedMap, GradedMap]
 
 
 def _check_map(ring: TruncatedRing, f: Map, src: SemiFree, tgt: SemiFree) -> None:
@@ -708,6 +718,27 @@ def _compared(ring: TruncatedRing, t: SemiFree, t_dual: SemiFree, tp: SemiFree,
     return t, t_dual, tp, rho, kappa, pd_degs, left, right, comparison, phi
 
 
+def _realizations(ring: TruncatedRing, length: int, band: Tuple[int, int],
+                  powers: Sequence[Power]) -> List[Realizations]:
+    """Each of the powers kept at the length (``_tensor_powers``) realized
+    on the degree band (``Realizations``), as the ring keeps them
+    (``TruncatedRing._realized``): a power not yet realized there has its
+    three complexes and two maps realized, each bidegree-checked by
+    ``_realize`` or ``_realize_map``, and kept."""
+    key = (length, band)
+    if key not in ring._realized:
+        ring._realized[key] = []
+    while len(ring._realized[key]) < len(powers):
+        t_n, *_, left_cx, right_cx, comparison, phi = powers[len(ring._realized[key])]
+        real_t, real_left, real_right = (_realize(ring, c, band)
+                                         for c in (t_n, left_cx, right_cx))
+        ring._realized[key].append((
+            real_t[0], real_left[0], real_right[0],
+            _realize_map(ring, comparison, left_cx, right_cx, real_left, real_right),
+            _realize_map(ring, phi, t_n, left_cx, real_t, real_left)))
+    return ring._realized[key][:len(powers)]
+
+
 def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
                     length: int = 8, n_check: int = 2) -> Dict:
     """Compare tensor powers of the residue field with duals-of-duals.
@@ -722,8 +753,11 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
     The complexes and maps over R depend only on the ring and the length,
     so the ring keeps them (``_tensor_powers``), and the d² checks on the
     powers and the chain-map checks on the whole maps run once, when each
-    is built.  The realizations, their cohomology and the report are computed
-    on every call.
+    is built.  Their realizations over the field depend on the degree band
+    as well, so the ring keeps those per length and band
+    (``_realizations``), each bidegree-checked once when it is built, with
+    the ranks its blocks cache.  The cohomology, the induced ranks and a
+    fresh report are computed on every call.
 
     The certified degrees are [max(lo, 1 - length), min(hi, length - 1)]
     where k has no finite resolution (``_periodic``), since the resolution
@@ -751,18 +785,15 @@ def infin_ext_check(ring: TruncatedRing, window: Tuple[int, int] = (-4, 4),
     verdict_ok, witness = True, None
     band = (lo - 1, hi + 1)
     powers = _tensor_powers(ring, length, n_check)
-    for n, (t_n, *_, left_cx, right_cx, comparison, phi) in enumerate(powers, 1):
+    realized = _realizations(ring, length, band, powers)
+    for n, (power, real) in enumerate(zip(powers, realized), 1):
+        *_, left_cx, right_cx, _, _ = power
+        cx_t, cx_left, cx_right, lam, phi_map = real
         # a weight cap on the ring truncates weight slices from above
         wt_cert = (None if ring.wmax is None
                    else ring.wmax + min(min(left_cx.wts), min(right_cx.wts)))
         report["certified_degrees"][n] = [cert_lo, cert_hi]
         report.setdefault("certified_weight_max", {})[n] = wt_cert
-
-        real_t, real_left, real_right = (_realize(ring, c, band)
-                                         for c in (t_n, left_cx, right_cx))
-        lam = _realize_map(ring, comparison, left_cx, right_cx, real_left, real_right)
-        phi_map = _realize_map(ring, phi, t_n, left_cx, real_t, real_left)
-        cx_t, cx_left, cx_right = real_t[0], real_left[0], real_right[0]
 
         win = Window(lo, hi, max((abs(w) for cx in (cx_left, cx_right)
                                   for (_, w) in cx.space.cells), default=0))

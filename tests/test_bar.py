@@ -3,14 +3,14 @@ import hashlib
 
 import pytest
 
-from dgcomplete import models as M
-from dgcomplete.linalg import RATIONALS, Field
+from dgcomplete import bar, models as M
+from dgcomplete.linalg import RATIONALS, Field, SparseMatrix
 from dgcomplete.dg import (
     DgAlgebra, DgCategoryPresentation, DgModule, category_algebra,
     direct_sum_modules, regular_module, right_ideal_module, shift_module,
 )
 from dgcomplete.graded import (
-    BiGradedSpace, CochainComplex, Window, cone, is_chain_map,
+    BiGradedSpace, CochainComplex, GradedMap, Window, cone, is_chain_map,
 )
 from oracles import knowledge
 from dgcomplete.bar import (
@@ -620,6 +620,31 @@ def test_bar_constructions_over_the_dg_line(field):
     for name, cx in built.items():
         assert cx.validate_d2() is None, name
         assert h_dims_exact(cx) == {(0, 0): 1}, name
+
+
+def test_a_bar_that_fails_d_squared_is_not_kept(monkeypatch):
+    """Over the dg line, a right factor whose differential has the wrong
+    sign breaks d² on k's two-sided bar: the build raises naming the cell
+    and k keeps no bar; with the sign mended the next call builds and keeps
+    one."""
+    k = trivial_right(M._dg_line_algebra(F))
+    two_sided = bar._two_sided
+
+    def flipped(src, keys, lobj, merge, rcx, window, cert):
+        d = GradedMap(rcx.space, rcx.space, 1, 0)
+        for cell, b in rcx.d.blocks.items():
+            d.blocks[cell] = SparseMatrix(b.rows, b.cols, b.field,
+                                          {at: -v for at, v in b.entries.items()})
+        return two_sided(src, keys, lobj, merge, CochainComplex(rcx.space, d),
+                         window, cert)
+
+    monkeypatch.setattr(bar, "_two_sided", flipped)
+    with pytest.raises(RuntimeError, match=r"fails d-squared at cell \(-?\d+, -?\d+\)"):
+        bar_resolution(k, 4)
+    assert k._bars == {}
+    monkeypatch.setattr(bar, "_two_sided", two_sided)
+    assert bar_resolution(k, 4) is bar_resolution(k, 4)
+    assert len(k._bars) == 1
 
 
 def test_ill_graded_product_leaves_the_window():

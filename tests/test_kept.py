@@ -1,6 +1,7 @@
 """What a module keeps per caps: each bar scheme it is the source of, keyed
 by (n_max, w_cap, reduced) with a cap past its finite bar's uncut cap read
-as that cap, and its witness model per outer weight cap.
+as that cap, its bar resolution per caps asked, and its witness model per
+outer weight cap.
 
 Every builder that reads a kept scheme must build what it builds over a
 fresh module at the asked caps, none read as an uncut one, in any order of
@@ -86,6 +87,27 @@ def test_kept_schemes_build_what_a_fresh_module_builds(monkeypatch, name, caps):
     n_cut, w_cut = UNCUT[name]
     assert sorted(m._schemes) == sorted(
         {(min(n, n_cut), min(c, w_cut), True) for c in caps for n in (c, c + 1)})
+
+
+def test_a_second_bar_resolution_returns_the_kept_one(monkeypatch):
+    """m keeps bar_resolution's result per caps asked and reduced as
+    decided: an identical call, or reduced=True where None decides reduced,
+    builds nothing and returns the kept object.  Caps past triangular_123's
+    uncut ones share a scheme but not a result, whose window follows the
+    asked caps, and the unreduced bar is kept apart."""
+    m = _module("triangular_123")
+    built = []
+    two_sided = bar._two_sided
+    monkeypatch.setattr(bar, "_two_sided",
+                        lambda *args: built.append(args) or two_sided(*args))
+    first = bar_resolution(m, 3)
+    assert first.reduced and len(built) == 1
+    assert bar_resolution(m, 3) is first and bar_resolution(m, 3, reduced=True) is first
+    assert len(built) == 1
+    wide, unreduced = bar_resolution(m, 4), bar_resolution(m, 3, reduced=False)
+    assert len(built) == 3 and wide is not first and not unreduced.reduced
+    assert sorted(m._bars) == [(3, 3, False), (3, 3, True), (4, 4, True)]
+    assert sorted(m._schemes) == [(2, 2, True), (3, 3, False)]
 
 
 @pytest.mark.parametrize("name", ["triangular_12", "triangular_123"])

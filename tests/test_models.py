@@ -485,8 +485,9 @@ class TestInfinExt:
         """A sign flipped in P⊗P fails the comparison's chain check, and the
         power that failed is not kept: with the tensor mended, the next call
         equals a fresh ring's.  A second identical call runs no d² or
-        chain-map check, while every realization of a complex or a map
-        still checks the bidegree of each term."""
+        chain-map check and realizes nothing; a call at a new band or a new
+        length realizes each complex and map once more, and each
+        realization still checks the bidegree of each term."""
         spec, run = (["x", "y"], [], 4), {"window": (-2, 2), "length": 4}
         ring = M.truncated_poly(F, *spec)
         tensor = M._tensor
@@ -507,6 +508,9 @@ class TestInfinExt:
         fresh = M.infin_ext_check(M.truncated_poly(F, *spec), **run)
         assert M.infin_ext_check(ring, **run) == fresh
 
+        others = {(window, length): M.infin_ext_check(M.truncated_poly(F, *spec),
+                                                      window=window, length=length)
+                  for window, length in (((-1, 1), 4), ((-2, 2), 6))}
         calls = {}
 
         def counted(name):
@@ -521,10 +525,14 @@ class TestInfinExt:
                      "_realize_map"):
             counted(name)
         assert M.infin_ext_check(ring, **run) == fresh
-        assert "_d_squared_fault" not in calls and "_chain_fault" not in calls
-        # three complexes and two maps per power
-        assert calls["_realize"] == 6 and calls["_realize_map"] == 4
-        assert calls["_check_map"] == 10
+        assert calls == {}
+        for (window, length), other in others.items():
+            calls.clear()
+            assert M.infin_ext_check(ring, window=window, length=length) == other
+            # three complexes and two maps per power
+            assert calls["_realize"] == 6 and calls["_realize_map"] == 4
+            assert calls["_check_map"] == 10
+        assert "_chain_fault" in calls  # the new length builds its powers
 
     def test_a_power_that_fails_d_squared_is_refused(self, monkeypatch):
         """Over k[x]/(x^3) a sign flipped in P⊗P passes both chain-map
@@ -632,20 +640,23 @@ class TestInfinExt:
     @pytest.mark.parametrize("spec", BANDED, ids=lambda s: f"{s[0]}/{s[1]}|{s[2]}")
     def test_banded_reports_equal_whole_ones(self, spec, monkeypatch):
         """infin_ext_check realizes only the generators of degree lo-1..hi+1;
-        its reports equal those built from the whole complexes."""
-        ring = M.truncated_poly(Field(32003), *spec)
+        its reports equal those built from the whole complexes, on a second
+        ring, since a ring keeps what it realized."""
+        rings = [M.truncated_poly(Field(32003), *spec) for _ in range(2)]
         runs = self.BANDED_RUNS
-        banded = [M.infin_ext_check(ring, window=(-w, w), length=length, n_check=n)
+        banded = [M.infin_ext_check(rings[0], window=(-w, w), length=length, n_check=n)
                   for w, length, n in runs]
         whole = M._realize
         monkeypatch.setattr(M, "_realize", lambda ring, p, band=None: whole(ring, p))
-        assert banded == [M.infin_ext_check(ring, window=(-w, w), length=length,
+        assert banded == [M.infin_ext_check(rings[1], window=(-w, w), length=length,
                                             n_check=n) for w, length, n in runs]
 
     # (window half-width, length, n_check) asked of one ring in turn:
-    # n_check 2 -> 3 -> 2, lengths 6 -> 4 -> 8 -> 6, windows ±1, ±2, ±3
-    KEPT_RUNS = [(3, 6, 2), (3, 6, 3), (3, 6, 2), (2, 4, 2), (2, 8, 2), (2, 6, 2),
-                 (1, 6, 2), (2, 6, 2), (3, 6, 2)]
+    # n_check 2 -> 3 -> 2, lengths 6 -> 4 -> 8 -> 6 -> 2 -> 0, windows ±1,
+    # ±2, ±3 and 0; at length 4 a band widens, and the band of window 0
+    # is asked at lengths 2 and 0, whose resolutions differ in it
+    KEPT_RUNS = [(3, 6, 2), (3, 6, 3), (3, 6, 2), (1, 4, 2), (2, 4, 2), (2, 8, 2),
+                 (2, 6, 2), (1, 6, 2), (2, 6, 2), (3, 6, 2), (0, 2, 2), (0, 0, 2)]
 
     @pytest.mark.parametrize("field", [F, Field(32003)], ids=["QQ", "GF(32003)"])
     @pytest.mark.parametrize("spec", [(["x"], [f"x^{t}"], None) for t in range(2, 7)]

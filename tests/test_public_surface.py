@@ -108,10 +108,6 @@ CLAIMS = {
     "dg.DgModule.act_left": (
         "the module validator on left modules, which acts through it",
         "tests/test_dg.py::test_module_validator_catches_a_broken_action"),
-    "graded.CochainComplex.validate_d2": (
-        "the d² validator: each face-sign mutant of a limit fails it",
-        "tests/test_holim.py::TestSignsOnATower::"
-        "test_each_face_flip_breaks_d_squared"),
     "dg.AlgebraMorphism.validate": (
         "the validator of unital chain algebra maps: a map that is not "
         "unital fails it",
